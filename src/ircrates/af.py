@@ -8,7 +8,13 @@ The relay transmits X_r = a_r * Y_r.  With single-user decoding, user i sees
 and R_i(a_r) = C(SINR_i).  Dividing through by N_i puts the SINR in the
 scalar form |m a + n|^2 / (|p a + q|^2 + s a^2 + 1) whose stationary points
 solve a quadratic; the box-constrained maximizer over [0, a_sat] follows
-from a sign/position case analysis on the two roots.
+from a sign/position case analysis on the two roots.  Full relay power is
+therefore not always optimal.
+
+The sum rate R_1 + R_2 is maximized in closed form as well: its stationary
+points are the roots of a degree-6 polynomial built from the two per-user
+quadratics, and the optimum is the best of those roots inside (0, a_sat)
+and the two endpoints (see ``af_sum_rate_gain``).
 
 Note the composite auxiliaries: m and n carry sqrt(P_i/N_i), while p, q and
 s are normalized by the *receiver* noise N_i (p, q carry sqrt(P_j/N_i) and
@@ -24,7 +30,6 @@ from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .channel import ChannelInstance, RatePair, capacity, other
 
@@ -256,52 +261,43 @@ def af_sum_rate_gain(
     tolerance: float = 1e-10,
     grid_points: int = 10_000,
 ) -> Tuple[float, RatePair]:
-    """Maximize R_1(a_r) + R_2(a_r) over [0, saturation_gain] numerically.
+    """Maximize R_1(a_r) + R_2(a_r) over [0, saturation_gain] in closed form.
 
-    The sum of the two per-user rates need not be unimodal, so every local
-    maximum of a dense scan is refined by a bounded 1-D search; the per-user
-    stationary points are added as extra refinement seeds.
+    Per user, 1 + SINR_i = T_i / D_i with real quadratics D_i and
+    T_i = D_i + M_i, where M_i = |m a + n|^2, so d/da log(T_i / D_i) =
+    2 Q_i / (T_i D_i) with Q_i the per-user stationary-point quadratic.  The
+    sum rate is therefore stationary where the degree-6 polynomial
+
+        Q_1 T_2 D_2 + Q_2 T_1 D_1
+
+    vanishes.  The candidates are both endpoints and the real part of every
+    root of that polynomial inside (0, saturation_gain); roots are not
+    filtered by their imaginary part, since an extra feasible candidate can
+    only raise the maximum.  Ties keep the first candidate, in the order 0,
+    saturation gain, roots.
+
+    ``tolerance`` and ``grid_points`` are ignored; they are accepted for
+    compatibility with callers of the former numerical search.
     """
-    if tolerance <= 0:
-        raise ValueError(f"tolerance must be > 0, got {tolerance}")
     a_bar = saturation_gain(channel)
-    grid = np.linspace(0.0, a_bar, max(int(grid_points), 2))
-    f = af_rate(channel, grid, 1) + af_rate(channel, grid, 2)
-
-    def sum_rate(a: float) -> float:
-        return float(af_rate(channel, a, 1) + af_rate(channel, a, 2))
-
-    # Brackets around every interior local maximum of the scan, plus endpoints
-    # and every per-user stationary point falling inside the box.
-    brackets = []
-    interior = np.nonzero((f[1:-1] >= f[:-2]) & (f[1:-1] >= f[2:]))[0] + 1
-    step = grid[1] - grid[0] if len(grid) > 1 else a_bar
-    for i in interior:
-        brackets.append((grid[i - 1], grid[i + 1]))
+    q, td = [], []  # per user: Q_i, and the quartic T_i D_i
     for user in (1, 2):
-        try:
-            roots = critical_points(channel, user)
-        except ValueError:
-            roots = []
-        for r in roots:
-            if 0.0 < r < a_bar:
-                brackets.append((max(0.0, r - step), min(a_bar, r + step)))
-
-    best_a, best_f = 0.0, sum_rate(0.0)
-    if sum_rate(a_bar) > best_f:
-        best_a, best_f = a_bar, sum_rate(a_bar)
-    for lo, hi in brackets:
-        if hi <= lo:
-            continue
-        res = minimize_scalar(
-            lambda a: -sum_rate(a),
-            bounds=(lo, hi),
-            method="bounded",
-            options={"xatol": tolerance},
-        )
-        if -res.fun > best_f:
-            best_a, best_f = float(res.x), float(-res.fun)
-
-    return best_a, RatePair(
-        float(af_rate(channel, best_a, 1)), float(af_rate(channel, best_a, 2))
-    )
+        aux = auxiliaries(channel, user)
+        d = np.array([
+            abs(aux.p) ** 2 + aux.s,
+            2.0 * (aux.p * aux.q.conjugate()).real,
+            abs(aux.q) ** 2 + 1.0,
+        ])
+        t = d + np.array([
+            abs(aux.m) ** 2,
+            2.0 * (aux.m * aux.n.conjugate()).real,
+            abs(aux.n) ** 2,
+        ])
+        q.append(quadratic_coefficients(aux))
+        td.append(np.convolve(t, d))
+    # Coefficient arrays run from the highest power down, as np.roots takes.
+    roots = np.roots(np.convolve(q[0], td[1]) + np.convolve(q[1], td[0])).real
+    cands = np.concatenate(([0.0, a_bar], roots[(roots > 0.0) & (roots < a_bar)]))
+    r1, r2 = af_rate(channel, cands, 1), af_rate(channel, cands, 2)
+    k = int(np.argmax(r1 + r2))
+    return float(cands[k]), RatePair(float(r1[k]), float(r2[k]))

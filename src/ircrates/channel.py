@@ -40,7 +40,12 @@ def capacity(x):
     domain error (an SINR is a ratio of powers).
     """
     x = np.asarray(x, dtype=float)
-    if np.any(~np.isfinite(x)) or np.any(x < 0):
+    # NaN fails both comparisons, and min() and max() propagate it.
+    if x.ndim == 0:
+        bad = not 0.0 <= float(x) < math.inf
+    else:
+        bad = x.size > 0 and not (0.0 <= x.min() and x.max() < math.inf)
+    if bad:
         raise ValueError(f"SINR must be finite and >= 0, got {x!r}")
     out = np.log2(1.0 + x)
     return float(out) if out.ndim == 0 else out

@@ -58,11 +58,11 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
 def _get_config(args) -> ScenarioConfig:
     config = load_config(args.config) if args.config else default_config()
     overrides = {}
-    if getattr(args, "pa", None):
+    if getattr(args, "pa", None) is not None:
         overrides["pa_policy"] = args.pa
-    if getattr(args, "r0_exponent", None):
+    if getattr(args, "r0_exponent", None) is not None:
         overrides["r0_exponent"] = args.r0_exponent
-    if getattr(args, "resolution", None):
+    if getattr(args, "resolution", None) is not None:
         overrides["resolution"] = args.resolution
     if overrides:
         from dataclasses import replace
@@ -136,9 +136,7 @@ def _cmd_optimize(args) -> int:
     channel = _channel_from(config)
     lines = [f"protocol: {args.protocol}"]
     if args.protocol == "af":
-        gain, pair = af.af_sum_rate_gain(
-            channel, tolerance=config.af_tolerance, grid_points=config.af_grid
-        )
+        gain, pair = af.af_sum_rate_gain(channel)
         lines += [f"gain: {gain:.12g}"]
     elif args.protocol == "df":
         nu = (0.5, 0.5) if config.pa_policy == "uniform" else None

@@ -137,16 +137,15 @@ def df_sum_rate_search(
         lo = max(0.0, point[axis] - step)
         hi = min(1.0, point[axis] + step)
         vals = np.linspace(lo, hi, 21)  # step/10 refinement
-        best_v, best_f = point[axis], _sum_rate_grid(channel, *point)
-        for v in vals:
-            trial = list(point)
-            trial[axis] = float(v)
-            if trial[2] + trial[3] > 1.0:
-                continue
-            f = float(_sum_rate_grid(channel, *trial))
-            if f > best_f:
-                best_v, best_f = float(v), f
-        point[axis] = best_v
+        trial = list(point)
+        trial[axis] = vals
+        # Points off the nu simplex are skipped; a point replaces the current
+        # one only if strictly better, and the first of equal maxima wins.
+        f = np.where(trial[2] + trial[3] > 1.0, -np.inf,
+                     _sum_rate_grid(channel, *trial))
+        k = int(np.argmax(f))
+        if f[k] > _sum_rate_grid(channel, *point):
+            point[axis] = float(vals[k])
 
     params = DfParams(tau1=point[0], tau2=point[1], nu1=point[2], nu2=point[3])
     return params, RatePair(df_rate(channel, params, 1), df_rate(channel, params, 2))

@@ -316,9 +316,8 @@ def load_factorization(path):
         if take() != "factor":
             raise ValueError(f"{path}: expected 'factor' directive")
         spec = []
-        while tokens[pos] != ":":
-            spec.append(take())
-        take()  # consume ':'
+        while (tok := take()) != ":":
+            spec.append(tok)
         spec_str = " ".join(spec)
         if "|" in spec:
             bar = spec.index("|")

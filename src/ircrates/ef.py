@@ -32,6 +32,8 @@ import math
 from dataclasses import dataclass
 from typing import Tuple
 
+import numpy as np
+
 from .channel import ChannelInstance, RatePair, capacity, other
 from .errors import ConstraintViolationError, InfeasibleError
 
@@ -341,8 +343,6 @@ def ef_bi_sum_rate_search(
     """
     if grid_points < 2:
         raise ValueError(f"grid_points must be >= 2, got {grid_points}")
-    import numpy as np
-
     vals = np.linspace(0.0, 1.0, grid_points)
     best = None
     for nu1 in vals:

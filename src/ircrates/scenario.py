@@ -73,8 +73,6 @@ class ScenarioConfig:
     y_max: float = 4.0
     resolution: float = 0.25
     pa_policy: str = "uniform"
-    af_grid: int = 10_000
-    af_tolerance: float = 1e-10
     df_grid: int = 41
     ef_grid: int = 41
     protocols: Tuple[str, ...] = PROTOCOL_ORDER
@@ -135,10 +133,7 @@ class ScenarioConfig:
                 "resolution": self.resolution,
             },
             "pa_policy": self.pa_policy,
-            "optimizer": {
-                "af_grid": self.af_grid, "af_tolerance": self.af_tolerance,
-                "df_grid": self.df_grid, "ef_grid": self.ef_grid,
-            },
+            "optimizer": {"df_grid": self.df_grid, "ef_grid": self.ef_grid},
             "protocols": list(self.protocols),
             "r0_exponent": self.r0_exponent,
         }
@@ -175,8 +170,6 @@ class ScenarioConfig:
                 y_min=sweep.get("y_min", -3.0), y_max=sweep.get("y_max", 4.0),
                 resolution=sweep.get("resolution", 0.25),
                 pa_policy=data.get("pa_policy", "uniform"),
-                af_grid=opt.get("af_grid", 10_000),
-                af_tolerance=opt.get("af_tolerance", 1e-10),
                 df_grid=opt.get("df_grid", 41),
                 ef_grid=opt.get("ef_grid", 41),
                 protocols=tuple(data.get("protocols", PROTOCOL_ORDER)),
@@ -249,9 +242,7 @@ def evaluate_cell(config: ScenarioConfig, xr: float, yr: float) -> MapCell:
     bl_tag = ""
 
     if "af" in config.protocols:
-        af_gain, pair = af.af_sum_rate_gain(
-            channel, tolerance=config.af_tolerance, grid_points=config.af_grid
-        )
+        af_gain, pair = af.af_sum_rate_gain(channel)
         rates["af"] = pair.sum
     if "df" in config.protocols:
         nu = _uniform_nu() if config.pa_policy == "uniform" else None

@@ -1,0 +1,109 @@
+"""Loop-based reference versions of kernels the package computes faster.
+
+The package's AF sum-rate optimum is closed form and its DF refinement pass
+is one vectorized call per axis; these are the scan-and-refine AF optimizer
+and the scalar DF refinement loop they replaced.  Tests compare the two.
+"""
+
+from typing import Optional, Tuple
+
+import numpy as np
+from scipy.optimize import minimize_scalar
+
+from ircrates.af import af_rate, critical_points, saturation_gain
+from ircrates.channel import ChannelInstance, RatePair
+from ircrates.df import DfParams, _nu_simplex, _sum_rate_grid, df_rate
+
+
+def af_sum_rate_gain_scan(
+    channel: ChannelInstance,
+    tolerance: float = 1e-10,
+    grid_points: int = 10_000,
+) -> Tuple[float, RatePair]:
+    """Maximize R_1 + R_2 over [0, saturation_gain] by scan and refinement.
+
+    Every local maximum of a dense scan, and every per-user stationary point
+    inside the box, is refined by a bounded 1-D search.
+    """
+    a_bar = saturation_gain(channel)
+    grid = np.linspace(0.0, a_bar, max(int(grid_points), 2))
+    f = af_rate(channel, grid, 1) + af_rate(channel, grid, 2)
+
+    def sum_rate(a: float) -> float:
+        return float(af_rate(channel, a, 1) + af_rate(channel, a, 2))
+
+    brackets = []
+    interior = np.nonzero((f[1:-1] >= f[:-2]) & (f[1:-1] >= f[2:]))[0] + 1
+    step = grid[1] - grid[0] if len(grid) > 1 else a_bar
+    for i in interior:
+        brackets.append((grid[i - 1], grid[i + 1]))
+    for user in (1, 2):
+        try:
+            roots = critical_points(channel, user)
+        except ValueError:
+            roots = []
+        for r in roots:
+            if 0.0 < r < a_bar:
+                brackets.append((max(0.0, r - step), min(a_bar, r + step)))
+
+    best_a, best_f = 0.0, sum_rate(0.0)
+    if sum_rate(a_bar) > best_f:
+        best_a, best_f = a_bar, sum_rate(a_bar)
+    for lo, hi in brackets:
+        if hi <= lo:
+            continue
+        res = minimize_scalar(
+            lambda a: -sum_rate(a),
+            bounds=(lo, hi),
+            method="bounded",
+            options={"xatol": tolerance},
+        )
+        if -res.fun > best_f:
+            best_a, best_f = float(res.x), float(-res.fun)
+
+    return best_a, RatePair(
+        float(af_rate(channel, best_a, 1)), float(af_rate(channel, best_a, 2))
+    )
+
+
+def df_sum_rate_search_loop(
+    channel: ChannelInstance,
+    grid_points: int = 101,
+    nu: Optional[Tuple[float, float]] = None,
+) -> Tuple[DfParams, RatePair]:
+    """DF grid search whose refinement pass evaluates one point per call."""
+    taus = np.linspace(0.0, 1.0, grid_points)
+    t1g, t2g = np.meshgrid(taus, taus, indexing="ij")
+
+    best = None  # (sum_rate, t1, t2, n1, n2)
+    nu_pairs = [tuple(nu)] if nu is not None else _nu_simplex(grid_points)
+    for n1, n2 in nu_pairs:
+        f = _sum_rate_grid(channel, t1g, t2g, n1, n2)
+        k = int(np.argmax(f))
+        cand = (float(f.flat[k]), float(t1g.flat[k]), float(t2g.flat[k]), n1, n2)
+        if best is None or cand[0] > best[0]:
+            best = cand
+
+    _, t1, t2, n1, n2 = best
+    point = [t1, t2, n1, n2]
+    step = taus[1] - taus[0]
+    free = [True, True, nu is None, nu is None]
+    for axis in range(4):
+        if not free[axis]:
+            continue
+        lo = max(0.0, point[axis] - step)
+        hi = min(1.0, point[axis] + step)
+        vals = np.linspace(lo, hi, 21)
+        best_v, best_f = point[axis], _sum_rate_grid(channel, *point)
+        for v in vals:
+            trial = list(point)
+            trial[axis] = float(v)
+            if trial[2] + trial[3] > 1.0:
+                continue
+            f = float(_sum_rate_grid(channel, *trial))
+            if f > best_f:
+                best_v, best_f = float(v), f
+        point[axis] = best_v
+
+    params = DfParams(tau1=point[0], tau2=point[1], nu1=point[2], nu2=point[3])
+    return params, RatePair(df_rate(channel, params, 1), df_rate(channel, params, 2))

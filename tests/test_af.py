@@ -1,4 +1,6 @@
 import math
+import subprocess
+import sys
 
 import mpmath as mp
 import numpy as np
@@ -17,6 +19,7 @@ from ircrates.af import (
 from ircrates.channel import ChannelInstance, capacity
 
 from conftest import random_channel
+from reference_kernels import af_sum_rate_gain_scan
 
 
 def mp_af_rate(ch: ChannelInstance, a, user: int):
@@ -261,3 +264,38 @@ class TestSumRateGain:
             grid = np.linspace(0, saturation_gain(ch), 1_000_001)
             brute = float(np.max(af_rate(ch, grid, 1) + af_rate(ch, grid, 2)))
             assert pair.sum >= brute - 2 * tol
+
+
+class TestSumRateMatchesScan:
+    """The closed-form sum-rate optimum against the scan-and-refine search."""
+
+    # A few ulps of a sum rate of a few bits: the closed form may not fall
+    # below the search's optimum by more.
+    TOL = 1e-12
+
+    def test_random_channels(self, rng):
+        for _ in range(300):
+            ch = random_channel(rng)
+            _, pair = af_sum_rate_gain(ch)
+            _, ref = af_sum_rate_gain_scan(ch)
+            assert pair.sum >= ref.sum - self.TOL
+
+    def test_default_map_channels(self):
+        from ircrates.scenario import default_config
+
+        cfg = default_config()
+        for y in cfg.grid_y():
+            for x in cfg.grid_x():
+                ch = cfg.channel_at(float(x), float(y))
+                _, pair = af_sum_rate_gain(ch)
+                _, ref = af_sum_rate_gain_scan(ch)
+                assert pair.sum >= ref.sum - self.TOL
+                # The map CSV prints sum rates with 12 significant digits.
+                assert f"{pair.sum:.12g}" == f"{ref.sum:.12g}"
+
+
+def test_import_does_not_load_scipy():
+    code = "import sys, ircrates; print('scipy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "False"

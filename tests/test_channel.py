@@ -42,6 +42,25 @@ class TestCapacity:
         np.testing.assert_allclose(capacity(np.array([0.0, 1.0, 3.0])), [0, 1, 2],
                                    atol=1e-15)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf"), -1e-9])
+    def test_rejects_bad_entry_anywhere_in_array(self, bad):
+        for shape in ((5,), (3, 4)):
+            for index in (0, -1):
+                x = np.ones(shape)
+                x.flat[index] = bad
+                with pytest.raises(ValueError):
+                    capacity(x)
+        with pytest.raises(ValueError):
+            capacity(np.array(bad))
+
+    def test_zero_dim_array_returns_float(self):
+        assert capacity(np.array(3.0)) == 2.0
+        assert type(capacity(np.array(3.0))) is float
+
+    def test_empty_array(self):
+        out = capacity(np.array([]))
+        assert isinstance(out, np.ndarray) and out.shape == (0,)
+
 
 class TestPathLoss:
     def test_reference_distance(self):

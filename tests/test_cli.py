@@ -141,6 +141,12 @@ class TestMaps:
         assert code == 0
         assert len(out.strip().split("\n")) == 1 + 5 * 3
 
+    def test_zero_resolution_exits_2(self, capsys, fast_config):
+        code, out, err = run(capsys, "map", "--config", fast_config,
+                             "--resolution", "0")
+        assert code == 2 and out == ""
+        assert "resolution" in err and "Traceback" not in err
+
 
 class TestDiscrete:
     def test_single_level_file(self, capsys, tmp_path):
@@ -169,6 +175,13 @@ class TestDiscrete:
         path.write_text("mode single\n")
         code, _, err = run(capsys, "discrete", "--pmf", str(path))
         assert code == 2 and "error" in err
+
+    def test_truncated_file_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "cut.fact"
+        path.write_text("mode bi\nfactor x1\n")
+        code, _, err = run(capsys, "discrete", "--pmf", str(path))
+        assert code == 2 and "unexpected end of file" in err
+        assert "Traceback" not in err
 
     def test_missing_file_exits_2(self, capsys, tmp_path):
         code, _, err = run(capsys, "discrete", "--pmf", str(tmp_path / "nope"))

@@ -9,6 +9,7 @@ from ircrates.channel import capacity
 from ircrates.df import DfParams, df_best_response, df_rate, df_sum_rate_search
 
 from conftest import random_channel, symmetric_channel
+from reference_kernels import df_sum_rate_search_loop
 
 
 def mp_df_rate(ch, params: DfParams, user: int):
@@ -151,3 +152,27 @@ class TestBestResponse:
         best = df_rate(ch, DfParams(tau, 0.4, 0.3, 0.3), 1)
         for t in np.linspace(0, 1, 101):
             assert best >= df_rate(ch, DfParams(float(t), 0.4, 0.3, 0.3), 1) - 1e-12
+
+
+class TestRefinementMatchesLoop:
+    """The one-call-per-axis refinement equals the scalar loop exactly."""
+
+    @pytest.mark.parametrize("nu", [(0.5, 0.5), (0.3, 0.3)])
+    def test_fixed_nu(self, rng, nu):
+        for _ in range(20):
+            ch = random_channel(rng)
+            assert (df_sum_rate_search(ch, grid_points=41, nu=nu)
+                    == df_sum_rate_search_loop(ch, grid_points=41, nu=nu))
+
+    @pytest.mark.parametrize("grid_points", [11, 21, 41])
+    def test_free_nu(self, rng, grid_points):
+        from ircrates.scenario import default_config
+
+        # The relay at (0.5, 0.5) d0 of the default geometry serves user 1
+        # alone, nu = (1, 0), so refining nu2 meets points with nu1 + nu2 > 1.
+        edge = default_config().channel_at(0.5, 0.5)
+        for ch in [edge] + [random_channel(rng) for _ in range(3)]:
+            got = df_sum_rate_search(ch, grid_points=grid_points)
+            assert got == df_sum_rate_search_loop(ch, grid_points=grid_points)
+            if ch is edge:
+                assert got[0].nu1 + got[0].nu2 == 1.0

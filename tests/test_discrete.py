@@ -301,6 +301,12 @@ class TestFactorizationFiles:
         with pytest.raises(ValueError, match="missing factors"):
             load_factorization(path)
 
+    def test_truncated_factor_header_rejected(self, tmp_path):
+        path = tmp_path / "bad.fact"
+        path.write_text("mode bi\nfactor x1\n")
+        with pytest.raises(ValueError, match="unexpected end of file"):
+            load_factorization(path)
+
     def test_unknown_mode_rejected(self, tmp_path):
         path = tmp_path / "bad.fact"
         path.write_text("mode triple\n")

@@ -60,6 +60,12 @@ class TestConfig:
         loaded = load_config(path)
         assert loaded == cfg
 
+    def test_retired_af_options_ignored(self):
+        data = default_config().to_dict()
+        assert set(data["optimizer"]) == {"df_grid", "ef_grid"}
+        data["optimizer"].update(af_grid=500, af_tolerance=1e-6)
+        assert ScenarioConfig.from_dict(data) == default_config()
+
     def test_rejects_bad_fields(self, tmp_path):
         with pytest.raises(ConfigError, match="pa_policy"):
             small_config(pa_policy="greedy")
@@ -111,8 +117,7 @@ class TestEvaluateCell:
         cfg = small_config()
         cell = evaluate_cell(cfg, 0.5, 0.75)
         ch = cfg.channel_at(0.5, 0.75)
-        _, af_pair = af.af_sum_rate_gain(ch, tolerance=cfg.af_tolerance,
-                                         grid_points=cfg.af_grid)
+        _, af_pair = af.af_sum_rate_gain(ch)
         assert cell.rates["af"] == pytest.approx(af_pair.sum, abs=1e-12)
         _, df_pair = df.df_sum_rate_search(ch, grid_points=cfg.df_grid,
                                            nu=(0.5, 0.5))
