@@ -18,8 +18,10 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 
 from . import af, df, ef
+from .channel import RatePair
 from .discrete import (
     BiLevelFactorization,
     bi_level_bounds,
@@ -28,18 +30,21 @@ from .discrete import (
 )
 from .errors import ConstraintViolationError, InfeasibleError
 from .scenario import (
+    OPTIMIZERS,
+    PROTOCOL_ORDER,
+    UNIFORM_NU,
     ConfigError,
     ScenarioConfig,
     default_config,
+    df_point,
     dominance_map,
+    ef_bl_point,
     load_config,
     map_to_csv,
     sl_vs_bl_map,
     slmap_to_csv,
     sum_rate_slice,
 )
-
-PROTOCOL_CHOICES = ("af", "df", "ef-sl", "ef-bl")
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -51,24 +56,20 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
                         help="single-level bottleneck constraint exponent")
     parser.add_argument("--resolution", type=float,
                         help="sweep resolution override, in units of d0")
-    parser.add_argument("--seed", type=int, default=0,
-                        help="seed for randomized utilities (unused by paper runs)")
+
+
+def _add_protocol(parser: argparse.ArgumentParser) -> None:
+    # ef-bl / ef-sl are accepted as aliases of ef_bl / ef_sl.
+    parser.add_argument("--protocol", required=True, choices=PROTOCOL_ORDER,
+                        type=lambda name: name.replace("-", "_"))
 
 
 def _get_config(args) -> ScenarioConfig:
     config = load_config(args.config) if args.config else default_config()
-    overrides = {}
-    if getattr(args, "pa", None) is not None:
-        overrides["pa_policy"] = args.pa
-    if getattr(args, "r0_exponent", None) is not None:
-        overrides["r0_exponent"] = args.r0_exponent
-    if getattr(args, "resolution", None) is not None:
-        overrides["resolution"] = args.resolution
-    if overrides:
-        from dataclasses import replace
-
-        config = replace(config, **overrides)
-    return config
+    overrides = {field: getattr(args, flag) for field, flag in (
+        ("pa_policy", "pa"), ("r0_exponent", "r0_exponent"), ("resolution", "resolution")
+    ) if getattr(args, flag) is not None}
+    return replace(config, **overrides) if overrides else config
 
 
 def _emit(text: str, out_path) -> None:
@@ -89,81 +90,58 @@ def _cmd_defaults(args) -> int:
     return 0
 
 
+def _pair(args, a: str, b: str):
+    """The values of two flags that are given together or not at all."""
+    x, y = getattr(args, a), getattr(args, b)
+    if (x is None) != (y is None):
+        raise ValueError(f"--{a} and --{b} must be given together")
+    return None if x is None else (x, y)
+
+
+def _report(protocol: str, pair, point: dict, with_sum: bool) -> str:
+    def fmt(v):
+        if isinstance(v, tuple):
+            return "(" + ", ".join(f"{x:.12g}" for x in v) + ")"
+        return v if isinstance(v, str) else f"{v:.12g}"
+
+    lines = [f"protocol: {protocol}"] + [f"{k}: {fmt(v)}" for k, v in point.items()]
+    lines += [f"R1: {pair.r1:.12g}", f"R2: {pair.r2:.12g}"]
+    lines += [f"sum: {pair.sum:.12g}"] if with_sum else []
+    return "\n".join(lines) + "\n"
+
+
 def _cmd_rate(args) -> int:
     config = _get_config(args)
     channel = _channel_from(config)
-    lines = [f"protocol: {args.protocol}"]
+    nu = _pair(args, "nu1", "nu2") or UNIFORM_NU
+    nwz = _pair(args, "nwz1", "nwz2")
     if args.protocol == "af":
         gain = args.gain if args.gain is not None else af.saturation_gain(channel)
-        r1 = af.af_rate(channel, gain, 1)
-        r2 = af.af_rate(channel, gain, 2)
-        lines += [f"gain: {gain:.12g}", f"R1: {r1:.12g}", f"R2: {r2:.12g}"]
+        pair = RatePair(af.af_rate(channel, gain, 1), af.af_rate(channel, gain, 2))
+        point = {"gain": gain}
     elif args.protocol == "df":
-        params = df.DfParams(tau1=args.tau1, tau2=args.tau2, nu1=args.nu1, nu2=args.nu2)
-        r1, r2 = df.df_rate(channel, params, 1), df.df_rate(channel, params, 2)
-        lines += [
-            f"tau: ({params.tau1:.12g}, {params.tau2:.12g})",
-            f"nu: ({params.nu1:.12g}, {params.nu2:.12g})",
-            f"R1: {r1:.12g}", f"R2: {r2:.12g}",
-        ]
-    elif args.protocol == "ef-sl":
-        nwz = args.nwz if args.nwz is not None else ef.ef_sl_min_noise(
-            channel, config.r0_exponent
-        )
-        pair = ef.ef_sl_rate(channel, nwz, config.r0_exponent)
-        lines += [f"nwz: {nwz:.12g}", f"R1: {pair.r1:.12g}", f"R2: {pair.r2:.12g}"]
-    else:  # ef-bl
-        nu1 = args.nu1 if args.nu1 is not None else 0.5
-        nu2 = args.nu2 if args.nu2 is not None else 0.5
-        scenario = ef.ef_bi_scenario(channel, nu1, nu2)
-        if args.nwz1 is not None and args.nwz2 is not None:
-            params = ef.EfBiParams(nu1=nu1, nu2=nu2, nwz1=args.nwz1, nwz2=args.nwz2)
-            pair = ef.ef_bi_rate(channel, params, scenario)
-        else:
-            params, scenario, pair = ef.ef_bi_eval(channel, nu1, nu2)
-        lines += [
-            f"nu: ({params.nu1:.12g}, {params.nu2:.12g})",
-            f"nwz: ({params.nwz1:.12g}, {params.nwz2:.12g})",
-            f"scenario: {scenario.value}",
-            f"R1: {pair.r1:.12g}", f"R2: {pair.r2:.12g}",
-        ]
-    _emit("\n".join(lines) + "\n", args.out)
+        params = df.DfParams(args.tau1, args.tau2, *nu)
+        pair = RatePair(df.df_rate(channel, params, 1), df.df_rate(channel, params, 2))
+        point = df_point(params)
+    elif args.protocol == "ef_sl":
+        r0 = config.r0_exponent
+        noise = ef.ef_sl_min_noise(channel, r0) if args.nwz is None else args.nwz
+        pair, point = ef.ef_sl_rate(channel, noise, r0), {"nwz": noise}
+    elif nwz is None:
+        params, scenario, pair = ef.ef_bi_eval(channel, *nu)
+        point = ef_bl_point(params, scenario)
+    else:
+        params = ef.EfBiParams(*nu, *nwz)
+        scenario = ef.ef_bi_scenario(channel, *nu)
+        pair, point = ef.ef_bi_rate(channel, params, scenario), ef_bl_point(params, scenario)
+    _emit(_report(args.protocol, pair, point, with_sum=False), args.out)
     return 0
 
 
 def _cmd_optimize(args) -> int:
     config = _get_config(args)
-    channel = _channel_from(config)
-    lines = [f"protocol: {args.protocol}"]
-    if args.protocol == "af":
-        gain, pair = af.af_sum_rate_gain(channel)
-        lines += [f"gain: {gain:.12g}"]
-    elif args.protocol == "df":
-        nu = (0.5, 0.5) if config.pa_policy == "uniform" else None
-        params, pair = df.df_sum_rate_search(channel, grid_points=config.df_grid, nu=nu)
-        lines += [
-            f"tau: ({params.tau1:.12g}, {params.tau2:.12g})",
-            f"nu: ({params.nu1:.12g}, {params.nu2:.12g})",
-        ]
-    elif args.protocol == "ef-sl":
-        nwz = ef.ef_sl_min_noise(channel, config.r0_exponent)
-        pair = ef.ef_sl_rate(channel, nwz, config.r0_exponent)
-        lines += [f"nwz: {nwz:.12g}"]
-    else:
-        if config.pa_policy == "uniform":
-            params, scenario, pair = ef.ef_bi_eval(channel, 0.5, 0.5)
-        else:
-            params, scenario, pair = ef.ef_bi_sum_rate_search(
-                channel, grid_points=config.ef_grid
-            )
-        lines += [
-            f"nu: ({params.nu1:.12g}, {params.nu2:.12g})",
-            f"nwz: ({params.nwz1:.12g}, {params.nwz2:.12g})",
-            f"scenario: {scenario.value}",
-        ]
-    lines += [f"R1: {pair.r1:.12g}", f"R2: {pair.r2:.12g}",
-              f"sum: {pair.sum:.12g}"]
-    _emit("\n".join(lines) + "\n", args.out)
+    pair, point = OPTIMIZERS[args.protocol](_channel_from(config), config)
+    _emit(_report(args.protocol, pair, point, with_sum=True), args.out)
     return 0
 
 
@@ -212,20 +190,21 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("rate", help="evaluate one protocol at fixed parameters")
     _add_common(p)
-    p.add_argument("--protocol", choices=PROTOCOL_CHOICES, required=True)
+    _add_protocol(p)
     p.add_argument("--gain", type=float, help="AF relay gain (default: saturation)")
     p.add_argument("--tau1", type=float, default=0.0)
     p.add_argument("--tau2", type=float, default=0.0)
-    p.add_argument("--nu1", type=float)
-    p.add_argument("--nu2", type=float)
+    p.add_argument("--nu1", type=float, help="relay power share of user 1 (with --nu2; default 0.5)")
+    p.add_argument("--nu2", type=float, help="relay power share of user 2")
     p.add_argument("--nwz", type=float, help="EF-SL compression noise")
-    p.add_argument("--nwz1", type=float, help="EF-BL compression noise for D1")
+    p.add_argument("--nwz1", type=float,
+                   help="EF-BL compression noise for D1 (with --nwz2; default minimal)")
     p.add_argument("--nwz2", type=float, help="EF-BL compression noise for D2")
     p.set_defaults(func=_cmd_rate)
 
     p = sub.add_parser("optimize", help="per-protocol parameter search")
     _add_common(p)
-    p.add_argument("--protocol", choices=PROTOCOL_CHOICES, required=True)
+    _add_protocol(p)
     p.set_defaults(func=_cmd_optimize)
 
     p = sub.add_parser("map", help="dominance map CSV over relay positions")

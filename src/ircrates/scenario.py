@@ -12,8 +12,9 @@ from __future__ import annotations
 import io
 import json
 import math
+import numbers
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -57,6 +58,16 @@ class ConfigError(ValueError):
     """Malformed scenario configuration; the message names the field."""
 
 
+_REAL_FIELDS = ("P1", "P2", "Pr", "N1", "N2", "Nr",
+                "x_min", "x_max", "y_min", "y_max", "resolution")
+
+
+def _check_real(name: str, v) -> None:
+    """Config values must be finite real numbers; a bool is not one."""
+    if isinstance(v, bool) or not isinstance(v, numbers.Real) or not math.isfinite(v):
+        raise ConfigError(f"{name} must be a finite number, got {v!r}")
+
+
 @dataclass(frozen=True)
 class ScenarioConfig:
     layout: NodeLayout
@@ -79,25 +90,33 @@ class ScenarioConfig:
     r0_exponent: int = 2
 
     def __post_init__(self):
+        lay = self.layout
+        values = [(n, getattr(self, n)) for n in _REAL_FIELDS]
+        values += [(f"layout.{n}", getattr(lay, n)) for n in ("d0", "gamma", "epsilon")]
+        for name, dim in (("s1", 2), ("s2", 2), ("d1", 2), ("d2", 2), ("relay", 3)):
+            point = getattr(lay, name)
+            if len(point) != dim:
+                raise ConfigError(f"layout.{name} must have {dim} coordinates, got {point!r}")
+            values += [(f"layout.{name}", v) for v in point]
+        for name, v in values:
+            _check_real(name, v)
+        for name in ("P1", "P2", "Pr", "N1", "N2", "Nr", "resolution"):
+            if getattr(self, name) <= 0:
+                raise ConfigError(f"{name} must be > 0, got {getattr(self, name)!r}")
+        for name in ("df_grid", "ef_grid"):
+            v = getattr(self, name)
+            if isinstance(v, bool) or not isinstance(v, numbers.Integral) or v < 2:
+                raise ConfigError(f"{name} must be an integer >= 2, got {v!r}")
         if self.pa_policy not in ("uniform", "optimal"):
             raise ConfigError(f"pa_policy must be 'uniform' or 'optimal', got {self.pa_policy!r}")
-        if self.r0_exponent not in (1, 2):
+        if isinstance(self.r0_exponent, bool) or self.r0_exponent not in (1, 2):
             raise ConfigError(f"r0_exponent must be 1 or 2, got {self.r0_exponent!r}")
-        for name in ("x_min", "x_max", "y_min", "y_max", "resolution"):
-            v = getattr(self, name)
-            if not math.isfinite(v):
-                raise ConfigError(f"{name} must be finite, got {v!r}")
-        if self.resolution <= 0:
-            raise ConfigError(f"resolution must be > 0, got {self.resolution!r}")
-        if len(self.grid_x()) < 2 or len(self.grid_y()) < 2:
+        if (self.x_max <= self.x_min or self.y_max <= self.y_min
+                or len(self.grid_x()) < 2 or len(self.grid_y()) < 2):
             raise ConfigError("sweep grid must have at least 2 points per axis")
-        bad = [p for p in self.protocols if p not in PROTOCOL_ORDER]
-        if bad:
-            raise ConfigError(f"protocols: unknown entries {bad}")
-        for name in ("P1", "P2", "Pr", "N1", "N2", "Nr"):
-            v = getattr(self, name)
-            if not (math.isfinite(v) and v > 0):
-                raise ConfigError(f"{name} must be finite and > 0, got {v!r}")
+        if not self.protocols or any(p not in PROTOCOL_ORDER for p in self.protocols):
+            raise ConfigError(f"protocols must be a non-empty subset of {PROTOCOL_ORDER}, "
+                              f"got {self.protocols!r}")
 
     def grid_x(self) -> np.ndarray:
         n = int(round((self.x_max - self.x_min) / self.resolution)) + 1
@@ -140,14 +159,16 @@ class ScenarioConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ScenarioConfig":
-        def section(name) -> dict:
-            try:
-                return data[name]
-            except KeyError:
-                raise ConfigError(f"missing config section '{name}'") from None
+        def section(name, default=None) -> dict:
+            value = data.get(name, default) if isinstance(data, dict) else None
+            if not isinstance(value, dict):
+                raise ConfigError(f"config section '{name}' is missing or not an object")
+            return value
 
         lay = section("layout")
         try:
+            for name in ("d0", "gamma", "epsilon"):  # compared by NodeLayout
+                _check_real(f"layout.{name}", lay[name])
             layout = NodeLayout(
                 s1=tuple(lay["s1"]), s2=tuple(lay["s2"]),
                 d1=tuple(lay["d1"]), d2=tuple(lay["d2"]),
@@ -159,8 +180,7 @@ class ScenarioConfig:
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"layout: {exc}") from None
         powers, noises = section("powers"), section("noises")
-        sweep = data.get("sweep", {})
-        opt = data.get("optimizer", {})
+        sweep, opt = section("sweep", {}), section("optimizer", {})
         try:
             return cls(
                 layout=layout,
@@ -177,6 +197,8 @@ class ScenarioConfig:
             )
         except KeyError as exc:
             raise ConfigError(f"missing config field {exc}") from None
+        except TypeError as exc:  # a non-list protocols entry
+            raise ConfigError(f"protocols: {exc}") from None
 
 
 def default_config(symmetric: bool = True) -> ScenarioConfig:
@@ -229,53 +251,72 @@ class SlCell:
     frontier: bool = False
 
 
-def _uniform_nu() -> Tuple[float, float]:
-    return (0.5, 0.5)
+UNIFORM_NU = (0.5, 0.5)  # relay power split under pa_policy="uniform"
+
+
+def df_point(params: df.DfParams) -> dict:
+    return {"tau": (params.tau1, params.tau2), "nu": (params.nu1, params.nu2)}
+
+
+def ef_bl_point(params: ef.EfBiParams, scenario: ef.BiScenario) -> dict:
+    return {"nu": (params.nu1, params.nu2), "nwz": (params.nwz1, params.nwz2),
+            "scenario": scenario.value}
+
+
+# Per-protocol optimisers: optimize(channel, config) -> (RatePair, point), the
+# point being the chosen operating point in display order.  Kernels are looked
+# up on their modules at call time, so a swapped-in kernel takes effect.
+
+
+def _optimize_af(channel: ChannelInstance, config: ScenarioConfig):
+    gain, pair = af.af_sum_rate_gain(channel)
+    return pair, {"gain": gain}
+
+
+def _optimize_df(channel: ChannelInstance, config: ScenarioConfig):
+    nu = UNIFORM_NU if config.pa_policy == "uniform" else None
+    params, pair = df.df_sum_rate_search(channel, grid_points=config.df_grid, nu=nu)
+    return pair, df_point(params)
+
+
+def _optimize_ef_bl(channel: ChannelInstance, config: ScenarioConfig):
+    if config.pa_policy == "uniform":
+        params, scenario, pair = ef.ef_bi_eval(channel, *UNIFORM_NU)
+    else:
+        params, scenario, pair = ef.ef_bi_sum_rate_search(channel, grid_points=config.ef_grid)
+    return pair, ef_bl_point(params, scenario)
+
+
+def _optimize_ef_sl(channel: ChannelInstance, config: ScenarioConfig):
+    nwz = ef.ef_sl_min_noise(channel, config.r0_exponent)
+    return ef.ef_sl_rate(channel, nwz, config.r0_exponent), {"nwz": nwz}
+
+
+OPTIMIZERS = {"af": _optimize_af, "df": _optimize_df,
+              "ef_bl": _optimize_ef_bl, "ef_sl": _optimize_ef_sl}
 
 
 def evaluate_cell(config: ScenarioConfig, xr: float, yr: float) -> MapCell:
-    """Sum rate of every enabled protocol with the relay at (xr, yr)*d0."""
+    """Sum rate of every enabled protocol with the relay at (xr, yr)*d0.
+
+    An infeasible protocol scores 0.0 and is listed in ``infeasible``.
+    """
     channel = config.channel_at(xr, yr)
     rates: Dict[str, float] = {}
+    points: Dict[str, dict] = {}
     infeasible: List[str] = []
-    af_gain = 0.0
-    bl_tag = ""
-
-    if "af" in config.protocols:
-        af_gain, pair = af.af_sum_rate_gain(channel)
-        rates["af"] = pair.sum
-    if "df" in config.protocols:
-        nu = _uniform_nu() if config.pa_policy == "uniform" else None
-        _, pair = df.df_sum_rate_search(channel, grid_points=config.df_grid, nu=nu)
-        rates["df"] = pair.sum
-    if "ef_bl" in config.protocols:
+    for p in [p for p in PROTOCOL_ORDER if p in config.protocols]:
         try:
-            if config.pa_policy == "uniform":
-                _, scenario, pair = ef.ef_bi_eval(channel, *_uniform_nu())
-            else:
-                _, scenario, pair = ef.ef_bi_sum_rate_search(
-                    channel, grid_points=config.ef_grid
-                )
-            rates["ef_bl"] = pair.sum
-            bl_tag = scenario.value
+            pair, points[p] = OPTIMIZERS[p](channel, config)
+            rates[p] = pair.sum
         except InfeasibleError:
-            rates["ef_bl"] = 0.0
-            infeasible.append("ef_bl")
-    if "ef_sl" in config.protocols:
-        try:
-            nwz = ef.ef_sl_min_noise(channel, config.r0_exponent)
-            rates["ef_sl"] = ef.ef_sl_rate(channel, nwz, config.r0_exponent).sum
-        except InfeasibleError:
-            rates["ef_sl"] = 0.0
-            infeasible.append("ef_sl")
-
-    winner = max(
-        (p for p in PROTOCOL_ORDER if p in rates),
-        key=lambda p: (rates[p], -PROTOCOL_ORDER.index(p)),
-    )
+            rates[p] = 0.0
+            infeasible.append(p)
+    # rates follows PROTOCOL_ORDER, and max keeps the first of equal maxima.
     return MapCell(
-        xr=xr, yr=yr, rates=rates, winner=winner,
-        bl_scenario=bl_tag, af_gain=af_gain, infeasible=tuple(infeasible),
+        xr=xr, yr=yr, rates=rates, winner=max(rates, key=rates.get),
+        bl_scenario=points.get("ef_bl", {}).get("scenario", ""),
+        af_gain=points.get("af", {}).get("gain", 0.0), infeasible=tuple(infeasible),
     )
 
 
@@ -296,38 +337,20 @@ def sum_rate_slice(config: ScenarioConfig, y_fixed: float) -> List[MapCell]:
 def sl_vs_bl_map(config: ScenarioConfig) -> List[SlCell]:
     """Single- vs bi-level EF comparison per cell, with scenario frontier flags.
 
-    A cell is on the frontier when its scenario tag differs from the cell to
-    its left or the cell below.
+    The EF-BL/EF-SL dominance map, so ties go to bi-level.  A cell is on the
+    frontier when its scenario tag differs from the cell to its left or the
+    cell below.
     """
-    xs, ys = config.grid_x(), config.grid_y()
-    grid: List[List[SlCell]] = []
-    for y in ys:
-        row = []
-        for x in xs:
-            channel = config.channel_at(float(x), float(y))
-            try:
-                nwz = ef.ef_sl_min_noise(channel, config.r0_exponent)
-                sl_sum = ef.ef_sl_rate(channel, nwz, config.r0_exponent).sum
-            except InfeasibleError:
-                sl_sum = 0.0
-            if config.pa_policy == "uniform":
-                _, scenario, pair = ef.ef_bi_eval(channel, *_uniform_nu())
-            else:
-                _, scenario, pair = ef.ef_bi_sum_rate_search(
-                    channel, grid_points=config.ef_grid
-                )
-            # Tie-break follows the fixed protocol order (EF-BL before EF-SL).
-            winner = "bl" if pair.sum >= sl_sum else "sl"
-            row.append(SlCell(float(x), float(y), sl_sum, pair.sum,
-                              scenario.value, winner))
-        grid.append(row)
+    cells = dominance_map(replace(config, protocols=("ef_bl", "ef_sl")))
+    nx = len(config.grid_x())
     out: List[SlCell] = []
-    for iy, row in enumerate(grid):
-        for ix, cell in enumerate(row):
-            frontier = (ix > 0 and row[ix - 1].bl_scenario != cell.bl_scenario) or (
-                iy > 0 and grid[iy - 1][ix].bl_scenario != cell.bl_scenario
-            )
-            out.append(replace(cell, frontier=frontier))
+    for k, c in enumerate(cells):
+        frontier = (k % nx > 0 and cells[k - 1].bl_scenario != c.bl_scenario) or (
+            k >= nx and cells[k - nx].bl_scenario != c.bl_scenario
+        )
+        out.append(SlCell(c.xr, c.yr, c.rates["ef_sl"], c.rates["ef_bl"],
+                          c.bl_scenario, "bl" if c.winner == "ef_bl" else "sl",
+                          frontier))
     return out
 
 
@@ -373,11 +396,7 @@ def slmap_to_csv(cells: Sequence[SlCell]) -> str:
     buf = io.StringIO()
     buf.write(SLMAP_HEADER + "\n")
     for c in cells:
-        buf.write(
-            ",".join(
-                [_fmt(c.xr), _fmt(c.yr), _fmt(c.sl_sum), _fmt(c.bl_sum),
-                 c.bl_scenario, c.winner, "1" if c.frontier else "0"]
-            )
-            + "\n"
-        )
+        fields = [_fmt(c.xr), _fmt(c.yr), _fmt(c.sl_sum), _fmt(c.bl_sum),
+                  c.bl_scenario, c.winner, "1" if c.frontier else "0"]
+        buf.write(",".join(fields) + "\n")
     return buf.getvalue()

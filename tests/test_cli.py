@@ -1,21 +1,32 @@
+import contextlib
+import io
 import json
+import math
+import re
+import shlex
+import tempfile
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from ircrates.channel import RatePair
 from ircrates.cli import main
-from ircrates.scenario import default_config, save_config
+from ircrates.scenario import OPTIMIZERS, default_config, save_config
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+# A sweep whose map commands finish in well under a second.
+FAST_SWEEP = dict(x_min=-0.5, x_max=0.5, y_min=0.25, y_max=0.75, resolution=0.5)
 
 
 @pytest.fixture
 def fast_config(tmp_path):
-    """A config whose map commands finish in well under a second."""
-    from dataclasses import replace
-
-    cfg = replace(default_config(), x_min=-0.5, x_max=0.5,
-                  y_min=0.25, y_max=0.75, resolution=0.5)
     path = tmp_path / "cfg.json"
-    save_config(cfg, path)
+    save_config(replace(default_config(), **FAST_SWEEP), path)
     return str(path)
 
 
@@ -23,6 +34,22 @@ def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def single_level_text() -> str:
+    """A small single-level factorization file with seeded random factors."""
+    rng = np.random.default_rng(7)
+    p_y = rng.random((2, 2, 2, 2, 2, 2))
+    p_y /= p_y.sum(axis=(3, 4, 5), keepdims=True)
+    p_yh = rng.random((2, 2, 2))
+    p_yh /= p_yh.sum(axis=2, keepdims=True)
+    body = "mode single\nfactor x1 : 2\n0.5 0.5\nfactor x2 : 2\n0.5 0.5\n"
+    body += "factor xr : 2\n0.5 0.5\n"
+    body += "factor y1,y2,yr | x1,x2,xr : 2 2 2\n"
+    body += " ".join(f"{v:.17g}" for v in p_y.ravel()) + "\n"
+    body += "factor yh | yr,xr : 2\n"
+    body += " ".join(f"{v:.17g}" for v in p_yh.ravel()) + "\n"
+    return body
 
 
 class TestDefaults:
@@ -87,9 +114,36 @@ class TestRate:
                            "--protocol", "df", "--tau1", "2.0")
         assert code == 2 and "error" in err
 
+    def test_df_without_nu_uses_uniform_split(self, capsys, fast_config):
+        code, out, err = run(capsys, "rate", "--config", fast_config,
+                             "--protocol", "df", "--tau1", "0.2")
+        assert code == 0 and "Traceback" not in err
+        assert "nu: (0.5, 0.5)\n" in out
+        _, explicit, _ = run(capsys, "rate", "--config", fast_config, "--protocol", "df",
+                             "--tau1", "0.2", "--nu1", "0.5", "--nu2", "0.5")
+        assert out == explicit
+
+    @pytest.mark.parametrize("protocol, flag, value", [
+        ("df", "--nu1", "0.3"), ("df", "--nu2", "0.3"),
+        ("ef_bl", "--nu1", "0.3"), ("ef_bl", "--nu2", "0.3"),
+        ("ef_bl", "--nwz1", "0.5"), ("ef_bl", "--nwz2", "0.5"),
+    ])
+    def test_pair_flag_alone_exits_2(self, capsys, fast_config, protocol, flag, value):
+        code, out, err = run(capsys, "rate", "--config", fast_config,
+                             "--protocol", protocol, flag, value)
+        assert code == 2 and out == "" and "Traceback" not in err
+        first = flag.rstrip("12")
+        assert f"{first}1" in err and f"{first}2" in err
+
+    def test_ef_bl_given_noises_are_used(self, capsys, fast_config):
+        code, out, _ = run(capsys, "rate", "--config", fast_config, "--protocol", "ef_bl",
+                           "--nu1", "0.3", "--nu2", "0.6", "--nwz1", "1e6", "--nwz2", "2e6")
+        assert code == 0
+        assert "nwz: (1000000, 2000000)\n" in out
+
 
 class TestOptimize:
-    @pytest.mark.parametrize("protocol", ["af", "df", "ef-sl", "ef-bl"])
+    @pytest.mark.parametrize("protocol", ["af", "df", "ef-sl", "ef-bl", "ef_sl", "ef_bl"])
     def test_each_protocol(self, capsys, fast_config, protocol):
         code, out, _ = run(capsys, "optimize", "--config", fast_config,
                            "--protocol", protocol)
@@ -97,6 +151,25 @@ class TestOptimize:
         fields = dict(line.split(": ") for line in out.strip().split("\n"))
         assert float(fields["sum"]) == pytest.approx(
             float(fields["R1"]) + float(fields["R2"]), rel=1e-10)
+
+    @pytest.mark.parametrize("command", ["rate", "optimize"])
+    @pytest.mark.parametrize("alias, name", [("ef-bl", "ef_bl"), ("ef-sl", "ef_sl")])
+    def test_old_spelling_is_an_alias(self, capsys, fast_config, command, alias, name):
+        code, out, _ = run(capsys, command, "--config", fast_config, "--protocol", alias)
+        assert code == 0 and out.startswith(f"protocol: {name}\n")
+        assert run(capsys, command, "--config", fast_config, "--protocol", name)[1] == out
+
+    def test_optimize_is_a_table_lookup(self, capsys, fast_config, monkeypatch):
+        stub = (RatePair(1.0, 2.0), {"tau": (0.25, 0.75)})
+        monkeypatch.setitem(OPTIMIZERS, "df", lambda channel, config: stub)
+        code, out, _ = run(capsys, "optimize", "--config", fast_config, "--protocol", "df")
+        assert code == 0
+        assert out == "protocol: df\ntau: (0.25, 0.75)\nR1: 1\nR2: 2\nsum: 3\n"
+
+    def test_unknown_protocol_exits_2(self, capsys, fast_config):
+        with pytest.raises(SystemExit) as exc:
+            main(["optimize", "--config", fast_config, "--protocol", "cf"])
+        assert exc.value.code == 2
 
     def test_af_optimum_beats_saturation_gain(self, capsys, fast_config):
         # `rate` without --gain evaluates at the saturation gain, which is
@@ -150,19 +223,8 @@ class TestMaps:
 
 class TestDiscrete:
     def test_single_level_file(self, capsys, tmp_path):
-        rng = np.random.default_rng(7)
-        p_y = rng.random((2, 2, 2, 2, 2, 2))
-        p_y /= p_y.sum(axis=(3, 4, 5), keepdims=True)
-        p_yh = rng.random((2, 2, 2))
-        p_yh /= p_yh.sum(axis=2, keepdims=True)
-        body = "mode single\nfactor x1 : 2\n0.5 0.5\nfactor x2 : 2\n0.5 0.5\n"
-        body += "factor xr : 2\n0.5 0.5\n"
-        body += "factor y1,y2,yr | x1,x2,xr : 2 2 2\n"
-        body += " ".join(f"{v:.17g}" for v in p_y.ravel()) + "\n"
-        body += "factor yh | yr,xr : 2\n"
-        body += " ".join(f"{v:.17g}" for v in p_yh.ravel()) + "\n"
         path = tmp_path / "single.fact"
-        path.write_text(body)
+        path.write_text(single_level_text())
         code, out, _ = run(capsys, "discrete", "--pmf", str(path))
         assert code == 0
         fields = dict(line.split(": ") for line in out.strip().split("\n"))
@@ -194,3 +256,86 @@ class TestErrors:
         path.write_text("{")
         code, _, err = run(capsys, "map", "--config", str(path))
         assert code == 2 and "error" in err
+
+    def test_seed_flag_removed(self, capsys, fast_config):
+        with pytest.raises(SystemExit) as exc:
+            main(["map", "--config", fast_config, "--seed", "0"])
+        assert exc.value.code == 2
+
+    def test_non_numeric_config_field_exits_2(self, capsys, fast_config):
+        data = json.loads(Path(fast_config).read_text())
+        data["powers"]["P1"] = "ten"
+        Path(fast_config).write_text(json.dumps(data))
+        code, out, err = run(capsys, "map", "--config", fast_config)
+        assert code == 2 and out == ""
+        assert "P1" in err and "Traceback" not in err
+
+
+def _numeric_paths(node, path=()):
+    """Paths to every number in a config dict, lists included."""
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return [path] if isinstance(node, (int, float)) else []
+    return [p for key, child in items for p in _numeric_paths(child, path + (key,))]
+
+
+def _fast_config_dict():
+    return replace(default_config(), **FAST_SWEEP).to_dict()
+
+
+FAST_PATHS = _numeric_paths(_fast_config_dict())
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    path=st.sampled_from(FAST_PATHS),
+    value=st.one_of(
+        st.sampled_from(["ten", None, [1.0], True, False, math.nan, -math.inf]),
+        st.floats(min_value=-3.0, max_value=-1e-3),
+        st.integers(min_value=-3, max_value=-1),
+    ),
+)
+def test_fuzzed_config_never_raises(path, value):
+    data = _fast_config_dict()
+    node = data
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg, out = Path(tmp) / "cfg.json", Path(tmp) / "map.csv"
+        cfg.write_text(json.dumps(data))
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = main(["map", "--config", str(cfg), "--out", str(out)])
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+
+
+def _readme_commands():
+    """(argv, exit code) for every ``ircrates`` line of the README's command
+    block; the exit code is the ``exit N`` of the line's comment, else 0."""
+    block = README.read_text().split("## Command line", 1)[1].split("```sh\n", 1)[1]
+    commands = []
+    for line in block.split("```", 1)[0].splitlines():
+        command, _, comment = line.partition("#")
+        argv = shlex.split(command)
+        assert argv[0] == "ircrates", line
+        code = re.search(r"exit (\d)", comment)
+        commands.append((argv[1:], int(code.group(1)) if code else 0))
+    return commands
+
+
+def test_readme_commands_run(capsys, fast_config, tmp_path, monkeypatch):
+    commands = _readme_commands()
+    assert len(commands) >= 10
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "factorization.txt").write_text(single_level_text())
+    for argv, expected in commands:
+        if "--config" not in argv:
+            argv = argv + ["--config", fast_config]
+        code = main(argv)
+        err = capsys.readouterr().err
+        assert (code, "Traceback" in err) == (expected, False), (argv, err)

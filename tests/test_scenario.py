@@ -5,9 +5,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from ircrates.channel import capacity
+from ircrates.channel import RatePair, capacity
+from ircrates.errors import InfeasibleError
 from ircrates.scenario import (
     DEFAULT_NODES,
+    OPTIMIZERS,
     PROTOCOL_ORDER,
     ConfigError,
     ScenarioConfig,
@@ -82,6 +84,46 @@ class TestConfig:
         path.write_text(json.dumps({"powers": {}}))
         with pytest.raises(ConfigError, match="layout"):
             load_config(path)
+
+    @pytest.mark.parametrize("field, value", [
+        ("P1", "ten"), ("Nr", None), ("x_min", [1.0]), ("resolution", True),
+        ("y_max", float("nan")), ("Pr", float("inf")),
+    ])
+    def test_rejects_non_numbers(self, field, value):
+        with pytest.raises(ConfigError, match=field):
+            small_config(**{field: value})
+
+    def test_rejects_bad_layout_values(self):
+        data = small_config().to_dict()
+        for key, value in (("d0", "five"), ("gamma", None), ("epsilon", float("nan"))):
+            bad = json.loads(json.dumps(data))
+            bad["layout"][key] = value
+            with pytest.raises(ConfigError, match=f"layout.{key}"):
+                ScenarioConfig.from_dict(bad)
+        bad = json.loads(json.dumps(data))
+        bad["layout"]["s1"] = [0.0, 0.0, 0.0]
+        with pytest.raises(ConfigError, match="layout.s1"):
+            ScenarioConfig.from_dict(bad)
+        bad["layout"]["s1"] = ["x", 0.0]
+        with pytest.raises(ConfigError, match="layout.s1"):
+            ScenarioConfig.from_dict(bad)
+
+    @pytest.mark.parametrize("field", ["df_grid", "ef_grid"])
+    @pytest.mark.parametrize("value", [1, 0, 2.5, True, "41"])
+    def test_rejects_bad_optimizer_grids(self, field, value):
+        with pytest.raises(ConfigError, match=field):
+            small_config(**{field: value})
+
+    def test_rejects_malformed_sections(self):
+        data = small_config().to_dict()
+        for section, value in (("powers", [10.0]), ("sweep", 5), ("protocols", 5)):
+            bad = dict(data, **{section: value})
+            with pytest.raises(ConfigError, match=section):
+                ScenarioConfig.from_dict(bad)
+        with pytest.raises(ConfigError):
+            ScenarioConfig.from_dict([data])
+        with pytest.raises(ConfigError, match="protocols"):
+            small_config(protocols=())
 
     def test_grid_endpoints(self):
         cfg = default_config()
@@ -168,6 +210,61 @@ class TestEvaluateCell:
         cell = evaluate_cell(cfg, 0.0, 0.5)
         assert set(cell.rates) == {"df"}
         assert cell.winner == "df"
+
+
+class TestOptimizerTable:
+    def test_one_entry_per_protocol_in_order(self):
+        assert tuple(OPTIMIZERS) == PROTOCOL_ORDER
+
+    @pytest.mark.parametrize("policy", ["uniform", "optimal"])
+    @pytest.mark.parametrize("protocol", PROTOCOL_ORDER)
+    def test_evaluate_cell_is_the_table(self, protocol, policy):
+        cfg = small_config(pa_policy=policy, df_grid=11, ef_grid=11)
+        cell = evaluate_cell(cfg, 0.5, 0.75)
+        pair, point = OPTIMIZERS[protocol](cfg.channel_at(0.5, 0.75), cfg)
+        assert cell.rates[protocol] == pair.sum
+        if protocol == "af":
+            assert cell.af_gain == point["gain"]
+        if protocol == "ef_bl":
+            assert cell.bl_scenario == point["scenario"]
+
+    def test_uniform_policy_fixes_nu(self):
+        cfg = small_config()
+        channel = cfg.channel_at(0.5, 0.75)
+        for protocol in ("df", "ef_bl"):
+            assert OPTIMIZERS[protocol](channel, cfg)[1]["nu"] == (0.5, 0.5)
+
+    @pytest.mark.parametrize("policy", ["uniform", "optimal"])
+    def test_slmap_is_the_ef_dominance_map(self, policy):
+        cfg = small_config(pa_policy=policy, ef_grid=11)
+        cells = dominance_map(cfg)
+        sl_cells = sl_vs_bl_map(cfg)
+        assert [(c.xr, c.yr, c.rates["ef_sl"], c.rates["ef_bl"], c.bl_scenario)
+                for c in cells] == [(c.xr, c.yr, c.sl_sum, c.bl_sum, c.bl_scenario)
+                                    for c in sl_cells]
+
+    def test_maps_dispatch_through_the_table(self, monkeypatch):
+        # Stub every entry with a distinct fixed result: a caller with its
+        # own per-protocol dispatch would not see the stubs.
+        for k, protocol in enumerate(PROTOCOL_ORDER):
+            result = (RatePair(k + 1.0, 0.0), {"gain": 0.25, "scenario": f"tag{k}"})
+            monkeypatch.setitem(OPTIMIZERS, protocol, lambda ch, cfg, r=result: r)
+        cfg = small_config()
+        cell = evaluate_cell(cfg, 0.0, 0.5)
+        assert cell.rates == {"af": 1.0, "df": 2.0, "ef_bl": 3.0, "ef_sl": 4.0}
+        assert (cell.winner, cell.bl_scenario, cell.af_gain) == ("ef_sl", "tag2", 0.25)
+        sl = sl_vs_bl_map(cfg)[0]
+        assert (sl.bl_sum, sl.sl_sum, sl.bl_scenario, sl.winner) == (3.0, 4.0, "tag2", "sl")
+
+    def test_infeasible_protocol_scores_zero(self, monkeypatch):
+        def infeasible(channel, config):
+            raise InfeasibleError("no rate")
+
+        monkeypatch.setitem(OPTIMIZERS, "ef_bl", infeasible)
+        cfg = small_config()
+        cell = evaluate_cell(cfg, 0.0, 0.5)
+        assert cell.rates["ef_bl"] == 0.0 and cell.infeasible == ("ef_bl",)
+        assert cell.bl_scenario == ""
 
 
 class TestMaps:
