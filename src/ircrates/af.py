@@ -7,14 +7,13 @@ The relay transmits X_r = a_r * Y_r.  With single-user decoding, user i sees
 
 and R_i(a_r) = C(SINR_i).  Dividing through by N_i puts the SINR in the
 scalar form |m a + n|^2 / (|p a + q|^2 + s a^2 + 1) whose stationary points
-solve a quadratic; the box-constrained maximizer over [0, a_sat] follows
-from a sign/position case analysis on the two roots.  Full relay power is
+solve a quadratic, so the box-constrained maximizer over [0, a_sat] is the
+best of the two endpoints and the roots inside the box.  Full relay power is
 therefore not always optimal.
 
-The sum rate R_1 + R_2 is maximized in closed form as well: its stationary
-points are the roots of a degree-6 polynomial built from the two per-user
-quadratics, and the optimum is the best of those roots inside (0, a_sat)
-and the two endpoints (see ``af_sum_rate_gain``).
+The sum rate R_1 + R_2 is maximized by the same rule: its stationary points
+are the roots of a degree-6 polynomial built from the two per-user
+quadratics (see ``af_sum_rate_gain``).
 
 Note the composite auxiliaries: m and n carry sqrt(P_i/N_i), while p, q and
 s are normalized by the *receiver* noise N_i (p, q carry sqrt(P_j/N_i) and
@@ -27,7 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
@@ -161,98 +160,51 @@ def real_gain_critical_points(aux: AfAuxiliaries) -> Tuple[float, float]:
 
 @dataclass(frozen=True)
 class AfAnalysis:
-    """Full stationary-point analysis and box-constrained optimum for one user."""
+    """Box-constrained optimum of one user's rate over the relay gain."""
 
     user: int
     saturation_gain: float
-    quadratic_coeffs: Tuple[float, float, float]
-    discriminant: float
-    critical_points: Tuple[float, ...]
     asymptote: float
     optimal_gain: float
     optimal_rate: float
-    degenerate: bool = False
+
+
+def _best_gain(channel: ChannelInstance, roots, users) -> Tuple[float, List[float]]:
+    """Best gain for the summed rate of ``users``, and each user's rate there.
+
+    The candidates are 0, the saturation gain and the real part of every
+    root strictly inside (0, saturation gain); the first argmax wins, in
+    that order.
+    """
+    a_bar = saturation_gain(channel)
+    roots = np.asarray(roots).real
+    cands = np.concatenate(([0.0, a_bar], roots[(roots > 0.0) & (roots < a_bar)]))
+    rates = [af_rate(channel, cands, user) for user in users]
+    k = int(np.argmax(sum(rates)))
+    return float(cands[k]), [float(r[k]) for r in rates]
 
 
 def optimal_gain(channel: ChannelInstance, user: int) -> AfAnalysis:
     """Maximize R_user(a_r) over the box [0, saturation_gain].
 
-    Branches on the discriminant sign, the leading-coefficient sign and the
-    positions of the two stationary points relative to the box, with endpoint
-    rate comparisons resolving the ambiguous branches by exact evaluation.
+    R_user is stationary only at the roots of its quadratic (those that
+    ``critical_points`` reports), so the optimum is the best of the two
+    endpoints and the roots inside the box; ties keep the first of 0, the
+    saturation gain and the roots in increasing order.  When every
+    coefficient of the quadratic vanishes, only the endpoints are scored.
     """
     aux = auxiliaries(channel, user)
-    a_bar = saturation_gain(channel)
-    c2, c1, c0 = quadratic_coefficients(aux)
-    disc = c1 * c1 - 4.0 * c2 * c0
-    asymptote = capacity(abs(aux.m) ** 2 / (abs(aux.p) ** 2 + aux.s))
-
-    def rate(a: float) -> float:
-        return float(af_rate(channel, a, user))
-
-    degenerate = False
     try:
-        roots = _solve_stationary(c2, c1, c0)
+        roots = _solve_stationary(*quadratic_coefficients(aux))
     except ValueError:
-        # Constant rate in a_r cannot happen for nonzero m; flag and saturate.
-        degenerate = True
         roots = []
-
-    scale = max(abs(c2), abs(c1), abs(c0))
-    quadratic = scale > 0 and abs(c2) >= _COEFF_ZERO_RTOL * scale
-
-    if degenerate:
-        a_star = a_bar
-    elif not quadratic or (quadratic and disc < 0.0):
-        if quadratic:
-            # No real stationary point: the derivative keeps the sign of c2.
-            a_star = a_bar if c2 > 0 else 0.0
-        else:
-            # Linear (or constant-sign) derivative numerator: the only
-            # candidates are the endpoints and an interior root, if any.
-            cands = [0.0, a_bar] + [r for r in roots if 0.0 < r < a_bar]
-            a_star = max(cands, key=rate)
-    else:
-        r_lo, r_hi = roots
-        if c2 > 0:
-            # Rate rises to r_lo, falls to r_hi, rises again.
-            if r_hi <= 0.0:
-                a_star = a_bar
-            elif r_lo <= 0.0:
-                a_star = 0.0 if rate(0.0) >= rate(a_bar) else a_bar
-            elif r_lo == r_hi:
-                a_star = a_bar
-            elif a_bar <= r_lo:
-                a_star = a_bar
-            elif a_bar <= r_hi:
-                a_star = r_lo
-            else:
-                a_star = r_lo if rate(r_lo) >= rate(a_bar) else a_bar
-        else:
-            # Rate falls to r_lo, rises to r_hi, falls again.
-            if r_hi <= 0.0:
-                a_star = 0.0
-            elif r_lo <= 0.0:
-                a_star = min(r_hi, a_bar)
-            elif r_lo == r_hi:
-                a_star = 0.0
-            elif a_bar <= r_lo:
-                a_star = 0.0
-            elif a_bar <= r_hi:
-                a_star = 0.0 if rate(0.0) >= rate(a_bar) else a_bar
-            else:
-                a_star = r_hi if rate(r_hi) >= rate(0.0) else 0.0
-
+    gain, (rate,) = _best_gain(channel, roots, (user,))
     return AfAnalysis(
         user=user,
-        saturation_gain=a_bar,
-        quadratic_coeffs=(c2, c1, c0),
-        discriminant=disc,
-        critical_points=tuple(roots),
-        asymptote=asymptote,
-        optimal_gain=a_star,
-        optimal_rate=rate(a_star),
-        degenerate=degenerate,
+        saturation_gain=saturation_gain(channel),
+        asymptote=capacity(abs(aux.m) ** 2 / (abs(aux.p) ** 2 + aux.s)),
+        optimal_gain=gain,
+        optimal_rate=rate,
     )
 
 
@@ -274,7 +226,7 @@ def af_sum_rate_gain(
     root of that polynomial inside (0, saturation_gain); roots are not
     filtered by their imaginary part, since an extra feasible candidate can
     only raise the maximum.  Ties keep the first candidate, in the order 0,
-    saturation gain, roots.
+    saturation gain, roots, as in ``optimal_gain``.
 
     ``tolerance`` and ``grid_points`` are ignored; they are accepted for
     compatibility with callers of the former numerical search.
@@ -296,8 +248,6 @@ def af_sum_rate_gain(
         q.append(quadratic_coefficients(aux))
         td.append(np.convolve(t, d))
     # Coefficient arrays run from the highest power down, as np.roots takes.
-    roots = np.roots(np.convolve(q[0], td[1]) + np.convolve(q[1], td[0])).real
-    cands = np.concatenate(([0.0, a_bar], roots[(roots > 0.0) & (roots < a_bar)]))
-    r1, r2 = af_rate(channel, cands, 1), af_rate(channel, cands, 2)
-    k = int(np.argmax(r1 + r2))
-    return float(cands[k]), RatePair(float(r1[k]), float(r2[k]))
+    roots = np.roots(np.convolve(q[0], td[1]) + np.convolve(q[1], td[0]))
+    gain, (r1, r2) = _best_gain(channel, roots, (1, 2))
+    return gain, RatePair(r1, r2)

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Tuple
+from typing import List, Tuple
 
 import numpy as np
 
@@ -135,6 +135,27 @@ def _idx(i: int) -> int:
 def other(i: int) -> int:
     """The other user's index."""
     return 2 if _idx(i) == 0 else 1
+
+
+# Slack on nu1 + nu2 <= 1, so that grid pairs such as (0.3, 0.7) stay on the
+# simplex despite round-off.
+_NU_SLACK = 1e-12
+
+
+def check_nu_split(nu1: float, nu2: float) -> None:
+    """Raise ValueError unless nu1, nu2 lie in [0, 1] with nu1 + nu2 <= 1."""
+    for name, v in (("nu1", nu1), ("nu2", nu2)):
+        if not 0.0 <= v <= 1.0:
+            raise ValueError(f"{name} must lie in [0, 1], got {v}")
+    if nu1 + nu2 > 1.0 + _NU_SLACK:
+        raise ValueError(f"nu1 + nu2 must be <= 1, got {nu1 + nu2}")
+
+
+def nu_simplex(grid_points: int) -> List[Tuple[float, float]]:
+    """All relay splits (nu1, nu2) of a uniform grid on [0, 1] with
+    nu1 + nu2 <= 1, nu1 in the outer loop."""
+    vals = np.linspace(0.0, 1.0, grid_points).tolist()
+    return [(a, b) for a in vals for b in vals if a + b <= 1.0 + _NU_SLACK]
 
 
 @dataclass(frozen=True)

@@ -110,7 +110,16 @@ def _report(protocol: str, pair, point: dict, with_sum: bool) -> str:
     return "\n".join(lines) + "\n"
 
 
+# The operating-point flags of ``rate`` and the protocols each applies to.
+_RATE_FLAGS = {"gain": ("af",), "tau1": ("df",), "tau2": ("df",),
+               "nu1": ("df", "ef_bl"), "nu2": ("df", "ef_bl"),
+               "nwz1": ("ef_bl",), "nwz2": ("ef_bl",), "nwz": ("ef_sl",)}
+
+
 def _cmd_rate(args) -> int:
+    for flag, protocols in _RATE_FLAGS.items():
+        if getattr(args, flag) is not None and args.protocol not in protocols:
+            raise ValueError(f"--{flag} does not apply to --protocol {args.protocol}")
     config = _get_config(args)
     channel = _channel_from(config)
     nu = _pair(args, "nu1", "nu2") or UNIFORM_NU
@@ -120,7 +129,8 @@ def _cmd_rate(args) -> int:
         pair = RatePair(af.af_rate(channel, gain, 1), af.af_rate(channel, gain, 2))
         point = {"gain": gain}
     elif args.protocol == "df":
-        params = df.DfParams(args.tau1, args.tau2, *nu)
+        tau = [0.0 if t is None else t for t in (args.tau1, args.tau2)]
+        params = df.DfParams(*tau, *nu)
         pair = RatePair(df.df_rate(channel, params, 1), df.df_rate(channel, params, 2))
         point = df_point(params)
     elif args.protocol == "ef_sl":
@@ -192,8 +202,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     _add_protocol(p)
     p.add_argument("--gain", type=float, help="AF relay gain (default: saturation)")
-    p.add_argument("--tau1", type=float, default=0.0)
-    p.add_argument("--tau2", type=float, default=0.0)
+    p.add_argument("--tau1", type=float, help="DF cooperation degree of user 1 (default 0)")
+    p.add_argument("--tau2", type=float, help="DF cooperation degree of user 2 (default 0)")
     p.add_argument("--nu1", type=float, help="relay power share of user 1 (with --nu2; default 0.5)")
     p.add_argument("--nu2", type=float, help="relay power share of user 2")
     p.add_argument("--nwz", type=float, help="EF-SL compression noise")

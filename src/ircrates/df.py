@@ -22,7 +22,9 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .channel import ChannelInstance, RatePair, capacity, other
+from .channel import (
+    ChannelInstance, RatePair, capacity, check_nu_split, nu_simplex, other,
+)
 
 __all__ = ["DfParams", "df_rate", "df_sum_rate_search", "df_best_response"]
 
@@ -37,12 +39,11 @@ class DfParams:
     nu2: float
 
     def __post_init__(self):
-        for name in ("tau1", "tau2", "nu1", "nu2"):
+        for name in ("tau1", "tau2"):
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:
                 raise ValueError(f"{name} must lie in [0, 1], got {v}")
-        if self.nu1 + self.nu2 > 1.0 + 1e-12:
-            raise ValueError(f"nu1 + nu2 must be <= 1, got {self.nu1 + self.nu2}")
+        check_nu_split(self.nu1, self.nu2)
 
     def tau(self, i: int) -> float:
         return (self.tau1, self.tau2)[i - 1]
@@ -93,13 +94,6 @@ def _sum_rate_grid(channel: ChannelInstance, t1, t2, n1, n2):
     return total
 
 
-def _nu_simplex(grid_points: int):
-    """All (nu1, nu2) pairs of a uniform grid with nu1 + nu2 <= 1."""
-    vals = np.linspace(0.0, 1.0, grid_points)
-    pairs = [(a, b) for a in vals for b in vals if a + b <= 1.0 + 1e-12]
-    return pairs
-
-
 def df_sum_rate_search(
     channel: ChannelInstance,
     grid_points: int = 101,
@@ -119,7 +113,7 @@ def df_sum_rate_search(
     t1g, t2g = np.meshgrid(taus, taus, indexing="ij")
 
     best = None  # (sum_rate, t1, t2, n1, n2)
-    nu_pairs = [tuple(nu)] if nu is not None else _nu_simplex(grid_points)
+    nu_pairs = [tuple(nu)] if nu is not None else nu_simplex(grid_points)
     for n1, n2 in nu_pairs:
         f = _sum_rate_grid(channel, t1g, t2g, n1, n2)
         k = int(np.argmax(f))

@@ -8,6 +8,7 @@ oracle side of the rate formulas, so no sampling or sparsity shortcuts.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, Sequence, Tuple
 
@@ -44,10 +45,7 @@ class JointPmf:
             )
         if len(set(self.names)) != len(self.names):
             raise ValueError(f"duplicate variable names in {self.names}")
-        if table.size > _MAX_TABLE_ENTRIES:
-            raise ValueError(
-                f"table has {table.size} entries, cap is {_MAX_TABLE_ENTRIES}"
-            )
+        _check_table_size(table.size)
         if np.any(table < 0):
             raise ValueError("probabilities must be nonnegative")
         if abs(table.sum() - 1.0) > 1e-9:
@@ -69,6 +67,21 @@ class JointPmf:
         drop = tuple(i for i in range(self.table.ndim) if i not in keep_axes)
         kept_names = tuple(n for i, n in enumerate(self.names) if i in keep_axes)
         return JointPmf(kept_names, self.table.sum(axis=drop))
+
+
+def _check_table_size(entries: int) -> None:
+    if entries > _MAX_TABLE_ENTRIES:
+        raise ValueError(f"table has {entries} entries, cap is {_MAX_TABLE_ENTRIES}")
+
+
+def _product_table(subscripts: str, *factors: np.ndarray) -> np.ndarray:
+    """``np.einsum`` of the factors, its size checked against the cap first."""
+    inputs, output = subscripts.split("->")
+    sizes = {}
+    for term, factor in zip(inputs.split(","), factors):
+        sizes.update(zip(term, factor.shape))
+    _check_table_size(math.prod(sizes[axis] for axis in output))
+    return np.einsum(subscripts, *factors, optimize=True)
 
 
 def _xlogx(p: np.ndarray) -> np.ndarray:
@@ -165,12 +178,11 @@ class BiLevelFactorization:
 
     def joint(self) -> JointPmf:
         """Assemble p(x1, x2, u1, u2, xr, y1, y2, yr, yh1, yh2)."""
-        table = np.einsum(
+        table = _product_table(
             "a,b,c,d,cde,abefgh,hci,hdj->abcdefghij",
             self.p_x1, self.p_x2, self.p_u1, self.p_u2,
             self.p_xr_given_u, self.p_y_given_x,
             self.p_yh1_given, self.p_yh2_given,
-            optimize=True,
         )
         names = ("x1", "x2", "u1", "u2", "xr", "y1", "y2", "yr", "yh1", "yh2")
         return JointPmf(names, table)
@@ -201,10 +213,9 @@ class SingleLevelFactorization:
 
     def joint(self) -> JointPmf:
         """Assemble p(x1, x2, xr, y1, y2, yr, yh)."""
-        table = np.einsum(
+        table = _product_table(
             "a,b,e,abefgh,heI->abefghI",
             self.p_x1, self.p_x2, self.p_xr, self.p_y_given_x, self.p_yh_given,
-            optimize=True,
         )
         names = ("x1", "x2", "xr", "y1", "y2", "yr", "yh")
         return JointPmf(names, table)

@@ -32,9 +32,9 @@ import math
 from dataclasses import dataclass
 from typing import Tuple
 
-import numpy as np
-
-from .channel import ChannelInstance, RatePair, capacity, other
+from .channel import (
+    ChannelInstance, RatePair, capacity, check_nu_split, nu_simplex, other,
+)
 from .errors import ConstraintViolationError, InfeasibleError
 
 __all__ = [
@@ -131,12 +131,7 @@ class EfBiParams:
     nwz2: float
 
     def __post_init__(self):
-        for name in ("nu1", "nu2"):
-            v = getattr(self, name)
-            if not 0.0 <= v <= 1.0:
-                raise ValueError(f"{name} must lie in [0, 1], got {v}")
-        if self.nu1 + self.nu2 > 1.0 + 1e-12:
-            raise ValueError(f"nu1 + nu2 must be <= 1, got {self.nu1 + self.nu2}")
+        check_nu_split(self.nu1, self.nu2)
         for name in ("nwz1", "nwz2"):
             v = getattr(self, name)
             if not v > 0:  # +inf allowed: degenerate (useless) compression
@@ -260,6 +255,13 @@ def ef_bi_rate(
             "nwz lower bound (zero-power stream)", min(noises), math.inf
         )
 
+    return _bi_rates(channel, params, scenario)
+
+
+def _bi_rates(
+    channel: ChannelInstance, params: EfBiParams, scenario: BiScenario
+) -> RatePair:
+    """``ef_bi_rate`` without the compression-noise check."""
     rates = []
     for i, nwz in ((1, params.nwz1), (2, params.nwz2)):
         interf = _relay_interference(channel, params.nu1, params.nu2, scenario, i)
@@ -323,7 +325,8 @@ def ef_bi_eval(
     """Scenario, minimal-noise parameters and rates for a given power split.
 
     Zero-power compression streams degrade gracefully to infinite noise
-    (the corresponding relay branch contributes nothing).
+    (the corresponding relay branch contributes nothing).  The noises are
+    the bounds themselves, so the rates skip ``ef_bi_rate``'s check.
     """
     scenario = ef_bi_scenario(channel, nu1, nu2)
     try:
@@ -331,7 +334,7 @@ def ef_bi_eval(
     except InfeasibleError:
         nwz1 = nwz2 = math.inf
     params = EfBiParams(nu1=nu1, nu2=nu2, nwz1=nwz1, nwz2=nwz2)
-    return params, scenario, ef_bi_rate(channel, params, scenario)
+    return params, scenario, _bi_rates(channel, params, scenario)
 
 
 def ef_bi_sum_rate_search(
@@ -343,13 +346,9 @@ def ef_bi_sum_rate_search(
     """
     if grid_points < 2:
         raise ValueError(f"grid_points must be >= 2, got {grid_points}")
-    vals = np.linspace(0.0, 1.0, grid_points)
     best = None
-    for nu1 in vals:
-        for nu2 in vals:
-            if nu1 + nu2 > 1.0 + 1e-12:
-                continue
-            params, scenario, rates = ef_bi_eval(channel, float(nu1), float(nu2))
-            if best is None or rates.sum > best[2].sum:
-                best = (params, scenario, rates)
+    for nu1, nu2 in nu_simplex(grid_points):
+        params, scenario, rates = ef_bi_eval(channel, nu1, nu2)
+        if best is None or rates.sum > best[2].sum:
+            best = (params, scenario, rates)
     return best

@@ -58,6 +58,8 @@ class ConfigError(ValueError):
     """Malformed scenario configuration; the message names the field."""
 
 
+_MAX_AXIS_POINTS = 10**6
+
 _REAL_FIELDS = ("P1", "P2", "Pr", "N1", "N2", "Nr",
                 "x_min", "x_max", "y_min", "y_max", "resolution")
 
@@ -111,20 +113,28 @@ class ScenarioConfig:
             raise ConfigError(f"pa_policy must be 'uniform' or 'optimal', got {self.pa_policy!r}")
         if isinstance(self.r0_exponent, bool) or self.r0_exponent not in (1, 2):
             raise ConfigError(f"r0_exponent must be 1 or 2, got {self.r0_exponent!r}")
-        if (self.x_max <= self.x_min or self.y_max <= self.y_min
-                or len(self.grid_x()) < 2 or len(self.grid_y()) < 2):
-            raise ConfigError("sweep grid must have at least 2 points per axis")
+        for lo, hi in ((self.x_min, self.x_max), (self.y_min, self.y_max)):
+            if hi <= lo or self._axis_points(lo, hi) < 2:
+                raise ConfigError("sweep grid must have at least 2 points per axis")
         if not self.protocols or any(p not in PROTOCOL_ORDER for p in self.protocols):
             raise ConfigError(f"protocols must be a non-empty subset of {PROTOCOL_ORDER}, "
                               f"got {self.protocols!r}")
 
+    def _axis_points(self, lo: float, hi: float) -> int:
+        """Points on the sweep axis [lo, hi], refused over the cap before any
+        array is allocated."""
+        steps = (hi - lo) / self.resolution  # inf when the span overflows
+        n = int(round(steps)) + 1 if math.isfinite(steps) else math.inf
+        if n > _MAX_AXIS_POINTS:
+            raise ConfigError(f"sweep axis [{lo}, {hi}] at resolution {self.resolution} "
+                              f"has {n} points, cap is {_MAX_AXIS_POINTS}")
+        return n
+
     def grid_x(self) -> np.ndarray:
-        n = int(round((self.x_max - self.x_min) / self.resolution)) + 1
-        return np.linspace(self.x_min, self.x_max, n)
+        return np.linspace(self.x_min, self.x_max, self._axis_points(self.x_min, self.x_max))
 
     def grid_y(self) -> np.ndarray:
-        n = int(round((self.y_max - self.y_min) / self.resolution)) + 1
-        return np.linspace(self.y_min, self.y_max, n)
+        return np.linspace(self.y_min, self.y_max, self._axis_points(self.y_min, self.y_max))
 
     def channel_at(self, xr_d0: float, yr_d0: float) -> ChannelInstance:
         """Channel with the relay at (xr, yr) expressed in units of d0."""

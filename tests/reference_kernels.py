@@ -1,8 +1,9 @@
-"""Loop-based reference versions of kernels the package computes faster.
+"""Reference versions of kernels the package computes another way.
 
-The package's AF sum-rate optimum is closed form and its DF refinement pass
-is one vectorized call per axis; these are the scan-and-refine AF optimizer
-and the scalar DF refinement loop they replaced.  Tests compare the two.
+The package's AF optima score a candidate set and its DF refinement pass is
+one vectorized call per axis; these are the per-user case analysis and the
+scan-and-refine sum-rate optimizer, and the scalar DF refinement loop, that
+they replaced.  Tests compare the two.
 """
 
 from typing import Optional, Tuple
@@ -10,9 +11,87 @@ from typing import Optional, Tuple
 import numpy as np
 from scipy.optimize import minimize_scalar
 
-from ircrates.af import af_rate, critical_points, saturation_gain
-from ircrates.channel import ChannelInstance, RatePair
-from ircrates.df import DfParams, _nu_simplex, _sum_rate_grid, df_rate
+from ircrates.af import (
+    _COEFF_ZERO_RTOL,
+    _solve_stationary,
+    af_rate,
+    auxiliaries,
+    critical_points,
+    quadratic_coefficients,
+    saturation_gain,
+)
+from ircrates.channel import ChannelInstance, RatePair, nu_simplex
+from ircrates.df import DfParams, _sum_rate_grid, df_rate
+
+
+def optimal_gain_cases(channel: ChannelInstance, user: int) -> Tuple[float, float]:
+    """(gain, rate) maximizing R_user(a_r) over [0, saturation_gain].
+
+    Branches on the discriminant sign, the leading-coefficient sign and the
+    positions of the two stationary points relative to the box, with endpoint
+    rate comparisons resolving the ambiguous branches by exact evaluation.
+    """
+    a_bar = saturation_gain(channel)
+    c2, c1, c0 = quadratic_coefficients(auxiliaries(channel, user))
+    disc = c1 * c1 - 4.0 * c2 * c0
+
+    def rate(a: float) -> float:
+        return float(af_rate(channel, a, user))
+
+    degenerate = False
+    try:
+        roots = _solve_stationary(c2, c1, c0)
+    except ValueError:
+        # Constant rate in a_r cannot happen for nonzero m; flag and saturate.
+        degenerate = True
+        roots = []
+
+    scale = max(abs(c2), abs(c1), abs(c0))
+    quadratic = scale > 0 and abs(c2) >= _COEFF_ZERO_RTOL * scale
+
+    if degenerate:
+        a_star = a_bar
+    elif not quadratic or (quadratic and disc < 0.0):
+        if quadratic:
+            # No real stationary point: the derivative keeps the sign of c2.
+            a_star = a_bar if c2 > 0 else 0.0
+        else:
+            # Linear (or constant-sign) derivative numerator: the only
+            # candidates are the endpoints and an interior root, if any.
+            cands = [0.0, a_bar] + [r for r in roots if 0.0 < r < a_bar]
+            a_star = max(cands, key=rate)
+    else:
+        r_lo, r_hi = roots
+        if c2 > 0:
+            # Rate rises to r_lo, falls to r_hi, rises again.
+            if r_hi <= 0.0:
+                a_star = a_bar
+            elif r_lo <= 0.0:
+                a_star = 0.0 if rate(0.0) >= rate(a_bar) else a_bar
+            elif r_lo == r_hi:
+                a_star = a_bar
+            elif a_bar <= r_lo:
+                a_star = a_bar
+            elif a_bar <= r_hi:
+                a_star = r_lo
+            else:
+                a_star = r_lo if rate(r_lo) >= rate(a_bar) else a_bar
+        else:
+            # Rate falls to r_lo, rises to r_hi, falls again.
+            if r_hi <= 0.0:
+                a_star = 0.0
+            elif r_lo <= 0.0:
+                a_star = min(r_hi, a_bar)
+            elif r_lo == r_hi:
+                a_star = 0.0
+            elif a_bar <= r_lo:
+                a_star = 0.0
+            elif a_bar <= r_hi:
+                a_star = 0.0 if rate(0.0) >= rate(a_bar) else a_bar
+            else:
+                a_star = r_hi if rate(r_hi) >= rate(0.0) else 0.0
+
+    return a_star, rate(a_star)
 
 
 def af_sum_rate_gain_scan(
@@ -76,7 +155,7 @@ def df_sum_rate_search_loop(
     t1g, t2g = np.meshgrid(taus, taus, indexing="ij")
 
     best = None  # (sum_rate, t1, t2, n1, n2)
-    nu_pairs = [tuple(nu)] if nu is not None else _nu_simplex(grid_points)
+    nu_pairs = [tuple(nu)] if nu is not None else nu_simplex(grid_points)
     for n1, n2 in nu_pairs:
         f = _sum_rate_grid(channel, t1g, t2g, n1, n2)
         k = int(np.argmax(f))

@@ -19,7 +19,7 @@ from ircrates.af import (
 from ircrates.channel import ChannelInstance, capacity
 
 from conftest import random_channel
-from reference_kernels import af_sum_rate_gain_scan
+from reference_kernels import af_sum_rate_gain_scan, optimal_gain_cases
 
 
 def mp_af_rate(ch: ChannelInstance, a, user: int):
@@ -220,6 +220,18 @@ class TestOptimalGain:
                 float(af_rate(ch, t * r0.saturation_gain, 1)), abs=1e-9
             )
 
+    def test_constant_rate_keeps_first_endpoint(self):
+        # h11 = h1r = 0: user 1's signal reaches D1 by no path, every
+        # stationary-point coefficient vanishes and only the endpoints are
+        # scored; they tie at rate 0 and the first, gain 0, is kept.
+        ch = ChannelInstance(h11=0.0, h12=0.3, h21=0.4, h22=0.9,
+                             h1r=0.0, h2r=0.5, hr1=0.6, hr2=0.7,
+                             P1=2.0, P2=1.0, Pr=1.0, N1=1.0, N2=1.0, Nr=1.0)
+        with pytest.raises(ValueError, match="degenerate"):
+            critical_points(ch, 1)
+        res = optimal_gain(ch, 1)
+        assert (res.optimal_gain, res.optimal_rate) == (0.0, 0.0)
+
     def test_dominates_all_gains(self, rng):
         for _ in range(50):
             ch = random_channel(rng)
@@ -227,6 +239,21 @@ class TestOptimalGain:
                 res = optimal_gain(ch, user)
                 samples = rng.uniform(0, res.saturation_gain, 200)
                 assert np.all(res.optimal_rate >= af_rate(ch, samples, user) - 1e-9)
+
+
+class TestOptimalGainMatchesCases:
+    """The candidate-scoring per-user optimum against the case analysis."""
+
+    @pytest.mark.parametrize("real_gains", [False, True])
+    def test_random_users(self, rng, real_gains):
+        # 5,000 channels x 2 users per gain type: 20,000 user instances.
+        for _ in range(5_000):
+            ch = random_channel(rng, real_gains=real_gains)
+            for user in (1, 2):
+                res = optimal_gain(ch, user)
+                gain, rate = optimal_gain_cases(ch, user)
+                assert res.optimal_gain == gain
+                assert res.optimal_rate == pytest.approx(rate, abs=1e-12)
 
 
 class TestSumRateGain:

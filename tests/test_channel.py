@@ -9,7 +9,9 @@ from ircrates.channel import (
     NodeLayout,
     RatePair,
     capacity,
+    check_nu_split,
     layout_to_channel,
+    nu_simplex,
     path_loss_gain,
 )
 
@@ -216,3 +218,21 @@ class TestRatePair:
         with pytest.raises(ValueError):
             RatePair(-0.1, 1.0)
         assert RatePair(1.0, 2.5).sum == pytest.approx(3.5)
+
+
+class TestRelaySplit:
+    @pytest.mark.parametrize("grid_points", [2, 11, 41, 101])
+    def test_simplex_grid(self, grid_points):
+        pairs = nu_simplex(grid_points)
+        # Every pair with nu1 + nu2 <= 1, including (0.3, 0.7)-like sums that
+        # round above 1; nu1 in the outer loop.
+        assert len(pairs) == grid_points * (grid_points + 1) // 2
+        assert pairs == sorted(pairs)
+        for nu1, nu2 in pairs:
+            check_nu_split(nu1, nu2)
+
+    @pytest.mark.parametrize("nu1, nu2", [(-0.1, 0.5), (0.5, 1.1), (0.6, 0.5),
+                                          (float("nan"), 0.0)])
+    def test_rejects_bad_split(self, nu1, nu2):
+        with pytest.raises(ValueError, match="nu"):
+            check_nu_split(nu1, nu2)

@@ -73,6 +73,14 @@ class TestDefaults:
         assert load_config(path) == default_config()
 
 
+# The protocols whose operating point each flag of ``rate`` sets.
+RATE_FLAG_OWNERS = {
+    "--gain": ("af",), "--tau1": ("df",), "--tau2": ("df",),
+    "--nu1": ("df", "ef_bl"), "--nu2": ("df", "ef_bl"),
+    "--nwz1": ("ef_bl",), "--nwz2": ("ef_bl",), "--nwz": ("ef_sl",),
+}
+
+
 class TestRate:
     def test_af(self, capsys, fast_config):
         code, out, _ = run(capsys, "rate", "--config", fast_config,
@@ -134,6 +142,16 @@ class TestRate:
         assert code == 2 and out == "" and "Traceback" not in err
         first = flag.rstrip("12")
         assert f"{first}1" in err and f"{first}2" in err
+
+    @pytest.mark.parametrize("protocol, flag", [
+        (protocol, flag) for flag, owners in RATE_FLAG_OWNERS.items()
+        for protocol in ("af", "df", "ef_bl", "ef_sl") if protocol not in owners
+    ])
+    def test_foreign_flag_exits_2(self, capsys, fast_config, protocol, flag):
+        code, out, err = run(capsys, "rate", "--config", fast_config,
+                             "--protocol", protocol, flag, "0.3")
+        assert code == 2 and out == "" and "Traceback" not in err
+        assert f"{flag} does not apply" in err
 
     def test_ef_bl_given_noises_are_used(self, capsys, fast_config):
         code, out, _ = run(capsys, "rate", "--config", fast_config, "--protocol", "ef_bl",
@@ -221,6 +239,25 @@ class TestMaps:
         assert "resolution" in err and "Traceback" not in err
 
 
+    @pytest.mark.parametrize("via", ["config", "flag"])
+    def test_oversized_sweep_exits_2(self, capsys, tmp_path, monkeypatch, via):
+        argv = ["--resolution", "1e-9"]
+        if via == "config":
+            data = default_config().to_dict()
+            data["sweep"]["x_max"] = 1e9
+            path = tmp_path / "wide.json"
+            path.write_text(json.dumps(data))
+            argv = ["--config", str(path)]
+
+        def no_linspace(*args, **kwargs):
+            raise AssertionError("a sweep axis was allocated")
+
+        monkeypatch.setattr(np, "linspace", no_linspace)
+        code, out, err = run(capsys, "map", *argv)
+        assert code == 2 and out == "" and "Traceback" not in err
+        assert "cap is 1000000" in err
+
+
 class TestDiscrete:
     def test_single_level_file(self, capsys, tmp_path):
         path = tmp_path / "single.fact"
@@ -244,6 +281,29 @@ class TestDiscrete:
         code, _, err = run(capsys, "discrete", "--pmf", str(path))
         assert code == 2 and "unexpected end of file" in err
         assert "Traceback" not in err
+
+    def test_oversized_joint_table_exits_2(self, capsys, tmp_path, monkeypatch):
+        # A file of about 100 kB whose joint table would have 1.6e9 entries.
+        size = dict(x1=2, x2=2, u1=100, u2=100, xr=2, y1=2, y2=2, yr=2, yh1=100, yh2=100)
+        lines = ["mode bi"]
+        for outs, conds in [("x1", ""), ("x2", ""), ("u1", ""), ("u2", ""),
+                            ("xr", "u1,u2"), ("y1,y2,yr", "x1,x2,xr"),
+                            ("yh1", "yr,u1"), ("yh2", "yr,u2")]:
+            n_out = math.prod(size[v] for v in outs.split(","))
+            n_cond = math.prod(size[v] for v in conds.split(",") if v)
+            lines.append(f"factor {outs}" + (f" | {conds}" if conds else "") + " : "
+                         + " ".join(str(size[v]) for v in outs.split(",")))
+            lines.append(" ".join([repr(1 / n_out)] * (n_out * n_cond)))
+        path = tmp_path / "huge.fact"
+        path.write_text("\n".join(lines) + "\n")
+
+        def no_einsum(*args, **kwargs):
+            raise AssertionError("the joint table was built")
+
+        monkeypatch.setattr(np, "einsum", no_einsum)
+        code, out, err = run(capsys, "discrete", "--pmf", str(path))
+        assert code == 2 and out == "" and "Traceback" not in err
+        assert "cap is 1000000" in err
 
     def test_missing_file_exits_2(self, capsys, tmp_path):
         code, _, err = run(capsys, "discrete", "--pmf", str(tmp_path / "nope"))

@@ -64,6 +64,20 @@ class TestJointPmf:
         with pytest.raises(ValueError):
             JointPmf(tuple("abcdefg"), np.full((10,) * 7, 1e-7))
 
+    @pytest.mark.parametrize("fact", [
+        lambda rng: random_bi_fact(rng, nu=100, nyh=100),  # 1.6e9 entries
+        lambda rng: random_single_fact(rng, nx=4, nxr=50, ny=4, nyh=50),  # 2.56e6
+    ])
+    def test_oversized_product_refused_before_building(self, rng, monkeypatch, fact):
+        fact = fact(rng)
+
+        def no_einsum(*args, **kwargs):
+            raise AssertionError("the joint table was built")
+
+        monkeypatch.setattr(np, "einsum", no_einsum)
+        with pytest.raises(ValueError, match="cap is 1000000"):
+            fact.joint()
+
     def test_marginal_preserves_order(self, rng):
         pmf = random_pmf(rng, (2, 3, 4), ("a", "b", "c"))
         m = pmf.marginal(("c", "a"))

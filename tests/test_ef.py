@@ -3,7 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from ircrates.channel import ChannelInstance, capacity
+from ircrates.channel import ChannelInstance, capacity, nu_simplex
 from ircrates.ef import (
     BiScenario,
     EfBiParams,
@@ -145,6 +145,14 @@ class TestBiLevel:
             n1, n2 = ef_bi_min_noise(ch, 0.6, 0.3, sc)
             pair = ef_bi_rate(ch, EfBiParams(0.6, 0.3, n1, n2), sc)
             assert pair.r1 >= 0 and pair.r2 >= 0
+
+    def test_eval_equals_checked_rate(self, rng):
+        # ef_bi_eval skips ef_bi_rate's noise check; the rates must not move.
+        for _ in range(20):
+            ch = random_channel(rng)
+            for nu1, nu2 in nu_simplex(11):
+                params, sc, pair = ef_bi_eval(ch, nu1, nu2)
+                assert ef_bi_rate(ch, params, sc) == pair
 
     def test_rate_decreasing_in_noise(self, rng):
         for _ in range(30):

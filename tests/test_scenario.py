@@ -125,6 +125,25 @@ class TestConfig:
         with pytest.raises(ConfigError, match="protocols"):
             small_config(protocols=())
 
+    @pytest.mark.parametrize("overrides", [
+        dict(x_max=1e9), dict(y_min=-1e9), dict(resolution=1e-9),
+        dict(x_min=-1e308, x_max=1e308),  # the step count overflows to inf
+        dict(x_min=0.0, x_max=1e6, y_min=0.0, y_max=1.0, resolution=1.0),
+    ])
+    def test_rejects_oversized_sweep_before_allocating(self, monkeypatch, overrides):
+        def no_linspace(*args, **kwargs):
+            raise AssertionError("a sweep axis was allocated")
+
+        monkeypatch.setattr(np, "linspace", no_linspace)
+        with pytest.raises(ConfigError, match="cap is 1000000"):
+            small_config(**overrides)
+
+    def test_largest_sweep_axis_accepted(self, monkeypatch):
+        monkeypatch.setattr(np, "linspace", lambda lo, hi, n: n)
+        cfg = small_config(x_min=0.0, x_max=999_999.0, y_min=0.0, y_max=1.0,
+                           resolution=1.0)
+        assert (cfg.grid_x(), cfg.grid_y()) == (10**6, 2)
+
     def test_grid_endpoints(self):
         cfg = default_config()
         gx, gy = cfg.grid_x(), cfg.grid_y()
