@@ -199,10 +199,12 @@ def optimal_gain(channel: ChannelInstance, user: int) -> AfAnalysis:
     except ValueError:
         roots = []
     gain, (rate,) = _best_gain(channel, roots, (user,))
+    # h_ri = 0 gives m = p = s = 0: the rate is then the same at every gain.
+    relayed = abs(aux.p) ** 2 + aux.s
     return AfAnalysis(
         user=user,
         saturation_gain=saturation_gain(channel),
-        asymptote=capacity(abs(aux.m) ** 2 / (abs(aux.p) ** 2 + aux.s)),
+        asymptote=capacity(abs(aux.m) ** 2 / relayed) if relayed > 0 else rate,
         optimal_gain=gain,
         optimal_rate=rate,
     )

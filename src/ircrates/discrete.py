@@ -9,7 +9,7 @@ oracle side of the rate formulas, so no sampling or sparsity shortcuts.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, make_dataclass
 from typing import Dict, Sequence, Tuple
 
 import numpy as np
@@ -46,10 +46,7 @@ class JointPmf:
         if len(set(self.names)) != len(self.names):
             raise ValueError(f"duplicate variable names in {self.names}")
         _check_table_size(table.size)
-        if np.any(table < 0):
-            raise ValueError("probabilities must be nonnegative")
-        if abs(table.sum() - 1.0) > 1e-9:
-            raise ValueError(f"probabilities sum to {table.sum()!r}, not 1")
+        _check_conditional("joint pmf", table, 0)
 
     @property
     def alphabet_sizes(self) -> Dict[str, int]:
@@ -132,93 +129,84 @@ def conditional_mutual_information(
 
 
 def _check_conditional(name: str, table: np.ndarray, cond_rank: int):
-    """Validate that trailing axes of ``table`` sum to 1 for every prefix."""
-    out_axes = tuple(range(cond_rank, table.ndim))
+    """Validate that trailing axes of ``table`` sum to 1 for every prefix.
+
+    A NaN or +inf entry fails the sum test, -inf the sign test.
+    """
     if np.any(table < 0):
         raise ValueError(f"{name}: probabilities must be nonnegative")
-    sums = table.sum(axis=out_axes) if out_axes else table
-    if np.any(np.abs(sums - 1.0) > 1e-9):
-        raise ValueError(f"{name}: conditional rows must each sum to 1")
+    sums = table.sum(axis=tuple(range(cond_rank, table.ndim)))
+    if not np.all(np.abs(sums - 1.0) <= 1e-9):
+        raise ValueError(f"{name}: probabilities must sum to 1")
 
 
-@dataclass(frozen=True)
-class BiLevelFactorization:
-    """Product-form input distribution for the bi-level compression bounds.
+# Each mode's factors in file order, as (field, outputs, conditions).  A
+# factor's table has its conditioning axes first, then its output axes.  The
+# loader accepts exactly these factors, each is checked as a pmf of its
+# outputs given its conditions, and ``joint`` multiplies them.
+_BI_LEVEL_FACTORS = (
+    ("p_x1", ("x1",), ()),
+    ("p_x2", ("x2",), ()),
+    ("p_u1", ("u1",), ()),
+    ("p_u2", ("u2",), ()),
+    ("p_xr_given_u", ("xr",), ("u1", "u2")),
+    ("p_y_given_x", ("y1", "y2", "yr"), ("x1", "x2", "xr")),
+    ("p_yh1_given", ("yh1",), ("yr", "u1")),
+    ("p_yh2_given", ("yh2",), ("yr", "u2")),
+)
+_SINGLE_LEVEL_FACTORS = (
+    ("p_x1", ("x1",), ()),
+    ("p_x2", ("x2",), ()),
+    ("p_xr", ("xr",), ()),
+    ("p_y_given_x", ("y1", "y2", "yr"), ("x1", "x2", "xr")),
+    ("p_yh_given", ("yh",), ("yr", "xr")),
+)
 
-    Axis conventions (conditioning axes first):
-        p_x1[x1], p_x2[x2], p_u1[u1], p_u2[u2],
-        p_xr_given_u[u1, u2, xr],
-        p_y_given_x[x1, x2, xr, y1, y2, yr],
-        p_yh1_given[yr, u1, yh1], p_yh2_given[yr, u2, yh2].
-    """
 
-    p_x1: np.ndarray
-    p_x2: np.ndarray
-    p_u1: np.ndarray
-    p_u2: np.ndarray
-    p_xr_given_u: np.ndarray
-    p_y_given_x: np.ndarray
-    p_yh1_given: np.ndarray
-    p_yh2_given: np.ndarray
+class _Factorization:
+    """The checks and the joint product of a table of factors, ``FACTORS``."""
+
+    FACTORS: tuple = ()  # rows of (field, outputs, conditions)
 
     def __post_init__(self):
-        for name in ("p_x1", "p_x2", "p_u1", "p_u2"):
-            arr = np.asarray(getattr(self, name), dtype=float)
-            object.__setattr__(self, name, arr)
-            _check_conditional(name, arr, 0)
-        for name, cond in (
-            ("p_xr_given_u", 2),
-            ("p_y_given_x", 3),
-            ("p_yh1_given", 2),
-            ("p_yh2_given", 2),
-        ):
-            arr = np.asarray(getattr(self, name), dtype=float)
-            object.__setattr__(self, name, arr)
-            _check_conditional(name, arr, cond)
+        for field, _, conds in self.FACTORS:
+            arr = np.asarray(getattr(self, field), dtype=float)
+            object.__setattr__(self, field, arr)
+            _check_conditional(field, arr, len(conds))
 
     def joint(self) -> JointPmf:
-        """Assemble p(x1, x2, u1, u2, xr, y1, y2, yr, yh1, yh2)."""
+        """The product of the factors, over the variables in order of first
+        appearance."""
+        axes = [conds + outs for _, outs, conds in self.FACTORS]
+        names = tuple(dict.fromkeys(v for term in axes for v in term))
+        letter = {name: chr(ord("a") + i) for i, name in enumerate(names)}
+        inputs = ",".join("".join(letter[v] for v in term) for term in axes)
         table = _product_table(
-            "a,b,c,d,cde,abefgh,hci,hdj->abcdefghij",
-            self.p_x1, self.p_x2, self.p_u1, self.p_u2,
-            self.p_xr_given_u, self.p_y_given_x,
-            self.p_yh1_given, self.p_yh2_given,
+            f"{inputs}->{''.join(letter.values())}",
+            *(getattr(self, field) for field, _, _ in self.FACTORS),
         )
-        names = ("x1", "x2", "u1", "u2", "xr", "y1", "y2", "yr", "yh1", "yh2")
         return JointPmf(names, table)
 
 
-@dataclass(frozen=True)
-class SingleLevelFactorization:
-    """Product-form input distribution for the single-level compression bounds.
+def _factorization(name: str, factors, doc: str) -> type:
+    """A frozen dataclass with one array field per row of ``factors``."""
+    return make_dataclass(
+        name, [(field, np.ndarray) for field, _, _ in factors],
+        bases=(_Factorization,), frozen=True,
+        namespace={"FACTORS": factors, "__doc__": doc, "__module__": __name__},
+    )
 
-    Axis conventions: p_x1[x1], p_x2[x2], p_xr[xr],
-    p_y_given_x[x1, x2, xr, y1, y2, yr], p_yh_given[yr, xr, yh].
-    """
 
-    p_x1: np.ndarray
-    p_x2: np.ndarray
-    p_xr: np.ndarray
-    p_y_given_x: np.ndarray
-    p_yh_given: np.ndarray
-
-    def __post_init__(self):
-        for name, cond in (
-            ("p_x1", 0), ("p_x2", 0), ("p_xr", 0),
-            ("p_y_given_x", 3), ("p_yh_given", 2),
-        ):
-            arr = np.asarray(getattr(self, name), dtype=float)
-            object.__setattr__(self, name, arr)
-            _check_conditional(name, arr, cond)
-
-    def joint(self) -> JointPmf:
-        """Assemble p(x1, x2, xr, y1, y2, yr, yh)."""
-        table = _product_table(
-            "a,b,e,abefgh,heI->abefghI",
-            self.p_x1, self.p_x2, self.p_xr, self.p_y_given_x, self.p_yh_given,
-        )
-        names = ("x1", "x2", "xr", "y1", "y2", "yr", "yh")
-        return JointPmf(names, table)
+BiLevelFactorization = _factorization(
+    "BiLevelFactorization", _BI_LEVEL_FACTORS,
+    "Product-form input distribution for the bi-level compression bounds;\n"
+    "one field per row of ``_BI_LEVEL_FACTORS``.",
+)
+SingleLevelFactorization = _factorization(
+    "SingleLevelFactorization", _SINGLE_LEVEL_FACTORS,
+    "Product-form input distribution for the single-level compression bounds;\n"
+    "one field per row of ``_SINGLE_LEVEL_FACTORS``.",
+)
 
 
 def bi_level_bounds(
@@ -271,25 +259,11 @@ def single_level_bounds(
 # (`| ...` omitted for unconditional factors; SIZEk are the alphabet sizes
 # of the output variables, conditioning sizes being already known).  The
 # probabilities follow as whitespace-separated numbers, row-major over the
-# conditioning variables then the output variables.
+# conditioning variables then the output variables.  The factors a mode
+# accepts, each exactly once, are the rows of `_BI_LEVEL_FACTORS` and
+# `_SINGLE_LEVEL_FACTORS`.
 
-_SINGLE_FACTORS = {
-    ("x1",): (),
-    ("x2",): (),
-    ("xr",): (),
-    ("y1", "y2", "yr"): ("x1", "x2", "xr"),
-    ("yh",): ("yr", "xr"),
-}
-_BI_FACTORS = {
-    ("x1",): (),
-    ("x2",): (),
-    ("u1",): (),
-    ("u2",): (),
-    ("xr",): ("u1", "u2"),
-    ("y1", "y2", "yr"): ("x1", "x2", "xr"),
-    ("yh1",): ("yr", "u1"),
-    ("yh2",): ("yr", "u2"),
-}
+_MODES = {"single": SingleLevelFactorization, "bi": BiLevelFactorization}
 
 
 def _tokenize(path) -> list:
@@ -317,9 +291,10 @@ def load_factorization(path):
     if take() != "mode":
         raise ValueError(f"{path}: file must start with a 'mode' directive")
     mode = take()
-    if mode not in ("single", "bi"):
+    if mode not in _MODES:
         raise ValueError(f"{path}: mode must be 'single' or 'bi', got {mode!r}")
-    expected = _SINGLE_FACTORS if mode == "single" else _BI_FACTORS
+    cls = _MODES[mode]
+    expected = {outs: conds for _, outs, conds in cls.FACTORS}
 
     sizes: Dict[str, int] = {}
     factors: Dict[Tuple[str, ...], np.ndarray] = {}
@@ -339,10 +314,14 @@ def load_factorization(path):
             conds = ()
         if outs not in expected or expected[outs] != conds:
             raise ValueError(f"{path}: unexpected factor '{spec_str}' for mode {mode}")
+        if outs in factors:
+            raise ValueError(f"{path}: factor '{spec_str}' declared twice")
         out_sizes = []
         for _ in outs:
             out_sizes.append(int(take()))
         for name, size in zip(outs, out_sizes):
+            if size < 1:
+                raise ValueError(f"{path}: alphabet size of {name} must be >= 1, got {size}")
             if sizes.setdefault(name, size) != size:
                 raise ValueError(f"{path}: conflicting alphabet size for {name}")
         try:
@@ -352,29 +331,11 @@ def load_factorization(path):
                 f"{path}: factor '{spec_str}' conditions on undeclared {exc}"
             ) from None
         shape = tuple(cond_sizes) + tuple(out_sizes)
-        count = int(np.prod(shape))
+        count = math.prod(shape)
         values = np.array([float(take()) for _ in range(count)]).reshape(shape)
         factors[outs] = values
 
     missing = [k for k in expected if k not in factors]
     if missing:
         raise ValueError(f"{path}: missing factors {missing} for mode {mode}")
-
-    if mode == "single":
-        return SingleLevelFactorization(
-            p_x1=factors[("x1",)],
-            p_x2=factors[("x2",)],
-            p_xr=factors[("xr",)],
-            p_y_given_x=factors[("y1", "y2", "yr")],
-            p_yh_given=factors[("yh",)],
-        )
-    return BiLevelFactorization(
-        p_x1=factors[("x1",)],
-        p_x2=factors[("x2",)],
-        p_u1=factors[("u1",)],
-        p_u2=factors[("u2",)],
-        p_xr_given_u=factors[("xr",)],
-        p_y_given_x=factors[("y1", "y2", "yr")],
-        p_yh1_given=factors[("yh1",)],
-        p_yh2_given=factors[("yh2",)],
-    )
+    return cls(**{field: factors[outs] for field, outs, _ in cls.FACTORS})

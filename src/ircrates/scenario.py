@@ -191,19 +191,22 @@ class ScenarioConfig:
             raise ConfigError(f"layout: {exc}") from None
         powers, noises = section("powers"), section("noises")
         sweep, opt = section("sweep", {}), section("optimizer", {})
+
+        def present(source: dict, *keys: str) -> dict:
+            return {key: source[key] for key in keys if key in source}
+
+        # Absent keys take the field defaults; retired keys are not read.
+        optional = {**present(sweep, "x_min", "x_max", "y_min", "y_max", "resolution"),
+                    **present(opt, "df_grid", "ef_grid"),
+                    **present(data, "pa_policy", "protocols", "r0_exponent")}
         try:
+            if "protocols" in optional:
+                optional["protocols"] = tuple(optional["protocols"])
             return cls(
                 layout=layout,
                 P1=powers["P1"], P2=powers["P2"], Pr=powers["Pr"],
                 N1=noises["N1"], N2=noises["N2"], Nr=noises["Nr"],
-                x_min=sweep.get("x_min", -4.0), x_max=sweep.get("x_max", 4.0),
-                y_min=sweep.get("y_min", -3.0), y_max=sweep.get("y_max", 4.0),
-                resolution=sweep.get("resolution", 0.25),
-                pa_policy=data.get("pa_policy", "uniform"),
-                df_grid=opt.get("df_grid", 41),
-                ef_grid=opt.get("ef_grid", 41),
-                protocols=tuple(data.get("protocols", PROTOCOL_ORDER)),
-                r0_exponent=data.get("r0_exponent", 2),
+                **optional,
             )
         except KeyError as exc:
             raise ConfigError(f"missing config field {exc}") from None

@@ -1,9 +1,10 @@
 """Reference versions of kernels the package computes another way.
 
-The package's AF optima score a candidate set and its DF refinement pass is
-one vectorized call per axis; these are the per-user case analysis and the
-scan-and-refine sum-rate optimizer, and the scalar DF refinement loop, that
-they replaced.  Tests compare the two.
+The package's AF optima score a candidate set, its DF refinement pass is
+one vectorized call per axis, and its factorizations derive their joint
+product from a table of factors; these are the per-user case analysis and the
+scan-and-refine sum-rate optimizer, the scalar DF refinement loop, and the
+hand-written einsum products, that they replaced.  Tests compare the two.
 """
 
 from typing import Optional, Tuple
@@ -22,6 +23,7 @@ from ircrates.af import (
 )
 from ircrates.channel import ChannelInstance, RatePair, nu_simplex
 from ircrates.df import DfParams, _sum_rate_grid, df_rate
+from ircrates.discrete import JointPmf
 
 
 def optimal_gain_cases(channel: ChannelInstance, user: int) -> Tuple[float, float]:
@@ -186,3 +188,27 @@ def df_sum_rate_search_loop(
 
     params = DfParams(tau1=point[0], tau2=point[1], nu1=point[2], nu2=point[3])
     return params, RatePair(df_rate(channel, params, 1), df_rate(channel, params, 2))
+
+
+def bi_level_joint(fact) -> JointPmf:
+    """p(x1, x2, u1, u2, xr, y1, y2, yr, yh1, yh2) of a bi-level factorization."""
+    table = np.einsum(
+        "a,b,c,d,cde,abefgh,hci,hdj->abcdefghij",
+        fact.p_x1, fact.p_x2, fact.p_u1, fact.p_u2,
+        fact.p_xr_given_u, fact.p_y_given_x,
+        fact.p_yh1_given, fact.p_yh2_given,
+        optimize=True,
+    )
+    names = ("x1", "x2", "u1", "u2", "xr", "y1", "y2", "yr", "yh1", "yh2")
+    return JointPmf(names, table)
+
+
+def single_level_joint(fact) -> JointPmf:
+    """p(x1, x2, xr, y1, y2, yr, yh) of a single-level factorization."""
+    table = np.einsum(
+        "a,b,e,abefgh,heI->abefghI",
+        fact.p_x1, fact.p_x2, fact.p_xr, fact.p_y_given_x, fact.p_yh_given,
+        optimize=True,
+    )
+    names = ("x1", "x2", "xr", "y1", "y2", "yr", "yh")
+    return JointPmf(names, table)

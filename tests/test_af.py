@@ -232,6 +232,19 @@ class TestOptimalGain:
         res = optimal_gain(ch, 1)
         assert (res.optimal_gain, res.optimal_rate) == (0.0, 0.0)
 
+    @pytest.mark.parametrize("user", [1, 2])
+    def test_unreachable_relay_gives_constant_rate(self, user):
+        # h_ri = 0: nothing the relay sends reaches D_i, so the rate does not
+        # depend on the gain and the asymptote is that rate.
+        gains = dict(h11=0.9, h12=0.2, h21=0.3, h22=0.8, h1r=0.7, h2r=0.4,
+                     hr1=0.5, hr2=0.6)
+        gains[f"hr{user}"] = 0.0
+        ch = ChannelInstance(**gains, P1=2.0, P2=1.0, Pr=1.0, N1=1.0, N2=1.0, Nr=1.0)
+        res = optimal_gain(ch, user)
+        assert res.optimal_gain == 0.0
+        assert res.asymptote == res.optimal_rate
+        assert res.optimal_rate == float(af_rate(ch, res.saturation_gain, user))
+
     def test_dominates_all_gains(self, rng):
         for _ in range(50):
             ch = random_channel(rng)

@@ -52,6 +52,22 @@ def single_level_text() -> str:
     return body
 
 
+def bi_level_text() -> str:
+    """A small bi-level factorization file with seeded random factors."""
+    rng = np.random.default_rng(8)
+    lines = ["mode bi"]
+    for outs, conds in [("x1", ""), ("x2", ""), ("u1", ""), ("u2", ""),
+                        ("xr", "u1,u2"), ("y1,y2,yr", "x1,x2,xr"),
+                        ("yh1", "yr,u1"), ("yh2", "yr,u2")]:
+        n_out, n_cond = len(outs.split(",")), len(conds.split(",")) if conds else 0
+        table = rng.random((2,) * (n_cond + n_out))
+        table /= table.sum(axis=tuple(range(n_cond, n_cond + n_out)), keepdims=True)
+        lines.append(f"factor {outs}" + (f" | {conds}" if conds else "") + " : "
+                     + " ".join(["2"] * n_out))
+        lines.append(" ".join(f"{v:.17g}" for v in table.ravel()))
+    return "\n".join(lines) + "\n"
+
+
 class TestDefaults:
     def test_emits_valid_json(self, capsys):
         code, out, err = run(capsys, "defaults")
@@ -309,6 +325,24 @@ class TestDiscrete:
         code, _, err = run(capsys, "discrete", "--pmf", str(tmp_path / "nope"))
         assert code == 2
 
+    @pytest.mark.parametrize("factor", ["x2", "y1,y2,yr | x1,x2,xr"])
+    def test_nan_probability_exits_2(self, capsys, tmp_path, factor):
+        lines = single_level_text().split("\n")
+        row = next(i for i, line in enumerate(lines) if line.startswith(f"factor {factor} :"))
+        lines[row + 1] = "nan " + lines[row + 1].split(" ", 1)[1]
+        path = tmp_path / "nan.fact"
+        path.write_text("\n".join(lines))
+        code, out, err = run(capsys, "discrete", "--pmf", str(path))
+        assert code == 2 and out == "" and "Traceback" not in err
+        assert "sum to 1" in err
+
+    def test_factor_declared_twice_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "twice.fact"
+        path.write_text(single_level_text() + "factor x1 : 2\n0.9 0.1\n")
+        code, out, err = run(capsys, "discrete", "--pmf", str(path))
+        assert code == 2 and out == "" and "Traceback" not in err
+        assert "'x1' declared twice" in err
+
 
 class TestErrors:
     def test_bad_config_file(self, capsys, tmp_path):
@@ -372,6 +406,43 @@ def test_fuzzed_config_never_raises(path, value):
             code = main(["map", "--config", str(cfg), "--out", str(out)])
     assert code in (0, 1, 2)
     assert "Traceback" not in err.getvalue()
+
+
+FACTORIZATION_TOKENS = ["nan", "inf", "-inf", "-1", "0", "1", "2", "0.5", "1e400",
+                        "|", ":", ",", "#", "factor", "mode", "single", "bi",
+                        "x1", "x2", "xr", "u1", "yr", "yh", "yh1", "y1,y2,yr", "x1,x2,xr"]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    text=st.sampled_from([single_level_text(), bi_level_text()]),
+    edits=st.lists(st.tuples(st.sampled_from(["replace", "delete", "insert"]),
+                             st.integers(min_value=0),
+                             st.sampled_from(FACTORIZATION_TOKENS)),
+                   min_size=1, max_size=4),
+)
+def test_fuzzed_factorization_never_raises(text, edits):
+    tokens = text.split()
+    for kind, index, token in edits:
+        at = index % (len(tokens) + (kind == "insert"))
+        if kind == "insert":
+            tokens.insert(at, token)
+        elif kind == "delete":
+            del tokens[at]
+        else:
+            tokens[at] = token
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "fuzz.fact"
+        path.write_text(" ".join(tokens) + "\n")
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["discrete", "--pmf", str(path)])
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+    if code == 0:
+        fields = dict(line.split(": ") for line in out.getvalue().strip().split("\n"))
+        for cap in ("R1_cap", "R2_cap"):
+            assert math.isfinite(float(fields[cap])) and float(fields[cap]) >= 0, fields
 
 
 def _readme_commands():

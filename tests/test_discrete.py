@@ -1,3 +1,5 @@
+import dataclasses
+import functools
 import textwrap
 
 import numpy as np
@@ -13,6 +15,7 @@ from ircrates.discrete import (
     load_factorization,
     single_level_bounds,
 )
+from reference_kernels import bi_level_joint, single_level_joint
 
 
 def random_pmf(rng, shape, names):
@@ -60,6 +63,19 @@ class TestJointPmf:
         with pytest.raises(ValueError):
             JointPmf(("a", "a"), np.full((2, 2), 0.25))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_probability(self, bad):
+        with pytest.raises(ValueError, match="sum to 1"):
+            JointPmf(("a",), np.array([bad, 0.5]))
+
+    @pytest.mark.parametrize("field", ["p_x1", "p_y_given_x"])
+    def test_rejects_nan_in_factor(self, rng, field):
+        fact = random_single_fact(rng)
+        table = getattr(fact, field).copy()
+        table.flat[0] = np.nan
+        with pytest.raises(ValueError, match=f"{field}: probabilities must sum to 1"):
+            dataclasses.replace(fact, **{field: table})
+
     def test_rejects_oversized_table(self):
         with pytest.raises(ValueError):
             JointPmf(tuple("abcdefg"), np.full((10,) * 7, 1e-7))
@@ -83,6 +99,45 @@ class TestJointPmf:
         m = pmf.marginal(("c", "a"))
         assert m.names == ("a", "c")
         np.testing.assert_allclose(m.table, pmf.table.sum(axis=1))
+
+
+def sized_factor(rng, sizes, outs, conds=()):
+    """A random table of p(outs | conds) with alphabet sizes ``sizes``."""
+    shape = tuple(sizes[v] for v in conds + outs)
+    return random_conditional(rng, shape, len(conds))
+
+
+class TestJointMatchesReference:
+    """``joint`` equals the hand-written einsum product it replaced."""
+
+    @pytest.mark.parametrize("mode", ["bi", "single"])
+    def test_same_names_and_table(self, mode):
+        rng = np.random.default_rng(5)
+        for _ in range(60):
+            sizes = {v: int(rng.integers(1, 4)) for v in
+                     ("u1", "u2", "xr", "y1", "y2", "yr", "yh1", "yh2", "yh")}
+            sizes.update(x1=int(rng.integers(1, 6)), x2=int(rng.integers(1, 6)))
+            f = functools.partial(sized_factor, rng, sizes)
+            y = f(("y1", "y2", "yr"), ("x1", "x2", "xr"))
+            if mode == "bi":
+                fact = BiLevelFactorization(
+                    p_x1=f(("x1",)), p_x2=f(("x2",)),
+                    p_u1=f(("u1",)), p_u2=f(("u2",)),
+                    p_xr_given_u=f(("xr",), ("u1", "u2")),
+                    p_y_given_x=y,
+                    p_yh1_given=f(("yh1",), ("yr", "u1")),
+                    p_yh2_given=f(("yh2",), ("yr", "u2")),
+                )
+                expect = bi_level_joint(fact)
+            else:
+                fact = SingleLevelFactorization(
+                    p_x1=f(("x1",)), p_x2=f(("x2",)), p_xr=f(("xr",)),
+                    p_y_given_x=y, p_yh_given=f(("yh",), ("yr", "xr")),
+                )
+                expect = single_level_joint(fact)
+            got = fact.joint()
+            assert got.names == expect.names
+            assert np.array_equal(got.table, expect.table)
 
 
 class TestInformationMeasures:
@@ -313,6 +368,19 @@ class TestFactorizationFiles:
         path = tmp_path / "bad.fact"
         path.write_text("mode single\nfactor x1 : 2\n0.5 0.5\n")
         with pytest.raises(ValueError, match="missing factors"):
+            load_factorization(path)
+
+    def test_factor_declared_twice_rejected(self, tmp_path, rng):
+        path, _, _ = self._write_single(tmp_path, rng)
+        path.write_text(path.read_text() + "factor x1 : 2\n0.9 0.1\n")
+        with pytest.raises(ValueError, match="factor 'x1' declared twice"):
+            load_factorization(path)
+
+    @pytest.mark.parametrize("size", ["0", "-1"])
+    def test_empty_alphabet_rejected(self, tmp_path, size):
+        path = tmp_path / "bad.fact"
+        path.write_text(f"mode single\nfactor x1 : {size}\n")
+        with pytest.raises(ValueError, match="alphabet size of x1 must be >= 1"):
             load_factorization(path)
 
     def test_truncated_factor_header_rejected(self, tmp_path):

@@ -68,6 +68,15 @@ class TestConfig:
         data["optimizer"].update(af_grid=500, af_tolerance=1e-6)
         assert ScenarioConfig.from_dict(data) == default_config()
 
+    def test_absent_optional_keys_take_field_defaults(self):
+        data = default_config(symmetric=False).to_dict()
+        minimal = {k: data[k] for k in ("layout", "powers", "noises")}
+        cfg = default_config(symmetric=False)
+        assert ScenarioConfig.from_dict(minimal) == ScenarioConfig(
+            layout=cfg.layout, P1=cfg.P1, P2=cfg.P2, Pr=cfg.Pr,
+            N1=cfg.N1, N2=cfg.N2, Nr=cfg.Nr,
+        )
+
     def test_rejects_bad_fields(self, tmp_path):
         with pytest.raises(ConfigError, match="pa_policy"):
             small_config(pa_policy="greedy")
