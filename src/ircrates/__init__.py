@@ -24,12 +24,11 @@ from .af import (
     optimal_gain,
     saturation_gain,
 )
-from .df import DfParams, df_best_response, df_rate, df_sum_rate_search
+from .df import DfParams, df_rate, df_sum_rate_search
 from .ef import (
     BiScenario,
     EfBiParams,
     EfDerived,
-    EfSingleParams,
     ef_bi_eval,
     ef_bi_min_noise,
     ef_bi_rate,
@@ -38,7 +37,6 @@ from .ef import (
     ef_derived,
     ef_sl_bottleneck,
     ef_sl_min_noise,
-    ef_sl_params,
     ef_sl_rate,
 )
 from .discrete import (

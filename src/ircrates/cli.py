@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import replace
 
@@ -45,6 +46,14 @@ from .scenario import (
     slmap_to_csv,
     sum_rate_slice,
 )
+
+
+def finite_float(text: str) -> float:
+    """argparse type for operating-point numbers: inf and nan are rejected."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
+    return value
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -125,7 +134,14 @@ def _cmd_rate(args) -> int:
     nu = _pair(args, "nu1", "nu2") or UNIFORM_NU
     nwz = _pair(args, "nwz1", "nwz2")
     if args.protocol == "af":
-        gain = args.gain if args.gain is not None else af.saturation_gain(channel)
+        a_sat = af.saturation_gain(channel)
+        gain = a_sat if args.gain is None else args.gain
+        # Above a_sat the relay exceeds its power budget; the slack matches
+        # ef's noise-bound checks, so a printed a_sat passed back is accepted.
+        if gain > a_sat * (1.0 + 1e-9):
+            raise InfeasibleError(
+                f"gain {gain:.12g} exceeds the saturation gain {a_sat:.12g}"
+            )
         pair = RatePair(af.af_rate(channel, gain, 1), af.af_rate(channel, gain, 2))
         point = {"gain": gain}
     elif args.protocol == "df":
@@ -201,11 +217,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("rate", help="evaluate one protocol at fixed parameters")
     _add_common(p)
     _add_protocol(p)
-    p.add_argument("--gain", type=float, help="AF relay gain (default: saturation)")
-    p.add_argument("--tau1", type=float, help="DF cooperation degree of user 1 (default 0)")
-    p.add_argument("--tau2", type=float, help="DF cooperation degree of user 2 (default 0)")
-    p.add_argument("--nu1", type=float, help="relay power share of user 1 (with --nu2; default 0.5)")
-    p.add_argument("--nu2", type=float, help="relay power share of user 2")
+    p.add_argument("--gain", type=finite_float, help="AF relay gain (default: saturation)")
+    p.add_argument("--tau1", type=finite_float, help="DF cooperation degree of user 1 (default 0)")
+    p.add_argument("--tau2", type=finite_float, help="DF cooperation degree of user 2 (default 0)")
+    p.add_argument("--nu1", type=finite_float, help="relay power share of user 1 (with --nu2; default 0.5)")
+    p.add_argument("--nu2", type=finite_float, help="relay power share of user 2")
     p.add_argument("--nwz", type=float, help="EF-SL compression noise")
     p.add_argument("--nwz1", type=float,
                    help="EF-BL compression noise for D1 (with --nwz2; default minimal)")
@@ -223,7 +239,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("slice", help="sum-rate slice CSV along x_r")
     _add_common(p)
-    p.add_argument("--y", type=float, default=0.5, help="fixed y_r in units of d0")
+    p.add_argument("--y", type=finite_float, default=0.5, help="fixed y_r in units of d0")
     p.set_defaults(func=_cmd_slice)
 
     p = sub.add_parser("slmap", help="single- vs bi-level EF map CSV")

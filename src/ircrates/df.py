@@ -17,7 +17,7 @@ provably nonnegative/positive by AM-GM, for arbitrary complex gains.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional, Tuple
 
 import numpy as np
@@ -26,7 +26,7 @@ from .channel import (
     ChannelInstance, RatePair, capacity, check_nu_split, nu_simplex, other,
 )
 
-__all__ = ["DfParams", "df_rate", "df_sum_rate_search", "df_best_response"]
+__all__ = ["DfParams", "df_rate", "df_sum_rate_search"]
 
 
 @dataclass(frozen=True)
@@ -144,31 +144,3 @@ def df_sum_rate_search(
     params = DfParams(tau1=point[0], tau2=point[1], nu1=point[2], nu2=point[3])
     return params, RatePair(df_rate(channel, params, 1), df_rate(channel, params, 2))
 
-
-def df_best_response(
-    channel: ChannelInstance,
-    other_tau: float,
-    user: int,
-    nu: Tuple[float, float],
-    grid_points: int = 101,
-) -> float:
-    """Cooperation degree maximizing the rate of ``user`` for fixed tau of the other."""
-    if not 0.0 <= other_tau <= 1.0:
-        raise ValueError(f"other_tau must lie in [0, 1], got {other_tau}")
-    if grid_points < 2:
-        raise ValueError(f"grid_points must be >= 2, got {grid_points}")
-    n1, n2 = nu
-
-    def rate_of(ti):
-        t1, t2 = (ti, other_tau) if user == 1 else (other_tau, ti)
-        relay_snr, dest_sinr = _df_sinr_terms(channel, t1, t2, n1, n2, user)
-        return np.minimum(capacity(relay_snr), capacity(dest_sinr))
-
-    taus = np.linspace(0.0, 1.0, grid_points)
-    f = rate_of(taus)
-    k = int(np.argmax(f))
-    step = taus[1] - taus[0]
-    fine = np.linspace(max(0.0, taus[k] - step), min(1.0, taus[k] + step), 21)
-    ff = rate_of(fine)
-    j = int(np.argmax(ff))
-    return float(fine[j]) if ff[j] > f[k] else float(taus[k])

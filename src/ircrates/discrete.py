@@ -48,10 +48,6 @@ class JointPmf:
         _check_table_size(table.size)
         _check_conditional("joint pmf", table, 0)
 
-    @property
-    def alphabet_sizes(self) -> Dict[str, int]:
-        return dict(zip(self.names, self.table.shape))
-
     def axes(self, names: Sequence[str]) -> Tuple[int, ...]:
         missing = [n for n in names if n not in self.names]
         if missing:
@@ -316,24 +312,23 @@ def load_factorization(path):
             raise ValueError(f"{path}: unexpected factor '{spec_str}' for mode {mode}")
         if outs in factors:
             raise ValueError(f"{path}: factor '{spec_str}' declared twice")
-        out_sizes = []
-        for _ in outs:
-            out_sizes.append(int(take()))
-        for name, size in zip(outs, out_sizes):
-            if size < 1:
-                raise ValueError(f"{path}: alphabet size of {name} must be >= 1, got {size}")
-            if sizes.setdefault(name, size) != size:
-                raise ValueError(f"{path}: conflicting alphabet size for {name}")
         try:
-            cond_sizes = [sizes[c] for c in conds]
-        except KeyError as exc:
-            raise ValueError(
-                f"{path}: factor '{spec_str}' conditions on undeclared {exc}"
-            ) from None
-        shape = tuple(cond_sizes) + tuple(out_sizes)
-        count = math.prod(shape)
-        values = np.array([float(take()) for _ in range(count)]).reshape(shape)
-        factors[outs] = values
+            out_sizes = [int(take()) for _ in outs]
+            for name, size in zip(outs, out_sizes):
+                if size < 1:
+                    raise ValueError(f"alphabet size of {name} must be >= 1, got {size}")
+                if sizes.setdefault(name, size) != size:
+                    raise ValueError(f"conflicting alphabet size for {name}")
+            undeclared = [c for c in conds if c not in sizes]
+            if undeclared:
+                raise ValueError(f"conditions on undeclared {undeclared}")
+            shape = tuple(sizes[c] for c in conds) + tuple(out_sizes)
+            values = [float(take()) for _ in range(math.prod(shape))]
+        except ValueError as exc:
+            # take() already names the file at an unexpected end of file.
+            msg = str(exc).removeprefix(f"{path}: ")
+            raise ValueError(f"{path}: factor '{spec_str}': {msg}") from None
+        factors[outs] = np.array(values).reshape(shape)
 
     missing = [k for k in expected if k not in factors]
     if missing:

@@ -41,7 +41,6 @@ __all__ = [
     "BiScenario",
     "EfDerived",
     "EfBiParams",
-    "EfSingleParams",
     "ef_derived",
     "ef_bi_scenario",
     "ef_bi_min_noise",
@@ -50,7 +49,6 @@ __all__ = [
     "ef_sl_bottleneck",
     "ef_sl_min_noise",
     "ef_sl_rate",
-    "ef_sl_params",
     "ef_bi_sum_rate_search",
 ]
 
@@ -136,14 +134,6 @@ class EfBiParams:
             v = getattr(self, name)
             if not v > 0:  # +inf allowed: degenerate (useless) compression
                 raise ValueError(f"{name} must be positive, got {v}")
-
-
-@dataclass(frozen=True)
-class EfSingleParams:
-    """Common compression noise and broadcast bottleneck rate (single-level)."""
-
-    nwz: float
-    r0: float
 
 
 def ef_bi_scenario(channel: ChannelInstance, nu1: float, nu2: float) -> BiScenario:
@@ -309,13 +299,6 @@ def ef_sl_rate(
     return RatePair(
         capacity(_two_branch_sinr(channel, 1, 0.0, nwz)),
         capacity(_two_branch_sinr(channel, 2, 0.0, nwz)),
-    )
-
-
-def ef_sl_params(channel: ChannelInstance, r0_exponent: int = 2) -> EfSingleParams:
-    """Minimal-noise single-level operating point."""
-    return EfSingleParams(
-        nwz=ef_sl_min_noise(channel, r0_exponent), r0=ef_sl_bottleneck(channel)
     )
 
 

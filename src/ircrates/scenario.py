@@ -13,7 +13,7 @@ import io
 import json
 import math
 import numbers
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
@@ -33,7 +33,6 @@ __all__ = [
     "sl_vs_bl_map",
     "map_to_csv",
     "slmap_to_csv",
-    "parse_map_csv",
 ]
 
 PROTOCOL_ORDER = ("af", "df", "ef_bl", "ef_sl")
@@ -386,20 +385,6 @@ def map_to_csv(cells: Sequence[MapCell]) -> str:
         fields += [c.winner, c.bl_scenario]
         buf.write(",".join(fields) + "\n")
     return buf.getvalue()
-
-
-def parse_map_csv(text: str) -> List[MapCell]:
-    lines = text.strip().split("\n")
-    if not lines or lines[0] != MAP_HEADER:
-        raise ValueError(f"unexpected CSV header {lines[0] if lines else ''!r}")
-    cells = []
-    for line in lines[1:]:
-        parts = line.split(",")
-        xr, yr = float(parts[0]), float(parts[1])
-        rates = {p: float(v) for p, v in zip(PROTOCOL_ORDER, parts[2:6])}
-        cells.append(MapCell(xr=xr, yr=yr, rates=rates, winner=parts[6],
-                             bl_scenario=parts[7], af_gain=float("nan")))
-    return cells
 
 
 SLMAP_HEADER = "xr,yr,ef_sl,ef_bl,bl_scenario,winner,frontier"

@@ -112,11 +112,18 @@ def af_sweep():
         B2 = (Pj * np.abs(pp) ** 2 + np.abs(g[f"hr{i}"]) ** 2 * Nr) * a_bar**2
         B1 = Pj * 2 * (pp * np.conj(q)).real * a_bar
         B0 = Pj * np.abs(q) ** 2 + Ni
+        # A2 u^2 + A1 u + A0 in place, in that operand order, into buffers
+        # reused across chunks of `rows` channels (small enough to stay in cache).
+        rows = 2
+        num, den, tmp = (np.empty((rows, grid_points)) for _ in range(3))
         out = np.empty(n)
-        for s in range(0, n, 200):
-            e = s + 200
-            num = A2[s:e, None] * u2 + A1[s:e, None] * u + A0[s:e, None]
-            den = B2[s:e, None] * u2 + B1[s:e, None] * u + B0[s:e, None]
+        for s in range(0, n, rows):
+            e = s + rows
+            for buf, (c2, c1, c0) in ((num, (A2, A1, A0)), (den, (B2, B1, B0))):
+                np.multiply(c2[s:e, None], u2, out=buf)
+                np.multiply(c1[s:e, None], u, out=tmp)
+                buf += tmp
+                buf += c0[s:e, None]
             np.divide(num, den, out=num)
             out[s:e] = num.max(axis=1)
         return out

@@ -100,12 +100,24 @@ RATE_FLAG_OWNERS = {
 class TestRate:
     def test_af(self, capsys, fast_config):
         code, out, _ = run(capsys, "rate", "--config", fast_config,
-                           "--protocol", "af", "--gain", "0.3")
+                           "--protocol", "af", "--gain", "0.01")
         assert code == 0
         assert out.startswith("protocol: af\n")
-        assert "gain: 0.3\n" in out
+        assert "gain: 0.01\n" in out
         fields = dict(line.split(": ") for line in out.strip().split("\n"))
         assert float(fields["R1"]) > 0 and float(fields["R2"]) > 0
+
+    def test_af_gain_above_saturation_exits_1(self, capsys, fast_config):
+        # 0.3 is 15x the default saturation gain; the printed saturation gain,
+        # rounded to 12 digits, is still accepted.
+        code, _, err = run(capsys, "rate", "--config", fast_config,
+                           "--protocol", "af", "--gain", "0.3")
+        assert code == 1 and "exceeds the saturation gain" in err
+        _, out, _ = run(capsys, "rate", "--config", fast_config, "--protocol", "af")
+        a_sat = dict(line.split(": ") for line in out.strip().split("\n"))["gain"]
+        code, again, _ = run(capsys, "rate", "--config", fast_config,
+                             "--protocol", "af", "--gain", a_sat)
+        assert code == 0 and again == out
 
     def test_df(self, capsys, fast_config):
         code, out, _ = run(capsys, "rate", "--config", fast_config,
@@ -336,6 +348,16 @@ class TestDiscrete:
         assert code == 2 and out == "" and "Traceback" not in err
         assert "sum to 1" in err
 
+    @pytest.mark.parametrize("size, probs, word", [("two", "0.5 0.5", "two"),
+                                                   ("2", "0.5 abc", "abc")])
+    def test_non_numeric_token_names_file_and_factor(self, capsys, tmp_path,
+                                                     size, probs, word):
+        path = tmp_path / "word.fact"
+        path.write_text(f"mode single\nfactor x1 : {size}\n{probs}\n")
+        code, out, err = run(capsys, "discrete", "--pmf", str(path))
+        assert code == 2 and out == "" and "Traceback" not in err
+        assert f"{path}: factor 'x1': " in err and f"'{word}'" in err
+
     def test_factor_declared_twice_exits_2(self, capsys, tmp_path):
         path = tmp_path / "twice.fact"
         path.write_text(single_level_text() + "factor x1 : 2\n0.9 0.1\n")
@@ -355,6 +377,21 @@ class TestErrors:
         with pytest.raises(SystemExit) as exc:
             main(["map", "--config", fast_config, "--seed", "0"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("argv", [
+        ("slice", "--y=inf"),
+        ("slice", "--y=nan"),
+        ("rate", "--protocol", "af", "--gain=inf"),
+        ("rate", "--protocol", "df", "--tau2", "0.5", "--tau1=-inf"),
+        ("rate", "--protocol", "ef_bl", "--nu2", "0.1", "--nu1=nan"),
+    ])
+    def test_non_finite_number_exits_2(self, capsys, fast_config, argv):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--config", fast_config])
+        flag = argv[-1].split("=")[0]
+        err = capsys.readouterr().err
+        assert exc.value.code == 2
+        assert f"argument {flag}: must be finite" in err and "Traceback" not in err
 
     def test_non_numeric_config_field_exits_2(self, capsys, fast_config):
         data = json.loads(Path(fast_config).read_text())

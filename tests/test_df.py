@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from ircrates.channel import capacity
-from ircrates.df import DfParams, df_best_response, df_rate, df_sum_rate_search
+from ircrates.df import DfParams, df_rate, df_sum_rate_search
 
 from conftest import random_channel, symmetric_channel
 from reference_kernels import df_sum_rate_search_loop
@@ -142,16 +142,6 @@ class TestDfSearch:
         assert params.nu1 == 0.3 and params.nu2 == 0.3
         free, free_pair = df_sum_rate_search(ch, grid_points=21)
         assert free_pair.sum >= pair.sum - 5e-3
-
-
-class TestBestResponse:
-    def test_best_response_beats_grid(self, rng):
-        ch = random_channel(rng)
-        tau = df_best_response(ch, other_tau=0.4, user=1,
-                               nu=(0.3, 0.3), grid_points=101)
-        best = df_rate(ch, DfParams(tau, 0.4, 0.3, 0.3), 1)
-        for t in np.linspace(0, 1, 101):
-            assert best >= df_rate(ch, DfParams(float(t), 0.4, 0.3, 0.3), 1) - 1e-12
 
 
 class TestRefinementMatchesLoop:

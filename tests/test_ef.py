@@ -15,7 +15,6 @@ from ircrates.ef import (
     ef_derived,
     ef_sl_bottleneck,
     ef_sl_min_noise,
-    ef_sl_params,
     ef_sl_rate,
 )
 from ircrates.errors import ConstraintViolationError, InfeasibleError
@@ -270,12 +269,6 @@ class TestSingleLevel:
         expected = capacity(abs(ch.h11) ** 2 * ch.P1 / ch.N1
                             + abs(ch.h1r) ** 2 * ch.P1 / (ch.Nr + nwz))
         assert pair.r1 == pytest.approx(expected, rel=1e-12)
-
-    def test_params_bundle(self, rng):
-        ch = random_channel(rng)
-        p = ef_sl_params(ch)
-        assert p.r0 == pytest.approx(ef_sl_bottleneck(ch))
-        assert p.nwz == pytest.approx(ef_sl_min_noise(ch))
 
     def test_symmetric_noise_below_bi_level_bounds(self, rng):
         # On a fully symmetric channel the shared codeword needs no more

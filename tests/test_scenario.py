@@ -9,6 +9,7 @@ from ircrates.channel import RatePair, capacity
 from ircrates.errors import InfeasibleError
 from ircrates.scenario import (
     DEFAULT_NODES,
+    MAP_HEADER,
     OPTIMIZERS,
     PROTOCOL_ORDER,
     ConfigError,
@@ -18,7 +19,6 @@ from ircrates.scenario import (
     evaluate_cell,
     load_config,
     map_to_csv,
-    parse_map_csv,
     save_config,
     sl_vs_bl_map,
     slmap_to_csv,
@@ -319,19 +319,16 @@ class TestMaps:
     def test_csv_round_trip(self):
         cfg = small_config()
         cells = dominance_map(cfg)
-        text = map_to_csv(cells)
-        parsed = parse_map_csv(text)
-        assert len(parsed) == len(cells)
-        for orig, back in zip(cells, parsed):
-            assert back.xr == orig.xr and back.yr == orig.yr
-            assert back.winner == orig.winner
-            assert back.bl_scenario == orig.bl_scenario
-            for p in PROTOCOL_ORDER:
-                assert back.rates[p] == pytest.approx(orig.rates[p], rel=1e-11)
-
-    def test_csv_header_checked(self):
-        with pytest.raises(ValueError):
-            parse_map_csv("bogus,header\n1,2\n")
+        header, *rows = map_to_csv(cells).strip().split("\n")
+        assert header == MAP_HEADER
+        assert len(rows) == len(cells)
+        for orig, row in zip(cells, rows):
+            xr, yr, *rates, winner, bl_scenario = row.split(",")
+            assert float(xr) == orig.xr and float(yr) == orig.yr
+            assert winner == orig.winner
+            assert bl_scenario == orig.bl_scenario
+            for p, v in zip(PROTOCOL_ORDER, rates, strict=True):
+                assert float(v) == pytest.approx(orig.rates[p], rel=1e-11)
 
     def test_mirrored_layout_symmetry(self):
         # Reflect the whole node set across the x-axis: rates at (x, y) in
