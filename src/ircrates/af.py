@@ -211,9 +211,7 @@ def optimal_gain(channel: ChannelInstance, user: int) -> AfAnalysis:
 
 
 def af_sum_rate_gain(
-    channel: ChannelInstance,
-    tolerance: float = 1e-10,
-    grid_points: int = 10_000,
+    channel: ChannelInstance, grid_points: int = 10_000
 ) -> Tuple[float, RatePair]:
     """Maximize R_1(a_r) + R_2(a_r) over [0, saturation_gain] in closed form.
 
@@ -230,8 +228,8 @@ def af_sum_rate_gain(
     only raise the maximum.  Ties keep the first candidate, in the order 0,
     saturation gain, roots, as in ``optimal_gain``.
 
-    ``tolerance`` and ``grid_points`` are ignored; they are accepted for
-    compatibility with callers of the former numerical search.
+    ``grid_points`` is ignored; it is accepted for callers of the former
+    numerical search.
     """
     a_bar = saturation_gain(channel)
     q, td = [], []  # per user: Q_i, and the quartic T_i D_i

@@ -22,7 +22,7 @@ import sys
 from dataclasses import replace
 
 from . import af, df, ef
-from .channel import RatePair
+from .channel import ChannelInstance, RatePair, layout_to_channel
 from .discrete import (
     BiLevelFactorization,
     bi_level_bounds,
@@ -56,15 +56,29 @@ def finite_float(text: str) -> float:
     return value
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
+def positive_float(text: str) -> float:
+    """argparse type for compression noises: > 0, with +inf allowed."""
+    value = float(text)
+    if not value > 0:  # also rejects nan
+        raise argparse.ArgumentTypeError(f"must be > 0, got {text!r}")
+    return value
+
+
+# Config fields that a flag overrides: (flag, field, argparse keywords).
+_OVERRIDES = (
+    ("--pa", "pa_policy", dict(choices=("uniform", "optimal"), help="relay power-allocation policy")),
+    ("--r0-exponent", "r0_exponent", dict(type=int, choices=(1, 2), help="EF-SL bottleneck exponent")),
+    ("--resolution", "resolution", dict(type=float, help="sweep resolution, in units of d0")),
+)
+_ALL_OVERRIDES = tuple(flag for flag, _, _ in _OVERRIDES)
+
+
+def _add_config(parser: argparse.ArgumentParser, flags=_ALL_OVERRIDES) -> None:
+    """``--config`` plus the overrides in ``flags``, each stored under its field."""
     parser.add_argument("--config", help="scenario config JSON (default: built-in)")
-    parser.add_argument("--out", help="output path (default: stdout)")
-    parser.add_argument("--pa", choices=("uniform", "optimal"),
-                        help="relay power-allocation policy override")
-    parser.add_argument("--r0-exponent", type=int, choices=(1, 2), dest="r0_exponent",
-                        help="single-level bottleneck constraint exponent")
-    parser.add_argument("--resolution", type=float,
-                        help="sweep resolution override, in units of d0")
+    for flag, field, kwargs in _OVERRIDES:
+        if flag in flags:
+            parser.add_argument(flag, dest=field, **kwargs)
 
 
 def _add_protocol(parser: argparse.ArgumentParser) -> None:
@@ -75,28 +89,19 @@ def _add_protocol(parser: argparse.ArgumentParser) -> None:
 
 def _get_config(args) -> ScenarioConfig:
     config = load_config(args.config) if args.config else default_config()
-    overrides = {field: getattr(args, flag) for field, flag in (
-        ("pa_policy", "pa"), ("r0_exponent", "r0_exponent"), ("resolution", "resolution")
-    ) if getattr(args, flag) is not None}
+    overrides = {field: getattr(args, field) for _, field, _ in _OVERRIDES
+                 if getattr(args, field, None) is not None}
     return replace(config, **overrides) if overrides else config
 
 
-def _emit(text: str, out_path) -> None:
-    if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+def _channel_from(config: ScenarioConfig) -> ChannelInstance:
+    """The channel with the relay at the config's own ``layout.relay``."""
+    return layout_to_channel(config.layout, config.P1, config.P2, config.Pr,
+                             config.N1, config.N2, config.Nr)
 
 
-def _channel_from(config: ScenarioConfig):
-    relay = config.layout.relay
-    return config.channel_at(relay[0] / config.layout.d0, relay[1] / config.layout.d0)
-
-
-def _cmd_defaults(args) -> int:
-    _emit(json.dumps(_get_config(args).to_dict(), indent=2) + "\n", args.out)
-    return 0
+def _cmd_defaults(args) -> str:
+    return json.dumps(_get_config(args).to_dict(), indent=2) + "\n"
 
 
 def _pair(args, a: str, b: str):
@@ -125,7 +130,7 @@ _RATE_FLAGS = {"gain": ("af",), "tau1": ("df",), "tau2": ("df",),
                "nwz1": ("ef_bl",), "nwz2": ("ef_bl",), "nwz": ("ef_sl",)}
 
 
-def _cmd_rate(args) -> int:
+def _cmd_rate(args) -> str:
     for flag, protocols in _RATE_FLAGS.items():
         if getattr(args, flag) is not None and args.protocol not in protocols:
             raise ValueError(f"--{flag} does not apply to --protocol {args.protocol}")
@@ -160,33 +165,28 @@ def _cmd_rate(args) -> int:
         params = ef.EfBiParams(*nu, *nwz)
         scenario = ef.ef_bi_scenario(channel, *nu)
         pair, point = ef.ef_bi_rate(channel, params, scenario), ef_bl_point(params, scenario)
-    _emit(_report(args.protocol, pair, point, with_sum=False), args.out)
-    return 0
+    return _report(args.protocol, pair, point, with_sum=False)
 
 
-def _cmd_optimize(args) -> int:
+def _cmd_optimize(args) -> str:
     config = _get_config(args)
     pair, point = OPTIMIZERS[args.protocol](_channel_from(config), config)
-    _emit(_report(args.protocol, pair, point, with_sum=True), args.out)
-    return 0
+    return _report(args.protocol, pair, point, with_sum=True)
 
 
-def _cmd_map(args) -> int:
-    _emit(map_to_csv(dominance_map(_get_config(args))), args.out)
-    return 0
+def _cmd_map(args) -> str:
+    return map_to_csv(dominance_map(_get_config(args)))
 
 
-def _cmd_slice(args) -> int:
-    _emit(map_to_csv(sum_rate_slice(_get_config(args), args.y)), args.out)
-    return 0
+def _cmd_slice(args) -> str:
+    return map_to_csv(sum_rate_slice(_get_config(args), args.y))
 
 
-def _cmd_slmap(args) -> int:
-    _emit(slmap_to_csv(sl_vs_bl_map(_get_config(args))), args.out)
-    return 0
+def _cmd_slmap(args) -> str:
+    return slmap_to_csv(sl_vs_bl_map(_get_config(args)))
 
 
-def _cmd_discrete(args) -> int:
+def _cmd_discrete(args) -> str:
     fact = load_factorization(args.pmf)
     if isinstance(fact, BiLevelFactorization):
         r1, r2, feasible = bi_level_bounds(fact)
@@ -194,12 +194,8 @@ def _cmd_discrete(args) -> int:
     else:
         r1, r2, feasible = single_level_bounds(fact)
         mode = "single"
-    _emit(
-        f"mode: {mode}\nR1_cap: {r1:.12g}\nR2_cap: {r2:.12g}\n"
-        f"feasible: {'yes' if feasible else 'no'}\n",
-        args.out,
-    )
-    return 0
+    return (f"mode: {mode}\nR1_cap: {r1:.12g}\nR2_cap: {r2:.12g}\n"
+            f"feasible: {'yes' if feasible else 'no'}\n")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -210,46 +206,41 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("defaults", help="emit the frozen default config")
-    _add_common(p)
-    p.set_defaults(func=_cmd_defaults)
+    def command(name: str, func, summary: str) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=summary)
+        p.add_argument("--out", help="output path (default: stdout)")
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("rate", help="evaluate one protocol at fixed parameters")
-    _add_common(p)
+    _add_config(command("defaults", _cmd_defaults, "emit the frozen default config"))
+
+    p = command("rate", _cmd_rate, "evaluate one protocol at fixed parameters")
+    _add_config(p, ("--r0-exponent",))
     _add_protocol(p)
     p.add_argument("--gain", type=finite_float, help="AF relay gain (default: saturation)")
     p.add_argument("--tau1", type=finite_float, help="DF cooperation degree of user 1 (default 0)")
     p.add_argument("--tau2", type=finite_float, help="DF cooperation degree of user 2 (default 0)")
     p.add_argument("--nu1", type=finite_float, help="relay power share of user 1 (with --nu2; default 0.5)")
     p.add_argument("--nu2", type=finite_float, help="relay power share of user 2")
-    p.add_argument("--nwz", type=float, help="EF-SL compression noise")
-    p.add_argument("--nwz1", type=float,
+    p.add_argument("--nwz", type=positive_float, help="EF-SL compression noise")
+    p.add_argument("--nwz1", type=positive_float,
                    help="EF-BL compression noise for D1 (with --nwz2; default minimal)")
-    p.add_argument("--nwz2", type=float, help="EF-BL compression noise for D2")
-    p.set_defaults(func=_cmd_rate)
+    p.add_argument("--nwz2", type=positive_float, help="EF-BL compression noise for D2")
 
-    p = sub.add_parser("optimize", help="per-protocol parameter search")
-    _add_common(p)
+    p = command("optimize", _cmd_optimize, "per-protocol parameter search")
+    _add_config(p, ("--pa", "--r0-exponent"))
     _add_protocol(p)
-    p.set_defaults(func=_cmd_optimize)
 
-    p = sub.add_parser("map", help="dominance map CSV over relay positions")
-    _add_common(p)
-    p.set_defaults(func=_cmd_map)
+    _add_config(command("map", _cmd_map, "dominance map CSV over relay positions"))
 
-    p = sub.add_parser("slice", help="sum-rate slice CSV along x_r")
-    _add_common(p)
+    p = command("slice", _cmd_slice, "sum-rate slice CSV along x_r")
+    _add_config(p)
     p.add_argument("--y", type=finite_float, default=0.5, help="fixed y_r in units of d0")
-    p.set_defaults(func=_cmd_slice)
 
-    p = sub.add_parser("slmap", help="single- vs bi-level EF map CSV")
-    _add_common(p)
-    p.set_defaults(func=_cmd_slmap)
+    _add_config(command("slmap", _cmd_slmap, "single- vs bi-level EF map CSV"))
 
-    p = sub.add_parser("discrete", help="finite-alphabet bounds from a pmf file")
-    _add_common(p)
+    p = command("discrete", _cmd_discrete, "finite-alphabet bounds from a pmf file")
     p.add_argument("--pmf", required=True, help="factorization text file")
-    p.set_defaults(func=_cmd_discrete)
 
     return parser
 
@@ -258,12 +249,21 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        text = args.func(args)
+        if args.out:
+            with open(args.out, "w") as fh:
+                fh.write(text)
+        else:
+            sys.stdout.write(text)
+        return 0
     except (InfeasibleError, ConstraintViolationError) as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return 1
     except (ConfigError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except OverflowError as exc:
+        print(f"error: the config's values overflow: {exc}", file=sys.stderr)
         return 2
 
 

@@ -174,18 +174,16 @@ def ef_bi_min_noise(
 ) -> Tuple[float, float]:
     """Scenario-appropriate compression-noise lower bounds, met with equality.
 
-    Raises InfeasibleError when a destination's relay power share vanishes
-    (its compression stream would need infinite noise).
+    A stream with zero relay power (|h_ri|^2 nu_i P_r = 0) gets the bound
+    +inf: only infinite noise, which drops that relay branch, is admissible.
     """
     derived = ef_derived(channel)
     bounds = []
     for i, nu_i in ((1, nu1), (2, nu2)):
         denom = abs(channel.h_from_relay(i)) ** 2 * nu_i * channel.Pr
         if denom <= 0.0:
-            raise InfeasibleError(
-                f"compression stream for D{i} has zero relay power "
-                f"(|h_r{i}|^2 nu{i} P_r = 0)"
-            )
+            bounds.append(math.inf)
+            continue
         side_power = _receive_power(channel, i) + _relay_interference(
             channel, nu1, nu2, scenario, i
         )
@@ -227,24 +225,14 @@ def ef_bi_rate(
 ) -> RatePair:
     """Achievable (R1, R2) for the bi-level scheme under ``scenario``.
 
-    Parameters must satisfy the scenario's compression-noise lower bounds;
-    a violation raises ConstraintViolationError naming the bound.
+    Parameters must satisfy the scenario's compression-noise lower bounds
+    (+inf for a zero-power stream); a violation raises
+    ConstraintViolationError naming the bound.
     """
-    try:
-        bounds = ef_bi_min_noise(channel, params.nu1, params.nu2, scenario)
-    except InfeasibleError:
-        # Zero-power stream: only infinite compression noise is admissible.
-        bounds = None
-    noises = (params.nwz1, params.nwz2)
-    if bounds is not None:
-        for i, (nwz, bound) in enumerate(zip(noises, bounds), start=1):
-            if nwz < bound * (1.0 - _FEAS_RTOL):
-                raise ConstraintViolationError(f"nwz{i} lower bound", nwz, bound)
-    elif not all(math.isinf(nwz) for nwz in noises):
-        raise ConstraintViolationError(
-            "nwz lower bound (zero-power stream)", min(noises), math.inf
-        )
-
+    bounds = ef_bi_min_noise(channel, params.nu1, params.nu2, scenario)
+    for i, (nwz, bound) in enumerate(zip((params.nwz1, params.nwz2), bounds), start=1):
+        if nwz < bound * (1.0 - _FEAS_RTOL):
+            raise ConstraintViolationError(f"nwz{i} lower bound", nwz, bound)
     return _bi_rates(channel, params, scenario)
 
 
@@ -307,15 +295,12 @@ def ef_bi_eval(
 ) -> Tuple[EfBiParams, BiScenario, RatePair]:
     """Scenario, minimal-noise parameters and rates for a given power split.
 
-    Zero-power compression streams degrade gracefully to infinite noise
-    (the corresponding relay branch contributes nothing).  The noises are
-    the bounds themselves, so the rates skip ``ef_bi_rate``'s check.
+    A zero-power compression stream gets infinite noise, so only its own
+    relay branch contributes nothing.  The noises are the bounds themselves,
+    so the rates skip ``ef_bi_rate``'s check.
     """
     scenario = ef_bi_scenario(channel, nu1, nu2)
-    try:
-        nwz1, nwz2 = ef_bi_min_noise(channel, nu1, nu2, scenario)
-    except InfeasibleError:
-        nwz1 = nwz2 = math.inf
+    nwz1, nwz2 = ef_bi_min_noise(channel, nu1, nu2, scenario)
     params = EfBiParams(nu1=nu1, nu2=nu2, nwz1=nwz1, nwz2=nwz2)
     return params, scenario, _bi_rates(channel, params, scenario)
 

@@ -1,7 +1,7 @@
 """Error types shared across the protocol modules.
 
-Infeasibility (a parameter choice no code can satisfy, e.g. zero relay power
-share for a compression stream) is deliberately distinct from invalid input:
+Infeasibility (a parameter choice no code can satisfy, e.g. a zero relay
+broadcast rate for single-level compression) is deliberately distinct from invalid input:
 parameter sweeps legitimately hit infeasible cells and must be able to skip
 them, while invalid input is a caller bug and raises ValueError.
 """

@@ -213,14 +213,11 @@ class ScenarioConfig:
             raise ConfigError(f"protocols: {exc}") from None
 
 
-def default_config(symmetric: bool = True) -> ScenarioConfig:
-    """The frozen default setup: d0 = 5, gamma = 2, unit noises, Pr = 10.
-
-    ``symmetric`` selects P1 = P2 = 10; otherwise P1 = 3, P2 = 10.
-    """
+def default_config() -> ScenarioConfig:
+    """The frozen default setup: d0 = 5, gamma = 2, unit noises, all powers 10."""
     layout = NodeLayout(relay=(0.0, 0.0, 0.1), d0=5.0, gamma=2.0, epsilon=0.1,
                         **DEFAULT_NODES)
-    return ScenarioConfig(layout=layout, P1=10.0 if symmetric else 3.0)
+    return ScenarioConfig(layout=layout)
 
 
 def load_config(path) -> ScenarioConfig:
@@ -230,12 +227,6 @@ def load_config(path) -> ScenarioConfig:
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config is not valid JSON: {exc}") from None
     return ScenarioConfig.from_dict(data)
-
-
-def save_config(config: ScenarioConfig, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(config.to_dict(), fh, indent=2)
-        fh.write("\n")
 
 
 # -- per-cell protocol evaluation ---------------------------------------------

@@ -284,7 +284,7 @@ class TestSumRateGain:
         tol = 1e-10
         for _ in range(30):
             ch = random_channel(rng)
-            g, pair = af_sum_rate_gain(ch, tolerance=tol)
+            g, pair = af_sum_rate_gain(ch)
             a_bar = saturation_gain(ch)
             cands = [0.0, a_bar]
             for user in (1, 2):
@@ -300,7 +300,7 @@ class TestSumRateGain:
         tol = 1e-8
         for _ in range(5):
             ch = random_channel(rng)
-            g, pair = af_sum_rate_gain(ch, tolerance=tol)
+            g, pair = af_sum_rate_gain(ch)
             grid = np.linspace(0, saturation_gain(ch), 1_000_001)
             brute = float(np.max(af_rate(ch, grid, 1) + af_rate(ch, grid, 2)))
             assert pair.sum >= brute - 2 * tol

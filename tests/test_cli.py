@@ -12,9 +12,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ircrates.channel import RatePair
+from ircrates.channel import RatePair, layout_to_channel
 from ircrates.cli import main
-from ircrates.scenario import OPTIMIZERS, default_config, save_config
+from ircrates.scenario import OPTIMIZERS, default_config
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -26,7 +26,7 @@ FAST_SWEEP = dict(x_min=-0.5, x_max=0.5, y_min=0.25, y_max=0.75, resolution=0.5)
 @pytest.fixture
 def fast_config(tmp_path):
     path = tmp_path / "cfg.json"
-    save_config(replace(default_config(), **FAST_SWEEP), path)
+    path.write_text(json.dumps(replace(default_config(), **FAST_SWEEP).to_dict()))
     return str(path)
 
 
@@ -212,6 +212,20 @@ class TestOptimize:
         assert code == 0
         assert out == "protocol: df\ntau: (0.25, 0.75)\nR1: 1\nR2: 2\nsum: 3\n"
 
+    def test_relay_taken_from_the_layout(self, capsys, tmp_path, monkeypatch):
+        # 13.1 / d0 * d0 != 13.1 in floating point: the channel must come from
+        # layout.relay itself, not from a round trip through units of d0.
+        config = default_config()
+        config = replace(config, layout=replace(config.layout, relay=(13.1, 0.0, 0.1)))
+        path = tmp_path / "relay.json"
+        path.write_text(json.dumps(config.to_dict()))
+        seen = []
+        stub = (RatePair(1.0, 2.0), {})
+        monkeypatch.setitem(OPTIMIZERS, "af", lambda channel, config: seen.append(channel) or stub)
+        assert run(capsys, "optimize", "--config", str(path), "--protocol", "af")[0] == 0
+        assert seen == [layout_to_channel(config.layout, config.P1, config.P2, config.Pr,
+                                          config.N1, config.N2, config.Nr)]
+
     def test_unknown_protocol_exits_2(self, capsys, fast_config):
         with pytest.raises(SystemExit) as exc:
             main(["optimize", "--config", fast_config, "--protocol", "cf"])
@@ -378,6 +392,43 @@ class TestErrors:
             main(["map", "--config", fast_config, "--seed", "0"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("command, flag", [
+        ("discrete", "--config=cfg.json"), ("discrete", "--pa=optimal"),
+        ("discrete", "--r0-exponent=1"), ("discrete", "--resolution=0.5"),
+        ("rate", "--pa=optimal"), ("rate", "--resolution=0.5"),
+        ("optimize", "--resolution=0.5"),
+    ])
+    def test_option_the_command_does_not_read_exits_2(self, capsys, command, flag):
+        required = {"discrete": ["--pmf", "f.txt"]}.get(command, ["--protocol", "af"])
+        with pytest.raises(SystemExit) as exc:
+            main([command, *required, flag])
+        err = capsys.readouterr().err
+        assert exc.value.code == 2 and f"unrecognized arguments: {flag}" in err
+
+    @pytest.mark.parametrize("flag", ["--nwz", "--nwz1", "--nwz2"])
+    @pytest.mark.parametrize("value", ["nan", "0", "-1"])
+    def test_non_positive_noise_exits_2(self, capsys, fast_config, flag, value):
+        protocol = "ef_sl" if flag == "--nwz" else "ef_bl"
+        with pytest.raises(SystemExit) as exc:
+            main(["rate", "--config", fast_config, "--protocol", protocol, f"{flag}={value}"])
+        err = capsys.readouterr().err
+        assert exc.value.code == 2
+        assert f"argument {flag}: must be > 0" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("command, section, field, value", [
+        ("map", "layout", "gamma", 1000.0),
+        ("map", "layout", "d0", 1e308),
+        ("slmap", "powers", "Pr", 1e308),
+    ])
+    def test_overflowing_config_exits_2(self, capsys, fast_config, command,
+                                        section, field, value):
+        data = json.loads(Path(fast_config).read_text())
+        data[section][field] = value
+        Path(fast_config).write_text(json.dumps(data))
+        code, out, err = run(capsys, command, "--config", fast_config)
+        assert code == 2 and out == "" and "Traceback" not in err
+        assert "overflow" in err
+
     @pytest.mark.parametrize("argv", [
         ("slice", "--y=inf"),
         ("slice", "--y=nan"),
@@ -424,7 +475,7 @@ FAST_PATHS = _numeric_paths(_fast_config_dict())
 @given(
     path=st.sampled_from(FAST_PATHS),
     value=st.one_of(
-        st.sampled_from(["ten", None, [1.0], True, False, math.nan, -math.inf]),
+        st.sampled_from(["ten", None, [1.0], True, False, math.nan, -math.inf, 1e308]),
         st.floats(min_value=-3.0, max_value=-1e-3),
         st.integers(min_value=-3, max_value=-1),
     ),
@@ -502,7 +553,7 @@ def test_readme_commands_run(capsys, fast_config, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "factorization.txt").write_text(single_level_text())
     for argv, expected in commands:
-        if "--config" not in argv:
+        if "--config" not in argv and argv[0] != "discrete":  # discrete reads no config
             argv = argv + ["--config", fast_config]
         code = main(argv)
         err = capsys.readouterr().err

@@ -1,3 +1,4 @@
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -193,6 +194,25 @@ class TestBiLevel:
                 base = capacity(abs(ch.h_direct(i)) ** 2 * ch.P(i)
                                 / (abs(ch.h_cross(i)) ** 2 * ch.P(j) + ch.N(i)))
                 assert r == pytest.approx(base, rel=1e-12)
+
+    @pytest.mark.parametrize("dead, nu", [("nu", (0.0, 1.0)), ("hr1", (0.5, 0.5))])
+    def test_zero_power_stream_loses_only_its_own_branch(self, rng, dead, nu):
+        # A stream with |h_r1|^2 nu1 P_r = 0 has the bound +inf; D2 keeps its
+        # compressed branch, so R2 beats its value with both branches gone.
+        for _ in range(20):
+            ch = random_channel(rng)
+            if dead == "hr1":
+                ch = replace(ch, hr1=0.0)
+            sc = ef_bi_scenario(ch, *nu)
+            b1, b2 = ef_bi_min_noise(ch, *nu, sc)
+            assert b1 == math.inf and math.isfinite(b2)
+            params, scenario, pair = ef_bi_eval(ch, *nu)
+            assert (params.nwz1, params.nwz2, scenario) == (math.inf, b2, sc)
+            assert ef_bi_rate(ch, EfBiParams(*nu, math.inf, b2), sc) == pair
+            both_off = ef_bi_rate(ch, EfBiParams(*nu, math.inf, math.inf), sc)
+            assert pair.r1 == both_off.r1 and pair.r2 > both_off.r2
+            with pytest.raises(ConstraintViolationError, match="nwz1"):
+                ef_bi_rate(ch, EfBiParams(*nu, 1e300, b2), sc)
 
     def test_search_beats_interior_splits(self, rng):
         for _ in range(5):

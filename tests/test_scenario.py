@@ -19,7 +19,6 @@ from ircrates.scenario import (
     evaluate_cell,
     load_config,
     map_to_csv,
-    save_config,
     sl_vs_bl_map,
     slmap_to_csv,
     sum_rate_slice,
@@ -50,15 +49,11 @@ class TestConfig:
         assert d["h12"] == pytest.approx(11.0)  # S1 -> D2
         assert d["h21"] == pytest.approx(14.0)  # S2 -> D1
 
-    def test_asymmetric_variant(self):
-        cfg = default_config(symmetric=False)
-        assert cfg.P1 == 3.0 and cfg.P2 == 10.0
-
     def test_round_trip(self, tmp_path):
         cfg = small_config(resolution=0.25, r0_exponent=1,
                            protocols=("af", "ef_sl"))
         path = tmp_path / "cfg.json"
-        save_config(cfg, path)
+        path.write_text(json.dumps(cfg.to_dict()))
         loaded = load_config(path)
         assert loaded == cfg
 
@@ -69,9 +64,9 @@ class TestConfig:
         assert ScenarioConfig.from_dict(data) == default_config()
 
     def test_absent_optional_keys_take_field_defaults(self):
-        data = default_config(symmetric=False).to_dict()
+        cfg = replace(default_config(), P1=3.0)
+        data = cfg.to_dict()
         minimal = {k: data[k] for k in ("layout", "powers", "noises")}
-        cfg = default_config(symmetric=False)
         assert ScenarioConfig.from_dict(minimal) == ScenarioConfig(
             layout=cfg.layout, P1=cfg.P1, P2=cfg.P2, Pr=cfg.Pr,
             N1=cfg.N1, N2=cfg.N2, Nr=cfg.Nr,
