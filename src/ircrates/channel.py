@@ -18,8 +18,9 @@ All rates are in bits per channel use, matching capacity(x) = log2(1 + x).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, replace
-from typing import List, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -57,7 +58,13 @@ def path_loss_gain(distance: float, d0: float, gamma: float) -> float:
         raise ValueError(f"reference distance must be positive, got {d0}")
     if distance <= 0:
         raise ValueError(f"link distance must be positive, got {distance}")
-    return (distance / d0) ** (-gamma / 2.0)
+    try:
+        return (distance / d0) ** (-gamma / 2.0)
+    except OverflowError:
+        raise ValueError(
+            f"path-loss gain (d / d0)^(-gamma/2) overflows a float at d = {distance:g}, "
+            f"d0 = {d0:g}, gamma = {gamma:g}"
+        ) from None
 
 
 @dataclass(frozen=True)
@@ -88,6 +95,26 @@ class ChannelInstance:
             v = complex(getattr(self, name))
             if not (math.isfinite(v.real) and math.isfinite(v.imag)):
                 raise ValueError(f"{name} must be finite, got {v}")
+        # The rate formulas multiply two powers: DF's sqrt(tau_i P_i nu_i P_r),
+        # EF-BL's receive power at D_i times the relay's.  So each transmit
+        # power, and the coherent total of the links into each receiver (no
+        # combination of them delivers more), must square to a finite float.
+        for name, v in (("P1", self.P1), ("P2", self.P2), ("Pr", self.Pr)):
+            if v > _MAX_POWER:
+                raise ValueError(f"{name} = {v:g} overflows a float in the rate "
+                                 f"formulas; the limit is {_MAX_POWER:.6g}")
+        a1, a2, ar = math.sqrt(self.P1), math.sqrt(self.P2), math.sqrt(self.Pr)
+        for receiver, amplitude, noise in (
+            ("D1, |h11|^2 P1 + |h21|^2 P2 + |hr1|^2 Pr + N1,",
+             abs(self.h11) * a1 + abs(self.h21) * a2 + abs(self.hr1) * ar, self.N1),
+            ("D2, |h22|^2 P2 + |h12|^2 P1 + |hr2|^2 Pr + N2,",
+             abs(self.h22) * a2 + abs(self.h12) * a1 + abs(self.hr2) * ar, self.N2),
+            ("the relay, |h1r|^2 P1 + |h2r|^2 P2 + Nr,",
+             abs(self.h1r) * a1 + abs(self.h2r) * a2, self.Nr),
+        ):
+            if not amplitude * amplitude + noise <= _MAX_POWER:
+                raise ValueError(f"the power received at {receiver} overflows a float "
+                                 f"in the rate formulas; the limit is {_MAX_POWER:.6g}")
 
     # -- index-based accessors (user in {1, 2}) --------------------------------
 
@@ -126,6 +153,10 @@ class ChannelInstance:
         )
 
 
+# Largest power whose square is a finite float.
+_MAX_POWER = math.sqrt(sys.float_info.max)
+
+
 def _idx(i: int) -> int:
     if i not in (1, 2):
         raise ValueError(f"user index must be 1 or 2, got {i}")
@@ -151,11 +182,13 @@ def check_nu_split(nu1: float, nu2: float) -> None:
         raise ValueError(f"nu1 + nu2 must be <= 1, got {nu1 + nu2}")
 
 
-def nu_simplex(grid_points: int) -> List[Tuple[float, float]]:
-    """All relay splits (nu1, nu2) of a uniform grid on [0, 1] with
-    nu1 + nu2 <= 1, nu1 in the outer loop."""
-    vals = np.linspace(0.0, 1.0, grid_points).tolist()
-    return [(a, b) for a in vals for b in vals if a + b <= 1.0 + _NU_SLACK]
+def nu_simplex(grid_points: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The uniform grid g on [0, 1] and the indices (i1, i2) of its relay
+    splits (nu1, nu2) = (g[i1], g[i2]) with nu1 + nu2 <= 1, nu1 varying
+    slowest."""
+    grid = np.linspace(0.0, 1.0, grid_points)
+    i1, i2 = np.nonzero(grid[:, None] + grid[None, :] <= 1.0 + _NU_SLACK)
+    return grid, i1, i2
 
 
 @dataclass(frozen=True)
@@ -194,17 +227,21 @@ class NodeLayout:
         return replace(self, relay=(x, y, self.epsilon))
 
     def distances(self) -> dict:
-        """All eight link distances, keyed like the corresponding gains."""
-        s1, s2 = np.asarray(self.s1), np.asarray(self.s2)
-        d1, d2 = np.asarray(self.d1), np.asarray(self.d2)
-        r = np.asarray(self.relay)
+        """All eight link distances, keyed like the corresponding gains.
+
+        Worked in Python floats, so a length too large for a float comes out
+        as inf, which ``layout_to_channel`` refuses, without a numpy warning.
+        """
+        x, y, z = (float(v) for v in self.relay)
 
         def planar(a, b):
-            return float(np.hypot(*(a - b)))
+            return float(np.hypot(float(a[0]) - float(b[0]), float(a[1]) - float(b[1])))
 
         def to_relay(a):
-            return float(np.sqrt(np.sum((np.append(a, 0.0) - r) ** 2)))
+            dx, dy = float(a[0]) - x, float(a[1]) - y
+            return math.sqrt(dx * dx + dy * dy + z * z)
 
+        s1, s2, d1, d2 = self.s1, self.s2, self.d1, self.d2
         return {
             "h11": planar(s1, d1), "h12": planar(s1, d2),
             "h21": planar(s2, d1), "h22": planar(s2, d2),
@@ -230,6 +267,8 @@ def layout_to_channel(
             raise ValueError(
                 f"link {key} has zero length; separate the nodes or set epsilon > 0"
             )
+        if not d < math.inf:
+            raise ValueError(f"the length of link {key} overflows a float")
         gains[key] = complex(path_loss_gain(d, layout.d0, layout.gamma))
     return ChannelInstance(P1=P1, P2=P2, Pr=Pr, N1=N1, N2=N2, Nr=Nr, **gains)
 

@@ -52,29 +52,50 @@ class DfParams:
         return (self.nu1, self.nu2)[i - 1]
 
 
-def _df_sinr_terms(channel: ChannelInstance, t1, t2, n1, n2, user: int):
-    """Relay-constraint SNR and destination SINR for arrays of parameters."""
-    j = other(user)
-    ti, tj = (t1, t2) if user == 1 else (t2, t1)
-    ni_, nj_ = (n1, n2) if user == 1 else (n2, n1)
-    Pi, Pj, Pr = channel.P(user), channel.P(j), channel.Pr
-    h_ii, h_ji = channel.h_direct(user), channel.h_cross(user)
-    h_ri = channel.h_from_relay(user)
+# User i's rate reads three factors: its relay term depends on tau_i alone,
+# its destination signal on (tau_i, nu_i) and its interference-plus-noise on
+# the other user's (tau_j, nu_j).  df_rate, the refinement pass and the search
+# tables all evaluate these, so every path forms the same floats.
 
-    relay_snr = abs(channel.h_to_relay(user)) ** 2 * (1.0 - ti) * Pi / channel.Nr
+
+def _relay_snr(channel: ChannelInstance, user: int, t_i):
+    """SNR of user i's fresh message at the relay."""
+    return abs(channel.h_to_relay(user)) ** 2 * (1.0 - t_i) * channel.P(user) / channel.Nr
+
+
+def _dest_signal(channel: ChannelInstance, user: int, t_i, n_i):
+    """Coherent source-plus-relay signal power of user i at D_i.
+
+    AM-GM keeps it nonnegative; float round-off is clipped at zero.
+    """
+    Pi, Pr = channel.P(user), channel.Pr
+    h_ii, h_ri = channel.h_direct(user), channel.h_from_relay(user)
     num = (
         abs(h_ii) ** 2 * Pi
-        + abs(h_ri) ** 2 * ni_ * Pr
-        + 2.0 * (h_ii * h_ri.conjugate()).real * np.sqrt(ti * Pi * ni_ * Pr)
+        + abs(h_ri) ** 2 * n_i * Pr
+        + 2.0 * (h_ii * h_ri.conjugate()).real * np.sqrt(t_i * Pi * n_i * Pr)
     )
-    den = (
+    return np.maximum(num, 0.0)
+
+
+def _dest_interference(channel: ChannelInstance, user: int, t_j, n_j):
+    """Interference plus noise at D_i from the other user's coherent signal."""
+    Pj, Pr = channel.P(other(user)), channel.Pr
+    h_ji, h_ri = channel.h_cross(user), channel.h_from_relay(user)
+    return (
         abs(h_ji) ** 2 * Pj
-        + abs(h_ri) ** 2 * nj_ * Pr
-        + 2.0 * (h_ji * h_ri.conjugate()).real * np.sqrt(tj * Pj * nj_ * Pr)
+        + abs(h_ri) ** 2 * n_j * Pr
+        + 2.0 * (h_ji * h_ri.conjugate()).real * np.sqrt(t_j * Pj * n_j * Pr)
         + channel.N(user)
     )
-    # AM-GM keeps both nonnegative; clip float round-off at zero.
-    return relay_snr, np.maximum(num, 0.0) / den
+
+
+def _df_sinr_terms(channel: ChannelInstance, t1, t2, n1, n2, user: int):
+    """Relay-constraint SNR and destination SINR for arrays of parameters."""
+    ti, tj = (t1, t2) if user == 1 else (t2, t1)
+    ni_, nj_ = (n1, n2) if user == 1 else (n2, n1)
+    return (_relay_snr(channel, user, ti),
+            _dest_signal(channel, user, ti, ni_) / _dest_interference(channel, user, tj, nj_))
 
 
 def df_rate(channel: ChannelInstance, params: DfParams, user: int) -> float:
@@ -94,6 +115,75 @@ def _sum_rate_grid(channel: ChannelInstance, t1, t2, n1, n2):
     return total
 
 
+def _user_tables(channel: ChannelInstance, user: int, taus, nus):
+    """User i's relay SNR over tau_i (G,), destination signal over
+    (tau_i, nu_i) and interference over (tau_j, nu_j), both (G, K)."""
+    t, n = taus[:, None], nus[None, :]
+    return (_relay_snr(channel, user, taus), _dest_signal(channel, user, t, n),
+            _dest_interference(channel, user, t, n))
+
+
+def _user_sinr(tables, ki, kj):
+    """min(relay SNR, destination SINR) of user i over (pair, tau_i, tau_j),
+    for the relay splits nu_i = nus[ki], nu_j = nus[kj]."""
+    relay, signal, interference = tables
+    return np.minimum(relay[:, None],
+                      signal[:, ki].T[:, :, None] / interference[:, kj].T[:, None, :])
+
+
+def _user_bound(tables, ki, kj):
+    """Per pair, the largest rate user i reaches at any tau_i when the
+    interference is its least over tau_j: an upper bound on user i's rate."""
+    relay, signal, interference = tables
+    floor = interference.min(axis=0)
+    return capacity(np.minimum(relay, signal[:, ki].T / floor[kj][:, None])).max(axis=1)
+
+
+# Relay-split pairs scored at once.  It bounds the (pairs, G, G) temporaries:
+# 8 pairs of a 41-point grid keep each one near 100 kB, where 32 raised the
+# peak memory of an optimal map by about 3 MB.
+_MAX_BLOCK = 8
+
+
+def _best_grid_point(channel: ChannelInstance, taus, nus, k1, k2):
+    """(pair, tau1 index, tau2 index) of the largest R_1 + R_2 over the tau
+    grid and the relay splits (nus[k1[p]], nus[k2[p]]); ties keep the
+    smallest pair p, then the first tau point in row-major order.
+
+    C is monotone, so min(C(a), C(b)) == C(min(a, b)) and each pair costs two
+    log2 calls per tau point.  Pairs are scored in descending order of their
+    bound, equal bounds in pair order, in blocks of 1, 2, 4, ... pairs.  Once
+    no pair left has a bound above the incumbent's rate, or equal to it at a
+    smaller pair index, none can win, and the search stops.
+    """
+    t1, t2 = _user_tables(channel, 1, taus, nus), _user_tables(channel, 2, taus, nus)
+    bounds = _user_bound(t1, k1, k2) + _user_bound(t2, k2, k1)
+    order = np.argsort(-bounds, kind="stable")  # equal bounds: smallest pair first
+    best = None  # (sum rate, pair, flat tau index)
+    start, size = 0, 1
+    while start < len(order):
+        block = order[start:start + size]
+        if best is not None:
+            # A pair can still win only with a bound above the incumbent's
+            # rate, or equal to it at a smaller index; in visiting order,
+            # those pairs come first.
+            b = bounds[block]
+            block = block[(b > best[0]) | ((b == best[0]) & (block < best[1]))]
+            if not len(block):
+                break
+        f = (capacity(_user_sinr(t1, k1[block], k2[block]))
+             + capacity(_user_sinr(t2, k2[block], k1[block])).swapaxes(1, 2))
+        f = f.reshape(len(block), -1)
+        flat = f.argmax(axis=1)
+        vals = f[np.arange(len(block)), flat]
+        for v, p, k in zip(vals.tolist(), block.tolist(), flat.tolist()):
+            if best is None or v > best[0] or (v == best[0] and p < best[1]):
+                best = (v, p, k)
+        start, size = start + size, min(2 * size, _MAX_BLOCK)
+    _, p, k = best
+    return p, *divmod(k, len(taus))
+
+
 def df_sum_rate_search(
     channel: ChannelInstance,
     grid_points: int = 101,
@@ -104,33 +194,38 @@ def df_sum_rate_search(
     With ``nu`` supplied (e.g. the uniform split (1/2, 1/2)) only the two
     cooperation degrees are searched; otherwise the relay split sweeps the
     simplex as well.  A single coordinate-descent refinement pass at a tenth
-    of the grid step follows the scan.  Deterministic: ties keep the earliest
+    of the grid step follows the scan.
+
+    The scan is exact: it returns the grid point a full scan would.  Each
+    relay split is bounded by sum_i max_{tau_i} C(min(relay_i, num_i /
+    min_{tau_j} den_i)), and a split whose bound is below the best sum rate
+    found is never scored.  Deterministic: ties keep the first relay split
+    in simplex order (nu1 varying slowest), then the earliest (tau1, tau2)
     grid point in row-major order.
     """
     if grid_points < 2:
         raise ValueError(f"grid_points must be >= 2, got {grid_points}")
-    taus = np.linspace(0.0, 1.0, grid_points)
-    t1g, t2g = np.meshgrid(taus, taus, indexing="ij")
+    if nu is None:
+        taus, k1, k2 = nu_simplex(grid_points)
+        nus = taus
+    else:
+        taus = np.linspace(0.0, 1.0, grid_points)
+        nus, k1, k2 = np.array(nu, dtype=float), np.array([0]), np.array([1])
+    p, a, b = _best_grid_point(channel, taus, nus, k1, k2)
+    point = [float(taus[a]), float(taus[b]), float(nus[k1[p]]), float(nus[k2[p]])]
+    point = _refine(channel, point, taus[1] - taus[0], free_nu=nu is None)
+    params = DfParams(tau1=point[0], tau2=point[1], nu1=point[2], nu2=point[3])
+    return params, RatePair(df_rate(channel, params, 1), df_rate(channel, params, 2))
 
-    best = None  # (sum_rate, t1, t2, n1, n2)
-    nu_pairs = [tuple(nu)] if nu is not None else nu_simplex(grid_points)
-    for n1, n2 in nu_pairs:
-        f = _sum_rate_grid(channel, t1g, t2g, n1, n2)
-        k = int(np.argmax(f))
-        cand = (float(f.flat[k]), float(t1g.flat[k]), float(t2g.flat[k]), n1, n2)
-        if best is None or cand[0] > best[0]:
-            best = cand
 
-    _, t1, t2, n1, n2 = best
-    point = [t1, t2, n1, n2]
-    step = taus[1] - taus[0]
-    free = [True, True, nu is None, nu is None]
-    for axis in range(4):
-        if not free[axis]:
-            continue
+def _refine(channel: ChannelInstance, point, step: float, free_nu: bool):
+    """One coordinate-descent pass over (tau1, tau2[, nu1, nu2]) from
+    ``point``, each axis scanned at a tenth of ``step`` within one step."""
+    point = list(point)
+    for axis in range(4 if free_nu else 2):
         lo = max(0.0, point[axis] - step)
         hi = min(1.0, point[axis] + step)
-        vals = np.linspace(lo, hi, 21)  # step/10 refinement
+        vals = np.linspace(lo, hi, 21)
         trial = list(point)
         trial[axis] = vals
         # Points off the nu simplex are skipped; a point replaces the current
@@ -140,7 +235,4 @@ def df_sum_rate_search(
         k = int(np.argmax(f))
         if f[k] > _sum_rate_grid(channel, *point):
             point[axis] = float(vals[k])
-
-    params = DfParams(tau1=point[0], tau2=point[1], nu1=point[2], nu2=point[3])
-    return params, RatePair(df_rate(channel, params, 1), df_rate(channel, params, 2))
-
+    return point

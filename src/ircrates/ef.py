@@ -32,6 +32,8 @@ import math
 from dataclasses import dataclass
 from typing import Tuple
 
+import numpy as np
+
 from .channel import (
     ChannelInstance, RatePair, capacity, check_nu_split, nu_simplex, other,
 )
@@ -305,18 +307,68 @@ def ef_bi_eval(
     return params, scenario, _bi_rates(channel, params, scenario)
 
 
+def _bi_eval_simplex(channel: ChannelInstance, nu1, nu2):
+    """``ef_bi_eval`` over arrays of relay splits, elementwise and in its
+    operand order: (scenario index into ``BiScenario``, nwz1, nwz2, R1, R2).
+
+    ``ef_bi_eval`` stays the scalar path of single splits; tests hold the
+    two equal at every simplex point.
+    """
+    g1, g2 = abs(channel.hr1) ** 2, abs(channel.hr2) ** 2
+    Pr = channel.Pr
+    v = {1: _receive_power(channel, 1), 2: _receive_power(channel, 2)}
+    # ef_bi_scenario's two tests; the first wins a tie.
+    d1 = capacity(g1 * nu2 * Pr / (v[1] + g1 * nu1 * Pr)) >= capacity(
+        g2 * nu2 * Pr / (v[2] + g2 * nu1 * Pr))
+    d2 = ~d1 & (capacity(g2 * nu1 * Pr / (v[2] + g2 * nu2 * Pr)) >= capacity(
+        g1 * nu1 * Pr / (v[1] + g1 * nu2 * Pr)))
+    derived = ef_derived(channel)
+    nwz, sinr = {}, {}
+    for i, cancels, nu_i, nu_j in ((1, d1, nu1, nu2), (2, d2, nu2, nu1)):
+        g = abs(channel.h_from_relay(i)) ** 2
+        interf = np.where(cancels, 0.0, g * nu_j * Pr)  # _relay_interference
+        # ef_bi_min_noise: +inf for a stream with no relay power.
+        denom = g * nu_i * Pr
+        nwz[i] = np.divide((v[i] + interf) * derived.A - derived.cross(i) ** 2, denom,
+                           out=np.full(np.shape(denom), math.inf), where=denom > 0.0)
+        # _two_branch_sinr; a zero-power stream keeps the direct branch only.
+        j = other(i)
+        Pi, Pj = channel.P(i), channel.P(j)
+        gd = abs(channel.h_direct(i)) ** 2
+        gc = abs(channel.h_cross(i)) ** 2
+        gu = abs(channel.h_to_relay(i)) ** 2
+        gw = abs(channel.h_to_relay(j)) ** 2
+        Ni, Nr = channel.N(i), channel.Nr
+        finite = np.isfinite(nwz[i])
+        w = np.where(finite, nwz[i], 0.0)
+        direct = gd * Pi / (Ni + interf + gc * Pj * (Nr + w) / (gw * Pj + Nr + w))
+        noise_floor = interf + Ni
+        relayed = gu * Pi / (Nr + w + gw * Pj * noise_floor / (gc * Pj + noise_floor))
+        sinr[i] = np.where(finite, direct + relayed, gd * Pi / (Ni + interf + gc * Pj))
+    scenario = np.where(d1, 0, np.where(d2, 1, 2))
+    return scenario, nwz[1], nwz[2], capacity(sinr[1]), capacity(sinr[2])
+
+
 def ef_bi_sum_rate_search(
     channel: ChannelInstance, grid_points: int = 41
 ) -> Tuple[EfBiParams, BiScenario, RatePair]:
     """Best sum rate over a uniform (nu1, nu2) simplex grid at minimal noises.
 
-    Deterministic: ties keep the earliest grid cell in row-major order.
+    Every simplex point is evaluated at once, with the formulas of
+    ``ef_bi_eval``, and none is pruned, so the result is that of evaluating
+    the points one by one.  Deterministic: ties keep the smallest simplex
+    index, i.e. the earliest grid cell in row-major order (nu1 varying
+    slowest).
     """
     if grid_points < 2:
         raise ValueError(f"grid_points must be >= 2, got {grid_points}")
-    best = None
-    for nu1, nu2 in nu_simplex(grid_points):
-        params, scenario, rates = ef_bi_eval(channel, nu1, nu2)
-        if best is None or rates.sum > best[2].sum:
-            best = (params, scenario, rates)
-    return best
+    grid, i1, i2 = nu_simplex(grid_points)
+    nu1, nu2 = grid[i1], grid[i2]
+    scenario, nwz1, nwz2, r1, r2 = _bi_eval_simplex(channel, nu1, nu2)
+    # EfBiParams refuses a non-positive noise: the first such split raises,
+    # as in a loop over the splits.
+    bad = np.flatnonzero(~((nwz1 > 0) & (nwz2 > 0)))
+    k = bad[0] if len(bad) else int(np.argmax(r1 + r2))
+    params = EfBiParams(nu1=float(nu1[k]), nu2=float(nu2[k]),
+                        nwz1=float(nwz1[k]), nwz2=float(nwz2[k]))
+    return params, list(BiScenario)[scenario[k]], RatePair(float(r1[k]), float(r2[k]))

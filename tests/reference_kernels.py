@@ -1,9 +1,11 @@
 """Reference versions of kernels the package computes another way.
 
-The package's AF optima score a candidate set, its DF refinement pass is
-one vectorized call per axis, and its factorizations derive their joint
-product from a table of factors; these are the per-user case analysis and the
-scan-and-refine sum-rate optimizer, the scalar DF refinement loop, and the
+The package's AF optima score a candidate set, its DF search prunes the
+relay splits by a bound and refines with one vectorized call per axis, its
+EF-BL search evaluates the whole simplex at once, and its factorizations
+derive their joint product from a table of factors; these are the per-user
+case analysis and the scan-and-refine sum-rate optimizer, the DF and EF-BL
+loops over every relay split, the scalar DF refinement loop, and the
 hand-written einsum products, that they replaced.  Tests compare the two.
 """
 
@@ -22,7 +24,8 @@ from ircrates.af import (
     saturation_gain,
 )
 from ircrates.channel import ChannelInstance, RatePair, nu_simplex
-from ircrates.df import DfParams, _sum_rate_grid, df_rate
+from ircrates.df import DfParams, _refine, _sum_rate_grid, df_rate
+from ircrates.ef import BiScenario, EfBiParams, ef_bi_eval
 from ircrates.discrete import JointPmf
 
 
@@ -147,27 +150,48 @@ def af_sum_rate_gain_scan(
     )
 
 
-def df_sum_rate_search_loop(
-    channel: ChannelInstance,
-    grid_points: int = 101,
-    nu: Optional[Tuple[float, float]] = None,
-) -> Tuple[DfParams, RatePair]:
-    """DF grid search whose refinement pass evaluates one point per call."""
+def _df_scan_loop(channel: ChannelInstance, grid_points: int, nu):
+    """The DF relay-split loop: the full tau grid of every split, the first
+    of equal maxima kept.  Returns the best grid point and the grid step."""
     taus = np.linspace(0.0, 1.0, grid_points)
     t1g, t2g = np.meshgrid(taus, taus, indexing="ij")
 
     best = None  # (sum_rate, t1, t2, n1, n2)
-    nu_pairs = [tuple(nu)] if nu is not None else nu_simplex(grid_points)
+    nu_pairs = [tuple(nu)] if nu is not None else _simplex_pairs(grid_points)
     for n1, n2 in nu_pairs:
         f = _sum_rate_grid(channel, t1g, t2g, n1, n2)
         k = int(np.argmax(f))
         cand = (float(f.flat[k]), float(t1g.flat[k]), float(t2g.flat[k]), n1, n2)
         if best is None or cand[0] > best[0]:
             best = cand
+    return list(best[1:]), taus[1] - taus[0]
 
-    _, t1, t2, n1, n2 = best
-    point = [t1, t2, n1, n2]
-    step = taus[1] - taus[0]
+
+def _simplex_pairs(grid_points: int):
+    grid, i1, i2 = nu_simplex(grid_points)
+    return list(zip(grid[i1].tolist(), grid[i2].tolist()))
+
+
+def df_sum_rate_search_reference(
+    channel: ChannelInstance,
+    grid_points: int = 101,
+    nu: Optional[Tuple[float, float]] = None,
+) -> Tuple[DfParams, RatePair]:
+    """DF search that scores every relay split in a loop, then refines."""
+    point, step = _df_scan_loop(channel, grid_points, nu)
+    point = _refine(channel, point, step, free_nu=nu is None)
+    params = DfParams(tau1=point[0], tau2=point[1], nu1=point[2], nu2=point[3])
+    return params, RatePair(df_rate(channel, params, 1), df_rate(channel, params, 2))
+
+
+def df_sum_rate_search_loop(
+    channel: ChannelInstance,
+    grid_points: int = 101,
+    nu: Optional[Tuple[float, float]] = None,
+) -> Tuple[DfParams, RatePair]:
+    """DF search with the relay-split loop and a refinement pass that
+    evaluates one point per call."""
+    point, step = _df_scan_loop(channel, grid_points, nu)
     free = [True, True, nu is None, nu is None]
     for axis in range(4):
         if not free[axis]:
@@ -188,6 +212,18 @@ def df_sum_rate_search_loop(
 
     params = DfParams(tau1=point[0], tau2=point[1], nu1=point[2], nu2=point[3])
     return params, RatePair(df_rate(channel, params, 1), df_rate(channel, params, 2))
+
+
+def ef_bi_sum_rate_search_loop(
+    channel: ChannelInstance, grid_points: int = 41
+) -> Tuple[EfBiParams, BiScenario, RatePair]:
+    """EF-BL search that evaluates the relay splits one at a time."""
+    best = None
+    for nu1, nu2 in _simplex_pairs(grid_points):
+        params, scenario, rates = ef_bi_eval(channel, nu1, nu2)
+        if best is None or rates.sum > best[2].sum:
+            best = (params, scenario, rates)
+    return best
 
 
 def bi_level_joint(fact) -> JointPmf:

@@ -104,6 +104,23 @@ class TestChannelInstance:
         assert ch.rho(2) == pytest.approx(3.0)
         assert math.isfinite(ch.rho(1)) and ch.rho(1) > 0
 
+    @pytest.mark.parametrize("field, value, named", [
+        ("P2", 2e154, "P2 = 2e+154"),
+        ("hr1", 2e77, "received at D1"),
+        ("h12", 2e77, "received at D2"),
+        ("h2r", 2e77, "received at the relay"),
+        ("Nr", 1e300, "received at the relay"),
+    ])
+    def test_power_that_overflows_when_squared(self, field, value, named):
+        # The rate formulas multiply two powers; just under sqrt(float max)
+        # passes, just over it names the field or the receiver.
+        fields = dict(h11=1, h12=1, h21=1, h22=1, h1r=1, h2r=1, hr1=1, hr2=1,
+                      P1=1, P2=1, Pr=1, N1=1, N2=1, Nr=1)
+        ChannelInstance(**{**fields, "P1": 1e154})
+        with pytest.raises(ValueError, match="overflows a float") as exc:
+            ChannelInstance(**{**fields, field: value})
+        assert named in str(exc.value)
+
     def test_index_accessors(self):
         ch = ChannelInstance(h11=1, h12=2, h21=3, h22=4, h1r=5, h2r=6, hr1=7, hr2=8,
                              P1=1, P2=2, Pr=3, N1=4, N2=5, Nr=6)
@@ -223,7 +240,9 @@ class TestRatePair:
 class TestRelaySplit:
     @pytest.mark.parametrize("grid_points", [2, 11, 41, 101])
     def test_simplex_grid(self, grid_points):
-        pairs = nu_simplex(grid_points)
+        grid, i1, i2 = nu_simplex(grid_points)
+        assert grid.tolist() == np.linspace(0.0, 1.0, grid_points).tolist()
+        pairs = list(zip(grid[i1].tolist(), grid[i2].tolist()))
         # Every pair with nu1 + nu2 <= 1, including (0.3, 0.7)-like sums that
         # round above 1; nu1 in the outer loop.
         assert len(pairs) == grid_points * (grid_points + 1) // 2

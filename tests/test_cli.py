@@ -5,6 +5,7 @@ import math
 import re
 import shlex
 import tempfile
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -415,19 +416,30 @@ class TestErrors:
         assert exc.value.code == 2
         assert f"argument {flag}: must be > 0" in err and "Traceback" not in err
 
-    @pytest.mark.parametrize("command, section, field, value", [
-        ("map", "layout", "gamma", 1000.0),
-        ("map", "layout", "d0", 1e308),
-        ("slmap", "powers", "Pr", 1e308),
+    @pytest.mark.parametrize("command, edits, named", [
+        pytest.param("map", {("layout", "gamma"): 1000.0}, "at the relay, |h1r|^2 P1",
+                     id="map-layout-gamma-1000.0"),
+        pytest.param("map", {("layout", "gamma"): 1e308}, "gamma = 1e+308",
+                     id="map-layout-gamma-1e+308"),
+        pytest.param("map", {("layout", "d0"): 1e308}, "link h1r",
+                     id="map-layout-d0-1e+308"),
+        pytest.param("slmap", {("powers", "Pr"): 1e308}, "Pr = 1e+308",
+                     id="slmap-powers-Pr-1e+308"),
+        pytest.param("map", {("powers", "P1"): 1e308, ("powers", "Pr"): 1e308},
+                     "P1 = 1e+308", id="map-powers-P1-Pr-1e+308"),
     ])
-    def test_overflowing_config_exits_2(self, capsys, fast_config, command,
-                                        section, field, value):
+    def test_overflowing_config_exits_2(self, capsys, fast_config, command, edits, named):
         data = json.loads(Path(fast_config).read_text())
-        data[section][field] = value
+        for (section, field), value in edits.items():
+            data[section][field] = value
         Path(fast_config).write_text(json.dumps(data))
-        code, out, err = run(capsys, command, "--config", fast_config)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run(capsys, command, "--config", fast_config)
         assert code == 2 and out == "" and "Traceback" not in err
-        assert "overflow" in err
+        assert "overflows a float" in err and named in err, err
+        # The check runs before any kernel, so numpy warns of nothing.
+        assert [str(w.message) for w in caught] == []
 
     @pytest.mark.parametrize("argv", [
         ("slice", "--y=inf"),
@@ -490,10 +502,12 @@ def test_fuzzed_config_never_raises(path, value):
         cfg, out = Path(tmp) / "cfg.json", Path(tmp) / "map.csv"
         cfg.write_text(json.dumps(data))
         err = io.StringIO()
-        with contextlib.redirect_stderr(err):
+        with warnings.catch_warnings(record=True) as caught, contextlib.redirect_stderr(err):
+            warnings.simplefilter("always")
             code = main(["map", "--config", str(cfg), "--out", str(out)])
     assert code in (0, 1, 2)
     assert "Traceback" not in err.getvalue()
+    assert [str(w.message) for w in caught] == []
 
 
 FACTORIZATION_TOKENS = ["nan", "inf", "-inf", "-1", "0", "1", "2", "0.5", "1e400",

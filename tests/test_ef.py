@@ -150,7 +150,8 @@ class TestBiLevel:
         # ef_bi_eval skips ef_bi_rate's noise check; the rates must not move.
         for _ in range(20):
             ch = random_channel(rng)
-            for nu1, nu2 in nu_simplex(11):
+            grid, i1, i2 = nu_simplex(11)
+            for nu1, nu2 in zip(grid[i1].tolist(), grid[i2].tolist()):
                 params, sc, pair = ef_bi_eval(ch, nu1, nu2)
                 assert ef_bi_rate(ch, params, sc) == pair
 

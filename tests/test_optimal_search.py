@@ -1,0 +1,178 @@
+"""The pruned DF scan and the broadcast EF-BL search return exactly what the
+loops over every relay split return.
+
+The references in ``reference_kernels`` score the splits one at a time; the
+package bounds the DF splits and skips those that cannot win, and evaluates
+the EF-BL simplex as arrays.  Every comparison here is ``==``.
+"""
+
+from dataclasses import replace
+
+import numpy as np
+import pytest
+
+from ircrates import df, ef
+from ircrates.df import _sum_rate_grid
+from ircrates.channel import ChannelInstance, nu_simplex
+from ircrates.scenario import default_config
+
+from conftest import random_channel, symmetric_channel
+from reference_kernels import (
+    _df_scan_loop,
+    df_sum_rate_search_reference,
+    ef_bi_sum_rate_search_loop,
+)
+
+
+def assert_searches_match(ch: ChannelInstance, grid_points: int):
+    assert (df.df_sum_rate_search(ch, grid_points)
+            == df_sum_rate_search_reference(ch, grid_points))
+    assert (ef.ef_bi_sum_rate_search(ch, grid_points)
+            == ef_bi_sum_rate_search_loop(ch, grid_points))
+
+
+@pytest.mark.parametrize("grid_points", [11, 21, 41])
+def test_ef_matches_loop_on_refinement_grids(rng, grid_points):
+    # TestRefinementMatchesLoop's channels, where the DF search is held to
+    # its loop: the default relay at (0.5, 0.5) d0 and three random draws.
+    edge = default_config().channel_at(0.5, 0.5)
+    for ch in [edge] + [random_channel(rng) for _ in range(3)]:
+        assert (ef.ef_bi_sum_rate_search(ch, grid_points)
+                == ef_bi_sum_rate_search_loop(ch, grid_points))
+
+
+def test_matches_loops_on_default_map_cells():
+    config = default_config()
+    cells = [(float(x), float(y)) for y in config.grid_y() for x in config.grid_x()]
+    assert len(cells) == 957
+    for x, y in cells:
+        assert_searches_match(config.channel_at(x, y), 11)
+
+
+def test_matches_loops_on_random_channels():
+    rng = np.random.default_rng(8)
+    for k in range(300):
+        assert_searches_match(random_channel(rng, real_gains=k % 2 == 1), 11)
+
+
+def test_fixed_split_matches_loop(rng):
+    for _ in range(20):
+        ch = random_channel(rng)
+        for nu in [(0.5, 0.5), (0.3, 0.6), (1.0, 0.0)]:
+            assert (df.df_sum_rate_search(ch, 21, nu=nu)
+                    == df_sum_rate_search_reference(ch, 21, nu=nu))
+
+
+def test_silent_relay_keeps_first_split(rng):
+    # With no relay-to-destination gain every split scores the same, and
+    # both searches keep the first one, nu = (0, 0).
+    for _ in range(5):
+        ch = replace(random_channel(rng), hr1=0.0, hr2=0.0)
+        assert_searches_match(ch, 11)
+        params, _, _ = ef.ef_bi_sum_rate_search(ch, 11)
+        assert (params.nu1, params.nu2) == (0.0, 0.0)
+
+
+def test_zero_noise_bound_raises_like_the_loop():
+    # The relay hears what D1 hears (h1r = h11, h2r = h21, Nr = N1), and the
+    # noise is lost in round-off: nwz1's bound is 0 wherever D1 sees no relay
+    # interference, which EfBiParams refuses at the first such split.
+    ch = ChannelInstance(h11=1.0, h21=0.5, h1r=1.0, h2r=0.5, h12=0.3, h22=0.8,
+                         hr1=0.7, hr2=0.6, P1=1.0, P2=1.0, Pr=1.0,
+                         N1=1e-20, N2=1.0, Nr=1e-20)
+    errors = []
+    for search in (ef_bi_sum_rate_search_loop, ef.ef_bi_sum_rate_search):
+        with pytest.raises(ValueError, match="nwz1 must be positive") as exc:
+            search(ch, 11)
+        errors.append(str(exc.value))
+    assert errors[0] == errors[1]
+
+
+def test_eval_equals_broadcast_at_every_split(rng):
+    grid, i1, i2 = nu_simplex(21)
+    for _ in range(50):
+        ch = random_channel(rng)
+        scenario, nwz1, nwz2, r1, r2 = ef._bi_eval_simplex(ch, grid[i1], grid[i2])
+        for k, (nu1, nu2) in enumerate(zip(grid[i1].tolist(), grid[i2].tolist())):
+            params, sc, pair = ef.ef_bi_eval(ch, nu1, nu2)
+            assert (params.nwz1, params.nwz2, sc, pair.r1, pair.r2) == (
+                nwz1[k], nwz2[k], list(ef.BiScenario)[scenario[k]], r1[k], r2[k])
+
+
+def anti_phase_channel(rng) -> ChannelInstance:
+    """Complex gains with Re(h_ii h_ri^*) < 0 and Re(h_ji h_ri^*) < 0: the
+    coherent terms of the DF numerator and denominator subtract."""
+    ch = random_channel(rng)
+    gains = {}
+    for i, (direct, cross, down) in ((1, ("h11", "h21", "hr1")),
+                                     (2, ("h22", "h12", "hr2"))):
+        h_ri = getattr(ch, down)
+        for name in (direct, cross):
+            phase = np.exp(1j * rng.uniform(-1.0, 1.0))  # |angle| < pi / 2
+            gains[name] = -rng.uniform(0.1, 1.0) * h_ri * phase
+    new = ChannelInstance(**{**ch.__dict__, **gains})
+    for i in (1, 2):
+        h_ri = new.h_from_relay(i)
+        assert (new.h_direct(i) * h_ri.conjugate()).real < 0
+        assert (new.h_cross(i) * h_ri.conjugate()).real < 0
+    return new
+
+
+@pytest.mark.parametrize("draw", ["anti_phase", "random"])
+def test_bound_covers_every_split(rng, draw):
+    taus, k1, k2 = nu_simplex(21)
+    nus = taus
+    # The simplex edges nu1 = 0, nu2 = 0 and nu1 + nu2 = 1 are all scored.
+    assert (k1 == 0).any() and (k2 == 0).any() and (k1 + k2 == 20).any()
+    t1g, t2g = np.meshgrid(taus, taus, indexing="ij")
+    make = anti_phase_channel if draw == "anti_phase" else random_channel
+    for _ in range(15):
+        ch = make(rng)
+        tables = [df._user_tables(ch, i, taus, nus) for i in (1, 2)]
+        bounds = (df._user_bound(tables[0], k1, k2)
+                  + df._user_bound(tables[1], k2, k1))
+        for p in range(len(k1)):
+            best = _sum_rate_grid(ch, t1g, t2g, nus[k1[p]], nus[k2[p]]).max()
+            assert bounds[p] >= best, (p, bounds[p], best)
+
+
+def test_symmetric_tie_keeps_first_split(rng):
+    # On a symmetric channel the splits (a, b) and (b, a) score exactly the
+    # same; both the scan and the loop keep the one first in simplex order.
+    taus, k1, k2 = nu_simplex(21)
+    t1g, t2g = np.meshgrid(taus, taus, indexing="ij")
+    ties = 0
+    for _ in range(20):
+        ch = symmetric_channel(rng)
+        p, a, b = df._best_grid_point(ch, taus, taus, k1, k2)
+        point, _ = _df_scan_loop(ch, 21, None)
+        assert [taus[a], taus[b], taus[k1[p]], taus[k2[p]]] == point
+        n1, n2 = point[2:]
+        if n1 != n2:
+            best = _sum_rate_grid(ch, t1g, t2g, n1, n2).max()
+            assert _sum_rate_grid(ch, t1g, t2g, n2, n1).max() == best
+            assert n1 < n2  # (n2, n1) comes later: nu1 varies slowest
+            ties += 1
+        assert df.df_sum_rate_search(ch, 21) == df_sum_rate_search_reference(ch, 21)
+    assert ties > 0
+
+
+@pytest.mark.parametrize("loosen", ["late_splits", "odd_splits"])
+def test_any_valid_bound_keeps_the_point(rng, monkeypatch, loosen):
+    # A looser bound is still a bound: it changes the order the splits are
+    # scored in, never the result.  Raising the bound of later splits makes
+    # the scan meet a tie's larger index first, as in the relay-limited
+    # corner cells, where every split scores the same.
+    tight = df._user_bound
+
+    def loose(tables, ki, kj):
+        k = ki + kj if loosen == "late_splits" else ki
+        return tight(tables, ki, kj) + np.where(k % 2 == 1 if loosen == "odd_splits"
+                                                else k > 5, 1.0, 0.0)
+
+    monkeypatch.setattr(df, "_user_bound", loose)
+    config = default_config()
+    corners = [config.channel_at(-4.0, -3.0), config.channel_at(4.0, 4.0)]
+    draws = [symmetric_channel(rng) for _ in range(5)] + [random_channel(rng) for _ in range(5)]
+    for ch in corners + draws:
+        assert df.df_sum_rate_search(ch, 11) == df_sum_rate_search_reference(ch, 11)
