@@ -30,7 +30,7 @@ from typing import List, Tuple
 
 import numpy as np
 
-from .channel import ChannelInstance, RatePair, capacity, other
+from .channel import ChannelBatch, ChannelInstance, RatePair, capacity, other
 
 __all__ = [
     "AfAuxiliaries",
@@ -43,6 +43,7 @@ __all__ = [
     "real_gain_critical_points",
     "optimal_gain",
     "af_sum_rate_gain",
+    "af_sum_rate_gain_batch",
 ]
 
 # Relative threshold below which the quadratic's leading coefficient is
@@ -63,25 +64,31 @@ class AfAuxiliaries:
 
 
 def auxiliaries(channel: ChannelInstance, user: int) -> AfAuxiliaries:
+    return AfAuxiliaries(user, *_aux(*_aux_args(channel, user)))
+
+
+def _aux_args(channel, user: int) -> tuple:
+    """The links, powers and noises ``_aux`` reads, in its argument order."""
     j = other(user)
-    sqrt_rho_i = math.sqrt(channel.rho(user))
+    return (channel.h_to_relay(user), channel.h_from_relay(user), channel.h_direct(user),
+            channel.h_to_relay(j), channel.h_cross(user), channel.P(user), channel.P(j),
+            channel.N(user), channel.Nr, channel.g_from_relay(user))
+
+
+def _aux(h_ir, h_ri, h_ii, h_jr, h_ji, P_i, P_j, N_i, N_r, g_ri) -> tuple:
+    """(m, n, p, q, s) of one user, in Python complex and float arithmetic."""
+    sqrt_rho_i = math.sqrt(P_i / N_i)
     # Cross and relay-noise terms normalized by the receiver noise N_i.
-    sqrt_pj_ni = math.sqrt(channel.P(j) / channel.N(user))
-    h_ri = channel.h_from_relay(user)
-    return AfAuxiliaries(
-        user=user,
-        m=channel.h_to_relay(user) * h_ri * sqrt_rho_i,
-        n=channel.h_direct(user) * sqrt_rho_i,
-        p=channel.h_to_relay(j) * h_ri * sqrt_pj_ni,
-        q=channel.h_cross(user) * sqrt_pj_ni,
-        s=abs(h_ri) ** 2 * channel.Nr / channel.N(user),
-    )
+    sqrt_pj_ni = math.sqrt(P_j / N_i)
+    return (h_ir * h_ri * sqrt_rho_i, h_ii * sqrt_rho_i,
+            h_jr * h_ri * sqrt_pj_ni, h_ji * sqrt_pj_ni, g_ri * N_r / N_i)
 
 
-def af_rate(channel: ChannelInstance, gain, user: int):
+def af_rate(channel, gain, user: int):
     """Rate of user ``user`` in bits per channel use, for relay gain(s) >= 0.
 
-    ``gain`` may be a scalar or a numpy array.
+    ``gain`` may be a scalar or a numpy array; ``channel`` may be a
+    ``ChannelBatch`` whose arrays broadcast against it.
     """
     a = np.asarray(gain, dtype=float)
     if np.any(a < 0):
@@ -93,25 +100,30 @@ def af_rate(channel: ChannelInstance, gain, user: int):
     den = (
         np.abs(a * channel.h_to_relay(j) * h_ri + channel.h_cross(user)) ** 2
         * channel.P(j)
-        + a**2 * abs(h_ri) ** 2 * channel.Nr
+        + a**2 * channel.g_from_relay(user) * channel.Nr
         + channel.N(user)
     )
     return capacity(num / den)
 
 
-def saturation_gain(channel: ChannelInstance) -> float:
-    """Amplification that makes the relay transmit at exactly its power budget."""
+def saturation_gain(channel):
+    """Amplification that makes the relay transmit at exactly its power
+    budget (an array over the cells of a ``ChannelBatch``)."""
     received = (
-        abs(channel.h1r) ** 2 * channel.P1
-        + abs(channel.h2r) ** 2 * channel.P2
+        channel.g_to_relay(1) * channel.P1
+        + channel.g_to_relay(2) * channel.P2
         + channel.Nr
     )
-    return math.sqrt(channel.Pr / received)
+    gain = np.sqrt(channel.Pr / received)
+    return float(gain) if np.ndim(gain) == 0 else gain
 
 
 def quadratic_coefficients(aux: AfAuxiliaries) -> Tuple[float, float, float]:
     """(c2, c1, c0) of the stationary-point quadratic c2 a^2 + c1 a + c0 = 0."""
-    m, n, p, q, s = aux.m, aux.n, aux.p, aux.q, aux.s
+    return _quadratic(aux.m, aux.n, aux.p, aux.q, aux.s)
+
+
+def _quadratic(m, n, p, q, s) -> Tuple[float, float, float]:
     re_pq = (p * q.conjugate()).real
     re_mn = (m * n.conjugate()).real
     c2 = abs(m) ** 2 * re_pq - (abs(p) ** 2 + s) * re_mn
@@ -169,19 +181,26 @@ class AfAnalysis:
     optimal_rate: float
 
 
-def _best_gain(channel: ChannelInstance, roots, users) -> Tuple[float, List[float]]:
-    """Best gain for the summed rate of ``users``, and each user's rate there.
+def _best_gain(batch: ChannelBatch, roots: np.ndarray, users):
+    """Per cell, the best gain for the summed rate of ``users``, and each
+    user's rate there, as lists.
 
-    The candidates are 0, the saturation gain and the real part of every
-    root strictly inside (0, saturation gain); the first argmax wins, in
-    that order.
+    ``roots`` has one row per cell, padded with NaN.  The candidates are 0,
+    the saturation gain and every root strictly inside (0, saturation gain);
+    the first argmax wins, in that order.  Rows are scored as one padded
+    (cells, candidates) array, the padding at -inf.
     """
-    a_bar = saturation_gain(channel)
-    roots = np.asarray(roots).real
-    cands = np.concatenate(([0.0, a_bar], roots[(roots > 0.0) & (roots < a_bar)]))
-    rates = [af_rate(channel, cands, user) for user in users]
-    k = int(np.argmax(sum(rates)))
-    return float(cands[k]), [float(r[k]) for r in rates]
+    a_bar = saturation_gain(batch)
+    inside = (roots > 0.0) & (roots < a_bar[:, None])
+    order = np.argsort(~inside, axis=1, kind="stable")[:, :inside.sum(axis=1).max(initial=0)]
+    inside = np.take_along_axis(inside, order, axis=1)
+    roots = np.where(inside, np.take_along_axis(roots, order, axis=1), 0.0)
+    cands = np.concatenate((np.zeros_like(a_bar)[:, None], a_bar[:, None], roots), axis=1)
+    rates = [af_rate(batch.column(), cands, user) for user in users]
+    valid = np.concatenate((np.ones((len(batch), 2), dtype=bool), inside), axis=1)
+    k = np.where(valid, sum(rates), -np.inf).argmax(axis=1)[:, None]
+    return (np.take_along_axis(cands, k, axis=1)[:, 0].tolist(),
+            [np.take_along_axis(r, k, axis=1)[:, 0].tolist() for r in rates])
 
 
 def optimal_gain(channel: ChannelInstance, user: int) -> AfAnalysis:
@@ -198,7 +217,8 @@ def optimal_gain(channel: ChannelInstance, user: int) -> AfAnalysis:
         roots = _solve_stationary(*quadratic_coefficients(aux))
     except ValueError:
         roots = []
-    gain, (rate,) = _best_gain(channel, roots, (user,))
+    (gain,), ((rate,),) = _best_gain(ChannelBatch.of([channel]),
+                                     np.array([roots], dtype=float).reshape(1, -1), (user,))
     # h_ri = 0 gives m = p = s = 0: the rate is then the same at every gain.
     relayed = abs(aux.p) ** 2 + aux.s
     return AfAnalysis(
@@ -226,28 +246,63 @@ def af_sum_rate_gain(
     root of that polynomial inside (0, saturation_gain); roots are not
     filtered by their imaginary part, since an extra feasible candidate can
     only raise the maximum.  Ties keep the first candidate, in the order 0,
-    saturation gain, roots, as in ``optimal_gain``.
+    saturation gain, roots, as in ``optimal_gain``.  This is
+    ``af_sum_rate_gain_batch`` on a batch of one.
 
     ``grid_points`` is ignored; it is accepted for callers of the former
     numerical search.
     """
-    a_bar = saturation_gain(channel)
+    return af_sum_rate_gain_batch(ChannelBatch.of([channel]))[0]
+
+
+# Raised when a cell's sum-rate polynomial leaves the floats.
+_OVERFLOW = ("the AF sum-rate polynomial overflows a float: its coefficients multiply "
+             "the ratios P1/N1, P2/N1, Nr/N1 and P2/N2, P1/N2, Nr/N2; lower P1, P2 "
+             "or Nr, or raise N1 or N2")
+
+
+def _sum_rate_polynomial(aux1: tuple, aux2: tuple) -> np.ndarray:
+    """Q_1 T_2 D_2 + Q_2 T_1 D_1 from both users' (m, n, p, q, s), highest
+    power first, as ``np.roots`` takes it."""
     q, td = [], []  # per user: Q_i, and the quartic T_i D_i
-    for user in (1, 2):
-        aux = auxiliaries(channel, user)
-        d = np.array([
-            abs(aux.p) ** 2 + aux.s,
-            2.0 * (aux.p * aux.q.conjugate()).real,
-            abs(aux.q) ** 2 + 1.0,
-        ])
-        t = d + np.array([
-            abs(aux.m) ** 2,
-            2.0 * (aux.m * aux.n.conjugate()).real,
-            abs(aux.n) ** 2,
-        ])
-        q.append(quadratic_coefficients(aux))
+    for m, n, p, qq, s in (aux1, aux2):
+        d = np.array([abs(p) ** 2 + s, 2.0 * (p * qq.conjugate()).real, abs(qq) ** 2 + 1.0])
+        t = d + np.array([abs(m) ** 2, 2.0 * (m * n.conjugate()).real, abs(n) ** 2])
+        q.append(_quadratic(m, n, p, qq, s))
         td.append(np.convolve(t, d))
-    # Coefficient arrays run from the highest power down, as np.roots takes.
-    roots = np.roots(np.convolve(q[0], td[1]) + np.convolve(q[1], td[0]))
-    gain, (r1, r2) = _best_gain(channel, roots, (1, 2))
-    return gain, RatePair(r1, r2)
+    return np.convolve(q[0], td[1]) + np.convolve(q[1], td[0])
+
+
+def af_sum_rate_gain_batch(batch: ChannelBatch) -> List[Tuple[float, RatePair]]:
+    """``af_sum_rate_gain`` of every cell of ``batch``.
+
+    Each cell's polynomial is built as for one channel, in Python floats and
+    ``np.convolve``; then one ``np.linalg.eigvals`` call roots them all from
+    their stacked companion matrices, which is what ``np.roots`` does for
+    one (Edelman & Murakami, Math. Comp. 1995).  A polynomial with a zero
+    leading or trailing coefficient has a lower degree and goes through
+    ``np.roots`` alone.  A coefficient that overflows raises ValueError
+    naming the fields.
+    """
+    args = [[np.asarray(v).tolist() for v in _aux_args(batch, user)] for user in (1, 2)]
+    with np.errstate(all="ignore"):
+        try:
+            polys = np.array([_sum_rate_polynomial(_aux(*a1), _aux(*a2))
+                              for a1, a2 in zip(zip(*args[0]), zip(*args[1]))])
+        except OverflowError:
+            raise ValueError(_OVERFLOW) from None
+        full = (polys[:, 0] != 0.0) & (polys[:, -1] != 0.0)
+        top = -polys[full, 1:] / polys[full, :1]  # np.roots' companion row
+    if not (np.isfinite(polys).all() and np.isfinite(top).all()):
+        raise ValueError(_OVERFLOW)
+    roots = np.full((len(batch), 6), np.nan)
+    if len(top):
+        companion = np.zeros((len(top), 6, 6))
+        companion[:, np.arange(1, 6), np.arange(5)] = 1.0
+        companion[:, 0, :] = top
+        roots[full] = np.linalg.eigvals(companion).real
+    for k in np.flatnonzero(~full):
+        r = np.roots(polys[k]).real
+        roots[k, :len(r)] = r
+    gains, (r1, r2) = _best_gain(batch, roots, (1, 2))
+    return [(g, RatePair(a, b)) for g, a, b in zip(gains, r1, r2)]

@@ -25,11 +25,13 @@ from typing import Tuple
 import numpy as np
 
 __all__ = [
+    "ChannelBatch",
     "ChannelInstance",
     "NodeLayout",
     "RatePair",
     "capacity",
     "path_loss_gain",
+    "layout_to_batch",
     "layout_to_channel",
 ]
 
@@ -67,8 +69,57 @@ def path_loss_gain(distance: float, d0: float, gamma: float) -> float:
         ) from None
 
 
+_GAINS = ("h11", "h12", "h21", "h22", "h1r", "h2r", "hr1", "hr2")
+_POWERS = ("P1", "P2", "Pr", "N1", "N2", "Nr")
+
+
+class _Links:
+    """Index-based accessors (user i in {1, 2}) of a channel or a batch.
+
+    ``h_*`` are link gains and ``g_*`` their squared magnitudes |h|^2.
+    """
+
+    def P(self, i: int):
+        return (self.P1, self.P2)[_idx(i)]
+
+    def N(self, i: int):
+        return (self.N1, self.N2)[_idx(i)]
+
+    def rho(self, i: int):
+        """Transmit SNR P_i / N_i of user i."""
+        return self.P(i) / self.N(i)
+
+    def h_direct(self, i: int):
+        """Gain of the S_i -> D_i link."""
+        return self._h(("h11", "h22")[_idx(i)])
+
+    def h_cross(self, i: int):
+        """Gain of the interfering S_j -> D_i link (j = other user)."""
+        return self._h(("h21", "h12")[_idx(i)])
+
+    def h_to_relay(self, i: int):
+        """Gain of the S_i -> relay link."""
+        return self._h(("h1r", "h2r")[_idx(i)])
+
+    def h_from_relay(self, i: int):
+        """Gain of the relay -> D_i link."""
+        return self._h(("hr1", "hr2")[_idx(i)])
+
+    def g_direct(self, i: int):
+        return self._g(("h11", "h22")[_idx(i)])
+
+    def g_cross(self, i: int):
+        return self._g(("h21", "h12")[_idx(i)])
+
+    def g_to_relay(self, i: int):
+        return self._g(("h1r", "h2r")[_idx(i)])
+
+    def g_from_relay(self, i: int):
+        return self._g(("hr1", "hr2")[_idx(i)])
+
+
 @dataclass(frozen=True)
-class ChannelInstance:
+class ChannelInstance(_Links):
     """One fixed realization of the Gaussian interference relay channel."""
 
     h11: complex
@@ -116,33 +167,11 @@ class ChannelInstance:
                 raise ValueError(f"the power received at {receiver} overflows a float "
                                  f"in the rate formulas; the limit is {_MAX_POWER:.6g}")
 
-    # -- index-based accessors (user in {1, 2}) --------------------------------
+    def _h(self, name: str) -> complex:
+        return complex(getattr(self, name))
 
-    def P(self, i: int) -> float:
-        return (self.P1, self.P2)[_idx(i)]
-
-    def N(self, i: int) -> float:
-        return (self.N1, self.N2)[_idx(i)]
-
-    def rho(self, i: int) -> float:
-        """Transmit SNR P_i / N_i of user i."""
-        return self.P(i) / self.N(i)
-
-    def h_direct(self, i: int) -> complex:
-        """Gain of the S_i -> D_i link."""
-        return complex((self.h11, self.h22)[_idx(i)])
-
-    def h_cross(self, i: int) -> complex:
-        """Gain of the interfering S_j -> D_i link (j = other user)."""
-        return complex((self.h21, self.h12)[_idx(i)])
-
-    def h_to_relay(self, i: int) -> complex:
-        """Gain of the S_i -> relay link."""
-        return complex((self.h1r, self.h2r)[_idx(i)])
-
-    def h_from_relay(self, i: int) -> complex:
-        """Gain of the relay -> D_i link."""
-        return complex((self.hr1, self.hr2)[_idx(i)])
+    def _g(self, name: str) -> float:
+        return abs(self._h(name)) ** 2
 
     def scaled(self, factor: float) -> "ChannelInstance":
         """All powers and noise variances multiplied by ``factor``."""
@@ -155,6 +184,99 @@ class ChannelInstance:
 
 # Largest power whose square is a finite float.
 _MAX_POWER = math.sqrt(sys.float_info.max)
+
+
+class ChannelBatch(_Links):
+    """The channels of a block of cells, one array per field.
+
+    ``h11`` ... ``hr2`` are complex arrays and ``P1`` ... ``Nr`` float arrays,
+    with the accessors of ``ChannelInstance``, so the elementwise rate
+    kernels take either.  Each |h|^2 is formed as a single channel forms it,
+    ``abs(h) ** 2`` in Python floats (libm pow, which is not always x * x),
+    once per batch; the kernels do all else elementwise, so a cell's results
+    do not depend on the batch it is in.  Build one with ``of`` from
+    validated channels, or with ``layout_to_batch``, which validates the
+    block once.
+    """
+
+    def __init__(self, **fields):
+        self._sq = {}
+        for name in _GAINS:
+            h = np.asarray(fields[name], dtype=complex)
+            setattr(self, name, h)
+            self._sq[name] = np.array([_square(abs(v)) for v in h.tolist()])
+        for name in _POWERS:
+            setattr(self, name, np.asarray(fields[name], dtype=float))
+
+    @classmethod
+    def of(cls, channels) -> "ChannelBatch":
+        """The batch of a sequence of ``ChannelInstance``."""
+        return cls(**{name: [getattr(c, name) for c in channels] for name in _GAINS + _POWERS})
+
+    def __len__(self) -> int:
+        return len(self.P1)
+
+    def _h(self, name: str):
+        return getattr(self, name)
+
+    def _g(self, name: str):
+        return self._sq[name]
+
+    def _map(self, f) -> "ChannelBatch":
+        out = object.__new__(ChannelBatch)
+        out.__dict__ = {k: f(v) for k, v in self.__dict__.items() if k != "_sq"}
+        out._sq = {k: f(v) for k, v in self._sq.items()}
+        return out
+
+    def __getitem__(self, cells: slice) -> "ChannelBatch":
+        return self._map(lambda v: v[cells])
+
+    def column(self) -> "ChannelBatch":
+        """The same cells with every array shaped (cells, 1), to broadcast
+        against a trailing parameter axis."""
+        return self._map(lambda v: v.reshape(-1, 1))
+
+    def cell(self, k: int) -> ChannelInstance:
+        """Cell ``k`` as a ``ChannelInstance``."""
+        return ChannelInstance(**{name: getattr(self, name)[k].item()
+                                  for name in _GAINS + _POWERS})
+
+    def validate(self) -> None:
+        """Refuse the batch as ``ChannelInstance`` refuses its first bad cell."""
+        ok = np.ones(len(self), dtype=bool)
+        with np.errstate(all="ignore"):
+            for name in _POWERS:
+                ok &= np.isfinite(getattr(self, name)) & (getattr(self, name) > 0)
+            for name in _GAINS:
+                ok &= np.isfinite(getattr(self, name))
+            for v in (self.P1, self.P2, self.Pr):
+                ok &= v <= _MAX_POWER
+            a = {i: np.sqrt(self.P(i)) for i in (1, 2)}
+            for i in (1, 2):  # the coherent total at D_i, as ChannelInstance sums it
+                amp = (_abs(self.h_direct(i)) * a[i] + _abs(self.h_cross(i)) * a[other(i)]
+                       + _abs(self.h_from_relay(i)) * np.sqrt(self.Pr))
+                ok &= amp * amp + self.N(i) <= _MAX_POWER
+            amp = _abs(self.h1r) * a[1] + _abs(self.h2r) * a[2]
+            ok &= amp * amp + self.Nr <= _MAX_POWER
+        for k in np.flatnonzero(~ok):
+            self.cell(int(k))  # raises ChannelInstance's message
+
+
+def _square(x: float) -> float:
+    try:
+        return x ** 2
+    except OverflowError:  # a gain that ``validate`` refuses
+        return math.inf
+
+
+def _abs(h):
+    """|h| elementwise, equal to Python's abs of each complex."""
+    return np.hypot(h.real, h.imag)
+
+
+def _conj_product(a, b):
+    """(Re, Im) of a * conj(b), elementwise, equal to Python's complex product."""
+    return a.real * b.real + a.imag * b.imag, a.imag * b.real - a.real * b.imag
 
 
 def _idx(i: int) -> int:
@@ -232,22 +354,25 @@ class NodeLayout:
         Worked in Python floats, so a length too large for a float comes out
         as inf, which ``layout_to_channel`` refuses, without a numpy warning.
         """
-        x, y, z = (float(v) for v in self.relay)
+        return {**self._planar_distances(), **self._relay_distances(*self.relay)}
 
+    def _planar_distances(self) -> dict:
         def planar(a, b):
             return float(np.hypot(float(a[0]) - float(b[0]), float(a[1]) - float(b[1])))
+
+        s1, s2, d1, d2 = self.s1, self.s2, self.d1, self.d2
+        return {"h11": planar(s1, d1), "h12": planar(s1, d2),
+                "h21": planar(s2, d1), "h22": planar(s2, d2)}
+
+    def _relay_distances(self, x, y, z) -> dict:
+        x, y, z = float(x), float(y), float(z)
 
         def to_relay(a):
             dx, dy = float(a[0]) - x, float(a[1]) - y
             return math.sqrt(dx * dx + dy * dy + z * z)
 
-        s1, s2, d1, d2 = self.s1, self.s2, self.d1, self.d2
-        return {
-            "h11": planar(s1, d1), "h12": planar(s1, d2),
-            "h21": planar(s2, d1), "h22": planar(s2, d2),
-            "h1r": to_relay(s1), "h2r": to_relay(s2),
-            "hr1": to_relay(d1), "hr2": to_relay(d2),
-        }
+        return {"h1r": to_relay(self.s1), "h2r": to_relay(self.s2),
+                "hr1": to_relay(self.d1), "hr2": to_relay(self.d2)}
 
 
 def layout_to_channel(
@@ -261,16 +386,37 @@ def layout_to_channel(
     its link; relay links pick up the epsilon lift automatically because the
     relay lives off the terminal plane.  Phases are zero under this model.
     """
-    gains = {}
-    for key, d in layout.distances().items():
-        if d <= 0:
-            raise ValueError(
-                f"link {key} has zero length; separate the nodes or set epsilon > 0"
-            )
-        if not d < math.inf:
-            raise ValueError(f"the length of link {key} overflows a float")
-        gains[key] = complex(path_loss_gain(d, layout.d0, layout.gamma))
+    gains = {key: _link_gain(layout, key, d) for key, d in layout.distances().items()}
     return ChannelInstance(P1=P1, P2=P2, Pr=Pr, N1=N1, N2=N2, Nr=Nr, **gains)
+
+
+def layout_to_batch(
+    layout: NodeLayout, relays,
+    P1: float, P2: float, Pr: float,
+    N1: float, N2: float, Nr: float,
+) -> ChannelBatch:
+    """``layout_to_channel`` for each relay position (x, y) of ``relays``
+    (lifted to z = epsilon), as one ``ChannelBatch``, validated once."""
+    fixed = {key: _link_gain(layout, key, d) for key, d in layout._planar_distances().items()}
+    cols = {key: [] for key in ("h1r", "h2r", "hr1", "hr2")}
+    for x, y in relays:
+        for key, d in layout._relay_distances(x, y, layout.epsilon).items():
+            cols[key].append(_link_gain(layout, key, d))
+    n = len(relays)
+    values = dict(P1=P1, P2=P2, Pr=Pr, N1=N1, N2=N2, Nr=Nr, **fixed)
+    batch = ChannelBatch(**{key: [v] * n for key, v in values.items()}, **cols)
+    batch.validate()
+    return batch
+
+
+def _link_gain(layout: NodeLayout, key: str, d: float) -> complex:
+    if d <= 0:
+        raise ValueError(
+            f"link {key} has zero length; separate the nodes or set epsilon > 0"
+        )
+    if not d < math.inf:
+        raise ValueError(f"the length of link {key} overflows a float")
+    return complex(path_loss_gain(d, layout.d0, layout.gamma))
 
 
 @dataclass(frozen=True)

@@ -18,15 +18,16 @@ provably nonnegative/positive by AM-GM, for arbitrary complex gains.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
 from .channel import (
-    ChannelInstance, RatePair, capacity, check_nu_split, nu_simplex, other,
+    ChannelBatch, ChannelInstance, RatePair, _conj_product, capacity, check_nu_split,
+    nu_simplex, other,
 )
 
-__all__ = ["DfParams", "df_rate", "df_sum_rate_search"]
+__all__ = ["DfParams", "df_rate", "df_sum_rate_search", "df_sum_rate_search_batch"]
 
 
 @dataclass(frozen=True)
@@ -55,42 +56,44 @@ class DfParams:
 # User i's rate reads three factors: its relay term depends on tau_i alone,
 # its destination signal on (tau_i, nu_i) and its interference-plus-noise on
 # the other user's (tau_j, nu_j).  df_rate, the refinement pass and the search
-# tables all evaluate these, so every path forms the same floats.
+# tables all evaluate these, so every path forms the same floats.  Each takes
+# a ChannelInstance or a ChannelBatch shaped to broadcast against the
+# parameters, and works elementwise.
 
 
-def _relay_snr(channel: ChannelInstance, user: int, t_i):
+def _relay_snr(channel, user: int, t_i):
     """SNR of user i's fresh message at the relay."""
-    return abs(channel.h_to_relay(user)) ** 2 * (1.0 - t_i) * channel.P(user) / channel.Nr
+    return channel.g_to_relay(user) * (1.0 - t_i) * channel.P(user) / channel.Nr
 
 
-def _dest_signal(channel: ChannelInstance, user: int, t_i, n_i):
+def _dest_signal(channel, user: int, t_i, n_i):
     """Coherent source-plus-relay signal power of user i at D_i.
 
     AM-GM keeps it nonnegative; float round-off is clipped at zero.
     """
     Pi, Pr = channel.P(user), channel.Pr
-    h_ii, h_ri = channel.h_direct(user), channel.h_from_relay(user)
+    re, _ = _conj_product(channel.h_direct(user), channel.h_from_relay(user))
     num = (
-        abs(h_ii) ** 2 * Pi
-        + abs(h_ri) ** 2 * n_i * Pr
-        + 2.0 * (h_ii * h_ri.conjugate()).real * np.sqrt(t_i * Pi * n_i * Pr)
+        channel.g_direct(user) * Pi
+        + channel.g_from_relay(user) * n_i * Pr
+        + 2.0 * re * np.sqrt(t_i * Pi * n_i * Pr)
     )
     return np.maximum(num, 0.0)
 
 
-def _dest_interference(channel: ChannelInstance, user: int, t_j, n_j):
+def _dest_interference(channel, user: int, t_j, n_j):
     """Interference plus noise at D_i from the other user's coherent signal."""
     Pj, Pr = channel.P(other(user)), channel.Pr
-    h_ji, h_ri = channel.h_cross(user), channel.h_from_relay(user)
+    re, _ = _conj_product(channel.h_cross(user), channel.h_from_relay(user))
     return (
-        abs(h_ji) ** 2 * Pj
-        + abs(h_ri) ** 2 * n_j * Pr
-        + 2.0 * (h_ji * h_ri.conjugate()).real * np.sqrt(t_j * Pj * n_j * Pr)
+        channel.g_cross(user) * Pj
+        + channel.g_from_relay(user) * n_j * Pr
+        + 2.0 * re * np.sqrt(t_j * Pj * n_j * Pr)
         + channel.N(user)
     )
 
 
-def _df_sinr_terms(channel: ChannelInstance, t1, t2, n1, n2, user: int):
+def _df_sinr_terms(channel, t1, t2, n1, n2, user: int):
     """Relay-constraint SNR and destination SINR for arrays of parameters."""
     ti, tj = (t1, t2) if user == 1 else (t2, t1)
     ni_, nj_ = (n1, n2) if user == 1 else (n2, n1)
@@ -106,7 +109,7 @@ def df_rate(channel: ChannelInstance, params: DfParams, user: int) -> float:
     return float(min(capacity(relay_snr), capacity(dest_sinr)))
 
 
-def _sum_rate_grid(channel: ChannelInstance, t1, t2, n1, n2):
+def _sum_rate_grid(channel, t1, t2, n1, n2):
     """Vectorized R_1 + R_2 over broadcastable parameter arrays."""
     total = 0.0
     for user in (1, 2):
@@ -123,12 +126,11 @@ def _user_tables(channel: ChannelInstance, user: int, taus, nus):
             _dest_interference(channel, user, t, n))
 
 
-def _user_sinr(tables, ki, kj):
-    """min(relay SNR, destination SINR) of user i over (pair, tau_i, tau_j),
-    for the relay splits nu_i = nus[ki], nu_j = nus[kj]."""
-    relay, signal, interference = tables
-    return np.minimum(relay[:, None],
-                      signal[:, ki].T[:, :, None] / interference[:, kj].T[:, None, :])
+def _user_sinr(relay, signal, interference):
+    """min(relay SNR, destination SINR) of user i over (..., tau_i, tau_j),
+    from its relay SNR and signal over tau_i and interference over tau_j."""
+    sinr = signal[..., :, None] / interference[..., None, :]
+    return np.minimum(relay[..., :, None], sinr, out=sinr)
 
 
 def _user_bound(tables, ki, kj):
@@ -146,8 +148,8 @@ _MAX_BLOCK = 8
 
 
 def _best_grid_point(channel: ChannelInstance, taus, nus, k1, k2):
-    """(pair, tau1 index, tau2 index) of the largest R_1 + R_2 over the tau
-    grid and the relay splits (nus[k1[p]], nus[k2[p]]); ties keep the
+    """(pair, tau1 index, tau2 index, sum rate) of the largest R_1 + R_2 over
+    the tau grid and the relay splits (nus[k1[p]], nus[k2[p]]); ties keep the
     smallest pair p, then the first tau point in row-major order.
 
     C is monotone, so min(C(a), C(b)) == C(min(a, b)) and each pair costs two
@@ -171,8 +173,9 @@ def _best_grid_point(channel: ChannelInstance, taus, nus, k1, k2):
             block = block[(b > best[0]) | ((b == best[0]) & (block < best[1]))]
             if not len(block):
                 break
-        f = (capacity(_user_sinr(t1, k1[block], k2[block]))
-             + capacity(_user_sinr(t2, k2[block], k1[block])).swapaxes(1, 2))
+        f = (capacity(_user_sinr(t1[0], t1[1][:, k1[block]].T, t1[2][:, k2[block]].T))
+             + capacity(_user_sinr(t2[0], t2[1][:, k2[block]].T,
+                                   t2[2][:, k1[block]].T)).swapaxes(1, 2))
         f = f.reshape(len(block), -1)
         flat = f.argmax(axis=1)
         vals = f[np.arange(len(block)), flat]
@@ -180,8 +183,8 @@ def _best_grid_point(channel: ChannelInstance, taus, nus, k1, k2):
             if best is None or v > best[0] or (v == best[0] and p < best[1]):
                 best = (v, p, k)
         start, size = start + size, min(2 * size, _MAX_BLOCK)
-    _, p, k = best
-    return p, *divmod(k, len(taus))
+    v, p, k = best
+    return p, *divmod(k, len(taus)), v
 
 
 def df_sum_rate_search(
@@ -192,9 +195,10 @@ def df_sum_rate_search(
     """Maximize R_1 + R_2 over the DF parameter set by grid search.
 
     With ``nu`` supplied (e.g. the uniform split (1/2, 1/2)) only the two
-    cooperation degrees are searched; otherwise the relay split sweeps the
-    simplex as well.  A single coordinate-descent refinement pass at a tenth
-    of the grid step follows the scan.
+    cooperation degrees are searched, by ``df_sum_rate_search_batch`` on a
+    batch of one; otherwise the relay split sweeps the simplex as well.  A
+    single coordinate-descent refinement pass at a tenth of the grid step
+    follows the scan.
 
     The scan is exact: it returns the grid point a full scan would.  Each
     relay split is bounded by sum_i max_{tau_i} C(min(relay_i, num_i /
@@ -203,36 +207,72 @@ def df_sum_rate_search(
     in simplex order (nu1 varying slowest), then the earliest (tau1, tau2)
     grid point in row-major order.
     """
+    if nu is not None:
+        return df_sum_rate_search_batch(ChannelBatch.of([channel]), grid_points, nu)[0]
     if grid_points < 2:
         raise ValueError(f"grid_points must be >= 2, got {grid_points}")
-    if nu is None:
-        taus, k1, k2 = nu_simplex(grid_points)
-        nus = taus
-    else:
-        taus = np.linspace(0.0, 1.0, grid_points)
-        nus, k1, k2 = np.array(nu, dtype=float), np.array([0]), np.array([1])
-    p, a, b = _best_grid_point(channel, taus, nus, k1, k2)
-    point = [float(taus[a]), float(taus[b]), float(nus[k1[p]]), float(nus[k2[p]])]
-    point = _refine(channel, point, taus[1] - taus[0], free_nu=nu is None)
-    params = DfParams(tau1=point[0], tau2=point[1], nu1=point[2], nu2=point[3])
-    return params, RatePair(df_rate(channel, params, 1), df_rate(channel, params, 2))
+    taus, k1, k2 = nu_simplex(grid_points)
+    p, a, b, value = _best_grid_point(channel, taus, taus, k1, k2)
+    point = [np.array([taus[k]]) for k in (a, b, k1[p], k2[p])]
+    return _refined(ChannelBatch.of([channel]), point, np.array([value]),
+                    taus[1] - taus[0], axes=range(4))[0]
 
 
-def _refine(channel: ChannelInstance, point, step: float, free_nu: bool):
-    """One coordinate-descent pass over (tau1, tau2[, nu1, nu2]) from
-    ``point``, each axis scanned at a tenth of ``step`` within one step."""
+# Grid points of the tau scans evaluated at once: the cells of a batch are
+# scanned in chunks of at most this many points, which bounds the (cells, G,
+# G) temporaries near 200 kB each, 16 cells of a 41-point grid.
+_MAX_SCAN = 16 * 41 * 41
+
+
+def df_sum_rate_search_batch(
+    batch: ChannelBatch, grid_points: int, nu: Tuple[float, float]
+) -> List[Tuple[DfParams, RatePair]]:
+    """``df_sum_rate_search`` at the fixed relay split ``nu`` for every cell
+    of ``batch``: one (cells, G, G) scan of the tau grid, in chunks of cells,
+    then the refinement pass over all cells at once, axis by axis.
+    Everything is elementwise in the operand order of one channel, so each
+    cell gets what a batch of one gives it."""
+    if grid_points < 2:
+        raise ValueError(f"grid_points must be >= 2, got {grid_points}")
+    taus = np.linspace(0.0, 1.0, grid_points)
+    n = float(nu[0]), float(nu[1])
+    col, flat, value = batch.column(), [], []
+    step = max(1, _MAX_SCAN // grid_points ** 2)
+    for s in range(0, len(batch), step):
+        part, terms = col[s:s + step], []
+        for user, j in ((1, 2), (2, 1)):
+            terms.append(capacity(_user_sinr(
+                _relay_snr(part, user, taus), _dest_signal(part, user, taus, n[user - 1]),
+                _dest_interference(part, user, taus, n[j - 1]))))
+        f = terms[0] + terms[1].swapaxes(1, 2)  # (cells, tau1, tau2)
+        f = f.reshape(len(f), -1)
+        k = f.argmax(axis=1)
+        flat.append(k)
+        value.append(f[np.arange(len(f)), k])
+    a, b = np.divmod(np.concatenate(flat), grid_points)
+    point = [taus[a], taus[b], np.full(len(batch), n[0]), np.full(len(batch), n[1])]
+    return _refined(batch, point, np.concatenate(value), taus[1] - taus[0], axes=range(2))
+
+
+def _refined(batch: ChannelBatch, point, value, step, axes) -> List[Tuple[DfParams, RatePair]]:
+    """One coordinate-descent pass from ``point`` (tau1, tau2, nu1, nu2 as
+    arrays over the cells of ``batch``), whose sum rates are ``value``: each
+    axis in ``axes`` in turn is scanned at a tenth of ``step`` within one
+    step, for all cells at once.  Then each cell's parameters and rates."""
+    col, rows = batch.column(), np.arange(len(batch))
     point = list(point)
-    for axis in range(4 if free_nu else 2):
-        lo = max(0.0, point[axis] - step)
-        hi = min(1.0, point[axis] + step)
-        vals = np.linspace(lo, hi, 21)
-        trial = list(point)
+    for axis in axes:
+        vals = np.linspace(np.maximum(0.0, point[axis] - step),
+                           np.minimum(1.0, point[axis] + step), 21, axis=-1)
+        trial = [x[:, None] for x in point]
         trial[axis] = vals
-        # Points off the nu simplex are skipped; a point replaces the current
-        # one only if strictly better, and the first of equal maxima wins.
-        f = np.where(trial[2] + trial[3] > 1.0, -np.inf,
-                     _sum_rate_grid(channel, *trial))
-        k = int(np.argmax(f))
-        if f[k] > _sum_rate_grid(channel, *point):
-            point[axis] = float(vals[k])
-    return point
+        # Points off the nu simplex are skipped; a cell moves only to a
+        # strictly better point, and the first of equal maxima wins.
+        f = np.where(trial[2] + trial[3] > 1.0, -np.inf, _sum_rate_grid(col, *trial))
+        k = f.argmax(axis=1)
+        better = f[rows, k] > value
+        point[axis] = np.where(better, vals[rows, k], point[axis])
+        value = np.where(better, f[rows, k], value)
+    rates = [np.minimum(*map(capacity, _df_sinr_terms(batch, *point, user))) for user in (1, 2)]
+    return [(DfParams(tau1=t1, tau2=t2, nu1=n1, nu2=n2), RatePair(r1, r2))
+            for t1, t2, n1, n2, r1, r2 in zip(*(x.tolist() for x in point + rates))]

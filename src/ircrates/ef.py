@@ -30,12 +30,13 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Tuple
+from typing import List, Tuple
 
 import numpy as np
 
 from .channel import (
-    ChannelInstance, RatePair, capacity, check_nu_split, nu_simplex, other,
+    ChannelBatch, ChannelInstance, RatePair, _conj_product, capacity, check_nu_split,
+    nu_simplex, other,
 )
 from .errors import ConstraintViolationError, InfeasibleError
 
@@ -48,9 +49,11 @@ __all__ = [
     "ef_bi_min_noise",
     "ef_bi_rate",
     "ef_bi_eval",
+    "ef_bi_eval_batch",
     "ef_sl_bottleneck",
     "ef_sl_min_noise",
     "ef_sl_rate",
+    "ef_sl_batch",
     "ef_bi_sum_rate_search",
 ]
 
@@ -90,35 +93,44 @@ class EfDerived:
         return (self.A1, self.A2)[i - 1]
 
 
-def _receive_power(channel: ChannelInstance, i: int) -> float:
+# The formulas below take a ChannelInstance or a ChannelBatch and work
+# elementwise, over the cells of a batch or over arrays of relay splits.
+
+
+def _receive_power(channel, i: int):
     """Total receive power at D_i excluding any relay contribution."""
     j = other(i)
-    return (
-        abs(channel.h_direct(i)) ** 2 * channel.P(i)
-        + abs(channel.h_cross(i)) ** 2 * channel.P(j)
-        + channel.N(i)
-    )
+    return channel.g_direct(i) * channel.P(i) + channel.g_cross(i) * channel.P(j) + channel.N(i)
+
+
+def _pow(f, x):
+    """``f`` of each element of ``x`` in Python floats: the libm pow that a
+    single channel's formulas use, which numpy's ``**`` does not reproduce."""
+    if np.ndim(x) == 0:
+        return f(float(x))
+    return np.array([f(v) for v in np.asarray(x).tolist()])
+
+
+def _derived(channel):
+    """(A, (A1, A2), (sigma1_sq, sigma2_sq), (A1 ** 2, A2 ** 2))."""
+    A = channel.g_to_relay(1) * channel.P1 + channel.g_to_relay(2) * channel.P2 + channel.Nr
+    cross, sq, sigma = [], [], []
+    for i in (1, 2):
+        j = other(i)
+        re_i, im_i = _conj_product(channel.h_direct(i), channel.h_to_relay(i))
+        re_j, im_j = _conj_product(channel.h_cross(i), channel.h_to_relay(j))
+        # |h_ii h_ir^* P_i + h_ji h_jr^* P_j|
+        cross.append(np.hypot(re_i * channel.P(i) + re_j * channel.P(j),
+                              im_i * channel.P(i) + im_j * channel.P(j)))
+        sq.append(_pow(lambda v: v ** 2, cross[-1]))
+        sigma.append(A - sq[-1] / _receive_power(channel, i))
+    return A, cross, sigma, sq
 
 
 def ef_derived(channel: ChannelInstance) -> EfDerived:
-    A = (
-        abs(channel.h1r) ** 2 * channel.P1
-        + abs(channel.h2r) ** 2 * channel.P2
-        + channel.Nr
-    )
-    cross = {}
-    sigma = {}
-    for i in (1, 2):
-        j = other(i)
-        cov = (
-            channel.h_direct(i) * channel.h_to_relay(i).conjugate() * channel.P(i)
-            + channel.h_cross(i) * channel.h_to_relay(j).conjugate() * channel.P(j)
-        )
-        cross[i] = abs(cov)
-        sigma[i] = A - cross[i] ** 2 / _receive_power(channel, i)
-    return EfDerived(
-        A=A, A1=cross[1], A2=cross[2], sigma1_sq=sigma[1], sigma2_sq=sigma[2]
-    )
+    A, (A1, A2), (s1, s2), _ = _derived(channel)
+    return EfDerived(A=float(A), A1=float(A1), A2=float(A2),
+                     sigma1_sq=float(s1), sigma2_sq=float(s2))
 
 
 @dataclass(frozen=True)
@@ -138,37 +150,50 @@ class EfBiParams:
                 raise ValueError(f"{name} must be positive, got {v}")
 
 
+def _scenario_flags(channel, nu1, nu2):
+    """Masks (D1_BETTER, D2_BETTER) of ``ef_bi_scenario``; neither is NEITHER."""
+    g1, g2, Pr = channel.g_from_relay(1), channel.g_from_relay(2), channel.Pr
+    v1, v2 = _receive_power(channel, 1), _receive_power(channel, 2)
+    # D1 decoding the codeword intended for D2, vs D2 decoding its own; the
+    # first test wins a tie.
+    d1 = np.asarray(capacity(g1 * nu2 * Pr / (v1 + g1 * nu1 * Pr))
+                    >= capacity(g2 * nu2 * Pr / (v2 + g2 * nu1 * Pr)))
+    d2 = ~d1 & (capacity(g2 * nu1 * Pr / (v2 + g2 * nu2 * Pr))
+                >= capacity(g1 * nu1 * Pr / (v1 + g1 * nu2 * Pr)))
+    return d1, d2
+
+
 def ef_bi_scenario(channel: ChannelInstance, nu1: float, nu2: float) -> BiScenario:
     """Decide which destination can decode the other's relay codeword.
 
     Conditions are checked in printed order; equality in the first condition
     selects D1_BETTER.
     """
-    g1 = abs(channel.hr1) ** 2
-    g2 = abs(channel.hr2) ** 2
-    Pr = channel.Pr
-    v1, v2 = _receive_power(channel, 1), _receive_power(channel, 2)
-    # D1 decoding the codeword intended for D2, vs D2 decoding its own.
-    if capacity(g1 * nu2 * Pr / (v1 + g1 * nu1 * Pr)) >= capacity(
-        g2 * nu2 * Pr / (v2 + g2 * nu1 * Pr)
-    ):
-        return BiScenario.D1_BETTER
-    if capacity(g2 * nu1 * Pr / (v2 + g2 * nu2 * Pr)) >= capacity(
-        g1 * nu1 * Pr / (v1 + g1 * nu2 * Pr)
-    ):
-        return BiScenario.D2_BETTER
-    return BiScenario.NEITHER
+    d1, d2 = _scenario_flags(channel, nu1, nu2)
+    return BiScenario.D1_BETTER if d1 else BiScenario.D2_BETTER if d2 else BiScenario.NEITHER
 
 
-def _relay_interference(
-    channel: ChannelInstance, nu1: float, nu2: float, scenario: BiScenario, i: int
-) -> float:
-    """Uncancelled relay codeword power seen at D_i under ``scenario``."""
-    if i == 1:
-        cancelled = scenario in (BiScenario.D1_BETTER,)
-        return 0.0 if cancelled else abs(channel.hr1) ** 2 * nu2 * channel.Pr
-    cancelled = scenario in (BiScenario.D2_BETTER,)
-    return 0.0 if cancelled else abs(channel.hr2) ** 2 * nu1 * channel.Pr
+def _relay_interference(channel, nu1, nu2, cancelled, i: int):
+    """Uncancelled relay codeword power seen at D_i, 0 where ``cancelled``."""
+    return np.where(cancelled, 0.0, channel.g_from_relay(i) * (nu2 if i == 1 else nu1) * channel.Pr)
+
+
+def _interference(channel, nu1, nu2, scenario: BiScenario):
+    return [_relay_interference(channel, nu1, nu2, scenario is cancels, i)
+            for i, cancels in ((1, BiScenario.D1_BETTER), (2, BiScenario.D2_BETTER))]
+
+
+def _min_noise(channel, nu1, nu2, interference):
+    """Both compression-noise lower bounds, given the relay interference at
+    each destination; +inf for a stream with no relay power."""
+    A, _, _, cross_sq = _derived(channel)
+    bounds = []
+    for i, nu_i in ((1, nu1), (2, nu2)):
+        denom = channel.g_from_relay(i) * nu_i * channel.Pr
+        num = (_receive_power(channel, i) + interference[i - 1]) * A - cross_sq[i - 1]
+        out = np.full(np.broadcast_shapes(np.shape(num), np.shape(denom)), math.inf)
+        bounds.append(np.divide(num, denom, out=out, where=denom > 0.0))
+    return bounds
 
 
 def ef_bi_min_noise(
@@ -179,47 +204,27 @@ def ef_bi_min_noise(
     A stream with zero relay power (|h_ri|^2 nu_i P_r = 0) gets the bound
     +inf: only infinite noise, which drops that relay branch, is admissible.
     """
-    derived = ef_derived(channel)
-    bounds = []
-    for i, nu_i in ((1, nu1), (2, nu2)):
-        denom = abs(channel.h_from_relay(i)) ** 2 * nu_i * channel.Pr
-        if denom <= 0.0:
-            bounds.append(math.inf)
-            continue
-        side_power = _receive_power(channel, i) + _relay_interference(
-            channel, nu1, nu2, scenario, i
-        )
-        bounds.append((side_power * derived.A - derived.cross(i) ** 2) / denom)
-    return bounds[0], bounds[1]
+    b1, b2 = _min_noise(channel, nu1, nu2, _interference(channel, nu1, nu2, scenario))
+    return float(b1), float(b2)
 
 
-def _two_branch_sinr(
-    channel: ChannelInstance, i: int, relay_interf: float, nwz: float
-) -> float:
+def _two_branch_sinr(channel, i: int, relay_interf, nwz):
     """Direct-plus-compressed-branch SINR of destination i.
 
-    ``nwz`` may be +inf, in which case the compressed branch vanishes and
-    the direct branch sees the full interferer power.
+    Where ``nwz`` is +inf the compressed branch vanishes and the direct
+    branch sees the full interferer power.
     """
     j = other(i)
     Pi, Pj = channel.P(i), channel.P(j)
-    gd = abs(channel.h_direct(i)) ** 2
-    gc = abs(channel.h_cross(i)) ** 2
-    gu = abs(channel.h_to_relay(i)) ** 2
-    gw = abs(channel.h_to_relay(j)) ** 2
+    gd, gc = channel.g_direct(i), channel.g_cross(i)
+    gu, gw = channel.g_to_relay(i), channel.g_to_relay(j)
     Ni, Nr = channel.N(i), channel.Nr
-
-    if math.isinf(nwz):
-        direct = gd * Pi / (Ni + relay_interf + gc * Pj)
-        return direct
-    direct = gd * Pi / (
-        Ni + relay_interf + gc * Pj * (Nr + nwz) / (gw * Pj + Nr + nwz)
-    )
+    dropped = np.isinf(nwz)
+    w = np.where(dropped, 0.0, nwz)
+    direct = gd * Pi / (Ni + relay_interf + gc * Pj * (Nr + w) / (gw * Pj + Nr + w))
     noise_floor = relay_interf + Ni
-    relayed = gu * Pi / (
-        Nr + nwz + gw * Pj * noise_floor / (gc * Pj + noise_floor)
-    )
-    return direct + relayed
+    relayed = gu * Pi / (Nr + w + gw * Pj * noise_floor / (gc * Pj + noise_floor))
+    return np.where(dropped, gd * Pi / (Ni + relay_interf + gc * Pj), direct + relayed)
 
 
 def ef_bi_rate(
@@ -231,32 +236,66 @@ def ef_bi_rate(
     (+inf for a zero-power stream); a violation raises
     ConstraintViolationError naming the bound.
     """
-    bounds = ef_bi_min_noise(channel, params.nu1, params.nu2, scenario)
-    for i, (nwz, bound) in enumerate(zip((params.nwz1, params.nwz2), bounds), start=1):
+    interference = _interference(channel, params.nu1, params.nu2, scenario)
+    bounds = _min_noise(channel, params.nu1, params.nu2, interference)
+    noises = (params.nwz1, params.nwz2)
+    for i, (nwz, bound) in enumerate(zip(noises, map(float, bounds)), start=1):
         if nwz < bound * (1.0 - _FEAS_RTOL):
             raise ConstraintViolationError(f"nwz{i} lower bound", nwz, bound)
-    return _bi_rates(channel, params, scenario)
+    return RatePair(*(capacity(_two_branch_sinr(channel, i, interference[i - 1], noises[i - 1]))
+                      for i in (1, 2)))
 
 
-def _bi_rates(
-    channel: ChannelInstance, params: EfBiParams, scenario: BiScenario
-) -> RatePair:
-    """``ef_bi_rate`` without the compression-noise check."""
-    rates = []
-    for i, nwz in ((1, params.nwz1), (2, params.nwz2)):
-        interf = _relay_interference(channel, params.nu1, params.nu2, scenario, i)
-        rates.append(capacity(_two_branch_sinr(channel, i, interf, nwz)))
-    return RatePair(rates[0], rates[1])
+def _bi_eval(channel, nu1, nu2):
+    """``ef_bi_eval`` elementwise, over the cells of a batch or over arrays
+    of relay splits: (scenario index into ``BiScenario``, nwz1, nwz2, R1, R2)."""
+    d1, d2 = _scenario_flags(channel, nu1, nu2)
+    interference = [_relay_interference(channel, nu1, nu2, d1, 1),
+                    _relay_interference(channel, nu1, nu2, d2, 2)]
+    nwz = _min_noise(channel, nu1, nu2, interference)
+    r1, r2 = (capacity(_two_branch_sinr(channel, i, interference[i - 1], nwz[i - 1]))
+              for i in (1, 2))
+    return np.where(d1, 0, np.where(d2, 1, 2)), nwz[0], nwz[1], r1, r2
+
+
+def ef_bi_eval(
+    channel: ChannelInstance, nu1: float, nu2: float
+) -> Tuple[EfBiParams, BiScenario, RatePair]:
+    """Scenario, minimal-noise parameters and rates for a given power split.
+
+    A zero-power compression stream gets infinite noise, so only its own
+    relay branch contributes nothing.  The noises are the bounds themselves,
+    so the rates skip ``ef_bi_rate``'s check.  This is ``ef_bi_eval_batch``
+    on a batch of one.
+    """
+    return ef_bi_eval_batch(ChannelBatch.of([channel]), nu1, nu2)[0]
+
+
+def ef_bi_eval_batch(
+    batch: ChannelBatch, nu1: float, nu2: float
+) -> List[Tuple[EfBiParams, BiScenario, RatePair]]:
+    """``ef_bi_eval`` at one split for every cell of ``batch``, elementwise."""
+    scenario, nwz1, nwz2, r1, r2 = _bi_eval(batch, nu1, nu2)
+    tags = list(BiScenario)
+    return [(EfBiParams(nu1=nu1, nu2=nu2, nwz1=n1, nwz2=n2), tags[k], RatePair(a, b))
+            for k, n1, n2, a, b in zip(*(x.tolist() for x in (scenario, nwz1, nwz2, r1, r2)))]
+
+
+def _sl_min_noise(channel, r0_exponent: int):
+    """(R_0, smallest admissible noise) of the single-level scheme,
+    elementwise; the noise means nothing where R_0 <= 0."""
+    if r0_exponent not in (1, 2):
+        raise ValueError(f"r0_exponent must be 1 or 2, got {r0_exponent}")
+    r0 = np.minimum(*(capacity(channel.g_from_relay(i) * channel.Pr / _receive_power(channel, i))
+                      for i in (1, 2)))
+    _, _, (s1, s2), _ = _derived(channel)
+    with np.errstate(divide="ignore", invalid="ignore"):  # R_0 = 0
+        return r0, np.maximum(s1, s2) / (_pow(lambda r: 2.0 ** (r0_exponent * r), r0) - 1.0)
 
 
 def ef_sl_bottleneck(channel: ChannelInstance) -> float:
     """Common broadcast rate both destinations can decode from the relay."""
-    return min(
-        capacity(
-            abs(channel.h_from_relay(i)) ** 2 * channel.Pr / _receive_power(channel, i)
-        )
-        for i in (1, 2)
-    )
+    return float(_sl_min_noise(channel, 2)[0])
 
 
 def ef_sl_min_noise(channel: ChannelInstance, r0_exponent: int = 2) -> float:
@@ -266,15 +305,7 @@ def ef_sl_min_noise(channel: ChannelInstance, r0_exponent: int = 2) -> float:
     default e = 2 follows the source formula, e = 1 is the complex-signal
     variant.
     """
-    if r0_exponent not in (1, 2):
-        raise ValueError(f"r0_exponent must be 1 or 2, got {r0_exponent}")
-    r0 = ef_sl_bottleneck(channel)
-    if r0 <= 0.0:
-        raise InfeasibleError("relay broadcast bottleneck rate is zero")
-    derived = ef_derived(channel)
-    return max(derived.sigma1_sq, derived.sigma2_sq) / (
-        2.0 ** (r0_exponent * r0) - 1.0
-    )
+    return ef_sl_batch(ChannelBatch.of([channel]), r0_exponent)[0][0]
 
 
 def ef_sl_rate(
@@ -286,67 +317,20 @@ def ef_sl_rate(
     bound = ef_sl_min_noise(channel, r0_exponent)  # raises if bottleneck is zero
     if nwz < bound * (1.0 - _FEAS_RTOL):
         raise ConstraintViolationError("nwz lower bound", nwz, bound)
-    return RatePair(
-        capacity(_two_branch_sinr(channel, 1, 0.0, nwz)),
-        capacity(_two_branch_sinr(channel, 2, 0.0, nwz)),
-    )
+    return RatePair(*(capacity(_two_branch_sinr(channel, i, 0.0, nwz)) for i in (1, 2)))
 
 
-def ef_bi_eval(
-    channel: ChannelInstance, nu1: float, nu2: float
-) -> Tuple[EfBiParams, BiScenario, RatePair]:
-    """Scenario, minimal-noise parameters and rates for a given power split.
-
-    A zero-power compression stream gets infinite noise, so only its own
-    relay branch contributes nothing.  The noises are the bounds themselves,
-    so the rates skip ``ef_bi_rate``'s check.
-    """
-    scenario = ef_bi_scenario(channel, nu1, nu2)
-    nwz1, nwz2 = ef_bi_min_noise(channel, nu1, nu2, scenario)
-    params = EfBiParams(nu1=nu1, nu2=nu2, nwz1=nwz1, nwz2=nwz2)
-    return params, scenario, _bi_rates(channel, params, scenario)
-
-
-def _bi_eval_simplex(channel: ChannelInstance, nu1, nu2):
-    """``ef_bi_eval`` over arrays of relay splits, elementwise and in its
-    operand order: (scenario index into ``BiScenario``, nwz1, nwz2, R1, R2).
-
-    ``ef_bi_eval`` stays the scalar path of single splits; tests hold the
-    two equal at every simplex point.
-    """
-    g1, g2 = abs(channel.hr1) ** 2, abs(channel.hr2) ** 2
-    Pr = channel.Pr
-    v = {1: _receive_power(channel, 1), 2: _receive_power(channel, 2)}
-    # ef_bi_scenario's two tests; the first wins a tie.
-    d1 = capacity(g1 * nu2 * Pr / (v[1] + g1 * nu1 * Pr)) >= capacity(
-        g2 * nu2 * Pr / (v[2] + g2 * nu1 * Pr))
-    d2 = ~d1 & (capacity(g2 * nu1 * Pr / (v[2] + g2 * nu2 * Pr)) >= capacity(
-        g1 * nu1 * Pr / (v[1] + g1 * nu2 * Pr)))
-    derived = ef_derived(channel)
-    nwz, sinr = {}, {}
-    for i, cancels, nu_i, nu_j in ((1, d1, nu1, nu2), (2, d2, nu2, nu1)):
-        g = abs(channel.h_from_relay(i)) ** 2
-        interf = np.where(cancels, 0.0, g * nu_j * Pr)  # _relay_interference
-        # ef_bi_min_noise: +inf for a stream with no relay power.
-        denom = g * nu_i * Pr
-        nwz[i] = np.divide((v[i] + interf) * derived.A - derived.cross(i) ** 2, denom,
-                           out=np.full(np.shape(denom), math.inf), where=denom > 0.0)
-        # _two_branch_sinr; a zero-power stream keeps the direct branch only.
-        j = other(i)
-        Pi, Pj = channel.P(i), channel.P(j)
-        gd = abs(channel.h_direct(i)) ** 2
-        gc = abs(channel.h_cross(i)) ** 2
-        gu = abs(channel.h_to_relay(i)) ** 2
-        gw = abs(channel.h_to_relay(j)) ** 2
-        Ni, Nr = channel.N(i), channel.Nr
-        finite = np.isfinite(nwz[i])
-        w = np.where(finite, nwz[i], 0.0)
-        direct = gd * Pi / (Ni + interf + gc * Pj * (Nr + w) / (gw * Pj + Nr + w))
-        noise_floor = interf + Ni
-        relayed = gu * Pi / (Nr + w + gw * Pj * noise_floor / (gc * Pj + noise_floor))
-        sinr[i] = np.where(finite, direct + relayed, gd * Pi / (Ni + interf + gc * Pj))
-    scenario = np.where(d1, 0, np.where(d2, 1, 2))
-    return scenario, nwz[1], nwz[2], capacity(sinr[1]), capacity(sinr[2])
+def ef_sl_batch(batch: ChannelBatch, r0_exponent: int = 2) -> List[Tuple[float, RatePair]]:
+    """(minimal noise, rates at it) of the single-level scheme for every cell
+    of ``batch``, elementwise.  Raises InfeasibleError if any cell's
+    bottleneck rate is zero."""
+    r0, nwz = _sl_min_noise(batch, r0_exponent)
+    if (r0 <= 0.0).any():
+        raise InfeasibleError("relay broadcast bottleneck rate is zero")
+    for k in np.flatnonzero(nwz < nwz * (1.0 - _FEAS_RTOL)):  # a negative bound
+        raise ConstraintViolationError("nwz lower bound", float(nwz[k]), float(nwz[k]))
+    r1, r2 = (capacity(_two_branch_sinr(batch, i, 0.0, nwz)) for i in (1, 2))
+    return [(n, RatePair(a, b)) for n, a, b in zip(nwz.tolist(), r1.tolist(), r2.tolist())]
 
 
 def ef_bi_sum_rate_search(
@@ -364,7 +348,7 @@ def ef_bi_sum_rate_search(
         raise ValueError(f"grid_points must be >= 2, got {grid_points}")
     grid, i1, i2 = nu_simplex(grid_points)
     nu1, nu2 = grid[i1], grid[i2]
-    scenario, nwz1, nwz2, r1, r2 = _bi_eval_simplex(channel, nu1, nu2)
+    scenario, nwz1, nwz2, r1, r2 = _bi_eval(channel, nu1, nu2)
     # EfBiParams refuses a non-positive noise: the first such split raises,
     # as in a loop over the splits.
     bad = np.flatnonzero(~((nwz1 > 0) & (nwz2 > 0)))

@@ -3,8 +3,9 @@
 A scenario config bundles the node geometry, powers/noises, the sweep grid
 (in units of the reference distance d0) and the per-protocol optimizer
 settings.  Map runners recompute the channel for every relay position on the
-grid and compare protocol sum rates; all output is deterministic and rows
-are emitted in row-major grid order (y outer, x inner, both ascending).
+grid and compare protocol sum rates, a block of positions at a time; all
+output is deterministic and rows are emitted in row-major grid order (y
+outer, x inner, both ascending).
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from typing import Dict, List, Sequence, Tuple
 import numpy as np
 
 from . import af, df, ef
-from .channel import ChannelInstance, NodeLayout, layout_to_channel
+from .channel import ChannelBatch, ChannelInstance, NodeLayout, layout_to_batch, layout_to_channel
 from .errors import InfeasibleError
 
 __all__ = [
@@ -141,6 +142,12 @@ class ScenarioConfig:
         return layout_to_channel(
             layout, self.P1, self.P2, self.Pr, self.N1, self.N2, self.Nr
         )
+
+    def channel_batch(self, positions) -> ChannelBatch:
+        """``channel_at`` of every (xr, yr) of ``positions``, as one batch."""
+        d0 = self.layout.d0
+        return layout_to_batch(self.layout, [(x * d0, y * d0) for x, y in positions],
+                               self.P1, self.P2, self.Pr, self.N1, self.N2, self.Nr)
 
     # -- (de)serialization -----------------------------------------------------
 
@@ -266,75 +273,131 @@ def ef_bl_point(params: ef.EfBiParams, scenario: ef.BiScenario) -> dict:
             "scenario": scenario.value}
 
 
-# Per-protocol optimisers: optimize(channel, config) -> (RatePair, point), the
-# point being the chosen operating point in display order.  Kernels are looked
-# up on their modules at call time, so a swapped-in kernel takes effect.
+# Per-protocol optimisers.  An entry takes a ChannelBatch and returns one
+# (RatePair, point) per cell, the point being the chosen operating point in
+# display order; given a ChannelInstance it evaluates a batch of one and
+# returns that one result.  The batched kernels form squares and powers of
+# single channel values in Python floats, as the one-channel formulas do, and
+# work elementwise otherwise, so a cell's result does not depend on the
+# batch.  Kernels are looked up on their modules at call time, so a
+# swapped-in kernel takes effect.
 
 
-def _optimize_af(channel: ChannelInstance, config: ScenarioConfig):
-    gain, pair = af.af_sum_rate_gain(channel)
-    return pair, {"gain": gain}
+def _per_cell(optimize):
+    def entry(channels, config: "ScenarioConfig"):
+        if isinstance(channels, ChannelInstance):
+            return optimize(ChannelBatch.of([channels]), config)[0]
+        return optimize(channels, config)
+    return entry
 
 
-def _optimize_df(channel: ChannelInstance, config: ScenarioConfig):
-    nu = UNIFORM_NU if config.pa_policy == "uniform" else None
-    params, pair = df.df_sum_rate_search(channel, grid_points=config.df_grid, nu=nu)
-    return pair, df_point(params)
+@_per_cell
+def _optimize_af(batch: ChannelBatch, config: ScenarioConfig):
+    return [(pair, {"gain": gain}) for gain, pair in af.af_sum_rate_gain_batch(batch)]
 
 
-def _optimize_ef_bl(channel: ChannelInstance, config: ScenarioConfig):
+@_per_cell
+def _optimize_df(batch: ChannelBatch, config: ScenarioConfig):
     if config.pa_policy == "uniform":
-        params, scenario, pair = ef.ef_bi_eval(channel, *UNIFORM_NU)
+        found = df.df_sum_rate_search_batch(batch, config.df_grid, UNIFORM_NU)
+    else:  # the exact pruned search, one cell at a time
+        found = [df.df_sum_rate_search(batch.cell(k), grid_points=config.df_grid)
+                 for k in range(len(batch))]
+    return [(pair, df_point(params)) for params, pair in found]
+
+
+@_per_cell
+def _optimize_ef_bl(batch: ChannelBatch, config: ScenarioConfig):
+    if config.pa_policy == "uniform":
+        found = ef.ef_bi_eval_batch(batch, *UNIFORM_NU)
     else:
-        params, scenario, pair = ef.ef_bi_sum_rate_search(channel, grid_points=config.ef_grid)
-    return pair, ef_bl_point(params, scenario)
+        found = [ef.ef_bi_sum_rate_search(batch.cell(k), grid_points=config.ef_grid)
+                 for k in range(len(batch))]
+    return [(pair, ef_bl_point(params, scenario)) for params, scenario, pair in found]
 
 
-def _optimize_ef_sl(channel: ChannelInstance, config: ScenarioConfig):
-    nwz = ef.ef_sl_min_noise(channel, config.r0_exponent)
-    return ef.ef_sl_rate(channel, nwz, config.r0_exponent), {"nwz": nwz}
+@_per_cell
+def _optimize_ef_sl(batch: ChannelBatch, config: ScenarioConfig):
+    return [(pair, {"nwz": nwz}) for nwz, pair in ef.ef_sl_batch(batch, config.r0_exponent)]
 
 
 OPTIMIZERS = {"af": _optimize_af, "df": _optimize_df,
               "ef_bl": _optimize_ef_bl, "ef_sl": _optimize_ef_sl}
 
+# Relay positions evaluated at once.  The block sets the size of the
+# per-cell arrays and how far the per-call overhead is shared; the DF scan
+# bounds its (cells, G, G) grid itself (``df._MAX_SCAN``).
+_MAX_CELLS = 64
+
+
+def _or_infeasible(protocol: str, channel: ChannelInstance, config: ScenarioConfig):
+    try:
+        return OPTIMIZERS[protocol](channel, config)
+    except InfeasibleError:
+        return None
+
+
+def _block_cells(config: ScenarioConfig, positions, batch: ChannelBatch) -> List[MapCell]:
+    """The cell of each (xr, yr) of ``positions``, whose channels ``batch``
+    holds: each enabled protocol's entry runs once on the whole batch.  An
+    entry that raises InfeasibleError runs again cell by cell, so only the
+    infeasible cells score 0.0; a result that is not a list applies to every
+    cell."""
+    results = {}
+    for p in [p for p in PROTOCOL_ORDER if p in config.protocols]:
+        try:
+            out = OPTIMIZERS[p](batch, config)
+        except InfeasibleError:
+            out = [_or_infeasible(p, batch.cell(k), config) for k in range(len(batch))]
+        results[p] = out if isinstance(out, list) else [out] * len(batch)
+    cells = []
+    for k, (xr, yr) in enumerate(positions):
+        rates: Dict[str, float] = {}
+        points: Dict[str, dict] = {}
+        for p, out in results.items():
+            if out[k] is not None:
+                pair, points[p] = out[k]
+            rates[p] = 0.0 if out[k] is None else pair.sum
+        # rates follows PROTOCOL_ORDER, and max keeps the first of equal maxima.
+        cells.append(MapCell(
+            xr=xr, yr=yr, rates=rates, winner=max(rates, key=rates.get),
+            bl_scenario=points.get("ef_bl", {}).get("scenario", ""),
+            af_gain=points.get("af", {}).get("gain", 0.0),
+            infeasible=tuple(p for p, out in results.items() if out[k] is None),
+        ))
+    return cells
+
+
+def _cells(config: ScenarioConfig, positions) -> List[MapCell]:
+    return [cell for s in range(0, len(positions), _MAX_CELLS)
+            for cell in _block_cells(config, positions[s:s + _MAX_CELLS],
+                                     config.channel_batch(positions[s:s + _MAX_CELLS]))]
+
 
 def evaluate_cell(config: ScenarioConfig, xr: float, yr: float) -> MapCell:
-    """Sum rate of every enabled protocol with the relay at (xr, yr)*d0.
+    """Sum rate of every enabled protocol with the relay at (xr, yr)*d0: a
+    block of one.
 
     An infeasible protocol scores 0.0 and is listed in ``infeasible``.
     """
-    channel = config.channel_at(xr, yr)
-    rates: Dict[str, float] = {}
-    points: Dict[str, dict] = {}
-    infeasible: List[str] = []
-    for p in [p for p in PROTOCOL_ORDER if p in config.protocols]:
-        try:
-            pair, points[p] = OPTIMIZERS[p](channel, config)
-            rates[p] = pair.sum
-        except InfeasibleError:
-            rates[p] = 0.0
-            infeasible.append(p)
-    # rates follows PROTOCOL_ORDER, and max keeps the first of equal maxima.
-    return MapCell(
-        xr=xr, yr=yr, rates=rates, winner=max(rates, key=rates.get),
-        bl_scenario=points.get("ef_bl", {}).get("scenario", ""),
-        af_gain=points.get("af", {}).get("gain", 0.0), infeasible=tuple(infeasible),
-    )
+    return _cells(config, [(xr, yr)])[0]
 
 
 def dominance_map(config: ScenarioConfig) -> List[MapCell]:
-    """Protocol comparison over the whole relay-position grid, row-major."""
-    return [
-        evaluate_cell(config, float(x), float(y))
-        for y in config.grid_y()
-        for x in config.grid_x()
-    ]
+    """Protocol comparison over the whole relay-position grid, row-major.
+
+    Positions are evaluated in blocks of at most ``_MAX_CELLS`` (64) cells,
+    each protocol once per block on a ``ChannelBatch``.  Squares and powers
+    of a cell's values are formed in Python floats, as for one channel, and
+    all else elementwise, so the map has the same bytes as cell by cell.
+    """
+    return _cells(config, [(float(x), float(y))
+                           for y in config.grid_y() for x in config.grid_x()])
 
 
 def sum_rate_slice(config: ScenarioConfig, y_fixed: float) -> List[MapCell]:
     """One-dimensional sweep along x_r at fixed y_r (both in units of d0)."""
-    return [evaluate_cell(config, float(x), y_fixed) for x in config.grid_x()]
+    return _cells(config, [(float(x), y_fixed) for x in config.grid_x()])
 
 
 def sl_vs_bl_map(config: ScenarioConfig) -> List[SlCell]:

@@ -7,9 +7,14 @@ derive their joint product from a table of factors; these are the per-user
 case analysis and the scan-and-refine sum-rate optimizer, the DF and EF-BL
 loops over every relay split, the scalar DF refinement loop, and the
 hand-written einsum products, that they replaced.  Tests compare the two.
+
+The maps evaluate blocks of relay positions at once; the one-channel AF, DF,
+EF-BL and EF-SL kernels they replaced, and the per-cell map evaluation, are
+kept below as they were (``*_scalar``), for ``test_batch.py``.
 """
 
-from typing import Optional, Tuple
+import math
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 from scipy.optimize import minimize_scalar
@@ -23,10 +28,12 @@ from ircrates.af import (
     quadratic_coefficients,
     saturation_gain,
 )
-from ircrates.channel import ChannelInstance, RatePair, nu_simplex
-from ircrates.df import DfParams, _refine, _sum_rate_grid, df_rate
-from ircrates.ef import BiScenario, EfBiParams, ef_bi_eval
+from ircrates.channel import ChannelInstance, RatePair, capacity, nu_simplex, other
+from ircrates.df import DfParams
+from ircrates.ef import BiScenario, EfBiParams
+from ircrates.errors import ConstraintViolationError, InfeasibleError
 from ircrates.discrete import JointPmf
+from ircrates.scenario import MapCell, PROTOCOL_ORDER, UNIFORM_NU
 
 
 def optimal_gain_cases(channel: ChannelInstance, user: int) -> Tuple[float, float]:
@@ -181,7 +188,8 @@ def df_sum_rate_search_reference(
     point, step = _df_scan_loop(channel, grid_points, nu)
     point = _refine(channel, point, step, free_nu=nu is None)
     params = DfParams(tau1=point[0], tau2=point[1], nu1=point[2], nu2=point[3])
-    return params, RatePair(df_rate(channel, params, 1), df_rate(channel, params, 2))
+    return params, RatePair(df_rate_scalar(channel, params, 1),
+                            df_rate_scalar(channel, params, 2))
 
 
 def df_sum_rate_search_loop(
@@ -211,7 +219,8 @@ def df_sum_rate_search_loop(
         point[axis] = best_v
 
     params = DfParams(tau1=point[0], tau2=point[1], nu1=point[2], nu2=point[3])
-    return params, RatePair(df_rate(channel, params, 1), df_rate(channel, params, 2))
+    return params, RatePair(df_rate_scalar(channel, params, 1),
+                            df_rate_scalar(channel, params, 2))
 
 
 def ef_bi_sum_rate_search_loop(
@@ -220,10 +229,274 @@ def ef_bi_sum_rate_search_loop(
     """EF-BL search that evaluates the relay splits one at a time."""
     best = None
     for nu1, nu2 in _simplex_pairs(grid_points):
-        params, scenario, rates = ef_bi_eval(channel, nu1, nu2)
+        params, scenario, rates = ef_bi_eval_scalar(channel, nu1, nu2)
         if best is None or rates.sum > best[2].sum:
             best = (params, scenario, rates)
     return best
+
+
+# -- the one-channel kernels the batched maps replaced --------------------------
+#
+# Copied from the package as they were, operand order included: the batched
+# kernels are held to these with ``==``.
+
+
+def _af_rate_scalar(channel: ChannelInstance, gain, user: int):
+    a = np.asarray(gain, dtype=float)
+    if np.any(a < 0):
+        raise ValueError(f"relay gain must be >= 0, got {gain!r}")
+    j = other(user)
+    h_ri = channel.h_from_relay(user)
+    num = np.abs(a * channel.h_to_relay(user) * h_ri + channel.h_direct(user)) ** 2
+    num = num * channel.P(user)
+    den = (
+        np.abs(a * channel.h_to_relay(j) * h_ri + channel.h_cross(user)) ** 2
+        * channel.P(j)
+        + a**2 * abs(h_ri) ** 2 * channel.Nr
+        + channel.N(user)
+    )
+    return capacity(num / den)
+
+
+def _saturation_gain_scalar(channel: ChannelInstance) -> float:
+    received = (
+        abs(channel.h1r) ** 2 * channel.P1
+        + abs(channel.h2r) ** 2 * channel.P2
+        + channel.Nr
+    )
+    return math.sqrt(channel.Pr / received)
+
+
+def _auxiliaries_scalar(channel: ChannelInstance, user: int):
+    """(m, n, p, q, s) of ``af.auxiliaries``."""
+    j = other(user)
+    sqrt_rho_i = math.sqrt(channel.rho(user))
+    sqrt_pj_ni = math.sqrt(channel.P(j) / channel.N(user))
+    h_ri = channel.h_from_relay(user)
+    return (channel.h_to_relay(user) * h_ri * sqrt_rho_i,
+            channel.h_direct(user) * sqrt_rho_i,
+            channel.h_to_relay(j) * h_ri * sqrt_pj_ni,
+            channel.h_cross(user) * sqrt_pj_ni,
+            abs(h_ri) ** 2 * channel.Nr / channel.N(user))
+
+
+def _quadratic_scalar(m, n, p, q, s):
+    re_pq = (p * q.conjugate()).real
+    re_mn = (m * n.conjugate()).real
+    c2 = abs(m) ** 2 * re_pq - (abs(p) ** 2 + s) * re_mn
+    c1 = abs(m) ** 2 * (abs(q) ** 2 + 1.0) - abs(n) ** 2 * (abs(p) ** 2 + s)
+    c0 = (abs(q) ** 2 + 1.0) * re_mn - abs(n) ** 2 * re_pq
+    return c2, c1, c0
+
+
+def af_sum_rate_gain_scalar(channel: ChannelInstance) -> Tuple[float, RatePair]:
+    """``af.af_sum_rate_gain`` on one channel, with ``np.roots``."""
+    a_bar = _saturation_gain_scalar(channel)
+    q, td = [], []
+    for user in (1, 2):
+        m, n, p, qq, s = _auxiliaries_scalar(channel, user)
+        d = np.array([abs(p) ** 2 + s, 2.0 * (p * qq.conjugate()).real, abs(qq) ** 2 + 1.0])
+        t = d + np.array([abs(m) ** 2, 2.0 * (m * n.conjugate()).real, abs(n) ** 2])
+        q.append(_quadratic_scalar(m, n, p, qq, s))
+        td.append(np.convolve(t, d))
+    roots = np.roots(np.convolve(q[0], td[1]) + np.convolve(q[1], td[0]))
+    roots = np.asarray(roots).real
+    cands = np.concatenate(([0.0, a_bar], roots[(roots > 0.0) & (roots < a_bar)]))
+    rates = [_af_rate_scalar(channel, cands, user) for user in (1, 2)]
+    k = int(np.argmax(sum(rates)))
+    return float(cands[k]), RatePair(float(rates[0][k]), float(rates[1][k]))
+
+
+def _df_sinr_terms(channel: ChannelInstance, t1, t2, n1, n2, user: int):
+    ti, tj = (t1, t2) if user == 1 else (t2, t1)
+    ni_, nj_ = (n1, n2) if user == 1 else (n2, n1)
+    Pi, Pj, Pr = channel.P(user), channel.P(other(user)), channel.Pr
+    h_ii, h_ri = channel.h_direct(user), channel.h_from_relay(user)
+    h_ji = channel.h_cross(user)
+    relay = abs(channel.h_to_relay(user)) ** 2 * (1.0 - ti) * Pi / channel.Nr
+    num = np.maximum(
+        abs(h_ii) ** 2 * Pi
+        + abs(h_ri) ** 2 * ni_ * Pr
+        + 2.0 * (h_ii * h_ri.conjugate()).real * np.sqrt(ti * Pi * ni_ * Pr), 0.0)
+    den = (
+        abs(h_ji) ** 2 * Pj
+        + abs(h_ri) ** 2 * nj_ * Pr
+        + 2.0 * (h_ji * h_ri.conjugate()).real * np.sqrt(tj * Pj * nj_ * Pr)
+        + channel.N(user)
+    )
+    return relay, num / den
+
+
+def df_rate_scalar(channel: ChannelInstance, params: DfParams, user: int) -> float:
+    relay_snr, dest_sinr = _df_sinr_terms(
+        channel, params.tau1, params.tau2, params.nu1, params.nu2, user)
+    return float(min(capacity(relay_snr), capacity(dest_sinr)))
+
+
+def _sum_rate_grid(channel: ChannelInstance, t1, t2, n1, n2):
+    total = 0.0
+    for user in (1, 2):
+        relay_snr, dest_sinr = _df_sinr_terms(channel, t1, t2, n1, n2, user)
+        total = total + np.minimum(capacity(relay_snr), capacity(dest_sinr))
+    return total
+
+
+def _refine(channel: ChannelInstance, point, step: float, free_nu: bool):
+    """The refinement pass, recomputing the current point's sum rate per axis."""
+    point = list(point)
+    for axis in range(4 if free_nu else 2):
+        lo = max(0.0, point[axis] - step)
+        hi = min(1.0, point[axis] + step)
+        vals = np.linspace(lo, hi, 21)
+        trial = list(point)
+        trial[axis] = vals
+        f = np.where(trial[2] + trial[3] > 1.0, -np.inf,
+                     _sum_rate_grid(channel, *trial))
+        k = int(np.argmax(f))
+        if f[k] > _sum_rate_grid(channel, *point):
+            point[axis] = float(vals[k])
+    return point
+
+
+def df_sum_rate_search_scalar(channel: ChannelInstance, grid_points: int,
+                              nu: Tuple[float, float]) -> Tuple[DfParams, RatePair]:
+    """The fixed-split DF search on one channel: the full tau grid, then
+    ``_refine``."""
+    return df_sum_rate_search_reference(channel, grid_points, nu)
+
+
+def _receive_power(channel: ChannelInstance, i: int) -> float:
+    j = other(i)
+    return (abs(channel.h_direct(i)) ** 2 * channel.P(i)
+            + abs(channel.h_cross(i)) ** 2 * channel.P(j) + channel.N(i))
+
+
+def _ef_derived(channel: ChannelInstance):
+    """(A, {i: cross_i}, {i: sigma_i^2}) of ``ef.ef_derived``."""
+    A = abs(channel.h1r) ** 2 * channel.P1 + abs(channel.h2r) ** 2 * channel.P2 + channel.Nr
+    cross, sigma = {}, {}
+    for i in (1, 2):
+        j = other(i)
+        cov = (channel.h_direct(i) * channel.h_to_relay(i).conjugate() * channel.P(i)
+               + channel.h_cross(i) * channel.h_to_relay(j).conjugate() * channel.P(j))
+        cross[i] = abs(cov)
+        sigma[i] = A - cross[i] ** 2 / _receive_power(channel, i)
+    return A, cross, sigma
+
+
+def _ef_bi_scenario(channel: ChannelInstance, nu1: float, nu2: float) -> BiScenario:
+    g1, g2, Pr = abs(channel.hr1) ** 2, abs(channel.hr2) ** 2, channel.Pr
+    v1, v2 = _receive_power(channel, 1), _receive_power(channel, 2)
+    if capacity(g1 * nu2 * Pr / (v1 + g1 * nu1 * Pr)) >= capacity(
+            g2 * nu2 * Pr / (v2 + g2 * nu1 * Pr)):
+        return BiScenario.D1_BETTER
+    if capacity(g2 * nu1 * Pr / (v2 + g2 * nu2 * Pr)) >= capacity(
+            g1 * nu1 * Pr / (v1 + g1 * nu2 * Pr)):
+        return BiScenario.D2_BETTER
+    return BiScenario.NEITHER
+
+
+def _relay_interference(channel, nu1, nu2, scenario, i):
+    if i == 1:
+        return 0.0 if scenario is BiScenario.D1_BETTER else abs(channel.hr1) ** 2 * nu2 * channel.Pr
+    return 0.0 if scenario is BiScenario.D2_BETTER else abs(channel.hr2) ** 2 * nu1 * channel.Pr
+
+
+def _ef_bi_min_noise(channel, nu1, nu2, scenario):
+    A, cross, _ = _ef_derived(channel)
+    bounds = []
+    for i, nu_i in ((1, nu1), (2, nu2)):
+        denom = abs(channel.h_from_relay(i)) ** 2 * nu_i * channel.Pr
+        if denom <= 0.0:
+            bounds.append(math.inf)
+            continue
+        side_power = _receive_power(channel, i) + _relay_interference(
+            channel, nu1, nu2, scenario, i)
+        bounds.append((side_power * A - cross[i] ** 2) / denom)
+    return bounds[0], bounds[1]
+
+
+def _two_branch_sinr(channel, i, relay_interf, nwz):
+    j = other(i)
+    Pi, Pj = channel.P(i), channel.P(j)
+    gd = abs(channel.h_direct(i)) ** 2
+    gc = abs(channel.h_cross(i)) ** 2
+    gu = abs(channel.h_to_relay(i)) ** 2
+    gw = abs(channel.h_to_relay(j)) ** 2
+    Ni, Nr = channel.N(i), channel.Nr
+    if math.isinf(nwz):
+        return gd * Pi / (Ni + relay_interf + gc * Pj)
+    direct = gd * Pi / (Ni + relay_interf + gc * Pj * (Nr + nwz) / (gw * Pj + Nr + nwz))
+    noise_floor = relay_interf + Ni
+    relayed = gu * Pi / (Nr + nwz + gw * Pj * noise_floor / (gc * Pj + noise_floor))
+    return direct + relayed
+
+
+def ef_bi_eval_scalar(channel: ChannelInstance, nu1: float, nu2: float
+                      ) -> Tuple[EfBiParams, BiScenario, RatePair]:
+    """``ef.ef_bi_eval`` on one channel and one split."""
+    scenario = _ef_bi_scenario(channel, nu1, nu2)
+    nwz1, nwz2 = _ef_bi_min_noise(channel, nu1, nu2, scenario)
+    params = EfBiParams(nu1=nu1, nu2=nu2, nwz1=nwz1, nwz2=nwz2)
+    rates = [capacity(_two_branch_sinr(
+        channel, i, _relay_interference(channel, nu1, nu2, scenario, i), nwz))
+        for i, nwz in ((1, nwz1), (2, nwz2))]
+    return params, scenario, RatePair(rates[0], rates[1])
+
+
+def ef_sl_min_noise_scalar(channel: ChannelInstance, r0_exponent: int = 2) -> float:
+    r0 = min(capacity(abs(channel.h_from_relay(i)) ** 2 * channel.Pr
+                      / _receive_power(channel, i)) for i in (1, 2))
+    if r0 <= 0.0:
+        raise InfeasibleError("relay broadcast bottleneck rate is zero")
+    _, _, sigma = _ef_derived(channel)
+    return max(sigma[1], sigma[2]) / (2.0 ** (r0_exponent * r0) - 1.0)
+
+
+def ef_sl_rate_scalar(channel: ChannelInstance, nwz: float, r0_exponent: int = 2) -> RatePair:
+    bound = ef_sl_min_noise_scalar(channel, r0_exponent)
+    if nwz < bound * (1.0 - 1e-9):
+        raise ConstraintViolationError("nwz lower bound", nwz, bound)
+    return RatePair(capacity(_two_branch_sinr(channel, 1, 0.0, nwz)),
+                    capacity(_two_branch_sinr(channel, 2, 0.0, nwz)))
+
+
+def optimize_scalar(protocol: str, channel: ChannelInstance, config):
+    """(RatePair, point) of one uniform-policy protocol on one channel, as
+    ``scenario.OPTIMIZERS`` returned it."""
+    if protocol == "af":
+        gain, pair = af_sum_rate_gain_scalar(channel)
+        return pair, {"gain": gain}
+    if protocol == "df":
+        params, pair = df_sum_rate_search_scalar(channel, config.df_grid, UNIFORM_NU)
+        return pair, {"tau": (params.tau1, params.tau2), "nu": (params.nu1, params.nu2)}
+    if protocol == "ef_bl":
+        params, scenario, pair = ef_bi_eval_scalar(channel, *UNIFORM_NU)
+        return pair, {"nu": (params.nu1, params.nu2), "nwz": (params.nwz1, params.nwz2),
+                      "scenario": scenario.value}
+    nwz = ef_sl_min_noise_scalar(channel, config.r0_exponent)
+    return ef_sl_rate_scalar(channel, nwz, config.r0_exponent), {"nwz": nwz}
+
+
+def evaluate_cell_scalar(config, xr: float, yr: float) -> MapCell:
+    """``scenario.evaluate_cell`` for the uniform policy, one protocol at a
+    time on one channel."""
+    channel = config.channel_at(xr, yr)
+    rates: Dict[str, float] = {}
+    points: Dict[str, dict] = {}
+    infeasible: List[str] = []
+    for p in [p for p in PROTOCOL_ORDER if p in config.protocols]:
+        try:
+            pair, points[p] = optimize_scalar(p, channel, config)
+            rates[p] = pair.sum
+        except InfeasibleError:
+            rates[p] = 0.0
+            infeasible.append(p)
+    return MapCell(
+        xr=xr, yr=yr, rates=rates, winner=max(rates, key=rates.get),
+        bl_scenario=points.get("ef_bl", {}).get("scenario", ""),
+        af_gain=points.get("af", {}).get("gain", 0.0), infeasible=tuple(infeasible),
+    )
 
 
 def bi_level_joint(fact) -> JointPmf:

@@ -92,7 +92,7 @@ def test_eval_equals_broadcast_at_every_split(rng):
     grid, i1, i2 = nu_simplex(21)
     for _ in range(50):
         ch = random_channel(rng)
-        scenario, nwz1, nwz2, r1, r2 = ef._bi_eval_simplex(ch, grid[i1], grid[i2])
+        scenario, nwz1, nwz2, r1, r2 = ef._bi_eval(ch, grid[i1], grid[i2])
         for k, (nu1, nu2) in enumerate(zip(grid[i1].tolist(), grid[i2].tolist())):
             params, sc, pair = ef.ef_bi_eval(ch, nu1, nu2)
             assert (params.nwz1, params.nwz2, sc, pair.r1, pair.r2) == (
@@ -144,7 +144,7 @@ def test_symmetric_tie_keeps_first_split(rng):
     ties = 0
     for _ in range(20):
         ch = symmetric_channel(rng)
-        p, a, b = df._best_grid_point(ch, taus, taus, k1, k2)
+        p, a, b, _ = df._best_grid_point(ch, taus, taus, k1, k2)
         point, _ = _df_scan_loop(ch, 21, None)
         assert [taus[a], taus[b], taus[k1[p]], taus[k2[p]]] == point
         n1, n2 = point[2:]
