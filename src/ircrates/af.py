@@ -64,24 +64,23 @@ class AfAuxiliaries:
 
 
 def auxiliaries(channel: ChannelInstance, user: int) -> AfAuxiliaries:
-    return AfAuxiliaries(user, *_aux(*_aux_args(channel, user)))
+    return _aux(user, *_aux_args(channel, user))
 
 
 def _aux_args(channel, user: int) -> tuple:
-    """The links, powers and noises ``_aux`` reads, in its argument order."""
+    """What ``_aux`` reads of a channel, or of each cell of a batch."""
     j = other(user)
     return (channel.h_to_relay(user), channel.h_from_relay(user), channel.h_direct(user),
             channel.h_to_relay(j), channel.h_cross(user), channel.P(user), channel.P(j),
             channel.N(user), channel.Nr, channel.g_from_relay(user))
 
 
-def _aux(h_ir, h_ri, h_ii, h_jr, h_ji, P_i, P_j, N_i, N_r, g_ri) -> tuple:
-    """(m, n, p, q, s) of one user, in Python complex and float arithmetic."""
+def _aux(user, h_ir, h_ri, h_ii, h_jr, h_ji, P_i, P_j, N_i, N_r, g_ri) -> AfAuxiliaries:
     sqrt_rho_i = math.sqrt(P_i / N_i)
     # Cross and relay-noise terms normalized by the receiver noise N_i.
     sqrt_pj_ni = math.sqrt(P_j / N_i)
-    return (h_ir * h_ri * sqrt_rho_i, h_ii * sqrt_rho_i,
-            h_jr * h_ri * sqrt_pj_ni, h_ji * sqrt_pj_ni, g_ri * N_r / N_i)
+    return AfAuxiliaries(user, h_ir * h_ri * sqrt_rho_i, h_ii * sqrt_rho_i,
+                         h_jr * h_ri * sqrt_pj_ni, h_ji * sqrt_pj_ni, g_ri * N_r / N_i)
 
 
 def af_rate(channel, gain, user: int):
@@ -120,10 +119,7 @@ def saturation_gain(channel):
 
 def quadratic_coefficients(aux: AfAuxiliaries) -> Tuple[float, float, float]:
     """(c2, c1, c0) of the stationary-point quadratic c2 a^2 + c1 a + c0 = 0."""
-    return _quadratic(aux.m, aux.n, aux.p, aux.q, aux.s)
-
-
-def _quadratic(m, n, p, q, s) -> Tuple[float, float, float]:
+    m, n, p, q, s = aux.m, aux.n, aux.p, aux.q, aux.s
     re_pq = (p * q.conjugate()).real
     re_mn = (m * n.conjugate()).real
     c2 = abs(m) ** 2 * re_pq - (abs(p) ** 2 + s) * re_mn
@@ -183,12 +179,11 @@ class AfAnalysis:
 
 def _best_gain(batch: ChannelBatch, roots: np.ndarray, users):
     """Per cell, the best gain for the summed rate of ``users``, and each
-    user's rate there, as lists.
+    user's rate there, as lists.  ``roots`` has a row per cell, NaN-padded.
 
-    ``roots`` has one row per cell, padded with NaN.  The candidates are 0,
-    the saturation gain and every root strictly inside (0, saturation gain);
-    the first argmax wins, in that order.  Rows are scored as one padded
-    (cells, candidates) array, the padding at -inf.
+    The candidates are 0, the saturation gain and every root strictly inside
+    (0, saturation gain); the first argmax wins, in that order.  They are
+    scored as one (cells, candidates) array, its padding at -inf.
     """
     a_bar = saturation_gain(batch)
     inside = (roots > 0.0) & (roots < a_bar[:, None])
@@ -247,10 +242,7 @@ def af_sum_rate_gain(
     filtered by their imaginary part, since an extra feasible candidate can
     only raise the maximum.  Ties keep the first candidate, in the order 0,
     saturation gain, roots, as in ``optimal_gain``.  This is
-    ``af_sum_rate_gain_batch`` on a batch of one.
-
-    ``grid_points`` is ignored; it is accepted for callers of the former
-    numerical search.
+    ``af_sum_rate_gain_batch`` on a batch of one; ``grid_points`` is ignored.
     """
     return af_sum_rate_gain_batch(ChannelBatch.of([channel]))[0]
 
@@ -261,14 +253,14 @@ _OVERFLOW = ("the AF sum-rate polynomial overflows a float: its coefficients mul
              "or Nr, or raise N1 or N2")
 
 
-def _sum_rate_polynomial(aux1: tuple, aux2: tuple) -> np.ndarray:
-    """Q_1 T_2 D_2 + Q_2 T_1 D_1 from both users' (m, n, p, q, s), highest
-    power first, as ``np.roots`` takes it."""
+def _sum_rate_polynomial(*auxes: AfAuxiliaries) -> np.ndarray:
+    """Q_1 T_2 D_2 + Q_2 T_1 D_1, highest power first, as ``np.roots`` takes it."""
     q, td = [], []  # per user: Q_i, and the quartic T_i D_i
-    for m, n, p, qq, s in (aux1, aux2):
-        d = np.array([abs(p) ** 2 + s, 2.0 * (p * qq.conjugate()).real, abs(qq) ** 2 + 1.0])
+    for aux in auxes:
+        m, n, p, qq = aux.m, aux.n, aux.p, aux.q
+        d = np.array([abs(p) ** 2 + aux.s, 2.0 * (p * qq.conjugate()).real, abs(qq) ** 2 + 1.0])
         t = d + np.array([abs(m) ** 2, 2.0 * (m * n.conjugate()).real, abs(n) ** 2])
-        q.append(_quadratic(m, n, p, qq, s))
+        q.append(quadratic_coefficients(aux))
         td.append(np.convolve(t, d))
     return np.convolve(q[0], td[1]) + np.convolve(q[1], td[0])
 
@@ -277,18 +269,17 @@ def af_sum_rate_gain_batch(batch: ChannelBatch) -> List[Tuple[float, RatePair]]:
     """``af_sum_rate_gain`` of every cell of ``batch``.
 
     Each cell's polynomial is built as for one channel, in Python floats and
-    ``np.convolve``; then one ``np.linalg.eigvals`` call roots them all from
-    their stacked companion matrices, which is what ``np.roots`` does for
-    one (Edelman & Murakami, Math. Comp. 1995).  A polynomial with a zero
-    leading or trailing coefficient has a lower degree and goes through
-    ``np.roots`` alone.  A coefficient that overflows raises ValueError
-    naming the fields.
+    ``np.convolve``; one ``np.linalg.eigvals`` call on the stacked companion
+    matrices then roots them all, as ``np.roots`` roots one (Edelman &
+    Murakami, Math. Comp. 1995).  A polynomial with a zero leading or
+    trailing coefficient has a lower degree and goes through ``np.roots``.
+    A coefficient that overflows raises ValueError naming the fields.
     """
-    args = [[np.asarray(v).tolist() for v in _aux_args(batch, user)] for user in (1, 2)]
+    args = [zip(*(np.asarray(v).tolist() for v in _aux_args(batch, user))) for user in (1, 2)]
     with np.errstate(all="ignore"):
         try:
-            polys = np.array([_sum_rate_polynomial(_aux(*a1), _aux(*a2))
-                              for a1, a2 in zip(zip(*args[0]), zip(*args[1]))])
+            polys = np.array([_sum_rate_polynomial(_aux(1, *a1), _aux(2, *a2))
+                              for a1, a2 in zip(*args)])
         except OverflowError:
             raise ValueError(_OVERFLOW) from None
         full = (polys[:, 0] != 0.0) & (polys[:, -1] != 0.0)

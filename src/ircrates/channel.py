@@ -36,11 +36,12 @@ __all__ = [
 ]
 
 
-def capacity(x):
+def capacity(x, out=None):
     """Shannon capacity of a complex AWGN channel at SINR ``x``, in bits.
 
-    Accepts a scalar or a numpy array.  Negative or non-finite input is a
-    domain error (an SINR is a ratio of powers).
+    Accepts a scalar or a numpy array; an array ``out`` (``x`` itself, say)
+    receives the result.  Negative or non-finite input is a domain error (an
+    SINR is a ratio of powers).
     """
     x = np.asarray(x, dtype=float)
     # NaN fails both comparisons, and min() and max() propagate it.
@@ -50,7 +51,7 @@ def capacity(x):
         bad = x.size > 0 and not (0.0 <= x.min() and x.max() < math.inf)
     if bad:
         raise ValueError(f"SINR must be finite and >= 0, got {x!r}")
-    out = np.log2(1.0 + x)
+    out = np.log2(np.add(1.0, x, out=out), out=out)
     return float(out) if out.ndim == 0 else out
 
 
@@ -74,10 +75,7 @@ _POWERS = ("P1", "P2", "Pr", "N1", "N2", "Nr")
 
 
 class _Links:
-    """Index-based accessors (user i in {1, 2}) of a channel or a batch.
-
-    ``h_*`` are link gains and ``g_*`` their squared magnitudes |h|^2.
-    """
+    """Accessors by user i in {1, 2}: ``h_*`` link gains, ``g_*`` their |h|^2."""
 
     def P(self, i: int):
         return (self.P1, self.P2)[_idx(i)]
@@ -171,7 +169,7 @@ class ChannelInstance(_Links):
         return complex(getattr(self, name))
 
     def _g(self, name: str) -> float:
-        return abs(self._h(name)) ** 2
+        return abs(complex(getattr(self, name))) ** 2
 
     def scaled(self, factor: float) -> "ChannelInstance":
         """All powers and noise variances multiplied by ``factor``."""
@@ -187,26 +185,19 @@ _MAX_POWER = math.sqrt(sys.float_info.max)
 
 
 class ChannelBatch(_Links):
-    """The channels of a block of cells, one array per field.
+    """The channels of a block of cells as one array per field, with the
+    accessors of ``ChannelInstance``, so the elementwise kernels take either.
 
-    ``h11`` ... ``hr2`` are complex arrays and ``P1`` ... ``Nr`` float arrays,
-    with the accessors of ``ChannelInstance``, so the elementwise rate
-    kernels take either.  Each |h|^2 is formed as a single channel forms it,
-    ``abs(h) ** 2`` in Python floats (libm pow, which is not always x * x),
-    once per batch; the kernels do all else elementwise, so a cell's results
-    do not depend on the batch it is in.  Build one with ``of`` from
-    validated channels, or with ``layout_to_batch``, which validates the
-    block once.
+    Each |h|^2 is formed once, as one channel forms it: ``abs(h) ** 2`` in
+    Python floats (libm pow, which is not always x * x).  All else is done
+    elementwise, so a cell's results do not depend on its batch.
     """
 
     def __init__(self, **fields):
-        self._sq = {}
-        for name in _GAINS:
-            h = np.asarray(fields[name], dtype=complex)
-            setattr(self, name, h)
-            self._sq[name] = np.array([_square(abs(v)) for v in h.tolist()])
-        for name in _POWERS:
-            setattr(self, name, np.asarray(fields[name], dtype=float))
+        for name in _GAINS + _POWERS:
+            setattr(self, name, np.asarray(fields[name], complex if name in _GAINS else float))
+        self._sq = {n: np.array([_square(abs(h)) for h in getattr(self, n).tolist()])
+                    for n in _GAINS}
 
     @classmethod
     def of(cls, channels) -> "ChannelBatch":
@@ -232,34 +223,27 @@ class ChannelBatch(_Links):
         return self._map(lambda v: v[cells])
 
     def column(self) -> "ChannelBatch":
-        """The same cells with every array shaped (cells, 1), to broadcast
-        against a trailing parameter axis."""
+        """Every array shaped (cells, 1), to broadcast along a parameter axis."""
         return self._map(lambda v: v.reshape(-1, 1))
 
     def cell(self, k: int) -> ChannelInstance:
-        """Cell ``k`` as a ``ChannelInstance``."""
-        return ChannelInstance(**{name: getattr(self, name)[k].item()
-                                  for name in _GAINS + _POWERS})
+        return ChannelInstance(**{n: getattr(self, n)[k].item() for n in _GAINS + _POWERS})
 
     def validate(self) -> None:
         """Refuse the batch as ``ChannelInstance`` refuses its first bad cell."""
-        ok = np.ones(len(self), dtype=bool)
         with np.errstate(all="ignore"):
-            for name in _POWERS:
-                ok &= np.isfinite(getattr(self, name)) & (getattr(self, name) > 0)
-            for name in _GAINS:
-                ok &= np.isfinite(getattr(self, name))
-            for v in (self.P1, self.P2, self.Pr):
-                ok &= v <= _MAX_POWER
-            a = {i: np.sqrt(self.P(i)) for i in (1, 2)}
-            for i in (1, 2):  # the coherent total at D_i, as ChannelInstance sums it
+            ok = np.all([np.isfinite(getattr(self, n)) for n in _GAINS + _POWERS], axis=0)
+            ok &= np.all([getattr(self, n) > 0 for n in _POWERS], axis=0)
+            ok &= np.all([v <= _MAX_POWER for v in (self.P1, self.P2, self.Pr)], axis=0)
+            a = {1: np.sqrt(self.P1), 2: np.sqrt(self.P2)}
+            for i in (1, 2):  # the coherent total at D_i, then at the relay
                 amp = (_abs(self.h_direct(i)) * a[i] + _abs(self.h_cross(i)) * a[other(i)]
                        + _abs(self.h_from_relay(i)) * np.sqrt(self.Pr))
                 ok &= amp * amp + self.N(i) <= _MAX_POWER
             amp = _abs(self.h1r) * a[1] + _abs(self.h2r) * a[2]
             ok &= amp * amp + self.Nr <= _MAX_POWER
         for k in np.flatnonzero(~ok):
-            self.cell(int(k))  # raises ChannelInstance's message
+            self.cell(int(k))  # raises its message
 
 
 def _square(x: float) -> float:
@@ -270,12 +254,12 @@ def _square(x: float) -> float:
 
 
 def _abs(h):
-    """|h| elementwise, equal to Python's abs of each complex."""
+    """|h|, equal to Python's abs of each complex."""
     return np.hypot(h.real, h.imag)
 
 
 def _conj_product(a, b):
-    """(Re, Im) of a * conj(b), elementwise, equal to Python's complex product."""
+    """(Re, Im) of a * conj(b), equal to Python's complex product."""
     return a.real * b.real + a.imag * b.imag, a.imag * b.real - a.real * b.imag
 
 
@@ -390,30 +374,23 @@ def layout_to_channel(
     return ChannelInstance(P1=P1, P2=P2, Pr=Pr, N1=N1, N2=N2, Nr=Nr, **gains)
 
 
-def layout_to_batch(
-    layout: NodeLayout, relays,
-    P1: float, P2: float, Pr: float,
-    N1: float, N2: float, Nr: float,
-) -> ChannelBatch:
+def layout_to_batch(layout: NodeLayout, relays, P1, P2, Pr, N1, N2, Nr) -> ChannelBatch:
     """``layout_to_channel`` for each relay position (x, y) of ``relays``
     (lifted to z = epsilon), as one ``ChannelBatch``, validated once."""
-    fixed = {key: _link_gain(layout, key, d) for key, d in layout._planar_distances().items()}
+    fixed = dict(P1=P1, P2=P2, Pr=Pr, N1=N1, N2=N2, Nr=Nr, **{
+        key: _link_gain(layout, key, d) for key, d in layout._planar_distances().items()})
     cols = {key: [] for key in ("h1r", "h2r", "hr1", "hr2")}
     for x, y in relays:
         for key, d in layout._relay_distances(x, y, layout.epsilon).items():
             cols[key].append(_link_gain(layout, key, d))
-    n = len(relays)
-    values = dict(P1=P1, P2=P2, Pr=Pr, N1=N1, N2=N2, Nr=Nr, **fixed)
-    batch = ChannelBatch(**{key: [v] * n for key, v in values.items()}, **cols)
+    batch = ChannelBatch(**{key: [v] * len(relays) for key, v in fixed.items()}, **cols)
     batch.validate()
     return batch
 
 
 def _link_gain(layout: NodeLayout, key: str, d: float) -> complex:
     if d <= 0:
-        raise ValueError(
-            f"link {key} has zero length; separate the nodes or set epsilon > 0"
-        )
+        raise ValueError(f"link {key} has zero length; separate the nodes or set epsilon > 0")
     if not d < math.inf:
         raise ValueError(f"the length of link {key} overflows a float")
     return complex(path_loss_gain(d, layout.d0, layout.gamma))

@@ -218,10 +218,10 @@ def df_sum_rate_search(
                     taus[1] - taus[0], axes=range(4))[0]
 
 
-# Grid points of the tau scans evaluated at once: the cells of a batch are
-# scanned in chunks of at most this many points, which bounds the (cells, G,
-# G) temporaries near 200 kB each, 16 cells of a 41-point grid.
-_MAX_SCAN = 16 * 41 * 41
+# Grid points of the tau scans evaluated at once: a batch's cells are scanned
+# in chunks of at most this many points (8 cells of a 41-point grid), which
+# keeps each of the two (cells, G, G) arrays near 100 kB.
+_MAX_SCAN = 8 * 41 * 41
 
 
 def df_sum_rate_search_batch(
@@ -239,12 +239,13 @@ def df_sum_rate_search_batch(
     col, flat, value = batch.column(), [], []
     step = max(1, _MAX_SCAN // grid_points ** 2)
     for s in range(0, len(batch), step):
-        part, terms = col[s:s + step], []
+        part, f = col[s:s + step], None
         for user, j in ((1, 2), (2, 1)):
-            terms.append(capacity(_user_sinr(
-                _relay_snr(part, user, taus), _dest_signal(part, user, taus, n[user - 1]),
-                _dest_interference(part, user, taus, n[j - 1]))))
-        f = terms[0] + terms[1].swapaxes(1, 2)  # (cells, tau1, tau2)
+            sinr = _user_sinr(_relay_snr(part, user, taus),
+                              _dest_signal(part, user, taus, n[user - 1]),
+                              _dest_interference(part, user, taus, n[j - 1]))
+            c = capacity(sinr, out=sinr)  # user 2's is over (cells, tau2, tau1)
+            f = c if f is None else np.add(f, c.swapaxes(1, 2), out=f)
         f = f.reshape(len(f), -1)
         k = f.argmax(axis=1)
         flat.append(k)

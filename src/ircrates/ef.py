@@ -89,9 +89,6 @@ class EfDerived:
     def sigma_sq(self, i: int) -> float:
         return (self.sigma1_sq, self.sigma2_sq)[i - 1]
 
-    def cross(self, i: int) -> float:
-        return (self.A1, self.A2)[i - 1]
-
 
 # The formulas below take a ChannelInstance or a ChannelBatch and work
 # elementwise, over the cells of a batch or over arrays of relay splits.
@@ -179,8 +176,8 @@ def _relay_interference(channel, nu1, nu2, cancelled, i: int):
 
 
 def _interference(channel, nu1, nu2, scenario: BiScenario):
-    return [_relay_interference(channel, nu1, nu2, scenario is cancels, i)
-            for i, cancels in ((1, BiScenario.D1_BETTER), (2, BiScenario.D2_BETTER))]
+    return [_relay_interference(channel, nu1, nu2, scenario is BiScenario.D1_BETTER, 1),
+            _relay_interference(channel, nu1, nu2, scenario is BiScenario.D2_BETTER, 2)]
 
 
 def _min_noise(channel, nu1, nu2, interference):

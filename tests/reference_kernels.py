@@ -478,10 +478,10 @@ def optimize_scalar(protocol: str, channel: ChannelInstance, config):
     return ef_sl_rate_scalar(channel, nwz, config.r0_exponent), {"nwz": nwz}
 
 
-def evaluate_cell_scalar(config, xr: float, yr: float) -> MapCell:
+def evaluate_cell_scalar(config, xr: float, yr: float, channel=None) -> MapCell:
     """``scenario.evaluate_cell`` for the uniform policy, one protocol at a
-    time on one channel."""
-    channel = config.channel_at(xr, yr)
+    time on one channel (``config.channel_at(xr, yr)`` unless given)."""
+    channel = config.channel_at(xr, yr) if channel is None else channel
     rates: Dict[str, float] = {}
     points: Dict[str, dict] = {}
     infeasible: List[str] = []

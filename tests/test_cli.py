@@ -427,6 +427,13 @@ class TestErrors:
                      id="slmap-powers-Pr-1e+308"),
         pytest.param("map", {("powers", "P1"): 1e308, ("powers", "Pr"): 1e308},
                      "P1 = 1e+308", id="map-powers-P1-Pr-1e+308"),
+        # The channel is accepted, but the AF sum-rate polynomial overflows.
+        pytest.param("map", {("noises", "Nr"): 1e154}, "Nr/N1", id="map-noises-Nr-1e+154"),
+        pytest.param("map", {("noises", "N1"): 1e-300, ("noises", "N2"): 1e-300}, "P1/N1",
+                     id="map-noises-N1-N2-1e-300"),
+        pytest.param("optimize --protocol af", {("noises", "N1"): 1e-300,
+                                                ("noises", "N2"): 1e-300}, "P1/N1",
+                     id="optimize-af-noises-N1-N2-1e-300"),
     ])
     def test_overflowing_config_exits_2(self, capsys, fast_config, command, edits, named):
         data = json.loads(Path(fast_config).read_text())
@@ -435,11 +442,18 @@ class TestErrors:
         Path(fast_config).write_text(json.dumps(data))
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            code, out, err = run(capsys, command, "--config", fast_config)
+            code, out, err = run(capsys, *command.split(), "--config", fast_config)
         assert code == 2 and out == "" and "Traceback" not in err
         assert "overflows a float" in err and named in err, err
-        # The check runs before any kernel, so numpy warns of nothing.
+        # The checks run before any kernel divides, so numpy warns of nothing.
         assert [str(w.message) for w in caught] == []
+
+    def test_af_overflow_leaves_other_protocols(self, capsys, fast_config):
+        data = json.loads(Path(fast_config).read_text())
+        data["noises"].update(N1=1e-300, N2=1e-300)
+        Path(fast_config).write_text(json.dumps(data))
+        code, out, err = run(capsys, "optimize", "--protocol", "df", "--config", fast_config)
+        assert code == 0 and err == "" and "sum:" in out
 
     @pytest.mark.parametrize("argv", [
         ("slice", "--y=inf"),
