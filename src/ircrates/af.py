@@ -273,7 +273,8 @@ def af_sum_rate_gain_batch(batch: ChannelBatch) -> List[Tuple[float, RatePair]]:
     matrices then roots them all, as ``np.roots`` roots one (Edelman &
     Murakami, Math. Comp. 1995).  A polynomial with a zero leading or
     trailing coefficient has a lower degree and goes through ``np.roots``.
-    A coefficient that overflows raises ValueError naming the fields.
+    A coefficient that overflows raises ValueError naming the fields.  The
+    maps pass blocks of at most 64 cells.
     """
     args = [zip(*(np.asarray(v).tolist() for v in _aux_args(batch, user))) for user in (1, 2)]
     with np.errstate(all="ignore"):

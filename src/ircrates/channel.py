@@ -190,7 +190,8 @@ class ChannelBatch(_Links):
 
     Each |h|^2 is formed once, as one channel forms it: ``abs(h) ** 2`` in
     Python floats (libm pow, which is not always x * x).  All else is done
-    elementwise, so a cell's results do not depend on its batch.
+    elementwise, so a cell's results do not depend on its batch.  The maps
+    build one per block of at most 64 relay positions (``scenario._MAX_CELLS``).
     """
 
     def __init__(self, **fields):

@@ -230,8 +230,9 @@ def df_sum_rate_search_batch(
     """``df_sum_rate_search`` at the fixed relay split ``nu`` for every cell
     of ``batch``: one (cells, G, G) scan of the tau grid, in chunks of cells,
     then the refinement pass over all cells at once, axis by axis.
-    Everything is elementwise in the operand order of one channel, so each
-    cell gets what a batch of one gives it."""
+    Everything is elementwise in the operand order of one channel, with
+    |h|^2 from the batch (Python floats), so each cell gets what a batch of
+    one gives it.  The maps pass blocks of at most 64 cells."""
     if grid_points < 2:
         raise ValueError(f"grid_points must be >= 2, got {grid_points}")
     taus = np.linspace(0.0, 1.0, grid_points)
@@ -257,9 +258,11 @@ def df_sum_rate_search_batch(
 
 def _refined(batch: ChannelBatch, point, value, step, axes) -> List[Tuple[DfParams, RatePair]]:
     """One coordinate-descent pass from ``point`` (tau1, tau2, nu1, nu2 as
-    arrays over the cells of ``batch``), whose sum rates are ``value``: each
-    axis in ``axes`` in turn is scanned at a tenth of ``step`` within one
-    step, for all cells at once.  Then each cell's parameters and rates."""
+    arrays over the cells of ``batch``), whose sum rates the scan gave as
+    ``value``: each axis in ``axes`` in turn is scanned at a tenth of
+    ``step`` within one step, for all cells at once, and the best value is
+    carried to the next axis, not recomputed.  Then each cell's parameters
+    and rates."""
     col, rows = batch.column(), np.arange(len(batch))
     point = list(point)
     for axis in axes:

@@ -271,7 +271,9 @@ def ef_bi_eval(
 def ef_bi_eval_batch(
     batch: ChannelBatch, nu1: float, nu2: float
 ) -> List[Tuple[EfBiParams, BiScenario, RatePair]]:
-    """``ef_bi_eval`` at one split for every cell of ``batch``, elementwise."""
+    """``ef_bi_eval`` at one split for every cell of ``batch``, elementwise;
+    squares are formed in Python floats, as for one channel.  The maps pass
+    blocks of at most 64 cells."""
     scenario, nwz1, nwz2, r1, r2 = _bi_eval(batch, nu1, nu2)
     tags = list(BiScenario)
     return [(EfBiParams(nu1=nu1, nu2=nu2, nwz1=n1, nwz2=n2), tags[k], RatePair(a, b))
@@ -319,8 +321,9 @@ def ef_sl_rate(
 
 def ef_sl_batch(batch: ChannelBatch, r0_exponent: int = 2) -> List[Tuple[float, RatePair]]:
     """(minimal noise, rates at it) of the single-level scheme for every cell
-    of ``batch``, elementwise.  Raises InfeasibleError if any cell's
-    bottleneck rate is zero."""
+    of ``batch``, elementwise; squares and 2 ** (e R_0) are formed in Python
+    floats, as for one channel.  The maps pass blocks of at most 64 cells.
+    Raises InfeasibleError if any cell's bottleneck rate is zero."""
     r0, nwz = _sl_min_noise(batch, r0_exponent)
     if (r0 <= 0.0).any():
         raise InfeasibleError("relay broadcast bottleneck rate is zero")

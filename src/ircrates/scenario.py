@@ -273,14 +273,13 @@ def ef_bl_point(params: ef.EfBiParams, scenario: ef.BiScenario) -> dict:
             "scenario": scenario.value}
 
 
-# Per-protocol optimisers.  An entry takes a ChannelBatch and returns one
-# (RatePair, point) per cell, the point being the chosen operating point in
-# display order; given a ChannelInstance it evaluates a batch of one and
-# returns that one result.  The batched kernels form squares and powers of
-# single channel values in Python floats, as the one-channel formulas do, and
-# work elementwise otherwise, so a cell's result does not depend on the
-# batch.  Kernels are looked up on their modules at call time, so a
-# swapped-in kernel takes effect.
+# Per-protocol optimisers.  An entry takes a ChannelBatch (a block of at most
+# _MAX_CELLS positions) and returns one (RatePair, point) per cell, the point
+# being the chosen operating point in display order; given a ChannelInstance
+# it evaluates a batch of one and returns that one result.  The kernels form
+# squares and powers in Python floats, as for one channel, and all else
+# elementwise, so a cell's result does not depend on its block.  Kernels are
+# looked up on their modules at call time, so a swapped-in kernel takes effect.
 
 
 def _per_cell(optimize):
