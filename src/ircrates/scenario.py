@@ -323,9 +323,9 @@ def _optimize_ef_sl(batch: ChannelBatch, config: ScenarioConfig):
 OPTIMIZERS = {"af": _optimize_af, "df": _optimize_df,
               "ef_bl": _optimize_ef_bl, "ef_sl": _optimize_ef_sl}
 
-# Relay positions evaluated at once.  The block sets the size of the
-# per-cell arrays and how far the per-call overhead is shared; the DF scan
-# bounds its (cells, G, G) grid itself (``df._MAX_SCAN``).
+# Relay positions evaluated at once.  It sets the size of the per-cell
+# arrays and how widely the per-call overhead is shared; the DF scan bounds
+# its (cells, G, G) grid itself (``df._MAX_SCAN``).
 _MAX_CELLS = 64
 
 
@@ -351,18 +351,15 @@ def _block_cells(config: ScenarioConfig, positions, batch: ChannelBatch) -> List
         results[p] = out if isinstance(out, list) else [out] * len(batch)
     cells = []
     for k, (xr, yr) in enumerate(positions):
-        rates: Dict[str, float] = {}
-        points: Dict[str, dict] = {}
-        for p, out in results.items():
-            if out[k] is not None:
-                pair, points[p] = out[k]
-            rates[p] = 0.0 if out[k] is None else pair.sum
+        found = {p: out[k] for p, out in results.items()}
+        points = {p: r[1] for p, r in found.items() if r is not None}
+        rates = {p: 0.0 if r is None else r[0].sum for p, r in found.items()}
         # rates follows PROTOCOL_ORDER, and max keeps the first of equal maxima.
         cells.append(MapCell(
             xr=xr, yr=yr, rates=rates, winner=max(rates, key=rates.get),
             bl_scenario=points.get("ef_bl", {}).get("scenario", ""),
             af_gain=points.get("af", {}).get("gain", 0.0),
-            infeasible=tuple(p for p, out in results.items() if out[k] is None),
+            infeasible=tuple(p for p, r in found.items() if r is None),
         ))
     return cells
 
