@@ -20,6 +20,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Tuple
 
 import numpy as np
@@ -169,7 +170,11 @@ class ChannelInstance(_Links):
         return complex(getattr(self, name))
 
     def _g(self, name: str) -> float:
-        return abs(complex(getattr(self, name))) ** 2
+        return self._sq[name]
+
+    @cached_property
+    def _sq(self) -> dict:
+        return {name: abs(self._h(name)) ** 2 for name in _GAINS}
 
     def scaled(self, factor: float) -> "ChannelInstance":
         """All powers and noise variances multiplied by ``factor``."""

@@ -195,10 +195,10 @@ def df_sum_rate_search(
     """Maximize R_1 + R_2 over the DF parameter set by grid search.
 
     With ``nu`` supplied (e.g. the uniform split (1/2, 1/2)) only the two
-    cooperation degrees are searched, by ``df_sum_rate_search_batch`` on a
-    batch of one; otherwise the relay split sweeps the simplex as well.  A
-    single coordinate-descent refinement pass at a tenth of the grid step
-    follows the scan.
+    cooperation degrees are searched; otherwise the relay split sweeps the
+    simplex as well.  A single coordinate-descent refinement pass at a tenth
+    of the grid step follows the scan.  This is ``df_sum_rate_search_batch``
+    on a batch of one.
 
     The scan is exact: it returns the grid point a full scan would.  Each
     relay split is bounded by sum_i max_{tau_i} C(min(relay_i, num_i /
@@ -207,15 +207,7 @@ def df_sum_rate_search(
     in simplex order (nu1 varying slowest), then the earliest (tau1, tau2)
     grid point in row-major order.
     """
-    if nu is not None:
-        return df_sum_rate_search_batch(ChannelBatch.of([channel]), grid_points, nu)[0]
-    if grid_points < 2:
-        raise ValueError(f"grid_points must be >= 2, got {grid_points}")
-    taus, k1, k2 = nu_simplex(grid_points)
-    p, a, b, value = _best_grid_point(channel, taus, taus, k1, k2)
-    point = [np.array([taus[k]]) for k in (a, b, k1[p], k2[p])]
-    return _refined(ChannelBatch.of([channel]), point, np.array([value]),
-                    taus[1] - taus[0], axes=range(4))[0]
+    return df_sum_rate_search_batch(ChannelBatch.of([channel]), grid_points, nu)[0]
 
 
 # Grid points of the tau scans evaluated at once: a batch's cells are scanned
@@ -225,19 +217,29 @@ _MAX_SCAN = 8 * 41 * 41
 
 
 def df_sum_rate_search_batch(
-    batch: ChannelBatch, grid_points: int, nu: Tuple[float, float]
+    batch: ChannelBatch, grid_points: int, nu: Optional[Tuple[float, float]] = None
 ) -> List[Tuple[DfParams, RatePair]]:
-    """``df_sum_rate_search`` at the fixed relay split ``nu`` for every cell
-    of ``batch``: one (cells, G, G) scan of the tau grid, in chunks of cells,
-    then the refinement pass over all cells at once, axis by axis.
-    Everything is elementwise in the operand order of one channel, with
-    |h|^2 from the batch (Python floats), so each cell gets what a batch of
-    one gives it.  The maps pass blocks of at most 64 cells."""
+    """``df_sum_rate_search`` for every cell of ``batch``, then one
+    refinement pass over all cells at once, axis by axis.
+
+    At a fixed relay split ``nu`` the tau grids of all cells are scanned as
+    one (cells, G, G) array, in chunks of cells; without one, each cell's
+    splits get the exact pruned scan of ``_best_grid_point``.  Everything is
+    elementwise in the operand order of one channel, with |h|^2 from the
+    batch (Python floats), so each cell gets what a batch of one gives it.
+    The maps pass blocks of at most 64 cells."""
     if grid_points < 2:
         raise ValueError(f"grid_points must be >= 2, got {grid_points}")
+    col = batch.column()
+    if nu is None:
+        taus, k1, k2 = nu_simplex(grid_points)
+        found = [_best_grid_point(batch.cell(k), taus, taus, k1, k2) for k in range(len(batch))]
+        p, a, b, value = map(np.array, zip(*found))
+        point = [taus[a], taus[b], taus[k1[p]], taus[k2[p]]]
+        return _refined(col, point, value, taus[1] - taus[0], axes=range(4))
     taus = np.linspace(0.0, 1.0, grid_points)
     n = float(nu[0]), float(nu[1])
-    col, flat, value = batch.column(), [], []
+    flat, value = [], []
     step = max(1, _MAX_SCAN // grid_points ** 2)
     for s in range(0, len(batch), step):
         part, f = col[s:s + step], None
@@ -253,17 +255,17 @@ def df_sum_rate_search_batch(
         value.append(f[np.arange(len(f)), k])
     a, b = np.divmod(np.concatenate(flat), grid_points)
     point = [taus[a], taus[b], np.full(len(batch), n[0]), np.full(len(batch), n[1])]
-    return _refined(batch, point, np.concatenate(value), taus[1] - taus[0], axes=range(2))
+    return _refined(col, point, np.concatenate(value), taus[1] - taus[0], axes=range(2))
 
 
-def _refined(batch: ChannelBatch, point, value, step, axes) -> List[Tuple[DfParams, RatePair]]:
+def _refined(channel, point, value, step, axes) -> List[Tuple[DfParams, RatePair]]:
     """One coordinate-descent pass from ``point`` (tau1, tau2, nu1, nu2 as
-    arrays over the cells of ``batch``), whose sum rates the scan gave as
-    ``value``: each axis in ``axes`` in turn is scanned at a tenth of
-    ``step`` within one step, for all cells at once, and the best value is
-    carried to the next axis, not recomputed.  Then each cell's parameters
-    and rates."""
-    col, rows = batch.column(), np.arange(len(batch))
+    arrays over the cells of ``channel``, a batch's ``column()``), whose sum
+    rates the scan gave as ``value``: each axis in
+    ``axes`` in turn is scanned at a tenth of ``step`` within one step, for
+    all cells at once, and the best value is carried to the next axis, not
+    recomputed.  Then each cell's parameters and rates."""
+    rows = np.arange(len(value))
     point = list(point)
     for axis in axes:
         vals = np.linspace(np.maximum(0.0, point[axis] - step),
@@ -272,11 +274,12 @@ def _refined(batch: ChannelBatch, point, value, step, axes) -> List[Tuple[DfPara
         trial[axis] = vals
         # Points off the nu simplex are skipped; a cell moves only to a
         # strictly better point, and the first of equal maxima wins.
-        f = np.where(trial[2] + trial[3] > 1.0, -np.inf, _sum_rate_grid(col, *trial))
+        f = np.where(trial[2] + trial[3] > 1.0, -np.inf, _sum_rate_grid(channel, *trial))
         k = f.argmax(axis=1)
         better = f[rows, k] > value
         point[axis] = np.where(better, vals[rows, k], point[axis])
         value = np.where(better, f[rows, k], value)
-    rates = [np.minimum(*map(capacity, _df_sinr_terms(batch, *point, user))) for user in (1, 2)]
+    point = [x[:, None] for x in point]
+    rates = [np.minimum(*map(capacity, _df_sinr_terms(channel, *point, user))) for user in (1, 2)]
     return [(DfParams(tau1=t1, tau2=t2, nu1=n1, nu2=n2), RatePair(r1, r2))
-            for t1, t2, n1, n2, r1, r2 in zip(*(x.tolist() for x in point + rates))]
+            for t1, t2, n1, n2, r1, r2 in zip(*(x[:, 0].tolist() for x in point + rates))]

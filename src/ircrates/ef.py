@@ -185,11 +185,11 @@ def _min_noise(channel, nu1, nu2, interference):
     each destination; +inf for a stream with no relay power."""
     A, _, _, cross_sq = _derived(channel)
     bounds = []
-    for i, nu_i in ((1, nu1), (2, nu2)):
-        denom = channel.g_from_relay(i) * nu_i * channel.Pr
-        num = (_receive_power(channel, i) + interference[i - 1]) * A - cross_sq[i - 1]
-        out = np.full(np.broadcast_shapes(np.shape(num), np.shape(denom)), math.inf)
-        bounds.append(np.divide(num, denom, out=out, where=denom > 0.0))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for i, nu_i in ((1, nu1), (2, nu2)):
+            denom = channel.g_from_relay(i) * nu_i * channel.Pr
+            num = (_receive_power(channel, i) + interference[i - 1]) * A - cross_sq[i - 1]
+            bounds.append(np.where(denom > 0.0, num / denom, math.inf))
     return bounds
 
 

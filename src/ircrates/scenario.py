@@ -297,11 +297,8 @@ def _optimize_af(batch: ChannelBatch, config: ScenarioConfig):
 
 @_per_cell
 def _optimize_df(batch: ChannelBatch, config: ScenarioConfig):
-    if config.pa_policy == "uniform":
-        found = df.df_sum_rate_search_batch(batch, config.df_grid, UNIFORM_NU)
-    else:  # the exact pruned search, one cell at a time
-        found = [df.df_sum_rate_search(batch.cell(k), grid_points=config.df_grid)
-                 for k in range(len(batch))]
+    nu = UNIFORM_NU if config.pa_policy == "uniform" else None
+    found = df.df_sum_rate_search_batch(batch, config.df_grid, nu)
     return [(pair, df_point(params)) for params, pair in found]
 
 
