@@ -261,10 +261,10 @@ def df_sum_rate_search_batch(
 def _refined(channel, point, value, step, axes) -> List[Tuple[DfParams, RatePair]]:
     """One coordinate-descent pass from ``point`` (tau1, tau2, nu1, nu2 as
     arrays over the cells of ``channel``, a batch's ``column()``), whose sum
-    rates the scan gave as ``value``: each axis in
-    ``axes`` in turn is scanned at a tenth of ``step`` within one step, for
-    all cells at once, and the best value is carried to the next axis, not
-    recomputed.  Then each cell's parameters and rates."""
+    rates the scan gave as ``value``: each axis in ``axes`` in turn is
+    scanned at a tenth of ``step`` within one step, for all cells at once,
+    and the best value is carried to the next axis, not recomputed.  Then
+    each cell's parameters and rates."""
     rows = np.arange(len(value))
     point = list(point)
     for axis in axes:
