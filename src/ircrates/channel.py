@@ -117,6 +117,49 @@ class _Links:
         return self._g(("hr1", "hr2")[_idx(i)])
 
 
+# Largest power whose square is a finite float.
+_MAX_POWER = math.sqrt(sys.float_info.max)
+_OVERFLOWS = f"overflows a float in the rate formulas; the limit is {_MAX_POWER:.6g}"
+
+
+def _abs(h):
+    """|h| as Python's abs gives it, also elementwise (unlike ``np.abs``)."""
+    return np.hypot(h.real, h.imag) if isinstance(h, np.ndarray) else abs(h)
+
+
+def _received(noise: str, *links):
+    """Check that a receiver's coherent total of ``links`` ((gain, power)
+    fields), squared, plus its ``noise`` is a finite float."""
+    def test(c, m):
+        amplitude = sum(_abs(getattr(c, h)) * m.sqrt(getattr(c, p)) for h, p in links)
+        return amplitude * amplitude + getattr(c, noise) <= _MAX_POWER
+    return test
+
+
+# The channel checks in order, as (test, message) rows: ``test(channel, m)``
+# holds where the channel passes, computed with ``math`` on one channel's
+# floats or ``np`` elementwise on a batch; a channel fails with its first
+# failed row's message, formatted with its fields.  The rate formulas
+# multiply two powers (DF's sqrt(tau_i P_i nu_i P_r), EF-BL's receive power
+# at D_i times the relay's), so each transmit power, and the coherent total
+# of the links into each receiver (no combination of them delivers more),
+# must square to a finite float.
+_CHECKS = (
+    *((lambda c, m, n=n: m.isfinite(getattr(c, n)) & (getattr(c, n) > 0),
+       f"{n} must be finite and > 0, got {{{n}}}") for n in _POWERS),
+    *((lambda c, m, n=n: m.isfinite(getattr(c, n).real) & m.isfinite(getattr(c, n).imag),
+       f"{n} must be finite, got {{{n}}}") for n in _GAINS),
+    *((lambda c, m, n=n: getattr(c, n) <= _MAX_POWER, f"{n} = {{{n}:g}} {_OVERFLOWS}")
+      for n in ("P1", "P2", "Pr")),
+    (_received("N1", ("h11", "P1"), ("h21", "P2"), ("hr1", "Pr")),
+     "the power received at D1, |h11|^2 P1 + |h21|^2 P2 + |hr1|^2 Pr + N1, " + _OVERFLOWS),
+    (_received("N2", ("h22", "P2"), ("h12", "P1"), ("hr2", "Pr")),
+     "the power received at D2, |h22|^2 P2 + |h12|^2 P1 + |hr2|^2 Pr + N2, " + _OVERFLOWS),
+    (_received("Nr", ("h1r", "P1"), ("h2r", "P2")),
+     "the power received at the relay, |h1r|^2 P1 + |h2r|^2 P2 + Nr, " + _OVERFLOWS),
+)
+
+
 @dataclass(frozen=True)
 class ChannelInstance(_Links):
     """One fixed realization of the Gaussian interference relay channel."""
@@ -137,34 +180,11 @@ class ChannelInstance(_Links):
     Nr: float
 
     def __post_init__(self):
-        for name in ("P1", "P2", "Pr", "N1", "N2", "Nr"):
-            v = getattr(self, name)
-            if not (math.isfinite(v) and v > 0):
-                raise ValueError(f"{name} must be finite and > 0, got {v}")
-        for name in ("h11", "h12", "h21", "h22", "h1r", "h2r", "hr1", "hr2"):
-            v = complex(getattr(self, name))
-            if not (math.isfinite(v.real) and math.isfinite(v.imag)):
-                raise ValueError(f"{name} must be finite, got {v}")
-        # The rate formulas multiply two powers: DF's sqrt(tau_i P_i nu_i P_r),
-        # EF-BL's receive power at D_i times the relay's.  So each transmit
-        # power, and the coherent total of the links into each receiver (no
-        # combination of them delivers more), must square to a finite float.
-        for name, v in (("P1", self.P1), ("P2", self.P2), ("Pr", self.Pr)):
-            if v > _MAX_POWER:
-                raise ValueError(f"{name} = {v:g} overflows a float in the rate "
-                                 f"formulas; the limit is {_MAX_POWER:.6g}")
-        a1, a2, ar = math.sqrt(self.P1), math.sqrt(self.P2), math.sqrt(self.Pr)
-        for receiver, amplitude, noise in (
-            ("D1, |h11|^2 P1 + |h21|^2 P2 + |hr1|^2 Pr + N1,",
-             abs(self.h11) * a1 + abs(self.h21) * a2 + abs(self.hr1) * ar, self.N1),
-            ("D2, |h22|^2 P2 + |h12|^2 P1 + |hr2|^2 Pr + N2,",
-             abs(self.h22) * a2 + abs(self.h12) * a1 + abs(self.hr2) * ar, self.N2),
-            ("the relay, |h1r|^2 P1 + |h2r|^2 P2 + Nr,",
-             abs(self.h1r) * a1 + abs(self.h2r) * a2, self.Nr),
-        ):
-            if not amplitude * amplitude + noise <= _MAX_POWER:
-                raise ValueError(f"the power received at {receiver} overflows a float "
-                                 f"in the rate formulas; the limit is {_MAX_POWER:.6g}")
+        for test, message in _CHECKS:
+            if not test(self, math):
+                raise ValueError(message.format(
+                    **{n: getattr(self, n) for n in _POWERS},
+                    **{n: complex(getattr(self, n)) for n in _GAINS}))
 
     def _h(self, name: str) -> complex:
         return complex(getattr(self, name))
@@ -183,10 +203,6 @@ class ChannelInstance(_Links):
             P1=self.P1 * factor, P2=self.P2 * factor, Pr=self.Pr * factor,
             N1=self.N1 * factor, N2=self.N2 * factor, Nr=self.Nr * factor,
         )
-
-
-# Largest power whose square is a finite float.
-_MAX_POWER = math.sqrt(sys.float_info.max)
 
 
 class ChannelBatch(_Links):
@@ -236,20 +252,15 @@ class ChannelBatch(_Links):
         return ChannelInstance(**{n: getattr(self, n)[k].item() for n in _GAINS + _POWERS})
 
     def validate(self) -> None:
-        """Refuse the batch as ``ChannelInstance`` refuses its first bad cell."""
+        """Refuse the batch as ``ChannelInstance`` refuses its first bad cell:
+        with the message of that cell's first failed check."""
         with np.errstate(all="ignore"):
-            ok = np.all([np.isfinite(getattr(self, n)) for n in _GAINS + _POWERS], axis=0)
-            ok &= np.all([getattr(self, n) > 0 for n in _POWERS], axis=0)
-            ok &= np.all([v <= _MAX_POWER for v in (self.P1, self.P2, self.Pr)], axis=0)
-            a = {1: np.sqrt(self.P1), 2: np.sqrt(self.P2)}
-            for i in (1, 2):  # the coherent total at D_i, then at the relay
-                amp = (_abs(self.h_direct(i)) * a[i] + _abs(self.h_cross(i)) * a[other(i)]
-                       + _abs(self.h_from_relay(i)) * np.sqrt(self.Pr))
-                ok &= amp * amp + self.N(i) <= _MAX_POWER
-            amp = _abs(self.h1r) * a[1] + _abs(self.h2r) * a[2]
-            ok &= amp * amp + self.Nr <= _MAX_POWER
-        for k in np.flatnonzero(~ok):
-            self.cell(int(k))  # raises its message
+            ok = np.array([test(self, np) for test, _ in _CHECKS])
+        if not ok.all():
+            k = np.argmin(ok.all(axis=0))  # the first bad cell
+            message = _CHECKS[np.argmin(ok[:, k])][1]  # its first failed row
+            raise ValueError(message.format(**{n: getattr(self, n)[k].item()
+                                               for n in _GAINS + _POWERS}))
 
 
 def _square(x: float) -> float:
@@ -257,11 +268,6 @@ def _square(x: float) -> float:
         return x ** 2
     except OverflowError:  # a gain that ``validate`` refuses
         return math.inf
-
-
-def _abs(h):
-    """|h|, equal to Python's abs of each complex."""
-    return np.hypot(h.real, h.imag)
 
 
 def _conj_product(a, b):

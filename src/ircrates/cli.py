@@ -22,7 +22,7 @@ import sys
 from dataclasses import replace
 
 from . import af, df, ef
-from .channel import ChannelInstance, RatePair, layout_to_channel
+from .channel import ChannelBatch, ChannelInstance, RatePair, layout_to_channel
 from .discrete import (
     BiLevelFactorization,
     bi_level_bounds,
@@ -170,7 +170,7 @@ def _cmd_rate(args) -> str:
 
 def _cmd_optimize(args) -> str:
     config = _get_config(args)
-    pair, point = OPTIMIZERS[args.protocol](_channel_from(config), config)
+    [(pair, point)] = OPTIMIZERS[args.protocol](ChannelBatch.of([_channel_from(config)]), config)
     return _report(args.protocol, pair, point, with_sum=True)
 
 

@@ -30,7 +30,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -49,12 +49,12 @@ __all__ = [
     "ef_bi_min_noise",
     "ef_bi_rate",
     "ef_bi_eval",
-    "ef_bi_eval_batch",
     "ef_sl_bottleneck",
     "ef_sl_min_noise",
     "ef_sl_rate",
     "ef_sl_batch",
     "ef_bi_sum_rate_search",
+    "ef_bi_sum_rate_search_batch",
 ]
 
 # Relative slack for compression-noise feasibility checks, so that bounds
@@ -103,9 +103,8 @@ def _receive_power(channel, i: int):
 def _pow(f, x):
     """``f`` of each element of ``x`` in Python floats: the libm pow that a
     single channel's formulas use, which numpy's ``**`` does not reproduce."""
-    if np.ndim(x) == 0:
-        return f(float(x))
-    return np.array([f(v) for v in np.asarray(x).tolist()])
+    x = np.asarray(x)
+    return np.array([f(v) for v in x.ravel().tolist()]).reshape(x.shape)
 
 
 def _derived(channel):
@@ -170,14 +169,11 @@ def ef_bi_scenario(channel: ChannelInstance, nu1: float, nu2: float) -> BiScenar
     return BiScenario.D1_BETTER if d1 else BiScenario.D2_BETTER if d2 else BiScenario.NEITHER
 
 
-def _relay_interference(channel, nu1, nu2, cancelled, i: int):
-    """Uncancelled relay codeword power seen at D_i, 0 where ``cancelled``."""
-    return np.where(cancelled, 0.0, channel.g_from_relay(i) * (nu2 if i == 1 else nu1) * channel.Pr)
-
-
-def _interference(channel, nu1, nu2, scenario: BiScenario):
-    return [_relay_interference(channel, nu1, nu2, scenario is BiScenario.D1_BETTER, 1),
-            _relay_interference(channel, nu1, nu2, scenario is BiScenario.D2_BETTER, 2)]
+def _interference(channel, nu1, nu2, d1, d2):
+    """Uncancelled relay codeword power seen at D1 and at D2: 0 at D_i where
+    ``d_i`` holds, i.e. where D_i decodes and cancels the other's codeword."""
+    return [np.where(d1, 0.0, channel.g_from_relay(1) * nu2 * channel.Pr),
+            np.where(d2, 0.0, channel.g_from_relay(2) * nu1 * channel.Pr)]
 
 
 def _min_noise(channel, nu1, nu2, interference):
@@ -201,7 +197,8 @@ def ef_bi_min_noise(
     A stream with zero relay power (|h_ri|^2 nu_i P_r = 0) gets the bound
     +inf: only infinite noise, which drops that relay branch, is admissible.
     """
-    b1, b2 = _min_noise(channel, nu1, nu2, _interference(channel, nu1, nu2, scenario))
+    cancels = (scenario is BiScenario.D1_BETTER, scenario is BiScenario.D2_BETTER)
+    b1, b2 = _min_noise(channel, nu1, nu2, _interference(channel, nu1, nu2, *cancels))
     return float(b1), float(b2)
 
 
@@ -233,7 +230,8 @@ def ef_bi_rate(
     (+inf for a zero-power stream); a violation raises
     ConstraintViolationError naming the bound.
     """
-    interference = _interference(channel, params.nu1, params.nu2, scenario)
+    cancels = (scenario is BiScenario.D1_BETTER, scenario is BiScenario.D2_BETTER)
+    interference = _interference(channel, params.nu1, params.nu2, *cancels)
     bounds = _min_noise(channel, params.nu1, params.nu2, interference)
     noises = (params.nwz1, params.nwz2)
     for i, (nwz, bound) in enumerate(zip(noises, map(float, bounds)), start=1):
@@ -247,8 +245,7 @@ def _bi_eval(channel, nu1, nu2):
     """``ef_bi_eval`` elementwise, over the cells of a batch or over arrays
     of relay splits: (scenario index into ``BiScenario``, nwz1, nwz2, R1, R2)."""
     d1, d2 = _scenario_flags(channel, nu1, nu2)
-    interference = [_relay_interference(channel, nu1, nu2, d1, 1),
-                    _relay_interference(channel, nu1, nu2, d2, 2)]
+    interference = _interference(channel, nu1, nu2, d1, d2)
     nwz = _min_noise(channel, nu1, nu2, interference)
     r1, r2 = (capacity(_two_branch_sinr(channel, i, interference[i - 1], nwz[i - 1]))
               for i in (1, 2))
@@ -262,22 +259,10 @@ def ef_bi_eval(
 
     A zero-power compression stream gets infinite noise, so only its own
     relay branch contributes nothing.  The noises are the bounds themselves,
-    so the rates skip ``ef_bi_rate``'s check.  This is ``ef_bi_eval_batch``
-    on a batch of one.
+    so the rates skip ``ef_bi_rate``'s check.  This is
+    ``ef_bi_sum_rate_search_batch`` at ``nu`` on a batch of one.
     """
-    return ef_bi_eval_batch(ChannelBatch.of([channel]), nu1, nu2)[0]
-
-
-def ef_bi_eval_batch(
-    batch: ChannelBatch, nu1: float, nu2: float
-) -> List[Tuple[EfBiParams, BiScenario, RatePair]]:
-    """``ef_bi_eval`` at one split for every cell of ``batch``, elementwise;
-    squares are formed in Python floats, as for one channel.  The maps pass
-    blocks of at most 64 cells."""
-    scenario, nwz1, nwz2, r1, r2 = _bi_eval(batch, nu1, nu2)
-    tags = list(BiScenario)
-    return [(EfBiParams(nu1=nu1, nu2=nu2, nwz1=n1, nwz2=n2), tags[k], RatePair(a, b))
-            for k, n1, n2, a, b in zip(*(x.tolist() for x in (scenario, nwz1, nwz2, r1, r2)))]
+    return ef_bi_sum_rate_search_batch(ChannelBatch.of([channel]), nu=(nu1, nu2))[0]
 
 
 def _sl_min_noise(channel, r0_exponent: int):
@@ -342,17 +327,34 @@ def ef_bi_sum_rate_search(
     ``ef_bi_eval``, and none is pruned, so the result is that of evaluating
     the points one by one.  Deterministic: ties keep the smallest simplex
     index, i.e. the earliest grid cell in row-major order (nu1 varying
-    slowest).
+    slowest).  This is ``ef_bi_sum_rate_search_batch`` on a batch of one.
     """
-    if grid_points < 2:
-        raise ValueError(f"grid_points must be >= 2, got {grid_points}")
-    grid, i1, i2 = nu_simplex(grid_points)
-    nu1, nu2 = grid[i1], grid[i2]
-    scenario, nwz1, nwz2, r1, r2 = _bi_eval(channel, nu1, nu2)
-    # EfBiParams refuses a non-positive noise: the first such split raises,
-    # as in a loop over the splits.
-    bad = np.flatnonzero(~((nwz1 > 0) & (nwz2 > 0)))
-    k = bad[0] if len(bad) else int(np.argmax(r1 + r2))
-    params = EfBiParams(nu1=float(nu1[k]), nu2=float(nu2[k]),
-                        nwz1=float(nwz1[k]), nwz2=float(nwz2[k]))
-    return params, list(BiScenario)[scenario[k]], RatePair(float(r1[k]), float(r2[k]))
+    return ef_bi_sum_rate_search_batch(ChannelBatch.of([channel]), grid_points)[0]
+
+
+def ef_bi_sum_rate_search_batch(
+    batch: ChannelBatch, grid_points: int = 41, nu: Optional[Tuple[float, float]] = None
+) -> List[Tuple[EfBiParams, BiScenario, RatePair]]:
+    """``ef_bi_sum_rate_search`` for every cell of ``batch``, as one (cells,
+    splits) array, each cell keeping its first argmax; given ``nu``,
+    ``ef_bi_eval`` at that one split.  EfBiParams refuses a non-positive
+    noise: the first such split, in cell-then-split order, raises, as in a
+    loop.  Squares are formed in Python floats and all else elementwise, so
+    each cell gets what a batch of one gives it.  The maps pass blocks of
+    at most 64 cells."""
+    if nu is None:
+        if grid_points < 2:
+            raise ValueError(f"grid_points must be >= 2, got {grid_points}")
+        grid, i1, i2 = nu_simplex(grid_points)
+        found = _bi_eval(batch.column(), grid[i1], grid[i2])
+        _, nwz1, nwz2, r1, r2 = found
+        # A cell with a bad split takes its first one, which EfBiParams refuses.
+        bad = ~((nwz1 > 0) & (nwz2 > 0))
+        k = np.where(bad.any(axis=1), bad.argmax(axis=1), (r1 + r2).argmax(axis=1))
+        cells = np.arange(len(batch))
+        found = [grid[i1[k]], grid[i2[k]], *(v[cells, k] for v in found)]
+    else:
+        found = [np.full(len(batch), nu[0]), np.full(len(batch), nu[1]), *_bi_eval(batch, *nu)]
+    tags = list(BiScenario)
+    return [(EfBiParams(nu1=a, nu2=b, nwz1=n1, nwz2=n2), tags[t], RatePair(x, y))
+            for a, b, t, n1, n2, x, y in zip(*(v.tolist() for v in found))]

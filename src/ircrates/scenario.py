@@ -14,6 +14,7 @@ import io
 import json
 import math
 import numbers
+import sys
 from dataclasses import dataclass, replace
 from typing import Dict, List, Sequence, Tuple
 
@@ -59,14 +60,19 @@ class ConfigError(ValueError):
 
 
 _MAX_AXIS_POINTS = 10**6
+# The largest optimizer grid G: DF's per-cell table of split bounds has
+# G * G(G+1)/2 entries, and 125 keeps it within 10**6.
+_MAX_GRID = 125
 
 _REAL_FIELDS = ("P1", "P2", "Pr", "N1", "N2", "Nr",
                 "x_min", "x_max", "y_min", "y_max", "resolution")
 
 
 def _check_real(name: str, v) -> None:
-    """Config values must be finite real numbers; a bool is not one."""
-    if isinstance(v, bool) or not isinstance(v, numbers.Real) or not math.isfinite(v):
+    """Config values must be finite real numbers; a bool is not one, nor is
+    an integer beyond float range."""
+    real = isinstance(v, numbers.Real) and not isinstance(v, bool)
+    if not (real and abs(v) <= sys.float_info.max):  # False for NaN
         raise ConfigError(f"{name} must be a finite number, got {v!r}")
 
 
@@ -107,8 +113,9 @@ class ScenarioConfig:
                 raise ConfigError(f"{name} must be > 0, got {getattr(self, name)!r}")
         for name in ("df_grid", "ef_grid"):
             v = getattr(self, name)
-            if isinstance(v, bool) or not isinstance(v, numbers.Integral) or v < 2:
-                raise ConfigError(f"{name} must be an integer >= 2, got {v!r}")
+            integral = isinstance(v, numbers.Integral) and not isinstance(v, bool)
+            if not (integral and 2 <= v <= _MAX_GRID):
+                raise ConfigError(f"{name} must be an integer from 2 to {_MAX_GRID}, got {v!r}")
         if self.pa_policy not in ("uniform", "optimal"):
             raise ConfigError(f"pa_policy must be 'uniform' or 'optimal', got {self.pa_policy!r}")
         if isinstance(self.r0_exponent, bool) or self.r0_exponent not in (1, 2):
@@ -185,6 +192,8 @@ class ScenarioConfig:
         try:
             for name in ("d0", "gamma", "epsilon"):  # compared by NodeLayout
                 _check_real(f"layout.{name}", lay[name])
+            for v in lay["relay"]:  # its z is compared with epsilon
+                _check_real("layout.relay", v)
             layout = NodeLayout(
                 s1=tuple(lay["s1"]), s2=tuple(lay["s2"]),
                 d1=tuple(lay["d1"]), d2=tuple(lay["d2"]),
@@ -275,44 +284,28 @@ def ef_bl_point(params: ef.EfBiParams, scenario: ef.BiScenario) -> dict:
 
 # Per-protocol optimisers.  An entry takes a ChannelBatch (a block of at most
 # _MAX_CELLS positions) and returns one (RatePair, point) per cell, the point
-# being the chosen operating point in display order; given a ChannelInstance
-# it evaluates a batch of one and returns that one result.  The kernels form
+# being the chosen operating point in display order.  The kernels form
 # squares and powers in Python floats, as for one channel, and all else
 # elementwise, so a cell's result does not depend on its block.  Kernels are
 # looked up on their modules at call time, so a swapped-in kernel takes effect.
 
 
-def _per_cell(optimize):
-    def entry(channels, config: "ScenarioConfig"):
-        if isinstance(channels, ChannelInstance):
-            return optimize(ChannelBatch.of([channels]), config)[0]
-        return optimize(channels, config)
-    return entry
-
-
-@_per_cell
 def _optimize_af(batch: ChannelBatch, config: ScenarioConfig):
     return [(pair, {"gain": gain}) for gain, pair in af.af_sum_rate_gain_batch(batch)]
 
 
-@_per_cell
 def _optimize_df(batch: ChannelBatch, config: ScenarioConfig):
     nu = UNIFORM_NU if config.pa_policy == "uniform" else None
     found = df.df_sum_rate_search_batch(batch, config.df_grid, nu)
     return [(pair, df_point(params)) for params, pair in found]
 
 
-@_per_cell
 def _optimize_ef_bl(batch: ChannelBatch, config: ScenarioConfig):
-    if config.pa_policy == "uniform":
-        found = ef.ef_bi_eval_batch(batch, *UNIFORM_NU)
-    else:
-        found = [ef.ef_bi_sum_rate_search(batch.cell(k), grid_points=config.ef_grid)
-                 for k in range(len(batch))]
+    nu = UNIFORM_NU if config.pa_policy == "uniform" else None
+    found = ef.ef_bi_sum_rate_search_batch(batch, config.ef_grid, nu)
     return [(pair, ef_bl_point(params, scenario)) for params, scenario, pair in found]
 
 
-@_per_cell
 def _optimize_ef_sl(batch: ChannelBatch, config: ScenarioConfig):
     return [(pair, {"nwz": nwz}) for nwz, pair in ef.ef_sl_batch(batch, config.r0_exponent)]
 
@@ -326,26 +319,22 @@ OPTIMIZERS = {"af": _optimize_af, "df": _optimize_df,
 _MAX_CELLS = 64
 
 
-def _or_infeasible(protocol: str, channel: ChannelInstance, config: ScenarioConfig):
+def _run(protocol: str, batch: ChannelBatch, config: ScenarioConfig) -> list:
+    """The entry's result for each cell of ``batch``, None where it is
+    infeasible: a block that raises InfeasibleError runs again cell by cell."""
     try:
-        return OPTIMIZERS[protocol](channel, config)
+        return OPTIMIZERS[protocol](batch, config)
     except InfeasibleError:
-        return None
+        if len(batch) == 1:
+            return [None]
+        return [_run(protocol, batch[k:k + 1], config)[0] for k in range(len(batch))]
 
 
 def _block_cells(config: ScenarioConfig, positions, batch: ChannelBatch) -> List[MapCell]:
     """The cell of each (xr, yr) of ``positions``, whose channels ``batch``
-    holds: each enabled protocol's entry runs once on the whole batch.  An
-    entry that raises InfeasibleError runs again cell by cell, so only the
-    infeasible cells score 0.0; a result that is not a list applies to every
-    cell."""
-    results = {}
-    for p in [p for p in PROTOCOL_ORDER if p in config.protocols]:
-        try:
-            out = OPTIMIZERS[p](batch, config)
-        except InfeasibleError:
-            out = [_or_infeasible(p, batch.cell(k), config) for k in range(len(batch))]
-        results[p] = out if isinstance(out, list) else [out] * len(batch)
+    holds: each enabled protocol's entry runs once on the whole batch, and
+    only the cells where it is infeasible score 0.0."""
+    results = {p: _run(p, batch, config) for p in PROTOCOL_ORDER if p in config.protocols}
     cells = []
     for k, (xr, yr) in enumerate(positions):
         found = {p: out[k] for p, out in results.items()}

@@ -39,7 +39,7 @@ def batched(batch: ChannelBatch) -> dict:
     """Each uniform-policy kernel's operating points and rates, per cell."""
     return {"af": af.af_sum_rate_gain_batch(batch),
             "df": df.df_sum_rate_search_batch(batch, 41, UNIFORM_NU),
-            "ef_bl": ef.ef_bi_eval_batch(batch, *UNIFORM_NU),
+            "ef_bl": ef.ef_bi_sum_rate_search_batch(batch, nu=UNIFORM_NU),
             "ef_sl": ef.ef_sl_batch(batch)}
 
 
@@ -82,15 +82,18 @@ def test_random_channels_in_one_batch():
 
 
 def test_batch_composition_does_not_matter():
+    def kernels(batch):  # the uniform kernels and the optimal EF-BL search
+        return {**batched(batch), "ef_bl_optimal": ef.ef_bi_sum_rate_search_batch(batch, 11)}
+
     rng = np.random.default_rng(11)
     channels = [random_channel(rng, real_gains=k % 2 == 1) for k in range(20)]
     channels += [DEFAULT.channel_at(x, y) for x, y in positions(DEFAULT)[::50]]
-    whole = batched(ChannelBatch.of(channels))
-    ones = [batched(ChannelBatch.of([ch])) for ch in channels]
+    whole = kernels(ChannelBatch.of(channels))
+    ones = [kernels(ChannelBatch.of([ch])) for ch in channels]
     assert_cells_match(whole, {p: [one[p][0] for one in ones] for p in whole})
     order = list(range(len(channels)))
     random.Random(12).shuffle(order)
-    shuffled = batched(ChannelBatch.of([channels[k] for k in order]))
+    shuffled = kernels(ChannelBatch.of([channels[k] for k in order]))
     assert_cells_match({p: [shuffled[p][order.index(k)] for k in range(len(order))]
                         for p in shuffled}, whole)
 

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from ircrates.channel import (
+    ChannelBatch,
     ChannelInstance,
     NodeLayout,
     RatePair,
@@ -90,12 +91,27 @@ class TestPathLoss:
             assert g ** (-2.0 / gamma) * d0 == pytest.approx(d, rel=1e-12)
 
 
+def assert_batch_refuses_alike(good: dict, bad: dict):
+    """A 3-cell ChannelBatch whose last cell is ``bad`` fails ``validate``
+    with the message of ``ChannelInstance(**bad)``."""
+    with pytest.raises(ValueError) as one:
+        ChannelInstance(**bad)
+    batch = ChannelBatch(**{name: [good[name], good[name], bad[name]] for name in good})
+    with pytest.raises(ValueError) as block:
+        batch.validate()
+    assert str(block.value) == str(one.value)
+
+
 class TestChannelInstance:
     def test_requires_positive_powers(self):
         with pytest.raises(ValueError):
             ChannelInstance(1, 0, 0, 1, 1, 1, 1, 1, P1=0.0, P2=1, Pr=1, N1=1, N2=1, Nr=1)
         with pytest.raises(ValueError):
             ChannelInstance(1, 0, 0, 1, 1, 1, 1, 1, P1=1, P2=1, Pr=1, N1=-1, N2=1, Nr=1)
+        good = dict(h11=1, h12=0, h21=0, h22=1, h1r=1, h2r=1, hr1=1, hr2=1,
+                    P1=1.0, P2=1.0, Pr=1.0, N1=1.0, N2=1.0, Nr=1.0)
+        for bad in (dict(P1=0.0), dict(N1=-1.0)):
+            assert_batch_refuses_alike(good, {**good, **bad})
 
     def test_rho_accessor(self):
         ch = ChannelInstance(1, 0, 0, 1, 1, 1, 1, 1,
@@ -120,6 +136,7 @@ class TestChannelInstance:
         with pytest.raises(ValueError, match="overflows a float") as exc:
             ChannelInstance(**{**fields, field: value})
         assert named in str(exc.value)
+        assert_batch_refuses_alike(fields, {**fields, field: value})
 
     def test_index_accessors(self):
         ch = ChannelInstance(h11=1, h12=2, h21=3, h22=4, h1r=5, h2r=6, hr1=7, hr2=8,

@@ -208,7 +208,7 @@ class TestOptimize:
 
     def test_optimize_is_a_table_lookup(self, capsys, fast_config, monkeypatch):
         stub = (RatePair(1.0, 2.0), {"tau": (0.25, 0.75)})
-        monkeypatch.setitem(OPTIMIZERS, "df", lambda channel, config: stub)
+        monkeypatch.setitem(OPTIMIZERS, "df", lambda batch, config: [stub])
         code, out, _ = run(capsys, "optimize", "--config", fast_config, "--protocol", "df")
         assert code == 0
         assert out == "protocol: df\ntau: (0.25, 0.75)\nR1: 1\nR2: 2\nsum: 3\n"
@@ -222,7 +222,8 @@ class TestOptimize:
         path.write_text(json.dumps(config.to_dict()))
         seen = []
         stub = (RatePair(1.0, 2.0), {})
-        monkeypatch.setitem(OPTIMIZERS, "af", lambda channel, config: seen.append(channel) or stub)
+        monkeypatch.setitem(OPTIMIZERS, "af",
+                            lambda batch, config: seen.append(batch.cell(0)) or [stub])
         assert run(capsys, "optimize", "--config", str(path), "--protocol", "af")[0] == 0
         assert seen == [layout_to_channel(config.layout, config.P1, config.P2, config.Pr,
                                           config.N1, config.N2, config.Nr)]
@@ -299,6 +300,23 @@ class TestMaps:
         code, out, err = run(capsys, "map", *argv)
         assert code == 2 and out == "" and "Traceback" not in err
         assert "cap is 1000000" in err
+
+
+    @pytest.mark.parametrize("field", ["df_grid", "ef_grid"])
+    def test_oversized_optimizer_grid_exits_2(self, capsys, tmp_path, monkeypatch, field):
+        data = default_config().to_dict()
+        data["pa_policy"] = "optimal"
+        data["optimizer"][field] = 10**6
+        path = tmp_path / "grid.json"
+        path.write_text(json.dumps(data))
+
+        def no_linspace(*args, **kwargs):
+            raise AssertionError("a grid was allocated")
+
+        monkeypatch.setattr(np, "linspace", no_linspace)
+        code, out, err = run(capsys, "map", "--config", str(path))
+        assert code == 2 and out == "" and "Traceback" not in err
+        assert f"{field} must be an integer from 2 to 125" in err
 
 
 class TestDiscrete:

@@ -13,7 +13,7 @@ import pytest
 
 from ircrates import df, ef
 from ircrates.df import _sum_rate_grid
-from ircrates.channel import ChannelInstance, nu_simplex
+from ircrates.channel import ChannelBatch, ChannelInstance, nu_simplex
 from ircrates.scenario import default_config
 
 from conftest import random_channel, symmetric_channel
@@ -86,6 +86,11 @@ def test_zero_noise_bound_raises_like_the_loop():
             search(ch, 11)
         errors.append(str(exc.value))
     assert errors[0] == errors[1]
+    # In a block, the good cell before it does not hide the error.
+    good = default_config().channel_at(0.5, 0.5)
+    with pytest.raises(ValueError, match="nwz1 must be positive") as exc:
+        ef.ef_bi_sum_rate_search_batch(ChannelBatch.of([good, ch]), 11)
+    assert str(exc.value) == errors[0]
 
 
 def test_eval_equals_broadcast_at_every_split(rng):

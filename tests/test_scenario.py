@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from ircrates.channel import RatePair, capacity
+from ircrates.channel import ChannelBatch, RatePair, capacity
 from ircrates.errors import InfeasibleError
 from ircrates.scenario import (
     DEFAULT_NODES,
@@ -92,6 +92,8 @@ class TestConfig:
     @pytest.mark.parametrize("field, value", [
         ("P1", "ten"), ("Nr", None), ("x_min", [1.0]), ("resolution", True),
         ("y_max", float("nan")), ("Pr", float("inf")),
+        pytest.param("P1", 10**400, id="P1-10**400"),
+        pytest.param("resolution", 10**400, id="resolution-10**400"),
     ])
     def test_rejects_non_numbers(self, field, value):
         with pytest.raises(ConfigError, match=field):
@@ -99,7 +101,9 @@ class TestConfig:
 
     def test_rejects_bad_layout_values(self):
         data = small_config().to_dict()
-        for key, value in (("d0", "five"), ("gamma", None), ("epsilon", float("nan"))):
+        for key, value in (("d0", "five"), ("gamma", None), ("epsilon", float("nan")),
+                           ("d0", 10**400), ("relay", [0.0, 0.0, 10**400]),
+                           ("relay", [10**400, 0.0, 0.1]), ("s2", [0.0, 10**400])):
             bad = json.loads(json.dumps(data))
             bad["layout"][key] = value
             with pytest.raises(ConfigError, match=f"layout.{key}"):
@@ -113,10 +117,17 @@ class TestConfig:
             ScenarioConfig.from_dict(bad)
 
     @pytest.mark.parametrize("field", ["df_grid", "ef_grid"])
-    @pytest.mark.parametrize("value", [1, 0, 2.5, True, "41"])
+    @pytest.mark.parametrize("value", [1, 0, 2.5, True, "41", 126, 10**6])
     def test_rejects_bad_optimizer_grids(self, field, value):
         with pytest.raises(ConfigError, match=field):
             small_config(**{field: value})
+
+    @pytest.mark.parametrize("field", ["df_grid", "ef_grid"])
+    def test_largest_optimizer_grid_accepted(self, field):
+        # DF's per-cell split-bound table has G * G(G+1)/2 entries: 984,375
+        # at G = 125, the largest grid within 10**6.
+        for value in (41, 101, 125):
+            assert getattr(small_config(**{field: value}), field) == value
 
     def test_rejects_malformed_sections(self):
         data = small_config().to_dict()
@@ -244,7 +255,7 @@ class TestOptimizerTable:
     def test_evaluate_cell_is_the_table(self, protocol, policy):
         cfg = small_config(pa_policy=policy, df_grid=11, ef_grid=11)
         cell = evaluate_cell(cfg, 0.5, 0.75)
-        pair, point = OPTIMIZERS[protocol](cfg.channel_at(0.5, 0.75), cfg)
+        [(pair, point)] = OPTIMIZERS[protocol](ChannelBatch.of([cfg.channel_at(0.5, 0.75)]), cfg)
         assert cell.rates[protocol] == pair.sum
         if protocol == "af":
             assert cell.af_gain == point["gain"]
@@ -253,9 +264,9 @@ class TestOptimizerTable:
 
     def test_uniform_policy_fixes_nu(self):
         cfg = small_config()
-        channel = cfg.channel_at(0.5, 0.75)
+        batch = ChannelBatch.of([cfg.channel_at(0.5, 0.75)])
         for protocol in ("df", "ef_bl"):
-            assert OPTIMIZERS[protocol](channel, cfg)[1]["nu"] == (0.5, 0.5)
+            assert OPTIMIZERS[protocol](batch, cfg)[0][1]["nu"] == (0.5, 0.5)
 
     @pytest.mark.parametrize("policy", ["uniform", "optimal"])
     def test_slmap_is_the_ef_dominance_map(self, policy):
@@ -271,7 +282,8 @@ class TestOptimizerTable:
         # own per-protocol dispatch would not see the stubs.
         for k, protocol in enumerate(PROTOCOL_ORDER):
             result = (RatePair(k + 1.0, 0.0), {"gain": 0.25, "scenario": f"tag{k}"})
-            monkeypatch.setitem(OPTIMIZERS, protocol, lambda ch, cfg, r=result: r)
+            monkeypatch.setitem(OPTIMIZERS, protocol,
+                                lambda batch, cfg, r=result: [r] * len(batch))
         cfg = small_config()
         cell = evaluate_cell(cfg, 0.0, 0.5)
         assert cell.rates == {"af": 1.0, "df": 2.0, "ef_bl": 3.0, "ef_sl": 4.0}
@@ -280,7 +292,7 @@ class TestOptimizerTable:
         assert (sl.bl_sum, sl.sl_sum, sl.bl_scenario, sl.winner) == (3.0, 4.0, "tag2", "sl")
 
     def test_infeasible_protocol_scores_zero(self, monkeypatch):
-        def infeasible(channel, config):
+        def infeasible(batch, config):
             raise InfeasibleError("no rate")
 
         monkeypatch.setitem(OPTIMIZERS, "ef_bl", infeasible)
