@@ -108,8 +108,12 @@ def conditional_mutual_information(
             raise ValueError(f"variable groups overlap: {sorted(overlap)}")
 
     sub = pmf.marginal(a + b + c)
-    p_abc = sub.table
-    ax_a, ax_b = sub.axes(a), sub.axes(b)
+    return _cmi(sub.table, sub.axes(a), sub.axes(b))
+
+
+def _cmi(p_abc: np.ndarray, ax_a: Tuple[int, ...], ax_b: Tuple[int, ...]) -> float:
+    """I(A; B | C) in bits of the pmf ``p_abc``, whose axes ``ax_a`` are A,
+    ``ax_b`` are B and the others C."""
     p_ac = p_abc.sum(axis=ax_b, keepdims=True)
     p_bc = p_abc.sum(axis=ax_a, keepdims=True)
     p_c = p_ac.sum(axis=ax_a, keepdims=True)
@@ -138,8 +142,8 @@ def _check_conditional(name: str, table: np.ndarray, cond_rank: int):
 
 # Each mode's factors in file order, as (field, outputs, conditions).  A
 # factor's table has its conditioning axes first, then its output axes.  The
-# loader accepts exactly these factors, each is checked as a pmf of its
-# outputs given its conditions, and ``joint`` multiplies them.
+# loader accepts exactly these, each is checked as a pmf of its outputs given
+# its conditions, ``joint`` multiplies them and the bounds contract them.
 _BI_LEVEL_FACTORS = (
     ("p_x1", ("x1",), ()),
     ("p_x2", ("x2",), ()),
@@ -183,6 +187,25 @@ class _Factorization:
         )
         return JointPmf(names, table)
 
+    def _marginal(self, keep: Tuple[str, ...]) -> np.ndarray:
+        """p(keep), axes in ``keep`` order, by summing each other variable out
+        of the factors that mention it (variable elimination), never the joint."""
+        factors = [(conds + outs, getattr(self, field)) for field, outs, conds in self.FACTORS]
+        sizes = {v: n for axes, table in factors for v, n in zip(axes, table.shape)}
+        _check_table_size(math.prod(sizes.values()))
+        ids = {v: i for i, v in enumerate(sizes)}
+
+        def contract(terms, out):  # no optimize=: planning costs more than these sums
+            args = [x for axes, table in terms for x in (table, [ids[v] for v in axes])]
+            return np.einsum(*args, [ids[v] for v in out])
+
+        for var in (v for v in sizes if v not in keep):
+            hit = [f for f in factors if var in f[0]]
+            factors = [f for f in factors if var not in f[0]]
+            out = tuple(dict.fromkeys(v for axes, _ in hit for v in axes if v != var))
+            factors.append((out, contract(hit, out)))
+        return contract(factors, keep)
+
 
 def _factorization(name: str, factors, doc: str) -> type:
     """A frozen dataclass with one array field per row of ``factors``."""
@@ -205,44 +228,32 @@ SingleLevelFactorization = _factorization(
 )
 
 
-def bi_level_bounds(
-    fact: BiLevelFactorization,
-) -> Tuple[float, float, bool]:
+def _user_terms(fact: _Factorization, x: str, c: str, y: str, yh: str):
+    """One user's rate cap I(x; y, yh | c), description rate I(yr; yh | c, y)
+    and decoded rate I(c; y), all read from the marginal p(x, c, y, yr, yh)."""
+    p = fact._marginal((x, c, y, "yr", yh))
+    p_cy = p.sum(axis=0)  # c, y, yr, yh
+    return (_cmi(p.sum(axis=3), (0,), (2, 3)), _cmi(p_cy, (2,), (3,)),
+            _cmi(p_cy.sum(axis=(2, 3)), (0,), (1,)))
+
+
+def bi_level_bounds(fact: BiLevelFactorization) -> Tuple[float, float, bool]:
     """Per-user rate caps and feasibility of the bi-level compression scheme.
 
     Returns (R1_cap, R2_cap, feasible) where feasibility requires each
     destination's compression-description rate not to exceed what it can
     decode from the relay's superposition layer.
     """
-    pmf = fact.joint()
-    r1 = conditional_mutual_information(pmf, ("x1",), ("y1", "yh1"), ("u1",))
-    r2 = conditional_mutual_information(pmf, ("x2",), ("y2", "yh2"), ("u2",))
-    feasible = (
-        conditional_mutual_information(pmf, ("yr",), ("yh1",), ("u1", "y1"))
-        <= conditional_mutual_information(pmf, ("u1",), ("y1",)) + _SUM_TOL
-    ) and (
-        conditional_mutual_information(pmf, ("yr",), ("yh2",), ("u2", "y2"))
-        <= conditional_mutual_information(pmf, ("u2",), ("y2",)) + _SUM_TOL
-    )
-    return r1, r2, feasible
+    r1, description1, decoded1 = _user_terms(fact, "x1", "u1", "y1", "yh1")
+    r2, description2, decoded2 = _user_terms(fact, "x2", "u2", "y2", "yh2")
+    return r1, r2, description1 <= decoded1 + _SUM_TOL and description2 <= decoded2 + _SUM_TOL
 
 
-def single_level_bounds(
-    fact: SingleLevelFactorization,
-) -> Tuple[float, float, bool]:
+def single_level_bounds(fact: SingleLevelFactorization) -> Tuple[float, float, bool]:
     """Per-user rate caps and feasibility of the single-level compression scheme."""
-    pmf = fact.joint()
-    r1 = conditional_mutual_information(pmf, ("x1",), ("y1", "yh"), ("xr",))
-    r2 = conditional_mutual_information(pmf, ("x2",), ("y2", "yh"), ("xr",))
-    lhs = max(
-        conditional_mutual_information(pmf, ("yr",), ("yh",), ("xr", "y1")),
-        conditional_mutual_information(pmf, ("yr",), ("yh",), ("xr", "y2")),
-    )
-    rhs = min(
-        conditional_mutual_information(pmf, ("xr",), ("y1",)),
-        conditional_mutual_information(pmf, ("xr",), ("y2",)),
-    )
-    return r1, r2, lhs <= rhs + _SUM_TOL
+    r1, description1, decoded1 = _user_terms(fact, "x1", "xr", "y1", "yh")
+    r2, description2, decoded2 = _user_terms(fact, "x2", "xr", "y2", "yh")
+    return r1, r2, max(description1, description2) <= min(decoded1, decoded2) + _SUM_TOL
 
 
 # -- factorization text files -------------------------------------------------
@@ -323,7 +334,10 @@ def load_factorization(path):
             if undeclared:
                 raise ValueError(f"conditions on undeclared {undeclared}")
             shape = tuple(sizes[c] for c in conds) + tuple(out_sizes)
-            values = [float(take()) for _ in range(math.prod(shape))]
+            values = list(map(float, tokens[pos : pos + math.prod(shape)]))
+            if len(values) < math.prod(shape):
+                raise ValueError("unexpected end of file")
+            pos += len(values)
         except ValueError as exc:
             # take() already names the file at an unexpected end of file.
             msg = str(exc).removeprefix(f"{path}: ")

@@ -202,6 +202,8 @@ class ScenarioConfig:
             )
         except KeyError as exc:
             raise ConfigError(f"layout: missing field {exc}") from None
+        except ConfigError:  # _check_real names the field already
+            raise
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"layout: {exc}") from None
         powers, noises = section("powers"), section("noises")

@@ -3,10 +3,12 @@
 The package's AF optima score a candidate set, its DF search prunes the
 relay splits by a bound and refines with one vectorized call per axis, its
 EF-BL search evaluates the whole simplex at once, and its factorizations
-derive their joint product from a table of factors; these are the per-user
-case analysis and the scan-and-refine sum-rate optimizer, the DF and EF-BL
-loops over every relay split, the scalar DF refinement loop, and the
-hand-written einsum products, that they replaced.  Tests compare the two.
+derive their joint product from a table of factors and read their bounds
+from per-user marginals; these are the per-user case analysis and the
+scan-and-refine sum-rate optimizer, the DF and EF-BL loops over every relay
+split, the scalar DF refinement loop, the hand-written einsum products and
+the bounds read off the full joint table, that they replaced.  Tests compare
+the two.
 
 The maps evaluate blocks of relay positions at once; the one-channel AF, DF,
 EF-BL and EF-SL kernels they replaced, and the per-cell map evaluation, are
@@ -32,7 +34,7 @@ from ircrates.channel import ChannelInstance, RatePair, capacity, nu_simplex, ot
 from ircrates.df import DfParams
 from ircrates.ef import BiScenario, EfBiParams
 from ircrates.errors import ConstraintViolationError, InfeasibleError
-from ircrates.discrete import JointPmf
+from ircrates.discrete import _SUM_TOL, JointPmf, conditional_mutual_information
 from ircrates.scenario import MapCell, PROTOCOL_ORDER, UNIFORM_NU
 
 
@@ -521,3 +523,34 @@ def single_level_joint(fact) -> JointPmf:
     )
     names = ("x1", "x2", "xr", "y1", "y2", "yr", "yh")
     return JointPmf(names, table)
+
+
+def bi_level_bounds_joint(fact) -> Tuple[float, float, bool]:
+    """``discrete.bi_level_bounds`` read off the full joint table."""
+    pmf = fact.joint()
+    r1 = conditional_mutual_information(pmf, ("x1",), ("y1", "yh1"), ("u1",))
+    r2 = conditional_mutual_information(pmf, ("x2",), ("y2", "yh2"), ("u2",))
+    feasible = (
+        conditional_mutual_information(pmf, ("yr",), ("yh1",), ("u1", "y1"))
+        <= conditional_mutual_information(pmf, ("u1",), ("y1",)) + _SUM_TOL
+    ) and (
+        conditional_mutual_information(pmf, ("yr",), ("yh2",), ("u2", "y2"))
+        <= conditional_mutual_information(pmf, ("u2",), ("y2",)) + _SUM_TOL
+    )
+    return r1, r2, feasible
+
+
+def single_level_bounds_joint(fact) -> Tuple[float, float, bool]:
+    """``discrete.single_level_bounds`` read off the full joint table."""
+    pmf = fact.joint()
+    r1 = conditional_mutual_information(pmf, ("x1",), ("y1", "yh"), ("xr",))
+    r2 = conditional_mutual_information(pmf, ("x2",), ("y2", "yh"), ("xr",))
+    lhs = max(
+        conditional_mutual_information(pmf, ("yr",), ("yh",), ("xr", "y1")),
+        conditional_mutual_information(pmf, ("yr",), ("yh",), ("xr", "y2")),
+    )
+    rhs = min(
+        conditional_mutual_information(pmf, ("xr",), ("y1",)),
+        conditional_mutual_information(pmf, ("xr",), ("y2",)),
+    )
+    return r1, r2, lhs <= rhs + _SUM_TOL

@@ -343,6 +343,13 @@ class TestDiscrete:
         assert code == 2 and "unexpected end of file" in err
         assert "Traceback" not in err
 
+    def test_truncated_probabilities_name_the_factor(self, capsys, tmp_path):
+        path = tmp_path / "cut.fact"
+        path.write_text("mode single\nfactor x1 : 3\n0.5 0.5\n")
+        code, out, err = run(capsys, "discrete", "--pmf", str(path))
+        assert code == 2 and out == ""
+        assert err == f"error: {path}: factor 'x1': unexpected end of file\n"
+
     def test_oversized_joint_table_exits_2(self, capsys, tmp_path, monkeypatch):
         # A file of about 100 kB whose joint table would have 1.6e9 entries.
         size = dict(x1=2, x2=2, u1=100, u2=100, xr=2, y1=2, y2=2, yr=2, yh1=100, yh2=100)
@@ -465,6 +472,15 @@ class TestErrors:
         assert "overflows a float" in err and named in err, err
         # The checks run before any kernel divides, so numpy warns of nothing.
         assert [str(w.message) for w in caught] == []
+
+    @pytest.mark.parametrize("field, value", [("relay", [0.0, 0.0, 10**400]), ("d0", "five")])
+    def test_layout_field_error_keeps_its_message(self, capsys, fast_config, field, value):
+        data = json.loads(Path(fast_config).read_text())
+        data["layout"][field] = value
+        Path(fast_config).write_text(json.dumps(data))
+        code, out, err = run(capsys, "map", "--config", fast_config)
+        assert code == 2 and out == "" and "Traceback" not in err
+        assert err.startswith(f"error: layout.{field} must be a finite number, got "), err
 
     def test_af_overflow_leaves_other_protocols(self, capsys, fast_config):
         data = json.loads(Path(fast_config).read_text())

@@ -15,7 +15,12 @@ from ircrates.discrete import (
     load_factorization,
     single_level_bounds,
 )
-from reference_kernels import bi_level_joint, single_level_joint
+from reference_kernels import (
+    bi_level_bounds_joint,
+    bi_level_joint,
+    single_level_bounds_joint,
+    single_level_joint,
+)
 
 
 def random_pmf(rng, shape, names):
@@ -52,6 +57,18 @@ def random_single_fact(rng, nx=2, nxr=2, ny=2, nyh=2):
     )
 
 
+def assert_refused_before_einsum(monkeypatch, fact):
+    """``joint()`` and the bounds both refuse ``fact`` before any einsum."""
+
+    def no_einsum(*args, **kwargs):
+        raise AssertionError("np.einsum ran")
+
+    monkeypatch.setattr(np, "einsum", no_einsum)
+    for build in (fact.joint, functools.partial(bounds_of(fact), fact)):
+        with pytest.raises(ValueError, match="cap is 1000000"):
+            build()
+
+
 class TestJointPmf:
     def test_rejects_bad_tables(self):
         with pytest.raises(ValueError):
@@ -85,14 +102,21 @@ class TestJointPmf:
         lambda rng: random_single_fact(rng, nx=4, nxr=50, ny=4, nyh=50),  # 2.56e6
     ])
     def test_oversized_product_refused_before_building(self, rng, monkeypatch, fact):
-        fact = fact(rng)
+        assert_refused_before_einsum(monkeypatch, fact(rng))
 
-        def no_einsum(*args, **kwargs):
-            raise AssertionError("the joint table was built")
+    # Bi-level alphabet sizes whose joint table has exactly 10**6 entries.
+    AT_CAP = dict(x1=5, x2=5, u1=2, u2=2, xr=5, y1=2, y2=2, yr=5, yh1=10, yh2=10)
 
-        monkeypatch.setattr(np, "einsum", no_einsum)
-        with pytest.raises(ValueError, match="cap is 1000000"):
-            fact.joint()
+    def test_joint_at_the_cap_accepted(self, rng):
+        fact = sized_fact(rng, "bi", self.AT_CAP)
+        assert fact.joint().table.size == 10**6
+        r1, r2, _ = bi_level_bounds(fact)
+        assert np.isfinite(r1) and np.isfinite(r2)
+
+    @pytest.mark.parametrize("var", sorted(AT_CAP))
+    def test_one_letter_over_the_cap_refused(self, rng, monkeypatch, var):
+        fact = sized_fact(rng, "bi", {**self.AT_CAP, var: self.AT_CAP[var] + 1})
+        assert_refused_before_einsum(monkeypatch, fact)
 
     def test_marginal_preserves_order(self, rng):
         pmf = random_pmf(rng, (2, 3, 4), ("a", "b", "c"))
@@ -107,6 +131,38 @@ def sized_factor(rng, sizes, outs, conds=()):
     return random_conditional(rng, shape, len(conds))
 
 
+def sized_fact(rng, mode, sizes):
+    """A random ``mode`` ("bi" or "single") factorization with alphabet sizes
+    ``sizes``."""
+    f = functools.partial(sized_factor, rng, sizes)
+    y = f(("y1", "y2", "yr"), ("x1", "x2", "xr"))
+    if mode == "bi":
+        return BiLevelFactorization(
+            p_x1=f(("x1",)), p_x2=f(("x2",)),
+            p_u1=f(("u1",)), p_u2=f(("u2",)),
+            p_xr_given_u=f(("xr",), ("u1", "u2")),
+            p_y_given_x=y,
+            p_yh1_given=f(("yh1",), ("yr", "u1")),
+            p_yh2_given=f(("yh2",), ("yr", "u2")),
+        )
+    return SingleLevelFactorization(
+        p_x1=f(("x1",)), p_x2=f(("x2",)), p_xr=f(("xr",)),
+        p_y_given_x=y, p_yh_given=f(("yh",), ("yr", "xr")),
+    )
+
+
+def random_sizes(rng, max_x):
+    sizes = {v: int(rng.integers(1, 4)) for v in
+             ("u1", "u2", "xr", "y1", "y2", "yr", "yh1", "yh2", "yh")}
+    sizes.update(x1=int(rng.integers(1, max_x + 1)), x2=int(rng.integers(1, max_x + 1)))
+    return sizes
+
+
+def bounds_of(fact):
+    bi = isinstance(fact, BiLevelFactorization)
+    return bi_level_bounds if bi else single_level_bounds
+
+
 class TestJointMatchesReference:
     """``joint`` equals the hand-written einsum product it replaced."""
 
@@ -114,27 +170,8 @@ class TestJointMatchesReference:
     def test_same_names_and_table(self, mode):
         rng = np.random.default_rng(5)
         for _ in range(60):
-            sizes = {v: int(rng.integers(1, 4)) for v in
-                     ("u1", "u2", "xr", "y1", "y2", "yr", "yh1", "yh2", "yh")}
-            sizes.update(x1=int(rng.integers(1, 6)), x2=int(rng.integers(1, 6)))
-            f = functools.partial(sized_factor, rng, sizes)
-            y = f(("y1", "y2", "yr"), ("x1", "x2", "xr"))
-            if mode == "bi":
-                fact = BiLevelFactorization(
-                    p_x1=f(("x1",)), p_x2=f(("x2",)),
-                    p_u1=f(("u1",)), p_u2=f(("u2",)),
-                    p_xr_given_u=f(("xr",), ("u1", "u2")),
-                    p_y_given_x=y,
-                    p_yh1_given=f(("yh1",), ("yr", "u1")),
-                    p_yh2_given=f(("yh2",), ("yr", "u2")),
-                )
-                expect = bi_level_joint(fact)
-            else:
-                fact = SingleLevelFactorization(
-                    p_x1=f(("x1",)), p_x2=f(("x2",)), p_xr=f(("xr",)),
-                    p_y_given_x=y, p_yh_given=f(("yh",), ("yr", "xr")),
-                )
-                expect = single_level_joint(fact)
+            fact = sized_fact(rng, mode, random_sizes(rng, 5))
+            expect = (bi_level_joint if mode == "bi" else single_level_joint)(fact)
             got = fact.joint()
             assert got.names == expect.names
             assert np.array_equal(got.table, expect.table)
@@ -280,21 +317,7 @@ class TestSingleLevelBounds:
         # Yh = Yr exactly: feasibility then hinges on the relay-to-
         # destination links, which a useless Xr (independent of Y) cannot
         # provide unless Yr is already known.
-        nx, nxr, ny = 2, 2, 2
-        eye = np.zeros((ny, nxr, ny))
-        for yr in range(ny):
-            eye[yr, :, yr] = 1.0
-        p_y = random_conditional(rng, (nx, nx, nxr, ny, ny, ny), 3)
-        # Make Y independent of Xr so the relay link rate I(Xr; Yi) is 0.
-        p_y = np.broadcast_to(p_y[:, :, :1], p_y.shape).copy()
-        p_y /= p_y.sum(axis=(3, 4, 5), keepdims=True)
-        fact = SingleLevelFactorization(
-            p_x1=random_conditional(rng, (nx,), 0),
-            p_x2=random_conditional(rng, (nx,), 0),
-            p_xr=random_conditional(rng, (nxr,), 0),
-            p_y_given_x=p_y,
-            p_yh_given=eye,
-        )
+        fact = perfect_forwarding_fact(rng)
         pmf = fact.joint()
         needed = max(
             conditional_mutual_information(pmf, ("yr",), ("yh",), ("xr", "y1")),
@@ -302,6 +325,79 @@ class TestSingleLevelBounds:
         )
         _, _, feasible = single_level_bounds(fact)
         assert feasible == (needed <= 1e-12)
+
+
+def perfect_forwarding_fact(rng, yr_known=False):
+    """A single-level factorization with Yh = Yr exactly and Y independent of
+    Xr, so that the relay link rate I(Xr; Yi) is 0.  With ``yr_known`` each
+    destination sees Yr itself (Y1 = Y2 = Yr), so no description is needed."""
+    nx, nxr, ny = 2, 2, 2
+    eye = np.zeros((ny, nxr, ny))
+    for yr in range(ny):
+        eye[yr, :, yr] = 1.0
+    p_y = random_conditional(rng, (nx, nx, nxr, ny, ny, ny), 3)
+    p_y = np.broadcast_to(p_y[:, :, :1], p_y.shape).copy()
+    if yr_known:
+        p_y *= np.eye(ny)[:, :, None] * np.eye(ny)[None, :, :]
+    p_y /= p_y.sum(axis=(3, 4, 5), keepdims=True)
+    return SingleLevelFactorization(
+        p_x1=random_conditional(rng, (nx,), 0),
+        p_x2=random_conditional(rng, (nx,), 0),
+        p_xr=random_conditional(rng, (nxr,), 0),
+        p_y_given_x=p_y,
+        p_yh_given=eye,
+    )
+
+
+def blurred_compression(fact, w):
+    """``fact`` with each Yh kept with probability ``w`` and replaced by the
+    letter 0 otherwise; w = 0 is degenerate (constant) compression."""
+    fields = {}
+    for field in ("p_yh_given", "p_yh1_given", "p_yh2_given"):
+        if hasattr(fact, field):
+            table = getattr(fact, field)
+            const = np.zeros_like(table)
+            const[..., 0] = 1.0
+            fields[field] = (1 - w) * const + w * table
+    return dataclasses.replace(fact, **fields)
+
+
+class TestBoundsMatchJointTable:
+    """The bounds read from per-user marginals agree with the joint-table
+    bounds they replaced: rate caps to 1e-12 and the same feasibility."""
+
+    @staticmethod
+    def feasible(fact):
+        got = bounds_of(fact)(fact)
+        bi = isinstance(fact, BiLevelFactorization)
+        expect = (bi_level_bounds_joint if bi else single_level_bounds_joint)(fact)
+        assert abs(got[0] - expect[0]) <= 1e-12 and abs(got[1] - expect[1]) <= 1e-12
+        assert got[2] == expect[2]
+        return got[2]
+
+    @pytest.mark.parametrize("mode", ["bi", "single"])
+    def test_small_alphabets(self, mode):
+        rng = np.random.default_rng(12)
+        flags = []
+        for _ in range(100):
+            fact = sized_fact(rng, mode, random_sizes(rng, 3))
+            flags += [self.feasible(blurred_compression(fact, w)) for w in (0.0, 0.05, 1.0)]
+        assert all(flags[::3])  # degenerate compression is always feasible
+        assert set(flags) == {True, False}
+
+    @pytest.mark.parametrize("make, shape, entries", [
+        (random_bi_fact, (3, 3, 3, 4, 8), 995_328),
+        (random_single_fact, (4, 4, 6, 60), 829_440),
+    ])
+    def test_near_the_cap(self, rng, make, shape, entries):
+        fact = make(rng, *shape)
+        assert fact.joint().table.size == entries
+        self.feasible(fact)
+        assert self.feasible(blurred_compression(fact, 0.0))
+
+    @pytest.mark.parametrize("yr_known", [False, True])
+    def test_perfect_forwarding(self, rng, yr_known):
+        assert self.feasible(perfect_forwarding_fact(rng, yr_known)) == yr_known
 
 
 class TestFactorizationFiles:
