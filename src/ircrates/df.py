@@ -133,18 +133,50 @@ def _user_sinr(relay, signal, interference):
     return np.minimum(relay[..., :, None], sinr, out=sinr)
 
 
-def _user_bound(tables, ki, kj):
-    """Per pair, the largest rate user i reaches at any tau_i when the
-    interference is its least over tau_j: an upper bound on user i's rate."""
+# Floats per temporary of the scans and bounds (8 cells, or 8 relay splits,
+# of a 41-point tau grid): cells, splits and (split, rectangle) items are
+# taken in chunks of this many points, which keeps each array near 100 kB.
+_MAX_SCAN = 8 * 41 * 41
+
+_TAU_BLOCKS = 4  # blocks per tau axis of the rectangle bounds: 10/10/10/11 of 41
+
+
+def _user_bound(tables, ki, kj, starts):
+    """C(max_{tau_i in A} min(relay, signal / min_{tau_j in B} interference))
+    per pair and rectangle (A, B) of the tau blocks that begin at ``starts``,
+    shaped (pairs, A, B), in chunks of pairs: an upper bound on user i's rate
+    there, since C, min, max and division are monotone."""
     relay, signal, interference = tables
-    floor = interference.min(axis=0)
-    return capacity(np.minimum(relay, signal[:, ki].T / floor[kj][:, None])).max(axis=1)
+    floor = np.minimum.reduceat(interference, starts)  # (B, nu_j)
+    out = np.empty((len(ki), len(starts), len(starts)))
+    step = max(1, _MAX_SCAN // (len(relay) * len(starts)))
+    for s in range(0, len(ki), step):
+        part = slice(s, s + step)
+        x = signal[:, ki[part]] / floor[:, None, kj[part]]  # (B, tau_i, pairs)
+        np.minimum(x, relay[:, None], out=x)
+        out[part] = np.maximum.reduceat(x, starts, axis=1).transpose(2, 1, 0)
+    return capacity(out, out=out)
 
 
-# Relay-split pairs scored at once.  It bounds the (pairs, G, G) temporaries:
-# 8 pairs of a 41-point grid keep each one near 100 kB, where 32 raised the
-# peak memory of an optimal map by about 3 MB.
-_MAX_BLOCK = 8
+def _scored(t1, t2, k1, k2, pairs, rows1, rows2, best):
+    """``best`` (sum rate, pair, flat tau index) after R_1 + R_2 of each item
+    m: relay split pairs[m], over tau1 rows1[m] by tau2 rows2[m].  These are
+    a full scan's floats, and each item offers its first maximum."""
+    n1, n2 = k1[pairs][:, None], k2[pairs][:, None]
+    c1 = _user_sinr(t1[0][rows1], t1[1][rows1, n1], t1[2][rows2, n2])
+    c2 = _user_sinr(t2[0][rows2], t2[1][rows2, n2], t2[2][rows1, n1])
+    f = (capacity(c1, out=c1) + capacity(c2, out=c2).swapaxes(1, 2)).reshape(len(pairs), -1)
+    m, k = np.arange(len(pairs)), f.argmax(axis=1)
+    i, j = np.divmod(k, rows2.shape[1])
+    found = zip(f[m, k].tolist(), pairs.tolist(), (rows1[m, i] * len(t1[0]) + rows2[m, j]).tolist())
+    return max(best, *found, key=lambda x: (x[0], -x[1], -x[2]))
+
+
+def _can_win(bound, pair, first, best):
+    """Items (bound, pair, first flat tau index) that may beat ``best``: a
+    bound above its sum rate, or equal to it at a smaller (pair, flat index)."""
+    v, p, k = best
+    return (bound > v) | ((bound == v) & ((pair < p) | ((pair == p) & (first < k))))
 
 
 def _best_grid_point(channel: ChannelInstance, taus, nus, k1, k2):
@@ -152,39 +184,41 @@ def _best_grid_point(channel: ChannelInstance, taus, nus, k1, k2):
     the tau grid and the relay splits (nus[k1[p]], nus[k2[p]]); ties keep the
     smallest pair p, then the first tau point in row-major order.
 
-    C is monotone, so min(C(a), C(b)) == C(min(a, b)) and each pair costs two
-    log2 calls per tau point.  Pairs are scored in descending order of their
-    bound, equal bounds in pair order, in blocks of 1, 2, 4, ... pairs.  Once
-    no pair left has a bound above the incumbent's rate, or equal to it at a
-    smaller pair index, none can win, and the search stops.
+    The pair with the largest bound is scored in full; the (pair, rectangle)
+    items that could beat it go in descending order of bound, then of (pair,
+    first flat index), in blocks of 1, 2, 4, ..., until none left can win.
+    C is monotone, so each point costs two log2 calls: C(min(a, b)).
     """
+    g = len(taus)
     t1, t2 = _user_tables(channel, 1, taus, nus), _user_tables(channel, 2, taus, nus)
-    bounds = _user_bound(t1, k1, k2) + _user_bound(t2, k2, k1)
-    order = np.argsort(-bounds, kind="stable")  # equal bounds: smallest pair first
-    best = None  # (sum rate, pair, flat tau index)
-    start, size = 0, 1
+    every = np.arange(g)[None]
+    pair_bound = (_user_bound(t1, k1, k2, [0]) + _user_bound(t2, k2, k1, [0]))[:, 0, 0]
+    top = pair_bound.argmax(keepdims=True)  # the first of the largest
+    best = _scored(t1, t2, k1, k2, top, every, every, (-np.inf, 0, 0))
+    pair_bound[top], pairs = -np.inf, np.arange(len(k1))
+    left = pairs[_can_win(pair_bound, pairs, 0, best)]
+    starts = np.arange(min(_TAU_BLOCKS, g)) * g // min(_TAU_BLOCKS, g)
+    ends = np.append(starts[1:], g)
+    # Each block's tau indices as a row; a shorter row repeats its last
+    # index after it, so a repeat is never the first maximum.
+    rows = np.minimum(starts[:, None] + np.arange((ends - starts).max()), ends[:, None] - 1)
+    bound = _user_bound(t1, k1[left], k2[left], starts)
+    bound += _user_bound(t2, k2[left], k1[left], starts).swapaxes(1, 2)
+    live = np.flatnonzero(bound >= best[0])  # the (pair, rectangle) items that may win
+    bound = bound.ravel()[live]
+    pair, a, b = np.unravel_index(live, (len(left), len(starts), len(starts)))
+    pair, first = left[pair], starts[a] * g + starts[b]
+    order = np.lexsort((first, pair, -bound))
+    start, size, most = 0, 1, max(1, _MAX_SCAN // rows.shape[1] ** 2)
     while start < len(order):
         block = order[start:start + size]
-        if best is not None:
-            # A pair can still win only with a bound above the incumbent's
-            # rate, or equal to it at a smaller index; in visiting order,
-            # those pairs come first.
-            b = bounds[block]
-            block = block[(b > best[0]) | ((b == best[0]) & (block < best[1]))]
-            if not len(block):
-                break
-        f = (capacity(_user_sinr(t1[0], t1[1][:, k1[block]].T, t1[2][:, k2[block]].T))
-             + capacity(_user_sinr(t2[0], t2[1][:, k2[block]].T,
-                                   t2[2][:, k1[block]].T)).swapaxes(1, 2))
-        f = f.reshape(len(block), -1)
-        flat = f.argmax(axis=1)
-        vals = f[np.arange(len(block)), flat]
-        for v, p, k in zip(vals.tolist(), block.tolist(), flat.tolist()):
-            if best is None or v > best[0] or (v == best[0] and p < best[1]):
-                best = (v, p, k)
-        start, size = start + size, min(2 * size, _MAX_BLOCK)
-    v, p, k = best
-    return p, *divmod(k, len(taus)), v
+        # In visiting order, the items that can still win come first.
+        block = block[_can_win(bound[block], pair[block], first[block], best)]
+        if not len(block):
+            break
+        best = _scored(t1, t2, k1, k2, pair[block], rows[a[block]], rows[b[block]], best)
+        start, size = start + size, min(2 * size, most)
+    return best[1], *divmod(best[2], g), best[0]
 
 
 def df_sum_rate_search(
@@ -201,19 +235,15 @@ def df_sum_rate_search(
     on a batch of one.
 
     The scan is exact: it returns the grid point a full scan would.  Each
-    relay split is bounded by sum_i max_{tau_i} C(min(relay_i, num_i /
-    min_{tau_j} den_i)), and a split whose bound is below the best sum rate
-    found is never scored.  Deterministic: ties keep the first relay split
+    relay split is bounded by sum_i C(max_{tau_i} min(relay_i, num_i /
+    min_{tau_j} den_i)); the splits that could beat the best one found are
+    bounded again with tau_i and tau_j each in one of a few blocks, and a
+    (split, rectangle) whose bound cannot beat the best sum rate found is
+    never scored.  Deterministic: ties keep the first relay split
     in simplex order (nu1 varying slowest), then the earliest (tau1, tau2)
     grid point in row-major order.
     """
     return df_sum_rate_search_batch(ChannelBatch.of([channel]), grid_points, nu)[0]
-
-
-# Grid points of the tau scans evaluated at once: a batch's cells are scanned
-# in chunks of at most this many points (8 cells of a 41-point grid), which
-# keeps each of the two (cells, G, G) arrays near 100 kB.
-_MAX_SCAN = 8 * 41 * 41
 
 
 def df_sum_rate_search_batch(

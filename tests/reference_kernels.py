@@ -1,12 +1,13 @@
 """Reference versions of kernels the package computes another way.
 
 The package's AF optima score a candidate set, its DF search prunes the
-relay splits by a bound and refines with one vectorized call per axis, its
-EF-BL search evaluates the whole simplex at once, and its factorizations
-derive their joint product from a table of factors and read their bounds
-from per-user marginals; these are the per-user case analysis and the
-scan-and-refine sum-rate optimizer, the DF and EF-BL loops over every relay
-split, the scalar DF refinement loop, the hand-written einsum products and
+relay splits and tau rectangles by a bound taken before C and refines with
+one vectorized call per axis, its EF-BL search evaluates the whole simplex
+at once, and its factorizations derive their joint product from a table of
+factors and read their bounds from per-user marginals; these are the
+per-user case analysis and the scan-and-refine sum-rate optimizer, the DF
+and EF-BL loops over every relay split, the DF bound with C at every tau
+point, the scalar DF refinement loop, the hand-written einsum products and
 the bounds read off the full joint table, that they replaced.  Tests compare
 the two.
 
@@ -157,6 +158,15 @@ def af_sum_rate_gain_scan(
     return best_a, RatePair(
         float(af_rate(channel, best_a, 1)), float(af_rate(channel, best_a, 2))
     )
+
+
+def df_user_bound_reference(tables, ki, kj):
+    """Per relay split, the largest rate user i reaches at any tau_i when the
+    interference is its least over tau_j, with C taken at every tau_i before
+    the max: the DF search's per-split bound as it was first written."""
+    relay, signal, interference = tables
+    floor = interference.min(axis=0)
+    return capacity(np.minimum(relay, signal[:, ki].T / floor[kj][:, None])).max(axis=1)
 
 
 def _df_scan_loop(channel: ChannelInstance, grid_points: int, nu):

@@ -2,8 +2,9 @@
 loops over every relay split return.
 
 The references in ``reference_kernels`` score the splits one at a time; the
-package bounds the DF splits and skips those that cannot win, and evaluates
-the EF-BL simplex as arrays.  Every comparison here is ``==``.
+package bounds the DF splits and their tau rectangles and skips those that
+cannot win, and evaluates the EF-BL simplex as arrays.  Every comparison of
+results here is ``==``; the bounds are checked against the grid with ``>=``.
 """
 
 from dataclasses import replace
@@ -20,6 +21,7 @@ from conftest import random_channel, symmetric_channel
 from reference_kernels import (
     _df_scan_loop,
     df_sum_rate_search_reference,
+    df_user_bound_reference,
     ef_bi_sum_rate_search_loop,
 )
 
@@ -123,22 +125,61 @@ def anti_phase_channel(rng) -> ChannelInstance:
     return new
 
 
+def tau_blocks(grid_points: int):
+    """Blocks of unequal widths on the 21- and 41-point tau grids (6/5/5/5,
+    11/10/10/10), and the index each begins at."""
+    blocks = np.array_split(np.arange(grid_points), df._TAU_BLOCKS)
+    return blocks, [int(block[0]) for block in blocks]
+
+
 @pytest.mark.parametrize("draw", ["anti_phase", "random"])
 def test_bound_covers_every_split(rng, draw):
-    taus, k1, k2 = nu_simplex(21)
-    nus = taus
-    # The simplex edges nu1 = 0, nu2 = 0 and nu1 + nu2 = 1 are all scored.
-    assert (k1 == 0).any() and (k2 == 0).any() and (k1 + k2 == 20).any()
-    t1g, t2g = np.meshgrid(taus, taus, indexing="ij")
+    # Each split's bound covers its tau grid, and each (split, rectangle)
+    # bound covers the grid points of that rectangle.
     make = anti_phase_channel if draw == "anti_phase" else random_channel
-    for _ in range(15):
-        ch = make(rng)
-        tables = [df._user_tables(ch, i, taus, nus) for i in (1, 2)]
-        bounds = (df._user_bound(tables[0], k1, k2)
-                  + df._user_bound(tables[1], k2, k1))
-        for p in range(len(k1)):
-            best = _sum_rate_grid(ch, t1g, t2g, nus[k1[p]], nus[k2[p]]).max()
-            assert bounds[p] >= best, (p, bounds[p], best)
+    for grid_points in (21, 41):
+        taus, k1, k2 = nu_simplex(grid_points)
+        nus = taus
+        # The simplex edges nu1 = 0, nu2 = 0 and nu1 + nu2 = 1 are all scored.
+        assert (k1 == 0).any() and (k2 == 0).any() and (k1 + k2 == grid_points - 1).any()
+        blocks, starts = tau_blocks(grid_points)
+        assert len({len(block) for block in blocks}) == 2
+        t1g, t2g = np.meshgrid(taus, taus, indexing="ij")
+        for _ in range(15):
+            ch = make(rng)
+            tables = [df._user_tables(ch, i, taus, nus) for i in (1, 2)]
+            bounds = (df._user_bound(tables[0], k1, k2, [0])
+                      + df._user_bound(tables[1], k2, k1, [0]))[:, 0, 0]
+            rects = (df._user_bound(tables[0], k1, k2, starts)
+                     + df._user_bound(tables[1], k2, k1, starts).swapaxes(1, 2))
+            for p in range(len(k1)):
+                grid = _sum_rate_grid(ch, t1g, t2g, nus[k1[p]], nus[k2[p]])
+                best = grid.max()
+                assert bounds[p] >= best, (p, bounds[p], best)
+                rect_best = np.maximum.reduceat(np.maximum.reduceat(grid, starts), starts, axis=1)
+                assert (rects[p] >= rect_best).all(), (p, rects[p], rect_best)
+
+
+@pytest.mark.parametrize("draw", ["anti_phase", "random"])
+def test_bound_takes_the_max_before_capacity(rng, draw):
+    # C is monotone, so the max over tau_i taken before C gives the floats of
+    # C at every tau_i and then the max: over the whole grid, and over each
+    # rectangle (the reference on the tables cut to the rectangle's blocks).
+    make = anti_phase_channel if draw == "anti_phase" else random_channel
+    for grid_points in (21, 41):
+        taus, k1, k2 = nu_simplex(grid_points)
+        blocks, starts = tau_blocks(grid_points)
+        for _ in range(5):
+            ch = make(rng)
+            for user, ki, kj in ((1, k1, k2), (2, k2, k1)):
+                relay, signal, interference = tables = df._user_tables(ch, user, taus, taus)
+                whole = df._user_bound(tables, ki, kj, [0])[:, 0, 0]
+                assert (whole == df_user_bound_reference(tables, ki, kj)).all()
+                rects = df._user_bound(tables, ki, kj, starts)
+                for a, rows_i in enumerate(blocks):
+                    for b, rows_j in enumerate(blocks):
+                        cut = relay[rows_i], signal[rows_i], interference[rows_j]
+                        assert (rects[:, a, b] == df_user_bound_reference(cut, ki, kj)).all()
 
 
 def test_symmetric_tie_keeps_first_split(rng):
@@ -162,22 +203,54 @@ def test_symmetric_tie_keeps_first_split(rng):
     assert ties > 0
 
 
-@pytest.mark.parametrize("loosen", ["late_splits", "odd_splits"])
+def tie_across_rectangles_channel() -> ChannelInstance:
+    """A silent relay (h_r1 = h_r2 = 0) with strong source-relay links: each
+    user's rate is its destination rate, the same float at every tau_i up to
+    about 0.9, where the relay constraint starts to bind.  So every split
+    reaches its maximum on a square of tau points over several rectangles."""
+    return ChannelInstance(h11=1.0, h21=0.3, h1r=3.0, h2r=3.0, h12=0.3, h22=1.0,
+                           hr1=0.0, hr2=0.0, P1=1.0, P2=1.0, Pr=1.0,
+                           N1=1.0, N2=1.0, Nr=1.0)
+
+
+@pytest.mark.parametrize("grid_points", [11, 21, 41])
+def test_tie_across_rectangles_keeps_first_point(grid_points):
+    # The relay-limited corner cells tie across splits, but each split there
+    # peaks at one point, tau = (0, 0).  Here one split's maximum spans the
+    # tau blocks, and the first point in row-major order still wins.
+    ch = tie_across_rectangles_channel()
+    taus, k1, k2 = nu_simplex(grid_points)
+    t1g, t2g = np.meshgrid(taus, taus, indexing="ij")
+    grid = _sum_rate_grid(ch, t1g, t2g, taus[k1[0]], taus[k2[0]])
+    a, b = np.nonzero(grid == grid.max())
+    assert min(a.max(), b.max()) > grid_points // 2  # over the middle of both axes
+    assert df._best_grid_point(ch, taus, taus, k1, k2)[:3] == (0, 0, 0)
+    assert df.df_sum_rate_search(ch, grid_points) == df_sum_rate_search_reference(ch, grid_points)
+
+
+@pytest.mark.parametrize("loosen", ["late_splits", "odd_splits",
+                                    "late_rectangles", "odd_rectangles"])
 def test_any_valid_bound_keeps_the_point(rng, monkeypatch, loosen):
-    # A looser bound is still a bound: it changes the order the splits are
-    # scored in, never the result.  Raising the bound of later splits makes
-    # the scan meet a tie's larger index first, as in the relay-limited
-    # corner cells, where every split scores the same.
+    # A looser bound is still a bound: it changes the order the splits and
+    # rectangles are scored in, never the result.  Raising the bound of later
+    # splits makes the scan meet a tie's larger index first, as in the
+    # relay-limited corner cells, where every split scores the same.  The
+    # rectangle variants raise the later splits too, so that tied channels
+    # reach the rectangles, and then the later (or odd) rectangles, so that a
+    # tie within one split meets its later rectangle first.
     tight = df._user_bound
 
-    def loose(tables, ki, kj):
-        k = ki + kj if loosen == "late_splits" else ki
-        return tight(tables, ki, kj) + np.where(k % 2 == 1 if loosen == "odd_splits"
-                                                else k > 5, 1.0, 0.0)
+    def loose(tables, ki, kj, starts):
+        k = ki if loosen == "odd_splits" else ki + kj
+        pairs = np.where(k % 2 == 1 if loosen == "odd_splits" else k > 5, 1.0, 0.0)
+        a, b = np.indices((len(starts), len(starts)))
+        rects = np.where(b % 2 == 1 if loosen == "odd_rectangles" else a + b > 2, 1.0, 0.0)
+        return (tight(tables, ki, kj, starts) + pairs[:, None, None]
+                + (rects if loosen.endswith("rectangles") else 0.0))
 
     monkeypatch.setattr(df, "_user_bound", loose)
     config = default_config()
     corners = [config.channel_at(-4.0, -3.0), config.channel_at(4.0, 4.0)]
     draws = [symmetric_channel(rng) for _ in range(5)] + [random_channel(rng) for _ in range(5)]
-    for ch in corners + draws:
+    for ch in corners + [tie_across_rectangles_channel()] + draws:
         assert df.df_sum_rate_search(ch, 11) == df_sum_rate_search_reference(ch, 11)
