@@ -30,7 +30,8 @@ from typing import List, Tuple
 
 import numpy as np
 
-from .channel import ChannelBatch, ChannelInstance, RatePair, capacity, other
+from .channel import (ChannelBatch, ChannelInstance, RatePair, _conj_product, _square,
+                      capacity, other)
 
 __all__ = [
     "AfAuxiliaries",
@@ -64,23 +65,27 @@ class AfAuxiliaries:
 
 
 def auxiliaries(channel: ChannelInstance, user: int) -> AfAuxiliaries:
-    return _aux(user, *_aux_args(channel, user))
+    with np.errstate(all="ignore"):
+        values = _aux_values(ChannelBatch.of([channel]), user)
+    return AfAuxiliaries(user, *(v.item() for v in values))
 
 
-def _aux_args(channel, user: int) -> tuple:
-    """What ``_aux`` reads of a channel, or of each cell of a batch."""
-    j = other(user)
-    return (channel.h_to_relay(user), channel.h_from_relay(user), channel.h_direct(user),
-            channel.h_to_relay(j), channel.h_cross(user), channel.P(user), channel.P(j),
-            channel.N(user), channel.Nr, channel.g_from_relay(user))
+def _aux_values(batch: ChannelBatch, user: int) -> tuple:
+    """m, n, p, q and s of user ``user`` over the cells of ``batch``; the cross
+    and relay-noise terms are normalized by the receiver noise N_i."""
+    j, h_ri, N_i = other(user), batch.h_from_relay(user), batch.N(user)
+    sqrt_rho_i, sqrt_pj_ni = np.sqrt(batch.P(user) / N_i), np.sqrt(batch.P(j) / N_i)
+    return (_times(_times(batch.h_to_relay(user), h_ri), sqrt_rho_i),
+            _times(batch.h_direct(user), sqrt_rho_i),
+            _times(_times(batch.h_to_relay(j), h_ri), sqrt_pj_ni),
+            _times(batch.h_cross(user), sqrt_pj_ni), batch.g_from_relay(user) * batch.Nr / N_i)
 
 
-def _aux(user, h_ir, h_ri, h_ii, h_jr, h_ji, P_i, P_j, N_i, N_r, g_ri) -> AfAuxiliaries:
-    sqrt_rho_i = math.sqrt(P_i / N_i)
-    # Cross and relay-noise terms normalized by the receiver noise N_i.
-    sqrt_pj_ni = math.sqrt(P_j / N_i)
-    return AfAuxiliaries(user, h_ir * h_ri * sqrt_rho_i, h_ii * sqrt_rho_i,
-                         h_jr * h_ri * sqrt_pj_ni, h_ji * sqrt_pj_ni, g_ri * N_r / N_i)
+def _times(a, b) -> np.ndarray:
+    """a * b elementwise as Python multiplies complex numbers (unfused, a float b as b + 0j)."""
+    out = (a.real * b.real - a.imag * b.imag).astype(complex)
+    out.imag = a.real * b.imag + a.imag * b.real
+    return out
 
 
 def af_rate(channel, gain, user: int):
@@ -119,13 +124,17 @@ def saturation_gain(channel):
 
 def quadratic_coefficients(aux: AfAuxiliaries) -> Tuple[float, float, float]:
     """(c2, c1, c0) of the stationary-point quadratic c2 a^2 + c1 a + c0 = 0."""
-    m, n, p, q, s = aux.m, aux.n, aux.p, aux.q, aux.s
-    re_pq = (p * q.conjugate()).real
-    re_mn = (m * n.conjugate()).real
-    c2 = abs(m) ** 2 * re_pq - (abs(p) ** 2 + s) * re_mn
-    c1 = abs(m) ** 2 * (abs(q) ** 2 + 1.0) - abs(n) ** 2 * (abs(p) ** 2 + s)
-    c0 = (abs(q) ** 2 + 1.0) * re_mn - abs(n) ** 2 * re_pq
-    return c2, c1, c0
+    squares = (abs(z) ** 2 for z in (aux.m, aux.n, aux.p, aux.q))
+    return _coefficients(aux.m, aux.n, aux.p, aux.q, aux.s, *squares)[0]
+
+
+def _coefficients(m, n, p, q, s, mm, nn, pp, qq):
+    """One user's Q = (c2, c1, c0), T and D (see ``af_sum_rate_gain``), highest
+    power first, from its auxiliaries and mm = |m|^2, nn, pp, qq, elementwise."""
+    re_pq, re_mn = _conj_product(p, q)[0], _conj_product(m, n)[0]
+    d = (pp + s, 2.0 * re_pq, qq + 1.0)
+    quadratic = (mm * re_pq - d[0] * re_mn, mm * d[2] - nn * d[0], d[2] * re_mn - nn * re_pq)
+    return quadratic, (d[0] + mm, d[1] + 2.0 * re_mn, d[2] + nn), d
 
 
 def _solve_stationary(c2: float, c1: float, c0: float) -> List[float]:
@@ -253,36 +262,35 @@ _OVERFLOW = ("the AF sum-rate polynomial overflows a float: its coefficients mul
              "or Nr, or raise N1 or N2")
 
 
-def _sum_rate_polynomial(*auxes: AfAuxiliaries) -> np.ndarray:
-    """Q_1 T_2 D_2 + Q_2 T_1 D_1, highest power first, as ``np.roots`` takes it."""
-    q, td = [], []  # per user: Q_i, and the quartic T_i D_i
-    for aux in auxes:
-        m, n, p, qq = aux.m, aux.n, aux.p, aux.q
-        d = np.array([abs(p) ** 2 + aux.s, 2.0 * (p * qq.conjugate()).real, abs(qq) ** 2 + 1.0])
-        t = d + np.array([abs(m) ** 2, 2.0 * (m * n.conjugate()).real, abs(n) ** 2])
-        q.append(quadratic_coefficients(aux))
-        td.append(np.convolve(t, d))
-    return np.convolve(q[0], td[1]) + np.convolve(q[1], td[0])
+def _sum_rate_polynomials(batch: ChannelBatch) -> np.ndarray:
+    """Q_1 T_2 D_2 + Q_2 T_1 D_1 of each cell, highest power first, as ``np.roots``
+    takes it: Q_i, T_i and D_i for the whole block, then ``np.convolve`` per
+    cell, whose sums no stacked numpy call reproduces bit for bit."""
+    aux = [np.concatenate(z) for z in zip(_aux_values(batch, 1), _aux_values(batch, 2))]
+    moduli = np.hypot([z.real for z in aux[:4]], [z.imag for z in aux[:4]])
+    # abs(z) ** 2 in Python floats: libm pow, which is not always z * z.
+    squares = np.reshape([_square(v) for v in moduli.ravel().tolist()], moduli.shape)
+    q, t, d = (np.stack(r, axis=1) for r in _coefficients(*aux, *squares))  # user 1, then 2
+    n = len(batch)
+    return np.array([np.convolve(q[k], np.convolve(t[n + k], d[n + k]))
+                     + np.convolve(q[n + k], np.convolve(t[k], d[k])) for k in range(n)])
 
 
 def af_sum_rate_gain_batch(batch: ChannelBatch) -> List[Tuple[float, RatePair]]:
     """``af_sum_rate_gain`` of every cell of ``batch``.
 
-    Each cell's polynomial is built as for one channel, in Python floats and
-    ``np.convolve``; one ``np.linalg.eigvals`` call on the stacked companion
-    matrices then roots them all, as ``np.roots`` roots one (Edelman &
-    Murakami, Math. Comp. 1995).  A polynomial with a zero leading or
+    The polynomials' coefficients are formed for the whole block at once, by
+    the float operations of one channel's Python arithmetic (unfused complex
+    products, |z| as hypot, squares by libm pow); only their products stay
+    ``np.convolve`` per cell.  One ``np.linalg.eigvals`` call on the stacked
+    companion matrices then roots them all, as ``np.roots`` roots one (Edelman
+    & Murakami, Math. Comp. 1995).  A polynomial with a zero leading or
     trailing coefficient has a lower degree and goes through ``np.roots``.
     A coefficient that overflows raises ValueError naming the fields.  The
     maps pass blocks of at most 64 cells.
     """
-    args = [zip(*(np.asarray(v).tolist() for v in _aux_args(batch, user))) for user in (1, 2)]
     with np.errstate(all="ignore"):
-        try:
-            polys = np.array([_sum_rate_polynomial(_aux(1, *a1), _aux(2, *a2))
-                              for a1, a2 in zip(*args)])
-        except OverflowError:
-            raise ValueError(_OVERFLOW) from None
+        polys = _sum_rate_polynomials(batch)
         full = (polys[:, 0] != 0.0) & (polys[:, -1] != 0.0)
         top = -polys[full, 1:] / polys[full, :1]  # np.roots' companion row
     if not (np.isfinite(polys).all() and np.isfinite(top).all()):

@@ -20,7 +20,6 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, replace
-from functools import cached_property
 from typing import Tuple
 
 import numpy as np
@@ -190,11 +189,7 @@ class ChannelInstance(_Links):
         return complex(getattr(self, name))
 
     def _g(self, name: str) -> float:
-        return self._sq[name]
-
-    @cached_property
-    def _sq(self) -> dict:
-        return {name: abs(self._h(name)) ** 2 for name in _GAINS}
+        return abs(self._h(name)) ** 2
 
     def scaled(self, factor: float) -> "ChannelInstance":
         """All powers and noise variances multiplied by ``factor``."""
@@ -209,17 +204,20 @@ class ChannelBatch(_Links):
     """The channels of a block of cells as one array per field, with the
     accessors of ``ChannelInstance``, so the elementwise kernels take either.
 
-    Each |h|^2 is formed once, as one channel forms it: ``abs(h) ** 2`` in
-    Python floats (libm pow, which is not always x * x).  All else is done
-    elementwise, so a cell's results do not depend on its batch.  The maps
-    build one per block of at most 64 relay positions (``scenario._MAX_CELLS``).
+    A field is a sequence over the cells or one value they all share, whose
+    |h|^2 is formed once, as one channel forms it: ``abs(h) ** 2`` in Python
+    floats (libm pow, which is not always x * x).  All else is elementwise,
+    so a cell's results do not depend on its batch.  The maps build one per
+    block of at most 64 relay positions (``scenario._MAX_CELLS``).
     """
 
     def __init__(self, **fields):
-        for name in _GAINS + _POWERS:
-            setattr(self, name, np.asarray(fields[name], complex if name in _GAINS else float))
-        self._sq = {n: np.array([_square(abs(h)) for h in getattr(self, n).tolist()])
-                    for n in _GAINS}
+        given = {n: np.asarray(fields[n], complex if n in _GAINS else float).reshape(-1)
+                 for n in _GAINS + _POWERS}
+        given.update({"_g" + n: np.array([_square(abs(h)) for h in given[n].tolist()])
+                      for n in _GAINS})  # each |h|^2, as _g reads it
+        (cells,) = np.broadcast_shapes(*(v.shape for v in given.values()))
+        self.__dict__ = {k: v if len(v) == cells else v.repeat(cells) for k, v in given.items()}
 
     @classmethod
     def of(cls, channels) -> "ChannelBatch":
@@ -233,12 +231,11 @@ class ChannelBatch(_Links):
         return getattr(self, name)
 
     def _g(self, name: str):
-        return self._sq[name]
+        return getattr(self, "_g" + name)
 
     def _map(self, f) -> "ChannelBatch":
         out = object.__new__(ChannelBatch)
-        out.__dict__ = {k: f(v) for k, v in self.__dict__.items() if k != "_sq"}
-        out._sq = {k: f(v) for k, v in self._sq.items()}
+        out.__dict__ = {k: f(v) for k, v in self.__dict__.items()}
         return out
 
     def __getitem__(self, cells: slice) -> "ChannelBatch":
@@ -350,7 +347,8 @@ class NodeLayout:
         Worked in Python floats, so a length too large for a float comes out
         as inf, which ``layout_to_channel`` refuses, without a numpy warning.
         """
-        return {**self._planar_distances(), **self._relay_distances(*self.relay)}
+        lengths = self._relay_distances(*map(float, self.relay))
+        return {**self._planar_distances(), **{k: float(d) for k, d in lengths.items()}}
 
     def _planar_distances(self) -> dict:
         def planar(a, b):
@@ -361,11 +359,12 @@ class NodeLayout:
                 "h21": planar(s2, d1), "h22": planar(s2, d2)}
 
     def _relay_distances(self, x, y, z) -> dict:
-        x, y, z = float(x), float(y), float(z)
+        """Relay-link lengths, elementwise over x and y if they are arrays."""
+        z = float(z)
 
         def to_relay(a):
             dx, dy = float(a[0]) - x, float(a[1]) - y
-            return math.sqrt(dx * dx + dy * dy + z * z)
+            return np.sqrt(dx * dx + dy * dy + z * z)
 
         return {"h1r": to_relay(self.s1), "h2r": to_relay(self.s2),
                 "hr1": to_relay(self.d1), "hr2": to_relay(self.d2)}
@@ -388,14 +387,24 @@ def layout_to_channel(
 
 def layout_to_batch(layout: NodeLayout, relays, P1, P2, Pr, N1, N2, Nr) -> ChannelBatch:
     """``layout_to_channel`` for each relay position (x, y) of ``relays``
-    (lifted to z = epsilon), as one ``ChannelBatch``, validated once."""
-    fixed = dict(P1=P1, P2=P2, Pr=Pr, N1=N1, N2=N2, Nr=Nr, **{
-        key: _link_gain(layout, key, d) for key, d in layout._planar_distances().items()})
-    cols = {key: [] for key in ("h1r", "h2r", "hr1", "hr2")}
-    for x, y in relays:
-        for key, d in layout._relay_distances(x, y, layout.epsilon).items():
-            cols[key].append(_link_gain(layout, key, d))
-    batch = ChannelBatch(**{key: [v] * len(relays) for key, v in fixed.items()}, **cols)
+    (lifted to z = epsilon), as one ``ChannelBatch``, validated once: relay
+    links elementwise, by the float operations of ``NodeLayout.distances``, and
+    a bad one refused as ``layout_to_channel`` refuses the first bad cell."""
+    x, y = np.array(relays, dtype=float).reshape(-1, 2).T
+    with np.errstate(all="ignore"):
+        lengths = layout._relay_distances(x, y, layout.epsilon)
+        try:
+            if not all(((d > 0) & (d < math.inf)).all() for d in lengths.values()):
+                raise OverflowError  # a zero or overflowing length: refused below
+            cols = {key: [v ** (-layout.gamma / 2.0) for v in (d / layout.d0).tolist()]
+                    for key, d in lengths.items()}
+        except OverflowError:
+            for x, y in relays:
+                for key, d in layout.with_relay_at(x, y).distances().items():
+                    _link_gain(layout, key, d)
+            raise
+    planar = {key: _link_gain(layout, key, d) for key, d in layout._planar_distances().items()}
+    batch = ChannelBatch(P1=P1, P2=P2, Pr=Pr, N1=N1, N2=N2, Nr=Nr, **planar, **cols)
     batch.validate()
     return batch
 

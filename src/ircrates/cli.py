@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from dataclasses import replace
 
@@ -249,6 +250,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        out_dir = os.path.dirname(args.out or "") or "."
+        if args.out and (os.path.isdir(args.out) or not os.path.isdir(out_dir)):
+            os.open(args.out, os.O_WRONLY)  # fails now, as open(args.out, "w") would later
         text = args.func(args)
         if args.out:
             with open(args.out, "w") as fh:

@@ -252,12 +252,12 @@ def df_sum_rate_search_batch(
     """``df_sum_rate_search`` for every cell of ``batch``, then one
     refinement pass over all cells at once, axis by axis.
 
-    At a fixed relay split ``nu`` the tau grids of all cells are scanned as
-    one (cells, G, G) array, in chunks of cells; without one, each cell's
-    splits get the exact pruned scan of ``_best_grid_point``.  Everything is
-    elementwise in the operand order of one channel, with |h|^2 from the
-    batch (Python floats), so each cell gets what a batch of one gives it.
-    The maps pass blocks of at most 64 cells."""
+    At a fixed relay split ``nu`` each user's (cells, G) tau tables are built
+    once, and chunks of cells are scanned as (cells, G, G) arrays from their
+    rows; without one, each cell's splits get the exact pruned scan of
+    ``_best_grid_point``.  Everything is elementwise in the operand order of
+    one channel, with |h|^2 from the batch (Python floats), so each cell gets
+    what a batch of one gives it.  The maps pass blocks of at most 64 cells."""
     if grid_points < 2:
         raise ValueError(f"grid_points must be >= 2, got {grid_points}")
     col = batch.column()
@@ -269,14 +269,14 @@ def df_sum_rate_search_batch(
         return _refined(col, point, value, taus[1] - taus[0], axes=range(4))
     taus = np.linspace(0.0, 1.0, grid_points)
     n = float(nu[0]), float(nu[1])
+    tables = [(_relay_snr(col, user, taus), _dest_signal(col, user, taus, n[user - 1]),
+               _dest_interference(col, user, taus, n[j - 1])) for user, j in ((1, 2), (2, 1))]
     flat, value = [], []
     step = max(1, _MAX_SCAN // grid_points ** 2)
     for s in range(0, len(batch), step):
-        part, f = col[s:s + step], None
-        for user, j in ((1, 2), (2, 1)):
-            sinr = _user_sinr(_relay_snr(part, user, taus),
-                              _dest_signal(part, user, taus, n[user - 1]),
-                              _dest_interference(part, user, taus, n[j - 1]))
+        f = None
+        for table in tables:
+            sinr = _user_sinr(*(x[s:s + step] for x in table))
             c = capacity(sinr, out=sinr)  # user 2's is over (cells, tau2, tau1)
             f = c if f is None else np.add(f, c.swapaxes(1, 2), out=f)
         f = f.reshape(len(f), -1)

@@ -134,7 +134,7 @@ class ScenarioConfig:
         n = int(round(steps)) + 1 if math.isfinite(steps) else math.inf
         if n > _MAX_AXIS_POINTS:
             raise ConfigError(f"sweep axis [{lo}, {hi}] at resolution {self.resolution} "
-                              f"has {n} points, cap is {_MAX_AXIS_POINTS}")
+                              f"has {n:.7g} points, cap is {_MAX_AXIS_POINTS}")
         return n
 
     def grid_x(self) -> np.ndarray:
@@ -286,10 +286,11 @@ def ef_bl_point(params: ef.EfBiParams, scenario: ef.BiScenario) -> dict:
 
 # Per-protocol optimisers.  An entry takes a ChannelBatch (a block of at most
 # _MAX_CELLS positions) and returns one (RatePair, point) per cell, the point
-# being the chosen operating point in display order.  The kernels form
-# squares and powers in Python floats, as for one channel, and all else
-# elementwise, so a cell's result does not depend on its block.  Kernels are
-# looked up on their modules at call time, so a swapped-in kernel takes effect.
+# being the chosen operating point in display order.  The kernels build their
+# coefficients and tables once per block, elementwise by the float operations
+# of one channel, with squares and powers in Python floats (libm pow), so a
+# cell's result does not depend on its block.  Kernels are looked up on their
+# modules at call time, so a swapped-in kernel takes effect.
 
 
 def _optimize_af(batch: ChannelBatch, config: ScenarioConfig):

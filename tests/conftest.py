@@ -45,6 +45,25 @@ def symmetric_channel(rng) -> ChannelInstance:
     )
 
 
+def anti_phase_channel(rng) -> ChannelInstance:
+    """Complex gains with Re(h_ii h_ri^*) < 0 and Re(h_ji h_ri^*) < 0: the
+    coherent terms of the DF numerator and denominator subtract."""
+    ch = random_channel(rng)
+    gains = {}
+    for i, (direct, cross, down) in ((1, ("h11", "h21", "hr1")),
+                                     (2, ("h22", "h12", "hr2"))):
+        h_ri = getattr(ch, down)
+        for name in (direct, cross):
+            phase = np.exp(1j * rng.uniform(-1.0, 1.0))  # |angle| < pi / 2
+            gains[name] = -rng.uniform(0.1, 1.0) * h_ri * phase
+    new = ChannelInstance(**{**ch.__dict__, **gains})
+    for i in (1, 2):
+        h_ri = new.h_from_relay(i)
+        assert (new.h_direct(i) * h_ri.conjugate()).real < 0
+        assert (new.h_cross(i) * h_ri.conjugate()).real < 0
+    return new
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240416)

@@ -301,9 +301,9 @@ def _quadratic_scalar(m, n, p, q, s):
     return c2, c1, c0
 
 
-def af_sum_rate_gain_scalar(channel: ChannelInstance) -> Tuple[float, RatePair]:
-    """``af.af_sum_rate_gain`` on one channel, with ``np.roots``."""
-    a_bar = _saturation_gain_scalar(channel)
+def af_sum_rate_polynomial_scalar(channel: ChannelInstance) -> np.ndarray:
+    """Q_1 T_2 D_2 + Q_2 T_1 D_1 of one channel, highest power first, in
+    Python complex arithmetic and floats, as ``af`` formed it cell by cell."""
     q, td = [], []
     for user in (1, 2):
         m, n, p, qq, s = _auxiliaries_scalar(channel, user)
@@ -311,8 +311,13 @@ def af_sum_rate_gain_scalar(channel: ChannelInstance) -> Tuple[float, RatePair]:
         t = d + np.array([abs(m) ** 2, 2.0 * (m * n.conjugate()).real, abs(n) ** 2])
         q.append(_quadratic_scalar(m, n, p, qq, s))
         td.append(np.convolve(t, d))
-    roots = np.roots(np.convolve(q[0], td[1]) + np.convolve(q[1], td[0]))
-    roots = np.asarray(roots).real
+    return np.convolve(q[0], td[1]) + np.convolve(q[1], td[0])
+
+
+def af_sum_rate_gain_scalar(channel: ChannelInstance) -> Tuple[float, RatePair]:
+    """``af.af_sum_rate_gain`` on one channel, with ``np.roots``."""
+    a_bar = _saturation_gain_scalar(channel)
+    roots = np.asarray(np.roots(af_sum_rate_polynomial_scalar(channel))).real
     cands = np.concatenate(([0.0, a_bar], roots[(roots > 0.0) & (roots < a_bar)]))
     rates = [_af_rate_scalar(channel, cands, user) for user in (1, 2)]
     k = int(np.argmax(sum(rates)))

@@ -16,9 +16,10 @@ from ircrates import af, df, ef, scenario
 from ircrates.channel import ChannelBatch
 from ircrates.scenario import UNIFORM_NU, default_config, dominance_map
 
-from conftest import random_channel
+from conftest import anti_phase_channel, random_channel
 from reference_kernels import (
     af_sum_rate_gain_scalar,
+    af_sum_rate_polynomial_scalar,
     df_sum_rate_search_scalar,
     ef_bi_eval_scalar,
     ef_sl_min_noise_scalar,
@@ -98,7 +99,7 @@ def test_batch_composition_does_not_matter():
                         for p in shuffled}, whole)
 
 
-@pytest.mark.parametrize("gamma", [2.0, 3.7])
+@pytest.mark.parametrize("gamma", [2.0, 3.0, 3.7])
 def test_batch_gains_are_channel_at_gains(gamma):
     config = replace(DEFAULT, layout=replace(DEFAULT.layout, gamma=gamma))
     cells = positions(config)
@@ -114,8 +115,8 @@ def test_batch_gains_are_channel_at_gains(gamma):
             # |h|^2 is Python's abs(h) ** 2 (libm pow), not |h| * |h|.
             assert batch._g(name)[k] == abs(h) ** 2
             pow_not_square += abs(h) ** 2 != abs(h) * abs(h)
-    if gamma == 2.0:
-        assert pow_not_square > 0  # the default map has such a gain
+    if gamma in (2.0, 3.0):
+        assert pow_not_square > 0  # these maps have such a gain
 
 
 def test_infeasible_cell_scores_zero_alone():
@@ -126,3 +127,67 @@ def test_infeasible_cell_scores_zero_alone():
     assert [c.infeasible for c in got] == [(), ("ef_sl",), ()]
     assert got[1].rates["ef_sl"] == 0.0 and got[0].rates["ef_sl"] > 0.0
     assert got == [evaluate_cell_scalar(DEFAULT, x, y, ch) for (x, y), ch in zip(cells, channels)]
+
+
+def test_zero_length_relay_link_is_refused_as_for_its_cell():
+    layout = replace(DEFAULT.layout, epsilon=0.0, relay=(0.0, 0.0, 0.0))
+    config = replace(DEFAULT, layout=layout)
+    s1, s2 = (0.0, 0.0), (-0.5, 0.0)  # the relay on S1, on S2 (units of d0)
+    for cells in ([(1.0, 0.5), s1, s2], [(1.0, 0.5), s2, s1]):
+        with pytest.raises(ValueError) as one:
+            config.channel_at(*cells[1])
+        with pytest.raises(ValueError) as block:
+            config.channel_batch(cells)
+        assert str(block.value) == str(one.value)
+        assert "zero length" in str(one.value)
+
+
+def mixed_af_channels(rng):
+    """Random complex and anti-phase channels, and channels with h_r1 = 0,
+    h_r2 = 0 or both: that user's m = p = s = 0, and the sum-rate
+    polynomial's leading coefficient is 0."""
+    channels = [make(rng) for _ in range(20) for make in (random_channel, anti_phase_channel)]
+    silent = random_channel(rng)
+    return channels + [replace(silent, hr1=0.0), replace(silent, hr2=0.0),
+                       replace(silent, hr1=0.0, hr2=0.0)]
+
+
+def assert_block_polynomials_are_per_cell(batch: ChannelBatch) -> np.ndarray:
+    polys = af._sum_rate_polynomials(batch)
+    want = [af_sum_rate_polynomial_scalar(batch.cell(k)) for k in range(len(batch))]
+    assert polys.tobytes() == np.array(want).tobytes()  # every bit, zeros' signs too
+    return polys
+
+
+def test_af_block_coefficients_are_the_per_cell_polynomials():
+    channels = mixed_af_channels(np.random.default_rng(14))
+    polys = assert_block_polynomials_are_per_cell(ChannelBatch.of(channels))
+    assert (polys[:, 0] == 0.0).sum() == 3  # the np.roots branch is taken
+    assert af.af_sum_rate_gain_batch(ChannelBatch.of(channels)) == [
+        af_sum_rate_gain_scalar(ch) for ch in channels]
+    cells = positions(DEFAULT)
+    for s in range(0, len(cells), scenario._MAX_CELLS):
+        block = cells[s:s + scenario._MAX_CELLS]
+        assert_block_polynomials_are_per_cell(DEFAULT.channel_batch(block))
+
+
+def test_af_block_overflow_in_one_cell_raises():
+    rng = np.random.default_rng(15)
+    channels = [random_channel(rng) for _ in range(3)]
+    channels[1] = replace(channels[1], N1=1e-300, N2=1e-300)
+    with pytest.raises(ValueError) as raised:
+        af.af_sum_rate_gain_batch(ChannelBatch.of(channels))
+    assert str(raised.value) == af._OVERFLOW
+
+
+@pytest.mark.parametrize("grid_points", [2, 3, 41, 125])
+def test_df_fixed_split_chunks_are_the_scalar_search(grid_points):
+    # Blocks of 1, 7, 9 and 64 cells start, end and cross the edges of the
+    # scan's chunks of df._MAX_SCAN points.
+    rng = np.random.default_rng(16)
+    channels = [make(rng) for _ in range(32) for make in (random_channel, anti_phase_channel)]
+    want = [df_sum_rate_search_scalar(ch, grid_points, UNIFORM_NU) for ch in channels]
+    for size in (1, 7, 9, 64):
+        got = df.df_sum_rate_search_batch(ChannelBatch.of(channels[:size]), grid_points,
+                                          UNIFORM_NU)
+        assert got == want[:size]

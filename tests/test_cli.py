@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ircrates.channel import RatePair, layout_to_channel
+from ircrates import cli
 from ircrates.cli import main
 from ircrates.scenario import OPTIMIZERS, default_config
 
@@ -257,6 +258,27 @@ class TestMaps:
         assert lines[0] == "xr,yr,af,df,ef_bl,ef_sl,winner,bl_scenario"
         assert len(lines) == 1 + 3 * 2  # 3 x-points, 2 y-points
 
+    @pytest.mark.parametrize("target", ["missing/x.csv", ".", "cfg.json/x.csv"])
+    def test_unwritable_out_exits_2_before_computing(self, capsys, fast_config, tmp_path,
+                                                     monkeypatch, target):
+        def no_map(config):
+            raise AssertionError("the map was computed")
+
+        monkeypatch.setattr(cli, "dominance_map", no_map)
+        path = str(tmp_path / target)
+        with pytest.raises(OSError) as opened:
+            open(path, "w")
+        code, out, err = run(capsys, "map", "--pa", "optimal", "--out", path)
+        assert code == 2 and out == ""
+        assert err == f"error: {opened.value}\n"
+
+    def test_failed_run_keeps_existing_out(self, capsys, tmp_path):
+        path = tmp_path / "kept.csv"
+        path.write_text("kept\n")
+        code, _, err = run(capsys, "map", "--resolution", "0", "--out", str(path))
+        assert code == 2 and "resolution" in err
+        assert path.read_text() == "kept\n"
+
     def test_slice_default_y(self, capsys, fast_config):
         code, out, _ = run(capsys, "slice", "--config", fast_config)
         lines = out.strip().split("\n")
@@ -300,6 +322,11 @@ class TestMaps:
         code, out, err = run(capsys, "map", *argv)
         assert code == 2 and out == "" and "Traceback" not in err
         assert "cap is 1000000" in err
+
+    def test_huge_point_count_is_printed_compactly(self, capsys):
+        code, out, err = run(capsys, "map", "--resolution", "1e-300")
+        assert code == 2 and out == "" and "Traceback" not in err
+        assert "cap is 1000000" in err and len(err) < 200, err
 
 
     @pytest.mark.parametrize("field", ["df_grid", "ef_grid"])

@@ -17,7 +17,7 @@ from ircrates.df import _sum_rate_grid
 from ircrates.channel import ChannelBatch, ChannelInstance, nu_simplex
 from ircrates.scenario import default_config
 
-from conftest import random_channel, symmetric_channel
+from conftest import anti_phase_channel, random_channel, symmetric_channel
 from reference_kernels import (
     _df_scan_loop,
     df_sum_rate_search_reference,
@@ -104,25 +104,6 @@ def test_eval_equals_broadcast_at_every_split(rng):
             params, sc, pair = ef.ef_bi_eval(ch, nu1, nu2)
             assert (params.nwz1, params.nwz2, sc, pair.r1, pair.r2) == (
                 nwz1[k], nwz2[k], list(ef.BiScenario)[scenario[k]], r1[k], r2[k])
-
-
-def anti_phase_channel(rng) -> ChannelInstance:
-    """Complex gains with Re(h_ii h_ri^*) < 0 and Re(h_ji h_ri^*) < 0: the
-    coherent terms of the DF numerator and denominator subtract."""
-    ch = random_channel(rng)
-    gains = {}
-    for i, (direct, cross, down) in ((1, ("h11", "h21", "hr1")),
-                                     (2, ("h22", "h12", "hr2"))):
-        h_ri = getattr(ch, down)
-        for name in (direct, cross):
-            phase = np.exp(1j * rng.uniform(-1.0, 1.0))  # |angle| < pi / 2
-            gains[name] = -rng.uniform(0.1, 1.0) * h_ri * phase
-    new = ChannelInstance(**{**ch.__dict__, **gains})
-    for i in (1, 2):
-        h_ri = new.h_from_relay(i)
-        assert (new.h_direct(i) * h_ri.conjugate()).real < 0
-        assert (new.h_cross(i) * h_ri.conjugate()).real < 0
-    return new
 
 
 def tau_blocks(grid_points: int):
