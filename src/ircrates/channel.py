@@ -63,7 +63,7 @@ def path_loss_gain(distance: float, d0: float, gamma: float) -> float:
         raise ValueError(f"link distance must be positive, got {distance}")
     try:
         return (distance / d0) ** (-gamma / 2.0)
-    except OverflowError:
+    except (OverflowError, ZeroDivisionError):  # the latter where d / d0 underflows to 0
         raise ValueError(
             f"path-loss gain (d / d0)^(-gamma/2) overflows a float at d = {distance:g}, "
             f"d0 = {d0:g}, gamma = {gamma:g}"
@@ -390,6 +390,7 @@ def layout_to_batch(layout: NodeLayout, relays, P1, P2, Pr, N1, N2, Nr) -> Chann
     (lifted to z = epsilon), as one ``ChannelBatch``, validated once: relay
     links elementwise, by the float operations of ``NodeLayout.distances``, and
     a bad one refused as ``layout_to_channel`` refuses the first bad cell."""
+    planar = {key: _link_gain(layout, key, d) for key, d in layout._planar_distances().items()}
     x, y = np.array(relays, dtype=float).reshape(-1, 2).T
     with np.errstate(all="ignore"):
         lengths = layout._relay_distances(x, y, layout.epsilon)
@@ -398,12 +399,11 @@ def layout_to_batch(layout: NodeLayout, relays, P1, P2, Pr, N1, N2, Nr) -> Chann
                 raise OverflowError  # a zero or overflowing length: refused below
             cols = {key: [v ** (-layout.gamma / 2.0) for v in (d / layout.d0).tolist()]
                     for key, d in lengths.items()}
-        except OverflowError:
-            for x, y in relays:
-                for key, d in layout.with_relay_at(x, y).distances().items():
-                    _link_gain(layout, key, d)
+        except (OverflowError, ZeroDivisionError):  # the latter where d / d0 underflows
+            for k in range(len(x)):
+                for key, d in lengths.items():
+                    _link_gain(layout, key, d[k].item())
             raise
-    planar = {key: _link_gain(layout, key, d) for key, d in layout._planar_distances().items()}
     batch = ChannelBatch(P1=P1, P2=P2, Pr=Pr, N1=N1, N2=N2, Nr=Nr, **planar, **cols)
     batch.validate()
     return batch

@@ -33,7 +33,9 @@ from .discrete import (
 from .errors import ConstraintViolationError, InfeasibleError
 from .scenario import (
     OPTIMIZERS,
+    PA_SPLITS,
     PROTOCOL_ORDER,
+    R0_EXPONENTS,
     UNIFORM_NU,
     ConfigError,
     ScenarioConfig,
@@ -67,18 +69,17 @@ def positive_float(text: str) -> float:
 
 # Config fields that a flag overrides: (flag, field, argparse keywords).
 _OVERRIDES = (
-    ("--pa", "pa_policy", dict(choices=("uniform", "optimal"), help="relay power-allocation policy")),
-    ("--r0-exponent", "r0_exponent", dict(type=int, choices=(1, 2), help="EF-SL bottleneck exponent")),
+    ("--pa", "pa_policy", dict(choices=tuple(PA_SPLITS), help="relay power-allocation policy")),
+    ("--r0-exponent", "r0_exponent", dict(type=int, choices=R0_EXPONENTS, help="EF-SL bottleneck exponent")),
     ("--resolution", "resolution", dict(type=float, help="sweep resolution, in units of d0")),
 )
-_ALL_OVERRIDES = tuple(flag for flag, _, _ in _OVERRIDES)
 
 
-def _add_config(parser: argparse.ArgumentParser, flags=_ALL_OVERRIDES) -> None:
-    """``--config`` plus the overrides in ``flags``, each stored under its field."""
+def _add_config(parser: argparse.ArgumentParser, *flags: str) -> None:
+    """``--config`` and the overrides in ``flags`` (all if none), each under its field."""
     parser.add_argument("--config", help="scenario config JSON (default: built-in)")
     for flag, field, kwargs in _OVERRIDES:
-        if flag in flags:
+        if not flags or flag in flags:
             parser.add_argument(flag, dest=field, **kwargs)
 
 
@@ -90,9 +91,8 @@ def _add_protocol(parser: argparse.ArgumentParser) -> None:
 
 def _get_config(args) -> ScenarioConfig:
     config = load_config(args.config) if args.config else default_config()
-    overrides = {field: getattr(args, field) for _, field, _ in _OVERRIDES
-                 if getattr(args, field, None) is not None}
-    return replace(config, **overrides) if overrides else config
+    return replace(config, **{field: getattr(args, field) for _, field, _ in _OVERRIDES
+                              if getattr(args, field, None) is not None})
 
 
 def _channel_from(config: ScenarioConfig) -> ChannelInstance:
@@ -216,7 +216,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_config(command("defaults", _cmd_defaults, "emit the frozen default config"))
 
     p = command("rate", _cmd_rate, "evaluate one protocol at fixed parameters")
-    _add_config(p, ("--r0-exponent",))
+    _add_config(p, "--r0-exponent")
     _add_protocol(p)
     p.add_argument("--gain", type=finite_float, help="AF relay gain (default: saturation)")
     p.add_argument("--tau1", type=finite_float, help="DF cooperation degree of user 1 (default 0)")
@@ -229,7 +229,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--nwz2", type=positive_float, help="EF-BL compression noise for D2")
 
     p = command("optimize", _cmd_optimize, "per-protocol parameter search")
-    _add_config(p, ("--pa", "--r0-exponent"))
+    _add_config(p, "--pa", "--r0-exponent")
     _add_protocol(p)
 
     _add_config(command("map", _cmd_map, "dominance map CSV over relay positions"))

@@ -181,7 +181,7 @@ def _min_noise(channel, nu1, nu2, interference):
     each destination; +inf for a stream with no relay power."""
     A, _, _, cross_sq = _derived(channel)
     bounds = []
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         for i, nu_i in ((1, nu1), (2, nu2)):
             denom = channel.g_from_relay(i) * nu_i * channel.Pr
             num = (_receive_power(channel, i) + interference[i - 1]) * A - cross_sq[i - 1]
@@ -215,7 +215,11 @@ def _two_branch_sinr(channel, i: int, relay_interf, nwz):
     Ni, Nr = channel.N(i), channel.Nr
     dropped = np.isinf(nwz)
     w = np.where(dropped, 0.0, nwz)
-    direct = gd * Pi / (Ni + relay_interf + gc * Pj * (Nr + w) / (gw * Pj + Nr + w))
+    with np.errstate(over="ignore"):
+        leak = gc * Pj * (Nr + w) / (gw * Pj + Nr + w)
+    if np.isinf(leak).any():  # gc Pj (Nr + w) overflows: divide before multiplying
+        leak = np.where(np.isinf(leak), gc * Pj * ((Nr + w) / (gw * Pj + Nr + w)), leak)
+    direct = gd * Pi / (Ni + relay_interf + leak)
     noise_floor = relay_interf + Ni
     relayed = gu * Pi / (Nr + w + gw * Pj * noise_floor / (gc * Pj + noise_floor))
     return np.where(dropped, gd * Pi / (Ni + relay_interf + gc * Pj), direct + relayed)

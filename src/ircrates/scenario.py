@@ -64,16 +64,51 @@ _MAX_AXIS_POINTS = 10**6
 # G * G(G+1)/2 entries, and 125 keeps it within 10**6.
 _MAX_GRID = 125
 
-_REAL_FIELDS = ("P1", "P2", "Pr", "N1", "N2", "Nr",
-                "x_min", "x_max", "y_min", "y_max", "resolution")
+UNIFORM_NU = (0.5, 0.5)
+# The relay power split each pa_policy fixes; None searches the nu simplex.
+PA_SPLITS = {"uniform": UNIFORM_NU, "optimal": None}
+R0_EXPONENTS = (1, 2)  # EF-SL constraint denominators 2^(e R_0) - 1
+
+# Field checks as (test, message) rows; a value fails with the message of
+# its first failed row.  A real is finite (NaN fails): a bool is not one,
+# nor is an integer beyond float range.
+_REAL = ((lambda v: isinstance(v, numbers.Real) and not isinstance(v, bool)
+          and abs(v) <= sys.float_info.max, "must be a finite number"),)
+_POSITIVE = _REAL + ((lambda v: v > 0, "must be > 0"),)
+_GRID = ((lambda v: isinstance(v, numbers.Integral) and not isinstance(v, bool)
+          and 2 <= v <= _MAX_GRID, f"must be an integer from 2 to {_MAX_GRID}"),)
+_PROTOCOLS = ((lambda v: isinstance(v, (list, tuple)), "must be a list"),
+              (lambda v: v and all(p in PROTOCOL_ORDER for p in v),
+               f"must be a non-empty subset of {PROTOCOL_ORDER}"))
 
 
-def _check_real(name: str, v) -> None:
-    """Config values must be finite real numbers; a bool is not one, nor is
-    an integer beyond float range."""
-    real = isinstance(v, numbers.Real) and not isinstance(v, bool)
-    if not (real and abs(v) <= sys.float_info.max):  # False for NaN
-        raise ConfigError(f"{name} must be a finite number, got {v!r}")
+def _one_of(choices) -> tuple:
+    return ((lambda v: not isinstance(v, bool) and v in choices,
+             "must be " + " or ".join(map(repr, choices))),)
+
+
+def _check(name: str, v, rows) -> None:
+    for test, message in rows:
+        if not test(v):
+            raise ConfigError(f"{name} {message}, got {v!r}")
+
+
+# The config's fields as its JSON holds them, in key order after "layout":
+# (section, required, {field: check rows}), section None for top-level
+# keys.  A required section must hold all its fields; elsewhere an absent
+# key takes the field default.
+_SECTIONS = (
+    ("powers", True, {"P1": _POSITIVE, "P2": _POSITIVE, "Pr": _POSITIVE}),
+    ("noises", True, {"N1": _POSITIVE, "N2": _POSITIVE, "Nr": _POSITIVE}),
+    ("sweep", False, {"x_min": _REAL, "x_max": _REAL, "y_min": _REAL, "y_max": _REAL,
+                      "resolution": _POSITIVE}),
+    (None, False, {"pa_policy": _one_of(tuple(PA_SPLITS))}),
+    ("optimizer", False, {"df_grid": _GRID, "ef_grid": _GRID}),
+    (None, False, {"protocols": _PROTOCOLS, "r0_exponent": _one_of(R0_EXPONENTS)}),
+)
+# NodeLayout's points with their coordinate counts, then its scalars.
+_LAYOUT_POINTS = (("s1", 2), ("s2", 2), ("d1", 2), ("d2", 2), ("relay", 3))
+_LAYOUT_SCALARS = ("d0", "gamma", "epsilon")
 
 
 @dataclass(frozen=True)
@@ -98,34 +133,22 @@ class ScenarioConfig:
     r0_exponent: int = 2
 
     def __post_init__(self):
-        lay = self.layout
-        values = [(n, getattr(self, n)) for n in _REAL_FIELDS]
-        values += [(f"layout.{n}", getattr(lay, n)) for n in ("d0", "gamma", "epsilon")]
-        for name, dim in (("s1", 2), ("s2", 2), ("d1", 2), ("d2", 2), ("relay", 3)):
-            point = getattr(lay, name)
+        for name, dim in _LAYOUT_POINTS:
+            point = getattr(self.layout, name)
             if len(point) != dim:
                 raise ConfigError(f"layout.{name} must have {dim} coordinates, got {point!r}")
-            values += [(f"layout.{name}", v) for v in point]
-        for name, v in values:
-            _check_real(name, v)
-        for name in ("P1", "P2", "Pr", "N1", "N2", "Nr", "resolution"):
-            if getattr(self, name) <= 0:
-                raise ConfigError(f"{name} must be > 0, got {getattr(self, name)!r}")
-        for name in ("df_grid", "ef_grid"):
-            v = getattr(self, name)
-            integral = isinstance(v, numbers.Integral) and not isinstance(v, bool)
-            if not (integral and 2 <= v <= _MAX_GRID):
-                raise ConfigError(f"{name} must be an integer from 2 to {_MAX_GRID}, got {v!r}")
-        if self.pa_policy not in ("uniform", "optimal"):
-            raise ConfigError(f"pa_policy must be 'uniform' or 'optimal', got {self.pa_policy!r}")
-        if isinstance(self.r0_exponent, bool) or self.r0_exponent not in (1, 2):
-            raise ConfigError(f"r0_exponent must be 1 or 2, got {self.r0_exponent!r}")
+            for v in point:
+                _check(f"layout.{name}", v, _REAL)
+        for name in _LAYOUT_SCALARS:
+            _check(f"layout.{name}", getattr(self.layout, name), _REAL)
+        for _, _, checks in _SECTIONS:
+            for name, rows in checks.items():
+                _check(name, getattr(self, name), rows)
+        if isinstance(self.protocols, list):  # a JSON array
+            object.__setattr__(self, "protocols", tuple(self.protocols))
         for lo, hi in ((self.x_min, self.x_max), (self.y_min, self.y_max)):
             if hi <= lo or self._axis_points(lo, hi) < 2:
                 raise ConfigError("sweep grid must have at least 2 points per axis")
-        if not self.protocols or any(p not in PROTOCOL_ORDER for p in self.protocols):
-            raise ConfigError(f"protocols must be a non-empty subset of {PROTOCOL_ORDER}, "
-                              f"got {self.protocols!r}")
 
     def _axis_points(self, lo: float, hi: float) -> int:
         """Points on the sweep axis [lo, hi], refused over the cap before any
@@ -159,26 +182,13 @@ class ScenarioConfig:
     # -- (de)serialization -----------------------------------------------------
 
     def to_dict(self) -> dict:
-        lay = self.layout
-        return {
-            "layout": {
-                "s1": list(lay.s1), "s2": list(lay.s2),
-                "d1": list(lay.d1), "d2": list(lay.d2),
-                "relay": list(lay.relay),
-                "d0": lay.d0, "gamma": lay.gamma, "epsilon": lay.epsilon,
-            },
-            "powers": {"P1": self.P1, "P2": self.P2, "Pr": self.Pr},
-            "noises": {"N1": self.N1, "N2": self.N2, "Nr": self.Nr},
-            "sweep": {
-                "x_min": self.x_min, "x_max": self.x_max,
-                "y_min": self.y_min, "y_max": self.y_max,
-                "resolution": self.resolution,
-            },
-            "pa_policy": self.pa_policy,
-            "optimizer": {"df_grid": self.df_grid, "ef_grid": self.ef_grid},
-            "protocols": list(self.protocols),
-            "r0_exponent": self.r0_exponent,
-        }
+        out = {"layout": {**{name: list(getattr(self.layout, name)) for name, _ in _LAYOUT_POINTS},
+                          **{name: getattr(self.layout, name) for name in _LAYOUT_SCALARS}}}
+        for section, _, checks in _SECTIONS:
+            values = {name: getattr(self, name) for name in checks}
+            values = {k: list(v) if isinstance(v, tuple) else v for k, v in values.items()}
+            out.update(values if section is None else {section: values})
+        return out
 
     @classmethod
     def from_dict(cls, data: dict) -> "ScenarioConfig":
@@ -190,45 +200,27 @@ class ScenarioConfig:
 
         lay = section("layout")
         try:
-            for name in ("d0", "gamma", "epsilon"):  # compared by NodeLayout
-                _check_real(f"layout.{name}", lay[name])
-            for v in lay["relay"]:  # its z is compared with epsilon
-                _check_real("layout.relay", v)
-            layout = NodeLayout(
-                s1=tuple(lay["s1"]), s2=tuple(lay["s2"]),
-                d1=tuple(lay["d1"]), d2=tuple(lay["d2"]),
-                relay=tuple(lay["relay"]),
-                d0=lay["d0"], gamma=lay["gamma"], epsilon=lay["epsilon"],
-            )
+            for name in _LAYOUT_SCALARS:  # compared by NodeLayout
+                _check(f"layout.{name}", lay[name], _REAL)
+            for name, _ in _LAYOUT_POINTS:  # the relay's z is compared with epsilon
+                for v in lay[name]:
+                    _check(f"layout.{name}", v, _REAL)
+            layout = NodeLayout(**{name: tuple(lay[name]) for name, _ in _LAYOUT_POINTS},
+                                **{name: lay[name] for name in _LAYOUT_SCALARS})
         except KeyError as exc:
             raise ConfigError(f"layout: missing field {exc}") from None
-        except ConfigError:  # _check_real names the field already
+        except ConfigError:  # _check names the field already
             raise
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"layout: {exc}") from None
-        powers, noises = section("powers"), section("noises")
-        sweep, opt = section("sweep", {}), section("optimizer", {})
-
-        def present(source: dict, *keys: str) -> dict:
-            return {key: source[key] for key in keys if key in source}
-
-        # Absent keys take the field defaults; retired keys are not read.
-        optional = {**present(sweep, "x_min", "x_max", "y_min", "y_max", "resolution"),
-                    **present(opt, "df_grid", "ef_grid"),
-                    **present(data, "pa_policy", "protocols", "r0_exponent")}
-        try:
-            if "protocols" in optional:
-                optional["protocols"] = tuple(optional["protocols"])
-            return cls(
-                layout=layout,
-                P1=powers["P1"], P2=powers["P2"], Pr=powers["Pr"],
-                N1=noises["N1"], N2=noises["N2"], Nr=noises["Nr"],
-                **optional,
-            )
-        except KeyError as exc:
-            raise ConfigError(f"missing config field {exc}") from None
-        except TypeError as exc:  # a non-list protocols entry
-            raise ConfigError(f"protocols: {exc}") from None
+        fields = {}  # retired keys are not read
+        for name, required, checks in _SECTIONS:
+            source = data if name is None else section(name, None if required else {})
+            missing = [key for key in checks if key not in source]
+            if required and missing:
+                raise ConfigError(f"missing config field {missing[0]!r}")
+            fields.update((key, source[key]) for key in checks if key in source)
+        return cls(layout=layout, **fields)
 
 
 def default_config() -> ScenarioConfig:
@@ -272,9 +264,6 @@ class SlCell:
     frontier: bool = False
 
 
-UNIFORM_NU = (0.5, 0.5)  # relay power split under pa_policy="uniform"
-
-
 def df_point(params: df.DfParams) -> dict:
     return {"tau": (params.tau1, params.tau2), "nu": (params.nu1, params.nu2)}
 
@@ -298,14 +287,12 @@ def _optimize_af(batch: ChannelBatch, config: ScenarioConfig):
 
 
 def _optimize_df(batch: ChannelBatch, config: ScenarioConfig):
-    nu = UNIFORM_NU if config.pa_policy == "uniform" else None
-    found = df.df_sum_rate_search_batch(batch, config.df_grid, nu)
+    found = df.df_sum_rate_search_batch(batch, config.df_grid, PA_SPLITS[config.pa_policy])
     return [(pair, df_point(params)) for params, pair in found]
 
 
 def _optimize_ef_bl(batch: ChannelBatch, config: ScenarioConfig):
-    nu = UNIFORM_NU if config.pa_policy == "uniform" else None
-    found = ef.ef_bi_sum_rate_search_batch(batch, config.ef_grid, nu)
+    found = ef.ef_bi_sum_rate_search_batch(batch, config.ef_grid, PA_SPLITS[config.pa_policy])
     return [(pair, ef_bl_point(params, scenario)) for params, scenario, pair in found]
 
 

@@ -183,6 +183,31 @@ class TestRate:
         assert code == 2 and out == "" and "Traceback" not in err
         assert f"{flag} does not apply" in err
 
+    @pytest.mark.parametrize("protocol, flags", [("ef_sl", ["--nwz"]),
+                                                 ("ef_bl", ["--nwz1", "--nwz2"])])
+    def test_largest_noise_rate_is_the_infinite_noise_rate(self, capsys, fast_config,
+                                                           protocol, flags):
+        rates = []
+        for noise in ("1e308", "inf"):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                code, out, err = run(capsys, "rate", "--config", fast_config,
+                                     "--protocol", protocol, *(f"{f}={noise}" for f in flags))
+            assert (code, err, caught) == (0, "", [])
+            rates.append([float(line.split(": ")[1]) for line in out.splitlines()
+                          if line.startswith(("R1:", "R2:"))])
+        assert rates[0] == pytest.approx(rates[1], abs=1e-12)
+        assert min(rates[0]) > 0.5
+
+    def test_tiny_relay_share_prints_no_warning(self, capsys, fast_config):
+        # nu1 = 1e-320 makes the stream's noise bound overflow to +inf.
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run(capsys, "rate", "--config", fast_config, "--protocol",
+                                 "ef_bl", "--nu1", "1e-320", "--nu2", "0")
+        assert (code, err, caught) == (0, "", [])
+        assert "nwz: (inf, inf)" in out
+
     def test_ef_bl_given_noises_are_used(self, capsys, fast_config):
         code, out, _ = run(capsys, "rate", "--config", fast_config, "--protocol", "ef_bl",
                            "--nu1", "0.3", "--nu2", "0.6", "--nwz1", "1e6", "--nwz2", "2e6")
@@ -530,6 +555,17 @@ class TestErrors:
         err = capsys.readouterr().err
         assert exc.value.code == 2
         assert f"argument {flag}: must be finite" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("argv", [("optimize", "--protocol", "af"),
+                                      ("rate", "--protocol", "df")])
+    def test_path_loss_underflow_exits_2(self, capsys, fast_config, argv):
+        # d / d0 = 1e-20 / 1e305 underflows to 0, so the relay gain overflows.
+        data = json.loads(Path(fast_config).read_text())
+        data["layout"].update(d0=1e305, epsilon=1e-20, relay=[0.0, 0.0, 1e-20])
+        Path(fast_config).write_text(json.dumps(data))
+        code, out, err = run(capsys, *argv, "--config", fast_config)
+        assert code == 2 and out == "" and "Traceback" not in err
+        assert "overflows a float" in err, err
 
     def test_non_numeric_config_field_exits_2(self, capsys, fast_config):
         data = json.loads(Path(fast_config).read_text())

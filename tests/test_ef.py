@@ -1,4 +1,5 @@
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -272,6 +273,24 @@ class TestSingleLevel:
                                 / (abs(ch.h_cross(i)) ** 2 * ch.P(j) + ch.N(i)))
                 assert r == pytest.approx(base, abs=1e-6)
                 assert r >= base - 1e-12
+
+    def test_largest_noise_rate_is_the_infinite_noise_rate(self, rng):
+        # At nwz = 1e308 the term |h_ji|^2 P_j (N_r + nwz) overflows unless
+        # it is divided first.
+        overflowed = False
+        for _ in range(30):
+            ch = random_channel(rng)
+            overflowed |= max(abs(ch.h12) ** 2 * ch.P1, abs(ch.h21) ** 2 * ch.P2) > 1.8
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                pairs = [ef_sl_rate(ch, nwz) for nwz in (1e308, math.inf)]
+                scenario = ef_bi_scenario(ch, 0.5, 0.5)
+                pairs += [ef_bi_rate(ch, EfBiParams(0.5, 0.5, nwz, nwz), scenario)
+                          for nwz in (1e308, math.inf)]
+            for big, limit in (pairs[:2], pairs[2:]):
+                assert big.r1 == pytest.approx(limit.r1, abs=1e-12)
+                assert big.r2 == pytest.approx(limit.r2, abs=1e-12)
+        assert overflowed
 
     def test_rejects_noise_below_bound(self, rng):
         ch = random_channel(rng)

@@ -1,11 +1,11 @@
 import json
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
-from ircrates.channel import ChannelBatch, RatePair, capacity
+from ircrates.channel import ChannelBatch, NodeLayout, RatePair, capacity
 from ircrates.errors import InfeasibleError
 from ircrates.scenario import (
     DEFAULT_NODES,
@@ -56,6 +56,34 @@ class TestConfig:
         path.write_text(json.dumps(cfg.to_dict()))
         loaded = load_config(path)
         assert loaded == cfg
+
+    def test_round_trip_with_every_field_off_default(self):
+        layout = NodeLayout(s1=(0.5, -1.0), s2=(-3.0, 0.25), d1=(9.0, 1.0), d2=(-4.0, 8.0),
+                            relay=(1.0, 2.0, 0.2), d0=4.0, gamma=3.0, epsilon=0.2)
+        cfg = ScenarioConfig(
+            layout=layout, P1=3.0, P2=4.0, Pr=5.0, N1=0.5, N2=0.25, Nr=2.0,
+            x_min=-2.0, x_max=3.0, y_min=-1.0, y_max=2.0, resolution=0.5,
+            pa_policy="optimal", df_grid=101, ef_grid=101, protocols=("df", "ef_sl"),
+            r0_exponent=1)
+        default = default_config()
+        for f in fields(ScenarioConfig):
+            assert getattr(cfg, f.name) != getattr(default, f.name), f.name
+        for f in fields(NodeLayout):
+            assert getattr(layout, f.name) != getattr(default.layout, f.name), f.name
+        assert ScenarioConfig.from_dict(cfg.to_dict()) == cfg
+        assert ScenarioConfig.from_dict(json.loads(json.dumps(cfg.to_dict()))) == cfg
+
+    def test_to_dict_key_order(self):
+        data = default_config().to_dict()
+        assert list(data) == ["layout", "powers", "noises", "sweep", "pa_policy",
+                              "optimizer", "protocols", "r0_exponent"]
+        assert list(data["layout"]) == ["s1", "s2", "d1", "d2", "relay",
+                                        "d0", "gamma", "epsilon"]
+        assert list(data["powers"]) == ["P1", "P2", "Pr"]
+        assert list(data["noises"]) == ["N1", "N2", "Nr"]
+        assert list(data["sweep"]) == ["x_min", "x_max", "y_min", "y_max", "resolution"]
+        assert list(data["optimizer"]) == ["df_grid", "ef_grid"]
+        assert data["protocols"] == list(PROTOCOL_ORDER)
 
     def test_retired_af_options_ignored(self):
         data = default_config().to_dict()
@@ -135,6 +163,9 @@ class TestConfig:
             bad = dict(data, **{section: value})
             with pytest.raises(ConfigError, match=section):
                 ScenarioConfig.from_dict(bad)
+        # A string is not read as the list of its characters.
+        with pytest.raises(ConfigError, match="protocols must be a list, got 'af'"):
+            ScenarioConfig.from_dict(dict(data, protocols="af"))
         with pytest.raises(ConfigError):
             ScenarioConfig.from_dict([data])
         with pytest.raises(ConfigError, match="protocols"):
@@ -166,6 +197,17 @@ class TestConfig:
         assert gy[0] == -3.0 and gy[-1] == 4.0
         assert len(gx) == 33 and len(gy) == 29
         assert np.allclose(np.diff(gx), 0.25)
+
+    def test_path_loss_underflow_refused_alike(self):
+        # d / d0 = 1e-20 / 1e305 underflows to 0, so the gain overflows.
+        layout = replace(default_config().layout, d0=1e305, epsilon=1e-20,
+                         relay=(0.0, 0.0, 1e-20))
+        cfg = replace(default_config(), layout=layout)
+        with pytest.raises(ValueError, match="overflows a float") as one:
+            cfg.channel_at(0.0, 0.0)
+        with pytest.raises(ValueError) as block:
+            cfg.channel_batch([(0.0, 0.0)])
+        assert str(block.value) == str(one.value)
 
     def test_channel_at_gain_oracle(self):
         cfg = default_config()
