@@ -18,11 +18,14 @@ All rates are in bits per channel use, matching capacity(x) = log2(1 + x).
 from __future__ import annotations
 
 import math
+import numbers
 import sys
 from dataclasses import dataclass, replace
 from typing import Tuple
 
 import numpy as np
+
+from .errors import ConfigError
 
 __all__ = [
     "ChannelBatch",
@@ -306,13 +309,51 @@ def nu_simplex(grid_points: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     return grid, i1, i2
 
 
+def _finite(v) -> bool:
+    """A finite real (NaN fails): not a bool, nor an integer beyond float
+    range.  A float skips the ABC test, which costs about 1 us a value."""
+    return (math.isfinite(v) if type(v) is float else isinstance(v, numbers.Real)
+            and not isinstance(v, bool) and abs(v) <= sys.float_info.max)
+
+
+# Field checks as (test, message) rows; a value fails with the message of
+# its first failed row.
+_REAL = ((_finite, "must be a finite number"),)
+_POSITIVE = _REAL + ((lambda v: v > 0, "must be > 0"),)
+
+
+def _point(dim: int) -> tuple:
+    return ((lambda v: isinstance(v, (list, tuple)) and len(v) == dim,
+             f"must be a list of {dim} numbers"),
+            (lambda v: all(map(_finite, v)), "must be a finite number"))
+
+
+# NodeLayout's fields, in the key order of the config's "layout" object, with
+# their check rows: each point with its coordinate count, then the scalars.
+_LAYOUT_FIELDS = {"s1": _point(2), "s2": _point(2), "d1": _point(2), "d2": _point(2),
+                  "relay": _point(3), "d0": _POSITIVE, "gamma": _POSITIVE,
+                  "epsilon": _REAL + ((lambda v: v >= 0, "must be >= 0"),)}
+
+
+def _check_fields(obj, table: dict, prefix: str = "") -> None:
+    """Check each field of ``obj`` that ``table`` names against its rows,
+    storing a list (a JSON array) as a tuple."""
+    for name, rows in table.items():
+        v = getattr(obj, name)
+        for test, message in rows:
+            if not test(v):
+                raise ConfigError(f"{prefix}{name} {message}, got {v!r}")
+        if isinstance(v, list):
+            object.__setattr__(obj, name, tuple(v))
+
+
 @dataclass(frozen=True)
 class NodeLayout:
     """Planar positions of the four terminals plus the 3-D relay position.
 
     The four terminals sit in the z = 0 plane; the relay is lifted to
     z = epsilon so that relay-link distances never vanish when the relay
-    passes over a terminal.
+    passes over a terminal.  A bad field raises ConfigError naming it.
     """
 
     s1: Tuple[float, float]
@@ -325,18 +366,10 @@ class NodeLayout:
     epsilon: float = 0.1
 
     def __post_init__(self):
-        if self.d0 <= 0:
-            raise ValueError(f"d0 must be > 0, got {self.d0}")
-        if self.gamma <= 0:
-            raise ValueError(f"gamma must be > 0, got {self.gamma}")
-        if self.epsilon < 0:
-            raise ValueError(f"epsilon must be >= 0, got {self.epsilon}")
-        if len(self.relay) != 3:
-            raise ValueError("relay position must be (x, y, z)")
+        _check_fields(self, _LAYOUT_FIELDS, "layout.")
         if abs(self.relay[2] - self.epsilon) > 1e-12 * max(1.0, self.epsilon):
-            raise ValueError(
-                f"relay z-coordinate {self.relay[2]} must equal epsilon {self.epsilon}"
-            )
+            raise ConfigError(f"layout.relay z-coordinate {self.relay[2]} "
+                              f"must equal layout.epsilon {self.epsilon}")
 
     def with_relay_at(self, x: float, y: float) -> "NodeLayout":
         return replace(self, relay=(x, y, self.epsilon))

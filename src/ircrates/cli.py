@@ -35,7 +35,6 @@ from .scenario import (
     OPTIMIZERS,
     PA_SPLITS,
     PROTOCOL_ORDER,
-    R0_EXPONENTS,
     UNIFORM_NU,
     ConfigError,
     ScenarioConfig,
@@ -70,7 +69,7 @@ def positive_float(text: str) -> float:
 # Config fields that a flag overrides: (flag, field, argparse keywords).
 _OVERRIDES = (
     ("--pa", "pa_policy", dict(choices=tuple(PA_SPLITS), help="relay power-allocation policy")),
-    ("--r0-exponent", "r0_exponent", dict(type=int, choices=R0_EXPONENTS, help="EF-SL bottleneck exponent")),
+    ("--r0-exponent", "r0_exponent", dict(type=int, choices=ef.R0_EXPONENTS, help="EF-SL bottleneck exponent")),
     ("--resolution", "resolution", dict(type=float, help="sweep resolution, in units of d0")),
 )
 
@@ -125,14 +124,21 @@ def _report(protocol: str, pair, point: dict, with_sum: bool) -> str:
     return "\n".join(lines) + "\n"
 
 
-# The operating-point flags of ``rate`` and the protocols each applies to.
-_RATE_FLAGS = {"gain": ("af",), "tau1": ("df",), "tau2": ("df",),
-               "nu1": ("df", "ef_bl"), "nu2": ("df", "ef_bl"),
-               "nwz1": ("ef_bl",), "nwz2": ("ef_bl",), "nwz": ("ef_sl",)}
+# The operating-point flags of ``rate``: (protocols it applies to, type, help).
+_RATE_FLAGS = {
+    "gain": (("af",), finite_float, "AF relay gain (default: saturation)"),
+    "tau1": (("df",), finite_float, "DF cooperation degree of user 1 (default 0)"),
+    "tau2": (("df",), finite_float, "DF cooperation degree of user 2 (default 0)"),
+    "nu1": (("df", "ef_bl"), finite_float, "relay power share of user 1 (with --nu2; default 0.5)"),
+    "nu2": (("df", "ef_bl"), finite_float, "relay power share of user 2"),
+    "nwz": (("ef_sl",), positive_float, "EF-SL compression noise"),
+    "nwz1": (("ef_bl",), positive_float, "EF-BL compression noise for D1 (with --nwz2; default minimal)"),
+    "nwz2": (("ef_bl",), positive_float, "EF-BL compression noise for D2"),
+}
 
 
 def _cmd_rate(args) -> str:
-    for flag, protocols in _RATE_FLAGS.items():
+    for flag, (protocols, _, _) in _RATE_FLAGS.items():
         if getattr(args, flag) is not None and args.protocol not in protocols:
             raise ValueError(f"--{flag} does not apply to --protocol {args.protocol}")
     config = _get_config(args)
@@ -218,15 +224,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = command("rate", _cmd_rate, "evaluate one protocol at fixed parameters")
     _add_config(p, "--r0-exponent")
     _add_protocol(p)
-    p.add_argument("--gain", type=finite_float, help="AF relay gain (default: saturation)")
-    p.add_argument("--tau1", type=finite_float, help="DF cooperation degree of user 1 (default 0)")
-    p.add_argument("--tau2", type=finite_float, help="DF cooperation degree of user 2 (default 0)")
-    p.add_argument("--nu1", type=finite_float, help="relay power share of user 1 (with --nu2; default 0.5)")
-    p.add_argument("--nu2", type=finite_float, help="relay power share of user 2")
-    p.add_argument("--nwz", type=positive_float, help="EF-SL compression noise")
-    p.add_argument("--nwz1", type=positive_float,
-                   help="EF-BL compression noise for D1 (with --nwz2; default minimal)")
-    p.add_argument("--nwz2", type=positive_float, help="EF-BL compression noise for D2")
+    for flag, (_, kind, text) in _RATE_FLAGS.items():
+        p.add_argument(f"--{flag}", type=kind, help=text)
 
     p = command("optimize", _cmd_optimize, "per-protocol parameter search")
     _add_config(p, "--pa", "--r0-exponent")

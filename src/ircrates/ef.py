@@ -60,6 +60,7 @@ __all__ = [
 # Relative slack for compression-noise feasibility checks, so that bounds
 # passed back in at exact equality never trip on round-off.
 _FEAS_RTOL = 1e-9
+R0_EXPONENTS = (1, 2)  # the e of the single-level constraint 2^(e R_0) - 1
 
 
 class BiScenario(enum.Enum):
@@ -272,8 +273,8 @@ def ef_bi_eval(
 def _sl_min_noise(channel, r0_exponent: int):
     """(R_0, smallest admissible noise) of the single-level scheme,
     elementwise; the noise means nothing where R_0 <= 0."""
-    if r0_exponent not in (1, 2):
-        raise ValueError(f"r0_exponent must be 1 or 2, got {r0_exponent}")
+    if r0_exponent not in R0_EXPONENTS:
+        raise ValueError(f"r0_exponent must be {' or '.join(map(str, R0_EXPONENTS))}, got {r0_exponent}")
     r0 = np.minimum(*(capacity(channel.g_from_relay(i) * channel.Pr / _receive_power(channel, i))
                       for i in (1, 2)))
     _, _, (s1, s2), _ = _derived(channel)

@@ -11,6 +11,10 @@ class InfeasibleError(Exception):
     """The requested operating point admits no finite-rate solution."""
 
 
+class ConfigError(ValueError):
+    """Malformed scenario configuration; the message names the field."""
+
+
 class ConstraintViolationError(ValueError):
     """A supplied parameter violates a protocol constraint.
 

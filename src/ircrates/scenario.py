@@ -14,15 +14,15 @@ import io
 import json
 import math
 import numbers
-import sys
 from dataclasses import dataclass, replace
 from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
 from . import af, df, ef
-from .channel import ChannelBatch, ChannelInstance, NodeLayout, layout_to_batch, layout_to_channel
-from .errors import InfeasibleError
+from .channel import (_LAYOUT_FIELDS, _POSITIVE, _REAL, ChannelBatch, ChannelInstance, NodeLayout,
+                      _check_fields, layout_to_batch, layout_to_channel)
+from .errors import ConfigError, InfeasibleError
 
 __all__ = [
     "ScenarioConfig",
@@ -55,10 +55,6 @@ DEFAULT_NODES = {
 }
 
 
-class ConfigError(ValueError):
-    """Malformed scenario configuration; the message names the field."""
-
-
 _MAX_AXIS_POINTS = 10**6
 # The largest optimizer grid G: DF's per-cell table of split bounds has
 # G * G(G+1)/2 entries, and 125 keeps it within 10**6.
@@ -67,14 +63,7 @@ _MAX_GRID = 125
 UNIFORM_NU = (0.5, 0.5)
 # The relay power split each pa_policy fixes; None searches the nu simplex.
 PA_SPLITS = {"uniform": UNIFORM_NU, "optimal": None}
-R0_EXPONENTS = (1, 2)  # EF-SL constraint denominators 2^(e R_0) - 1
 
-# Field checks as (test, message) rows; a value fails with the message of
-# its first failed row.  A real is finite (NaN fails): a bool is not one,
-# nor is an integer beyond float range.
-_REAL = ((lambda v: isinstance(v, numbers.Real) and not isinstance(v, bool)
-          and abs(v) <= sys.float_info.max, "must be a finite number"),)
-_POSITIVE = _REAL + ((lambda v: v > 0, "must be > 0"),)
 _GRID = ((lambda v: isinstance(v, numbers.Integral) and not isinstance(v, bool)
           and 2 <= v <= _MAX_GRID, f"must be an integer from 2 to {_MAX_GRID}"),)
 _PROTOCOLS = ((lambda v: isinstance(v, (list, tuple)), "must be a list"),
@@ -85,12 +74,6 @@ _PROTOCOLS = ((lambda v: isinstance(v, (list, tuple)), "must be a list"),
 def _one_of(choices) -> tuple:
     return ((lambda v: not isinstance(v, bool) and v in choices,
              "must be " + " or ".join(map(repr, choices))),)
-
-
-def _check(name: str, v, rows) -> None:
-    for test, message in rows:
-        if not test(v):
-            raise ConfigError(f"{name} {message}, got {v!r}")
 
 
 # The config's fields as its JSON holds them, in key order after "layout":
@@ -104,11 +87,8 @@ _SECTIONS = (
                       "resolution": _POSITIVE}),
     (None, False, {"pa_policy": _one_of(tuple(PA_SPLITS))}),
     ("optimizer", False, {"df_grid": _GRID, "ef_grid": _GRID}),
-    (None, False, {"protocols": _PROTOCOLS, "r0_exponent": _one_of(R0_EXPONENTS)}),
+    (None, False, {"protocols": _PROTOCOLS, "r0_exponent": _one_of(ef.R0_EXPONENTS)}),
 )
-# NodeLayout's points with their coordinate counts, then its scalars.
-_LAYOUT_POINTS = (("s1", 2), ("s2", 2), ("d1", 2), ("d2", 2), ("relay", 3))
-_LAYOUT_SCALARS = ("d0", "gamma", "epsilon")
 
 
 @dataclass(frozen=True)
@@ -133,19 +113,8 @@ class ScenarioConfig:
     r0_exponent: int = 2
 
     def __post_init__(self):
-        for name, dim in _LAYOUT_POINTS:
-            point = getattr(self.layout, name)
-            if len(point) != dim:
-                raise ConfigError(f"layout.{name} must have {dim} coordinates, got {point!r}")
-            for v in point:
-                _check(f"layout.{name}", v, _REAL)
-        for name in _LAYOUT_SCALARS:
-            _check(f"layout.{name}", getattr(self.layout, name), _REAL)
         for _, _, checks in _SECTIONS:
-            for name, rows in checks.items():
-                _check(name, getattr(self, name), rows)
-        if isinstance(self.protocols, list):  # a JSON array
-            object.__setattr__(self, "protocols", tuple(self.protocols))
+            _check_fields(self, checks)
         for lo, hi in ((self.x_min, self.x_max), (self.y_min, self.y_max)):
             if hi <= lo or self._axis_points(lo, hi) < 2:
                 raise ConfigError("sweep grid must have at least 2 points per axis")
@@ -182,12 +151,14 @@ class ScenarioConfig:
     # -- (de)serialization -----------------------------------------------------
 
     def to_dict(self) -> dict:
-        out = {"layout": {**{name: list(getattr(self.layout, name)) for name, _ in _LAYOUT_POINTS},
-                          **{name: getattr(self.layout, name) for name in _LAYOUT_SCALARS}}}
+        def values(obj, names) -> dict:
+            return {name: list(v) if isinstance(v, tuple) else v
+                    for name in names for v in [getattr(obj, name)]}
+
+        out = {"layout": values(self.layout, _LAYOUT_FIELDS)}
         for section, _, checks in _SECTIONS:
-            values = {name: getattr(self, name) for name in checks}
-            values = {k: list(v) if isinstance(v, tuple) else v for k, v in values.items()}
-            out.update(values if section is None else {section: values})
+            row = values(self, checks)
+            out.update(row if section is None else {section: row})
         return out
 
     @classmethod
@@ -200,25 +171,16 @@ class ScenarioConfig:
 
         lay = section("layout")
         try:
-            for name in _LAYOUT_SCALARS:  # compared by NodeLayout
-                _check(f"layout.{name}", lay[name], _REAL)
-            for name, _ in _LAYOUT_POINTS:  # the relay's z is compared with epsilon
-                for v in lay[name]:
-                    _check(f"layout.{name}", v, _REAL)
-            layout = NodeLayout(**{name: tuple(lay[name]) for name, _ in _LAYOUT_POINTS},
-                                **{name: lay[name] for name in _LAYOUT_SCALARS})
+            given = {name: lay[name] for name in _LAYOUT_FIELDS}
         except KeyError as exc:
-            raise ConfigError(f"layout: missing field {exc}") from None
-        except ConfigError:  # _check names the field already
-            raise
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"layout: {exc}") from None
+            raise ConfigError(f"missing config field 'layout.{exc.args[0]}'") from None
+        layout = NodeLayout(**given)
         fields = {}  # retired keys are not read
         for name, required, checks in _SECTIONS:
             source = data if name is None else section(name, None if required else {})
             missing = [key for key in checks if key not in source]
             if required and missing:
-                raise ConfigError(f"missing config field {missing[0]!r}")
+                raise ConfigError(f"missing config field '{name}.{missing[0]}'")
             fields.update((key, source[key]) for key in checks if key in source)
         return cls(layout=layout, **fields)
 

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -160,6 +161,12 @@ class TestLayout:
         with pytest.raises(ValueError):
             NodeLayout(s1=(0, 0), s2=(1, 0), d1=(0, 1), d2=(1, 1),
                        relay=(0, 0, 0.5), epsilon=0.1)
+
+    @pytest.mark.parametrize("field, value", [
+        ("s1", (0, 0, 0)), ("s1", ("a", 0)), ("s1", 5), ("d0", "5")])
+    def test_direct_layout_refuses_what_a_config_does(self, field, value):
+        with pytest.raises(ValueError, match=rf"^layout\.{field} "):
+            replace(DEFAULT_LAYOUT, **{field: value})
 
     def test_rhombus_gains(self):
         # Rhombus with side d0: three links sit at the reference distance

@@ -13,10 +13,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ircrates.channel import RatePair, layout_to_channel
+from ircrates.channel import _LAYOUT_FIELDS, RatePair, layout_to_channel
 from ircrates import cli
 from ircrates.cli import main
-from ircrates.scenario import OPTIMIZERS, default_config
+from ircrates.scenario import _SECTIONS, OPTIMIZERS, default_config
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -594,16 +594,9 @@ def _fast_config_dict():
 FAST_PATHS = _numeric_paths(_fast_config_dict())
 
 
-@settings(max_examples=60, deadline=None)
-@given(
-    path=st.sampled_from(FAST_PATHS),
-    value=st.one_of(
-        st.sampled_from(["ten", None, [1.0], True, False, math.nan, -math.inf, 1e308]),
-        st.floats(min_value=-3.0, max_value=-1e-3),
-        st.integers(min_value=-3, max_value=-1),
-    ),
-)
-def test_fuzzed_config_never_raises(path, value):
+def _map_with(path, value):
+    """(exit code, stderr) of ``map`` on the fast config with the key at
+    ``path`` set to ``value``; numpy must warn of nothing."""
     data = _fast_config_dict()
     node = data
     for key in path[:-1]:
@@ -616,9 +609,49 @@ def test_fuzzed_config_never_raises(path, value):
         with warnings.catch_warnings(record=True) as caught, contextlib.redirect_stderr(err):
             warnings.simplefilter("always")
             code = main(["map", "--config", str(cfg), "--out", str(out)])
-    assert code in (0, 1, 2)
-    assert "Traceback" not in err.getvalue()
     assert [str(w.message) for w in caught] == []
+    return code, err.getvalue()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    path=st.sampled_from(FAST_PATHS),
+    value=st.one_of(
+        st.sampled_from(["ten", None, [1.0], True, False, math.nan, -math.inf, 1e308]),
+        st.floats(min_value=-3.0, max_value=-1e-3),
+        st.integers(min_value=-3, max_value=-1),
+    ),
+)
+def test_fuzzed_config_never_raises(path, value):
+    code, err = _map_with(path, value)
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err
+
+
+# Every whole layout point, section and top-level key of a config, each set
+# to a value of the wrong kind.  An empty optional section is valid (its
+# fields take their defaults), so it is left out.
+_POINTS = [name for name in _LAYOUT_FIELDS
+           if isinstance(getattr(default_config().layout, name), tuple)]
+_TOP_KEYS = ["layout"] + [key for section, _, checks in _SECTIONS
+                          for key in ([section] if section else checks)]
+STRUCTURAL_PATHS = [("layout", point) for point in _POINTS] + [(key,) for key in _TOP_KEYS]
+_OPTIONAL = {section for section, required, _ in _SECTIONS if section and not required}
+STRUCTURAL_CASES = [(path, value) for path in STRUCTURAL_PATHS
+                    for value in (5, None, True, "xy", [1.0], {})
+                    if not (value == {} and path[-1] in _OPTIONAL)]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(case=st.sampled_from(STRUCTURAL_CASES))
+def test_fuzzed_config_structure_exits_2_naming_the_key(case):
+    path, value = case
+    code, err = _map_with(path, value)
+    assert code == 2 and "Traceback" not in err, (path, value, err)
+    if path[0] == "layout" and len(path) == 2:
+        assert err.startswith(f"error: layout.{path[1]} "), (path, value, err)
+    else:
+        assert path[0] in err, (path, value, err)
 
 
 FACTORIZATION_TOKENS = ["nan", "inf", "-inf", "-1", "0", "1", "2", "0.5", "1e400",
