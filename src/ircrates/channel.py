@@ -244,9 +244,9 @@ class ChannelBatch(_Links):
     def __getitem__(self, cells: slice) -> "ChannelBatch":
         return self._map(lambda v: v[cells])
 
-    def column(self) -> "ChannelBatch":
-        """Every array shaped (cells, 1), to broadcast along a parameter axis."""
-        return self._map(lambda v: v.reshape(-1, 1))
+    def column(self, axes: int = 1) -> "ChannelBatch":
+        """Every array shaped (cells, 1, ...), to broadcast along ``axes`` parameter axes."""
+        return self._map(lambda v: v.reshape((-1,) + (1,) * axes))
 
     def cell(self, k: int) -> ChannelInstance:
         return ChannelInstance(**{n: getattr(self, n)[k].item() for n in _GAINS + _POWERS})

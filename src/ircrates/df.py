@@ -118,11 +118,12 @@ def _sum_rate_grid(channel, t1, t2, n1, n2):
     return total
 
 
-def _user_tables(channel: ChannelInstance, user: int, taus, nus):
-    """User i's relay SNR over tau_i (G,), destination signal over
-    (tau_i, nu_i) and interference over (tau_j, nu_j), both (G, K)."""
+def _user_tables(channel, user: int, taus, nus):
+    """User i's relay SNR over tau_i (..., G), signal over (tau_i, nu_i) and
+    interference over (tau_j, nu_j) (..., G, K): ... is () for one channel,
+    (cells,) for a batch shaped (cells, 1, 1)."""
     t, n = taus[:, None], nus[None, :]
-    return (_relay_snr(channel, user, taus), _dest_signal(channel, user, t, n),
+    return (_relay_snr(channel, user, t)[..., 0], _dest_signal(channel, user, t, n),
             _dest_interference(channel, user, t, n))
 
 
@@ -179,24 +180,51 @@ def _can_win(bound, pair, first, best):
     return (bound > v) | ((bound == v) & ((pair < p) | ((pair == p) & (first < k))))
 
 
-def _best_grid_point(channel: ChannelInstance, taus, nus, k1, k2):
-    """(pair, tau1 index, tau2 index, sum rate) of the largest R_1 + R_2 over
-    the tau grid and the relay splits (nus[k1[p]], nus[k2[p]]); ties keep the
-    smallest pair p, then the first tau point in row-major order.
+def _free_bound(tables, ki, kj):
+    """C(min(max relay, max signal / min interference)) per pair, all over tau:
+    at O(1) per pair, no lower than ``_user_bound(..., [0])``, term by term."""
+    relay, signal, interference = tables
+    x = signal.max(axis=0)[ki] / interference.min(axis=0)[kj]
+    return capacity(np.minimum(x, relay.max(), out=x), out=x)
 
-    The pair with the largest bound is scored in full; the (pair, rectangle)
-    items that could beat it go in descending order of bound, then of (pair,
-    first flat index), in blocks of 1, 2, 4, ..., until none left can win.
-    C is monotone, so each point costs two log2 calls: C(min(a, b)).
-    """
-    g = len(taus)
-    t1, t2 = _user_tables(channel, 1, taus, nus), _user_tables(channel, 2, taus, nus)
-    every = np.arange(g)[None]
-    pair_bound = (_user_bound(t1, k1, k2, [0]) + _user_bound(t2, k2, k1, [0]))[:, 0, 0]
-    top = pair_bound.argmax(keepdims=True)  # the first of the largest
-    best = _scored(t1, t2, k1, k2, top, every, every, (-np.inf, 0, 0))
-    pair_bound[top], pairs = -np.inf, np.arange(len(k1))
-    left = pairs[_can_win(pair_bound, pairs, 0, best)]
+
+def _best_grid_point(channel, taus, nus, k1, k2):
+    """(pair, tau1 index, tau2 index, sum rate) of the largest R_1 + R_2 over
+    the tau grid and the relay splits (nus[k1[p]], nus[k2[p]]), as arrays over
+    the cells of ``channel`` (one channel, or a batch shaped (cells, 1, 1));
+    ties keep the smallest pair p, then the first tau point in row-major order.
+    The tau tables are built for all the cells at once.  Per cell, the pair
+    with the largest ``_free_bound`` and the previous cell's pair are scored
+    in full, and ``_pruned_scan`` takes the pairs that could beat them.  C is
+    monotone, so each point costs two log2 calls: C(min(a, b))."""
+    g, pairs = len(taus), np.arange(len(k1))
+    tables = _user_tables(channel, 1, taus, nus), _user_tables(channel, 2, taus, nus)
+    found, previous = [], []
+    for cell in np.ndindex(tables[0][0].shape[:-1]):
+        t1, t2 = ([x[cell] for x in table] for table in tables)
+        bound = _free_bound(t1, k1, k2) + _free_bound(t2, k2, k1)
+        first = np.array(sorted({bound.argmax(), *previous}))  # argmax: the first largest
+        every = np.broadcast_to(np.arange(g), (len(first), g))
+        best = _scored(t1, t2, k1, k2, first, every, every, (-np.inf, 0, 0))
+        bound[first] = -np.inf
+        left = pairs[_can_win(bound, pairs, 0, best)]
+        best = _pruned_scan(t1, t2, k1, k2, left, best) if len(left) else best
+        found.append((best[1], *divmod(best[2], g), best[0]))
+        previous = [best[1]]
+    return tuple(np.reshape(x, tables[0][0].shape[:-1]) for x in zip(*found))
+
+
+def _pruned_scan(t1, t2, k1, k2, left, best):
+    """``best`` after the pairs ``left`` of one cell: the one with the largest
+    ``_user_bound`` over the tau grid is scored in full, and those that could
+    beat it are bounded on each rectangle of tau blocks; these items go by
+    descending bound, then (pair, first flat index), in blocks of 1, 2, 4, ..."""
+    g, every = len(t1[0]), np.arange(len(t1[0]))[None]
+    bound = _user_bound(t1, k1[left], k2[left], [0]) + _user_bound(t2, k2[left], k1[left], [0])
+    top = bound.argmax()  # bound is (pairs, 1, 1): the first of the largest
+    best = _scored(t1, t2, k1, k2, left[[top]], every, every, best)
+    bound[top] = -np.inf
+    left = left[_can_win(bound[:, 0, 0], left, 0, best)]
     starts = np.arange(min(_TAU_BLOCKS, g)) * g // min(_TAU_BLOCKS, g)
     ends = np.append(starts[1:], g)
     # Each block's tau indices as a row; a shorter row repeats its last
@@ -204,10 +232,9 @@ def _best_grid_point(channel: ChannelInstance, taus, nus, k1, k2):
     rows = np.minimum(starts[:, None] + np.arange((ends - starts).max()), ends[:, None] - 1)
     bound = _user_bound(t1, k1[left], k2[left], starts)
     bound += _user_bound(t2, k2[left], k1[left], starts).swapaxes(1, 2)
-    live = np.flatnonzero(bound >= best[0])  # the (pair, rectangle) items that may win
-    bound = bound.ravel()[live]
-    pair, a, b = np.unravel_index(live, (len(left), len(starts), len(starts)))
-    pair, first = left[pair], starts[a] * g + starts[b]
+    live = bound >= best[0]  # the (pair, rectangle) items that may win
+    pair, a, b = np.nonzero(live)
+    bound, pair, first = bound[live], left[pair], starts[a] * g + starts[b]
     order = np.lexsort((first, pair, -bound))
     start, size, most = 0, 1, max(1, _MAX_SCAN // rows.shape[1] ** 2)
     while start < len(order):
@@ -218,7 +245,7 @@ def _best_grid_point(channel: ChannelInstance, taus, nus, k1, k2):
             break
         best = _scored(t1, t2, k1, k2, pair[block], rows[a[block]], rows[b[block]], best)
         start, size = start + size, min(2 * size, most)
-    return best[1], *divmod(best[2], g), best[0]
+    return best
 
 
 def df_sum_rate_search(
@@ -234,14 +261,15 @@ def df_sum_rate_search(
     of the grid step follows the scan.  This is ``df_sum_rate_search_batch``
     on a batch of one.
 
-    The scan is exact: it returns the grid point a full scan would.  Each
-    relay split is bounded by sum_i C(max_{tau_i} min(relay_i, num_i /
-    min_{tau_j} den_i)); the splits that could beat the best one found are
-    bounded again with tau_i and tau_j each in one of a few blocks, and a
-    (split, rectangle) whose bound cannot beat the best sum rate found is
-    never scored.  Deterministic: ties keep the first relay split
-    in simplex order (nu1 varying slowest), then the earliest (tau1, tau2)
-    grid point in row-major order.
+    The scan is exact: it returns the grid point a full scan would.  The
+    split with the largest tau-free bound sum_i C(min(max relay_i, max num_i
+    / min den_i)), and the previous cell's split, are scored in full; the
+    splits that could beat them are bounded by sum_i C(max_{tau_i}
+    min(relay_i, num_i / min_{tau_j} den_i)), those that still could on
+    blocks of tau_i by tau_j, and a (split, rectangle) that cannot beat the
+    best sum rate found is never scored.  Deterministic: ties keep the first
+    relay split in simplex order (nu1 varying slowest), then the earliest
+    (tau1, tau2) grid point in row-major order.
     """
     return df_sum_rate_search_batch(ChannelBatch.of([channel]), grid_points, nu)[0]
 
@@ -254,8 +282,8 @@ def df_sum_rate_search_batch(
 
     At a fixed relay split ``nu`` each user's (cells, G) tau tables are built
     once, and chunks of cells are scanned as (cells, G, G) arrays from their
-    rows; without one, each cell's splits get the exact pruned scan of
-    ``_best_grid_point``.  Everything is elementwise in the operand order of
+    rows; without one, ``_best_grid_point`` takes chunks of cells of at most
+    ``_MAX_SCAN`` table points.  All is elementwise in the operand order of
     one channel, with |h|^2 from the batch (Python floats), so each cell gets
     what a batch of one gives it.  The maps pass blocks of at most 64 cells."""
     if grid_points < 2:
@@ -263,8 +291,10 @@ def df_sum_rate_search_batch(
     col = batch.column()
     if nu is None:
         taus, k1, k2 = nu_simplex(grid_points)
-        found = [_best_grid_point(batch.cell(k), taus, taus, k1, k2) for k in range(len(batch))]
-        p, a, b, value = map(np.array, zip(*found))
+        cells, step = batch.column(2), max(1, _MAX_SCAN // grid_points ** 2)
+        found = [_best_grid_point(cells[s:s + step], taus, taus, k1, k2)
+                 for s in range(0, len(batch), step)]
+        p, a, b, value = map(np.concatenate, zip(*found))
         point = [taus[a], taus[b], taus[k1[p]], taus[k2[p]]]
         return _refined(col, point, value, taus[1] - taus[0], axes=range(4))
     taus = np.linspace(0.0, 1.0, grid_points)

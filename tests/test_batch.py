@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from ircrates import af, df, ef, scenario
-from ircrates.channel import ChannelBatch
+from ircrates.channel import ChannelBatch, nu_simplex
 from ircrates.scenario import UNIFORM_NU, default_config, dominance_map
 
 from conftest import anti_phase_channel, random_channel
@@ -83,8 +83,12 @@ def test_random_channels_in_one_batch():
 
 
 def test_batch_composition_does_not_matter():
-    def kernels(batch):  # the uniform kernels and the optimal EF-BL search
-        return {**batched(batch), "ef_bl_optimal": ef.ef_bi_sum_rate_search_batch(batch, 11)}
+    # The uniform kernels and the optimal DF and EF-BL searches.  The DF
+    # search scores the split the previous cell chose first, so a cell's
+    # work depends on its neighbour, but not its result.
+    def kernels(batch):
+        return {**batched(batch), "df_optimal": df.df_sum_rate_search_batch(batch, 11),
+                "ef_bl_optimal": ef.ef_bi_sum_rate_search_batch(batch, 11)}
 
     rng = np.random.default_rng(11)
     channels = [random_channel(rng, real_gains=k % 2 == 1) for k in range(20)]
@@ -97,6 +101,20 @@ def test_batch_composition_does_not_matter():
     shuffled = kernels(ChannelBatch.of([channels[k] for k in order]))
     assert_cells_match({p: [shuffled[p][order.index(k)] for k in range(len(order))]
                         for p in shuffled}, whole)
+
+
+def test_df_block_tables_are_the_cell_tables():
+    # The optimal DF search builds each user's tau tables for a chunk of
+    # cells at once, from a (cells, 1, 1) view of the batch.
+    rng = np.random.default_rng(17)
+    channels = [make(rng) for _ in range(8) for make in (random_channel, anti_phase_channel)]
+    taus, _, _ = nu_simplex(21)
+    for user in (1, 2):
+        block = df._user_tables(ChannelBatch.of(channels).column(2), user, taus, taus)
+        for k, ch in enumerate(channels):
+            cell = df._user_tables(ch, user, taus, taus)
+            assert [x.shape[1:] for x in block] == [x.shape for x in cell]
+            assert all((x[k] == y).all() for x, y in zip(block, cell))
 
 
 @pytest.mark.parametrize("gamma", [2.0, 3.0, 3.7])

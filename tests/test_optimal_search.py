@@ -235,3 +235,42 @@ def test_any_valid_bound_keeps_the_point(rng, monkeypatch, loosen):
     draws = [symmetric_channel(rng) for _ in range(5)] + [random_channel(rng) for _ in range(5)]
     for ch in corners + [tie_across_rectangles_channel()] + draws:
         assert df.df_sum_rate_search(ch, 11) == df_sum_rate_search_reference(ch, 11)
+
+
+@pytest.mark.parametrize("draw", ["anti_phase", "random"])
+def test_free_bound_covers_the_split_bound(rng, draw):
+    # The tau-free bound of each split, which prunes first, is at least the
+    # per-split bound (C at every tau_i, then the max), user by user.
+    make = anti_phase_channel if draw == "anti_phase" else random_channel
+    for grid_points in (21, 41):
+        taus, k1, k2 = nu_simplex(grid_points)
+        for _ in range(15):
+            ch = make(rng)
+            for user, ki, kj in ((1, k1, k2), (2, k2, k1)):
+                tables = df._user_tables(ch, user, taus, taus)
+                free = df._free_bound(tables, ki, kj)
+                assert (free >= df_user_bound_reference(tables, ki, kj)).all()
+
+
+@pytest.mark.parametrize("loosen", ["late_splits", "odd_splits"])
+def test_any_valid_free_bound_keeps_the_point(rng, monkeypatch, loosen):
+    # The tau-free bound picks the first incumbent and prunes before the
+    # per-split bound.  Raising it on later (or odd) splits makes such a
+    # split the first incumbent, so the scan meets a tie's larger index
+    # first; in a block, the previous cell's split is scored with it.
+    # Neither changes a result.
+    tight = df._free_bound
+
+    def loose(tables, ki, kj):
+        k = ki if loosen == "odd_splits" else ki + kj
+        return tight(tables, ki, kj) + np.where(k % 2 == 1 if loosen == "odd_splits" else k > 5,
+                                                1.0, 0.0)
+
+    monkeypatch.setattr(df, "_free_bound", loose)
+    config = default_config()
+    corners = [config.channel_at(-4.0, -3.0), config.channel_at(4.0, 4.0)]
+    draws = [symmetric_channel(rng) for _ in range(5)] + [random_channel(rng) for _ in range(5)]
+    channels = corners + [tie_across_rectangles_channel()] + draws
+    want = [df_sum_rate_search_reference(ch, 11) for ch in channels]
+    assert [df.df_sum_rate_search(ch, 11) for ch in channels] == want
+    assert df.df_sum_rate_search_batch(ChannelBatch.of(channels), 11) == want

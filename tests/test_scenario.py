@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 from dataclasses import fields, replace
@@ -428,3 +429,23 @@ class TestSlMap:
         assert len(lines) == 1 + len(cfg.grid_x()) * len(cfg.grid_y())
         for line in lines[1:]:
             assert line.split(",")[6] in ("0", "1")
+
+
+# The sha256 of the CSVs that every change to the kernels is held to: the
+# default dominance map, the default EF single- vs bi-level map, and the
+# optimal-policy map at 1.0 d0 (72 cells).
+GATED_CSV_SHA256 = {
+    "map": "e821e03db6a76d67c4f902aa401a21bd1d477e272050d2b7d9c198546e2f387e",
+    "slmap": "ff7a02740e1dcf3d62af96dabb25e0cc74313787932dc096b4976261ee835e7f",
+    "map_optimal_1.0": "798fa83b440c2cf0fb02941ff030d75d1b593e860add59666070f6efb76ca306",
+}
+
+
+def test_gated_csv_digests():
+    config = default_config()
+    optimal = replace(config, pa_policy="optimal", resolution=1.0)
+    texts = {"map": map_to_csv(dominance_map(config)),
+             "slmap": slmap_to_csv(sl_vs_bl_map(config)),
+             "map_optimal_1.0": map_to_csv(dominance_map(optimal))}
+    digests = {name: hashlib.sha256(text.encode()).hexdigest() for name, text in texts.items()}
+    assert digests == GATED_CSV_SHA256
