@@ -134,9 +134,9 @@ def _user_sinr(relay, signal, interference):
     return np.minimum(relay[..., :, None], sinr, out=sinr)
 
 
-# Floats per temporary of the scans and bounds (8 cells, or 8 relay splits,
-# of a 41-point tau grid): cells, splits and (split, rectangle) items are
-# taken in chunks of this many points, which keeps each array near 100 kB.
+# Floats per temporary of the search (8 cells, or 8 relay splits, of a
+# 41-point tau grid): cells go in chunks of this many tau table points, and
+# scans and bounds in chunks of this many grid points, about 100 kB each.
 _MAX_SCAN = 8 * 41 * 41
 
 _TAU_BLOCKS = 4  # blocks per tau axis of the rectangle bounds: 10/10/10/11 of 41
@@ -181,37 +181,61 @@ def _can_win(bound, pair, first, best):
 
 
 def _free_bound(tables, ki, kj):
-    """C(min(max relay, max signal / min interference)) per pair, all over tau:
-    at O(1) per pair, no lower than ``_user_bound(..., [0])``, term by term."""
+    """C(min(max relay, max signal / min interference)) per pair of (..., tau)
+    tables, all over tau: O(1) per pair, no lower than ``_user_bound(..., [0])``."""
     relay, signal, interference = tables
-    x = signal.max(axis=0)[ki] / interference.min(axis=0)[kj]
-    return capacity(np.minimum(x, relay.max(), out=x), out=x)
+    x = signal.max(axis=-2)[..., ki] / interference.min(axis=-2)[..., kj]
+    return capacity(np.minimum(x, relay.max(axis=-1, keepdims=True), out=x), out=x)
 
 
 def _best_grid_point(channel, taus, nus, k1, k2):
     """(pair, tau1 index, tau2 index, sum rate) of the largest R_1 + R_2 over
     the tau grid and the relay splits (nus[k1[p]], nus[k2[p]]), as arrays over
-    the cells of ``channel`` (one channel, or a batch shaped (cells, 1, 1));
-    ties keep the smallest pair p, then the first tau point in row-major order.
-    The tau tables are built for all the cells at once.  Per cell, the pair
-    with the largest ``_free_bound`` and the previous cell's pair are scored
-    in full, and ``_pruned_scan`` takes the pairs that could beat them.  C is
-    monotone, so each point costs two log2 calls: C(min(a, b))."""
-    g, pairs = len(taus), np.arange(len(k1))
-    tables = _user_tables(channel, 1, taus, nus), _user_tables(channel, 2, taus, nus)
-    found, previous = [], []
-    for cell in np.ndindex(tables[0][0].shape[:-1]):
+    the cells of ``channel``, a batch's ``column()``; ties keep the smallest
+    pair p, then the first tau point in row-major order.  Each cell's pair with
+    the largest ``_free_bound`` is scanned in full, all cells at once (with one
+    pair, the whole search); then per cell, the previous cell's pair if it
+    could beat that, and ``_pruned_scan`` the pairs that still could."""
+    g, pairs, every = len(taus), np.arange(len(k1)), np.arange(len(taus))[None]
+    top = np.zeros(len(channel), dtype=int)
+    if len(pairs) > 1:  # the tau tables of all the cells at once
+        cells = channel.column(2)
+        tables = _user_tables(cells, 1, taus, nus), _user_tables(cells, 2, taus, nus)
+        bound = _free_bound(tables[0], k1, k2) + _free_bound(tables[1], k2, k1)
+        top = bound.argmax(axis=1)  # the first of the largest
+    value, flat = _full_scan(channel, taus, nus[k1[top], None], nus[k2[top], None])
+    for cell in range(len(top)) if len(pairs) > 1 else ():
         t1, t2 = ([x[cell] for x in table] for table in tables)
-        bound = _free_bound(t1, k1, k2) + _free_bound(t2, k2, k1)
-        first = np.array(sorted({bound.argmax(), *previous}))  # argmax: the first largest
-        every = np.broadcast_to(np.arange(g), (len(first), g))
-        best = _scored(t1, t2, k1, k2, first, every, every, (-np.inf, 0, 0))
-        bound[first] = -np.inf
-        left = pairs[_can_win(bound, pairs, 0, best)]
+        best, previous = (value[cell], top[cell], flat[cell]), top[cell - 1] if cell else top[0]
+        bound[cell, top[cell]] = -np.inf  # scored; cell 0 takes it as its previous
+        if _can_win(bound[cell, previous], previous, 0, best):
+            best = _scored(t1, t2, k1, k2, previous[None], every, every, best)
+            bound[cell, previous] = -np.inf
+        left = pairs[_can_win(bound[cell], pairs, 0, best)]
         best = _pruned_scan(t1, t2, k1, k2, left, best) if len(left) else best
-        found.append((best[1], *divmod(best[2], g), best[0]))
-        previous = [best[1]]
-    return tuple(np.reshape(x, tables[0][0].shape[:-1]) for x in zip(*found))
+        value[cell], top[cell], flat[cell] = best
+    return (top, *np.divmod(flat, g), value)
+
+
+def _full_scan(channel, taus, n1, n2):
+    """(sum rate, flat tau index) of each cell's first largest R_1 + R_2 over
+    the tau grid at its split (n1, n2), in chunks of ``_MAX_SCAN`` points;
+    user 2's SINR is formed over (tau1, tau2), so the sum reads both in order."""
+    tables = [(_relay_snr(channel, user, taus), _dest_signal(channel, user, taus, ni),
+               _dest_interference(channel, user, taus, nj))
+              for user, ni, nj in ((1, n1, n2), (2, n2, n1))]
+    flat, value = [], []
+    step = max(1, _MAX_SCAN // len(taus) ** 2)
+    for s in range(0, len(n1), step):
+        (r1, num1, den1), (r2, num2, den2) = ([x[s:s + step] for x in t] for t in tables)
+        f = _user_sinr(r1, num1, den1)
+        c = np.divide(num2[:, None], den2[:, :, None])  # user 2's, over (cells, tau1, tau2)
+        f = np.add(capacity(f, out=f), capacity(np.minimum(r2[:, None], c, out=c), out=c), out=f)
+        f = f.reshape(len(f), -1)
+        k = f.argmax(axis=1)
+        flat.append(k)
+        value.append(f[np.arange(len(f)), k])
+    return np.concatenate(value), np.concatenate(flat)
 
 
 def _pruned_scan(t1, t2, k1, k2, left, best):
@@ -256,18 +280,14 @@ def df_sum_rate_search(
     """Maximize R_1 + R_2 over the DF parameter set by grid search.
 
     With ``nu`` supplied (e.g. the uniform split (1/2, 1/2)) only the two
-    cooperation degrees are searched; otherwise the relay split sweeps the
-    simplex as well.  A single coordinate-descent refinement pass at a tenth
-    of the grid step follows the scan.  This is ``df_sum_rate_search_batch``
-    on a batch of one.
+    cooperation degrees are searched, as the one-pair case of the search over
+    the relay split simplex.  A single coordinate-descent refinement pass at a
+    tenth of the grid step follows the scan.  This is
+    ``df_sum_rate_search_batch`` on a batch of one.
 
-    The scan is exact: it returns the grid point a full scan would.  The
-    split with the largest tau-free bound sum_i C(min(max relay_i, max num_i
-    / min den_i)), and the previous cell's split, are scored in full; the
-    splits that could beat them are bounded by sum_i C(max_{tau_i}
-    min(relay_i, num_i / min_{tau_j} den_i)), those that still could on
-    blocks of tau_i by tau_j, and a (split, rectangle) that cannot beat the
-    best sum rate found is never scored.  Deterministic: ties keep the first
+    The scan is exact: it returns the grid point a full scan would, and
+    scores no split or (split, tau rectangle) whose bound cannot beat the best
+    sum rate found (``_best_grid_point``).  Deterministic: ties keep the first
     relay split in simplex order (nu1 varying slowest), then the earliest
     (tau1, tau2) grid point in row-major order.
     """
@@ -280,42 +300,23 @@ def df_sum_rate_search_batch(
     """``df_sum_rate_search`` for every cell of ``batch``, then one
     refinement pass over all cells at once, axis by axis.
 
-    At a fixed relay split ``nu`` each user's (cells, G) tau tables are built
-    once, and chunks of cells are scanned as (cells, G, G) arrays from their
-    rows; without one, ``_best_grid_point`` takes chunks of cells of at most
-    ``_MAX_SCAN`` table points.  All is elementwise in the operand order of
-    one channel, with |h|^2 from the batch (Python floats), so each cell gets
-    what a batch of one gives it.  The maps pass blocks of at most 64 cells."""
+    A fixed split ``nu`` is a one-pair table of its distinct values.  All is
+    elementwise in the operand order of one channel, with |h|^2 from the
+    batch (Python floats), so each cell gets what a batch of one gives it."""
     if grid_points < 2:
         raise ValueError(f"grid_points must be >= 2, got {grid_points}")
-    col = batch.column()
-    if nu is None:
-        taus, k1, k2 = nu_simplex(grid_points)
-        cells, step = batch.column(2), max(1, _MAX_SCAN // grid_points ** 2)
-        found = [_best_grid_point(cells[s:s + step], taus, taus, k1, k2)
-                 for s in range(0, len(batch), step)]
-        p, a, b, value = map(np.concatenate, zip(*found))
-        point = [taus[a], taus[b], taus[k1[p]], taus[k2[p]]]
-        return _refined(col, point, value, taus[1] - taus[0], axes=range(4))
     taus = np.linspace(0.0, 1.0, grid_points)
-    n = float(nu[0]), float(nu[1])
-    tables = [(_relay_snr(col, user, taus), _dest_signal(col, user, taus, n[user - 1]),
-               _dest_interference(col, user, taus, n[j - 1])) for user, j in ((1, 2), (2, 1))]
-    flat, value = [], []
-    step = max(1, _MAX_SCAN // grid_points ** 2)
-    for s in range(0, len(batch), step):
-        f = None
-        for table in tables:
-            sinr = _user_sinr(*(x[s:s + step] for x in table))
-            c = capacity(sinr, out=sinr)  # user 2's is over (cells, tau2, tau1)
-            f = c if f is None else np.add(f, c.swapaxes(1, 2), out=f)
-        f = f.reshape(len(f), -1)
-        k = f.argmax(axis=1)
-        flat.append(k)
-        value.append(f[np.arange(len(f)), k])
-    a, b = np.divmod(np.concatenate(flat), grid_points)
-    point = [taus[a], taus[b], np.full(len(batch), n[0]), np.full(len(batch), n[1])]
-    return _refined(col, point, np.concatenate(value), taus[1] - taus[0], axes=range(2))
+    if nu is None:
+        nus, (_, k1, k2), axes = taus, nu_simplex(grid_points), range(4)
+    else:  # one pair: the split's distinct values, indexed by k1 and k2
+        nus = np.array(nu[:1] if nu[0] == nu[1] else nu, dtype=float)
+        k1, k2, axes = np.array([0]), np.array([len(nus) - 1]), range(2)
+    col, step = batch.column(), max(1, _MAX_SCAN // (grid_points * len(nus)))
+    found = [_best_grid_point(col[s:s + step] if step < len(batch) else col, taus, nus, k1, k2)
+             for s in range(0, len(batch), step)]
+    p, a, b, value = map(np.concatenate, zip(*found))
+    point = [taus[a], taus[b], nus[k1[p]], nus[k2[p]]]
+    return _refined(col, point, value, taus[1] - taus[0], axes)
 
 
 def _refined(channel, point, value, step, axes) -> List[Tuple[DfParams, RatePair]]:
@@ -326,7 +327,6 @@ def _refined(channel, point, value, step, axes) -> List[Tuple[DfParams, RatePair
     and the best value is carried to the next axis, not recomputed.  Then
     each cell's parameters and rates."""
     rows = np.arange(len(value))
-    point = list(point)
     for axis in axes:
         vals = np.linspace(np.maximum(0.0, point[axis] - step),
                            np.minimum(1.0, point[axis] + step), 21, axis=-1)

@@ -198,14 +198,18 @@ def test_af_block_overflow_in_one_cell_raises():
     assert str(raised.value) == af._OVERFLOW
 
 
-@pytest.mark.parametrize("grid_points", [2, 3, 41, 125])
-def test_df_fixed_split_chunks_are_the_scalar_search(grid_points):
+@pytest.mark.parametrize("grid_points, nu", [
+    *(pytest.param(g, UNIFORM_NU, id=str(g)) for g in (2, 3, 41, 125)),
+    # Splits of one and two distinct values, a zero share, and values off
+    # the tau grid.
+    *(pytest.param(g, nu, id=f"{g}-{nu[0]}-{nu[1]}") for g in (2, 3, 41, 125)
+      for nu in ((0.3, 0.6), (0.4, 0.4), (0.0, 1.0), (1.0, 0.0), (0.25, 0.75)))])
+def test_df_fixed_split_chunks_are_the_scalar_search(grid_points, nu):
     # Blocks of 1, 7, 9 and 64 cells start, end and cross the edges of the
     # scan's chunks of df._MAX_SCAN points.
     rng = np.random.default_rng(16)
     channels = [make(rng) for _ in range(32) for make in (random_channel, anti_phase_channel)]
-    want = [df_sum_rate_search_scalar(ch, grid_points, UNIFORM_NU) for ch in channels]
+    want = [df_sum_rate_search_scalar(ch, grid_points, nu) for ch in channels]
     for size in (1, 7, 9, 64):
-        got = df.df_sum_rate_search_batch(ChannelBatch.of(channels[:size]), grid_points,
-                                          UNIFORM_NU)
+        got = df.df_sum_rate_search_batch(ChannelBatch.of(channels[:size]), grid_points, nu)
         assert got == want[:size]

@@ -171,7 +171,8 @@ def test_symmetric_tie_keeps_first_split(rng):
     ties = 0
     for _ in range(20):
         ch = symmetric_channel(rng)
-        p, a, b, _ = df._best_grid_point(ch, taus, taus, k1, k2)
+        cell = ChannelBatch.of([ch]).column()
+        p, a, b, _ = (x[0] for x in df._best_grid_point(cell, taus, taus, k1, k2))
         point, _ = _df_scan_loop(ch, 21, None)
         assert [taus[a], taus[b], taus[k1[p]], taus[k2[p]]] == point
         n1, n2 = point[2:]
@@ -205,7 +206,8 @@ def test_tie_across_rectangles_keeps_first_point(grid_points):
     grid = _sum_rate_grid(ch, t1g, t2g, taus[k1[0]], taus[k2[0]])
     a, b = np.nonzero(grid == grid.max())
     assert min(a.max(), b.max()) > grid_points // 2  # over the middle of both axes
-    assert df._best_grid_point(ch, taus, taus, k1, k2)[:3] == (0, 0, 0)
+    cell = ChannelBatch.of([ch]).column()
+    assert tuple(x[0] for x in df._best_grid_point(cell, taus, taus, k1, k2)[:3]) == (0, 0, 0)
     assert df.df_sum_rate_search(ch, grid_points) == df_sum_rate_search_reference(ch, grid_points)
 
 
@@ -257,8 +259,8 @@ def test_any_valid_free_bound_keeps_the_point(rng, monkeypatch, loosen):
     # The tau-free bound picks the first incumbent and prunes before the
     # per-split bound.  Raising it on later (or odd) splits makes such a
     # split the first incumbent, so the scan meets a tie's larger index
-    # first; in a block, the previous cell's split is scored with it.
-    # Neither changes a result.
+    # first; in a block, the previous cell's split is scored next if it could
+    # beat it.  Neither changes a result.
     tight = df._free_bound
 
     def loose(tables, ki, kj):

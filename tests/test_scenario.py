@@ -432,10 +432,12 @@ class TestSlMap:
 
 
 # The sha256 of the CSVs that every change to the kernels is held to: the
-# default dominance map, the default EF single- vs bi-level map, and the
-# optimal-policy map at 1.0 d0 (72 cells).
+# default dominance map, the criterion-8 slice at y = 0.5 d0 and 0.005 d0
+# (1601 cells, 25 blocks of 64 and one of 1), the default EF single- vs
+# bi-level map, and the optimal-policy map at 1.0 d0 (72 cells).
 GATED_CSV_SHA256 = {
     "map": "e821e03db6a76d67c4f902aa401a21bd1d477e272050d2b7d9c198546e2f387e",
+    "slice_0.005": "df7a758958c37b6c906cd61748ebc0805fc806ca92d03bc150666dc6857cc5a2",
     "slmap": "ff7a02740e1dcf3d62af96dabb25e0cc74313787932dc096b4976261ee835e7f",
     "map_optimal_1.0": "798fa83b440c2cf0fb02941ff030d75d1b593e860add59666070f6efb76ca306",
 }
@@ -445,6 +447,7 @@ def test_gated_csv_digests():
     config = default_config()
     optimal = replace(config, pa_policy="optimal", resolution=1.0)
     texts = {"map": map_to_csv(dominance_map(config)),
+             "slice_0.005": map_to_csv(sum_rate_slice(replace(config, resolution=0.005), 0.5)),
              "slmap": slmap_to_csv(sl_vs_bl_map(config)),
              "map_optimal_1.0": map_to_csv(dominance_map(optimal))}
     digests = {name: hashlib.sha256(text.encode()).hexdigest() for name, text in texts.items()}
