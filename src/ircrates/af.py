@@ -30,7 +30,7 @@ from typing import List, Tuple
 
 import numpy as np
 
-from .channel import (ChannelBatch, ChannelInstance, RatePair, _conj_product, _square,
+from .channel import (ChannelBatch, ChannelInstance, RatePair, _conj_product, _pow, _square,
                       capacity, other)
 
 __all__ = [
@@ -269,7 +269,7 @@ def _sum_rate_polynomials(batch: ChannelBatch) -> np.ndarray:
     aux = [np.concatenate(z) for z in zip(_aux_values(batch, 1), _aux_values(batch, 2))]
     moduli = np.hypot([z.real for z in aux[:4]], [z.imag for z in aux[:4]])
     # abs(z) ** 2 in Python floats: libm pow, which is not always z * z.
-    squares = np.reshape([_square(v) for v in moduli.ravel().tolist()], moduli.shape)
+    squares = _pow(_square, moduli)
     q, t, d = (np.stack(r, axis=1) for r in _coefficients(*aux, *squares))  # user 1, then 2
     n = len(batch)
     return np.array([np.convolve(q[k], np.convolve(t[n + k], d[n + k]))

@@ -217,7 +217,7 @@ class ChannelBatch(_Links):
     def __init__(self, **fields):
         given = {n: np.asarray(fields[n], complex if n in _GAINS else float).reshape(-1)
                  for n in _GAINS + _POWERS}
-        given.update({"_g" + n: np.array([_square(abs(h)) for h in given[n].tolist()])
+        given.update({"_g" + n: _pow(_square, given[n])
                       for n in _GAINS})  # each |h|^2, as _g reads it
         (cells,) = np.broadcast_shapes(*(v.shape for v in given.values()))
         self.__dict__ = {k: v if len(v) == cells else v.repeat(cells) for k, v in given.items()}
@@ -263,9 +263,17 @@ class ChannelBatch(_Links):
                                                for n in _GAINS + _POWERS}))
 
 
-def _square(x: float) -> float:
+def _pow(f, x):
+    """``f`` of each element of ``x`` in Python floats: the libm pow that a
+    single channel's formulas use, which numpy's ``**`` does not reproduce."""
+    x = np.asarray(x)
+    return np.array([f(v) for v in x.ravel().tolist()]).reshape(x.shape)
+
+
+def _square(x) -> float:
+    """abs(x) ** 2 in Python floats, as one channel forms |h|^2."""
     try:
-        return x ** 2
+        return abs(x) ** 2
     except OverflowError:  # a gain that ``validate`` refuses
         return math.inf
 
@@ -300,10 +308,17 @@ def check_nu_split(nu1: float, nu2: float) -> None:
         raise ValueError(f"nu1 + nu2 must be <= 1, got {nu1 + nu2}")
 
 
-def nu_simplex(grid_points: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The uniform grid g on [0, 1] and the indices (i1, i2) of its relay
-    splits (nu1, nu2) = (g[i1], g[i2]) with nu1 + nu2 <= 1, nu1 varying
-    slowest."""
+def nu_simplex(grid_points: int, nu=None) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(v, i1, i2): the relay splits (nu1, nu2) = (v[i1], v[i2]) a search
+    covers, checked before it runs.  With no ``nu``, v is the uniform grid of
+    ``grid_points`` >= 2 points on [0, 1], paired where nu1 + nu2 <= 1, nu1
+    varying slowest; a fixed split ``nu`` is one pair of its distinct values."""
+    if grid_points < 2:
+        raise ValueError(f"grid_points must be >= 2, got {grid_points}")
+    if nu is not None:
+        check_nu_split(*nu)
+        values = np.array(nu[:1] if nu[0] == nu[1] else nu, dtype=float)
+        return values, np.array([0]), np.array([len(values) - 1])
     grid = np.linspace(0.0, 1.0, grid_points)
     i1, i2 = np.nonzero(grid[:, None] + grid[None, :] <= 1.0 + _NU_SLACK)
     return grid, i1, i2

@@ -300,17 +300,12 @@ def df_sum_rate_search_batch(
     """``df_sum_rate_search`` for every cell of ``batch``, then one
     refinement pass over all cells at once, axis by axis.
 
-    A fixed split ``nu`` is a one-pair table of its distinct values.  All is
+    The relay splits are ``nu_simplex``'s table, which checks them first: a
+    fixed split ``nu`` is one pair of its distinct values.  All is
     elementwise in the operand order of one channel, with |h|^2 from the
     batch (Python floats), so each cell gets what a batch of one gives it."""
-    if grid_points < 2:
-        raise ValueError(f"grid_points must be >= 2, got {grid_points}")
-    taus = np.linspace(0.0, 1.0, grid_points)
-    if nu is None:
-        nus, (_, k1, k2), axes = taus, nu_simplex(grid_points), range(4)
-    else:  # one pair: the split's distinct values, indexed by k1 and k2
-        nus = np.array(nu[:1] if nu[0] == nu[1] else nu, dtype=float)
-        k1, k2, axes = np.array([0]), np.array([len(nus) - 1]), range(2)
+    nus, k1, k2 = nu_simplex(grid_points, nu)
+    taus, axes = np.linspace(0.0, 1.0, grid_points), range(4 if nu is None else 2)
     col, step = batch.column(), max(1, _MAX_SCAN // (grid_points * len(nus)))
     found = [_best_grid_point(col[s:s + step] if step < len(batch) else col, taus, nus, k1, k2)
              for s in range(0, len(batch), step)]

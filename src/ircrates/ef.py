@@ -35,8 +35,8 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from .channel import (
-    ChannelBatch, ChannelInstance, RatePair, _conj_product, capacity, check_nu_split,
-    nu_simplex, other,
+    ChannelBatch, ChannelInstance, RatePair, _conj_product, _pow, capacity,
+    check_nu_split, nu_simplex, other,
 )
 from .errors import ConstraintViolationError, InfeasibleError
 
@@ -99,13 +99,6 @@ def _receive_power(channel, i: int):
     """Total receive power at D_i excluding any relay contribution."""
     j = other(i)
     return channel.g_direct(i) * channel.P(i) + channel.g_cross(i) * channel.P(j) + channel.N(i)
-
-
-def _pow(f, x):
-    """``f`` of each element of ``x`` in Python floats: the libm pow that a
-    single channel's formulas use, which numpy's ``**`` does not reproduce."""
-    x = np.asarray(x)
-    return np.array([f(v) for v in x.ravel().tolist()]).reshape(x.shape)
 
 
 def _derived(channel):
@@ -265,7 +258,8 @@ def ef_bi_eval(
     A zero-power compression stream gets infinite noise, so only its own
     relay branch contributes nothing.  The noises are the bounds themselves,
     so the rates skip ``ef_bi_rate``'s check.  This is
-    ``ef_bi_sum_rate_search_batch`` at ``nu`` on a batch of one.
+    ``ef_bi_sum_rate_search_batch`` at ``nu`` on a batch of one, which
+    checks the split before any formula runs.
     """
     return ef_bi_sum_rate_search_batch(ChannelBatch.of([channel]), nu=(nu1, nu2))[0]
 
@@ -341,25 +335,20 @@ def ef_bi_sum_rate_search_batch(
     batch: ChannelBatch, grid_points: int = 41, nu: Optional[Tuple[float, float]] = None
 ) -> List[Tuple[EfBiParams, BiScenario, RatePair]]:
     """``ef_bi_sum_rate_search`` for every cell of ``batch``, as one (cells,
-    splits) array, each cell keeping its first argmax; given ``nu``,
-    ``ef_bi_eval`` at that one split.  EfBiParams refuses a non-positive
-    noise: the first such split, in cell-then-split order, raises, as in a
-    loop.  Squares are formed in Python floats and all else elementwise, so
-    each cell gets what a batch of one gives it.  The maps pass blocks of
-    at most 64 cells."""
-    if nu is None:
-        if grid_points < 2:
-            raise ValueError(f"grid_points must be >= 2, got {grid_points}")
-        grid, i1, i2 = nu_simplex(grid_points)
-        found = _bi_eval(batch.column(), grid[i1], grid[i2])
-        _, nwz1, nwz2, r1, r2 = found
-        # A cell with a bad split takes its first one, which EfBiParams refuses.
-        bad = ~((nwz1 > 0) & (nwz2 > 0))
-        k = np.where(bad.any(axis=1), bad.argmax(axis=1), (r1 + r2).argmax(axis=1))
-        cells = np.arange(len(batch))
-        found = [grid[i1[k]], grid[i2[k]], *(v[cells, k] for v in found)]
-    else:
-        found = [np.full(len(batch), nu[0]), np.full(len(batch), nu[1]), *_bi_eval(batch, *nu)]
+    splits) array over the splits ``nu_simplex`` gives (given ``nu``,
+    ``ef_bi_eval`` at that one split), each cell keeping its first argmax.
+    EfBiParams refuses a non-positive noise: the first such split, in
+    cell-then-split order, raises, as in a loop.  Squares are formed in
+    Python floats and all else elementwise, so each cell gets what a batch
+    of one gives it.  The maps pass blocks of at most 64 cells."""
+    grid, i1, i2 = nu_simplex(grid_points, nu)
+    found = _bi_eval(batch.column(), grid[i1], grid[i2])
+    _, nwz1, nwz2, r1, r2 = found
+    # A cell with a bad split takes its first one, which EfBiParams refuses.
+    bad = ~((nwz1 > 0) & (nwz2 > 0))
+    k = np.where(bad.any(axis=1), bad.argmax(axis=1), (r1 + r2).argmax(axis=1))
+    cells = np.arange(len(batch))
+    found = [grid[i1[k]], grid[i2[k]], *(v[cells, k] for v in found)]
     tags = list(BiScenario)
     return [(EfBiParams(nu1=a, nu2=b, nwz1=n1, nwz2=n2), tags[t], RatePair(x, y))
             for a, b, t, n1, n2, x, y in zip(*(v.tolist() for v in found))]

@@ -213,3 +213,29 @@ def test_df_fixed_split_chunks_are_the_scalar_search(grid_points, nu):
     for size in (1, 7, 9, 64):
         got = df.df_sum_rate_search_batch(ChannelBatch.of(channels[:size]), grid_points, nu)
         assert got == want[:size]
+
+
+@pytest.mark.parametrize("nu", [UNIFORM_NU, (0.3, 0.6), (0.4, 0.4), (0.0, 1.0), (1.0, 0.0),
+                                (0.0, 0.0)], ids=str)
+def test_ef_bl_fixed_split_is_the_scalar_eval(nu):
+    # A fixed split is the search's one-pair table: default-map blocks of 64
+    # cells, and random and anti-phase channels in one batch.
+    rng = np.random.default_rng(20)
+    channels = [make(rng) for _ in range(32) for make in (random_channel, anti_phase_channel)]
+    cells = positions(DEFAULT)[:128]
+    blocks = [(DEFAULT.channel_batch(cells[s:s + 64]),
+               [DEFAULT.channel_at(x, y) for x, y in cells[s:s + 64]]) for s in (0, 64)]
+    for batch, chs in blocks + [(ChannelBatch.of(channels), channels)]:
+        got = ef.ef_bi_sum_rate_search_batch(batch, nu=nu)
+        assert got == [ef_bi_eval_scalar(ch, *nu) for ch in chs]
+
+
+@pytest.mark.parametrize("search", [df.df_sum_rate_search_batch, ef.ef_bi_sum_rate_search_batch])
+def test_searches_refuse_a_bad_split_before_any_kernel(search):
+    # A kernel run on the split would warn (DF's sqrt) or refuse an SINR
+    # (EF-BL) before the split's own check.
+    batch = DEFAULT.channel_batch(positions(DEFAULT)[:3])
+    with pytest.raises(ValueError, match=r"^nu1 must lie in \[0, 1\], got -1.0$"):
+        search(batch, 41, (-1.0, 0.5))
+    with pytest.raises(ValueError, match=r"^grid_points must be >= 2, got 1$"):
+        search(batch, 1, UNIFORM_NU)

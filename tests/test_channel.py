@@ -279,3 +279,20 @@ class TestRelaySplit:
     def test_rejects_bad_split(self, nu1, nu2):
         with pytest.raises(ValueError, match="nu"):
             check_nu_split(nu1, nu2)
+
+    @pytest.mark.parametrize("nu, values", [((0.5, 0.5), [0.5]), ((0.0, 0.0), [0.0]),
+                                            ((0.3, 0.6), [0.3, 0.6]), ((1.0, 0.0), [1.0, 0.0])])
+    def test_fixed_split_is_one_pair(self, nu, values):
+        grid, i1, i2 = nu_simplex(41, nu)
+        assert grid.tolist() == values
+        assert list(zip(grid[i1].tolist(), grid[i2].tolist())) == [nu]
+
+    @pytest.mark.parametrize("grid_points, nu, message", [
+        (1, None, "grid_points must be >= 2, got 1"),
+        (1, (0.5, 0.5), "grid_points must be >= 2, got 1"),
+        (41, (-1.0, 0.5), r"nu1 must lie in \[0, 1\], got -1.0"),
+        (41, (0.5, float("nan")), r"nu2 must lie in \[0, 1\], got nan"),
+        (41, (0.6, 0.5), r"nu1 \+ nu2 must be <= 1")])
+    def test_table_refuses_bad_grid_or_split(self, grid_points, nu, message):
+        with pytest.raises(ValueError, match=message):
+            nu_simplex(grid_points, nu)

@@ -1,7 +1,10 @@
+import argparse
 import contextlib
 import io
+import itertools
 import json
 import math
+import random
 import re
 import shlex
 import tempfile
@@ -13,7 +16,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ircrates.channel import _LAYOUT_FIELDS, RatePair, layout_to_channel
+from ircrates.channel import _LAYOUT_FIELDS, RatePair, check_nu_split, layout_to_channel
 from ircrates import cli
 from ircrates.cli import main
 from ircrates.scenario import _SECTIONS, OPTIMIZERS, default_config
@@ -652,6 +655,67 @@ def test_fuzzed_config_structure_exits_2_naming_the_key(case):
         assert err.startswith(f"error: layout.{path[1]} "), (path, value, err)
     else:
         assert path[0] in err, (path, value, err)
+
+
+# The values each ``rate`` flag is fuzzed with.  For every protocol, each
+# subset of the flags that apply to it takes a fixed sample of them: all
+# values of a lone flag, all (nu1, nu2) pairs, and 12 draws for the other
+# subsets.  Two commands a split used to fail on come first.
+RATE_VALUES = ["0", "0.5", "1", "-1", "2", "1e-320", "1e308", "-0", "inf", "nan"]
+
+
+def _rate_cases(draws=12, seed=20):
+    rng = random.Random(seed)
+    cases = [("ef_bl", {"nu1": "-1", "nu2": "0.5"}), ("ef_bl", {"nu1": "1e308", "nu2": "0"})]
+    for protocol in OPTIMIZERS:
+        flags = [f for f, (protocols, _, _) in cli._RATE_FLAGS.items() if protocol in protocols]
+        for subset in itertools.chain.from_iterable(
+                itertools.combinations(flags, n) for n in range(len(flags) + 1)):
+            if len(subset) < 2 or subset == ("nu1", "nu2"):
+                values = itertools.product(RATE_VALUES, repeat=len(subset))
+            else:
+                values = dict.fromkeys(tuple(rng.choice(RATE_VALUES) for _ in subset)
+                                       for _ in range(draws))
+            cases += [(protocol, dict(zip(subset, v))) for v in values]
+    return cases
+
+
+def _split_error(protocol, flags):
+    """The ``check_nu_split`` error a ``rate`` call must exit 2 with, or None:
+    a given split outside [0, 1] or off the simplex, where every flag parses,
+    no pair flag is alone, and (for DF) the cooperation degrees are valid."""
+    try:
+        given = {f: cli._RATE_FLAGS[f][1](v) for f, v in flags.items()}
+    except (argparse.ArgumentTypeError, ValueError):
+        return None
+    alone = any((a in given) != (b in given) for a, b in (("nu1", "nu2"), ("nwz1", "nwz2")))
+    if alone or "nu1" not in given or not all(0.0 <= given.get(t, 0.0) <= 1.0
+                                              for t in ("tau1", "tau2")):
+        return None
+    try:
+        check_nu_split(given["nu1"], given["nu2"])
+    except ValueError as exc:
+        return f"error: {exc}\n"
+    return None
+
+
+def test_fuzzed_rate_flags_exit_cleanly_naming_the_split():
+    cases = _rate_cases()
+    assert len(cases) > 300
+    for protocol, flags in cases:
+        argv = ["rate", "--protocol", protocol, *(f"--{f}={v}" for f, v in flags.items())]
+        err = io.StringIO()
+        with warnings.catch_warnings(record=True) as caught, contextlib.redirect_stderr(err), \
+                contextlib.redirect_stdout(io.StringIO()):
+            warnings.simplefilter("always")
+            try:
+                code = main(argv)
+            except SystemExit as stop:  # argparse refuses a flag's value
+                code = stop.code
+        assert code in (0, 1, 2) and "Traceback" not in err.getvalue(), (argv, err.getvalue())
+        assert [str(w.message) for w in caught] == [], argv
+        want = _split_error(protocol, flags)
+        assert want is None or (code, err.getvalue()) == (2, want), (argv, err.getvalue())
 
 
 FACTORIZATION_TOKENS = ["nan", "inf", "-inf", "-1", "0", "1", "2", "0.5", "1e400",

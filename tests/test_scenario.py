@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from ircrates.channel import ChannelBatch, NodeLayout, RatePair, capacity
+from ircrates.cli import main
 from ircrates.errors import InfeasibleError
 from ircrates.scenario import (
     DEFAULT_NODES,
@@ -452,3 +453,43 @@ def test_gated_csv_digests():
              "map_optimal_1.0": map_to_csv(dominance_map(optimal))}
     digests = {name: hashlib.sha256(text.encode()).hexdigest() for name, text in texts.items()}
     assert digests == GATED_CSV_SHA256
+
+
+# The sha256 of the command outputs the relay-split searches feed, beyond the
+# gated maps: the optimal-policy EF map, every protocol's optimize under both
+# policies, and EF-BL rates at the uniform split, at two equal shares and at
+# a zero share.
+GATED_COMMAND_SHA256 = {
+    ("slmap", "--pa", "optimal"):
+        "5fcda461113ad726c47053d95c86efa0b8db559915433b223da98b87afc9f667",
+    ("optimize", "--pa", "uniform", "--protocol", "af"):
+        "7115c9005bd23c6dae8d4ecc0600640075dd3ae6650ca2b31595400a72618272",
+    ("optimize", "--pa", "uniform", "--protocol", "df"):
+        "436dd1817aae5e002044dc537b9ad13e65071ac462dd88242db1168a9fd289cd",
+    ("optimize", "--pa", "uniform", "--protocol", "ef_bl"):
+        "4f58d47e948f772fdadeba8a8fb06bbe9327d95ef746d7ec8372bf236377a265",
+    ("optimize", "--pa", "uniform", "--protocol", "ef_sl"):
+        "a037282e7d34f5e0afa94e4e9f0631d797aac434082ba57a9a5b3b5fd96e9b24",
+    ("optimize", "--pa", "optimal", "--protocol", "af"):
+        "7115c9005bd23c6dae8d4ecc0600640075dd3ae6650ca2b31595400a72618272",
+    ("optimize", "--pa", "optimal", "--protocol", "df"):
+        "fa8d81d142df60cb8e836bc6c3ce0f4ed5e50842798ccd22d196e5b587226fce",
+    ("optimize", "--pa", "optimal", "--protocol", "ef_bl"):
+        "001ae5ab66c654f6e17e5588a3cfddf80188597811317ef4c37ffed3bf9085ab",
+    ("optimize", "--pa", "optimal", "--protocol", "ef_sl"):
+        "a037282e7d34f5e0afa94e4e9f0631d797aac434082ba57a9a5b3b5fd96e9b24",
+    ("rate", "--protocol", "ef_bl"):
+        "da1380be514d9a1588cbd34206cd0600887b09f6a8c77961b660cbc12c87aee3",
+    ("rate", "--protocol", "ef_bl", "--nu1", "0.3", "--nu2", "0.3"):
+        "5681dcdd391b6cc0547d5371183446000af1d985950f4b6773f1bbd017ed4bcf",
+    ("rate", "--protocol", "ef_bl", "--nu1", "0", "--nu2", "1"):
+        "53f575d11c4074c17ce73e76cfce432b0f0a45d1fe5a9e6ef6adee9ec7d3c62f",
+}
+
+
+def test_gated_command_digests(capsys):
+    digests = {}
+    for argv in GATED_COMMAND_SHA256:
+        assert main(list(argv)) == 0
+        digests[argv] = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digests == GATED_COMMAND_SHA256
