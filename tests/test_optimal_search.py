@@ -12,7 +12,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from ircrates import df, ef
+from ircrates import df, ef, scenario
 from ircrates.df import _sum_rate_grid
 from ircrates.channel import ChannelBatch, ChannelInstance, nu_simplex
 from ircrates.scenario import default_config
@@ -75,13 +75,17 @@ def test_silent_relay_keeps_first_split(rng):
         assert (params.nu1, params.nu2) == (0.0, 0.0)
 
 
+def zero_noise_bound_channel() -> ChannelInstance:
+    """The relay hears what D1 hears (h1r = h11, h2r = h21, Nr = N1), and the
+    noise is lost in round-off: nwz1's bound is 0 wherever D1 sees no relay
+    interference, which EfBiParams refuses at the first such split."""
+    return ChannelInstance(h11=1.0, h21=0.5, h1r=1.0, h2r=0.5, h12=0.3, h22=0.8,
+                           hr1=0.7, hr2=0.6, P1=1.0, P2=1.0, Pr=1.0,
+                           N1=1e-20, N2=1.0, Nr=1e-20)
+
+
 def test_zero_noise_bound_raises_like_the_loop():
-    # The relay hears what D1 hears (h1r = h11, h2r = h21, Nr = N1), and the
-    # noise is lost in round-off: nwz1's bound is 0 wherever D1 sees no relay
-    # interference, which EfBiParams refuses at the first such split.
-    ch = ChannelInstance(h11=1.0, h21=0.5, h1r=1.0, h2r=0.5, h12=0.3, h22=0.8,
-                         hr1=0.7, hr2=0.6, P1=1.0, P2=1.0, Pr=1.0,
-                         N1=1e-20, N2=1.0, Nr=1e-20)
+    ch = zero_noise_bound_channel()
     errors = []
     for search in (ef_bi_sum_rate_search_loop, ef.ef_bi_sum_rate_search):
         with pytest.raises(ValueError, match="nwz1 must be positive") as exc:
@@ -93,6 +97,16 @@ def test_zero_noise_bound_raises_like_the_loop():
     with pytest.raises(ValueError, match="nwz1 must be positive") as exc:
         ef.ef_bi_sum_rate_search_batch(ChannelBatch.of([good, ch]), 11)
     assert str(exc.value) == errors[0]
+
+
+@pytest.mark.parametrize("policy", ["uniform", "optimal"])
+def test_zero_noise_bound_raises_on_the_map_path(policy):
+    # After a good cell in the same block, under either policy, the map
+    # refuses the cell as the one-channel search does.
+    config = replace(default_config(), pa_policy=policy, ef_grid=11)
+    batch = ChannelBatch.of([config.channel_at(0.5, 0.5), zero_noise_bound_channel()])
+    with pytest.raises(ValueError, match=r"^nwz1 must be positive, got 0\.0$"):
+        scenario._block_cells(config, [(0.5, 0.5), (0.0, 0.0)], batch)
 
 
 def test_eval_equals_broadcast_at_every_split(rng):
