@@ -187,8 +187,8 @@ class AfAnalysis:
 
 
 def _best_gain(batch: ChannelBatch, roots: np.ndarray, users):
-    """Per cell, the best gain for the summed rate of ``users``, and each
-    user's rate there, as lists.  ``roots`` has a row per cell, NaN-padded.
+    """Per cell, the best gain for the summed rate of ``users``, then each
+    user's rate there, as arrays.  ``roots`` has a row per cell, NaN-padded.
 
     The candidates are 0, the saturation gain and every root strictly inside
     (0, saturation gain); the first argmax wins, in that order.  They are
@@ -203,8 +203,7 @@ def _best_gain(batch: ChannelBatch, roots: np.ndarray, users):
     rates = [af_rate(batch.column(), cands, user) for user in users]
     valid = np.concatenate((np.ones((len(batch), 2), dtype=bool), inside), axis=1)
     k = np.where(valid, sum(rates), -np.inf).argmax(axis=1)[:, None]
-    return (np.take_along_axis(cands, k, axis=1)[:, 0].tolist(),
-            [np.take_along_axis(r, k, axis=1)[:, 0].tolist() for r in rates])
+    return tuple(np.take_along_axis(x, k, axis=1)[:, 0] for x in [cands] + rates)
 
 
 def optimal_gain(channel: ChannelInstance, user: int) -> AfAnalysis:
@@ -221,8 +220,8 @@ def optimal_gain(channel: ChannelInstance, user: int) -> AfAnalysis:
         roots = _solve_stationary(*quadratic_coefficients(aux))
     except ValueError:
         roots = []
-    (gain,), ((rate,),) = _best_gain(ChannelBatch.of([channel]),
-                                     np.array([roots], dtype=float).reshape(1, -1), (user,))
+    gain, rate = (x.item() for x in _best_gain(
+        ChannelBatch.of([channel]), np.array([roots], dtype=float).reshape(1, -1), (user,)))
     # h_ri = 0 gives m = p = s = 0: the rate is then the same at every gain.
     relayed = abs(aux.p) ** 2 + aux.s
     return AfAnalysis(
@@ -253,7 +252,8 @@ def af_sum_rate_gain(
     saturation gain, roots, as in ``optimal_gain``.  This is
     ``af_sum_rate_gain_batch`` on a batch of one; ``grid_points`` is ignored.
     """
-    return af_sum_rate_gain_batch(ChannelBatch.of([channel]))[0]
+    gain, r1, r2 = (c.item() for c in af_sum_rate_gain_batch(ChannelBatch.of([channel])))
+    return gain, RatePair(r1, r2)
 
 
 # Raised when a cell's sum-rate polynomial leaves the floats.
@@ -276,8 +276,8 @@ def _sum_rate_polynomials(batch: ChannelBatch) -> np.ndarray:
                      + np.convolve(q[n + k], np.convolve(t[k], d[k])) for k in range(n)])
 
 
-def af_sum_rate_gain_batch(batch: ChannelBatch) -> List[Tuple[float, RatePair]]:
-    """``af_sum_rate_gain`` of every cell of ``batch``.
+def af_sum_rate_gain_batch(batch: ChannelBatch) -> Tuple[np.ndarray, ...]:
+    """``af_sum_rate_gain`` of every cell of ``batch``: the columns (gain, R1, R2).
 
     The polynomials' coefficients are formed for the whole block at once, by
     the float operations of one channel's Python arithmetic (unfused complex
@@ -304,5 +304,4 @@ def af_sum_rate_gain_batch(batch: ChannelBatch) -> List[Tuple[float, RatePair]]:
     for k in np.flatnonzero(~full):
         r = np.roots(polys[k]).real
         roots[k, :len(r)] = r
-    gains, (r1, r2) = _best_gain(batch, roots, (1, 2))
-    return [(g, RatePair(a, b)) for g, a, b in zip(gains, r1, r2)]
+    return _best_gain(batch, roots, (1, 2))

@@ -39,9 +39,7 @@ from .scenario import (
     ConfigError,
     ScenarioConfig,
     default_config,
-    df_point,
     dominance_map,
-    ef_bl_point,
     load_config,
     map_to_csv,
     sl_vs_bl_map,
@@ -160,25 +158,27 @@ def _cmd_rate(args) -> str:
         tau = [0.0 if t is None else t for t in (args.tau1, args.tau2)]
         params = df.DfParams(*tau, *nu)
         pair = RatePair(df.df_rate(channel, params, 1), df.df_rate(channel, params, 2))
-        point = df_point(params)
+        point = {"tau": (params.tau1, params.tau2), "nu": (params.nu1, params.nu2)}
     elif args.protocol == "ef_sl":
         r0 = config.r0_exponent
         noise = ef.ef_sl_min_noise(channel, r0) if args.nwz is None else args.nwz
         pair, point = ef.ef_sl_rate(channel, noise, r0), {"nwz": noise}
-    elif nwz is None:
-        params, scenario, pair = ef.ef_bi_eval(channel, *nu)
-        point = ef_bl_point(params, scenario)
     else:
-        params = ef.EfBiParams(*nu, *nwz)
-        scenario = ef.ef_bi_scenario(channel, *nu)
-        pair, point = ef.ef_bi_rate(channel, params, scenario), ef_bl_point(params, scenario)
+        if nwz is None:
+            params, scenario, pair = ef.ef_bi_eval(channel, *nu)
+        else:
+            params, scenario = ef.EfBiParams(*nu, *nwz), ef.ef_bi_scenario(channel, *nu)
+            pair = ef.ef_bi_rate(channel, params, scenario)
+        point = {"nu": nu, "nwz": (params.nwz1, params.nwz2), "scenario": scenario.value}
     return _report(args.protocol, pair, point, with_sum=False)
 
 
 def _cmd_optimize(args) -> str:
     config = _get_config(args)
-    [(pair, point)] = OPTIMIZERS[args.protocol](ChannelBatch.of([_channel_from(config)]), config)
-    return _report(args.protocol, pair, point, with_sum=True)
+    r1, r2, point = OPTIMIZERS[args.protocol](ChannelBatch.of([_channel_from(config)]), config)
+    point = {k: tuple(c.item() for c in v) if isinstance(v, tuple) else v.item()
+             for k, v in point.items()}  # the block's one cell
+    return _report(args.protocol, RatePair(r1.item(), r2.item()), point, with_sum=True)
 
 
 def _cmd_map(args) -> str:

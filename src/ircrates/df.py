@@ -18,7 +18,7 @@ provably nonnegative/positive by AM-GM, for arbitrary complex gains.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -291,14 +291,16 @@ def df_sum_rate_search(
     relay split in simplex order (nu1 varying slowest), then the earliest
     (tau1, tau2) grid point in row-major order.
     """
-    return df_sum_rate_search_batch(ChannelBatch.of([channel]), grid_points, nu)[0]
+    *params, r1, r2 = (c.item() for c in df_sum_rate_search_batch(
+        ChannelBatch.of([channel]), grid_points, nu))
+    return DfParams(*params), RatePair(r1, r2)
 
 
 def df_sum_rate_search_batch(
     batch: ChannelBatch, grid_points: int, nu: Optional[Tuple[float, float]] = None
-) -> List[Tuple[DfParams, RatePair]]:
-    """``df_sum_rate_search`` for every cell of ``batch``, then one
-    refinement pass over all cells at once, axis by axis.
+) -> Tuple[np.ndarray, ...]:
+    """The columns (tau1, tau2, nu1, nu2, R1, R2) of ``df_sum_rate_search``
+    over the cells of ``batch``, with one refinement pass over all at once.
 
     The relay splits are ``nu_simplex``'s table, which checks them first: a
     fixed split ``nu`` is one pair of its distinct values.  All is
@@ -314,13 +316,13 @@ def df_sum_rate_search_batch(
     return _refined(col, point, value, taus[1] - taus[0], axes)
 
 
-def _refined(channel, point, value, step, axes) -> List[Tuple[DfParams, RatePair]]:
+def _refined(channel, point, value, step, axes) -> Tuple[np.ndarray, ...]:
     """One coordinate-descent pass from ``point`` (tau1, tau2, nu1, nu2 as
     arrays over the cells of ``channel``, a batch's ``column()``), whose sum
     rates the scan gave as ``value``: each axis in ``axes`` in turn is
     scanned at a tenth of ``step`` within one step, for all cells at once,
     and the best value is carried to the next axis, not recomputed.  Then
-    each cell's parameters and rates."""
+    the columns of the parameters and of both users' rates."""
     rows = np.arange(len(value))
     for axis in axes:
         vals = np.linspace(np.maximum(0.0, point[axis] - step),
@@ -334,7 +336,7 @@ def _refined(channel, point, value, step, axes) -> List[Tuple[DfParams, RatePair
         better = f[rows, k] > value
         point[axis] = np.where(better, vals[rows, k], point[axis])
         value = np.where(better, f[rows, k], value)
-    point = [x[:, None] for x in point]
-    rates = [np.minimum(*map(capacity, _df_sinr_terms(channel, *point, user))) for user in (1, 2)]
-    return [(DfParams(tau1=t1, tau2=t2, nu1=n1, nu2=n2), RatePair(r1, r2))
-            for t1, t2, n1, n2, r1, r2 in zip(*(x[:, 0].tolist() for x in point + rates))]
+    cells = [x[:, None] for x in point]
+    rates = [np.minimum(*map(capacity, _df_sinr_terms(channel, *cells, user)))[:, 0]
+             for user in (1, 2)]
+    return (*point, *rates)

@@ -30,7 +30,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -261,7 +261,13 @@ def ef_bi_eval(
     ``ef_bi_sum_rate_search_batch`` at ``nu`` on a batch of one, which
     checks the split before any formula runs.
     """
-    return ef_bi_sum_rate_search_batch(ChannelBatch.of([channel]), nu=(nu1, nu2))[0]
+    return _bi_found(ef_bi_sum_rate_search_batch(ChannelBatch.of([channel]), nu=(nu1, nu2)))
+
+
+def _bi_found(columns) -> Tuple[EfBiParams, BiScenario, RatePair]:
+    """The objects of cell 0 of an ``ef_bi_sum_rate_search_batch`` result."""
+    nu1, nu2, scenario, nwz1, nwz2, r1, r2 = (c.item() for c in columns)
+    return EfBiParams(nu1, nu2, nwz1, nwz2), list(BiScenario)[scenario], RatePair(r1, r2)
 
 
 def _sl_min_noise(channel, r0_exponent: int):
@@ -288,7 +294,7 @@ def ef_sl_min_noise(channel: ChannelInstance, r0_exponent: int = 2) -> float:
     default e = 2 follows the source formula, e = 1 is the complex-signal
     variant.
     """
-    return ef_sl_batch(ChannelBatch.of([channel]), r0_exponent)[0][0]
+    return ef_sl_batch(ChannelBatch.of([channel]), r0_exponent)[0].item()
 
 
 def ef_sl_rate(
@@ -303,18 +309,17 @@ def ef_sl_rate(
     return RatePair(*(capacity(_two_branch_sinr(channel, i, 0.0, nwz)) for i in (1, 2)))
 
 
-def ef_sl_batch(batch: ChannelBatch, r0_exponent: int = 2) -> List[Tuple[float, RatePair]]:
-    """(minimal noise, rates at it) of the single-level scheme for every cell
-    of ``batch``, elementwise; squares and 2 ** (e R_0) are formed in Python
-    floats, as for one channel.  The maps pass blocks of at most 64 cells.
-    Raises InfeasibleError if any cell's bottleneck rate is zero."""
+def ef_sl_batch(batch: ChannelBatch, r0_exponent: int = 2) -> Tuple[np.ndarray, ...]:
+    """The columns (minimal noise, R1, R2 at it) of the single-level scheme
+    over the cells of ``batch``, elementwise; squares and 2 ** (e R_0) are
+    formed in Python floats, as for one channel.  The maps pass blocks of at
+    most 64 cells.  Raises InfeasibleError if any cell's bottleneck rate is zero."""
     r0, nwz = _sl_min_noise(batch, r0_exponent)
     if (r0 <= 0.0).any():
         raise InfeasibleError("relay broadcast bottleneck rate is zero")
     for k in np.flatnonzero(nwz < nwz * (1.0 - _FEAS_RTOL)):  # a negative bound
         raise ConstraintViolationError("nwz lower bound", float(nwz[k]), float(nwz[k]))
-    r1, r2 = (capacity(_two_branch_sinr(batch, i, 0.0, nwz)) for i in (1, 2))
-    return [(n, RatePair(a, b)) for n, a, b in zip(nwz.tolist(), r1.tolist(), r2.tolist())]
+    return (nwz, *(capacity(_two_branch_sinr(batch, i, 0.0, nwz)) for i in (1, 2)))
 
 
 def ef_bi_sum_rate_search(
@@ -328,13 +333,14 @@ def ef_bi_sum_rate_search(
     index, i.e. the earliest grid cell in row-major order (nu1 varying
     slowest).  This is ``ef_bi_sum_rate_search_batch`` on a batch of one.
     """
-    return ef_bi_sum_rate_search_batch(ChannelBatch.of([channel]), grid_points)[0]
+    return _bi_found(ef_bi_sum_rate_search_batch(ChannelBatch.of([channel]), grid_points))
 
 
 def ef_bi_sum_rate_search_batch(
     batch: ChannelBatch, grid_points: int = 41, nu: Optional[Tuple[float, float]] = None
-) -> List[Tuple[EfBiParams, BiScenario, RatePair]]:
-    """``ef_bi_sum_rate_search`` for every cell of ``batch``, as one (cells,
+) -> Tuple[np.ndarray, ...]:
+    """The columns (nu1, nu2, index into ``BiScenario``, nwz1, nwz2, R1, R2)
+    of ``ef_bi_sum_rate_search`` over the cells of ``batch``, from one (cells,
     splits) array over the splits ``nu_simplex`` gives (given ``nu``,
     ``ef_bi_eval`` at that one split), each cell keeping its first argmax.
     EfBiParams refuses a non-positive noise: the first such split, in
@@ -344,11 +350,10 @@ def ef_bi_sum_rate_search_batch(
     grid, i1, i2 = nu_simplex(grid_points, nu)
     found = _bi_eval(batch.column(), grid[i1], grid[i2])
     _, nwz1, nwz2, r1, r2 = found
-    # A cell with a bad split takes its first one, which EfBiParams refuses.
     bad = ~((nwz1 > 0) & (nwz2 > 0))
-    k = np.where(bad.any(axis=1), bad.argmax(axis=1), (r1 + r2).argmax(axis=1))
-    cells = np.arange(len(batch))
-    found = [grid[i1[k]], grid[i2[k]], *(v[cells, k] for v in found)]
-    tags = list(BiScenario)
-    return [(EfBiParams(nu1=a, nu2=b, nwz1=n1, nwz2=n2), tags[t], RatePair(x, y))
-            for a, b, t, n1, n2, x, y in zip(*(v.tolist() for v in found))]
+    if bad.any():  # EfBiParams refuses the first bad split
+        cell, k = np.argwhere(bad)[0]
+        EfBiParams(grid[i1[k]].item(), grid[i2[k]].item(), nwz1[cell, k].item(),
+                   nwz2[cell, k].item())
+    k, cells = (r1 + r2).argmax(axis=1), np.arange(len(batch))
+    return (grid[i1[k]], grid[i2[k]], *(v[cells, k] for v in found))

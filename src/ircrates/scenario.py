@@ -61,6 +61,7 @@ _MAX_AXIS_POINTS = 10**6
 _MAX_GRID = 125
 
 UNIFORM_NU = (0.5, 0.5)
+_SCENARIO_TAGS = np.array([tag.value for tag in ef.BiScenario])  # by BiScenario index
 # The relay power split each pa_policy fixes; None searches the nu simplex.
 PA_SPLITS = {"uniform": UNIFORM_NU, "optimal": None}
 
@@ -226,40 +227,36 @@ class SlCell:
     frontier: bool = False
 
 
-def df_point(params: df.DfParams) -> dict:
-    return {"tau": (params.tau1, params.tau2), "nu": (params.nu1, params.nu2)}
-
-
-def ef_bl_point(params: ef.EfBiParams, scenario: ef.BiScenario) -> dict:
-    return {"nu": (params.nu1, params.nu2), "nwz": (params.nwz1, params.nwz2),
-            "scenario": scenario.value}
-
-
 # Per-protocol optimisers.  An entry takes a ChannelBatch (a block of at most
-# _MAX_CELLS positions) and returns one (RatePair, point) per cell, the point
-# being the chosen operating point in display order.  The kernels build their
-# coefficients and tables once per block, elementwise by the float operations
-# of one channel, with squares and powers in Python floats (libm pow), so a
-# cell's result does not depend on its block.  Kernels are looked up on their
-# modules at call time, so a swapped-in kernel takes effect.
+# _MAX_CELLS positions) and returns columns over its cells: (R1, R2, point),
+# the point giving each field of the chosen operating point, in display order,
+# a column (a pair, a tuple of two).  The kernels build their coefficients and
+# tables once per block, elementwise by the float operations of one channel,
+# with squares and powers in Python floats (libm pow), so a cell's result does
+# not depend on its block.  Kernels are looked up on their modules at call
+# time, so a swapped-in kernel takes effect.
 
 
 def _optimize_af(batch: ChannelBatch, config: ScenarioConfig):
-    return [(pair, {"gain": gain}) for gain, pair in af.af_sum_rate_gain_batch(batch)]
+    gain, r1, r2 = af.af_sum_rate_gain_batch(batch)
+    return r1, r2, {"gain": gain}
 
 
 def _optimize_df(batch: ChannelBatch, config: ScenarioConfig):
-    found = df.df_sum_rate_search_batch(batch, config.df_grid, PA_SPLITS[config.pa_policy])
-    return [(pair, df_point(params)) for params, pair in found]
+    t1, t2, n1, n2, r1, r2 = df.df_sum_rate_search_batch(
+        batch, config.df_grid, PA_SPLITS[config.pa_policy])
+    return r1, r2, {"tau": (t1, t2), "nu": (n1, n2)}
 
 
 def _optimize_ef_bl(batch: ChannelBatch, config: ScenarioConfig):
-    found = ef.ef_bi_sum_rate_search_batch(batch, config.ef_grid, PA_SPLITS[config.pa_policy])
-    return [(pair, ef_bl_point(params, scenario)) for params, scenario, pair in found]
+    n1, n2, scenario, w1, w2, r1, r2 = ef.ef_bi_sum_rate_search_batch(
+        batch, config.ef_grid, PA_SPLITS[config.pa_policy])
+    return r1, r2, {"nu": (n1, n2), "nwz": (w1, w2), "scenario": _SCENARIO_TAGS[scenario]}
 
 
 def _optimize_ef_sl(batch: ChannelBatch, config: ScenarioConfig):
-    return [(pair, {"nwz": nwz}) for nwz, pair in ef.ef_sl_batch(batch, config.r0_exponent)]
+    nwz, r1, r2 = ef.ef_sl_batch(batch, config.r0_exponent)
+    return r1, r2, {"nwz": nwz}
 
 
 OPTIMIZERS = {"af": _optimize_af, "df": _optimize_df,
@@ -271,35 +268,31 @@ OPTIMIZERS = {"af": _optimize_af, "df": _optimize_df,
 _MAX_CELLS = 64
 
 
-def _run(protocol: str, batch: ChannelBatch, config: ScenarioConfig) -> list:
-    """The entry's result for each cell of ``batch``, None where it is
-    infeasible: a block that raises InfeasibleError runs again cell by cell."""
-    try:
-        return OPTIMIZERS[protocol](batch, config)
-    except InfeasibleError:
-        if len(batch) == 1:
-            return [None]
-        return [_run(protocol, batch[k:k + 1], config)[0] for k in range(len(batch))]
-
-
 def _block_cells(config: ScenarioConfig, positions, batch: ChannelBatch) -> List[MapCell]:
     """The cell of each (xr, yr) of ``positions``, whose channels ``batch``
-    holds: each enabled protocol's entry runs once on the whole batch, and
-    only the cells where it is infeasible score 0.0."""
-    results = {p: _run(p, batch, config) for p in PROTOCOL_ORDER if p in config.protocols}
-    cells = []
-    for k, (xr, yr) in enumerate(positions):
-        found = {p: out[k] for p, out in results.items()}
-        points = {p: r[1] for p, r in found.items() if r is not None}
-        rates = {p: 0.0 if r is None else r[0].sum for p, r in found.items()}
-        # rates follows PROTOCOL_ORDER, and max keeps the first of equal maxima.
-        cells.append(MapCell(
-            xr=xr, yr=yr, rates=rates, winner=max(rates, key=rates.get),
-            bl_scenario=points.get("ef_bl", {}).get("scenario", ""),
-            af_gain=points.get("af", {}).get("gain", 0.0),
-            infeasible=tuple(p for p, r in found.items() if r is None),
-        ))
-    return cells
+    holds: each enabled protocol's entry runs once on the whole batch.  A
+    block where an entry raises InfeasibleError runs again cell by cell, and
+    a cell alone scores 0.0 for that protocol."""
+    protocols = [p for p in PROTOCOL_ORDER if p in config.protocols]
+    sums, points, infeasible = [], {}, ()
+    for p in protocols:
+        try:
+            r1, r2, points[p] = OPTIMIZERS[p](batch, config)
+        except InfeasibleError:
+            if len(batch) > 1:
+                return [cell for k in range(len(batch))
+                        for cell in _block_cells(config, positions[k:k + 1], batch[k:k + 1])]
+            r1 = r2 = np.zeros(1)
+            infeasible += (p,)
+        sums.append(r1 + r2)
+    n, sums = len(positions), np.array(sums)
+    gains = points["af"]["gain"].tolist() if "af" in points else [0.0] * n
+    tags = points["ef_bl"]["scenario"].tolist() if "ef_bl" in points else [""] * n
+    winners = sums.argmax(axis=0).tolist()  # the first of equal maxima, in PROTOCOL_ORDER
+    return [MapCell(xr=xr, yr=yr, rates=dict(zip(protocols, rates)), winner=protocols[w],
+                    bl_scenario=tag, af_gain=gain, infeasible=infeasible)
+            for (xr, yr), rates, w, tag, gain in zip(positions, sums.T.tolist(), winners,
+                                                     tags, gains)]
 
 
 def _cells(config: ScenarioConfig, positions) -> List[MapCell]:

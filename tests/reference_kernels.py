@@ -478,9 +478,25 @@ def ef_sl_rate_scalar(channel: ChannelInstance, nwz: float, r0_exponent: int = 2
                     capacity(_two_branch_sinr(channel, 2, 0.0, nwz)))
 
 
+def per_cell(protocol: str, columns) -> list:
+    """The columns a protocol's ``*_batch`` kernel returns, as the per-cell
+    tuples of the scalar kernels here: (gain, RatePair) for AF, (DfParams,
+    RatePair) for DF, (EfBiParams, BiScenario, RatePair) for EF-BL and
+    (nwz, RatePair) for EF-SL."""
+    rows = zip(*(c.tolist() for c in columns))
+    if protocol in ("af", "ef_sl"):
+        return [(x, RatePair(r1, r2)) for x, r1, r2 in rows]
+    if protocol == "df":
+        return [(DfParams(t1, t2, n1, n2), RatePair(r1, r2)) for t1, t2, n1, n2, r1, r2 in rows]
+    tags = list(BiScenario)
+    return [(EfBiParams(n1, n2, w1, w2), tags[k], RatePair(r1, r2))
+            for n1, n2, k, w1, w2, r1, r2 in rows]
+
+
 def optimize_scalar(protocol: str, channel: ChannelInstance, config):
-    """(RatePair, point) of one uniform-policy protocol on one channel, as
-    ``scenario.OPTIMIZERS`` returned it."""
+    """(RatePair, point) of one uniform-policy protocol on one channel: cell
+    0 of what the ``scenario.OPTIMIZERS`` entry returns as columns, with the
+    rates as a RatePair and each point field as a float (a pair of floats)."""
     if protocol == "af":
         gain, pair = af_sum_rate_gain_scalar(channel)
         return pair, {"gain": gain}

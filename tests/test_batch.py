@@ -25,6 +25,7 @@ from reference_kernels import (
     ef_sl_min_noise_scalar,
     ef_sl_rate_scalar,
     evaluate_cell_scalar,
+    per_cell,
 )
 
 DEFAULT = default_config()
@@ -38,10 +39,10 @@ def positions(config, y=None):
 
 def batched(batch: ChannelBatch) -> dict:
     """Each uniform-policy kernel's operating points and rates, per cell."""
-    return {"af": af.af_sum_rate_gain_batch(batch),
-            "df": df.df_sum_rate_search_batch(batch, 41, UNIFORM_NU),
-            "ef_bl": ef.ef_bi_sum_rate_search_batch(batch, nu=UNIFORM_NU),
-            "ef_sl": ef.ef_sl_batch(batch)}
+    return {"af": per_cell("af", af.af_sum_rate_gain_batch(batch)),
+            "df": per_cell("df", df.df_sum_rate_search_batch(batch, 41, UNIFORM_NU)),
+            "ef_bl": per_cell("ef_bl", ef.ef_bi_sum_rate_search_batch(batch, nu=UNIFORM_NU)),
+            "ef_sl": per_cell("ef_sl", ef.ef_sl_batch(batch))}
 
 
 def scalar(channels) -> dict:
@@ -87,8 +88,9 @@ def test_batch_composition_does_not_matter():
     # search scores the split the previous cell chose first, so a cell's
     # work depends on its neighbour, but not its result.
     def kernels(batch):
-        return {**batched(batch), "df_optimal": df.df_sum_rate_search_batch(batch, 11),
-                "ef_bl_optimal": ef.ef_bi_sum_rate_search_batch(batch, 11)}
+        return {**batched(batch),
+                "df_optimal": per_cell("df", df.df_sum_rate_search_batch(batch, 11)),
+                "ef_bl_optimal": per_cell("ef_bl", ef.ef_bi_sum_rate_search_batch(batch, 11))}
 
     rng = np.random.default_rng(11)
     channels = [random_channel(rng, real_gains=k % 2 == 1) for k in range(20)]
@@ -181,7 +183,7 @@ def test_af_block_coefficients_are_the_per_cell_polynomials():
     channels = mixed_af_channels(np.random.default_rng(14))
     polys = assert_block_polynomials_are_per_cell(ChannelBatch.of(channels))
     assert (polys[:, 0] == 0.0).sum() == 3  # the np.roots branch is taken
-    assert af.af_sum_rate_gain_batch(ChannelBatch.of(channels)) == [
+    assert per_cell("af", af.af_sum_rate_gain_batch(ChannelBatch.of(channels))) == [
         af_sum_rate_gain_scalar(ch) for ch in channels]
     cells = positions(DEFAULT)
     for s in range(0, len(cells), scenario._MAX_CELLS):
@@ -212,7 +214,7 @@ def test_df_fixed_split_chunks_are_the_scalar_search(grid_points, nu):
     want = [df_sum_rate_search_scalar(ch, grid_points, nu) for ch in channels]
     for size in (1, 7, 9, 64):
         got = df.df_sum_rate_search_batch(ChannelBatch.of(channels[:size]), grid_points, nu)
-        assert got == want[:size]
+        assert per_cell("df", got) == want[:size]
 
 
 @pytest.mark.parametrize("nu", [UNIFORM_NU, (0.3, 0.6), (0.4, 0.4), (0.0, 1.0), (1.0, 0.0),
@@ -227,7 +229,7 @@ def test_ef_bl_fixed_split_is_the_scalar_eval(nu):
                [DEFAULT.channel_at(x, y) for x, y in cells[s:s + 64]]) for s in (0, 64)]
     for batch, chs in blocks + [(ChannelBatch.of(channels), channels)]:
         got = ef.ef_bi_sum_rate_search_batch(batch, nu=nu)
-        assert got == [ef_bi_eval_scalar(ch, *nu) for ch in chs]
+        assert per_cell("ef_bl", got) == [ef_bi_eval_scalar(ch, *nu) for ch in chs]
 
 
 @pytest.mark.parametrize("search", [df.df_sum_rate_search_batch, ef.ef_bi_sum_rate_search_batch])

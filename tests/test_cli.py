@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ircrates.channel import _LAYOUT_FIELDS, RatePair, check_nu_split, layout_to_channel
+from ircrates.channel import _LAYOUT_FIELDS, check_nu_split, layout_to_channel
 from ircrates import cli
 from ircrates.cli import main
 from ircrates.scenario import _SECTIONS, OPTIMIZERS, default_config
@@ -236,8 +236,8 @@ class TestOptimize:
         assert run(capsys, command, "--config", fast_config, "--protocol", name)[1] == out
 
     def test_optimize_is_a_table_lookup(self, capsys, fast_config, monkeypatch):
-        stub = (RatePair(1.0, 2.0), {"tau": (0.25, 0.75)})
-        monkeypatch.setitem(OPTIMIZERS, "df", lambda batch, config: [stub])
+        stub = (np.array([1.0]), np.array([2.0]), {"tau": (np.array([0.25]), np.array([0.75]))})
+        monkeypatch.setitem(OPTIMIZERS, "df", lambda batch, config: stub)
         code, out, _ = run(capsys, "optimize", "--config", fast_config, "--protocol", "df")
         assert code == 0
         assert out == "protocol: df\ntau: (0.25, 0.75)\nR1: 1\nR2: 2\nsum: 3\n"
@@ -250,9 +250,9 @@ class TestOptimize:
         path = tmp_path / "relay.json"
         path.write_text(json.dumps(config.to_dict()))
         seen = []
-        stub = (RatePair(1.0, 2.0), {})
+        stub = (np.array([1.0]), np.array([2.0]), {})
         monkeypatch.setitem(OPTIMIZERS, "af",
-                            lambda batch, config: seen.append(batch.cell(0)) or [stub])
+                            lambda batch, config: seen.append(batch.cell(0)) or stub)
         assert run(capsys, "optimize", "--config", str(path), "--protocol", "af")[0] == 0
         assert seen == [layout_to_channel(config.layout, config.P1, config.P2, config.Pr,
                                           config.N1, config.N2, config.Nr)]

@@ -23,6 +23,7 @@ from reference_kernels import (
     df_sum_rate_search_reference,
     df_user_bound_reference,
     ef_bi_sum_rate_search_loop,
+    per_cell,
 )
 
 
@@ -289,4 +290,4 @@ def test_any_valid_free_bound_keeps_the_point(rng, monkeypatch, loosen):
     channels = corners + [tie_across_rectangles_channel()] + draws
     want = [df_sum_rate_search_reference(ch, 11) for ch in channels]
     assert [df.df_sum_rate_search(ch, 11) for ch in channels] == want
-    assert df.df_sum_rate_search_batch(ChannelBatch.of(channels), 11) == want
+    assert per_cell("df", df.df_sum_rate_search_batch(ChannelBatch.of(channels), 11)) == want

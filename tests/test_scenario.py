@@ -1,12 +1,15 @@
 import hashlib
 import json
 import math
+from collections import Counter
 from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
 from ircrates.channel import ChannelBatch, NodeLayout, RatePair, capacity
+from ircrates.df import DfParams
+from ircrates.ef import EfBiParams
 from ircrates.cli import main
 from ircrates.errors import InfeasibleError
 from ircrates.scenario import (
@@ -299,18 +302,19 @@ class TestOptimizerTable:
     def test_evaluate_cell_is_the_table(self, protocol, policy):
         cfg = small_config(pa_policy=policy, df_grid=11, ef_grid=11)
         cell = evaluate_cell(cfg, 0.5, 0.75)
-        [(pair, point)] = OPTIMIZERS[protocol](ChannelBatch.of([cfg.channel_at(0.5, 0.75)]), cfg)
-        assert cell.rates[protocol] == pair.sum
+        r1, r2, point = OPTIMIZERS[protocol](ChannelBatch.of([cfg.channel_at(0.5, 0.75)]), cfg)
+        assert cell.rates[protocol] == r1.item() + r2.item()
         if protocol == "af":
-            assert cell.af_gain == point["gain"]
+            assert cell.af_gain == point["gain"].item()
         if protocol == "ef_bl":
-            assert cell.bl_scenario == point["scenario"]
+            assert cell.bl_scenario == point["scenario"].item()
 
     def test_uniform_policy_fixes_nu(self):
         cfg = small_config()
         batch = ChannelBatch.of([cfg.channel_at(0.5, 0.75)])
         for protocol in ("df", "ef_bl"):
-            assert OPTIMIZERS[protocol](batch, cfg)[0][1]["nu"] == (0.5, 0.5)
+            nu1, nu2 = OPTIMIZERS[protocol](batch, cfg)[2]["nu"]
+            assert (nu1.item(), nu2.item()) == (0.5, 0.5)
 
     @pytest.mark.parametrize("policy", ["uniform", "optimal"])
     def test_slmap_is_the_ef_dominance_map(self, policy):
@@ -325,9 +329,9 @@ class TestOptimizerTable:
         # Stub every entry with a distinct fixed result: a caller with its
         # own per-protocol dispatch would not see the stubs.
         for k, protocol in enumerate(PROTOCOL_ORDER):
-            result = (RatePair(k + 1.0, 0.0), {"gain": 0.25, "scenario": f"tag{k}"})
-            monkeypatch.setitem(OPTIMIZERS, protocol,
-                                lambda batch, cfg, r=result: [r] * len(batch))
+            monkeypatch.setitem(OPTIMIZERS, protocol, lambda batch, cfg, k=k: (
+                np.full(len(batch), k + 1.0), np.zeros(len(batch)),
+                {"gain": np.full(len(batch), 0.25), "scenario": np.full(len(batch), f"tag{k}")}))
         cfg = small_config()
         cell = evaluate_cell(cfg, 0.0, 0.5)
         assert cell.rates == {"af": 1.0, "df": 2.0, "ef_bl": 3.0, "ef_sl": 4.0}
@@ -344,6 +348,18 @@ class TestOptimizerTable:
         cell = evaluate_cell(cfg, 0.0, 0.5)
         assert cell.rates["ef_bl"] == 0.0 and cell.infeasible == ("ef_bl",)
         assert cell.bl_scenario == ""
+
+
+    @pytest.mark.parametrize("run", [dominance_map, sl_vs_bl_map], ids=lambda f: f.__name__)
+    def test_maps_build_no_per_cell_objects(self, monkeypatch, run):
+        # The kernels hand the maps columns; the validated objects belong to
+        # the one-channel API.
+        built = Counter()
+        for cls in (DfParams, EfBiParams, RatePair):
+            monkeypatch.setattr(cls, "__post_init__", lambda self, check=cls.__post_init__:
+                                built.update([type(self).__name__]) or check(self))
+        run(default_config())
+        assert built == Counter()
 
 
 class TestMaps:
