@@ -7,8 +7,10 @@ at once, and its factorizations derive their joint product from a table of
 factors and read their bounds from per-user marginals; these are the
 per-user case analysis and the scan-and-refine sum-rate optimizer, the DF
 and EF-BL loops over every relay split, the DF bound with C at every tau
-point, the scalar DF refinement loop, the hand-written einsum products and
-the bounds read off the full joint table, that they replaced.  Tests compare
+point, the scalar DF refinement loop, the hand-written einsum products,
+the bounds read off the full joint table, and the marginal that re-derives
+its elimination order on every call with the conditional mutual information
+taken through broadcast views, that they replaced.  Tests compare
 the two.
 
 The maps evaluate blocks of relay positions at once; the one-channel AF, DF,
@@ -35,7 +37,12 @@ from ircrates.channel import ChannelInstance, RatePair, capacity, nu_simplex, ot
 from ircrates.df import DfParams
 from ircrates.ef import BiScenario, EfBiParams
 from ircrates.errors import ConstraintViolationError, InfeasibleError
-from ircrates.discrete import _SUM_TOL, JointPmf, conditional_mutual_information
+from ircrates.discrete import (
+    _SUM_TOL,
+    JointPmf,
+    _check_table_size,
+    conditional_mutual_information,
+)
 from ircrates.scenario import MapCell, PROTOCOL_ORDER, UNIFORM_NU
 
 
@@ -585,3 +592,40 @@ def single_level_bounds_joint(fact) -> Tuple[float, float, bool]:
         conditional_mutual_information(pmf, ("xr",), ("y2",)),
     )
     return r1, r2, lhs <= rhs + _SUM_TOL
+
+
+def marginal_reference(fact, keep: Tuple[str, ...]) -> np.ndarray:
+    """p(keep), axes in ``keep`` order, by variable elimination whose order is
+    worked out again on each call from the factorization's ``FACTORS``."""
+    factors = [(conds + outs, getattr(fact, field)) for field, outs, conds in fact.FACTORS]
+    sizes = {v: n for axes, table in factors for v, n in zip(axes, table.shape)}
+    _check_table_size(math.prod(sizes.values()))
+    ids = {v: i for i, v in enumerate(sizes)}
+
+    def contract(terms, out):
+        args = [x for axes, table in terms for x in (table, [ids[v] for v in axes])]
+        return np.einsum(*args, [ids[v] for v in out])
+
+    for var in (v for v in sizes if v not in keep):
+        hit = [f for f in factors if var in f[0]]
+        factors = [f for f in factors if var not in f[0]]
+        out = tuple(dict.fromkeys(v for axes, _ in hit for v in axes if v != var))
+        factors.append((out, contract(hit, out)))
+    return contract(factors, keep)
+
+
+def cmi_reference(p_abc: np.ndarray, ax_a: Tuple[int, ...], ax_b: Tuple[int, ...]) -> float:
+    """I(A; B | C) in bits, the marginals read through masked broadcast views."""
+    p_ac = p_abc.sum(axis=ax_b, keepdims=True)
+    p_bc = p_abc.sum(axis=ax_a, keepdims=True)
+    p_c = p_ac.sum(axis=ax_a, keepdims=True)
+
+    mask = p_abc > 0
+    num = p_abc[mask] * np.broadcast_to(p_c, p_abc.shape)[mask]
+    den = (
+        np.broadcast_to(p_ac, p_abc.shape)[mask]
+        * np.broadcast_to(p_bc, p_abc.shape)[mask]
+    )
+    total = float(np.sum(p_abc[mask] * np.log2(num / den)))
+    return max(total, 0.0)
+

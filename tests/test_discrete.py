@@ -5,6 +5,7 @@ import textwrap
 import numpy as np
 import pytest
 
+from ircrates import discrete
 from ircrates.discrete import (
     BiLevelFactorization,
     JointPmf,
@@ -18,6 +19,8 @@ from ircrates.discrete import (
 from reference_kernels import (
     bi_level_bounds_joint,
     bi_level_joint,
+    cmi_reference,
+    marginal_reference,
     single_level_bounds_joint,
     single_level_joint,
 )
@@ -400,6 +403,45 @@ class TestBoundsMatchJointTable:
         assert self.feasible(perfect_forwarding_fact(rng, yr_known)) == yr_known
 
 
+# The marginals the bounds read, one per user of each mode.
+BOUND_KEEPS = {
+    "bi": [("x1", "u1", "y1", "yr", "yh1"), ("x2", "u2", "y2", "yr", "yh2")],
+    "single": [("x1", "xr", "y1", "yr", "yh"), ("x2", "xr", "y2", "yr", "yh")],
+}
+
+
+class TestKernelsMatchReference:
+    """``_marginal`` and the bounds equal, bit for bit, the per-call
+    elimination and the broadcast-view CMI in ``reference_kernels``."""
+
+    @staticmethod
+    def facts(mode):
+        rng = np.random.default_rng(22)
+        tiny = [sized_fact(rng, mode, random_sizes(rng, 3)) for _ in range(30)]
+        near_cap = (random_bi_fact(rng, 3, 3, 3, 4, 8) if mode == "bi"
+                    else random_single_fact(rng, 4, 4, 6, 60))
+        return tiny + [near_cap]
+
+    @pytest.mark.parametrize("mode", ["bi", "single"])
+    def test_marginal(self, mode):
+        rng = np.random.default_rng(23)
+        for fact in self.facts(mode):
+            names = list(dict.fromkeys(v for _, outs, conds in fact.FACTORS for v in conds + outs))
+            drawn = [tuple(rng.permutation(names)[:rng.integers(0, 6)]) for _ in range(3)]
+            for keep in BOUND_KEEPS[mode] + drawn:
+                got = fact._marginal(keep)
+                assert np.array_equal(got, marginal_reference(fact, keep)), keep
+
+    @pytest.mark.parametrize("mode", ["bi", "single"])
+    def test_bounds(self, monkeypatch, mode):
+        facts = [blurred_compression(f, w) for f in self.facts(mode) for w in (0.0, 0.05, 1.0)]
+        got = [bounds_of(f)(f) for f in facts]
+        monkeypatch.setattr(discrete._Factorization, "_marginal", marginal_reference)
+        monkeypatch.setattr(discrete, "_cmi", cmi_reference)
+        assert got == [bounds_of(f)(f) for f in facts]
+        assert {feasible for _, _, feasible in got} == {True, False}
+
+
 class TestFactorizationFiles:
     SINGLE = textwrap.dedent("""\
         # minimal binary single-level example
@@ -459,6 +501,35 @@ class TestFactorizationFiles:
         assert got[0] == pytest.approx(expect[0], abs=1e-12)
         assert got[1] == pytest.approx(expect[1], abs=1e-12)
         assert got[2] == expect[2]
+
+    @staticmethod
+    def commented(lines):
+        """``lines`` with a whole-line comment before each, a trailing comment
+        after each header and a comment glued to each line's last number."""
+        out = []
+        for line in lines:
+            out.append("# a whole-line comment, 0.5 0.5")
+            if line.startswith("factor"):
+                out.append(line + "  # trailing comment : 9")
+            else:
+                out.append(line + "#x 0.5" if line and line[-1].isdigit() else line)
+        return out
+
+    @pytest.mark.parametrize("variant", [
+        lambda lines: "\n".join(TestFactorizationFiles.commented(lines)),
+        lambda lines: "\r\n".join(TestFactorizationFiles.commented(lines)),
+        lambda lines: "\r".join(TestFactorizationFiles.commented(lines)),
+        lambda lines: "\n\n \t\n".join(line.replace(" ", "\t") for line in lines),
+        lambda lines: "\n".join(lines).rstrip(),
+    ], ids=["comments", "crlf", "cr", "tabs-and-blank-lines", "no-final-newline"])
+    def test_text_variants_parse_alike(self, tmp_path, rng, variant):
+        path, _, _ = self._write_single(tmp_path, rng)
+        expect = load_factorization(path)
+        other = tmp_path / "variant.fact"
+        other.write_bytes(variant(path.read_text().split("\n")).encode())
+        got = load_factorization(other)
+        for field, _, _ in got.FACTORS:
+            assert np.array_equal(getattr(got, field), getattr(expect, field)), field
 
     def test_missing_factor_rejected(self, tmp_path):
         path = tmp_path / "bad.fact"
