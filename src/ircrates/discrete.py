@@ -8,6 +8,7 @@ oracle side of the rate formulas, so no sampling or sparsity shortcuts.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, make_dataclass
 from typing import Dict, Sequence, Tuple
@@ -113,17 +114,15 @@ def conditional_mutual_information(
 
 def _cmi(p_abc: np.ndarray, ax_a: Tuple[int, ...], ax_b: Tuple[int, ...]) -> float:
     """I(A; B | C) in bits of the pmf ``p_abc``, whose axes ``ax_a`` are A,
-    ``ax_b`` are B and the others C."""
+    ``ax_b`` are B and the others C; the log ratio is taken only where
+    p(a,b,c) > 0, of products broadcast over the whole table."""
     p_ac = p_abc.sum(axis=ax_b, keepdims=True)
     p_bc = p_abc.sum(axis=ax_a, keepdims=True)
     p_c = p_ac.sum(axis=ax_a, keepdims=True)
 
     mask = p_abc > 0
-    num = p_abc[mask] * np.broadcast_to(p_c, p_abc.shape)[mask]
-    den = (
-        np.broadcast_to(p_ac, p_abc.shape)[mask]
-        * np.broadcast_to(p_bc, p_abc.shape)[mask]
-    )
+    num = (p_abc * p_c)[mask]
+    den = (p_ac * p_bc)[mask]
     total = float(np.sum(p_abc[mask] * np.log2(num / den)))
     return max(total, 0.0)  # clip tiny negative round-off
 
@@ -133,10 +132,10 @@ def _check_conditional(name: str, table: np.ndarray, cond_rank: int):
 
     A NaN or +inf entry fails the sum test, -inf the sign test.
     """
-    if np.any(table < 0):
+    if (table < 0).any():
         raise ValueError(f"{name}: probabilities must be nonnegative")
     sums = table.sum(axis=tuple(range(cond_rank, table.ndim)))
-    if not np.all(np.abs(sums - 1.0) <= 1e-9):
+    if not (np.abs(sums - 1.0) <= 1e-9).all():
         raise ValueError(f"{name}: probabilities must sum to 1")
 
 
@@ -188,23 +187,34 @@ class _Factorization:
         return JointPmf(names, table)
 
     def _marginal(self, keep: Tuple[str, ...]) -> np.ndarray:
-        """p(keep), axes in ``keep`` order, by summing each other variable out
-        of the factors that mention it (variable elimination), never the joint."""
-        factors = [(conds + outs, getattr(self, field)) for field, outs, conds in self.FACTORS]
-        sizes = {v: n for axes, table in factors for v, n in zip(axes, table.shape)}
-        _check_table_size(math.prod(sizes.values()))
-        ids = {v: i for i, v in enumerate(sizes)}
+        """p(keep), axes in ``keep`` order, by variable elimination over the
+        factors, never the joint: the joint's size is checked against the cap,
+        then the einsum calls of ``_elimination_plan`` run."""
+        tables = [getattr(self, field) for field, _, _ in self.FACTORS]
+        _check_table_size(math.prod(n for (_, _, conds), table in zip(self.FACTORS, tables)
+                                    for n in table.shape[len(conds):]))
+        for ops, out in _elimination_plan(type(self), keep):
+            tables.append(np.einsum(*(x for slot, sub in ops for x in (tables[slot], sub)), out))
+        return tables[-1]
 
-        def contract(terms, out):  # no optimize=: planning costs more than these sums
-            args = [x for axes, table in terms for x in (table, [ids[v] for v in axes])]
-            return np.einsum(*args, [ids[v] for v in out])
 
-        for var in (v for v in sizes if v not in keep):
-            hit = [f for f in factors if var in f[0]]
-            factors = [f for f in factors if var not in f[0]]
-            out = tuple(dict.fromkeys(v for axes, _ in hit for v in axes if v != var))
-            factors.append((out, contract(hit, out)))
-        return contract(factors, keep)
+@functools.cache
+def _elimination_plan(cls, keep: Tuple[str, ...]) -> tuple:
+    """The einsum calls of ``cls._marginal(keep)``, each (((slot, sublist), ...),
+    output sublist); slots number the factors, then the calls' results.  Unkept
+    variables go in order of first appearance; no ``optimize=``, which costs more."""
+    factors = [(conds + outs, slot) for slot, (_, outs, conds) in enumerate(cls.FACTORS)]
+    ids = {v: i for i, v in enumerate(dict.fromkeys(v for axes, _ in factors for v in axes))}
+    plan = []
+    for var in (v for v in ids if v not in keep):
+        hit = [f for f in factors if var in f[0]]
+        factors = [f for f in factors if var not in f[0]]
+        out = tuple(dict.fromkeys(v for axes, _ in hit for v in axes if v != var))
+        plan.append((hit, out))
+        factors.append((out, len(cls.FACTORS) + len(plan) - 1))
+    plan.append((factors, keep))
+    return tuple((tuple((slot, tuple(ids[v] for v in axes)) for axes, slot in terms),
+                  tuple(ids[v] for v in out)) for terms, out in plan)
 
 
 def _factorization(name: str, factors, doc: str) -> type:
@@ -274,12 +284,14 @@ _MODES = {"single": SingleLevelFactorization, "bi": BiLevelFactorization}
 
 
 def _tokenize(path) -> list:
-    tokens = []
-    with open(path) as fh:
-        for line in fh:
-            line = line.split("#", 1)[0]
-            tokens.extend(line.split())
-    return tokens
+    try:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: not UTF-8 text: {exc.reason} at byte {exc.start}") from None
+    if "#" in text:  # reading in text mode made every line end '\n'
+        text = "\n".join(line.split("#", 1)[0] for line in text.split("\n"))
+    return text.split()
 
 
 def load_factorization(path):
@@ -333,16 +345,18 @@ def load_factorization(path):
             undeclared = [c for c in conds if c not in sizes]
             if undeclared:
                 raise ValueError(f"conditions on undeclared {undeclared}")
+            _check_table_size(math.prod(sizes.values()))  # as _marginal will
             shape = tuple(sizes[c] for c in conds) + tuple(out_sizes)
-            values = list(map(float, tokens[pos : pos + math.prod(shape)]))
-            if len(values) < math.prod(shape):
+            count = math.prod(shape)
+            if len(tokens) - pos < count:
                 raise ValueError("unexpected end of file")
-            pos += len(values)
+            values = np.fromiter(map(float, tokens[pos : pos + count]), float, count)
         except ValueError as exc:
             # take() already names the file at an unexpected end of file.
             msg = str(exc).removeprefix(f"{path}: ")
             raise ValueError(f"{path}: factor '{spec_str}': {msg}") from None
-        factors[outs] = np.array(values).reshape(shape)
+        factors[outs] = values.reshape(shape)
+        pos += count
 
     missing = [k for k in expected if k not in factors]
     if missing:

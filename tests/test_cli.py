@@ -428,6 +428,28 @@ class TestDiscrete:
         assert code == 2 and out == "" and "Traceback" not in err
         assert "cap is 1000000" in err
 
+    @pytest.mark.parametrize("text, factor, entries", [
+        ("mode single\nfactor x1 : 100000000000000000000\n0.5 0.5\n", "x1", 10**20),
+        # x2's numbers hold a word, so parsing them would fail another way.
+        ("mode single\nfactor x1 : 1001\n" + "0.000999000999000999 " * 1001
+         + "\nfactor x2 : 1000\nabc" + " 0.001" * 999 + "\n", "x2", 1001000),
+    ])
+    def test_oversized_header_refused_before_its_numbers(self, capsys, tmp_path,
+                                                         text, factor, entries):
+        path = tmp_path / "huge.fact"
+        path.write_text(text)
+        code, out, err = run(capsys, "discrete", "--pmf", str(path))
+        assert code == 2 and out == ""
+        assert err == (f"error: {path}: factor '{factor}': table has {entries} entries, "
+                       "cap is 1000000\n")
+
+    def test_non_utf8_file_names_the_path(self, capsys, tmp_path):
+        path = tmp_path / "binary.fact"
+        path.write_bytes(b"mode single\nfactor x1 : 2\n0.5 \xff0.5\n")
+        code, out, err = run(capsys, "discrete", "--pmf", str(path))
+        assert code == 2 and out == "" and "Traceback" not in err
+        assert err == f"error: {path}: not UTF-8 text: invalid start byte at byte 30\n"
+
     def test_missing_file_exits_2(self, capsys, tmp_path):
         code, _, err = run(capsys, "discrete", "--pmf", str(tmp_path / "nope"))
         assert code == 2

@@ -531,6 +531,32 @@ class TestFactorizationFiles:
         for field, _, _ in got.FACTORS:
             assert np.array_equal(getattr(got, field), getattr(expect, field)), field
 
+    @staticmethod
+    def text_of(fact):
+        """``fact`` written in the factorization file format."""
+        lines = ["mode " + ("bi" if isinstance(fact, BiLevelFactorization) else "single")]
+        for field, outs, conds in fact.FACTORS:
+            table = getattr(fact, field)
+            lines.append(f"factor {','.join(outs)}" + (f" | {','.join(conds)}" if conds else "")
+                         + " : " + " ".join(map(str, table.shape[len(conds):])))
+            lines.append(" ".join(f"{v:.17g}" for v in table.ravel()))
+        return "\n".join(lines) + "\n"
+
+    @pytest.mark.parametrize("var", ["x1", "yr", "yh2"])
+    def test_cap_checked_at_the_header(self, tmp_path, rng, var):
+        # The loader refuses at the first header whose alphabets bring the
+        # joint past the cap, which for these sizes is the last one; a file at
+        # the cap loads.
+        path = tmp_path / "cap.fact"
+        path.write_text(self.text_of(sized_fact(rng, "bi", TestJointPmf.AT_CAP)))
+        assert np.isfinite(bi_level_bounds(load_factorization(path))[0])
+        sizes = {**TestJointPmf.AT_CAP, var: TestJointPmf.AT_CAP[var] + 1}
+        path.write_text(self.text_of(sized_fact(rng, "bi", sizes)))
+        entries = 10**6 // TestJointPmf.AT_CAP[var] * sizes[var]
+        with pytest.raises(ValueError, match=(
+                rf"factor 'yh2 \| yr,u2': table has {entries} entries, cap is 1000000$")):
+            load_factorization(path)
+
     def test_missing_factor_rejected(self, tmp_path):
         path = tmp_path / "bad.fact"
         path.write_text("mode single\nfactor x1 : 2\n0.5 0.5\n")
