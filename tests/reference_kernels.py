@@ -15,7 +15,8 @@ the two.
 
 The maps evaluate blocks of relay positions at once; the one-channel AF, DF,
 EF-BL and EF-SL kernels they replaced, and the per-cell map evaluation, are
-kept below as they were (``*_scalar``), for ``test_batch.py``.
+kept below as they were (``*_scalar``), for ``test_batch.py`` and
+``test_ef_terms.py``.
 """
 
 import math
@@ -454,6 +455,20 @@ def _two_branch_sinr(channel, i, relay_interf, nwz):
     noise_floor = relay_interf + Ni
     relayed = gu * Pi / (Nr + nwz + gw * Pj * noise_floor / (gc * Pj + noise_floor))
     return direct + relayed
+
+
+def ef_bi_rate_scalar(channel: ChannelInstance, params: EfBiParams,
+                      scenario: BiScenario) -> RatePair:
+    """``ef.ef_bi_rate`` on one channel, ``scenario`` imposed as given."""
+    nu1, nu2 = params.nu1, params.nu2
+    bounds = _ef_bi_min_noise(channel, nu1, nu2, scenario)
+    noises = (params.nwz1, params.nwz2)
+    for i, (nwz, bound) in enumerate(zip(noises, bounds), start=1):
+        if nwz < bound * (1.0 - 1e-9):
+            raise ConstraintViolationError(f"nwz{i} lower bound", nwz, bound)
+    return RatePair(*(capacity(_two_branch_sinr(
+        channel, i, _relay_interference(channel, nu1, nu2, scenario, i), noises[i - 1]))
+        for i in (1, 2)))
 
 
 def ef_bi_eval_scalar(channel: ChannelInstance, nu1: float, nu2: float

@@ -94,7 +94,7 @@ class TestScenario:
         # sign of |h_r1|^2 V_2 - |h_r2|^2 V_1, independent of the power
         # split, so the third scenario never fires and the choice does not
         # depend on (nu1, nu2).
-        from ircrates.ef import _receive_power
+        from reference_kernels import _receive_power
 
         for _ in range(300):
             ch = random_channel(rng)
