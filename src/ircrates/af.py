@@ -30,8 +30,8 @@ from typing import List, Tuple
 
 import numpy as np
 
-from .channel import (ChannelBatch, ChannelInstance, RatePair, _conj_product, _pow, _square,
-                      capacity, other)
+from .channel import (ChannelBatch, ChannelInstance, RatePair, _conj_product, _pow,
+                      _relay_received, _square, capacity, other)
 
 __all__ = [
     "AfAuxiliaries",
@@ -111,14 +111,10 @@ def af_rate(channel, gain, user: int):
 
 
 def saturation_gain(channel):
-    """Amplification that makes the relay transmit at exactly its power
-    budget (an array over the cells of a ``ChannelBatch``)."""
-    received = (
-        channel.g_to_relay(1) * channel.P1
-        + channel.g_to_relay(2) * channel.P2
-        + channel.Nr
-    )
-    gain = np.sqrt(channel.Pr / received)
+    """Amplification sqrt(P_r / A), A the relay's receive power, that makes
+    the relay transmit at exactly its power budget (an array over the cells
+    of a ``ChannelBatch``)."""
+    gain = np.sqrt(channel.Pr / _relay_received(channel))
     return float(gain) if np.ndim(gain) == 0 else gain
 
 

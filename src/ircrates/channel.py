@@ -283,6 +283,11 @@ def _conj_product(a, b):
     return a.real * b.real + a.imag * b.imag, a.imag * b.real - a.real * b.imag
 
 
+def _relay_received(channel):
+    """A = |h1r|^2 P1 + |h2r|^2 P2 + Nr, the relay's receive power (elementwise)."""
+    return channel.g_to_relay(1) * channel.P1 + channel.g_to_relay(2) * channel.P2 + channel.Nr
+
+
 def _idx(i: int) -> int:
     if i not in (1, 2):
         raise ValueError(f"user index must be 1 or 2, got {i}")

@@ -19,10 +19,12 @@ information.  Compression noises are strictly rate-decreasing, so minimal
 admissible values are always optimal; callers who do not specify them get
 the lower bounds with equality.
 
-Second-order statistics (the conditional variances behind the compression
-constraints) use circular complex conventions: the cross term between Y_r
-and a destination signal is the modulus of the complex covariance
-sum_k h_kd h_kr^* P_k.
+Every formula reads a few second-order terms, each formed once per call:
+V_i, the receive power at D_i without the relay; A, the relay's; |A_i|, the
+modulus of the circular complex covariance sum_k h_ki h_kr^* P_k of Y_r and
+D_i's direct signal; and q_dk = |h_rd|^2 nu_k P_r, the power at D_d of the
+relay codeword for D_k.  The compression constraints rest on the variance
+sigma_i^2 = A - |A_i|^2 / V_i of Y_r given D_i's direct signal.
 """
 
 from __future__ import annotations
@@ -35,8 +37,8 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .channel import (
-    ChannelBatch, ChannelInstance, RatePair, _conj_product, _pow, capacity,
-    check_nu_split, nu_simplex, other,
+    ChannelBatch, ChannelInstance, RatePair, _conj_product, _pow, _relay_received,
+    capacity, check_nu_split, nu_simplex, other,
 )
 from .errors import ConstraintViolationError, InfeasibleError
 
@@ -95,32 +97,26 @@ class EfDerived:
 # elementwise, over the cells of a batch or over arrays of relay splits.
 
 
-def _receive_power(channel, i: int):
-    """Total receive power at D_i excluding any relay contribution."""
-    j = other(i)
-    return channel.g_direct(i) * channel.P(i) + channel.g_cross(i) * channel.P(j) + channel.N(i)
-
-
-def _derived(channel):
-    """(A, (A1, A2), (sigma1_sq, sigma2_sq), (A1 ** 2, A2 ** 2))."""
-    A = channel.g_to_relay(1) * channel.P1 + channel.g_to_relay(2) * channel.P2 + channel.Nr
-    cross, sq, sigma = [], [], []
+def _terms(channel):
+    """((V1, V2), A, (|A1|, |A2|), (|A1|^2, |A2|^2)), the channel terms of the
+    module docstring; the squares are formed in Python floats."""
+    v, cross = [], []
     for i in (1, 2):
         j = other(i)
+        Pi, Pj = channel.P(i), channel.P(j)
+        v.append(channel.g_direct(i) * Pi + channel.g_cross(i) * Pj + channel.N(i))
         re_i, im_i = _conj_product(channel.h_direct(i), channel.h_to_relay(i))
         re_j, im_j = _conj_product(channel.h_cross(i), channel.h_to_relay(j))
         # |h_ii h_ir^* P_i + h_ji h_jr^* P_j|
-        cross.append(np.hypot(re_i * channel.P(i) + re_j * channel.P(j),
-                              im_i * channel.P(i) + im_j * channel.P(j)))
-        sq.append(_pow(lambda v: v ** 2, cross[-1]))
-        sigma.append(A - sq[-1] / _receive_power(channel, i))
-    return A, cross, sigma, sq
+        cross.append(np.hypot(re_i * Pi + re_j * Pj, im_i * Pi + im_j * Pj))
+    return v, _relay_received(channel), cross, [_pow(lambda c: c ** 2, c) for c in cross]
 
 
 def ef_derived(channel: ChannelInstance) -> EfDerived:
-    A, (A1, A2), (s1, s2), _ = _derived(channel)
+    """The terms of ``_terms`` with each sigma_i^2 = A - |A_i|^2 / V_i."""
+    (v1, v2), A, (A1, A2), (sq1, sq2) = _terms(channel)
     return EfDerived(A=float(A), A1=float(A1), A2=float(A2),
-                     sigma1_sq=float(s1), sigma2_sq=float(s2))
+                     sigma1_sq=float(A - sq1 / v1), sigma2_sq=float(A - sq2 / v2))
 
 
 @dataclass(frozen=True)
@@ -140,16 +136,19 @@ class EfBiParams:
                 raise ValueError(f"{name} must be positive, got {v}")
 
 
-def _scenario_flags(channel, nu1, nu2):
-    """Masks (D1_BETTER, D2_BETTER) of ``ef_bi_scenario``; neither is NEITHER."""
-    g1, g2, Pr = channel.g_from_relay(1), channel.g_from_relay(2), channel.Pr
-    v1, v2 = _receive_power(channel, 1), _receive_power(channel, 2)
+def _codeword_powers(channel, nu1, nu2):
+    """[[q_11, q_12], [q_21, q_22]], each q_dk = |h_rd|^2 nu_k P_r."""
+    return [[channel.g_from_relay(d) * nu * channel.Pr for nu in (nu1, nu2)] for d in (1, 2)]
+
+
+def _scenario_flags(v, q):
+    """Masks (D1_BETTER, D2_BETTER) of ``ef_bi_scenario`` from the receive
+    powers V_d and the codeword powers q; neither is NEITHER."""
+    (q11, q12), (q21, q22) = q
     # D1 decoding the codeword intended for D2, vs D2 decoding its own; the
     # first test wins a tie.
-    d1 = np.asarray(capacity(g1 * nu2 * Pr / (v1 + g1 * nu1 * Pr))
-                    >= capacity(g2 * nu2 * Pr / (v2 + g2 * nu1 * Pr)))
-    d2 = ~d1 & (capacity(g2 * nu1 * Pr / (v2 + g2 * nu2 * Pr))
-                >= capacity(g1 * nu1 * Pr / (v1 + g1 * nu2 * Pr)))
+    d1 = np.asarray(capacity(q12 / (v[0] + q11)) >= capacity(q22 / (v[1] + q21)))
+    d2 = ~d1 & (capacity(q21 / (v[1] + q22)) >= capacity(q11 / (v[0] + q12)))
     return d1, d2
 
 
@@ -159,28 +158,24 @@ def ef_bi_scenario(channel: ChannelInstance, nu1: float, nu2: float) -> BiScenar
     Conditions are checked in printed order; equality in the first condition
     selects D1_BETTER.
     """
-    d1, d2 = _scenario_flags(channel, nu1, nu2)
+    d1, d2 = _scenario_flags(_terms(channel)[0], _codeword_powers(channel, nu1, nu2))
     return BiScenario.D1_BETTER if d1 else BiScenario.D2_BETTER if d2 else BiScenario.NEITHER
 
 
-def _interference(channel, nu1, nu2, d1, d2):
-    """Uncancelled relay codeword power seen at D1 and at D2: 0 at D_i where
-    ``d_i`` holds, i.e. where D_i decodes and cancels the other's codeword."""
-    return [np.where(d1, 0.0, channel.g_from_relay(1) * nu2 * channel.Pr),
-            np.where(d2, 0.0, channel.g_from_relay(2) * nu1 * channel.Pr)]
-
-
-def _min_noise(channel, nu1, nu2, interference):
-    """Both compression-noise lower bounds, given the relay interference at
-    each destination; +inf for a stream with no relay power."""
-    A, _, _, cross_sq = _derived(channel)
+def _min_noise(terms, q, d1, d2):
+    """([I_1, I_2], [bound 1, bound 2]) at each destination D_i: the relay
+    codeword power I_i that D_i does not cancel (q_12 at D1 and q_21 at D2,
+    but 0 where ``d_i`` holds, i.e. D_i decodes the other's codeword), and
+    the compression-noise lower bound ((V_i + I_i) A - |A_i|^2) / q_ii, +inf
+    for a stream with no relay power (q_ii = 0)."""
+    v, A, _, cross_sq = terms
+    interference = [np.where(d1, 0.0, q[0][1]), np.where(d2, 0.0, q[1][0])]
     bounds = []
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        for i, nu_i in ((1, nu1), (2, nu2)):
-            denom = channel.g_from_relay(i) * nu_i * channel.Pr
-            num = (_receive_power(channel, i) + interference[i - 1]) * A - cross_sq[i - 1]
-            bounds.append(np.where(denom > 0.0, num / denom, math.inf))
-    return bounds
+        for i in (0, 1):
+            num = (v[i] + interference[i]) * A - cross_sq[i]
+            bounds.append(np.where(q[i][i] > 0.0, num / q[i][i], math.inf))
+    return interference, bounds
 
 
 def ef_bi_min_noise(
@@ -192,7 +187,7 @@ def ef_bi_min_noise(
     +inf: only infinite noise, which drops that relay branch, is admissible.
     """
     cancels = (scenario is BiScenario.D1_BETTER, scenario is BiScenario.D2_BETTER)
-    b1, b2 = _min_noise(channel, nu1, nu2, _interference(channel, nu1, nu2, *cancels))
+    _, (b1, b2) = _min_noise(_terms(channel), _codeword_powers(channel, nu1, nu2), *cancels)
     return float(b1), float(b2)
 
 
@@ -229,8 +224,8 @@ def ef_bi_rate(
     ConstraintViolationError naming the bound.
     """
     cancels = (scenario is BiScenario.D1_BETTER, scenario is BiScenario.D2_BETTER)
-    interference = _interference(channel, params.nu1, params.nu2, *cancels)
-    bounds = _min_noise(channel, params.nu1, params.nu2, interference)
+    q = _codeword_powers(channel, params.nu1, params.nu2)
+    interference, bounds = _min_noise(_terms(channel), q, *cancels)
     noises = (params.nwz1, params.nwz2)
     for i, (nwz, bound) in enumerate(zip(noises, map(float, bounds)), start=1):
         if nwz < bound * (1.0 - _FEAS_RTOL):
@@ -242,9 +237,9 @@ def ef_bi_rate(
 def _bi_eval(channel, nu1, nu2):
     """``ef_bi_eval`` elementwise, over the cells of a batch or over arrays
     of relay splits: (scenario index into ``BiScenario``, nwz1, nwz2, R1, R2)."""
-    d1, d2 = _scenario_flags(channel, nu1, nu2)
-    interference = _interference(channel, nu1, nu2, d1, d2)
-    nwz = _min_noise(channel, nu1, nu2, interference)
+    terms, q = _terms(channel), _codeword_powers(channel, nu1, nu2)
+    d1, d2 = _scenario_flags(terms[0], q)
+    interference, nwz = _min_noise(terms, q, d1, d2)
     r1, r2 = (capacity(_two_branch_sinr(channel, i, interference[i - 1], nwz[i - 1]))
               for i in (1, 2))
     return np.where(d1, 0, np.where(d2, 1, 2)), nwz[0], nwz[1], r1, r2
@@ -272,14 +267,17 @@ def _bi_found(columns) -> Tuple[EfBiParams, BiScenario, RatePair]:
 
 def _sl_min_noise(channel, r0_exponent: int):
     """(R_0, smallest admissible noise) of the single-level scheme,
-    elementwise; the noise means nothing where R_0 <= 0."""
+    elementwise: R_0 = min_i C(|h_ri|^2 P_r / V_i) and the noise
+    max_i sigma_i^2 / (2^(e R_0) - 1), with sigma_i^2 = A - |A_i|^2 / V_i;
+    the noise means nothing where R_0 <= 0."""
     if r0_exponent not in R0_EXPONENTS:
         raise ValueError(f"r0_exponent must be {' or '.join(map(str, R0_EXPONENTS))}, got {r0_exponent}")
-    r0 = np.minimum(*(capacity(channel.g_from_relay(i) * channel.Pr / _receive_power(channel, i))
-                      for i in (1, 2)))
-    _, _, (s1, s2), _ = _derived(channel)
+    (v1, v2), A, _, (sq1, sq2) = _terms(channel)
+    r0 = np.minimum(capacity(channel.g_from_relay(1) * channel.Pr / v1),
+                    capacity(channel.g_from_relay(2) * channel.Pr / v2))
+    sigma_sq = np.maximum(A - sq1 / v1, A - sq2 / v2)
     with np.errstate(divide="ignore", invalid="ignore"):  # R_0 = 0
-        return r0, np.maximum(s1, s2) / (_pow(lambda r: 2.0 ** (r0_exponent * r), r0) - 1.0)
+        return r0, sigma_sq / (_pow(lambda r: 2.0 ** (r0_exponent * r), r0) - 1.0)
 
 
 def ef_sl_bottleneck(channel: ChannelInstance) -> float:

@@ -1,4 +1,5 @@
-"""EF's one-channel functions give exactly what the reference kernels give.
+"""EF's one-channel functions give exactly what the reference kernels give,
+and each EF entry point forms its terms once.
 
 ``reference_kernels`` forms every EF term again in Python floats and
 complex arithmetic: the receive powers V_i, the relay receive power A, the
@@ -15,9 +16,10 @@ import numpy as np
 import pytest
 
 from ircrates import ef
+from ircrates.channel import ChannelBatch
 from ircrates.ef import BiScenario, EfBiParams
 from ircrates.errors import InfeasibleError
-from ircrates.scenario import default_config
+from ircrates.scenario import UNIFORM_NU, default_config
 
 from conftest import anti_phase_channel, random_channel
 from reference_kernels import (
@@ -91,3 +93,46 @@ def test_bi_bounds_and_rates_are_the_reference_under_each_scenario(scenario):
                         == ef_bi_rate_scalar(ch, params, scenario)), (ch, params)
                 cases += 1
     assert cases == len(CHANNELS) * len(SPLITS) * len(NOISE_FACTORS)
+
+
+def counted(monkeypatch, name: str) -> list:
+    """Wrap ``ef.<name>``; the list returned gets one entry per call."""
+    calls, f = [], getattr(ef, name)
+
+    def wrapped(*args, **kwargs):
+        calls.append(args)
+        return f(*args, **kwargs)
+
+    monkeypatch.setattr(ef, name, wrapped)
+    return calls
+
+
+RANDOM = CHANNELS[:8]  # complex gains, all nonzero: EF-SL is feasible
+BATCH = ChannelBatch.of(RANDOM)
+RATE_PARAMS = EfBiParams(0.3, 0.6, *ef.ef_bi_min_noise(RANDOM[0], 0.3, 0.6, BiScenario.NEITHER))
+
+ENTRIES = {
+    "ef_bi_sum_rate_search_batch-uniform":
+        lambda: ef.ef_bi_sum_rate_search_batch(BATCH, nu=UNIFORM_NU),
+    "ef_bi_sum_rate_search_batch-optimal": lambda: ef.ef_bi_sum_rate_search_batch(BATCH, 11),
+    "ef_sl_batch": lambda: ef.ef_sl_batch(BATCH),
+    "ef_bi_rate": lambda: ef.ef_bi_rate(RANDOM[0], RATE_PARAMS, BiScenario.NEITHER),
+    "ef_bi_min_noise": lambda: ef.ef_bi_min_noise(RANDOM[1], 0.5, 0.5, BiScenario.D1_BETTER),
+    "ef_bi_scenario": lambda: ef.ef_bi_scenario(RANDOM[2], 0.2, 0.2),
+    "ef_derived": lambda: ef.ef_derived(RANDOM[3]),
+}
+
+
+@pytest.mark.parametrize("entry", ENTRIES)
+def test_each_entry_forms_the_channel_terms_once(monkeypatch, entry):
+    terms = counted(monkeypatch, "_terms")
+    ENTRIES[entry]()
+    assert len(terms) == 1
+
+
+def test_each_bi_eval_forms_the_codeword_powers_once(monkeypatch):
+    evals, powers = counted(monkeypatch, "_bi_eval"), counted(monkeypatch, "_codeword_powers")
+    ENTRIES["ef_bi_sum_rate_search_batch-uniform"]()
+    ENTRIES["ef_bi_sum_rate_search_batch-optimal"]()
+    ef.ef_bi_eval(RANDOM[4], 0.3, 0.6)
+    assert len(evals) == 3 and len(powers) == 3
