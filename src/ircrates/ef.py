@@ -113,7 +113,7 @@ def _terms(channel):
 
 
 def ef_derived(channel: ChannelInstance) -> EfDerived:
-    """The terms of ``_terms`` with each sigma_i^2 = A - |A_i|^2 / V_i."""
+    """A, |A1|, |A2| and each sigma_i^2 = A - |A_i|^2 / V_i of ``channel``."""
     (v1, v2), A, (A1, A2), (sq1, sq2) = _terms(channel)
     return EfDerived(A=float(A), A1=float(A1), A2=float(A2),
                      sigma1_sq=float(A - sq1 / v1), sigma2_sq=float(A - sq2 / v2))
@@ -163,11 +163,11 @@ def ef_bi_scenario(channel: ChannelInstance, nu1: float, nu2: float) -> BiScenar
 
 
 def _min_noise(terms, q, d1, d2):
-    """([I_1, I_2], [bound 1, bound 2]) at each destination D_i: the relay
-    codeword power I_i that D_i does not cancel (q_12 at D1 and q_21 at D2,
-    but 0 where ``d_i`` holds, i.e. D_i decodes the other's codeword), and
-    the compression-noise lower bound ((V_i + I_i) A - |A_i|^2) / q_ii, +inf
-    for a stream with no relay power (q_ii = 0)."""
+    """([I_1, I_2], [b_1, b_2]) at the destinations D_i: I_i is the relay
+    codeword power D_i does not cancel (q_12 at D1 and q_21 at D2, or 0
+    where ``d_i`` holds: D_i decodes the other's codeword), and b_i the
+    compression-noise lower bound ((V_i + I_i) A - |A_i|^2) / q_ii, +inf for
+    a stream with no relay power (q_ii = 0)."""
     v, A, _, cross_sq = terms
     interference = [np.where(d1, 0.0, q[0][1]), np.where(d2, 0.0, q[1][0])]
     bounds = []
