@@ -139,24 +139,27 @@ def _user_sinr(relay, signal, interference):
 # scans and bounds in chunks of this many grid points, about 100 kB each.
 _MAX_SCAN = 8 * 41 * 41
 
-_TAU_BLOCKS = 4  # blocks per tau axis of the rectangle bounds: 10/10/10/11 of 41
+# Tau blocks per axis at each level of the rectangle bounds, each twice the
+# last: every rectangle of the first, then the 2 x 2 children of those left.
+_LEVELS = (4, 8)
 
 
-def _user_bound(tables, ki, kj, starts):
-    """C(max_{tau_i in A} min(relay, signal / min_{tau_j in B} interference))
-    per pair and rectangle (A, B) of the tau blocks that begin at ``starts``,
-    shaped (pairs, A, B), in chunks of pairs: an upper bound on user i's rate
-    there, since C, min, max and division are monotone."""
+def _block_starts(g: int):
+    """Each block's first tau index per level of at most g blocks (or g blocks
+    of one point): a child level's starts nest in its parent's, two per block."""
+    return [np.arange(n) * g // n for n in _LEVELS if n <= g] or [np.arange(g)]
+
+
+def _rect_bound(tables, starts, ki, kj, a, b):
+    """C(min(max_A relay, max_A signal / min_B interference)) of user i per
+    relay split (ki, kj), tau_i block A = a and tau_j block B = b of those at
+    ``starts``, broadcast together: a bound on user i's rate over (A, B), as C,
+    min and rounded division are monotone.  O(1) per item after reduceat."""
     relay, signal, interference = tables
-    floor = np.minimum.reduceat(interference, starts)  # (B, nu_j)
-    out = np.empty((len(ki), len(starts), len(starts)))
-    step = max(1, _MAX_SCAN // (len(relay) * len(starts)))
-    for s in range(0, len(ki), step):
-        part = slice(s, s + step)
-        x = signal[:, ki[part]] / floor[:, None, kj[part]]  # (B, tau_i, pairs)
-        np.minimum(x, relay[:, None], out=x)
-        out[part] = np.maximum.reduceat(x, starts, axis=1).transpose(2, 1, 0)
-    return capacity(out, out=out)
+    x = (np.maximum.reduceat(signal, starts, axis=-2)[..., a, ki]
+         / np.minimum.reduceat(interference, starts, axis=-2)[..., b, kj])
+    np.minimum(x, np.maximum.reduceat(relay, starts, axis=-1)[..., a], out=x)
+    return capacity(x, out=x)
 
 
 def _scored(t1, t2, k1, k2, pairs, rows1, rows2, best):
@@ -169,8 +172,9 @@ def _scored(t1, t2, k1, k2, pairs, rows1, rows2, best):
     f = (capacity(c1, out=c1) + capacity(c2, out=c2).swapaxes(1, 2)).reshape(len(pairs), -1)
     m, k = np.arange(len(pairs)), f.argmax(axis=1)
     i, j = np.divmod(k, rows2.shape[1])
-    found = zip(f[m, k].tolist(), pairs.tolist(), (rows1[m, i] * len(t1[0]) + rows2[m, j]).tolist())
-    return max(best, *found, key=lambda x: (x[0], -x[1], -x[2]))
+    value, flat = f[m, k], rows1[m, i] * len(t1[0]) + rows2[m, j]
+    w = np.lexsort((flat, pairs, -value))[0]  # the largest, then the smallest (pair, flat)
+    return (value[w], pairs[w], flat[w]) if _can_win(value[w], pairs[w], flat[w], best) else best
 
 
 def _can_win(bound, pair, first, best):
@@ -180,28 +184,21 @@ def _can_win(bound, pair, first, best):
     return (bound > v) | ((bound == v) & ((pair < p) | ((pair == p) & (first < k))))
 
 
-def _free_bound(tables, ki, kj):
-    """C(min(max relay, max signal / min interference)) per pair of (..., tau)
-    tables, all over tau: O(1) per pair, no lower than ``_user_bound(..., [0])``."""
-    relay, signal, interference = tables
-    x = signal.max(axis=-2)[..., ki] / interference.min(axis=-2)[..., kj]
-    return capacity(np.minimum(x, relay.max(axis=-1, keepdims=True), out=x), out=x)
-
-
 def _best_grid_point(channel, taus, nus, k1, k2):
     """(pair, tau1 index, tau2 index, sum rate) of the largest R_1 + R_2 over
     the tau grid and the relay splits (nus[k1[p]], nus[k2[p]]), as arrays over
     the cells of ``channel``, a batch's ``column()``; ties keep the smallest
     pair p, then the first tau point in row-major order.  Each cell's pair with
-    the largest ``_free_bound`` is scanned in full, all cells at once (with one
-    pair, the whole search); then per cell, the previous cell's pair if it
-    could beat that, and ``_pruned_scan`` the pairs that still could."""
+    the largest ``_rect_bound`` (one block: the whole grid) is scanned in full,
+    all cells at once (with one pair, the whole search); then per cell, the
+    previous cell's pair if it could beat that; ``_pruned_scan`` the others."""
     g, pairs, every = len(taus), np.arange(len(k1)), np.arange(len(taus))[None]
     top = np.zeros(len(channel), dtype=int)
     if len(pairs) > 1:  # the tau tables of all the cells at once
         cells = channel.column(2)
         tables = _user_tables(cells, 1, taus, nus), _user_tables(cells, 2, taus, nus)
-        bound = _free_bound(tables[0], k1, k2) + _free_bound(tables[1], k2, k1)
+        bound = (_rect_bound(tables[0], [0], k1, k2, [0], [0])
+                 + _rect_bound(tables[1], [0], k2, k1, [0], [0]))
         top = bound.argmax(axis=1)  # the first of the largest
     value, flat = _full_scan(channel, taus, nus[k1[top], None], nus[k2[top], None])
     for cell in range(len(top)) if len(pairs) > 1 else ():
@@ -238,37 +235,49 @@ def _full_scan(channel, taus, n1, n2):
     return np.concatenate(value), np.concatenate(flat)
 
 
+def _live_rects(t1, t2, k1, k2, pairs, floor, levels):
+    """(pair, tau1 block, tau2 block, bound) of the rectangles of the last of
+    ``levels`` (``_block_starts``) bounded at ``floor`` or above: all of the
+    first level for each of ``pairs``, then the 2 x 2 children of those left."""
+    n = len(levels[0])
+    pair, a, b = pairs[:, None, None], np.arange(n)[:, None], np.arange(n)
+    for level, starts in enumerate(levels):
+        if level:
+            pair, a = np.repeat(pair, 4), (2 * a[:, None] + [0, 0, 1, 1]).ravel()
+            b = (2 * b[:, None] + [0, 1, 0, 1]).ravel()
+        n1, n2 = k1[pair], k2[pair]
+        bound = _rect_bound(t1, starts, n1, n2, a, b)
+        bound += _rect_bound(t2, starts, n2, n1, b, a)
+        live = np.nonzero(bound >= floor)  # the items that may win, and a few tied ones
+        pair, a, b, bound = (np.broadcast_to(x, bound.shape)[live] for x in (pair, a, b, bound))
+    return pair, a, b, bound
+
+
 def _pruned_scan(t1, t2, k1, k2, left, best):
-    """``best`` after the pairs ``left`` of one cell: the one with the largest
-    ``_user_bound`` over the tau grid is scored in full, and those that could
-    beat it are bounded on each rectangle of tau blocks; these items go by
-    descending bound, then (pair, first flat index), in blocks of 1, 2, 4, ..."""
-    g, every = len(t1[0]), np.arange(len(t1[0]))[None]
-    bound = _user_bound(t1, k1[left], k2[left], [0]) + _user_bound(t2, k2[left], k1[left], [0])
-    top = bound.argmax()  # bound is (pairs, 1, 1): the first of the largest
-    best = _scored(t1, t2, k1, k2, left[[top]], every, every, best)
-    bound[top] = -np.inf
-    left = left[_can_win(bound[:, 0, 0], left, 0, best)]
-    starts = np.arange(min(_TAU_BLOCKS, g)) * g // min(_TAU_BLOCKS, g)
-    ends = np.append(starts[1:], g)
+    """``best`` after the pairs ``left`` of one cell, in chunks of at most 2
+    ``_MAX_SCAN`` first-level rectangles (a 41-point grid's 860 pairs fill one):
+    each chunk's ``_live_rects`` by descending bound, then (pair, first flat
+    index), in blocks of 1, 2, 4, ... items, while any could still win."""
+    g, levels = len(t1[0]), _block_starts(len(t1[0]))
+    starts, ends = levels[-1], np.append(levels[-1][1:], g)
     # Each block's tau indices as a row; a shorter row repeats its last
     # index after it, so a repeat is never the first maximum.
     rows = np.minimum(starts[:, None] + np.arange((ends - starts).max()), ends[:, None] - 1)
-    bound = _user_bound(t1, k1[left], k2[left], starts)
-    bound += _user_bound(t2, k2[left], k1[left], starts).swapaxes(1, 2)
-    live = bound >= best[0]  # the (pair, rectangle) items that may win
-    pair, a, b = np.nonzero(live)
-    bound, pair, first = bound[live], left[pair], starts[a] * g + starts[b]
-    order = np.lexsort((first, pair, -bound))
-    start, size, most = 0, 1, max(1, _MAX_SCAN // rows.shape[1] ** 2)
-    while start < len(order):
-        block = order[start:start + size]
-        # In visiting order, the items that can still win come first.
-        block = block[_can_win(bound[block], pair[block], first[block], best)]
-        if not len(block):
-            break
-        best = _scored(t1, t2, k1, k2, pair[block], rows[a[block]], rows[b[block]], best)
-        start, size = start + size, min(2 * size, most)
+    step = max(1, 2 * _MAX_SCAN // len(levels[0]) ** 2)
+    most = max(1, _MAX_SCAN // rows.shape[1] ** 2)
+    for s in range(0, len(left), step):
+        pair, a, b, bound = _live_rects(t1, t2, k1, k2, left[s:s + step], best[0], levels)
+        first = starts[a] * g + starts[b]
+        order = np.lexsort((first, pair, -bound))
+        start, size = 0, 1
+        while start < len(order):
+            block = order[start:start + size]
+            # In visiting order, the items that can still win come first.
+            block = block[_can_win(bound[block], pair[block], first[block], best)]
+            if not len(block):
+                break
+            best = _scored(t1, t2, k1, k2, pair[block], rows[a[block]], rows[b[block]], best)
+            start, size = start + size, min(2 * size, most)
     return best
 
 
@@ -286,10 +295,11 @@ def df_sum_rate_search(
     ``df_sum_rate_search_batch`` on a batch of one.
 
     The scan is exact: it returns the grid point a full scan would, and
-    scores no split or (split, tau rectangle) whose bound cannot beat the best
-    sum rate found (``_best_grid_point``).  Deterministic: ties keep the first
-    relay split in simplex order (nu1 varying slowest), then the earliest
-    (tau1, tau2) grid point in row-major order.
+    scores no split or tau rectangle (4 x 4 per split, then the 2 x 2 children
+    of those left) whose bound cannot beat the best sum rate found
+    (``_best_grid_point``).  Deterministic: ties keep the first relay split in
+    simplex order (nu1 varying slowest), then the earliest (tau1, tau2) grid
+    point in row-major order.
     """
     *params, r1, r2 = (c.item() for c in df_sum_rate_search_batch(
         ChannelBatch.of([channel]), grid_points, nu))

@@ -270,29 +270,35 @@ _MAX_CELLS = 64
 
 def _block_cells(config: ScenarioConfig, positions, batch: ChannelBatch) -> List[MapCell]:
     """The cell of each (xr, yr) of ``positions``, whose channels ``batch``
-    holds: each enabled protocol's entry runs once on the whole batch.  A
-    block where an entry raises InfeasibleError runs again cell by cell, and
-    a cell alone scores 0.0 for that protocol."""
-    protocols = [p for p in PROTOCOL_ORDER if p in config.protocols]
-    sums, points, infeasible = [], {}, ()
+    holds: each enabled protocol's entry runs once on the whole batch.  An
+    entry that raises InfeasibleError on a block runs again alone, cell by
+    cell (a cell's result does not depend on its block), and a cell alone
+    scores 0.0 for that protocol."""
+    protocols, n = [p for p in PROTOCOL_ORDER if p in config.protocols], len(positions)
+    sums, points, infeasible = [], {}, [()] * n
     for p in protocols:
         try:
             r1, r2, points[p] = OPTIMIZERS[p](batch, config)
+            sums.append(r1 + r2)
         except InfeasibleError:
-            if len(batch) > 1:
-                return [cell for k in range(len(batch))
-                        for cell in _block_cells(config, positions[k:k + 1], batch[k:k + 1])]
-            r1 = r2 = np.zeros(1)
-            infeasible += (p,)
-        sums.append(r1 + r2)
-    n, sums = len(positions), np.array(sums)
+            if n == 1:
+                sums.append(np.zeros(1))
+                infeasible = [infeasible[0] + (p,)]
+                continue
+            alone = replace(config, protocols=(p,))
+            cells = [_block_cells(alone, positions[k:k + 1], batch[k:k + 1])[0] for k in range(n)]
+            sums.append(np.array([c.rates[p] for c in cells]))
+            infeasible = [f + c.infeasible for f, c in zip(infeasible, cells)]
+            points[p] = {"gain": np.array([c.af_gain for c in cells]),
+                         "scenario": np.array([c.bl_scenario for c in cells])}
+    sums = np.array(sums)
     gains = points["af"]["gain"].tolist() if "af" in points else [0.0] * n
     tags = points["ef_bl"]["scenario"].tolist() if "ef_bl" in points else [""] * n
     winners = sums.argmax(axis=0).tolist()  # the first of equal maxima, in PROTOCOL_ORDER
     return [MapCell(xr=xr, yr=yr, rates=dict(zip(protocols, rates)), winner=protocols[w],
-                    bl_scenario=tag, af_gain=gain, infeasible=infeasible)
-            for (xr, yr), rates, w, tag, gain in zip(positions, sums.T.tolist(), winners,
-                                                     tags, gains)]
+                    bl_scenario=tag, af_gain=gain, infeasible=bad)
+            for (xr, yr), rates, w, tag, gain, bad in zip(positions, sums.T.tolist(), winners,
+                                                          tags, gains, infeasible)]
 
 
 def _cells(config: ScenarioConfig, positions) -> List[MapCell]:

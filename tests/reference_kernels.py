@@ -6,7 +6,7 @@ one vectorized call per axis, its EF-BL search evaluates the whole simplex
 at once, and its factorizations derive their joint product from a table of
 factors and read their bounds from per-user marginals; these are the
 per-user case analysis and the scan-and-refine sum-rate optimizer, the DF
-and EF-BL loops over every relay split, the DF bound with C at every tau
+and EF-BL loops over every relay split, the DF bounds with C at every tau
 point, the scalar DF refinement loop, the hand-written einsum products,
 the bounds read off the full joint table, and the marginal that re-derives
 its elimination order on every call with the conditional mutual information
@@ -175,6 +175,18 @@ def df_user_bound_reference(tables, ki, kj):
     relay, signal, interference = tables
     floor = interference.min(axis=0)
     return capacity(np.minimum(relay, signal[:, ki].T / floor[kj][:, None])).max(axis=1)
+
+
+def df_rect_bound_reference(tables, ki, kj, starts):
+    """C(max_{tau_i in A} min(relay, signal / min_{tau_j in B} interference))
+    per pair and rectangle (A, B) of the tau blocks that begin at ``starts``,
+    shaped (pairs, A, B): the DF search's rectangle bound with C at every
+    tau_i before the max, as it was before the block-maximum bound."""
+    relay, signal, interference = tables
+    floor = np.minimum.reduceat(interference, starts)  # (B, nu_j)
+    x = signal[:, ki] / floor[:, None, kj]  # (B, tau_i, pairs)
+    np.minimum(x, relay[:, None], out=x)
+    return capacity(np.maximum.reduceat(x, starts, axis=1).transpose(2, 1, 0))
 
 
 def _df_scan_loop(channel: ChannelInstance, grid_points: int, nu):

@@ -7,6 +7,7 @@ cannot win, and evaluates the EF-BL simplex as arrays.  Every comparison of
 results here is ``==``; the bounds are checked against the grid with ``>=``.
 """
 
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -14,12 +15,13 @@ import pytest
 
 from ircrates import df, ef, scenario
 from ircrates.df import _sum_rate_grid
-from ircrates.channel import ChannelBatch, ChannelInstance, nu_simplex
+from ircrates.channel import ChannelBatch, ChannelInstance, capacity, nu_simplex
 from ircrates.scenario import default_config
 
 from conftest import anti_phase_channel, random_channel, symmetric_channel
 from reference_kernels import (
     _df_scan_loop,
+    df_rect_bound_reference,
     df_sum_rate_search_reference,
     df_user_bound_reference,
     ef_bi_sum_rate_search_loop,
@@ -121,61 +123,123 @@ def test_eval_equals_broadcast_at_every_split(rng):
                 nwz1[k], nwz2[k], list(ef.BiScenario)[scenario[k]], r1[k], r2[k])
 
 
-def tau_blocks(grid_points: int):
-    """Blocks of unequal widths on the 21- and 41-point tau grids (6/5/5/5,
-    11/10/10/10), and the index each begins at."""
-    blocks = np.array_split(np.arange(grid_points), df._TAU_BLOCKS)
-    return blocks, [int(block[0]) for block in blocks]
+def tau_blocks(grid_points: int, level: int):
+    """The scan's tau blocks at ``level`` on a grid (``df._block_starts``),
+    and the index each begins at."""
+    starts = df._block_starts(grid_points)[level]
+    return np.split(np.arange(grid_points), starts[1:]), [int(k) for k in starts]
+
+
+def rect_bounds(tables, ki, kj, starts):
+    """User i's ``_rect_bound`` on every rectangle of the blocks at
+    ``starts``, for every split, shaped (pairs, tau_i block, tau_j block)."""
+    a = np.arange(len(starts))
+    return df._rect_bound(tables, starts, ki[:, None, None], kj[:, None, None], a[:, None], a)
+
+
+def split_bounds(tables, ki, kj):
+    """User i's ``_rect_bound`` of each split on one block, the whole grid."""
+    return df._rect_bound(tables, [0], ki, kj, [0], [0])
 
 
 @pytest.mark.parametrize("draw", ["anti_phase", "random"])
 def test_bound_covers_every_split(rng, draw):
-    # Each split's bound covers its tau grid, and each (split, rectangle)
-    # bound covers the grid points of that rectangle.
+    # Each split's bound covers its tau grid, and at every level each (split,
+    # rectangle) bound covers the grid points of that rectangle.
     make = anti_phase_channel if draw == "anti_phase" else random_channel
     for grid_points in (21, 41):
         taus, k1, k2 = nu_simplex(grid_points)
         nus = taus
         # The simplex edges nu1 = 0, nu2 = 0 and nu1 + nu2 = 1 are all scored.
         assert (k1 == 0).any() and (k2 == 0).any() and (k1 + k2 == grid_points - 1).any()
-        blocks, starts = tau_blocks(grid_points)
-        assert len({len(block) for block in blocks}) == 2
+        levels = [tau_blocks(grid_points, level) for level in (0, 1)]
+        assert [len(starts) for _, starts in levels] == [4, 8]
+        assert all(len({len(block) for block in blocks}) == 2 for blocks, _ in levels)
         t1g, t2g = np.meshgrid(taus, taus, indexing="ij")
         for _ in range(15):
             ch = make(rng)
             tables = [df._user_tables(ch, i, taus, nus) for i in (1, 2)]
-            bounds = (df._user_bound(tables[0], k1, k2, [0])
-                      + df._user_bound(tables[1], k2, k1, [0]))[:, 0, 0]
-            rects = (df._user_bound(tables[0], k1, k2, starts)
-                     + df._user_bound(tables[1], k2, k1, starts).swapaxes(1, 2))
+            bounds = split_bounds(tables[0], k1, k2) + split_bounds(tables[1], k2, k1)
+            rects = [rect_bounds(tables[0], k1, k2, starts)
+                     + rect_bounds(tables[1], k2, k1, starts).swapaxes(1, 2)
+                     for _, starts in levels]
             for p in range(len(k1)):
                 grid = _sum_rate_grid(ch, t1g, t2g, nus[k1[p]], nus[k2[p]])
                 best = grid.max()
                 assert bounds[p] >= best, (p, bounds[p], best)
-                rect_best = np.maximum.reduceat(np.maximum.reduceat(grid, starts), starts, axis=1)
-                assert (rects[p] >= rect_best).all(), (p, rects[p], rect_best)
+                for (_, starts), rect in zip(levels, rects):
+                    rect_best = np.maximum.reduceat(np.maximum.reduceat(grid, starts), starts,
+                                                    axis=1)
+                    assert (rect[p] >= rect_best).all(), (p, rect[p], rect_best)
 
 
 @pytest.mark.parametrize("draw", ["anti_phase", "random"])
 def test_bound_takes_the_max_before_capacity(rng, draw):
-    # C is monotone, so the max over tau_i taken before C gives the floats of
-    # C at every tau_i and then the max: over the whole grid, and over each
-    # rectangle (the reference on the tables cut to the rectangle's blocks).
+    # The bound is C of the largest quotient on the rectangle, at the least
+    # interference over tau_j: division rounds monotonically, so dividing the
+    # largest signal gives the floats of the largest quotient.  It is no
+    # tighter than the bound that takes C at every tau_i before the max, over
+    # the whole grid and over each rectangle of each level.
     make = anti_phase_channel if draw == "anti_phase" else random_channel
     for grid_points in (21, 41):
         taus, k1, k2 = nu_simplex(grid_points)
-        blocks, starts = tau_blocks(grid_points)
+        levels = [tau_blocks(grid_points, level) for level in (0, 1)]
         for _ in range(5):
             ch = make(rng)
             for user, ki, kj in ((1, k1, k2), (2, k2, k1)):
                 relay, signal, interference = tables = df._user_tables(ch, user, taus, taus)
-                whole = df._user_bound(tables, ki, kj, [0])[:, 0, 0]
+                whole = df_rect_bound_reference(tables, ki, kj, [0])[:, 0, 0]
                 assert (whole == df_user_bound_reference(tables, ki, kj)).all()
-                rects = df._user_bound(tables, ki, kj, starts)
-                for a, rows_i in enumerate(blocks):
-                    for b, rows_j in enumerate(blocks):
-                        cut = relay[rows_i], signal[rows_i], interference[rows_j]
-                        assert (rects[:, a, b] == df_user_bound_reference(cut, ki, kj)).all()
+                quotient = (signal[:, ki] / interference.min(axis=0)[kj]).max(axis=0)
+                free = split_bounds(tables, ki, kj)
+                assert (free == capacity(np.minimum(relay.max(), quotient))).all()
+                assert (free >= whole).all()
+                for blocks, starts in levels:
+                    rects = rect_bounds(tables, ki, kj, starts)
+                    tight = df_rect_bound_reference(tables, ki, kj, starts)
+                    assert (rects >= tight).all()
+                    for a, rows_i in enumerate(blocks):
+                        for b, rows_j in enumerate(blocks):
+                            floor = interference[rows_j].min(axis=0)[kj]
+                            quotient = (signal[rows_i][:, ki] / floor).max(axis=0)
+                            want = capacity(np.minimum(relay[rows_i].max(), quotient))
+                            assert (rects[:, a, b] == want).all()
+
+
+@pytest.mark.parametrize("draw", ["anti_phase", "random"])
+def test_block_bound_covers_the_scan_children(rng, draw):
+    # On every grid size, each level's block bound is at least the bound it
+    # replaced (C at every tau_i, then the max), and the bound of each 2 x 2
+    # child the scan forms is at least the grid maximum over that child.
+    make = anti_phase_channel if draw == "anti_phase" else random_channel
+    for grid_points in (2, 3, 5, 11, 21, 41):
+        taus, k1, k2 = nu_simplex(grid_points)
+        levels = df._block_starts(grid_points)
+        assert len(levels) == 1 + (grid_points >= 8)
+        for starts, child in zip(levels, levels[1:]):
+            assert (child[::2] == starts).all()  # two children per block, nested
+        t1g, t2g = np.meshgrid(taus, taus, indexing="ij")
+        for _ in range(3):
+            ch = make(rng)
+            tables = [df._user_tables(ch, i, taus, taus) for i in (1, 2)]
+            for starts in levels:
+                for user, ki, kj in ((1, k1, k2), (2, k2, k1)):
+                    bound = rect_bounds(tables[user - 1], ki, kj, starts)
+                    assert (bound >= df_rect_bound_reference(tables[user - 1], ki, kj,
+                                                             starts)).all()
+            # At a floor of -inf every child is left: each rectangle of the
+            # last level once per split.
+            pair, a, b, bound = df._live_rects(*tables, k1, k2, np.arange(len(k1)), -np.inf,
+                                               levels)
+            starts = levels[-1]
+            assert len(pair) == len(k1) * len(starts) ** 2
+            for p in range(len(k1)):
+                grid = _sum_rate_grid(ch, t1g, t2g, taus[k1[p]], taus[k2[p]])
+                rect_best = np.maximum.reduceat(np.maximum.reduceat(grid, starts), starts, axis=1)
+                mine = pair == p
+                assert (bound[mine] >= rect_best[a[mine], b[mine]]).all()
+                assert sorted(zip(a[mine], b[mine])) == [(i, j) for i in range(len(starts))
+                                                         for j in range(len(starts))]
 
 
 def test_symmetric_tie_keeps_first_split(rng):
@@ -226,64 +290,72 @@ def test_tie_across_rectangles_keeps_first_point(grid_points):
     assert df.df_sum_rate_search(ch, grid_points) == df_sum_rate_search_reference(ch, grid_points)
 
 
-@pytest.mark.parametrize("loosen", ["late_splits", "odd_splits",
-                                    "late_rectangles", "odd_rectangles"])
-def test_any_valid_bound_keeps_the_point(rng, monkeypatch, loosen):
-    # A looser bound is still a bound: it changes the order the splits and
-    # rectangles are scored in, never the result.  Raising the bound of later
-    # splits makes the scan meet a tie's larger index first, as in the
-    # relay-limited corner cells, where every split scores the same.  The
-    # rectangle variants raise the later splits too, so that tied channels
-    # reach the rectangles, and then the later (or odd) rectangles, so that a
-    # tie within one split meets its later rectangle first.
-    tight = df._user_bound
+def test_scored_tie_keeps_smallest_pair_then_first_point(rng):
+    # Items of different splits reach equal maxima in one _scored call: the
+    # smallest pair wins, then its smallest flat tau index, wherever the
+    # items stand in the call; an incumbent keeps its place in that order.
+    ch = tie_across_rectangles_channel()  # every split's grid peaks on [0, 8]^2
+    g = 11
+    taus, k1, k2 = nu_simplex(g)
+    tables = [df._user_tables(ch, user, taus, taus) for user in (1, 2)]
+    t1g, t2g = np.meshgrid(taus, taus, indexing="ij")
+    v = _sum_rate_grid(ch, t1g, t2g, taus[k1[0]], taus[k2[0]]).max()
+    pairs = np.array([7, 3, 9, 3, 0])
+    rows1 = np.array([[3, 4, 5], [4, 5, 6], [0, 1, 2], [2, 3, 4], [9, 10, 10]])
+    rows2 = np.array([[3, 4, 5], [0, 1, 2], [0, 1, 2], [5, 6, 7], [9, 10, 10]])
+    peaks = [_sum_rate_grid(ch, t1g, t2g, taus[k1[p]], taus[k2[p]])[np.ix_(r1, r2)].max()
+             for p, r1, r2 in zip(pairs, rows1, rows2)]
+    assert peaks[:4] == [v] * 4 and peaks[4] < v  # pair 0's item is off the peak
 
-    def loose(tables, ki, kj, starts):
-        k = ki if loosen == "odd_splits" else ki + kj
-        pairs = np.where(k % 2 == 1 if loosen == "odd_splits" else k > 5, 1.0, 0.0)
-        a, b = np.indices((len(starts), len(starts)))
-        rects = np.where(b % 2 == 1 if loosen == "odd_rectangles" else a + b > 2, 1.0, 0.0)
-        return (tight(tables, ki, kj, starts) + pairs[:, None, None]
-                + (rects if loosen.endswith("rectangles") else 0.0))
+    def scored(best, items=slice(None)):
+        return df._scored(*tables, k1, k2, pairs[items], rows1[items], rows2[items], best)
 
-    monkeypatch.setattr(df, "_user_bound", loose)
-    config = default_config()
-    corners = [config.channel_at(-4.0, -3.0), config.channel_at(4.0, 4.0)]
-    draws = [symmetric_channel(rng) for _ in range(5)] + [random_channel(rng) for _ in range(5)]
-    for ch in corners + [tie_across_rectangles_channel()] + draws:
-        assert df.df_sum_rate_search(ch, 11) == df_sum_rate_search_reference(ch, 11)
-
-
-@pytest.mark.parametrize("draw", ["anti_phase", "random"])
-def test_free_bound_covers_the_split_bound(rng, draw):
-    # The tau-free bound of each split, which prunes first, is at least the
-    # per-split bound (C at every tau_i, then the max), user by user.
-    make = anti_phase_channel if draw == "anti_phase" else random_channel
-    for grid_points in (21, 41):
-        taus, k1, k2 = nu_simplex(grid_points)
-        for _ in range(15):
-            ch = make(rng)
-            for user, ki, kj in ((1, k1, k2), (2, k2, k1)):
-                tables = df._user_tables(ch, user, taus, taus)
-                free = df._free_bound(tables, ki, kj)
-                assert (free >= df_user_bound_reference(tables, ki, kj)).all()
+    win = (v, 3, 2 * g + 5)  # pair 3's second item, at (2, 5), before (4, 0)
+    assert scored((-np.inf, 0, 0)) == win
+    assert scored((-np.inf, 0, 0), slice(None, None, -1)) == win
+    for best in [(v, 2, 120), (v, 3, 2 * g + 4), (np.nextafter(v, np.inf), 9, 0)]:
+        assert scored(best) == best
+    for best in [(v, 3, 2 * g + 6), (v, 4, 0), (np.nextafter(v, -np.inf), 0, 0)]:
+        assert scored(best) == win
+    # A smaller pair's peak wins at any flat index; in random draws the
+    # winner is the largest (sum rate, -pair, -flat) of the items' points.
+    pairs[0], rows1[0], rows2[0] = 1, [6, 7, 8], [8, 9, 10]
+    assert scored((-np.inf, 0, 0)) == (v, 1, 6 * g + 8)
+    for _ in range(20):
+        ch = random_channel(rng)
+        tables = [df._user_tables(ch, user, taus, taus) for user in (1, 2)]
+        pairs = rng.integers(0, len(k1), 6)
+        rows1, rows2 = (np.sort(rng.integers(0, g, (6, 3)), axis=1) for _ in range(2))
+        points = [(_sum_rate_grid(ch, taus[i], taus[j], taus[k1[p]], taus[k2[p]]), p, i * g + j)
+                  for p, r1, r2 in zip(pairs.tolist(), rows1.tolist(), rows2.tolist())
+                  for i in r1 for j in r2]
+        want = max(points, key=lambda x: (x[0], -x[1], -x[2]))
+        assert scored((-np.inf, 0, 0)) == want
 
 
-@pytest.mark.parametrize("loosen", ["late_splits", "odd_splits"])
-def test_any_valid_free_bound_keeps_the_point(rng, monkeypatch, loosen):
-    # The tau-free bound picks the first incumbent and prunes before the
-    # per-split bound.  Raising it on later (or odd) splits makes such a
-    # split the first incumbent, so the scan meets a tie's larger index
-    # first; in a block, the previous cell's split is scored next if it could
-    # beat it.  Neither changes a result.
-    tight = df._free_bound
+def loosen_bound(monkeypatch, pattern, splits, rects):
+    """Patch ``df._rect_bound`` to add 1.0 on the later (or odd) splits at the
+    levels ``splits``, and on the later (or odd) rectangles at the level
+    ``rects``, a level named by its blocks per axis (1: the whole grid).
+    Returns the patched function's calls per level."""
+    tight, calls = df._rect_bound, Counter()
 
-    def loose(tables, ki, kj):
-        k = ki if loosen == "odd_splits" else ki + kj
-        return tight(tables, ki, kj) + np.where(k % 2 == 1 if loosen == "odd_splits" else k > 5,
-                                                1.0, 0.0)
+    def loose(tables, starts, ki, kj, a, b):
+        level = len(starts)
+        calls[level] += 1
+        bound = tight(tables, starts, ki, kj, a, b)
+        k = ki if pattern == "odd" else ki + kj
+        if level in splits:
+            bound = bound + np.where(k % 2 == 1 if pattern == "odd" else k > 5, 1.0, 0.0)
+        if level == rects:
+            bound = bound + np.where(b % 2 == 1 if pattern == "odd" else a + b > 2, 1.0, 0.0)
+        return bound
 
-    monkeypatch.setattr(df, "_free_bound", loose)
+    monkeypatch.setattr(df, "_rect_bound", loose)
+    return calls
+
+
+def assert_loosened_keeps_the_point(rng):
     config = default_config()
     corners = [config.channel_at(-4.0, -3.0), config.channel_at(4.0, 4.0)]
     draws = [symmetric_channel(rng) for _ in range(5)] + [random_channel(rng) for _ in range(5)]
@@ -291,3 +363,54 @@ def test_any_valid_free_bound_keeps_the_point(rng, monkeypatch, loosen):
     want = [df_sum_rate_search_reference(ch, 11) for ch in channels]
     assert [df.df_sum_rate_search(ch, 11) for ch in channels] == want
     assert per_cell("df", df.df_sum_rate_search_batch(ChannelBatch.of(channels), 11)) == want
+
+
+@pytest.mark.parametrize("loosen", ["late_splits", "odd_splits", "late_rectangles",
+                                    "odd_rectangles", "late_children", "odd_children"])
+def test_any_valid_bound_keeps_the_point(rng, monkeypatch, loosen):
+    # A looser bound is still a bound: it changes the order the splits and
+    # rectangles are scored in, never the result.  Raising the bound of later
+    # splits makes the scan meet a tie's larger index first, as in the
+    # relay-limited corner cells, where every split scores the same.  Each
+    # variant raises the later (or odd) splits at every level, so that tied
+    # channels reach the rectangles, and the rectangle variants raise the
+    # later (or odd) rectangles of the 4 x 4 parents or of their 8 x 8
+    # children too, so that a tie within one split meets its later
+    # rectangle first.  Each loosened level is read (the calls are counted).
+    pattern, level = loosen.split("_")
+    rects = {"splits": None, "rectangles": 4, "children": 8}[level]
+    calls = loosen_bound(monkeypatch, pattern, (1, 4, 8), rects)
+    assert_loosened_keeps_the_point(rng)
+    assert all(calls[level] > 0 for level in (1, 4, 8)), calls
+
+
+@pytest.mark.parametrize("draw", ["anti_phase", "random"])
+def test_free_bound_covers_the_split_bound(rng, draw):
+    # The tau-free bound of each split, which prunes first (the one-block
+    # bound, for all the cells of a block at once), is the bound of each cell
+    # alone and at least the per-split bound (C at every tau_i, then the max),
+    # user by user.
+    make = anti_phase_channel if draw == "anti_phase" else random_channel
+    for grid_points in (21, 41):
+        taus, k1, k2 = nu_simplex(grid_points)
+        channels = [make(rng) for _ in range(15)]
+        cells = ChannelBatch.of(channels).column(2)
+        for user, ki, kj in ((1, k1, k2), (2, k2, k1)):
+            free = split_bounds(df._user_tables(cells, user, taus, taus), ki, kj)
+            assert free.shape == (len(channels), len(ki))
+            for ch, row in zip(channels, free):
+                tables = df._user_tables(ch, user, taus, taus)
+                assert (row == split_bounds(tables, ki, kj)).all()
+                assert (row >= df_user_bound_reference(tables, ki, kj)).all()
+
+
+@pytest.mark.parametrize("loosen", ["late_splits", "odd_splits"])
+def test_any_valid_free_bound_keeps_the_point(rng, monkeypatch, loosen):
+    # The tau-free bound picks the first incumbent and prunes before the
+    # rectangles.  Raising it on later (or odd) splits makes such a split the
+    # first incumbent, so the scan meets a tie's larger index first; in a
+    # block, the previous cell's split is scored next if it could beat it.
+    # Neither changes a result.
+    calls = loosen_bound(monkeypatch, loosen.split("_")[0], (1,), None)
+    assert_loosened_keeps_the_point(rng)
+    assert calls[1] > 0, calls

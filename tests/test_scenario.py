@@ -349,6 +349,22 @@ class TestOptimizerTable:
         assert cell.rates["ef_bl"] == 0.0 and cell.infeasible == ("ef_bl",)
         assert cell.bl_scenario == ""
 
+    def test_infeasible_entry_runs_again_alone(self, monkeypatch):
+        # At Pr = 1e-15 EF-SL is infeasible in every cell of the default map.
+        # Only its entry runs again, cell by cell: AF, DF and EF-BL keep the
+        # columns they gave for the whole block, and each cell is the cell
+        # evaluated alone.
+        config = replace(default_config(), Pr=1e-15)
+        calls = Counter()
+        for protocol, entry in list(OPTIMIZERS.items()):
+            monkeypatch.setitem(OPTIMIZERS, protocol, lambda batch, cfg, p=protocol, run=entry:
+                                calls.update([p]) or run(batch, cfg))
+        cells = dominance_map(config)
+        assert len(cells) == 957  # 15 blocks of at most 64 cells
+        assert calls == {"af": 15, "df": 15, "ef_bl": 15, "ef_sl": 15 + 957}
+        assert {(c.infeasible, c.rates["ef_sl"]) for c in cells} == {(("ef_sl",), 0.0)}
+        assert cells == [evaluate_cell(config, c.xr, c.yr) for c in cells]
+
 
     @pytest.mark.parametrize("run", [dominance_map, sl_vs_bl_map], ids=lambda f: f.__name__)
     def test_maps_build_no_per_cell_objects(self, monkeypatch, run):
@@ -451,12 +467,14 @@ class TestSlMap:
 # The sha256 of the CSVs that every change to the kernels is held to: the
 # default dominance map, the criterion-8 slice at y = 0.5 d0 and 0.005 d0
 # (1601 cells, 25 blocks of 64 and one of 1), the default EF single- vs
-# bi-level map, and the optimal-policy map at 1.0 d0 (72 cells).
+# bi-level map, the optimal-policy map at 1.0 d0 (72 cells) and the default
+# optimal-policy map (957 cells, about 630 of them through the pruned DF scan).
 GATED_CSV_SHA256 = {
     "map": "e821e03db6a76d67c4f902aa401a21bd1d477e272050d2b7d9c198546e2f387e",
     "slice_0.005": "df7a758958c37b6c906cd61748ebc0805fc806ca92d03bc150666dc6857cc5a2",
     "slmap": "ff7a02740e1dcf3d62af96dabb25e0cc74313787932dc096b4976261ee835e7f",
     "map_optimal_1.0": "798fa83b440c2cf0fb02941ff030d75d1b593e860add59666070f6efb76ca306",
+    "map_optimal": "9bdae57c0c21ddff182820e0e15afe38162dec825a28ccd3c0c065d30a427e7b",
 }
 
 
@@ -466,7 +484,8 @@ def test_gated_csv_digests():
     texts = {"map": map_to_csv(dominance_map(config)),
              "slice_0.005": map_to_csv(sum_rate_slice(replace(config, resolution=0.005), 0.5)),
              "slmap": slmap_to_csv(sl_vs_bl_map(config)),
-             "map_optimal_1.0": map_to_csv(dominance_map(optimal))}
+             "map_optimal_1.0": map_to_csv(dominance_map(optimal)),
+             "map_optimal": map_to_csv(dominance_map(replace(config, pa_policy="optimal")))}
     digests = {name: hashlib.sha256(text.encode()).hexdigest() for name, text in texts.items()}
     assert digests == GATED_CSV_SHA256
 
