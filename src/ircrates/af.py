@@ -188,18 +188,15 @@ def _best_gain(batch: ChannelBatch, roots: np.ndarray, users):
 
     The candidates are 0, the saturation gain and every root strictly inside
     (0, saturation gain); the first argmax wins, in that order.  They are
-    scored as one (cells, candidates) array, its padding at -inf.
+    scored as one (cells, 2 + roots) array, each root outside the box (or
+    padding) set to 0, where it ties with the first column and never wins.
     """
     a_bar = saturation_gain(batch)
-    inside = (roots > 0.0) & (roots < a_bar[:, None])
-    order = np.argsort(~inside, axis=1, kind="stable")[:, :inside.sum(axis=1).max(initial=0)]
-    inside = np.take_along_axis(inside, order, axis=1)
-    roots = np.where(inside, np.take_along_axis(roots, order, axis=1), 0.0)
-    cands = np.concatenate((np.zeros_like(a_bar)[:, None], a_bar[:, None], roots), axis=1)
+    inside = np.where((roots > 0.0) & (roots < a_bar[:, None]), roots, 0.0)
+    cands = np.concatenate((np.zeros_like(a_bar)[:, None], a_bar[:, None], inside), axis=1)
     rates = [af_rate(batch.column(), cands, user) for user in users]
-    valid = np.concatenate((np.ones((len(batch), 2), dtype=bool), inside), axis=1)
-    k = np.where(valid, sum(rates), -np.inf).argmax(axis=1)[:, None]
-    return tuple(np.take_along_axis(x, k, axis=1)[:, 0] for x in [cands] + rates)
+    k = sum(rates).argmax(axis=1)
+    return tuple(x[np.arange(len(k)), k] for x in [cands] + rates)
 
 
 def optimal_gain(channel: ChannelInstance, user: int) -> AfAnalysis:

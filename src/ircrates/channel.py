@@ -53,7 +53,9 @@ def capacity(x, out=None):
     else:
         bad = x.size > 0 and not (0.0 <= x.min() and x.max() < math.inf)
     if bad:
-        raise ValueError(f"SINR must be finite and >= 0, got {x!r}")
+        wrong = x[~((x >= 0.0) & (x < math.inf))]
+        raise ValueError(f"SINR must be finite and >= 0, got {wrong[0].item()!r} "
+                         f"({wrong.size} of {x.size} values fail)")
     out = np.log2(np.add(1.0, x, out=out), out=out)
     return float(out) if out.ndim == 0 else out
 
@@ -454,6 +456,7 @@ def layout_to_batch(layout: NodeLayout, relays, P1, P2, Pr, N1, N2, Nr) -> Chann
                     for key, d in lengths.items()}
         except (OverflowError, ZeroDivisionError):  # the latter where d / d0 underflows
             for k in range(len(x)):
+                layout.with_relay_at(x[k].item(), y[k].item())  # refuses a non-finite x or y
                 for key, d in lengths.items():
                     _link_gain(layout, key, d[k].item())
             raise

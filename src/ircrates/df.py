@@ -101,20 +101,23 @@ def _df_sinr_terms(channel, t1, t2, n1, n2, user: int):
             _dest_signal(channel, user, ti, ni_) / _dest_interference(channel, user, tj, nj_))
 
 
+def _rate(relay, sinr, out=None):
+    """User i's DF rate C(min(relay SNR, destination SINR)), elementwise (into
+    ``out`` if given): min(C(relay), C(sinr)) to the bit, as C is monotone."""
+    return capacity(np.minimum(relay, sinr, out=out), out=out)
+
+
 def df_rate(channel: ChannelInstance, params: DfParams, user: int) -> float:
     """Achievable DF rate of user ``user`` in bits per channel use."""
-    relay_snr, dest_sinr = _df_sinr_terms(
-        channel, params.tau1, params.tau2, params.nu1, params.nu2, user
-    )
-    return float(min(capacity(relay_snr), capacity(dest_sinr)))
+    return float(_rate(*_df_sinr_terms(
+        channel, params.tau1, params.tau2, params.nu1, params.nu2, user)))
 
 
 def _sum_rate_grid(channel, t1, t2, n1, n2):
     """Vectorized R_1 + R_2 over broadcastable parameter arrays."""
     total = 0.0
     for user in (1, 2):
-        relay_snr, dest_sinr = _df_sinr_terms(channel, t1, t2, n1, n2, user)
-        total = total + np.minimum(capacity(relay_snr), capacity(dest_sinr))
+        total = total + _rate(*_df_sinr_terms(channel, t1, t2, n1, n2, user))
     return total
 
 
@@ -127,11 +130,16 @@ def _user_tables(channel, user: int, taus, nus):
             _dest_interference(channel, user, t, n))
 
 
-def _user_sinr(relay, signal, interference):
-    """min(relay SNR, destination SINR) of user i over (..., tau_i, tau_j),
-    from its relay SNR and signal over tau_i and interference over tau_j."""
-    sinr = signal[..., :, None] / interference[..., None, :]
-    return np.minimum(relay[..., :, None], sinr, out=sinr)
+def _first_max(u1, u2):
+    """(sum rate, flat tau index) of each item's first largest R_1 + R_2 over
+    (items, tau1, tau2), from user i's relay SNR and signal over its own tau
+    and interference over the other's, each shaped (items, tau)."""
+    (r1, s1, i1), (r2, s2, i2) = u1, u2
+    f, c = s1[:, :, None] / i1[:, None, :], s2[:, None, :] / i2[:, :, None]
+    f = np.add(_rate(r1[:, :, None], f, out=f), _rate(r2[:, None, :], c, out=c), out=f)
+    f = f.reshape(len(f), -1)
+    k = f.argmax(axis=1)
+    return f[np.arange(len(f)), k], k
 
 
 # Floats per temporary of the search (8 cells, or 8 relay splits, of a
@@ -158,21 +166,18 @@ def _rect_bound(tables, starts, ki, kj, a, b):
     relay, signal, interference = tables
     x = (np.maximum.reduceat(signal, starts, axis=-2)[..., a, ki]
          / np.minimum.reduceat(interference, starts, axis=-2)[..., b, kj])
-    np.minimum(x, np.maximum.reduceat(relay, starts, axis=-1)[..., a], out=x)
-    return capacity(x, out=x)
+    return _rate(np.maximum.reduceat(relay, starts, axis=-1)[..., a], x, out=x)
 
 
 def _scored(t1, t2, k1, k2, pairs, rows1, rows2, best):
     """``best`` (sum rate, pair, flat tau index) after R_1 + R_2 of each item
-    m: relay split pairs[m], over tau1 rows1[m] by tau2 rows2[m].  These are
-    a full scan's floats, and each item offers its first maximum."""
+    m: relay split pairs[m], over tau1 rows1[m] by tau2 rows2[m] of one
+    cell's tables: a full scan's floats, by its kernel ``_first_max``."""
     n1, n2 = k1[pairs][:, None], k2[pairs][:, None]
-    c1 = _user_sinr(t1[0][rows1], t1[1][rows1, n1], t1[2][rows2, n2])
-    c2 = _user_sinr(t2[0][rows2], t2[1][rows2, n2], t2[2][rows1, n1])
-    f = (capacity(c1, out=c1) + capacity(c2, out=c2).swapaxes(1, 2)).reshape(len(pairs), -1)
-    m, k = np.arange(len(pairs)), f.argmax(axis=1)
-    i, j = np.divmod(k, rows2.shape[1])
-    value, flat = f[m, k], rows1[m, i] * len(t1[0]) + rows2[m, j]
+    value, k = _first_max((t1[0][rows1], t1[1][rows1, n1], t1[2][rows2, n2]),
+                          (t2[0][rows2], t2[1][rows2, n2], t2[2][rows1, n1]))
+    (i, j), m = np.divmod(k, rows2.shape[1]), np.arange(len(pairs))
+    flat = rows1[m, i] * len(t1[0]) + rows2[m, j]
     w = np.lexsort((flat, pairs, -value))[0]  # the largest, then the smallest (pair, flat)
     return (value[w], pairs[w], flat[w]) if _can_win(value[w], pairs[w], flat[w], best) else best
 
@@ -188,19 +193,19 @@ def _best_grid_point(channel, taus, nus, k1, k2):
     """(pair, tau1 index, tau2 index, sum rate) of the largest R_1 + R_2 over
     the tau grid and the relay splits (nus[k1[p]], nus[k2[p]]), as arrays over
     the cells of ``channel``, a batch's ``column()``; ties keep the smallest
-    pair p, then the first tau point in row-major order.  Each cell's pair with
-    the largest ``_rect_bound`` (one block: the whole grid) is scanned in full,
+    pair p, then the first tau point in row-major order.  From the cells'
+    ``_user_tables`` (one build, for one pair too), each cell's pair with the
+    largest ``_rect_bound`` (one block: the whole grid) is scanned in full,
     all cells at once (with one pair, the whole search); then per cell, the
     previous cell's pair if it could beat that; ``_pruned_scan`` the others."""
     g, pairs, every = len(taus), np.arange(len(k1)), np.arange(len(taus))[None]
-    top = np.zeros(len(channel), dtype=int)
-    if len(pairs) > 1:  # the tau tables of all the cells at once
-        cells = channel.column(2)
-        tables = _user_tables(cells, 1, taus, nus), _user_tables(cells, 2, taus, nus)
+    cells, top = channel.column(2), np.zeros(len(channel), dtype=int)
+    tables = _user_tables(cells, 1, taus, nus), _user_tables(cells, 2, taus, nus)
+    if len(pairs) > 1:
         bound = (_rect_bound(tables[0], [0], k1, k2, [0], [0])
                  + _rect_bound(tables[1], [0], k2, k1, [0], [0]))
         top = bound.argmax(axis=1)  # the first of the largest
-    value, flat = _full_scan(channel, taus, nus[k1[top], None], nus[k2[top], None])
+    value, flat = _full_scan(tables, k1[top], k2[top])
     for cell in range(len(top)) if len(pairs) > 1 else ():
         t1, t2 = ([x[cell] for x in table] for table in tables)
         best, previous = (value[cell], top[cell], flat[cell]), top[cell - 1] if cell else top[0]
@@ -214,25 +219,18 @@ def _best_grid_point(channel, taus, nus, k1, k2):
     return (top, *np.divmod(flat, g), value)
 
 
-def _full_scan(channel, taus, n1, n2):
+def _full_scan(tables, n1, n2):
     """(sum rate, flat tau index) of each cell's first largest R_1 + R_2 over
-    the tau grid at its split (n1, n2), in chunks of ``_MAX_SCAN`` points;
-    user 2's SINR is formed over (tau1, tau2), so the sum reads both in order."""
-    tables = [(_relay_snr(channel, user, taus), _dest_signal(channel, user, taus, ni),
-               _dest_interference(channel, user, taus, nj))
-              for user, ni, nj in ((1, n1, n2), (2, n2, n1))]
-    flat, value = [], []
-    step = max(1, _MAX_SCAN // len(taus) ** 2)
-    for s in range(0, len(n1), step):
-        (r1, num1, den1), (r2, num2, den2) = ([x[s:s + step] for x in t] for t in tables)
-        f = _user_sinr(r1, num1, den1)
-        c = np.divide(num2[:, None], den2[:, :, None])  # user 2's, over (cells, tau1, tau2)
-        f = np.add(capacity(f, out=f), capacity(np.minimum(r2[:, None], c, out=c), out=c), out=f)
-        f = f.reshape(len(f), -1)
-        k = f.argmax(axis=1)
-        flat.append(k)
-        value.append(f[np.arange(len(f)), k])
-    return np.concatenate(value), np.concatenate(flat)
+    the tau grid at its relay split (n1, n2), indices into the nu axis of the
+    cells' ``_user_tables``: the tables' columns at each cell's split are
+    gathered once, and ``_first_max`` reads them in chunks of ``_MAX_SCAN``."""
+    cells = np.arange(len(n1))
+    (r1, s1, i1), (r2, s2, i2) = tables
+    users = (r1, s1[cells, :, n1], i1[cells, :, n2]), (r2, s2[cells, :, n2], i2[cells, :, n1])
+    step = max(1, _MAX_SCAN // r1.shape[-1] ** 2)
+    found = [_first_max(*([x[s:s + step] for x in user] for user in users))
+             for s in range(0, len(cells), step)]
+    return tuple(map(np.concatenate, zip(*found)))
 
 
 def _live_rects(t1, t2, k1, k2, pairs, floor, levels):
@@ -347,6 +345,5 @@ def _refined(channel, point, value, step, axes) -> Tuple[np.ndarray, ...]:
         point[axis] = np.where(better, vals[rows, k], point[axis])
         value = np.where(better, f[rows, k], value)
     cells = [x[:, None] for x in point]
-    rates = [np.minimum(*map(capacity, _df_sinr_terms(channel, *cells, user)))[:, 0]
-             for user in (1, 2)]
+    rates = [_rate(*_df_sinr_terms(channel, *cells, user))[:, 0] for user in (1, 2)]
     return (*point, *rates)

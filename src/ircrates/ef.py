@@ -236,10 +236,16 @@ def ef_bi_rate(
 
 def _bi_eval(channel, nu1, nu2):
     """``ef_bi_eval`` elementwise, over the cells of a batch or over arrays
-    of relay splits: (scenario index into ``BiScenario``, nwz1, nwz2, R1, R2)."""
+    of relay splits: (scenario index into ``BiScenario``, nwz1, nwz2, R1, R2).
+    EfBiParams refuses a non-positive noise before any rate is formed: the
+    first, in row-major (cell-then-split) order, raises, as in a loop."""
     terms, q = _terms(channel), _codeword_powers(channel, nu1, nu2)
     d1, d2 = _scenario_flags(terms[0], q)
     interference, nwz = _min_noise(terms, q, d1, d2)
+    bad = ~((nwz[0] > 0) & (nwz[1] > 0))
+    if bad.any():
+        first = tuple(np.argwhere(bad)[0])
+        EfBiParams(*(np.broadcast_to(x, bad.shape)[first].item() for x in (nu1, nu2, *nwz)))
     r1, r2 = (capacity(_two_branch_sinr(channel, i, interference[i - 1], nwz[i - 1]))
               for i in (1, 2))
     return np.where(d1, 0, np.where(d2, 1, 2)), nwz[0], nwz[1], r1, r2
@@ -315,8 +321,8 @@ def ef_sl_batch(batch: ChannelBatch, r0_exponent: int = 2) -> Tuple[np.ndarray, 
     r0, nwz = _sl_min_noise(batch, r0_exponent)
     if (r0 <= 0.0).any():
         raise InfeasibleError("relay broadcast bottleneck rate is zero")
-    for k in np.flatnonzero(nwz < nwz * (1.0 - _FEAS_RTOL)):  # a negative bound
-        raise ConstraintViolationError("nwz lower bound", float(nwz[k]), float(nwz[k]))
+    for k in np.flatnonzero(nwz < 0.0):  # sigma_i^2 cancelled below zero in round-off
+        raise ValueError(f"the EF-SL compression-noise bound must be >= 0, got {nwz[k].item()!r}")
     return (nwz, *(capacity(_two_branch_sinr(batch, i, 0.0, nwz)) for i in (1, 2)))
 
 
@@ -341,17 +347,10 @@ def ef_bi_sum_rate_search_batch(
     of ``ef_bi_sum_rate_search`` over the cells of ``batch``, from one (cells,
     splits) array over the splits ``nu_simplex`` gives (given ``nu``,
     ``ef_bi_eval`` at that one split), each cell keeping its first argmax.
-    EfBiParams refuses a non-positive noise: the first such split, in
-    cell-then-split order, raises, as in a loop.  Squares are formed in
+    A non-positive noise bound raises in ``_bi_eval``.  Squares are formed in
     Python floats and all else elementwise, so each cell gets what a batch
     of one gives it.  The maps pass blocks of at most 64 cells."""
     grid, i1, i2 = nu_simplex(grid_points, nu)
     found = _bi_eval(batch.column(), grid[i1], grid[i2])
-    _, nwz1, nwz2, r1, r2 = found
-    bad = ~((nwz1 > 0) & (nwz2 > 0))
-    if bad.any():  # EfBiParams refuses the first bad split
-        cell, k = np.argwhere(bad)[0]
-        EfBiParams(grid[i1[k]].item(), grid[i2[k]].item(), nwz1[cell, k].item(),
-                   nwz2[cell, k].item())
-    k, cells = (r1 + r2).argmax(axis=1), np.arange(len(batch))
+    k, cells = (found[3] + found[4]).argmax(axis=1), np.arange(len(batch))  # R1 + R2
     return (grid[i1[k]], grid[i2[k]], *(v[cells, k] for v in found))

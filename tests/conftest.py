@@ -64,6 +64,23 @@ def anti_phase_channel(rng) -> ChannelInstance:
     return new
 
 
+def cancelling_config():
+    """The default config with the sources (0, 0) and (4, 0) mirrored about
+    the line x = 2, which holds both destinations and the relay (2, 1): the
+    relay's gains are proportional to each destination's, so sigma_i^2 =
+    A - |A_i|^2 / V_i cancels down to round-off (below zero here).  Unit
+    powers, noises 1e-20, no lift."""
+    from dataclasses import replace
+
+    from ircrates.scenario import default_config
+
+    config = default_config()
+    layout = replace(config.layout, s1=(0.0, 0.0), s2=(4.0, 0.0), d1=(2.0, 3.0),
+                     d2=(2.0, -5.0), relay=(2.0, 1.0, 0.0), epsilon=0.0)
+    return replace(config, layout=layout, P1=1.0, P2=1.0, Pr=1.0,
+                   N1=1e-20, N2=1e-20, Nr=1e-20)
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240416)

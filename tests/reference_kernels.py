@@ -11,7 +11,9 @@ point, the scalar DF refinement loop, the hand-written einsum products,
 the bounds read off the full joint table, and the marginal that re-derives
 its elimination order on every call with the conditional mutual information
 taken through broadcast views, that they replaced.  Tests compare
-the two.
+the two.  So are the DF full scan that built its own tau tables from the
+channel and the AF candidate scoring that compacted the roots inside the box
+with an argsort, for ``test_shared_kernels.py``.
 
 The maps evaluate blocks of relay positions at once; the one-channel AF, DF,
 EF-BL and EF-SL kernels they replaced, and the per-cell map evaluation, are
@@ -35,7 +37,7 @@ from ircrates.af import (
     saturation_gain,
 )
 from ircrates.channel import ChannelInstance, RatePair, capacity, nu_simplex, other
-from ircrates.df import DfParams
+from ircrates.df import DfParams, _dest_interference, _dest_signal, _relay_snr
 from ircrates.ef import BiScenario, EfBiParams
 from ircrates.errors import ConstraintViolationError, InfeasibleError
 from ircrates.discrete import (
@@ -189,6 +191,32 @@ def df_rect_bound_reference(tables, ki, kj, starts):
     return capacity(np.maximum.reduceat(x, starts, axis=1).transpose(2, 1, 0))
 
 
+def df_full_scan_reference(channel, taus, n1, n2):
+    """(sum rate, flat tau index) of each cell's first largest R_1 + R_2 over
+    the tau grid at its split (n1, n2), the nu values shaped (cells, 1): the
+    DF full scan as it was when it built its own tables from the channel (a
+    batch's ``column()``), with C taken of each user's min(relay, SINR)."""
+    def user_sinr(relay, signal, interference):
+        sinr = signal[..., :, None] / interference[..., None, :]
+        return np.minimum(relay[..., :, None], sinr, out=sinr)
+
+    tables = [(_relay_snr(channel, user, taus), _dest_signal(channel, user, taus, ni),
+               _dest_interference(channel, user, taus, nj))
+              for user, ni, nj in ((1, n1, n2), (2, n2, n1))]
+    flat, value = [], []
+    step = max(1, 8 * 41 * 41 // len(taus) ** 2)
+    for s in range(0, len(n1), step):
+        (r1, num1, den1), (r2, num2, den2) = ([x[s:s + step] for x in t] for t in tables)
+        f = user_sinr(r1, num1, den1)
+        c = np.divide(num2[:, None], den2[:, :, None])  # user 2's, over (cells, tau1, tau2)
+        f = np.add(capacity(f, out=f), capacity(np.minimum(r2[:, None], c, out=c), out=c), out=f)
+        f = f.reshape(len(f), -1)
+        k = f.argmax(axis=1)
+        flat.append(k)
+        value.append(f[np.arange(len(f)), k])
+    return np.concatenate(value), np.concatenate(flat)
+
+
 def _df_scan_loop(channel: ChannelInstance, grid_points: int, nu):
     """The DF relay-split loop: the full tau grid of every split, the first
     of equal maxima kept.  Returns the best grid point and the grid step."""
@@ -332,6 +360,22 @@ def af_sum_rate_polynomial_scalar(channel: ChannelInstance) -> np.ndarray:
         q.append(_quadratic_scalar(m, n, p, qq, s))
         td.append(np.convolve(t, d))
     return np.convolve(q[0], td[1]) + np.convolve(q[1], td[0])
+
+
+def af_best_gain_reference(batch, roots: np.ndarray, users):
+    """``af._best_gain`` as it was: the roots strictly inside (0, a_sat) are
+    moved to the front of each row, in their order, by a stable argsort, the
+    columns no cell needs are dropped, and the padding is scored at -inf."""
+    a_bar = saturation_gain(batch)
+    inside = (roots > 0.0) & (roots < a_bar[:, None])
+    order = np.argsort(~inside, axis=1, kind="stable")[:, :inside.sum(axis=1).max(initial=0)]
+    inside = np.take_along_axis(inside, order, axis=1)
+    roots = np.where(inside, np.take_along_axis(roots, order, axis=1), 0.0)
+    cands = np.concatenate((np.zeros_like(a_bar)[:, None], a_bar[:, None], roots), axis=1)
+    rates = [af_rate(batch.column(), cands, user) for user in users]
+    valid = np.concatenate((np.ones((len(batch), 2), dtype=bool), inside), axis=1)
+    k = np.where(valid, sum(rates), -np.inf).argmax(axis=1)[:, None]
+    return tuple(np.take_along_axis(x, k, axis=1)[:, 0] for x in [cands] + rates)
 
 
 def af_sum_rate_gain_scalar(channel: ChannelInstance) -> Tuple[float, RatePair]:

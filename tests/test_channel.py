@@ -57,6 +57,16 @@ class TestCapacity:
         with pytest.raises(ValueError):
             capacity(np.array(bad))
 
+    def test_error_names_the_first_bad_value_and_the_count(self):
+        x = np.ones((40, 40))
+        x[3, 5], x[7, 1], x[20, 20] = -2.5, np.nan, np.inf
+        with pytest.raises(ValueError) as exc:
+            capacity(x)
+        assert str(exc.value) == "SINR must be finite and >= 0, got -2.5 (3 of 1600 values fail)"
+        with pytest.raises(ValueError) as exc:
+            capacity(-1e-9)
+        assert str(exc.value) == "SINR must be finite and >= 0, got -1e-09 (1 of 1 values fail)"
+
     def test_zero_dim_array_returns_float(self):
         assert capacity(np.array(3.0)) == 2.0
         assert type(capacity(np.array(3.0))) is float

@@ -21,6 +21,8 @@ from ircrates import cli
 from ircrates.cli import main
 from ircrates.scenario import _SECTIONS, OPTIMIZERS, default_config
 
+from conftest import cancelling_config
+
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 
@@ -273,6 +275,49 @@ class TestOptimize:
         fix = dict(line.split(": ") for line in fix_out.strip().split("\n"))
         fixed_sum = float(fix["R1"]) + float(fix["R2"])
         assert float(opt["sum"]) >= fixed_sum - 1e-9
+
+
+class TestNoiseBoundsAndBottleneck:
+    """A noise bound that rounds below zero exits 2 for EF-BL and EF-SL
+    alike, and a zero relay broadcast rate exits 1 for EF-SL alone."""
+
+    @pytest.fixture
+    def cancelling(self, tmp_path):
+        path = tmp_path / "cancelling.json"
+        path.write_text(json.dumps(cancelling_config().to_dict()))
+        return str(path)
+
+    @pytest.fixture
+    def zero_bottleneck(self, tmp_path):
+        path = tmp_path / "zero_bottleneck.json"
+        path.write_text(json.dumps(replace(default_config(), **FAST_SWEEP, Pr=1e-15).to_dict()))
+        return str(path)
+
+    @pytest.mark.parametrize("command", ["rate", "optimize"])
+    def test_single_level_bound_below_zero_exits_2(self, capsys, cancelling, command):
+        code, out, err = run(capsys, command, "--config", cancelling, "--protocol", "ef_sl")
+        match = re.fullmatch(r"error: the EF-SL compression-noise bound must be >= 0, "
+                             r"got (-\S+)\n", err)
+        assert code == 2 and out == "" and match
+        assert err.count(match.group(1)) == 1
+
+    @pytest.mark.parametrize("argv", [["rate"], ["optimize"], ["optimize", "--pa", "optimal"]])
+    def test_bi_level_bound_below_zero_exits_2(self, capsys, cancelling, argv):
+        code, out, err = run(capsys, *argv, "--config", cancelling, "--protocol", "ef_bl")
+        assert code == 2 and out == ""
+        assert re.fullmatch(r"error: nwz[12] must be positive, got -\S+\n", err)
+
+    @pytest.mark.parametrize("command", ["rate", "optimize"])
+    def test_zero_bottleneck_exits_1(self, capsys, zero_bottleneck, command):
+        code, out, err = run(capsys, command, "--config", zero_bottleneck, "--protocol", "ef_sl")
+        assert (code, out, err) == (1, "", "infeasible: relay broadcast bottleneck rate is zero\n")
+
+    def test_zero_bottleneck_slmap_scores_zero(self, capsys, zero_bottleneck):
+        code, out, err = run(capsys, "slmap", "--config", zero_bottleneck, "--resolution", "0.5")
+        rows = out.strip().split("\n")
+        assert code == 0 and err == ""
+        assert rows[0].split(",")[:3] == ["xr", "yr", "ef_sl"] and len(rows) == 1 + 3 * 2
+        assert {row.split(",")[2] for row in rows[1:]} == {"0"}
 
 
 class TestMaps:

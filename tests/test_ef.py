@@ -5,7 +5,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from ircrates.channel import ChannelInstance, capacity, nu_simplex
+from ircrates import ef
+from ircrates.channel import ChannelBatch, ChannelInstance, capacity, layout_to_channel, nu_simplex
 from ircrates.ef import (
     BiScenario,
     EfBiParams,
@@ -21,7 +22,7 @@ from ircrates.ef import (
 )
 from ircrates.errors import ConstraintViolationError, InfeasibleError
 
-from conftest import random_channel, symmetric_channel
+from conftest import cancelling_config, random_channel, symmetric_channel
 
 
 def schur_sigma_sq(ch: ChannelInstance, i: int):
@@ -333,3 +334,47 @@ class TestAsymmetricLimit:
             assert bi.r2 <= 1e-3
             assert sl.r2 <= 1e-3
             assert bi.r1 >= sl.r1 - 1e-12
+
+
+class TestNoiseBoundBelowZero:
+    """Where sigma_i^2 cancels below zero in round-off, EF-BL and EF-SL both
+    refuse the bound with a plain ValueError before any rate is formed."""
+
+    @staticmethod
+    def channel() -> ChannelInstance:
+        c = cancelling_config()
+        return layout_to_channel(c.layout, c.P1, c.P2, c.Pr, c.N1, c.N2, c.Nr)
+
+    @pytest.fixture
+    def no_rates(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a rate was formed")
+
+        monkeypatch.setattr(ef, "_two_branch_sinr", refuse)
+
+    def test_bi_level_refuses_the_bound(self, no_rates):
+        ch = self.channel()
+        with pytest.raises(ValueError, match=r"^nwz1 must be positive, got -\d"):
+            ef_bi_eval(ch, 0.5, 0.5)
+        with pytest.raises(ValueError, match=r"^nwz[12] must be positive, got -\d"):
+            ef_bi_sum_rate_search(ch, 11)
+
+    def test_single_level_states_the_bound_once(self, no_rates):
+        ch = self.channel()
+        bound = float(ef._sl_min_noise(ch, 2)[1])
+        assert bound < 0.0
+        message = f"the EF-SL compression-noise bound must be >= 0, got {bound!r}"
+        for call in (lambda: ef_sl_min_noise(ch), lambda: ef_sl_rate(ch, 1.0),
+                     lambda: ef.ef_sl_batch(ChannelBatch.of([ch]))):
+            with pytest.raises(ValueError) as exc:
+                call()
+            assert type(exc.value) is ValueError and str(exc.value) == message
+
+    def test_single_level_zero_bound_is_accepted(self):
+        # Each destination hears what the relay hears: sigma_i^2 is 0 exactly.
+        ch = ChannelInstance(h11=1.0, h12=1.0, h1r=1.0, h21=0.5, h22=0.5, h2r=0.5,
+                             hr1=0.7, hr2=0.6, P1=1.0, P2=1.0, Pr=1.0,
+                             N1=1e-20, N2=1e-20, Nr=1e-20)
+        assert ef_sl_min_noise(ch) == 0.0
+        pair = ef_sl_rate(ch, 0.0)
+        assert 0.0 < pair.r1 < math.inf and 0.0 < pair.r2 < math.inf

@@ -214,6 +214,31 @@ class TestConfig:
             cfg.channel_batch([(0.0, 0.0)])
         assert str(block.value) == str(one.value)
 
+    @pytest.mark.parametrize("x, y", [(math.nan, 0.0), (math.inf, 0.0), (0.0, -math.inf)])
+    def test_non_finite_relay_refused_alike(self, x, y):
+        cfg = default_config()
+        with pytest.raises(ConfigError, match="layout.relay must be a finite number") as one:
+            cfg.channel_at(x, y)
+        for call in (lambda: cfg.channel_batch([(0.5, 0.5), (x, y)]),
+                     lambda: evaluate_cell(cfg, x, y)):
+            with pytest.raises(ConfigError) as block:
+                call()
+            assert str(block.value) == str(one.value)
+        if math.isfinite(x):  # the slice's first cell is at x_min
+            with pytest.raises(ConfigError) as first:
+                cfg.channel_at(cfg.x_min, y)
+            with pytest.raises(ConfigError) as block:
+                sum_rate_slice(cfg, y)
+            assert str(block.value) == str(first.value)
+
+    def test_finite_relay_whose_length_overflows_keeps_the_overflow_message(self):
+        cfg = default_config()  # 3e307 * d0 is finite; its squared length is not
+        with pytest.raises(ValueError, match="the length of link h1r overflows a float") as one:
+            cfg.channel_at(3e307, 0.0)
+        with pytest.raises(ValueError) as block:
+            cfg.channel_batch([(3e307, 0.0)])
+        assert str(block.value) == str(one.value)
+
     def test_channel_at_gain_oracle(self):
         cfg = default_config()
         ch = cfg.channel_at(1.0, 0.5)
