@@ -305,6 +305,10 @@ def other(i: int) -> int:
 # simplex despite round-off.
 _NU_SLACK = 1e-12
 
+# Relative slack of the checks against a printed bound given back (an EF
+# noise's lower bound, the AF saturation gain), so round-off never trips them.
+_FEAS_RTOL = 1e-9
+
 
 def check_nu_split(nu1: float, nu2: float) -> None:
     """Raise ValueError unless nu1, nu2 lie in [0, 1] with nu1 + nu2 <= 1."""

@@ -23,7 +23,7 @@ import sys
 from dataclasses import replace
 
 from . import af, df, ef
-from .channel import ChannelBatch, ChannelInstance, RatePair, layout_to_channel
+from .channel import ChannelBatch, ChannelInstance, RatePair, _FEAS_RTOL, layout_to_channel
 from .discrete import (
     BiLevelFactorization,
     bi_level_bounds,
@@ -146,9 +146,9 @@ def _cmd_rate(args) -> str:
     if args.protocol == "af":
         a_sat = af.saturation_gain(channel)
         gain = a_sat if args.gain is None else args.gain
-        # Above a_sat the relay exceeds its power budget; the slack matches
-        # ef's noise-bound checks, so a printed a_sat passed back is accepted.
-        if gain > a_sat * (1.0 + 1e-9):
+        # Above a_sat the relay exceeds its power budget; a printed a_sat
+        # passed back is accepted.
+        if gain > a_sat * (1.0 + _FEAS_RTOL):
             raise InfeasibleError(
                 f"gain {gain:.12g} exceeds the saturation gain {a_sat:.12g}"
             )

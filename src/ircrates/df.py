@@ -255,7 +255,8 @@ def _pruned_scan(t1, t2, k1, k2, left, best):
     """``best`` after the pairs ``left`` of one cell, in chunks of at most 2
     ``_MAX_SCAN`` first-level rectangles (a 41-point grid's 860 pairs fill one):
     each chunk's ``_live_rects`` by descending bound, then (pair, first flat
-    index), in blocks of 1, 2, 4, ... items, while any could still win."""
+    index), scored in runs of ``_MAX_SCAN`` grid points until a run has none
+    that can win: those lead that order, and ``best`` only improves."""
     g, levels = len(t1[0]), _block_starts(len(t1[0]))
     starts, ends = levels[-1], np.append(levels[-1][1:], g)
     # Each block's tau indices as a row; a shorter row repeats its last
@@ -267,15 +268,11 @@ def _pruned_scan(t1, t2, k1, k2, left, best):
         pair, a, b, bound = _live_rects(t1, t2, k1, k2, left[s:s + step], best[0], levels)
         first = starts[a] * g + starts[b]
         order = np.lexsort((first, pair, -bound))
-        start, size = 0, 1
-        while start < len(order):
-            block = order[start:start + size]
-            # In visiting order, the items that can still win come first.
-            block = block[_can_win(bound[block], pair[block], first[block], best)]
-            if not len(block):
+        for run in (order[r:r + most] for r in range(0, len(order), most)):
+            run = run[_can_win(bound[run], pair[run], first[run], best)]
+            if not len(run):
                 break
-            best = _scored(t1, t2, k1, k2, pair[block], rows[a[block]], rows[b[block]], best)
-            start, size = start + size, min(2 * size, most)
+            best = _scored(t1, t2, k1, k2, pair[run], rows[a[run]], rows[b[run]], best)
     return best
 
 

@@ -37,8 +37,8 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .channel import (
-    ChannelBatch, ChannelInstance, RatePair, _conj_product, _pow, _relay_received,
-    capacity, check_nu_split, nu_simplex, other,
+    ChannelBatch, ChannelInstance, RatePair, _FEAS_RTOL, _conj_product, _pow,
+    _relay_received, capacity, check_nu_split, nu_simplex, other,
 )
 from .errors import ConstraintViolationError, InfeasibleError
 
@@ -59,9 +59,6 @@ __all__ = [
     "ef_bi_sum_rate_search_batch",
 ]
 
-# Relative slack for compression-noise feasibility checks, so that bounds
-# passed back in at exact equality never trip on round-off.
-_FEAS_RTOL = 1e-9
 R0_EXPONENTS = (1, 2)  # the e of the single-level constraint 2^(e R_0) - 1
 
 
@@ -275,15 +272,23 @@ def _sl_min_noise(channel, r0_exponent: int):
     """(R_0, smallest admissible noise) of the single-level scheme,
     elementwise: R_0 = min_i C(|h_ri|^2 P_r / V_i) and the noise
     max_i sigma_i^2 / (2^(e R_0) - 1), with sigma_i^2 = A - |A_i|^2 / V_i;
-    the noise means nothing where R_0 <= 0."""
+    the noise means nothing where R_0 <= 0.  Raises ValueError, naming the
+    fields of R_0, where 2^(e R_0) overflows a float."""
     if r0_exponent not in R0_EXPONENTS:
         raise ValueError(f"r0_exponent must be {' or '.join(map(str, R0_EXPONENTS))}, got {r0_exponent}")
     (v1, v2), A, _, (sq1, sq2) = _terms(channel)
     r0 = np.minimum(capacity(channel.g_from_relay(1) * channel.Pr / v1),
                     capacity(channel.g_from_relay(2) * channel.Pr / v2))
     sigma_sq = np.maximum(A - sq1 / v1, A - sq2 / v2)
+    try:
+        growth = _pow(lambda r: 2.0 ** (r0_exponent * r), r0)
+    except OverflowError:
+        raise ValueError(
+            "the EF-SL noise bound's 2^(e R_0) overflows a float: R_0 = min_i C(|h_ri|^2 Pr"
+            " / V_i), with V_i = |h_ii|^2 P_i + |h_ji|^2 P_j + N_i; lower Pr, or raise P1,"
+            " P2, N1 or N2") from None
     with np.errstate(divide="ignore", invalid="ignore"):  # R_0 = 0
-        return r0, sigma_sq / (_pow(lambda r: 2.0 ** (r0_exponent * r), r0) - 1.0)
+        return r0, sigma_sq / (growth - 1.0)
 
 
 def ef_sl_bottleneck(channel: ChannelInstance) -> float:

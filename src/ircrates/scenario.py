@@ -56,8 +56,9 @@ DEFAULT_NODES = {
 
 
 _MAX_AXIS_POINTS = 10**6
-# The largest optimizer grid G: DF's per-cell table of split bounds has
-# G * G(G+1)/2 entries, and 125 keeps it within 10**6.
+# The largest optimizer grid G: EF-BL scores the G(G+1)/2 relay splits of
+# a block's 64 cells as one array, and 125 keeps it within 10**6 entries
+# (504,000); DF bounds its own arrays (``df._MAX_SCAN``).
 _MAX_GRID = 125
 
 UNIFORM_NU = (0.5, 0.5)
@@ -363,25 +364,25 @@ def _fmt(x: float) -> str:
 MAP_HEADER = "xr,yr,af,df,ef_bl,ef_sl,winner,bl_scenario"
 
 
-def map_to_csv(cells: Sequence[MapCell]) -> str:
+def _to_csv(header: str, rows) -> str:
+    """``header``, then each row of fields, as CSV lines."""
     buf = io.StringIO()
-    buf.write(MAP_HEADER + "\n")
-    for c in cells:
-        fields = [_fmt(c.xr), _fmt(c.yr)]
-        fields += [_fmt(c.rates.get(p, 0.0)) for p in PROTOCOL_ORDER]
-        fields += [c.winner, c.bl_scenario]
+    buf.write(header + "\n")
+    for fields in rows:
         buf.write(",".join(fields) + "\n")
     return buf.getvalue()
+
+
+def map_to_csv(cells: Sequence[MapCell]) -> str:
+    return _to_csv(MAP_HEADER, ([_fmt(c.xr), _fmt(c.yr)]
+                               + [_fmt(c.rates.get(p, 0.0)) for p in PROTOCOL_ORDER]
+                               + [c.winner, c.bl_scenario] for c in cells))
 
 
 SLMAP_HEADER = "xr,yr,ef_sl,ef_bl,bl_scenario,winner,frontier"
 
 
 def slmap_to_csv(cells: Sequence[SlCell]) -> str:
-    buf = io.StringIO()
-    buf.write(SLMAP_HEADER + "\n")
-    for c in cells:
-        fields = [_fmt(c.xr), _fmt(c.yr), _fmt(c.sl_sum), _fmt(c.bl_sum),
-                  c.bl_scenario, c.winner, "1" if c.frontier else "0"]
-        buf.write(",".join(fields) + "\n")
-    return buf.getvalue()
+    return _to_csv(SLMAP_HEADER, ([_fmt(c.xr), _fmt(c.yr), _fmt(c.sl_sum), _fmt(c.bl_sum),
+                                   c.bl_scenario, c.winner, "1" if c.frontier else "0"]
+                                  for c in cells))

@@ -581,6 +581,15 @@ class TestErrors:
         pytest.param("optimize --protocol af", {("noises", "N1"): 1e-300,
                                                 ("noises", "N2"): 1e-300}, "P1/N1",
                      id="optimize-af-noises-N1-N2-1e-300"),
+        # DF and EF-BL run, but EF-SL's 2^(e R_0) overflows: R_0 is about 1000.
+        pytest.param("optimize --protocol ef_sl", {("powers", "P1"): 1e-290,
+                                                   ("powers", "P2"): 1e-290,
+                                                   ("noises", "N1"): 1e-300,
+                                                   ("noises", "N2"): 1e-300},
+                     "C(|h_ri|^2 Pr / V_i)", id="optimize-ef_sl-P-1e-290-N-1e-300"),
+        pytest.param("slmap", {("powers", "P1"): 1e-290, ("powers", "P2"): 1e-290,
+                               ("noises", "N1"): 1e-300, ("noises", "N2"): 1e-300},
+                     "C(|h_ri|^2 Pr / V_i)", id="slmap-P-1e-290-N-1e-300"),
     ])
     def test_overflowing_config_exits_2(self, capsys, fast_config, command, edits, named):
         data = json.loads(Path(fast_config).read_text())
