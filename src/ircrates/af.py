@@ -280,7 +280,7 @@ def af_sum_rate_gain_batch(batch: ChannelBatch) -> Tuple[np.ndarray, ...]:
     & Murakami, Math. Comp. 1995).  A polynomial with a zero leading or
     trailing coefficient has a lower degree and goes through ``np.roots``.
     A coefficient that overflows raises ValueError naming the fields.  The
-    maps pass blocks of at most 64 cells.
+    maps pass blocks of at most ``scenario._block_size`` cells.
     """
     with np.errstate(all="ignore"):
         polys = _sum_rate_polynomials(batch)

@@ -131,13 +131,35 @@ def _abs(h):
     return np.hypot(h.real, h.imag) if isinstance(h, np.ndarray) else abs(h)
 
 
-def _received(noise: str, *links):
-    """Check that a receiver's coherent total of ``links`` ((gain, power)
-    fields), squared, plus its ``noise`` is a finite float."""
+# Each receiver's name, noise field and incoming (gain, power) links.
+_RELAY_LINKS = (("h1r", "P1"), ("h2r", "P2"))
+_RECEIVERS = (("D1", "N1", (("h11", "P1"), ("h21", "P2"), ("hr1", "Pr"))),
+              ("D2", "N2", (("h22", "P2"), ("h12", "P1"), ("hr2", "Pr"))),
+              ("the relay", "Nr", _RELAY_LINKS))
+
+
+def _amplitudes(c, m, links):
+    """|h| sqrt(P) of each (gain, power) field pair of ``links``."""
+    return [_abs(getattr(c, h)) * m.sqrt(getattr(c, p)) for h, p in links]
+
+
+def _received(noise: str, links, over_noise=False):
+    """Check that a receiver's coherent total of ``links``, squared, plus its
+    ``noise`` (or, ``over_noise``, divided by it) is a finite float."""
     def test(c, m):
-        amplitude = sum(_abs(getattr(c, h)) * m.sqrt(getattr(c, p)) for h, p in links)
-        return amplitude * amplitude + getattr(c, noise) <= _MAX_POWER
+        amplitude, n = sum(_amplitudes(c, m, links)), getattr(c, noise)
+        power = amplitude * amplitude
+        return power / n < math.inf if over_noise else power + n <= _MAX_POWER
     return test
+
+
+def _saturation(c, m):
+    """Check that Pr / A, A the relay's receive power, is a finite float."""
+    return c.Pr / (sum(a * a for a in _amplitudes(c, m, _RELAY_LINKS)) + c.Nr) < math.inf
+
+
+def _sums(links) -> str:
+    return " + ".join(f"|{h}|^2 {p}" for h, p in links)
 
 
 # The channel checks in order, as (test, message) rows: ``test(channel, m)``
@@ -147,7 +169,9 @@ def _received(noise: str, *links):
 # multiply two powers (DF's sqrt(tau_i P_i nu_i P_r), EF-BL's receive power
 # at D_i times the relay's), so each transmit power, and the coherent total
 # of the links into each receiver (no combination of them delivers more),
-# must square to a finite float.
+# must square to a finite float.  Every SINR at a receiver is at most that
+# total over its noise, and AF's saturation gain squares to Pr over the
+# relay's receive power, so these ratios must be finite floats too.
 _CHECKS = (
     *((lambda c, m, n=n: m.isfinite(getattr(c, n)) & (getattr(c, n) > 0),
        f"{n} must be finite and > 0, got {{{n}}}") for n in _POWERS),
@@ -155,12 +179,12 @@ _CHECKS = (
        f"{n} must be finite, got {{{n}}}") for n in _GAINS),
     *((lambda c, m, n=n: getattr(c, n) <= _MAX_POWER, f"{n} = {{{n}:g}} {_OVERFLOWS}")
       for n in ("P1", "P2", "Pr")),
-    (_received("N1", ("h11", "P1"), ("h21", "P2"), ("hr1", "Pr")),
-     "the power received at D1, |h11|^2 P1 + |h21|^2 P2 + |hr1|^2 Pr + N1, " + _OVERFLOWS),
-    (_received("N2", ("h22", "P2"), ("h12", "P1"), ("hr2", "Pr")),
-     "the power received at D2, |h22|^2 P2 + |h12|^2 P1 + |hr2|^2 Pr + N2, " + _OVERFLOWS),
-    (_received("Nr", ("h1r", "P1"), ("h2r", "P2")),
-     "the power received at the relay, |h1r|^2 P1 + |h2r|^2 P2 + Nr, " + _OVERFLOWS),
+    *((_received(noise, links), f"the power received at {name}, {_sums(links)} + {noise}, "
+       + _OVERFLOWS) for name, noise, links in _RECEIVERS),
+    *((_received(noise, links, over_noise=True), f"the signal-to-noise ratio at {name}, "
+       f"({_sums(links)}) / {noise}, overflows a float") for name, noise, links in _RECEIVERS),
+    (_saturation, f"the AF saturation gain squared, Pr / ({_sums(_RELAY_LINKS)} + Nr), "
+     "overflows a float"),
 )
 
 
@@ -213,7 +237,7 @@ class ChannelBatch(_Links):
     |h|^2 is formed once, as one channel forms it: ``abs(h) ** 2`` in Python
     floats (libm pow, which is not always x * x).  All else is elementwise,
     so a cell's results do not depend on its batch.  The maps build one per
-    block of at most 64 relay positions (``scenario._MAX_CELLS``).
+    block of relay positions (at most ``scenario._block_size``).
     """
 
     def __init__(self, **fields):

@@ -321,8 +321,8 @@ def ef_sl_rate(
 def ef_sl_batch(batch: ChannelBatch, r0_exponent: int = 2) -> Tuple[np.ndarray, ...]:
     """The columns (minimal noise, R1, R2 at it) of the single-level scheme
     over the cells of ``batch``, elementwise; squares and 2 ** (e R_0) are
-    formed in Python floats, as for one channel.  The maps pass blocks of at
-    most 64 cells.  Raises InfeasibleError if any cell's bottleneck rate is zero."""
+    formed in Python floats, as for one channel (maps pass blocks of
+    ``scenario._block_size``).  Raises InfeasibleError if any cell's bottleneck rate is zero."""
     r0, nwz = _sl_min_noise(batch, r0_exponent)
     if (r0 <= 0.0).any():
         raise InfeasibleError("relay broadcast bottleneck rate is zero")
@@ -354,7 +354,7 @@ def ef_bi_sum_rate_search_batch(
     ``ef_bi_eval`` at that one split), each cell keeping its first argmax.
     A non-positive noise bound raises in ``_bi_eval``.  Squares are formed in
     Python floats and all else elementwise, so each cell gets what a batch
-    of one gives it.  The maps pass blocks of at most 64 cells."""
+    of one gives it.  Maps pass blocks of ``scenario._block_size`` cells."""
     grid, i1, i2 = nu_simplex(grid_points, nu)
     found = _bi_eval(batch.column(), grid[i1], grid[i2])
     k, cells = (found[3] + found[4]).argmax(axis=1), np.arange(len(batch))  # R1 + R2

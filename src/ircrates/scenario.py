@@ -56,9 +56,9 @@ DEFAULT_NODES = {
 
 
 _MAX_AXIS_POINTS = 10**6
-# The largest optimizer grid G: EF-BL scores the G(G+1)/2 relay splits of
-# a block's 64 cells as one array, and 125 keeps it within 10**6 entries
-# (504,000); DF bounds its own arrays (``df._MAX_SCAN``).
+# The largest optimizer grid G.  A map block stays within ``_BLOCK_ENTRIES``
+# at any G, so G bounds one cell's work: at 125, EF-BL's 7,875 relay splits
+# and the optimal DF scan's 7,875 splits by 15,625 tau points.
 _MAX_GRID = 125
 
 UNIFORM_NU = (0.5, 0.5)
@@ -229,7 +229,7 @@ class SlCell:
 
 
 # Per-protocol optimisers.  An entry takes a ChannelBatch (a block of at most
-# _MAX_CELLS positions) and returns columns over its cells: (R1, R2, point),
+# _block_size positions) and returns columns over its cells: (R1, R2, point),
 # the point giving each field of the chosen operating point, in display order,
 # a column (a pair, a tuple of two).  The kernels build their coefficients and
 # tables once per block, elementwise by the float operations of one channel,
@@ -263,10 +263,18 @@ def _optimize_ef_sl(batch: ChannelBatch, config: ScenarioConfig):
 OPTIMIZERS = {"af": _optimize_af, "df": _optimize_df,
               "ef_bl": _optimize_ef_bl, "ef_sl": _optimize_ef_sl}
 
-# Relay positions evaluated at once.  It sets the size of the per-cell
-# arrays and how widely the per-call overhead is shared; the DF scan bounds
-# its (cells, G, G) grid itself (``df._MAX_SCAN``).
-_MAX_CELLS = 64
+# Array entries per block: EF-BL's (cells, splits) array at 64 cells of the
+# default optimal policy's 861 splits (G = 41).  The DF scan bounds its
+# (cells, G, G) grid itself (``df._MAX_SCAN``).
+_BLOCK_ENTRIES = 64 * 861
+
+
+def _block_size(config: ScenarioConfig) -> int:
+    """Relay positions evaluated at once: ``_BLOCK_ENTRIES`` over the widest
+    row one cell adds: the DF tau column, AF's 6 x 6 companion matrix (above
+    DF's 21 refinement trials) or the optimal policy's EF-BL splits."""
+    splits = config.ef_grid * (config.ef_grid + 1) // 2 if config.pa_policy == "optimal" else 1
+    return _BLOCK_ENTRIES // max(config.df_grid, 36, splits)
 
 
 def _block_cells(config: ScenarioConfig, positions, batch: ChannelBatch) -> List[MapCell]:
@@ -303,9 +311,10 @@ def _block_cells(config: ScenarioConfig, positions, batch: ChannelBatch) -> List
 
 
 def _cells(config: ScenarioConfig, positions) -> List[MapCell]:
-    return [cell for s in range(0, len(positions), _MAX_CELLS)
-            for cell in _block_cells(config, positions[s:s + _MAX_CELLS],
-                                     config.channel_batch(positions[s:s + _MAX_CELLS]))]
+    size = _block_size(config)
+    return [cell for s in range(0, len(positions), size)
+            for cell in _block_cells(config, positions[s:s + size],
+                                     config.channel_batch(positions[s:s + size]))]
 
 
 def evaluate_cell(config: ScenarioConfig, xr: float, yr: float) -> MapCell:
@@ -320,10 +329,11 @@ def evaluate_cell(config: ScenarioConfig, xr: float, yr: float) -> MapCell:
 def dominance_map(config: ScenarioConfig) -> List[MapCell]:
     """Protocol comparison over the whole relay-position grid, row-major.
 
-    Positions are evaluated in blocks of at most ``_MAX_CELLS`` (64) cells,
-    each protocol once per block on a ``ChannelBatch``.  Squares and powers
-    of a cell's values are formed in Python floats, as for one channel, and
-    all else elementwise, so the map has the same bytes as cell by cell.
+    Positions are evaluated in blocks of ``_block_size`` cells (1,344 at the
+    default grids, 64 under the optimal policy), each protocol once per block
+    on a ``ChannelBatch``.  Squares and powers of a cell's values are formed
+    in Python floats, as for one channel, and all else elementwise, so the
+    map has the same bytes as cell by cell.
     """
     return _cells(config, [(float(x), float(y))
                            for y in config.grid_y() for x in config.grid_x()])

@@ -186,8 +186,9 @@ def test_af_block_coefficients_are_the_per_cell_polynomials():
     assert per_cell("af", af.af_sum_rate_gain_batch(ChannelBatch.of(channels))) == [
         af_sum_rate_gain_scalar(ch) for ch in channels]
     cells = positions(DEFAULT)
-    for s in range(0, len(cells), scenario._MAX_CELLS):
-        block = cells[s:s + scenario._MAX_CELLS]
+    size = scenario._block_size(DEFAULT)
+    for s in range(0, len(cells), size):
+        block = cells[s:s + size]
         assert_block_polynomials_are_per_cell(DEFAULT.channel_batch(block))
 
 

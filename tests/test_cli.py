@@ -590,6 +590,28 @@ class TestErrors:
         pytest.param("slmap", {("powers", "P1"): 1e-290, ("powers", "P2"): 1e-290,
                                ("noises", "N1"): 1e-300, ("noises", "N2"): 1e-300},
                      "C(|h_ri|^2 Pr / V_i)", id="slmap-P-1e-290-N-1e-300"),
+        # Every power is in range, but a power-to-noise ratio is not: the
+        # channel is refused before any protocol runs.
+        *(pytest.param(command, {**{("powers", f): 1e-300 for f in ("P1", "P2")},
+                                 ("powers", "Pr"): 1e153,
+                                 **{("noises", f): 1e-300 for f in ("N1", "N2", "Nr")}},
+                       "(|h11|^2 P1 + |h21|^2 P2 + |hr1|^2 Pr) / N1",
+                       id=f"{command.replace(' --protocol ', '-')}-P-N-1e-300-Pr-1e+153")
+          for command in ("optimize --protocol ef_sl", "optimize --protocol af", "map")),
+        *(pytest.param(command, {**{("powers", f): 1e150 for f in ("P1", "P2")},
+                                 ("powers", "Pr"): 1e-300,
+                                 **{("noises", f): 1e-300 for f in ("N1", "N2", "Nr")}},
+                       "(|h11|^2 P1 + |h21|^2 P2 + |hr1|^2 Pr) / N1",
+                       id=f"{command.replace(' --protocol ', '-')}-P-1e+150-N-Pr-1e-300")
+          for command in ("optimize --protocol df", "optimize --protocol ef_bl", "map")),
+        pytest.param("optimize --protocol df", {("powers", "P1"): 1e150, ("powers", "P2"): 1e150,
+                                                ("noises", "Nr"): 1e-300},
+                     "at the relay, (|h1r|^2 P1 + |h2r|^2 P2) / Nr",
+                     id="optimize-df-P-1e+150-Nr-1e-300"),
+        pytest.param("map", {("powers", "P1"): 1e-300, ("powers", "P2"): 1e-300,
+                             ("powers", "Pr"): 1e20, ("noises", "Nr"): 1e-300},
+                     "saturation gain squared, Pr / (|h1r|^2 P1 + |h2r|^2 P2 + Nr)",
+                     id="map-P-Nr-1e-300-Pr-1e+20"),
     ])
     def test_overflowing_config_exits_2(self, capsys, fast_config, command, edits, named):
         data = json.loads(Path(fast_config).read_text())

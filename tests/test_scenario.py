@@ -7,6 +7,7 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
+from ircrates import scenario
 from ircrates.channel import ChannelBatch, NodeLayout, RatePair, capacity
 from ircrates.df import DfParams
 from ircrates.ef import EfBiParams
@@ -377,16 +378,24 @@ class TestOptimizerTable:
     def test_infeasible_entry_runs_again_alone(self, monkeypatch):
         # At Pr = 1e-15 EF-SL is infeasible in every cell of the default map.
         # Only its entry runs again, cell by cell: AF, DF and EF-BL keep the
-        # columns they gave for the whole block, and each cell is the cell
-        # evaluated alone.
+        # columns they gave for each block, and each cell is the cell
+        # evaluated alone.  The map is one block at the default budget, and
+        # 15 blocks of at most 64 cells at a budget of 64 x 41 entries.
         config = replace(default_config(), Pr=1e-15)
         calls = Counter()
         for protocol, entry in list(OPTIMIZERS.items()):
             monkeypatch.setitem(OPTIMIZERS, protocol, lambda batch, cfg, p=protocol, run=entry:
                                 calls.update([p]) or run(batch, cfg))
-        cells = dominance_map(config)
-        assert len(cells) == 957  # 15 blocks of at most 64 cells
-        assert calls == {"af": 15, "df": 15, "ef_bl": 15, "ef_sl": 15 + 957}
+        maps = []
+        for entries, blocks in ((scenario._BLOCK_ENTRIES, 1), (64 * 41, 15)):
+            monkeypatch.setattr(scenario, "_BLOCK_ENTRIES", entries)
+            assert -(-957 // scenario._block_size(config)) == blocks
+            calls.clear()
+            maps.append(dominance_map(config))
+            assert len(maps[-1]) == 957
+            assert calls == {"af": blocks, "df": blocks, "ef_bl": blocks, "ef_sl": blocks + 957}
+        cells = maps[0]
+        assert maps[1] == cells
         assert {(c.infeasible, c.rates["ef_sl"]) for c in cells} == {(("ef_sl",), 0.0)}
         assert cells == [evaluate_cell(config, c.xr, c.yr) for c in cells]
 
@@ -456,6 +465,36 @@ class TestMaps:
                 assert mirr.rates[p] == pytest.approx(orig.rates[p], rel=1e-10)
 
 
+class TestBlocks:
+    @pytest.mark.parametrize("overrides, size", [
+        ({}, 1344),  # 55,104 entries over the 41-point DF tau column
+        ({"pa_policy": "optimal"}, 64),  # over EF-BL's 861 relay splits
+        ({"pa_policy": "optimal", "ef_grid": 125, "df_grid": 125}, 6),  # 7,875 splits
+        ({"df_grid": 125}, 440),  # over the 125-point DF tau column
+        ({"df_grid": 2, "ef_grid": 2}, 1530),  # over AF's 6 x 6 companion matrix
+        ({"pa_policy": "optimal", "df_grid": 2, "ef_grid": 2}, 1530),  # 3 splits < 36
+    ], ids=["uniform-41", "optimal-41", "optimal-125", "uniform-125", "uniform-2", "optimal-2"])
+    def test_block_size(self, overrides, size):
+        assert scenario._block_size(replace(default_config(), **overrides)) == size
+
+    @pytest.mark.parametrize("policy, widest", [("uniform", 41), ("optimal", 45)])
+    def test_csv_bytes_do_not_depend_on_the_block_size(self, monkeypatch, policy, widest):
+        # 66 cells, 11 per row: blocks of 1, 7 and 64 cells split the map,
+        # its rows and the slice differently from the default's one block.
+        config = small_config(resolution=0.1, pa_policy=policy, ef_grid=9)
+
+        def csvs():
+            return (map_to_csv(dominance_map(config)), map_to_csv(sum_rate_slice(config, 0.5)),
+                    slmap_to_csv(sl_vs_bl_map(config)))
+
+        want = csvs()
+        assert scenario._block_size(config) >= 66
+        for cells in (1, 7, 64):
+            monkeypatch.setattr(scenario, "_BLOCK_ENTRIES", cells * widest)
+            assert scenario._block_size(config) == cells
+            assert csvs() == want
+
+
 class TestSlMap:
     def test_cells_and_winner(self):
         cfg = small_config()
@@ -491,7 +530,7 @@ class TestSlMap:
 
 # The sha256 of the CSVs that every change to the kernels is held to: the
 # default dominance map, the criterion-8 slice at y = 0.5 d0 and 0.005 d0
-# (1601 cells, 25 blocks of 64 and one of 1), the default EF single- vs
+# (1601 cells, blocks of 1344 and 257), the default EF single- vs
 # bi-level map, the optimal-policy map at 1.0 d0 (72 cells) and the default
 # optimal-policy map (957 cells, about 630 of them through the pruned DF scan).
 GATED_CSV_SHA256 = {
