@@ -97,16 +97,20 @@ def af_rate(channel, gain, user: int):
     a = np.asarray(gain, dtype=float)
     if np.any(a < 0):
         raise ValueError(f"relay gain must be >= 0, got {gain!r}")
-    j = other(user)
-    h_ri = channel.h_from_relay(user)
-    num = np.abs(a * channel.h_to_relay(user) * h_ri + channel.h_direct(user)) ** 2
-    num = num * channel.P(user)
-    den = (
-        np.abs(a * channel.h_to_relay(j) * h_ri + channel.h_cross(user)) ** 2
-        * channel.P(j)
-        + a**2 * channel.g_from_relay(user) * channel.Nr
-        + channel.N(user)
-    )
+    j, h_ri = other(user), channel.h_from_relay(user)
+    Pi, Pj = channel.P(user), channel.P(j)
+    z_i = a * channel.h_to_relay(user) * h_ri + channel.h_direct(user)
+    z_j = a * channel.h_to_relay(j) * h_ri + channel.h_cross(user)
+    with np.errstate(over="ignore", invalid="ignore"):
+        num = np.abs(z_i) ** 2 * Pi
+        den = (np.abs(z_j) ** 2 * Pj + a**2 * channel.g_from_relay(user) * channel.Nr
+               + channel.N(user))
+        kept = np.isfinite(num + den)
+        if not kept.all():  # a square overflows at a large gain: take the powers inside it
+            relay_noise = np.sqrt(channel.g_from_relay(user) * channel.Nr)
+            num = np.where(kept, num, np.abs(z_i * np.sqrt(Pi)) ** 2)
+            den = np.where(kept, den, np.abs(z_j * np.sqrt(Pj)) ** 2 + (a * relay_noise) ** 2
+                           + channel.N(user))
     return capacity(num / den)
 
 

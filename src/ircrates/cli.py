@@ -176,6 +176,8 @@ def _cmd_rate(args) -> str:
 def _cmd_optimize(args) -> str:
     config = _get_config(args)
     r1, r2, point = OPTIMIZERS[args.protocol](ChannelBatch.of([_channel_from(config)]), config)
+    if math.isnan(r1.item()):  # only EF-SL has infeasible cells
+        raise InfeasibleError(ef.ZERO_BOTTLENECK)
     point = {k: tuple(c.item() for c in v) if isinstance(v, tuple) else v.item()
              for k, v in point.items()}  # the block's one cell
     return _report(args.protocol, RatePair(r1.item(), r2.item()), point, with_sum=True)

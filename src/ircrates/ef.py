@@ -60,6 +60,7 @@ __all__ = [
 ]
 
 R0_EXPONENTS = (1, 2)  # the e of the single-level constraint 2^(e R_0) - 1
+ZERO_BOTTLENECK = "relay broadcast bottleneck rate is zero"  # single-level EF's infeasibility
 
 
 class BiScenario(enum.Enum):
@@ -301,9 +302,12 @@ def ef_sl_min_noise(channel: ChannelInstance, r0_exponent: int = 2) -> float:
 
     ``r0_exponent`` selects the constraint denominator 2^(e R_0) - 1; the
     default e = 2 follows the source formula, e = 1 is the complex-signal
-    variant.
+    variant.  Raises InfeasibleError where the bottleneck rate is zero.
     """
-    return ef_sl_batch(ChannelBatch.of([channel]), r0_exponent)[0].item()
+    noise = ef_sl_batch(ChannelBatch.of([channel]), r0_exponent)[0].item()
+    if math.isnan(noise):
+        raise InfeasibleError(ZERO_BOTTLENECK)
+    return noise
 
 
 def ef_sl_rate(
@@ -322,13 +326,14 @@ def ef_sl_batch(batch: ChannelBatch, r0_exponent: int = 2) -> Tuple[np.ndarray, 
     """The columns (minimal noise, R1, R2 at it) of the single-level scheme
     over the cells of ``batch``, elementwise; squares and 2 ** (e R_0) are
     formed in Python floats, as for one channel (maps pass blocks of
-    ``scenario._block_size``).  Raises InfeasibleError if any cell's bottleneck rate is zero."""
+    ``scenario._block_size``).  Every column is NaN where the bottleneck rate is zero."""
     r0, nwz = _sl_min_noise(batch, r0_exponent)
-    if (r0 <= 0.0).any():
-        raise InfeasibleError("relay broadcast bottleneck rate is zero")
-    for k in np.flatnonzero(nwz < 0.0):  # sigma_i^2 cancelled below zero in round-off
+    feasible = r0 > 0.0
+    for k in np.flatnonzero(feasible & (nwz < 0.0)):  # sigma_i^2 cancelled below zero in round-off
         raise ValueError(f"the EF-SL compression-noise bound must be >= 0, got {nwz[k].item()!r}")
-    return (nwz, *(capacity(_two_branch_sinr(batch, i, 0.0, nwz)) for i in (1, 2)))
+    nwz = np.where(feasible, nwz, math.inf)  # an infeasible cell's rates drop the relay branch
+    return tuple(np.where(feasible, x, math.nan) for x in
+                 (nwz, *(capacity(_two_branch_sinr(batch, i, 0.0, nwz)) for i in (1, 2))))
 
 
 def ef_bi_sum_rate_search(

@@ -1,9 +1,9 @@
 """Error types shared across the protocol modules.
 
 Infeasibility (a parameter choice no code can satisfy, e.g. a zero relay
-broadcast rate for single-level compression) is deliberately distinct from invalid input:
-parameter sweeps legitimately hit infeasible cells and must be able to skip
-them, while invalid input is a caller bug and raises ValueError.
+broadcast rate for single-level compression) is distinct from invalid input,
+a caller bug that raises ValueError.  A one-channel call raises InfeasibleError;
+a block kernel marks an infeasible cell with NaN rates, which a sweep scores 0.
 """
 
 

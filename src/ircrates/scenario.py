@@ -22,7 +22,7 @@ import numpy as np
 from . import af, df, ef
 from .channel import (_LAYOUT_FIELDS, _POSITIVE, _REAL, ChannelBatch, ChannelInstance, NodeLayout,
                       _check_fields, layout_to_batch, layout_to_channel)
-from .errors import ConfigError, InfeasibleError
+from .errors import ConfigError
 
 __all__ = [
     "ScenarioConfig",
@@ -235,7 +235,8 @@ class SlCell:
 # tables once per block, elementwise by the float operations of one channel,
 # with squares and powers in Python floats (libm pow), so a cell's result does
 # not depend on its block.  Kernels are looked up on their modules at call
-# time, so a swapped-in kernel takes effect.
+# time, so a swapped-in kernel takes effect.  A cell where a protocol is
+# infeasible has NaN rates; no feasible rate is NaN, as ``capacity`` refuses it.
 
 
 def _optimize_af(batch: ChannelBatch, config: ScenarioConfig):
@@ -279,28 +280,19 @@ def _block_size(config: ScenarioConfig) -> int:
 
 def _block_cells(config: ScenarioConfig, positions, batch: ChannelBatch) -> List[MapCell]:
     """The cell of each (xr, yr) of ``positions``, whose channels ``batch``
-    holds: each enabled protocol's entry runs once on the whole batch.  An
-    entry that raises InfeasibleError on a block runs again alone, cell by
-    cell (a cell's result does not depend on its block), and a cell alone
-    scores 0.0 for that protocol."""
+    holds: each enabled protocol's entry runs once on the whole batch.  A
+    cell whose sum rate is NaN for a protocol scores 0.0 for it and lists it
+    in ``infeasible``."""
     protocols, n = [p for p in PROTOCOL_ORDER if p in config.protocols], len(positions)
     sums, points, infeasible = [], {}, [()] * n
     for p in protocols:
-        try:
-            r1, r2, points[p] = OPTIMIZERS[p](batch, config)
-            sums.append(r1 + r2)
-        except InfeasibleError:
-            if n == 1:
-                sums.append(np.zeros(1))
-                infeasible = [infeasible[0] + (p,)]
-                continue
-            alone = replace(config, protocols=(p,))
-            cells = [_block_cells(alone, positions[k:k + 1], batch[k:k + 1])[0] for k in range(n)]
-            sums.append(np.array([c.rates[p] for c in cells]))
-            infeasible = [f + c.infeasible for f, c in zip(infeasible, cells)]
-            points[p] = {"gain": np.array([c.af_gain for c in cells]),
-                         "scenario": np.array([c.bl_scenario for c in cells])}
+        r1, r2, points[p] = OPTIMIZERS[p](batch, config)
+        sums.append(r1 + r2)
     sums = np.array(sums)
+    nan = np.isnan(sums)
+    sums[nan] = 0.0
+    for k in np.flatnonzero(nan.any(axis=0)):  # only these cells: most maps have none
+        infeasible[k] = tuple(p for p, b in zip(protocols, nan[:, k]) if b)
     gains = points["af"]["gain"].tolist() if "af" in points else [0.0] * n
     tags = points["ef_bl"]["scenario"].tolist() if "ef_bl" in points else [""] * n
     winners = sums.argmax(axis=0).tolist()  # the first of equal maxima, in PROTOCOL_ORDER

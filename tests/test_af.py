@@ -1,6 +1,7 @@
 import math
 import subprocess
 import sys
+from dataclasses import replace
 
 import mpmath as mp
 import numpy as np
@@ -16,7 +17,8 @@ from ircrates.af import (
     real_gain_critical_points,
     saturation_gain,
 )
-from ircrates.channel import ChannelInstance, capacity
+from ircrates.channel import ChannelInstance, capacity, layout_to_channel
+from ircrates.scenario import default_config
 
 from conftest import random_channel
 from reference_kernels import af_sum_rate_gain_scan, optimal_gain_cases
@@ -77,6 +79,21 @@ class TestAfRate:
                 expected = capacity(dec.rho(user) * abs(dec.h_direct(user)) ** 2)
                 for a in (0.0, 0.5, 3.0):
                     assert af_rate(dec, a, user) == pytest.approx(expected, rel=1e-13)
+
+
+    def test_overflowing_square_takes_the_powers_inside(self):
+        # P1 = P2 = Nr = 1e-300 and Pr = 1e10: the saturation gain is about
+        # 2e153, so |a h_ir h_ri + h_ii|^2 (user 1) and |a h_jr h_ri + h_ji|^2
+        # (user 2) overflow before they meet the powers.
+        c = replace(default_config(), P1=1e-300, P2=1e-300, Nr=1e-300, Pr=1e10)
+        ch = layout_to_channel(c.layout, c.P1, c.P2, c.Pr, c.N1, c.N2, c.Nr)
+        a_sat = saturation_gain(ch)
+        assert a_sat > 1e153
+        for gain in (0.0, a_sat):
+            for user in (1, 2):
+                assert af_rate(ch, gain, user) == pytest.approx(
+                    mp_af_rate(ch, gain, user), rel=1e-12, abs=1e-300)
+        assert af_rate(ch, a_sat, 2) > 0.002
 
 
 class TestSaturationGain:

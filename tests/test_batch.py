@@ -13,10 +13,10 @@ import numpy as np
 import pytest
 
 from ircrates import af, df, ef, scenario
-from ircrates.channel import ChannelBatch, nu_simplex
+from ircrates.channel import ChannelBatch, layout_to_channel, nu_simplex
 from ircrates.scenario import UNIFORM_NU, default_config, dominance_map
 
-from conftest import anti_phase_channel, random_channel
+from conftest import anti_phase_channel, cancelling_config, random_channel
 from reference_kernels import (
     af_sum_rate_gain_scalar,
     af_sum_rate_polynomial_scalar,
@@ -147,6 +147,33 @@ def test_infeasible_cell_scores_zero_alone():
     assert [c.infeasible for c in got] == [(), ("ef_sl",), ()]
     assert got[1].rates["ef_sl"] == 0.0 and got[0].rates["ef_sl"] > 0.0
     assert got == [evaluate_cell_scalar(DEFAULT, x, y, ch) for (x, y), ch in zip(cells, channels)]
+
+
+def test_single_level_marks_zero_bottleneck_cells_nan():
+    # R_0 = 0 wherever the relay cannot reach D1; those cells alone are NaN,
+    # and every other cell keeps the columns of its batch of one.
+    channels = [DEFAULT.channel_at(x, 0.5) for x in (-2.0, -1.0, 0.0, 1.0, 2.0)]
+    for k in (0, 3):
+        channels[k] = replace(channels[k], hr1=0.0)
+    r0 = ef._sl_min_noise(ChannelBatch.of(channels), 2)[0]
+    columns = ef.ef_sl_batch(ChannelBatch.of(channels))
+    for c in columns:
+        assert np.isnan(c).tolist() == (r0 == 0.0).tolist() == [True, False, False, True, False]
+    for k, ch in enumerate(channels):
+        if r0[k] > 0.0:
+            alone = ef.ef_sl_batch(ChannelBatch.of([ch]))
+            assert [c[k] for c in columns] == [c[0] for c in alone]
+
+
+def test_single_level_refuses_a_bound_below_zero_beside_a_zero_bottleneck():
+    c = cancelling_config()
+    below = layout_to_channel(c.layout, c.P1, c.P2, c.Pr, c.N1, c.N2, c.Nr)
+    bound = ef._sl_min_noise(below, 2)[1].item()
+    assert bound < 0.0
+    channels = [replace(DEFAULT.channel_at(0.0, 0.5), hr1=0.0), below]
+    with pytest.raises(ValueError) as exc:
+        ef.ef_sl_batch(ChannelBatch.of(channels))
+    assert str(exc.value) == f"the EF-SL compression-noise bound must be >= 0, got {bound!r}"
 
 
 def test_zero_length_relay_link_is_refused_as_for_its_cell():

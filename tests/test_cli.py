@@ -642,6 +642,19 @@ class TestErrors:
         code, out, err = run(capsys, "optimize", "--protocol", "df", "--config", fast_config)
         assert code == 0 and err == "" and "sum:" in out
 
+    def test_large_af_gain_gives_a_result(self, capsys, fast_config):
+        # The saturation gain is about 2e153, so AF's squares overflow unless
+        # the powers go inside them.  DF and both EF variants run here too.
+        data = json.loads(Path(fast_config).read_text())
+        data["powers"].update(P1=1e-300, P2=1e-300, Pr=1e10)
+        data["noises"]["Nr"] = 1e-300
+        Path(fast_config).write_text(json.dumps(data))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run(capsys, "optimize", "--protocol", "af", "--config", fast_config)
+        assert (code, err) == (0, "") and [str(w.message) for w in caught] == []
+        assert out.startswith("protocol: af\ngain: 1.99800554328e+153\nR1: 8.97050760986\n"), out
+
     @pytest.mark.parametrize("argv", [
         ("slice", "--y=inf"),
         ("slice", "--y=nan"),

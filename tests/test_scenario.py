@@ -12,7 +12,6 @@ from ircrates.channel import ChannelBatch, NodeLayout, RatePair, capacity
 from ircrates.df import DfParams
 from ircrates.ef import EfBiParams
 from ircrates.cli import main
-from ircrates.errors import InfeasibleError
 from ircrates.scenario import (
     DEFAULT_NODES,
     MAP_HEADER,
@@ -367,20 +366,21 @@ class TestOptimizerTable:
 
     def test_infeasible_protocol_scores_zero(self, monkeypatch):
         def infeasible(batch, config):
-            raise InfeasibleError("no rate")
+            nan = np.full(len(batch), np.nan)
+            return nan, nan, {"scenario": np.full(len(batch), "")}
 
         monkeypatch.setitem(OPTIMIZERS, "ef_bl", infeasible)
         cfg = small_config()
         cell = evaluate_cell(cfg, 0.0, 0.5)
         assert cell.rates["ef_bl"] == 0.0 and cell.infeasible == ("ef_bl",)
-        assert cell.bl_scenario == ""
+        assert cell.bl_scenario == "" and cell.winner != "ef_bl"
 
-    def test_infeasible_entry_runs_again_alone(self, monkeypatch):
+    def test_infeasible_entry_runs_once_per_block(self, monkeypatch):
         # At Pr = 1e-15 EF-SL is infeasible in every cell of the default map.
-        # Only its entry runs again, cell by cell: AF, DF and EF-BL keep the
-        # columns they gave for each block, and each cell is the cell
-        # evaluated alone.  The map is one block at the default budget, and
-        # 15 blocks of at most 64 cells at a budget of 64 x 41 entries.
+        # Its entry marks those cells with NaN rates and, like AF, DF and
+        # EF-BL, runs once per block; each cell is the cell evaluated alone.
+        # The map is one block at the default budget, and 15 blocks of at
+        # most 64 cells at a budget of 64 x 41 entries.
         config = replace(default_config(), Pr=1e-15)
         calls = Counter()
         for protocol, entry in list(OPTIMIZERS.items()):
@@ -393,7 +393,7 @@ class TestOptimizerTable:
             calls.clear()
             maps.append(dominance_map(config))
             assert len(maps[-1]) == 957
-            assert calls == {"af": blocks, "df": blocks, "ef_bl": blocks, "ef_sl": blocks + 957}
+            assert calls == {"af": blocks, "df": blocks, "ef_bl": blocks, "ef_sl": blocks}
         cells = maps[0]
         assert maps[1] == cells
         assert {(c.infeasible, c.rates["ef_sl"]) for c in cells} == {(("ef_sl",), 0.0)}
