@@ -171,7 +171,8 @@ def _sums(links) -> str:
 # of the links into each receiver (no combination of them delivers more),
 # must square to a finite float.  Every SINR at a receiver is at most that
 # total over its noise, and AF's saturation gain squares to Pr over the
-# relay's receive power, so these ratios must be finite floats too.
+# relay's receive power, so these ratios must be finite floats too.  Every
+# formula reads |h|^2, so each gain's modulus must square to a float as well.
 _CHECKS = (
     *((lambda c, m, n=n: m.isfinite(getattr(c, n)) & (getattr(c, n) > 0),
        f"{n} must be finite and > 0, got {{{n}}}") for n in _POWERS),
@@ -185,6 +186,8 @@ _CHECKS = (
        f"({_sums(links)}) / {noise}, overflows a float") for name, noise, links in _RECEIVERS),
     (_saturation, f"the AF saturation gain squared, Pr / ({_sums(_RELAY_LINKS)} + Nr), "
      "overflows a float"),
+    *((lambda c, m, n=n: _abs(getattr(c, n)) <= _MAX_POWER,
+       f"{n} = {{{n}:g}} {_OVERFLOWS} for |{n}|") for n in _GAINS),
 )
 
 
@@ -262,17 +265,11 @@ class ChannelBatch(_Links):
     def _g(self, name: str):
         return getattr(self, "_g" + name)
 
-    def _map(self, f) -> "ChannelBatch":
-        out = object.__new__(ChannelBatch)
-        out.__dict__ = {k: f(v) for k, v in self.__dict__.items()}
-        return out
-
-    def __getitem__(self, cells: slice) -> "ChannelBatch":
-        return self._map(lambda v: v[cells])
-
     def column(self, axes: int = 1) -> "ChannelBatch":
         """Every array shaped (cells, 1, ...), to broadcast along ``axes`` parameter axes."""
-        return self._map(lambda v: v.reshape((-1,) + (1,) * axes))
+        out = object.__new__(ChannelBatch)
+        out.__dict__ = {k: v.reshape((-1,) + (1,) * axes) for k, v in self.__dict__.items()}
+        return out
 
     def cell(self, k: int) -> ChannelInstance:
         return ChannelInstance(**{n: getattr(self, n)[k].item() for n in _GAINS + _POWERS})
@@ -297,10 +294,11 @@ def _pow(f, x):
 
 
 def _square(x) -> float:
-    """abs(x) ** 2 in Python floats, as one channel forms |h|^2."""
+    """abs(x) ** 2 in Python floats, as one channel forms |h|^2; inf where that
+    overflows (a gain that ``validate`` then refuses, or an AF modulus)."""
     try:
         return abs(x) ** 2
-    except OverflowError:  # a gain that ``validate`` refuses
+    except OverflowError:
         return math.inf
 
 

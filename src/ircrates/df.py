@@ -142,9 +142,9 @@ def _first_max(u1, u2):
     return f[np.arange(len(f)), k], k
 
 
-# Floats per temporary of the search (8 cells, or 8 relay splits, of a
-# 41-point tau grid): cells go in chunks of this many tau table points, and
-# scans and bounds in chunks of this many grid points, about 100 kB each.
+# Tau grid points per temporary of a scan (8 cells of a 41-point grid, about
+# 100 kB): ``_full_scan`` gathers and scans cells in chunks of this many
+# points, and ``_pruned_scan`` scores its rectangles in runs of this many.
 _MAX_SCAN = 8 * 41 * 41
 
 # Tau blocks per axis at each level of the rectangle bounds, each twice the
@@ -189,27 +189,27 @@ def _can_win(bound, pair, first, best):
     return (bound > v) | ((bound == v) & ((pair < p) | ((pair == p) & (first < k))))
 
 
-def _best_grid_point(channel, taus, nus, k1, k2):
+def _best_grid_point(batch, taus, nus, k1, k2):
     """(pair, tau1 index, tau2 index, sum rate) of the largest R_1 + R_2 over
     the tau grid and the relay splits (nus[k1[p]], nus[k2[p]]), as arrays over
-    the cells of ``channel``, a batch's ``column()``; ties keep the smallest
-    pair p, then the first tau point in row-major order.  From the cells'
-    ``_user_tables`` (one build, for one pair too), each cell's pair with the
-    largest ``_rect_bound`` (one block: the whole grid) is scanned in full,
-    all cells at once (with one pair, the whole search); then per cell, the
-    previous cell's pair if it could beat that; ``_pruned_scan`` the others."""
+    the cells of ``batch``; ties keep the smallest pair p, then the first tau
+    point in row-major order.  From the cells' ``_user_tables``, each cell's
+    pair with the largest ``_rect_bound`` (one block: the whole grid) is
+    scanned in full, all cells at once.  Only the cells where another pair's
+    bound could beat that go on, one at a time: the previous cell's pair if
+    it could, then ``_pruned_scan`` of the others.  A fixed split is a table
+    of one pair, so it leaves no such cell."""
     g, pairs, every = len(taus), np.arange(len(k1)), np.arange(len(taus))[None]
-    cells, top = channel.column(2), np.zeros(len(channel), dtype=int)
-    tables = _user_tables(cells, 1, taus, nus), _user_tables(cells, 2, taus, nus)
-    if len(pairs) > 1:
-        bound = (_rect_bound(tables[0], [0], k1, k2, [0], [0])
-                 + _rect_bound(tables[1], [0], k2, k1, [0], [0]))
-        top = bound.argmax(axis=1)  # the first of the largest
+    tables = [_user_tables(batch.column(2), user, taus, nus) for user in (1, 2)]
+    bound = (_rect_bound(tables[0], [0], k1, k2, [0], [0])
+             + _rect_bound(tables[1], [0], k2, k1, [0], [0]))
+    top = bound.argmax(axis=1)  # the first of the largest
     value, flat = _full_scan(tables, k1[top], k2[top])
-    for cell in range(len(top)) if len(pairs) > 1 else ():
+    bound[np.arange(len(top)), top] = -np.inf  # scored; cell 0 takes it as its previous
+    found = value[:, None], top[:, None], flat[:, None]
+    for cell in np.flatnonzero(_can_win(bound, pairs, 0, found).any(axis=1)):
         t1, t2 = ([x[cell] for x in table] for table in tables)
         best, previous = (value[cell], top[cell], flat[cell]), top[cell - 1] if cell else top[0]
-        bound[cell, top[cell]] = -np.inf  # scored; cell 0 takes it as its previous
         if _can_win(bound[cell, previous], previous, 0, best):
             best = _scored(t1, t2, k1, k2, previous[None], every, every, best)
             bound[cell, previous] = -np.inf
@@ -222,14 +222,15 @@ def _best_grid_point(channel, taus, nus, k1, k2):
 def _full_scan(tables, n1, n2):
     """(sum rate, flat tau index) of each cell's first largest R_1 + R_2 over
     the tau grid at its relay split (n1, n2), indices into the nu axis of the
-    cells' ``_user_tables``: the tables' columns at each cell's split are
-    gathered once, and ``_first_max`` reads them in chunks of ``_MAX_SCAN``."""
-    cells = np.arange(len(n1))
+    cells' ``_user_tables``: ``_first_max`` reads the tables' columns at each
+    cell's split, gathered per chunk of ``_MAX_SCAN`` points."""
     (r1, s1, i1), (r2, s2, i2) = tables
-    users = (r1, s1[cells, :, n1], i1[cells, :, n2]), (r2, s2[cells, :, n2], i2[cells, :, n1])
-    step = max(1, _MAX_SCAN // r1.shape[-1] ** 2)
-    found = [_first_max(*([x[s:s + step] for x in user] for user in users))
-             for s in range(0, len(cells), step)]
+    step, found = max(1, _MAX_SCAN // r1.shape[-1] ** 2), []
+    for s in range(0, len(n1), step):
+        c, a, b = slice(s, s + step), n1[s:s + step], n2[s:s + step]
+        m = np.arange(len(a))
+        found.append(_first_max((r1[c], s1[c][m, :, a], i1[c][m, :, b]),
+                                (r2[c], s2[c][m, :, b], i2[c][m, :, a])))
     return tuple(map(np.concatenate, zip(*found)))
 
 
@@ -252,33 +253,30 @@ def _live_rects(t1, t2, k1, k2, pairs, floor, levels):
 
 
 def _pruned_scan(t1, t2, k1, k2, left, best):
-    """``best`` after the pairs ``left`` of one cell, in chunks of at most 2
-    ``_MAX_SCAN`` first-level rectangles (a 41-point grid's 860 pairs fill one):
-    each chunk's ``_live_rects`` by descending bound, then (pair, first flat
-    index), scored in runs of ``_MAX_SCAN`` grid points until a run has none
-    that can win: those lead that order, and ``best`` only improves."""
+    """``best`` after the pairs ``left`` of one cell: their ``_live_rects`` by
+    descending bound, then (pair, first flat index), scored in runs of
+    ``_MAX_SCAN`` grid points until a run has none that can win: those lead
+    that order, and ``best`` only improves."""
     g, levels = len(t1[0]), _block_starts(len(t1[0]))
     starts, ends = levels[-1], np.append(levels[-1][1:], g)
     # Each block's tau indices as a row; a shorter row repeats its last
     # index after it, so a repeat is never the first maximum.
     rows = np.minimum(starts[:, None] + np.arange((ends - starts).max()), ends[:, None] - 1)
-    step = max(1, 2 * _MAX_SCAN // len(levels[0]) ** 2)
     most = max(1, _MAX_SCAN // rows.shape[1] ** 2)
-    for s in range(0, len(left), step):
-        pair, a, b, bound = _live_rects(t1, t2, k1, k2, left[s:s + step], best[0], levels)
-        first = starts[a] * g + starts[b]
-        order = np.lexsort((first, pair, -bound))
-        for run in (order[r:r + most] for r in range(0, len(order), most)):
-            run = run[_can_win(bound[run], pair[run], first[run], best)]
-            if not len(run):
-                break
-            best = _scored(t1, t2, k1, k2, pair[run], rows[a[run]], rows[b[run]], best)
+    pair, a, b, bound = _live_rects(t1, t2, k1, k2, left, best[0], levels)
+    first = starts[a] * g + starts[b]
+    order = np.lexsort((first, pair, -bound))
+    for run in (order[r:r + most] for r in range(0, len(order), most)):
+        run = run[_can_win(bound[run], pair[run], first[run], best)]
+        if not len(run):
+            break
+        best = _scored(t1, t2, k1, k2, pair[run], rows[a[run]], rows[b[run]], best)
     return best
 
 
 def df_sum_rate_search(
     channel: ChannelInstance,
-    grid_points: int = 101,
+    grid_points: int = 41,
     nu: Optional[Tuple[float, float]] = None,
 ) -> Tuple[DfParams, RatePair]:
     """Maximize R_1 + R_2 over the DF parameter set by grid search.
@@ -305,7 +303,8 @@ def df_sum_rate_search_batch(
     batch: ChannelBatch, grid_points: int, nu: Optional[Tuple[float, float]] = None
 ) -> Tuple[np.ndarray, ...]:
     """The columns (tau1, tau2, nu1, nu2, R1, R2) of ``df_sum_rate_search``
-    over the cells of ``batch``, with one refinement pass over all at once.
+    over the cells of ``batch``, from one build of tau tables (by which the
+    maps size their blocks) and one refinement pass over all at once.
 
     The relay splits are ``nu_simplex``'s table, which checks them first: a
     fixed split ``nu`` is one pair of its distinct values.  All is
@@ -313,12 +312,9 @@ def df_sum_rate_search_batch(
     batch (Python floats), so each cell gets what a batch of one gives it."""
     nus, k1, k2 = nu_simplex(grid_points, nu)
     taus, axes = np.linspace(0.0, 1.0, grid_points), range(4 if nu is None else 2)
-    col, step = batch.column(), max(1, _MAX_SCAN // (grid_points * len(nus)))
-    found = [_best_grid_point(col[s:s + step] if step < len(batch) else col, taus, nus, k1, k2)
-             for s in range(0, len(batch), step)]
-    p, a, b, value = map(np.concatenate, zip(*found))
+    p, a, b, value = _best_grid_point(batch, taus, nus, k1, k2)
     point = [taus[a], taus[b], nus[k1[p]], nus[k2[p]]]
-    return _refined(col, point, value, taus[1] - taus[0], axes)
+    return _refined(batch.column(), point, value, taus[1] - taus[0], axes)
 
 
 def _refined(channel, point, value, step, axes) -> Tuple[np.ndarray, ...]:

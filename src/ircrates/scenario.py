@@ -21,7 +21,7 @@ import numpy as np
 
 from . import af, df, ef
 from .channel import (_LAYOUT_FIELDS, _POSITIVE, _REAL, ChannelBatch, ChannelInstance, NodeLayout,
-                      _check_fields, layout_to_batch, layout_to_channel)
+                      _check_fields, layout_to_batch, layout_to_channel, nu_simplex)
 from .errors import ConfigError
 
 __all__ = [
@@ -265,17 +265,18 @@ OPTIMIZERS = {"af": _optimize_af, "df": _optimize_df,
               "ef_bl": _optimize_ef_bl, "ef_sl": _optimize_ef_sl}
 
 # Array entries per block: EF-BL's (cells, splits) array at 64 cells of the
-# default optimal policy's 861 splits (G = 41).  The DF scan bounds its
-# (cells, G, G) grid itself (``df._MAX_SCAN``).
+# default optimal policy's 861 splits (G = 41); DF's tau tables (cells, G,
+# relay split values) are held to it too.
 _BLOCK_ENTRIES = 64 * 861
 
 
 def _block_size(config: ScenarioConfig) -> int:
     """Relay positions evaluated at once: ``_BLOCK_ENTRIES`` over the widest
-    row one cell adds: the DF tau column, AF's 6 x 6 companion matrix (above
-    DF's 21 refinement trials) or the optimal policy's EF-BL splits."""
-    splits = config.ef_grid * (config.ef_grid + 1) // 2 if config.pa_policy == "optimal" else 1
-    return _BLOCK_ENTRIES // max(config.df_grid, 36, splits)
+    row one cell adds: DF's tau tables (G by the relay split values), AF's
+    6 x 6 companion matrix (above DF's 21 refinement trials) or EF-BL's splits."""
+    split = PA_SPLITS[config.pa_policy]
+    df_row = config.df_grid * len(nu_simplex(config.df_grid, split)[0])
+    return _BLOCK_ENTRIES // max(df_row, 36, len(nu_simplex(config.ef_grid, split)[1]))
 
 
 def _block_cells(config: ScenarioConfig, positions, batch: ChannelBatch) -> List[MapCell]:
@@ -322,7 +323,7 @@ def dominance_map(config: ScenarioConfig) -> List[MapCell]:
     """Protocol comparison over the whole relay-position grid, row-major.
 
     Positions are evaluated in blocks of ``_block_size`` cells (1,344 at the
-    default grids, 64 under the optimal policy), each protocol once per block
+    default grids, 32 under the optimal policy), each protocol once per block
     on a ``ChannelBatch``.  Squares and powers of a cell's values are formed
     in Python floats, as for one channel, and all else elementwise, so the
     map has the same bytes as cell by cell.

@@ -131,23 +131,25 @@ class TestChannelInstance:
         assert ch.rho(2) == pytest.approx(3.0)
         assert math.isfinite(ch.rho(1)) and ch.rho(1) > 0
 
-    @pytest.mark.parametrize("field, value, named", [
-        ("P2", 2e154, "P2 = 2e+154"),
-        ("hr1", 2e77, "received at D1"),
-        ("h12", 2e77, "received at D2"),
-        ("h2r", 2e77, "received at the relay"),
-        ("Nr", 1e300, "received at the relay"),
-    ])
-    def test_power_that_overflows_when_squared(self, field, value, named):
+    @pytest.mark.parametrize("edits, named", [
+        ({"P2": 2e154}, "P2 = 2e+154"),
+        ({"hr1": 2e77}, "received at D1"),
+        ({"h12": 2e77}, "received at D2"),
+        ({"h2r": 2e77}, "received at the relay"),
+        ({"Nr": 1e300}, "received at the relay"),
+        # |h1r|^2 P1 = 4e8 is in range, but |h1r|^2 is not.
+        ({"h1r": 2e154, "P1": 1e-300}, "h1r = 2e+154+0j"),
+    ], ids=lambda v: "-".join(f"{k}-{x:g}" for k, x in v.items()) if isinstance(v, dict) else None)
+    def test_power_that_overflows_when_squared(self, edits, named):
         # The rate formulas multiply two powers; just under sqrt(float max)
         # passes, just over it names the field or the receiver.
         fields = dict(h11=1, h12=1, h21=1, h22=1, h1r=1, h2r=1, hr1=1, hr2=1,
                       P1=1, P2=1, Pr=1, N1=1, N2=1, Nr=1)
         ChannelInstance(**{**fields, "P1": 1e154})
         with pytest.raises(ValueError, match="overflows a float") as exc:
-            ChannelInstance(**{**fields, field: value})
+            ChannelInstance(**{**fields, **edits})
         assert named in str(exc.value)
-        assert_batch_refuses_alike(fields, {**fields, field: value})
+        assert_batch_refuses_alike(fields, {**fields, **edits})
 
     def test_index_accessors(self):
         ch = ChannelInstance(h11=1, h12=2, h21=3, h22=4, h1r=5, h2r=6, hr1=7, hr2=8,

@@ -612,6 +612,21 @@ class TestErrors:
                              ("powers", "Pr"): 1e20, ("noises", "Nr"): 1e-300},
                      "saturation gain squared, Pr / (|h1r|^2 P1 + |h2r|^2 P2 + Nr)",
                      id="map-P-Nr-1e-300-Pr-1e+20"),
+        # A relay 1e-100 above a source at gamma = 4 gives |h| = 2.5e201:
+        # |h|^2 P = 6.25e102 passes every receiver row, but |h|^2 overflows.
+        # The maps' sweep starts at y = 0, so its first cell sits over S2.
+        *(pytest.param(command, {("layout", "epsilon"): 1e-100, ("layout", "gamma"): 4.0,
+                                 ("layout", "relay"): [0.0, 0.0, 1e-100],
+                                 **{("powers", f): 1e-300 for f in ("P1", "P2", "Pr")},
+                                 **({("sweep", "y_min"): 0.0} if gain == "h2r" else {})},
+                       f"{gain} = 2.5e+201+0j overflows a float in the rate formulas",
+                       id=f"{command.replace(' --', '-').replace(' ', '-')}-{gain}-2.5e+201")
+          for command, gain in (("rate --protocol af", "h1r"), ("rate --protocol df", "h1r"),
+                                ("optimize --protocol af", "h1r"),
+                                ("optimize --protocol df", "h1r"),
+                                ("optimize --protocol df --pa optimal", "h1r"),
+                                ("optimize --protocol ef_bl", "h1r"), ("map", "h2r"),
+                                ("slmap", "h2r"))),
     ])
     def test_overflowing_config_exits_2(self, capsys, fast_config, command, edits, named):
         data = json.loads(Path(fast_config).read_text())

@@ -419,16 +419,16 @@ def test_any_valid_free_bound_keeps_the_point(rng, monkeypatch, loosen):
 @pytest.mark.parametrize("grid_points, scan, most", [
     # The 8 x 8 tau blocks are 1 or 2 points wide at G = 11 and 2 or 3 at
     # G = 21, so a scan of 4 (9) scores one item per _scored call and 12
-    # (27) three; 3 G^2 runs three cells per chunk and splits the pairs in two.
+    # (27) three; 3 G^2 runs three cells per _full_scan chunk.
     (11, 4, 1), (11, 12, 3), (11, 3 * 11 ** 2, 90),
     (21, 9, 1), (21, 27, 3), (21, 3 * 21 ** 2, 147),
 ])
 def test_any_chunk_size_keeps_the_point(rng, monkeypatch, grid_points, scan, most):
-    # _MAX_SCAN sets every chunk of the search: the cells of a block, the
-    # cells of _full_scan, the splits per _live_rects call and the items per
-    # _scored call, where the first run with none that can win ends the
-    # scan of those splits.  No chunk size changes a result, alone or in a
-    # block (12 default-map cells, a tie across rectangles, 8 random draws).
+    # _MAX_SCAN sets every chunk of the search: the cells of _full_scan and
+    # the items per _scored call, where the first run with none that can win
+    # ends the scan of those splits.  No chunk size changes a result, alone
+    # or in a block (12 default-map cells, a tie across rectangles, 8 random
+    # draws).
     monkeypatch.setattr(df, "_MAX_SCAN", scan)
     runs, scored = [], df._scored
 

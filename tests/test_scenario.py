@@ -468,8 +468,8 @@ class TestMaps:
 class TestBlocks:
     @pytest.mark.parametrize("overrides, size", [
         ({}, 1344),  # 55,104 entries over the 41-point DF tau column
-        ({"pa_policy": "optimal"}, 64),  # over EF-BL's 861 relay splits
-        ({"pa_policy": "optimal", "ef_grid": 125, "df_grid": 125}, 6),  # 7,875 splits
+        ({"pa_policy": "optimal"}, 32),  # over DF's 41 x 41 tau by nu tables
+        ({"pa_policy": "optimal", "ef_grid": 125, "df_grid": 125}, 3),  # 125 x 125
         ({"df_grid": 125}, 440),  # over the 125-point DF tau column
         ({"df_grid": 2, "ef_grid": 2}, 1530),  # over AF's 6 x 6 companion matrix
         ({"pa_policy": "optimal", "df_grid": 2, "ef_grid": 2}, 1530),  # 3 splits < 36
@@ -477,22 +477,23 @@ class TestBlocks:
     def test_block_size(self, overrides, size):
         assert scenario._block_size(replace(default_config(), **overrides)) == size
 
-    @pytest.mark.parametrize("policy, widest", [("uniform", 41), ("optimal", 45)])
+    @pytest.mark.parametrize("policy, widest", [("uniform", 41), ("optimal", 41 ** 2)])
     def test_csv_bytes_do_not_depend_on_the_block_size(self, monkeypatch, policy, widest):
         # 66 cells, 11 per row: blocks of 1, 7 and 64 cells split the map,
-        # its rows and the slice differently from the default's one block.
+        # its rows and the slice differently from one block of all 66.  The
+        # widest row is DF's tau tables: 41 tau points by 1 or 41 nu values.
         config = small_config(resolution=0.1, pa_policy=policy, ef_grid=9)
 
         def csvs():
             return (map_to_csv(dominance_map(config)), map_to_csv(sum_rate_slice(config, 0.5)),
                     slmap_to_csv(sl_vs_bl_map(config)))
 
-        want = csvs()
-        assert scenario._block_size(config) >= 66
-        for cells in (1, 7, 64):
+        got = []
+        for cells in (66, 1, 7, 64):
             monkeypatch.setattr(scenario, "_BLOCK_ENTRIES", cells * widest)
             assert scenario._block_size(config) == cells
-            assert csvs() == want
+            got.append(csvs())
+        assert got[1:] == got[:1] * 3
 
 
 class TestSlMap:
