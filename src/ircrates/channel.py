@@ -275,15 +275,12 @@ class ChannelBatch(_Links):
         return ChannelInstance(**{n: getattr(self, n)[k].item() for n in _GAINS + _POWERS})
 
     def validate(self) -> None:
-        """Refuse the batch as ``ChannelInstance`` refuses its first bad cell:
-        with the message of that cell's first failed check."""
+        """Refuse the batch by building its first bad cell, which
+        ``ChannelInstance`` refuses; one elementwise pass finds that cell."""
         with np.errstate(all="ignore"):
-            ok = np.array([test(self, np) for test, _ in _CHECKS])
+            ok = np.array([test(self, np) for test, _ in _CHECKS]).all(axis=0)
         if not ok.all():
-            k = np.argmin(ok.all(axis=0))  # the first bad cell
-            message = _CHECKS[np.argmin(ok[:, k])][1]  # its first failed row
-            raise ValueError(message.format(**{n: getattr(self, n)[k].item()
-                                               for n in _GAINS + _POWERS}))
+            self.cell(np.argmin(ok))
 
 
 def _pow(f, x):
@@ -468,9 +465,11 @@ def layout_to_channel(
 
 def layout_to_batch(layout: NodeLayout, relays, P1, P2, Pr, N1, N2, Nr) -> ChannelBatch:
     """``layout_to_channel`` for each relay position (x, y) of ``relays``
-    (lifted to z = epsilon), as one ``ChannelBatch``, validated once: relay
-    links elementwise, by the float operations of ``NodeLayout.distances``, and
-    a bad one refused as ``layout_to_channel`` refuses the first bad cell."""
+    (lifted to z = epsilon), as one ``ChannelBatch``: relay links elementwise,
+    by the float operations of ``NodeLayout.distances``.  A bad batch raises
+    what ``layout_to_channel`` raises at its first bad position, found by
+    building each in turn where a relay length is zero or overflows or its
+    path-loss power overflows, else by ``ChannelBatch.validate``."""
     planar = {key: _link_gain(layout, key, d) for key, d in layout._planar_distances().items()}
     x, y = np.array(relays, dtype=float).reshape(-1, 2).T
     with np.errstate(all="ignore"):
@@ -481,10 +480,8 @@ def layout_to_batch(layout: NodeLayout, relays, P1, P2, Pr, N1, N2, Nr) -> Chann
             cols = {key: [v ** (-layout.gamma / 2.0) for v in (d / layout.d0).tolist()]
                     for key, d in lengths.items()}
         except (OverflowError, ZeroDivisionError):  # the latter where d / d0 underflows
-            for k in range(len(x)):
-                layout.with_relay_at(x[k].item(), y[k].item())  # refuses a non-finite x or y
-                for key, d in lengths.items():
-                    _link_gain(layout, key, d[k].item())
+            for xk, yk in zip(x.tolist(), y.tolist()):
+                layout_to_channel(layout.with_relay_at(xk, yk), P1, P2, Pr, N1, N2, Nr)
             raise
     batch = ChannelBatch(P1=P1, P2=P2, Pr=Pr, N1=N1, N2=N2, Nr=Nr, **planar, **cols)
     batch.validate()

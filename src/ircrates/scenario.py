@@ -271,12 +271,13 @@ _BLOCK_ENTRIES = 64 * 861
 
 
 def _block_size(config: ScenarioConfig) -> int:
-    """Relay positions evaluated at once: ``_BLOCK_ENTRIES`` over the widest
-    row one cell adds: DF's tau tables (G by the relay split values), AF's
-    6 x 6 companion matrix (above DF's 21 refinement trials) or EF-BL's splits."""
+    """Relay positions evaluated at once: ``_BLOCK_ENTRIES`` over the widest row
+    one cell adds in the protocols that run, DF's tau tables (G by the relay
+    split values) or EF-BL's splits, but at least AF's 6 x 6 companion matrix."""
     split = PA_SPLITS[config.pa_policy]
-    df_row = config.df_grid * len(nu_simplex(config.df_grid, split)[0])
-    return _BLOCK_ENTRIES // max(df_row, 36, len(nu_simplex(config.ef_grid, split)[1]))
+    rows = {"df": config.df_grid * len(nu_simplex(config.df_grid, split)[0]),
+            "ef_bl": len(nu_simplex(config.ef_grid, split)[1])}
+    return _BLOCK_ENTRIES // max(36, *(rows.get(p, 0) for p in config.protocols))
 
 
 def _block_cells(config: ScenarioConfig, positions, batch: ChannelBatch) -> List[MapCell]:
@@ -322,11 +323,11 @@ def evaluate_cell(config: ScenarioConfig, xr: float, yr: float) -> MapCell:
 def dominance_map(config: ScenarioConfig) -> List[MapCell]:
     """Protocol comparison over the whole relay-position grid, row-major.
 
-    Positions are evaluated in blocks of ``_block_size`` cells (1,344 at the
-    default grids, 32 under the optimal policy), each protocol once per block
-    on a ``ChannelBatch``.  Squares and powers of a cell's values are formed
-    in Python floats, as for one channel, and all else elementwise, so the
-    map has the same bytes as cell by cell.
+    Positions are evaluated in blocks of ``_block_size`` cells (at the
+    default grids 1,344, or 1,530 for EF alone; 32 and 64 under the optimal
+    policy), each protocol once per block on a ``ChannelBatch``.  Squares and
+    powers are formed in Python floats, as for one channel, and all else
+    elementwise, so the map has the same bytes as cell by cell.
     """
     return _cells(config, [(float(x), float(y))
                            for y in config.grid_y() for x in config.grid_x()])

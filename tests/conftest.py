@@ -81,6 +81,22 @@ def cancelling_config():
                    N1=1e-20, N2=1e-20, Nr=1e-20)
 
 
+def refusal_order_config():
+    """The default config with no lift, Pr = 1e154 and the sweep x -0.5 to
+    2.0, y -0.5 to 0.0 at 0.5 d0.  In map order the first cell that
+    ``channel_at`` refuses is (2.0, -0.5), near D1, where the power received
+    at D1 overflows; the zero-length relay links, with the relay on S2 at
+    (-0.5, 0.0) and then on S1, come after it."""
+    from dataclasses import replace
+
+    from ircrates.scenario import default_config
+
+    config = default_config()
+    layout = replace(config.layout, epsilon=0.0, relay=(0.0, 0.0, 0.0))
+    return replace(config, layout=layout, Pr=1e154,
+                   x_min=-0.5, x_max=2.0, y_min=-0.5, y_max=0.0, resolution=0.5)
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240416)

@@ -14,9 +14,9 @@ import pytest
 
 from ircrates import af, df, ef, scenario
 from ircrates.channel import ChannelBatch, layout_to_channel, nu_simplex
-from ircrates.scenario import UNIFORM_NU, default_config, dominance_map
+from ircrates.scenario import UNIFORM_NU, default_config, dominance_map, sl_vs_bl_map
 
-from conftest import anti_phase_channel, cancelling_config, random_channel
+from conftest import anti_phase_channel, cancelling_config, random_channel, refusal_order_config
 from reference_kernels import (
     af_sum_rate_gain_scalar,
     af_sum_rate_polynomial_scalar,
@@ -187,6 +187,25 @@ def test_zero_length_relay_link_is_refused_as_for_its_cell():
             config.channel_batch(cells)
         assert str(block.value) == str(one.value)
         assert "zero length" in str(one.value)
+
+
+@pytest.mark.parametrize("y_min, first", [(-0.5, "received at D1"), (0.0, "zero length")],
+                         ids=["overflow-first", "zero-length-first"])
+@pytest.mark.parametrize("run", [dominance_map, sl_vs_bl_map])
+def test_map_refuses_its_first_bad_position(run, y_min, first):
+    # A channel check at (2.0, -0.5) before the zero-length links on the
+    # y = 0 row, or, from y = 0, a zero-length link before an overflow.
+    config = replace(refusal_order_config(), y_min=y_min, y_max=y_min + 0.5)
+    refusals = []
+    for x, y in positions(config):
+        try:
+            config.channel_at(x, y)
+        except ValueError as exc:
+            refusals.append(str(exc))
+    assert first in refusals[0] and any(first not in r for r in refusals)
+    with pytest.raises(ValueError) as block:
+        run(config)
+    assert str(block.value) == refusals[0]
 
 
 def mixed_af_channels(rng):

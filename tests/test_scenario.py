@@ -473,7 +473,13 @@ class TestBlocks:
         ({"df_grid": 125}, 440),  # over the 125-point DF tau column
         ({"df_grid": 2, "ef_grid": 2}, 1530),  # over AF's 6 x 6 companion matrix
         ({"pa_policy": "optimal", "df_grid": 2, "ef_grid": 2}, 1530),  # 3 splits < 36
-    ], ids=["uniform-41", "optimal-41", "optimal-125", "uniform-125", "uniform-2", "optimal-2"])
+        # Only the protocols that run count: the slmap's EF-BL split pairs
+        # (1 under 36, or 861), and AF alone.
+        ({"protocols": ("ef_bl", "ef_sl")}, 1530),
+        ({"protocols": ("ef_bl", "ef_sl"), "pa_policy": "optimal"}, 64),
+        ({"protocols": ("af",), "pa_policy": "optimal"}, 1530),
+    ], ids=["uniform-41", "optimal-41", "optimal-125", "uniform-125", "uniform-2", "optimal-2",
+            "uniform-ef", "optimal-ef", "optimal-af"])
     def test_block_size(self, overrides, size):
         assert scenario._block_size(replace(default_config(), **overrides)) == size
 
@@ -481,18 +487,21 @@ class TestBlocks:
     def test_csv_bytes_do_not_depend_on_the_block_size(self, monkeypatch, policy, widest):
         # 66 cells, 11 per row: blocks of 1, 7 and 64 cells split the map,
         # its rows and the slice differently from one block of all 66.  The
-        # widest row is DF's tau tables: 41 tau points by 1 or 41 nu values.
+        # widest row is DF's tau tables: 41 tau points by 1 or 41 nu values;
+        # the slmap's is the 36 floor or EF-BL's 45 splits at G = 9.
         config = small_config(resolution=0.1, pa_policy=policy, ef_grid=9)
+        sl_widest = {"uniform": 36, "optimal": 45}[policy]
 
-        def csvs():
-            return (map_to_csv(dominance_map(config)), map_to_csv(sum_rate_slice(config, 0.5)),
-                    slmap_to_csv(sl_vs_bl_map(config)))
+        def blocks_of(cells, widest, protocols):
+            monkeypatch.setattr(scenario, "_BLOCK_ENTRIES", cells * widest)
+            assert scenario._block_size(replace(config, protocols=protocols)) == cells
 
         got = []
         for cells in (66, 1, 7, 64):
-            monkeypatch.setattr(scenario, "_BLOCK_ENTRIES", cells * widest)
-            assert scenario._block_size(config) == cells
-            got.append(csvs())
+            blocks_of(cells, widest, config.protocols)
+            csvs = (map_to_csv(dominance_map(config)), map_to_csv(sum_rate_slice(config, 0.5)))
+            blocks_of(cells, sl_widest, ("ef_bl", "ef_sl"))
+            got.append(csvs + (slmap_to_csv(sl_vs_bl_map(config)),))
         assert got[1:] == got[:1] * 3
 
 
