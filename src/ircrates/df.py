@@ -107,6 +107,12 @@ def _rate(relay, sinr, out=None):
     return capacity(np.minimum(relay, sinr, out=out), out=out)
 
 
+def _search_rate(relay, sinr, out):
+    """``_rate``'s floats into ``out``, without ``capacity``'s domain check: a
+    search table's SINR is a clipped signal over interference above noise."""
+    return np.log2(np.add(1.0, np.minimum(relay, sinr, out=out), out=out), out=out)
+
+
 def df_rate(channel: ChannelInstance, params: DfParams, user: int) -> float:
     """Achievable DF rate of user ``user`` in bits per channel use."""
     return float(_rate(*_df_sinr_terms(
@@ -130,21 +136,9 @@ def _user_tables(channel, user: int, taus, nus):
             _dest_interference(channel, user, t, n))
 
 
-def _first_max(u1, u2):
-    """(sum rate, flat tau index) of each item's first largest R_1 + R_2 over
-    (items, tau1, tau2), from user i's relay SNR and signal over its own tau
-    and interference over the other's, each shaped (items, tau)."""
-    (r1, s1, i1), (r2, s2, i2) = u1, u2
-    f, c = s1[:, :, None] / i1[:, None, :], s2[:, None, :] / i2[:, :, None]
-    f = np.add(_rate(r1[:, :, None], f, out=f), _rate(r2[:, None, :], c, out=c), out=f)
-    f = f.reshape(len(f), -1)
-    k = f.argmax(axis=1)
-    return f[np.arange(len(f)), k], k
-
-
 # Tau grid points per temporary of a scan (8 cells of a 41-point grid, about
-# 100 kB): ``_full_scan`` gathers and scans cells in chunks of this many
-# points, and ``_pruned_scan`` scores its rectangles in runs of this many.
+# 100 kB): ``_top_scan`` and ``_pruned_scan`` score their rectangles in runs
+# of at most this many points (or of one rectangle, if it is wider).
 _MAX_SCAN = 8 * 41 * 41
 
 # Tau blocks per axis at each level of the rectangle bounds, each twice the
@@ -158,26 +152,42 @@ def _block_starts(g: int):
     return [np.arange(n) * g // n for n in _LEVELS if n <= g] or [np.arange(g)]
 
 
-def _rect_bound(tables, starts, ki, kj, a, b):
+def _block_rows(g: int, starts):
+    """Each block's tau indices from ``starts`` as a row (a shorter one repeats
+    its last, never a first maximum), and the rows squared per scoring run."""
+    ends = np.append(starts[1:], g)
+    rows = np.minimum(starts[:, None] + np.arange((ends - starts).max()), ends[:, None] - 1)
+    return rows, max(1, _MAX_SCAN // rows.shape[1] ** 2)
+
+
+def _rect_bound(tables, starts, ki, kj, a, b, cell=Ellipsis):
     """C(min(max_A relay, max_A signal / min_B interference)) of user i per
     relay split (ki, kj), tau_i block A = a and tau_j block B = b of those at
-    ``starts``, broadcast together: a bound on user i's rate over (A, B), as C,
-    min and rounded division are monotone.  O(1) per item after reduceat."""
+    ``starts`` (of ``cell``, if given), broadcast together: a bound on user
+    i's rate over (A, B), as C, min and rounded division are monotone."""
     relay, signal, interference = tables
-    x = (np.maximum.reduceat(signal, starts, axis=-2)[..., a, ki]
-         / np.minimum.reduceat(interference, starts, axis=-2)[..., b, kj])
-    return _rate(np.maximum.reduceat(relay, starts, axis=-1)[..., a], x, out=x)
+    x = (np.maximum.reduceat(signal, starts, axis=-2)[cell, a, ki]
+         / np.minimum.reduceat(interference, starts, axis=-2)[cell, b, kj])
+    return _search_rate(np.maximum.reduceat(relay, starts, axis=-1)[cell, a], x, x)
+
+
+def _first_max(t1, t2, n1, n2, rows1, rows2, cell=Ellipsis):
+    """(sum rate, flat tau index) of each item m's first largest R_1 + R_2 at
+    the relay split (n1[m], n2[m]) over tau1 rows1[m] by tau2 rows2[m], read
+    in place from user 1's and 2's tables (of cell[m], for a block's)."""
+    r1, s1, i1 = t1[0][cell, rows1], t1[1][cell, rows1, n1], t1[2][cell, rows2, n2]
+    r2, s2, i2 = t2[0][cell, rows2], t2[1][cell, rows2, n2], t2[2][cell, rows1, n1]
+    f, c = s1[:, :, None] / i1[:, None, :], s2[:, None, :] / i2[:, :, None]
+    f = np.add(_search_rate(r1[:, :, None], f, f), _search_rate(r2[:, None, :], c, c), out=f)
+    (i, j), m = np.divmod(f.reshape(len(f), -1).argmax(axis=1), f.shape[2]), np.arange(len(f))
+    return f[m, i, j], rows1[m, i] * t1[0].shape[-1] + rows2[m, j]
 
 
 def _scored(t1, t2, k1, k2, pairs, rows1, rows2, best):
     """``best`` (sum rate, pair, flat tau index) after R_1 + R_2 of each item
     m: relay split pairs[m], over tau1 rows1[m] by tau2 rows2[m] of one
-    cell's tables: a full scan's floats, by its kernel ``_first_max``."""
-    n1, n2 = k1[pairs][:, None], k2[pairs][:, None]
-    value, k = _first_max((t1[0][rows1], t1[1][rows1, n1], t1[2][rows2, n2]),
-                          (t2[0][rows2], t2[1][rows2, n2], t2[2][rows1, n1]))
-    (i, j), m = np.divmod(k, rows2.shape[1]), np.arange(len(pairs))
-    flat = rows1[m, i] * len(t1[0]) + rows2[m, j]
+    cell's tables, by ``_first_max``."""
+    value, flat = _first_max(t1, t2, k1[pairs][:, None], k2[pairs][:, None], rows1, rows2)
     w = np.lexsort((flat, pairs, -value))[0]  # the largest, then the smallest (pair, flat)
     return (value[w], pairs[w], flat[w]) if _can_win(value[w], pairs[w], flat[w], best) else best
 
@@ -194,17 +204,17 @@ def _best_grid_point(batch, taus, nus, k1, k2):
     the tau grid and the relay splits (nus[k1[p]], nus[k2[p]]), as arrays over
     the cells of ``batch``; ties keep the smallest pair p, then the first tau
     point in row-major order.  From the cells' ``_user_tables``, each cell's
-    pair with the largest ``_rect_bound`` (one block: the whole grid) is
-    scanned in full, all cells at once.  Only the cells where another pair's
+    pair with the largest ``_rect_bound`` (one block: the whole grid) goes to
+    ``_top_scan``, all cells at once.  Only the cells where another pair's
     bound could beat that go on, one at a time: the previous cell's pair if
     it could, then ``_pruned_scan`` of the others.  A fixed split is a table
-    of one pair, so it leaves no such cell."""
+    of one pair, each cell's top unbounded, so it leaves no such cell."""
     g, pairs, every = len(taus), np.arange(len(k1)), np.arange(len(taus))[None]
     tables = [_user_tables(batch.column(2), user, taus, nus) for user in (1, 2)]
-    bound = (_rect_bound(tables[0], [0], k1, k2, [0], [0])
-             + _rect_bound(tables[1], [0], k2, k1, [0], [0]))
+    bound = np.zeros((len(batch), 1)) if len(k1) == 1 else (
+        _rect_bound(tables[0], [0], k1, k2, [0], [0]) + _rect_bound(tables[1], [0], k2, k1, [0], [0]))
     top = bound.argmax(axis=1)  # the first of the largest
-    value, flat = _full_scan(tables, k1[top], k2[top])
+    value, flat = _top_scan(tables, k1[top], k2[top])
     bound[np.arange(len(top)), top] = -np.inf  # scored; cell 0 takes it as its previous
     found = value[:, None], top[:, None], flat[:, None]
     for cell in np.flatnonzero(_can_win(bound, pairs, 0, found).any(axis=1)):
@@ -219,19 +229,36 @@ def _best_grid_point(batch, taus, nus, k1, k2):
     return (top, *np.divmod(flat, g), value)
 
 
-def _full_scan(tables, n1, n2):
+def _top_scan(tables, n1, n2):
     """(sum rate, flat tau index) of each cell's first largest R_1 + R_2 over
-    the tau grid at its relay split (n1, n2), indices into the nu axis of the
-    cells' ``_user_tables``: ``_first_max`` reads the tables' columns at each
-    cell's split, gathered per chunk of ``_MAX_SCAN`` points."""
-    (r1, s1, i1), (r2, s2, i2) = tables
-    step, found = max(1, _MAX_SCAN // r1.shape[-1] ** 2), []
-    for s in range(0, len(n1), step):
-        c, a, b = slice(s, s + step), n1[s:s + step], n2[s:s + step]
-        m = np.arange(len(a))
-        found.append(_first_max((r1[c], s1[c][m, :, a], i1[c][m, :, b]),
-                                (r2[c], s2[c][m, :, b], i2[c][m, :, a])))
-    return tuple(map(np.concatenate, zip(*found)))
+    the tau grid at its split (n1, n2) of the cells' ``_user_tables``: each
+    grid whole, if all fit one run, else by branch and bound on the first
+    ``_block_starts`` level's rectangles of all cells at once, each cell's
+    best-bound one first, then all that can beat it."""
+    g, cells = tables[0][0].shape[-1], np.arange(len(n1))
+    if len(cells) * g * g <= _MAX_SCAN:  # no bound saves a run
+        every = np.tile(np.arange(g), (len(cells), 1))
+        return _first_max(*tables, n1[:, None], n2[:, None], every, every, cells[:, None])
+    starts = _block_starts(g)[0]
+    (rows, most), a, c = _block_rows(g, starts), np.arange(len(starts)), cells[:, None, None]
+    bound = (_rect_bound(tables[0], starts, n1[c], n2[c], a[:, None], a, c)
+             + _rect_bound(tables[1], starts, n2[c], n1[c], a, a[:, None], c)).reshape(len(c), -1)
+    top = bound.argmax(axis=1)
+    bound[cells, top] = -np.inf
+
+    def scored(cell, rect):  # in runs of at most _MAX_SCAN points
+        runs = ((cell[s:s + most, None], *np.divmod(rect[s:s + most], len(a)))
+                for s in range(0, len(cell), most))
+        found = [_first_max(*tables, n1[c], n2[c], rows[i], rows[j], c) for c, i, j in runs]
+        return map(np.concatenate, zip(*found, (np.empty(0), np.empty(0, dtype=int))))
+
+    value, flat = scored(cells, top)  # each cell's incumbent
+    first = (starts[:, None] * g + starts).ravel()
+    cell, rect = np.nonzero(_can_win(bound, 0, first, (value[:, None], 0, flat[:, None])))
+    cell, value, flat = map(np.concatenate, zip((cells, value, flat), (cell, *scored(cell, rect))))
+    keep = np.lexsort((flat, -value, cell))  # each cell's largest, then its smallest flat
+    keep = keep[np.searchsorted(cell[keep], cells)]
+    return value[keep], flat[keep]
 
 
 def _live_rects(t1, t2, k1, k2, pairs, floor, levels):
@@ -258,11 +285,7 @@ def _pruned_scan(t1, t2, k1, k2, left, best):
     ``_MAX_SCAN`` grid points until a run has none that can win: those lead
     that order, and ``best`` only improves."""
     g, levels = len(t1[0]), _block_starts(len(t1[0]))
-    starts, ends = levels[-1], np.append(levels[-1][1:], g)
-    # Each block's tau indices as a row; a shorter row repeats its last
-    # index after it, so a repeat is never the first maximum.
-    rows = np.minimum(starts[:, None] + np.arange((ends - starts).max()), ends[:, None] - 1)
-    most = max(1, _MAX_SCAN // rows.shape[1] ** 2)
+    starts, (rows, most) = levels[-1], _block_rows(g, levels[-1])
     pair, a, b, bound = _live_rects(t1, t2, k1, k2, left, best[0], levels)
     first = starts[a] * g + starts[b]
     order = np.lexsort((first, pair, -bound))
@@ -288,8 +311,8 @@ def df_sum_rate_search(
     ``df_sum_rate_search_batch`` on a batch of one.
 
     The scan is exact: it returns the grid point a full scan would, and
-    scores no split or tau rectangle (4 x 4 per split, then the 2 x 2 children
-    of those left) whose bound cannot beat the best sum rate found
+    scores no split or 4 x 4 tau rectangle (then, but at a cell's top split,
+    their 2 x 2 children) whose bound cannot beat the best sum rate found
     (``_best_grid_point``).  Deterministic: ties keep the first relay split in
     simplex order (nu1 varying slowest), then the earliest (tau1, tau2) grid
     point in row-major order.

@@ -235,8 +235,8 @@ class SlCell:
 # tables once per block, elementwise by the float operations of one channel,
 # with squares and powers in Python floats (libm pow), so a cell's result does
 # not depend on its block.  Kernels are looked up on their modules at call
-# time, so a swapped-in kernel takes effect.  A cell where a protocol is
-# infeasible has NaN rates; no feasible rate is NaN, as ``capacity`` refuses it.
+# time, so a swapped-in kernel takes effect.  A cell where EF-SL is infeasible
+# has NaN rates; the map refuses a NaN rate of any other protocol.
 
 
 def _optimize_af(batch: ChannelBatch, config: ScenarioConfig):
@@ -283,8 +283,8 @@ def _block_size(config: ScenarioConfig) -> int:
 def _block_cells(config: ScenarioConfig, positions, batch: ChannelBatch) -> List[MapCell]:
     """The cell of each (xr, yr) of ``positions``, whose channels ``batch``
     holds: each enabled protocol's entry runs once on the whole batch.  A
-    cell whose sum rate is NaN for a protocol scores 0.0 for it and lists it
-    in ``infeasible``."""
+    cell whose EF-SL sum rate is NaN scores 0.0 for it and lists it in
+    ``infeasible``; another protocol's NaN raises, at the first such cell."""
     protocols, n = [p for p in PROTOCOL_ORDER if p in config.protocols], len(positions)
     sums, points, infeasible = [], {}, [()] * n
     for p in protocols:
@@ -295,6 +295,8 @@ def _block_cells(config: ScenarioConfig, positions, batch: ChannelBatch) -> List
     sums[nan] = 0.0
     for k in np.flatnonzero(nan.any(axis=0)):  # only these cells: most maps have none
         infeasible[k] = tuple(p for p, b in zip(protocols, nan[:, k]) if b)
+        if infeasible[k] != ("ef_sl",):  # only EF-SL's zero-bottleneck cells may be NaN
+            raise ValueError(f"{infeasible[k][0]} rate is NaN with the relay at {positions[k]} d0")
     gains = points["af"]["gain"].tolist() if "af" in points else [0.0] * n
     tags = points["ef_bl"]["scenario"].tolist() if "ef_bl" in points else [""] * n
     winners = sums.argmax(axis=0).tolist()  # the first of equal maxima, in PROTOCOL_ORDER

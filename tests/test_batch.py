@@ -266,16 +266,18 @@ def test_df_fixed_split_chunks_are_the_scalar_search(grid_points, nu):
 
 def test_uniform_block_never_scans_cell_by_cell(monkeypatch):
     # A fixed split is a table of one pair, so no other pair can beat the
-    # one each cell scans in full: a default uniform block of 1,344 cells
-    # (of the 1,476 at 0.2 d0) never reaches the per-cell stage.
-    calls, sizes, search = [], [], df.df_sum_rate_search_batch
-    for name in ("_scored", "_pruned_scan"):
-        monkeypatch.setattr(df, name, lambda *args, name=name, run=getattr(df, name):
-                            calls.append(name) or run(*args))
+    # one the top-split stage searches for all cells of a block at once: a
+    # default uniform block of 1,344 cells (of the 1,476 at 0.2 d0) never
+    # reaches the per-cell stage, _pruned_scan.
+    calls, sizes, top, run, stage = [], [], [], df._pruned_scan, df._top_scan
+    monkeypatch.setattr(df, "_pruned_scan", lambda *args: calls.append(args) or run(*args))
+    monkeypatch.setattr(df, "_top_scan", lambda tables, n1, n2: top.append(len(n1))
+                        or stage(tables, n1, n2))
+    search = df.df_sum_rate_search_batch
     monkeypatch.setattr(df, "df_sum_rate_search_batch",
                         lambda batch, *args: sizes.append(len(batch)) or search(batch, *args))
     dominance_map(replace(DEFAULT, resolution=0.2, protocols=("df",)))
-    assert sizes == [1344, 132] and calls == []
+    assert sizes == top == [1344, 132] and calls == []
 
 
 @pytest.mark.parametrize("nu", [UNIFORM_NU, (0.3, 0.6), (0.4, 0.4), (0.0, 1.0), (1.0, 0.0),

@@ -337,13 +337,15 @@ def loosen_bound(monkeypatch, pattern, splits, rects):
     """Patch ``df._rect_bound`` to add 1.0 on the later (or odd) splits at the
     levels ``splits``, and on the later (or odd) rectangles at the level
     ``rects``, a level named by its blocks per axis (1: the whole grid).
-    Returns the patched function's calls per level."""
+    Returns the patched function's calls per level, and the top-split
+    stage's (of a block's tables, for all cells at once) as "top"."""
     tight, calls = df._rect_bound, Counter()
 
-    def loose(tables, starts, ki, kj, a, b):
+    def loose(tables, starts, ki, kj, a, b, cell=Ellipsis):
         level = len(starts)
         calls[level] += 1
-        bound = tight(tables, starts, ki, kj, a, b)
+        calls["top"] += cell is not Ellipsis
+        bound = tight(tables, starts, ki, kj, a, b, cell)
         k = ki if pattern == "odd" else ki + kj
         if level in splits:
             bound = bound + np.where(k % 2 == 1 if pattern == "odd" else k > 5, 1.0, 0.0)
@@ -355,14 +357,22 @@ def loosen_bound(monkeypatch, pattern, splits, rects):
     return calls
 
 
-def assert_loosened_keeps_the_point(rng):
+def assert_loosened_keeps_the_point(rng, monkeypatch):
+    # One channel at a time, and the channels as one block under both
+    # policies, at the top-split stage's own run size (where the block's
+    # grids fit one run) and at runs of one grid (where it bounds them).
     config = default_config()
     corners = [config.channel_at(-4.0, -3.0), config.channel_at(4.0, 4.0)]
     draws = [symmetric_channel(rng) for _ in range(5)] + [random_channel(rng) for _ in range(5)]
     channels = corners + [tie_across_rectangles_channel()] + draws
-    want = [df_sum_rate_search_reference(ch, 11) for ch in channels]
-    assert [df.df_sum_rate_search(ch, 11) for ch in channels] == want
-    assert per_cell("df", df.df_sum_rate_search_batch(ChannelBatch.of(channels), 11)) == want
+    want = {nu: [df_sum_rate_search_reference(ch, 11, nu=nu) for ch in channels]
+            for nu in (None, (0.5, 0.5))}
+    assert [df.df_sum_rate_search(ch, 11) for ch in channels] == want[None]
+    for scan in (df._MAX_SCAN, 11 ** 2):
+        monkeypatch.setattr(df, "_MAX_SCAN", scan)
+        for nu in want:
+            got = df.df_sum_rate_search_batch(ChannelBatch.of(channels), 11, nu)
+            assert per_cell("df", got) == want[nu]
 
 
 @pytest.mark.parametrize("loosen", ["late_splits", "odd_splits", "late_rectangles",
@@ -376,12 +386,14 @@ def test_any_valid_bound_keeps_the_point(rng, monkeypatch, loosen):
     # channels reach the rectangles, and the rectangle variants raise the
     # later (or odd) rectangles of the 4 x 4 parents or of their 8 x 8
     # children too, so that a tie within one split meets its later
-    # rectangle first.  Each loosened level is read (the calls are counted).
+    # rectangle first; the 4 x 4 variants loosen the top-split stage's
+    # rectangles too, which then scores a later one as a cell's incumbent.
+    # Each loosened level is read (the calls are counted).
     pattern, level = loosen.split("_")
     rects = {"splits": None, "rectangles": 4, "children": 8}[level]
     calls = loosen_bound(monkeypatch, pattern, (1, 4, 8), rects)
-    assert_loosened_keeps_the_point(rng)
-    assert all(calls[level] > 0 for level in (1, 4, 8)), calls
+    assert_loosened_keeps_the_point(rng, monkeypatch)
+    assert all(calls[level] > 0 for level in (1, 4, 8, "top")), calls
 
 
 @pytest.mark.parametrize("draw", ["anti_phase", "random"])
@@ -412,31 +424,39 @@ def test_any_valid_free_bound_keeps_the_point(rng, monkeypatch, loosen):
     # block, the previous cell's split is scored next if it could beat it.
     # Neither changes a result.
     calls = loosen_bound(monkeypatch, loosen.split("_")[0], (1,), None)
-    assert_loosened_keeps_the_point(rng)
+    assert_loosened_keeps_the_point(rng, monkeypatch)
     assert calls[1] > 0, calls
 
 
 @pytest.mark.parametrize("grid_points, scan, most", [
     # The 8 x 8 tau blocks are 1 or 2 points wide at G = 11 and 2 or 3 at
     # G = 21, so a scan of 4 (9) scores one item per _scored call and 12
-    # (27) three; 3 G^2 runs three cells per _full_scan chunk.
+    # (27) three; at 3 G^2 the top-split stage scores a block of up to
+    # three cells whole.
     (11, 4, 1), (11, 12, 3), (11, 3 * 11 ** 2, 90),
     (21, 9, 1), (21, 27, 3), (21, 3 * 21 ** 2, 147),
 ])
 def test_any_chunk_size_keeps_the_point(rng, monkeypatch, grid_points, scan, most):
-    # _MAX_SCAN sets every chunk of the search: the cells of _full_scan and
-    # the items per _scored call, where the first run with none that can win
-    # ends the scan of those splits.  No chunk size changes a result, alone
-    # or in a block (12 default-map cells, a tie across rectangles, 8 random
-    # draws).
+    # _MAX_SCAN sets every chunk of the search: the runs of rectangles of
+    # the top-split stage (the 4 x 4 tau blocks, 2 to 6 points wide) and the
+    # items per _scored call, where the first run with none that can win
+    # ends the scan of those splits.  No run holds more than _MAX_SCAN
+    # points, or one rectangle if it is wider.  No chunk size changes a
+    # result, alone or in a block (12 default-map cells, a tie across
+    # rectangles, 8 random draws).
     monkeypatch.setattr(df, "_MAX_SCAN", scan)
-    runs, scored = [], df._scored
+    runs, scored, first_max, kernel = [], df._scored, df._first_max, []
 
     def counted(t1, t2, k1, k2, pairs, rows1, rows2, best):
         runs.append(len(pairs))
         return scored(t1, t2, k1, k2, pairs, rows1, rows2, best)
 
+    def points(t1, t2, n1, n2, rows1, rows2, cell=Ellipsis):
+        kernel.append((len(rows1), rows1.shape[1] * rows2.shape[1], cell is not Ellipsis))
+        return first_max(t1, t2, n1, n2, rows1, rows2, cell)
+
     monkeypatch.setattr(df, "_scored", counted)
+    monkeypatch.setattr(df, "_first_max", points)
     config = default_config()
     cells = [(float(x), float(y)) for y in config.grid_y() for x in config.grid_x()]
     channels = ([config.channel_at(x, y) for x, y in cells[::80]]
@@ -446,3 +466,5 @@ def test_any_chunk_size_keeps_the_point(rng, monkeypatch, grid_points, scan, mos
     block = df.df_sum_rate_search_batch(ChannelBatch.of(channels), grid_points)
     assert per_cell("df", block) == want
     assert runs and max(runs) <= most, (len(runs), max(runs, default=0))
+    assert all(items == 1 or items * each <= scan for items, each, _ in kernel)
+    assert any(top for *_, top in kernel)  # the stage's runs are among them

@@ -365,15 +365,42 @@ class TestOptimizerTable:
         assert (sl.bl_sum, sl.sl_sum, sl.bl_scenario, sl.winner) == (3.0, 4.0, "tag2", "sl")
 
     def test_infeasible_protocol_scores_zero(self, monkeypatch):
+        # EF-SL, whose zero-bottleneck cells are NaN, is the one protocol a
+        # cell may list as infeasible.
         def infeasible(batch, config):
             nan = np.full(len(batch), np.nan)
-            return nan, nan, {"scenario": np.full(len(batch), "")}
+            return nan, nan, {"nwz": nan}
 
-        monkeypatch.setitem(OPTIMIZERS, "ef_bl", infeasible)
+        monkeypatch.setitem(OPTIMIZERS, "ef_sl", infeasible)
         cfg = small_config()
         cell = evaluate_cell(cfg, 0.0, 0.5)
-        assert cell.rates["ef_bl"] == 0.0 and cell.infeasible == ("ef_bl",)
-        assert cell.bl_scenario == "" and cell.winner != "ef_bl"
+        assert cell.rates["ef_sl"] == 0.0 and cell.infeasible == ("ef_sl",)
+        assert cell.winner != "ef_sl"
+
+    @pytest.mark.parametrize("protocol", ["af", "df", "ef_bl"])
+    def test_nan_rate_of_another_protocol_raises(self, monkeypatch, protocol):
+        # A kernel (here a patched one) that returns NaN rates in cells 1 and
+        # 4 of the map's one block stops the map at cell 1, the first in map
+        # order, named with its protocol.  EF-SL's NaN in cells 0 and 1 is
+        # the infeasibility a map scores 0, and raises nothing.
+        def with_nan(name, cells):
+            entry = OPTIMIZERS[name]
+
+            def run(batch, config):
+                r1, r2, point = entry(batch, config)
+                r1 = r1.copy()
+                r1[cells] = np.nan
+                return r1, r2, point
+
+            monkeypatch.setitem(OPTIMIZERS, name, run)
+
+        with_nan("ef_sl", [0, 1])
+        cfg = small_config()  # 3 x 2 cells
+        assert [c.infeasible for c in dominance_map(cfg)] == [("ef_sl",)] * 2 + [()] * 4
+        with_nan(protocol, [4, 1])
+        with pytest.raises(ValueError, match=rf"^{protocol} rate is NaN with the relay at "
+                                             r"\(0\.0, 0\.25\) d0$"):
+            dominance_map(cfg)
 
     def test_infeasible_entry_runs_once_per_block(self, monkeypatch):
         # At Pr = 1e-15 EF-SL is infeasible in every cell of the default map.
