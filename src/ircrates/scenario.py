@@ -10,7 +10,6 @@ outer, x inner, both ascending).
 
 from __future__ import annotations
 
-import io
 import json
 import math
 import numbers
@@ -280,37 +279,45 @@ def _block_size(config: ScenarioConfig) -> int:
     return _BLOCK_ENTRIES // max(36, *(rows.get(p, 0) for p in config.protocols))
 
 
-def _block_cells(config: ScenarioConfig, positions, batch: ChannelBatch) -> List[MapCell]:
-    """The cell of each (xr, yr) of ``positions``, whose channels ``batch``
-    holds: each enabled protocol's entry runs once on the whole batch.  A
-    cell whose EF-SL sum rate is NaN scores 0.0 for it and lists it in
-    ``infeasible``; another protocol's NaN raises, at the first such cell."""
+def _block_columns(config: ScenarioConfig, positions, batch: ChannelBatch):
+    """Each enabled protocol's entry run once on ``batch``, the channels of ``positions``:
+    the protocols in order, their sum rates (protocols by cells, EF-SL's NaN scored 0.0),
+    where EF-SL is infeasible, and each cell's AF gain and EF-BL scenario tag (0.0 and ""
+    when not run).  Another protocol's NaN rate raises, at the first such cell."""
     protocols, n = [p for p in PROTOCOL_ORDER if p in config.protocols], len(positions)
-    sums, points, infeasible = [], {}, [()] * n
-    for p in protocols:
-        r1, r2, points[p] = OPTIMIZERS[p](batch, config)
-        sums.append(r1 + r2)
-    sums = np.array(sums)
+    runs = {p: OPTIMIZERS[p](batch, config) for p in protocols}  # (R1, R2, point) each
+    sums = np.array([r1 + r2 for r1, r2, _ in runs.values()])
     nan = np.isnan(sums)
+    fault = nan & (np.array(protocols) != "ef_sl")[:, None]  # EF-SL's zero bottleneck aside
+    if fault.any():
+        k = fault.any(axis=0).argmax()
+        raise ValueError(f"{protocols[fault[:, k].argmax()]} rate is NaN "
+                         f"with the relay at {positions[k]} d0")
     sums[nan] = 0.0
-    for k in np.flatnonzero(nan.any(axis=0)):  # only these cells: most maps have none
-        infeasible[k] = tuple(p for p, b in zip(protocols, nan[:, k]) if b)
-        if infeasible[k] != ("ef_sl",):  # only EF-SL's zero-bottleneck cells may be NaN
-            raise ValueError(f"{infeasible[k][0]} rate is NaN with the relay at {positions[k]} d0")
-    gains = points["af"]["gain"].tolist() if "af" in points else [0.0] * n
-    tags = points["ef_bl"]["scenario"].tolist() if "ef_bl" in points else [""] * n
-    winners = sums.argmax(axis=0).tolist()  # the first of equal maxima, in PROTOCOL_ORDER
+    gains = runs["af"][2]["gain"] if "af" in runs else np.zeros(n)
+    tags = runs["ef_bl"][2]["scenario"] if "ef_bl" in runs else np.full(n, "")
+    return protocols, sums, nan.any(axis=0), gains, tags
+
+
+def _block_cells(config: ScenarioConfig, positions, batch: ChannelBatch) -> List[MapCell]:
+    """The ``MapCell`` of each (xr, yr) of ``positions`` from the block's columns."""
+    protocols, sums, infeasible, gains, tags = _block_columns(config, positions, batch)
     return [MapCell(xr=xr, yr=yr, rates=dict(zip(protocols, rates)), winner=protocols[w],
-                    bl_scenario=tag, af_gain=gain, infeasible=bad)
-            for (xr, yr), rates, w, tag, gain, bad in zip(positions, sums.T.tolist(), winners,
-                                                          tags, gains, infeasible)]
+                    bl_scenario=tag, af_gain=gain, infeasible=("ef_sl",) if bad else ())
+            for (xr, yr), rates, w, tag, gain, bad in zip(  # w: the first of equal maxima
+                positions, sums.T.tolist(), sums.argmax(axis=0).tolist(), tags.tolist(),
+                gains.tolist(), infeasible.tolist())]
+
+
+def _blocks(config: ScenarioConfig, positions, run) -> list:
+    """``run(config, block, batch)`` of each ``_block_size`` block of positions."""
+    size = _block_size(config)
+    return [run(config, positions[s:s + size], config.channel_batch(positions[s:s + size]))
+            for s in range(0, len(positions), size)]
 
 
 def _cells(config: ScenarioConfig, positions) -> List[MapCell]:
-    size = _block_size(config)
-    return [cell for s in range(0, len(positions), size)
-            for cell in _block_cells(config, positions[s:s + size],
-                                     config.channel_batch(positions[s:s + size]))]
+    return [cell for block in _blocks(config, positions, _block_cells) for cell in block]
 
 
 def evaluate_cell(config: ScenarioConfig, xr: float, yr: float) -> MapCell:
@@ -327,9 +334,10 @@ def dominance_map(config: ScenarioConfig) -> List[MapCell]:
 
     Positions are evaluated in blocks of ``_block_size`` cells (at the
     default grids 1,344, or 1,530 for EF alone; 32 and 64 under the optimal
-    policy), each protocol once per block on a ``ChannelBatch``.  Squares and
-    powers are formed in Python floats, as for one channel, and all else
-    elementwise, so the map has the same bytes as cell by cell.
+    policy), each protocol once per block on a ``ChannelBatch``, and each
+    block's cells are read from its columns.  Squares and powers are formed in
+    Python floats, as for one channel, and all else elementwise, so the map
+    has the same bytes as cell by cell.
     """
     return _cells(config, [(float(x), float(y))
                            for y in config.grid_y() for x in config.grid_x()])
@@ -343,52 +351,44 @@ def sum_rate_slice(config: ScenarioConfig, y_fixed: float) -> List[MapCell]:
 def sl_vs_bl_map(config: ScenarioConfig) -> List[SlCell]:
     """Single- vs bi-level EF comparison per cell, with scenario frontier flags.
 
-    The EF-BL/EF-SL dominance map, so ties go to bi-level.  A cell is on the
-    frontier when its scenario tag differs from the cell to its left or the
-    cell below.
+    Read from the EF-BL and EF-SL block columns, as in the EF-only dominance
+    map: ties go to bi-level.  A cell is on the frontier when its scenario tag
+    differs from the cell to its left or the cell below.
     """
-    cells = dominance_map(replace(config, protocols=("ef_bl", "ef_sl")))
-    nx = len(config.grid_x())
-    out: List[SlCell] = []
-    for k, c in enumerate(cells):
-        frontier = (k % nx > 0 and cells[k - 1].bl_scenario != c.bl_scenario) or (
-            k >= nx and cells[k - nx].bl_scenario != c.bl_scenario
-        )
-        out.append(SlCell(c.xr, c.yr, c.rates["ef_sl"], c.rates["ef_bl"],
-                          c.bl_scenario, "bl" if c.winner == "ef_bl" else "sl",
-                          frontier))
-    return out
+    config = replace(config, protocols=("ef_bl", "ef_sl"))
+    xs, ys = config.grid_x().tolist(), config.grid_y().tolist()
+    _, sums, _, _, tags = zip(*_blocks(config, [(x, y) for y in ys for x in xs], _block_columns))
+    (bl, sl), tags = np.concatenate(sums, axis=1), np.concatenate(tags)
+    grid = tags.reshape(len(ys), len(xs))
+    frontier = np.zeros(grid.shape, dtype=bool)
+    frontier[:, 1:] = grid[:, 1:] != grid[:, :-1]
+    frontier[1:] |= grid[1:] != grid[:-1]
+    return list(map(SlCell, xs * len(ys), [y for y in ys for _ in xs], sl.tolist(), bl.tolist(),
+                    tags.tolist(), np.where(bl >= sl, "bl", "sl").tolist(),
+                    frontier.ravel().tolist()))
 
 
 # -- CSV emission -------------------------------------------------------------
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.12g}"
-
-
 MAP_HEADER = "xr,yr,af,df,ef_bl,ef_sl,winner,bl_scenario"
-
-
-def _to_csv(header: str, rows) -> str:
-    """``header``, then each row of fields, as CSV lines."""
-    buf = io.StringIO()
-    buf.write(header + "\n")
-    for fields in rows:
-        buf.write(",".join(fields) + "\n")
-    return buf.getvalue()
-
-
-def map_to_csv(cells: Sequence[MapCell]) -> str:
-    return _to_csv(MAP_HEADER, ([_fmt(c.xr), _fmt(c.yr)]
-                               + [_fmt(c.rates.get(p, 0.0)) for p in PROTOCOL_ORDER]
-                               + [c.winner, c.bl_scenario] for c in cells))
-
-
 SLMAP_HEADER = "xr,yr,ef_sl,ef_bl,bl_scenario,winner,frontier"
 
 
+def _to_csv(header: str, row: str, values) -> str:
+    """``header``, then the line ``row % v`` for each tuple ``v`` of
+    ``values``.  A ``%.12g`` field writes a float as ``format(x, ".12g")``
+    does, byte for byte, -0.0, subnormals, inf and nan included."""
+    return header + "\n" + "".join([row % v for v in values])
+
+
+def map_to_csv(cells: Sequence[MapCell]) -> str:
+    return _to_csv(MAP_HEADER, "%.12g," * 6 + "%s,%s\n",
+                   ((c.xr, c.yr, *map(c.rates.get, PROTOCOL_ORDER, (0.0,) * 4), c.winner,
+                     c.bl_scenario) for c in cells))
+
+
 def slmap_to_csv(cells: Sequence[SlCell]) -> str:
-    return _to_csv(SLMAP_HEADER, ([_fmt(c.xr), _fmt(c.yr), _fmt(c.sl_sum), _fmt(c.bl_sum),
-                                   c.bl_scenario, c.winner, "1" if c.frontier else "0"]
-                                  for c in cells))
+    return _to_csv(SLMAP_HEADER, "%.12g,%.12g,%.12g,%.12g,%s,%s,%d\n",
+                   ((c.xr, c.yr, c.sl_sum, c.bl_sum, c.bl_scenario, c.winner, c.frontier)
+                    for c in cells))

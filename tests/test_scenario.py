@@ -17,8 +17,11 @@ from ircrates.scenario import (
     MAP_HEADER,
     OPTIMIZERS,
     PROTOCOL_ORDER,
+    SLMAP_HEADER,
     ConfigError,
+    MapCell,
     ScenarioConfig,
+    SlCell,
     default_config,
     dominance_map,
     evaluate_cell,
@@ -382,7 +385,8 @@ class TestOptimizerTable:
         # A kernel (here a patched one) that returns NaN rates in cells 1 and
         # 4 of the map's one block stops the map at cell 1, the first in map
         # order, named with its protocol.  EF-SL's NaN in cells 0 and 1 is
-        # the infeasibility a map scores 0, and raises nothing.
+        # the infeasibility a map scores 0, and raises nothing.  The slmap
+        # reads the same EF-BL column and refuses its NaN alike.
         def with_nan(name, cells):
             entry = OPTIMIZERS[name]
 
@@ -398,9 +402,10 @@ class TestOptimizerTable:
         cfg = small_config()  # 3 x 2 cells
         assert [c.infeasible for c in dominance_map(cfg)] == [("ef_sl",)] * 2 + [()] * 4
         with_nan(protocol, [4, 1])
-        with pytest.raises(ValueError, match=rf"^{protocol} rate is NaN with the relay at "
-                                             r"\(0\.0, 0\.25\) d0$"):
-            dominance_map(cfg)
+        for run in [dominance_map] + [sl_vs_bl_map] * (protocol == "ef_bl"):
+            with pytest.raises(ValueError, match=rf"^{protocol} rate is NaN with the relay at "
+                                                 r"\(0\.0, 0\.25\) d0$"):
+                run(cfg)
 
     def test_infeasible_entry_runs_once_per_block(self, monkeypatch):
         # At Pr = 1e-15 EF-SL is infeasible in every cell of the default map.
@@ -430,11 +435,15 @@ class TestOptimizerTable:
     @pytest.mark.parametrize("run", [dominance_map, sl_vs_bl_map], ids=lambda f: f.__name__)
     def test_maps_build_no_per_cell_objects(self, monkeypatch, run):
         # The kernels hand the maps columns; the validated objects belong to
-        # the one-channel API.
+        # the one-channel API.  The slmap reads its rows from the columns,
+        # with no MapCell and no dominance map in between.
         built = Counter()
         for cls in (DfParams, EfBiParams, RatePair):
             monkeypatch.setattr(cls, "__post_init__", lambda self, check=cls.__post_init__:
                                 built.update([type(self).__name__]) or check(self))
+        if run is sl_vs_bl_map:
+            for name in ("MapCell", "dominance_map"):
+                monkeypatch.setattr(scenario, name, lambda *a, name=name: built.update([name]))
         run(default_config())
         assert built == Counter()
 
@@ -473,6 +482,31 @@ class TestMaps:
             assert bl_scenario == orig.bl_scenario
             for p, v in zip(PROTOCOL_ORDER, rates, strict=True):
                 assert float(v) == pytest.approx(orig.rates[p], rel=1e-11)
+
+    def test_rows_are_the_12_digit_format(self):
+        # Each float field is format(x, ".12g"), fields joined by commas, on
+        # edge values: signed zero, the least subnormal, a float past 2**53,
+        # repeating decimals, values that round at the 12th digit, inf and nan.
+        # Each map cell lacks one protocol, which writes 0.
+        edge = [-0.0, 5e-324, 1e16, 0.1, 1 / 3, 1.23456789012549, 9.99999999999951,
+                math.inf, math.nan]
+        n = len(edge)
+        maps = [MapCell(edge[k], edge[k - 1], {p: edge[(k + j) % n] for j, p in
+                                               enumerate(PROTOCOL_ORDER) if j != k % 4},
+                        "af", "d1_better", 0.0) for k in range(n)]
+        sls = [SlCell(edge[k], edge[k - 1], edge[k - 2], edge[k - 3], "neither",
+                      "bl", k % 2 == 1) for k in range(n)]
+
+        def csv(header, rows):
+            return "".join(",".join(format(f, ".12g") if isinstance(f, float) else f
+                                    for f in row) + "\n" for row in [[header], *rows])
+
+        assert map_to_csv(maps) == csv(MAP_HEADER, (
+            [c.xr, c.yr, *(c.rates.get(p, 0.0) for p in PROTOCOL_ORDER), c.winner,
+             c.bl_scenario] for c in maps))
+        assert slmap_to_csv(sls) == csv(SLMAP_HEADER, (
+            [c.xr, c.yr, c.sl_sum, c.bl_sum, c.bl_scenario, c.winner, "01"[c.frontier]]
+            for c in sls))
 
     def test_mirrored_layout_symmetry(self):
         # Reflect the whole node set across the x-axis: rates at (x, y) in
@@ -542,6 +576,37 @@ class TestSlMap:
                 assert c.winner == "bl"
             else:
                 assert c.winner == "sl"
+
+    @pytest.mark.parametrize("case", ["two-blocks", "zero-bottleneck", "ties"])
+    def test_equals_the_ef_only_dominance_map(self, monkeypatch, case):
+        # Cell by cell, the slmap is the EF-only dominance map: its sums and
+        # tag, "bl" where EF-BL's sum is at least EF-SL's, and a frontier
+        # where the tag differs from the cell to the left or below.  At
+        # 0.175 d0 (47 x 41 = 1927 cells, EF-only blocks of 1530 and 397) a
+        # cell is on the frontier only through its neighbour in the other
+        # block; at Pr = 1e-15 EF-SL is infeasible and scores 0.0; with
+        # EF-SL's entry swapped for EF-BL's, every cell ties and goes to "bl".
+        config = {"two-blocks": replace(default_config(), resolution=0.175),
+                  "zero-bottleneck": small_config(Pr=1e-15), "ties": small_config()}[case]
+        if case == "ties":
+            monkeypatch.setitem(OPTIMIZERS, "ef_sl", OPTIMIZERS["ef_bl"])
+        cells = dominance_map(replace(config, protocols=("ef_bl", "ef_sl")))
+        nx, tags = len(config.grid_x()), [c.bl_scenario for c in cells]
+        differ = [[j for j in (k - 1 if k % nx else -1, k - nx) if j >= 0 and tags[j] != tag]
+                  for k, tag in enumerate(tags)]
+        got = sl_vs_bl_map(config)
+        assert got == [SlCell(c.xr, c.yr, c.rates["ef_sl"], c.rates["ef_bl"], c.bl_scenario,
+                              "bl" if c.winner == "ef_bl" else "sl", bool(d))
+                       for c, d in zip(cells, differ)]
+        assert all((c.winner == "bl") == (c.bl_sum >= c.sl_sum) for c in got)
+        if case == "two-blocks":
+            size = scenario._block_size(replace(config, protocols=("ef_bl", "ef_sl")))
+            assert size == 1530 < len(cells)
+            assert any(d and max(d) < size for d in differ[size:])
+        elif case == "zero-bottleneck":
+            assert {(c.infeasible, c.rates["ef_sl"]) for c in cells} == {(("ef_sl",), 0.0)}
+        else:
+            assert {c.winner for c in got} == {"bl"}
 
     def test_frontier_flags(self):
         cfg = small_config(x_min=-1.0, x_max=1.0, y_min=0.25, y_max=1.25,
