@@ -124,8 +124,12 @@ def saturation_gain(channel):
 
 def quadratic_coefficients(aux: AfAuxiliaries) -> Tuple[float, float, float]:
     """(c2, c1, c0) of the stationary-point quadratic c2 a^2 + c1 a + c0 = 0."""
-    squares = (abs(z) ** 2 for z in (aux.m, aux.n, aux.p, aux.q))
-    return _coefficients(aux.m, aux.n, aux.p, aux.q, aux.s, *squares)[0]
+    squares = (_square(z) for z in (aux.m, aux.n, aux.p, aux.q))
+    coefficients = _coefficients(aux.m, aux.n, aux.p, aux.q, aux.s, *squares)[0]
+    if not all(map(math.isfinite, coefficients)):
+        raise ValueError(f"the AF stationary-point quadratic of user {aux.user} overflows a "
+                         f"float: lower P1, P2 or Nr, or raise N{aux.user}")
+    return coefficients
 
 
 def _coefficients(m, n, p, q, s, mm, nn, pp, qq):
@@ -213,18 +217,19 @@ def optimal_gain(channel: ChannelInstance, user: int) -> AfAnalysis:
     coefficient of the quadratic vanishes, only the endpoints are scored.
     """
     aux = auxiliaries(channel, user)
+    coefficients = quadratic_coefficients(aux)
     try:
-        roots = _solve_stationary(*quadratic_coefficients(aux))
+        roots = _solve_stationary(*coefficients)
     except ValueError:
         roots = []
     gain, rate = (x.item() for x in _best_gain(
         ChannelBatch.of([channel]), np.array([roots], dtype=float).reshape(1, -1), (user,)))
     # h_ri = 0 gives m = p = s = 0: the rate is then the same at every gain.
-    relayed = abs(aux.p) ** 2 + aux.s
+    relayed = _square(aux.p) + aux.s
     return AfAnalysis(
         user=user,
         saturation_gain=saturation_gain(channel),
-        asymptote=capacity(abs(aux.m) ** 2 / relayed) if relayed > 0 else rate,
+        asymptote=capacity(_square(aux.m) / relayed) if relayed > 0 else rate,
         optimal_gain=gain,
         optimal_rate=rate,
     )
@@ -261,25 +266,67 @@ _OVERFLOW = ("the AF sum-rate polynomial overflows a float: its coefficients mul
 
 def _sum_rate_polynomials(batch: ChannelBatch) -> np.ndarray:
     """Q_1 T_2 D_2 + Q_2 T_1 D_1 of each cell, highest power first, as ``np.roots``
-    takes it: Q_i, T_i and D_i for the whole block, then ``np.convolve`` per
-    cell, whose sums no stacked numpy call reproduces bit for bit."""
+    takes it: Q_i, T_i and D_i for the whole block, then T_i D_i of both users
+    in one ``_products`` call and Q_i times the other user's T D in another."""
     aux = [np.concatenate(z) for z in zip(_aux_values(batch, 1), _aux_values(batch, 2))]
     moduli = np.hypot([z.real for z in aux[:4]], [z.imag for z in aux[:4]])
     # abs(z) ** 2 in Python floats: libm pow, which is not always z * z.
     squares = _pow(_square, moduli)
-    q, t, d = (np.stack(r, axis=1) for r in _coefficients(*aux, *squares))  # user 1, then 2
-    n = len(batch)
-    return np.array([np.convolve(q[k], np.convolve(t[n + k], d[n + k]))
-                     + np.convolve(q[n + k], np.convolve(t[k], d[k])) for k in range(n)])
+    q, t, d = (np.array(r) for r in _coefficients(*aux, *squares))  # cells of user 1, then 2
+    n, td = len(batch), _products(t, d)
+    products = _products(np.concatenate((td[:, n:], td[:, :n]), axis=1), q)
+    return (products[:, :n] + products[:, n:]).T
+
+
+def _products(a: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """``np.convolve(a[:, k], v[:, k])`` of each column k (a of w >= 3 rows, v of 3), as
+    numpy 2.4's OpenBLAS rounds it: a coefficient sums its terms a[i] v[j] from 0.0 in
+    increasing i, but a sum of two terms is 0.0 + fma(a[i + 1], v[j - 1], a[i] v[j])."""
+    w = len(a)
+    out = np.empty((w + 2, a.shape[1]))
+    # Strided views: out rows 0 and w + 1 are one term, rows 1 and w two terms.
+    out[::w + 1] = 0.0 + a[::w - 1] * v[::2]
+    out[1::w - 1] = 0.0 + _fma(a[1::w - 2], v[:2], a[:-1:w - 2] * v[1:])
+    out[2:-2] = 0.0 + a[:-2] * v[2] + a[1:-1] * v[1] + a[2:] * v[0]
+    # Beyond 2^480 the split can overflow; below 2^-480 an error term can underflow.
+    m = np.abs(np.concatenate((a, v)))
+    for k in np.flatnonzero(~((m == 0.0) | (m >= 2.0 ** -480) & (m <= 2.0 ** 480)).all(axis=0)):
+        out[:, k] = np.convolve(a[:, k], v[:, k])
+    return out
+
+
+def _fma(x, y, z):
+    """x y + z rounded once, elementwise, for x, y and z of magnitude 0 or in
+    [2^-480, 2^480]: Dekker's exact product, TwoSum, and one addition rounded
+    to odd (Boldo & Melquiond, IEEE Trans. Computers 57(4), 2008)."""
+    (xh, xl), (yh, yl), p = _split(x), _split(y), x * y
+    s, t = _two_sum(z, p)
+    u, r = _two_sum(t, ((xh * yh - p) + xh * yl + xl * yh) + xl * yl)
+    return s + np.where((r == 0.0) | (u.view(np.int64) & 1 == 1), u,
+                        np.nextafter(u, np.copysign(np.inf, r)))
+
+
+def _split(x):
+    """Veltkamp's split: x = hi + lo, each with at most 26 significant bits."""
+    c = 134217729.0 * x  # 2^27 + 1
+    hi = c - (c - x)
+    return hi, x - hi
+
+
+def _two_sum(a, b):
+    """(s, e) with s = a + b rounded and s + e = a + b exactly (Knuth)."""
+    s = a + b
+    b_part = s - a
+    return s, (a - (s - b_part)) + (b - b_part)
 
 
 def af_sum_rate_gain_batch(batch: ChannelBatch) -> Tuple[np.ndarray, ...]:
     """``af_sum_rate_gain`` of every cell of ``batch``: the columns (gain, R1, R2).
 
-    The polynomials' coefficients are formed for the whole block at once, by
-    the float operations of one channel's Python arithmetic (unfused complex
-    products, |z| as hypot, squares by libm pow); only their products stay
-    ``np.convolve`` per cell.  One ``np.linalg.eigvals`` call on the stacked
+    The polynomials are formed for the whole block at once, by the float
+    operations of one channel's Python arithmetic (unfused complex products,
+    |z| as hypot, squares by libm pow) and products rounded as ``np.convolve``
+    rounds them (``_products``).  One ``np.linalg.eigvals`` call on the stacked
     companion matrices then roots them all, as ``np.roots`` roots one (Edelman
     & Murakami, Math. Comp. 1995).  A polynomial with a zero leading or
     trailing coefficient has a lower degree and goes through ``np.roots``.

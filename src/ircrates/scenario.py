@@ -14,7 +14,7 @@ import json
 import math
 import numbers
 from dataclasses import dataclass, replace
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
@@ -216,8 +216,8 @@ class MapCell:
     infeasible: Tuple[str, ...] = ()
 
 
-@dataclass(frozen=True)
-class SlCell:
+class SlCell(NamedTuple):
+    """One ``sl_vs_bl_map`` cell: its fields are the columns of SLMAP_HEADER, in order."""
     xr: float
     yr: float
     sl_sum: float
@@ -389,6 +389,4 @@ def map_to_csv(cells: Sequence[MapCell]) -> str:
 
 
 def slmap_to_csv(cells: Sequence[SlCell]) -> str:
-    return _to_csv(SLMAP_HEADER, "%.12g,%.12g,%.12g,%.12g,%s,%s,%d\n",
-                   ((c.xr, c.yr, c.sl_sum, c.bl_sum, c.bl_scenario, c.winner, c.frontier)
-                    for c in cells))
+    return _to_csv(SLMAP_HEADER, "%.12g,%.12g,%.12g,%.12g,%s,%s,%d\n", cells)

@@ -351,6 +351,20 @@ class TestSumRateMatchesScan:
                 assert f"{pair.sum:.12g}" == f"{ref.sum:.12g}"
 
 
+@pytest.mark.parametrize("run", [
+    lambda ch: quadratic_coefficients(auxiliaries(ch, 1)),
+    lambda ch: critical_points(ch, 1),
+    lambda ch: optimal_gain(ch, 1),
+], ids=["quadratic_coefficients", "critical_points", "optimal_gain"])
+def test_user_overflow_raises_a_value_error(run):
+    # A channel that ChannelInstance accepts: user 1's |m|^2 is 1e450, which
+    # Python's abs(z) ** 2 turned into a bare OverflowError.
+    ch = ChannelInstance(h11=1e-80, h12=1e-80, h21=1e-80, h22=1e-80, h1r=1e75, h2r=1.0,
+                         hr1=1e75, hr2=1.0, P1=1.0, P2=1.0, Pr=1.0, N1=1e-150, N2=1.0, Nr=1.0)
+    with pytest.raises(ValueError, match="quadratic of user 1 overflows a float"):
+        run(ch)
+
+
 def test_import_does_not_load_scipy():
     code = "import sys, ircrates; print('scipy' in sys.modules)"
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,

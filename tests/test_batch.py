@@ -8,6 +8,7 @@ evaluated blocks of relay positions.  Every comparison here is ``==``.
 
 import random
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -236,6 +237,104 @@ def test_af_block_coefficients_are_the_per_cell_polynomials():
     for s in range(0, len(cells), size):
         block = cells[s:s + size]
         assert_block_polynomials_are_per_cell(DEFAULT.channel_batch(block))
+
+
+def test_af_block_with_a_cell_outside_the_products_range(monkeypatch):
+    # A relay gain of 1e-80 puts that cell's D_1 near 1e-160, below 2^-480:
+    # its products go through np.convolve, and keep every bit.
+    channels = mixed_af_channels(np.random.default_rng(19))
+    channels[7] = replace(channels[7], hr1=1e-80)
+    batch, convolve, calls = ChannelBatch.of(channels), np.convolve, []
+    with monkeypatch.context() as patch:
+        patch.setattr(np, "convolve", lambda a, v: calls.append(1) or convolve(a, v))
+        af._sum_rate_polynomials(batch)
+    assert calls
+    assert_block_polynomials_are_per_cell(batch)
+
+
+def assert_products_are_np_convolve(a, v):
+    """af._products on the rows of ``a`` and ``v`` has the bytes of np.convolve per row."""
+    with np.errstate(all="ignore"):
+        got = af._products(a.T, v.T).T
+        want = np.array([np.convolve(x, y) for x, y in zip(a, v)])
+    assert got.tobytes() == want.tobytes()
+
+
+def spread_rows(rng, rows, width):
+    """Normal draws times 2^e, e a row exponent in [-400, 400] plus up to
+    +-100 per entry: most rows lie inside [2^-480, 2^480], some on either side."""
+    scale = rng.integers(-400, 401, (rows, 1)) + rng.integers(-100, 101, (rows, width))
+    return rng.standard_normal((rows, width)) * 2.0 ** scale
+
+
+@pytest.mark.parametrize("width", [3, 5])
+def test_products_are_np_convolve_on_random_rows(width):
+    rng = np.random.default_rng(20 + width)
+    a, v = spread_rows(rng, 100_000, width), spread_rows(rng, 100_000, 3)
+    m = np.abs(np.concatenate((a, v), axis=1))
+    assert (m.max(axis=1) > 2.0 ** 480).sum() > 500 and (m.min(axis=1) < 2.0 ** -480).sum() > 500
+    assert_products_are_np_convolve(a, v)
+
+
+@pytest.mark.parametrize("width", [3, 5])
+def test_products_are_np_convolve_on_extreme_rows(width):
+    rng = np.random.default_rng(22 + width)
+    special = np.array([0.0, -0.0, 5e-324, -2.5e-310, np.inf, -np.inf, np.nan])
+    a, v = rng.standard_normal((20_000, width)), rng.standard_normal((20_000, 3))
+    for x in (a, v):
+        hit = rng.random(x.shape) < 0.3
+        x[hit] = rng.choice(special, hit.sum())
+    # Entries near 2^1000 times entries near 2^-1000: the products are near 1,
+    # but Dekker's split of the large entries overflows.
+    scale = 2.0 ** rng.choice([-1000, 1000], (2_000, 1))
+    a = np.concatenate((a, rng.standard_normal((2_000, width)) * scale))
+    v = np.concatenate((v, rng.standard_normal((2_000, 3)) / scale))
+    assert_products_are_np_convolve(a, v)
+
+
+def fma_deciding_rows(count):
+    """(x, y) with x = 1 + k 2^-52 and y the first float with x y > 2^-53, for
+    k = 1..count: fl(x y) is 2^-53, so 1 + fl(x y) is a tie that rounds to 1.0,
+    while fma(x, y, 1.0) is 1 + 2^-52."""
+    rows = []
+    for k in range(1, count + 1):
+        x = 1.0 + k * 2.0 ** -52
+        y = float(Fraction(2) ** -53 / Fraction(x))
+        while Fraction(x) * Fraction(y) > Fraction(2) ** -53:
+            y = np.nextafter(y, 0.0)
+        while Fraction(x) * Fraction(y) <= Fraction(2) ** -53:
+            y = np.nextafter(y, 1.0)
+        rows.append((x, float(y)))
+    return np.array(rows)
+
+
+def blas():
+    info = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return f"{info.get('name')} {info.get('version')}"
+
+
+def test_np_convolve_fuses_its_two_term_sums():
+    # The rounding that af._products copies: np.convolve([1, x, r], [y, 1, r])[1]
+    # is the one rounding of x y + 1.
+    for x, y in fma_deciding_rows(200):
+        got = np.convolve([1.0, x, 0.75], [y, 1.0, 0.75])[1]
+        fma = float(Fraction(x) * Fraction(y) + 1)
+        assert got == fma == 1.0 + 2.0 ** -52 != 1.0 + x * y, (
+            f"this numpy/BLAS ({np.__version__}, {blas()}) does not fuse np.convolve's 2-term "
+            f"sums: {got!r} where fma(x, y, 1.0) is {fma!r}")
+
+
+@pytest.mark.parametrize("width", [3, 5])
+def test_products_are_np_convolve_where_round_to_odd_decides(width):
+    # Each built row's first or last two-term sum is fma(x, y, 1.0): rounding
+    # x y + 1 in two steps, or fusing the other product, gives 1.0 there.
+    rng = np.random.default_rng(24 + width)
+    x, y = fma_deciding_rows(1_000).T
+    r, one = rng.standard_normal((len(x), width)), np.ones_like(x)
+    first = np.column_stack((one, x, r[:, 2:])), np.column_stack((y, one, r[:, 0]))
+    last = np.column_stack((r[:, 2:], one, x)), np.column_stack((r[:, 0], y, one))
+    for a, v in (first, last):
+        assert_products_are_np_convolve(a, v)
 
 
 def test_af_block_overflow_in_one_cell_raises():
