@@ -30,8 +30,8 @@ from typing import List, Tuple
 
 import numpy as np
 
-from .channel import (ChannelBatch, ChannelInstance, RatePair, _conj_product, _pow,
-                      _relay_received, _square, capacity, other)
+from .channel import (ChannelBatch, ChannelInstance, RatePair, _conj_product, _relay_received,
+                      _split, _square, _squares, _two_sum, capacity, other)
 
 __all__ = [
     "AfAuxiliaries",
@@ -269,9 +269,7 @@ def _sum_rate_polynomials(batch: ChannelBatch) -> np.ndarray:
     takes it: Q_i, T_i and D_i for the whole block, then T_i D_i of both users
     in one ``_products`` call and Q_i times the other user's T D in another."""
     aux = [np.concatenate(z) for z in zip(_aux_values(batch, 1), _aux_values(batch, 2))]
-    moduli = np.hypot([z.real for z in aux[:4]], [z.imag for z in aux[:4]])
-    # abs(z) ** 2 in Python floats: libm pow, which is not always z * z.
-    squares = _pow(_square, moduli)
+    squares = _squares(np.array(aux[:4]))  # |m|^2, |n|^2, |p|^2, |q|^2 as libm pow rounds them
     q, t, d = (np.array(r) for r in _coefficients(*aux, *squares))  # cells of user 1, then 2
     n, td = len(batch), _products(t, d)
     products = _products(np.concatenate((td[:, n:], td[:, :n]), axis=1), q)
@@ -306,32 +304,19 @@ def _fma(x, y, z):
                         np.nextafter(u, np.copysign(np.inf, r)))
 
 
-def _split(x):
-    """Veltkamp's split: x = hi + lo, each with at most 26 significant bits."""
-    c = 134217729.0 * x  # 2^27 + 1
-    hi = c - (c - x)
-    return hi, x - hi
-
-
-def _two_sum(a, b):
-    """(s, e) with s = a + b rounded and s + e = a + b exactly (Knuth)."""
-    s = a + b
-    b_part = s - a
-    return s, (a - (s - b_part)) + (b - b_part)
-
-
 def af_sum_rate_gain_batch(batch: ChannelBatch) -> Tuple[np.ndarray, ...]:
     """``af_sum_rate_gain`` of every cell of ``batch``: the columns (gain, R1, R2).
 
     The polynomials are formed for the whole block at once, by the float
     operations of one channel's Python arithmetic (unfused complex products,
-    |z| as hypot, squares by libm pow) and products rounded as ``np.convolve``
-    rounds them (``_products``).  One ``np.linalg.eigvals`` call on the stacked
-    companion matrices then roots them all, as ``np.roots`` roots one (Edelman
-    & Murakami, Math. Comp. 1995).  A polynomial with a zero leading or
-    trailing coefficient has a lower degree and goes through ``np.roots``.
-    A coefficient that overflows raises ValueError naming the fields.  The
-    maps pass blocks of at most ``scenario._block_size`` cells.
+    |z| as hypot, squares as libm pow rounds them: ``channel._squares``) and
+    products rounded as ``np.convolve`` rounds them (``_products``).  One
+    ``np.linalg.eigvals`` call on the stacked companion matrices then roots
+    them all, as ``np.roots`` roots one (Edelman & Murakami, Math. Comp.
+    1995).  A polynomial with a zero leading or trailing coefficient has a
+    lower degree and goes through ``np.roots``.  A coefficient that overflows
+    raises ValueError naming the fields.  The maps pass blocks of at most
+    ``scenario._block_size`` cells.
     """
     with np.errstate(all="ignore"):
         polys = _sum_rate_polynomials(batch)

@@ -37,8 +37,8 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .channel import (
-    ChannelBatch, ChannelInstance, RatePair, _FEAS_RTOL, _conj_product, _pow,
-    _relay_received, capacity, check_nu_split, nu_simplex, other,
+    ChannelBatch, ChannelInstance, RatePair, _FEAS_RTOL, _conj_product, _relay_received,
+    _squares, capacity, check_nu_split, nu_simplex, other,
 )
 from .errors import ConstraintViolationError, InfeasibleError
 
@@ -97,7 +97,7 @@ class EfDerived:
 
 def _terms(channel):
     """((V1, V2), A, (|A1|, |A2|), (|A1|^2, |A2|^2)), the channel terms of the
-    module docstring; the squares are formed in Python floats."""
+    module docstring; both squares from one ``_squares`` call, as libm pow rounds them."""
     v, cross = [], []
     for i in (1, 2):
         j = other(i)
@@ -107,7 +107,9 @@ def _terms(channel):
         re_j, im_j = _conj_product(channel.h_cross(i), channel.h_to_relay(j))
         # |h_ii h_ir^* P_i + h_ji h_jr^* P_j|
         cross.append(np.hypot(re_i * Pi + re_j * Pj, im_i * Pi + im_j * Pj))
-    return v, _relay_received(channel), cross, [_pow(lambda c: c ** 2, c) for c in cross]
+    if np.isinf(squares := _squares(np.stack(cross))).any():  # |A_i| rounded above sqrt(max)
+        raise OverflowError("|A_i|^2, the EF covariance sum_k h_ki h_kr^* P_k squared, overflows")
+    return v, _relay_received(channel), cross, list(squares)
 
 
 def ef_derived(channel: ChannelInstance) -> EfDerived:
@@ -282,7 +284,7 @@ def _sl_min_noise(channel, r0_exponent: int):
                     capacity(channel.g_from_relay(2) * channel.Pr / v2))
     sigma_sq = np.maximum(A - sq1 / v1, A - sq2 / v2)
     try:
-        growth = _pow(lambda r: 2.0 ** (r0_exponent * r), r0)
+        growth = np.reshape([2.0 ** (r0_exponent * r) for r in r0.ravel().tolist()], r0.shape)
     except OverflowError:
         raise ValueError(
             "the EF-SL noise bound's 2^(e R_0) overflows a float: R_0 = min_i C(|h_ri|^2 Pr"
@@ -324,9 +326,9 @@ def ef_sl_rate(
 
 def ef_sl_batch(batch: ChannelBatch, r0_exponent: int = 2) -> Tuple[np.ndarray, ...]:
     """The columns (minimal noise, R1, R2 at it) of the single-level scheme
-    over the cells of ``batch``, elementwise; squares and 2 ** (e R_0) are
-    formed in Python floats, as for one channel (maps pass blocks of
-    ``scenario._block_size``).  Every column is NaN where the bottleneck rate is zero."""
+    over the cells of ``batch``, elementwise; squares as libm pow rounds
+    them, and 2 ** (e R_0) in Python floats, as for one channel (maps pass
+    blocks of ``scenario._block_size``).  Every column is NaN where the bottleneck rate is zero."""
     r0, nwz = _sl_min_noise(batch, r0_exponent)
     feasible = r0 > 0.0
     for k in np.flatnonzero(feasible & (nwz < 0.0)):  # sigma_i^2 cancelled below zero in round-off
@@ -357,9 +359,9 @@ def ef_bi_sum_rate_search_batch(
     of ``ef_bi_sum_rate_search`` over the cells of ``batch``, from one (cells,
     splits) array over the splits ``nu_simplex`` gives (given ``nu``,
     ``ef_bi_eval`` at that one split), each cell keeping its first argmax.
-    A non-positive noise bound raises in ``_bi_eval``.  Squares are formed in
-    Python floats and all else elementwise, so each cell gets what a batch
-    of one gives it.  Maps pass blocks of ``scenario._block_size`` cells."""
+    A non-positive noise bound raises in ``_bi_eval``.  Squares are rounded
+    as libm pow rounds them and all else is elementwise, so each cell gets
+    what a batch of one gives it.  Maps pass blocks of ``scenario._block_size`` cells."""
     grid, i1, i2 = nu_simplex(grid_points, nu)
     found = _bi_eval(batch.column(), grid[i1], grid[i2])
     k, cells = (found[3] + found[4]).argmax(axis=1), np.arange(len(batch))  # R1 + R2

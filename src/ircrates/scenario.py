@@ -231,11 +231,11 @@ class SlCell(NamedTuple):
 # _block_size positions) and returns columns over its cells: (R1, R2, point),
 # the point giving each field of the chosen operating point, in display order,
 # a column (a pair, a tuple of two).  The kernels build their coefficients and
-# tables once per block, elementwise by the float operations of one channel,
-# with squares and powers in Python floats (libm pow), so a cell's result does
-# not depend on its block.  Kernels are looked up on their modules at call
-# time, so a swapped-in kernel takes effect.  A cell where EF-SL is infeasible
-# has NaN rates; the map refuses a NaN rate of any other protocol.
+# tables once per block, elementwise by the float operations of one channel
+# (squares as libm pow rounds them: ``channel._squares``), so a cell's result
+# does not depend on its block.  Kernels are looked up on their modules at
+# call time, so a swapped-in kernel takes effect.  A cell where EF-SL is
+# infeasible has NaN rates; the map refuses a NaN rate of any other protocol.
 
 
 def _optimize_af(batch: ChannelBatch, config: ScenarioConfig):
@@ -335,9 +335,9 @@ def dominance_map(config: ScenarioConfig) -> List[MapCell]:
     Positions are evaluated in blocks of ``_block_size`` cells (at the
     default grids 1,344, or 1,530 for EF alone; 32 and 64 under the optimal
     policy), each protocol once per block on a ``ChannelBatch``, and each
-    block's cells are read from its columns.  Squares and powers are formed in
-    Python floats, as for one channel, and all else elementwise, so the map
-    has the same bytes as cell by cell.
+    block's cells are read from its columns.  Squares are rounded as libm
+    pow rounds them (``channel._squares``), as for one channel, and all else
+    is elementwise, so the map has the same bytes as cell by cell.
     """
     return _cells(config, [(float(x), float(y))
                            for y in config.grid_y() for x in config.grid_x()])

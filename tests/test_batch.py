@@ -6,6 +6,8 @@ channel, and the per-cell map evaluation, as they were before the maps
 evaluated blocks of relay positions.  Every comparison here is ``==``.
 """
 
+import math
+import platform
 import random
 from dataclasses import replace
 from fractions import Fraction
@@ -13,8 +15,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from ircrates import af, df, ef, scenario
-from ircrates.channel import ChannelBatch, layout_to_channel, nu_simplex
+from ircrates import af, channel, df, ef, scenario
+from ircrates.channel import (_MAX_POWER, ChannelBatch, ChannelInstance, _squares,
+                              layout_to_channel, nu_simplex)
 from ircrates.scenario import UNIFORM_NU, default_config, dominance_map, sl_vs_bl_map
 
 from conftest import anti_phase_channel, cancelling_config, random_channel, refusal_order_config
@@ -335,6 +338,144 @@ def test_products_are_np_convolve_where_round_to_odd_decides(width):
     last = np.column_stack((r[:, 2:], one, x)), np.column_stack((r[:, 0], y, one))
     for a, v in (first, last):
         assert_products_are_np_convolve(a, v)
+
+
+def pow_squares(values) -> np.ndarray:
+    """abs(v) ** 2 of each value by Python's float power (libm pow), inf where it overflows."""
+    out = []
+    for v in values:
+        try:
+            out.append(abs(v) ** 2)
+        except OverflowError:
+            out.append(math.inf)
+    return np.array(out)
+
+
+def residuals(m) -> np.ndarray:
+    """|m^2 - fl(m^2)| in ulps of m^2, exactly, for normal m > 0: with m = k 2^e,
+    k an integer in [2^52, 2^53), the low 52 or 53 bits of k^2, from 26-bit limbs."""
+    k = (np.frexp(m)[0] * 2.0 ** 53).astype(np.int64)
+    hi, lo = k >> 26, k & (2 ** 26 - 1)
+    low = ((hi * hi & 1) << 52) + ((2 * hi * lo & (2 ** 27 - 1)) << 26) + lo * lo
+    bits = np.where(k > math.isqrt(2 ** 105), 53, 52)  # k^2 has 106 bits, or 105
+    r = (low & ((1 << bits) - 1)) / 2.0 ** bits
+    return np.minimum(r, 1.0 - r)
+
+
+def test_residuals_are_exact():
+    rng = np.random.default_rng(30)
+    m = rng.uniform(1.0, 2.0, 2_000) * 2.0 ** rng.integers(-500, 501, 2_000)
+    for v, r in zip(m.tolist(), residuals(m).tolist()):
+        exact, rounded = Fraction(v) ** 2, Fraction(v * v)
+        ulp = Fraction(2) ** (exact.numerator.bit_length() - exact.denominator.bit_length() - 53)
+        if exact >= 2 * ulp * 2 ** 52:  # m^2 lies one binade up
+            ulp *= 2
+        assert r == abs(exact - rounded) / ulp
+
+
+def assert_squares_are_pow(x, monkeypatch):
+    """_squares(x) has the bytes of abs(v) ** 2 per element; returns how many
+    elements went through channel._square."""
+    calls, square = [], channel._square
+    monkeypatch.setattr(channel, "_square", lambda v: calls.append(v) or square(v))
+    assert _squares(x).tobytes() == pow_squares(x.ravel().tolist()).tobytes()
+    return len(calls)
+
+
+def test_squares_are_pow_on_random_reals(monkeypatch):
+    # Exponents over +-520 put some magnitudes outside [2^-480, 2^480].
+    rng = np.random.default_rng(31)
+    x = rng.standard_normal(2_000_000) * 2.0 ** rng.integers(-520, 521, 2_000_000)
+    m = np.abs(x)
+    inside = (m >= 2.0 ** -480) & (m <= 2.0 ** 480)
+    r = residuals(m[inside])
+    slow = assert_squares_are_pow(x, monkeypatch)
+    # The certificate decides: an element in range is kept exactly where its
+    # residual is under 0.46 ulp (no power of two is drawn here).
+    assert slow == (~inside).sum() + (r >= 0.46).sum()
+    assert ((r >= 0.40) & (r < 0.46)).sum() >= 100_000 and (r >= 0.46).sum() >= 100_000
+
+
+def test_squares_are_pow_on_random_complex(monkeypatch):
+    rng = np.random.default_rng(32)
+    scale = 2.0 ** (rng.integers(-520, 521, 200_000) + rng.integers(-30, 31, (2, 200_000)))
+    re, im = rng.standard_normal((2, 200_000)) * scale
+    assert assert_squares_are_pow(re + 1j * im, monkeypatch) > 0
+
+
+def test_squares_are_pow_on_special_values(monkeypatch):
+    powers = [2.0 ** k for k in (*range(-60, 61), -1022, -600, -481, -480, 480, 481, 511, 600)]
+    near = [np.nextafter(v, d).item() for v in powers for d in (0.0, math.inf)]
+    tiny = [0.0, 5e-324, 2.5e-310, 2.2250738585072014e-308, 1.4916681462400413e-154]
+    wide = [_MAX_POWER, np.nextafter(_MAX_POWER, math.inf).item(), 1e300, math.inf, math.nan]
+    reals = [s * v for v in powers + near + tiny + wide for s in (1.0, -1.0)]
+    x = np.array(reals)
+    assert assert_squares_are_pow(x, monkeypatch) > 0
+    assert assert_squares_are_pow(x.reshape(2, -1), monkeypatch) > 0  # any shape
+    # Python's abs of a complex NaN with no infinite part leaves errno as it
+    # was, and raises OverflowError after an overflow: no such value here.
+    finite_or_inf = [v for v in reals if not math.isnan(v)]
+    z = np.array(finite_or_inf, dtype=complex)
+    z.imag = finite_or_inf[::-1]
+    parts = [complex(a, b) for a in (0.0, -0.0, 3.0, 2.0 ** 600, math.inf, -math.inf)
+             for b in (0.0, -0.0, 4.0, math.inf, -math.inf)]
+    parts += [complex(math.inf, math.nan), complex(math.nan, -math.inf)]
+    assert assert_squares_are_pow(np.concatenate((z, parts)), monkeypatch) > 0
+
+
+def test_libm_pow_squares_within_certificate():
+    # _squares keeps m * m where it is within 0.46 ulp of m^2, trusting
+    # glibc's pow (2.28 and later) to err by at most 0.54 ulp.  Wherever pow
+    # returns another float, m^2 must then lie at least 0.46 ulp from m * m.
+    rng = np.random.default_rng(33)
+    m = rng.uniform(1.0, 2.0, 2_000_000) * 2.0 ** rng.integers(-480, 480, 2_000_000)
+    differ = m[m * m != pow_squares(m.tolist())]
+    r = residuals(differ)
+    assert (r >= 0.46).all(), (
+        f"this libm's pow ({platform.libc_ver()}) squares {differ[r.argmin()]!r} to a float "
+        f"other than x * x, which lies {r.min():.4f} ulp from x^2: pow errs by more than the "
+        f"0.54 ulp that channel._squares assumes")
+
+
+def largest_passing(fields, name, below):
+    """The largest float under ``below`` that field ``name`` takes in a channel
+    ChannelInstance accepts (1.0 passes), by bisection on the bit patterns."""
+    def passes(bits):
+        try:
+            ChannelInstance(**{**fields, name: float(np.int64(bits).view(np.float64))})
+            return True
+        except ValueError:
+            return False
+    lo, hi = (int(np.float64(v).view(np.int64)) for v in (1.0, below))
+    while hi - lo > 1:
+        lo, hi = ((lo + hi) // 2, hi) if passes((lo + hi) // 2) else (lo, (lo + hi) // 2)
+    return float(np.int64(lo).view(np.float64))
+
+
+def test_ef_cross_squares_at_the_channel_limits():
+    # |A_1| = |h11| |h1r| P1 is at most sqrt(V_1 A) <= sqrt(float max) in
+    # exact arithmetic, but at the largest P1 the checks pass it can round one
+    # float above, where its square overflows.  EF refuses exactly those
+    # channels with OverflowError, as Python's |A_1| ** 2 did.
+    rng = np.random.default_rng(34)
+    finite = overflowing = 0
+    for g in (1.0, *rng.uniform(0.25, 4.0, 100).tolist()):
+        fields = dict(h11=g, h12=0.0, h21=0.0, h22=1.0, h1r=g, h2r=0.0, hr1=0.0, hr2=0.0,
+                      P1=1.0, P2=1.0, Pr=1.0, N1=1.0, N2=1.0, Nr=1.0)
+        ch = ChannelInstance(**{**fields, "P1": largest_passing(fields, "P1", 1e160)})
+        cross = g * g * ch.P1  # |h11 h1r^* P1 + h21 h2r^* P2| with h21 = h2r = 0
+        try:
+            want = cross ** 2
+        except OverflowError:
+            overflowing += 1
+            for run in (ef.ef_derived, lambda c: ef.ef_sl_batch(ChannelBatch.of([c]))):
+                with pytest.raises(OverflowError, match=r"^\|A_i\|\^2, the EF covariance"):
+                    run(ch)
+            continue
+        finite += 1
+        for terms in (ef._terms(ch), ef._terms(ChannelBatch.of([ch]))):
+            assert terms[2][0] == cross and terms[3][0] == want
+    assert finite > 0 and overflowing > 0
 
 
 def test_af_block_overflow_in_one_cell_raises():
