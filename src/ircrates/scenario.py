@@ -10,10 +10,14 @@ outer, x inner, both ascending).
 
 from __future__ import annotations
 
+import contextvars
 import json
 import math
 import numbers
+import os
+import threading
 from dataclasses import dataclass, replace
+from itertools import repeat
 from typing import Dict, List, NamedTuple, Sequence, Tuple
 
 import numpy as np
@@ -205,8 +209,8 @@ def load_config(path) -> ScenarioConfig:
 # -- per-cell protocol evaluation ---------------------------------------------
 
 
-@dataclass(frozen=True)
-class MapCell:
+class MapCell(NamedTuple):
+    """One ``dominance_map`` or ``sum_rate_slice`` cell; ``map_to_csv`` writes one row of each."""
     xr: float  # units of d0
     yr: float
     rates: Dict[str, float]  # sum rate per protocol (0.0 when infeasible)
@@ -279,14 +283,63 @@ def _block_size(config: ScenarioConfig) -> int:
     return _BLOCK_ENTRIES // max(36, *(rows.get(p, 0) for p in config.protocols))
 
 
+# A block of at least this many cells, with AF enabled, runs AF's entry on a
+# second thread, beside DF and EF in the calling thread, when the process may
+# use more than one CPU.  AF's time is mostly ``np.linalg.eigvals``, LAPACK work
+# that releases the GIL.  Measured on 2 vCPUs, uniform blocks of the default
+# map: the thread paid in 21 of 120 runs at 128 cells, 83 of 120 at 256 (2-6 %
+# faster) and 119 of 120 at 384; a 9-cell optimal block ran 1.4 ms slower with
+# it, and the 957-cell block 4 % slower when pinned to one CPU.
+_OVERLAP_CELLS = 256
+
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _entry_runs(config: ScenarioConfig, protocols, batch: ChannelBatch) -> dict:
+    """``OPTIMIZERS[p](batch, config)`` of each of ``protocols``, by protocol.  AF runs
+    on a second thread when the block is large enough (``_OVERLAP_CELLS``) and more
+    than one CPU is usable, inside a copy of the caller's context (numpy's ``errstate``
+    is a context variable).  Either way a refusal is that of the first protocol in
+    ``protocols`` that raises: AF's, else the first of the others, which run in order
+    and stop at the first raise."""
+    runs, raised = {}, []
+
+    def run_af():
+        try:
+            runs["af"] = OPTIMIZERS["af"](batch, config)
+        except BaseException as exc:  # raised again in the calling thread
+            raised.append(exc)
+
+    worker = None
+    if "af" in protocols and len(batch) >= _OVERLAP_CELLS and _usable_cpus() > 1:
+        worker = threading.Thread(target=contextvars.copy_context().run, args=(run_af,))
+        worker.start()
+    try:
+        for p in protocols:
+            if p != "af" or worker is None:
+                runs[p] = OPTIMIZERS[p](batch, config)
+    finally:
+        if worker is not None:
+            worker.join()
+            if raised:
+                raise raised[0] from None
+    return runs
+
+
 def _block_columns(config: ScenarioConfig, positions, batch: ChannelBatch):
-    """Each enabled protocol's entry run once on ``batch``, the channels of ``positions``:
-    the protocols in order, their sum rates (protocols by cells, EF-SL's NaN scored 0.0),
-    where EF-SL is infeasible, and each cell's AF gain and EF-BL scenario tag (0.0 and ""
-    when not run).  Another protocol's NaN rate raises, at the first such cell."""
+    """Each enabled protocol's entry run once on ``batch``, the channels of ``positions``
+    (``_entry_runs``): the protocols in order, their sum rates (protocols by cells, EF-SL's
+    NaN scored 0.0), where EF-SL is infeasible, and each cell's AF gain and EF-BL scenario
+    tag (0.0 and "" when not run).  Another protocol's NaN rate raises, at the first such
+    cell."""
     protocols, n = [p for p in PROTOCOL_ORDER if p in config.protocols], len(positions)
-    runs = {p: OPTIMIZERS[p](batch, config) for p in protocols}  # (R1, R2, point) each
-    sums = np.array([r1 + r2 for r1, r2, _ in runs.values()])
+    runs = _entry_runs(config, protocols, batch)  # (R1, R2, point) each
+    sums = np.array([runs[p][0] + runs[p][1] for p in protocols])
     nan = np.isnan(sums)
     fault = nan & (np.array(protocols) != "ef_sl")[:, None]  # EF-SL's zero bottleneck aside
     if fault.any():
@@ -300,13 +353,13 @@ def _block_columns(config: ScenarioConfig, positions, batch: ChannelBatch):
 
 
 def _block_cells(config: ScenarioConfig, positions, batch: ChannelBatch) -> List[MapCell]:
-    """The ``MapCell`` of each (xr, yr) of ``positions`` from the block's columns."""
+    """The ``MapCell`` of each (xr, yr) of ``positions``, made from the block's columns."""
     protocols, sums, infeasible, gains, tags = _block_columns(config, positions, batch)
-    return [MapCell(xr=xr, yr=yr, rates=dict(zip(protocols, rates)), winner=protocols[w],
-                    bl_scenario=tag, af_gain=gain, infeasible=("ef_sl",) if bad else ())
-            for (xr, yr), rates, w, tag, gain, bad in zip(  # w: the first of equal maxima
-                positions, sums.T.tolist(), sums.argmax(axis=0).tolist(), tags.tolist(),
-                gains.tolist(), infeasible.tolist())]
+    rates = map(dict, map(zip, repeat(protocols), sums.T.tolist()))
+    winners = map(protocols.__getitem__, sums.argmax(axis=0).tolist())  # first of equal maxima
+    marks = map(((), ("ef_sl",)).__getitem__, infeasible.tolist())
+    return list(map(MapCell._make, zip(*zip(*positions), rates, winners, tags.tolist(),
+                                       gains.tolist(), marks)))
 
 
 def _blocks(config: ScenarioConfig, positions, run) -> list:
@@ -335,9 +388,13 @@ def dominance_map(config: ScenarioConfig) -> List[MapCell]:
     Positions are evaluated in blocks of ``_block_size`` cells (at the
     default grids 1,344, or 1,530 for EF alone; 32 and 64 under the optimal
     policy), each protocol once per block on a ``ChannelBatch``, and each
-    block's cells are read from its columns.  Squares are rounded as libm
-    pow rounds them (``channel._squares``), as for one channel, and all else
-    is elementwise, so the map has the same bytes as cell by cell.
+    block's cells are read from its columns.  A block of at least
+    ``_OVERLAP_CELLS`` cells runs AF on a second thread beside the other
+    protocols when more than one CPU is usable (``_entry_runs``); its
+    columns, and a refusal, are those of running them in turn.  Squares are
+    rounded as libm pow rounds them (``channel._squares``), as for one
+    channel, and all else is elementwise, so the map has the same bytes as
+    cell by cell.
     """
     return _cells(config, [(float(x), float(y))
                            for y in config.grid_y() for x in config.grid_x()])

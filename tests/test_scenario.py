@@ -1,13 +1,15 @@
 import hashlib
 import json
 import math
+import sys
+import threading
 from collections import Counter
 from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
-from ircrates import scenario
+from ircrates import af, df, ef, scenario
 from ircrates.channel import ChannelBatch, NodeLayout, RatePair, capacity
 from ircrates.df import DfParams
 from ircrates.ef import EfBiParams
@@ -263,8 +265,6 @@ class TestConfig:
 
 class TestEvaluateCell:
     def test_rates_consistent_with_modules(self):
-        from ircrates import af, df, ef
-
         cfg = small_config()
         cell = evaluate_cell(cfg, 0.5, 0.75)
         ch = cfg.channel_at(0.5, 0.75)
@@ -564,6 +564,146 @@ class TestBlocks:
             blocks_of(cells, sl_widest, ("ef_bl", "ef_sl"))
             got.append(csvs + (slmap_to_csv(sl_vs_bl_map(config)),))
         assert got[1:] == got[:1] * 3
+
+
+def usable_cpus(monkeypatch, n):
+    monkeypatch.setattr(scenario.os, "sched_getaffinity", lambda pid: set(range(n)),
+                        raising=False)
+
+
+def af_thread(monkeypatch):
+    """Patch AF's kernel to record the thread it runs on; returns that list."""
+    seen, kernel = [], af.af_sum_rate_gain_batch
+    monkeypatch.setattr(af, "af_sum_rate_gain_batch",
+                        lambda batch: seen.append(threading.current_thread()) or kernel(batch))
+    return seen
+
+
+def block(name):
+    """The default map's one block (957 cells), or the 257-cell tail block of
+    criterion 8's slice (y = 0.5 d0 at 0.005 d0, blocks of 1344 and 257)."""
+    config = default_config()
+    if name == "map":
+        return config, [(float(x), float(y)) for y in config.grid_y() for x in config.grid_x()]
+    config = replace(config, resolution=0.005)
+    return config, [(float(x), 0.5) for x in config.grid_x()][scenario._block_size(config):]
+
+
+class TestAfOnASecondThread:
+    # A block of at least _OVERLAP_CELLS cells runs AF's entry on a second
+    # thread, beside DF and EF in the calling thread, when the process may
+    # use more than one CPU; a smaller block runs it inline.
+
+    @pytest.mark.parametrize("name", ["map", "slice-tail"])
+    def test_both_paths_give_the_same_columns(self, monkeypatch, name):
+        config, positions = block(name)
+        assert len(positions) == {"map": 957, "slice-tail": 257}[name] >= scenario._OVERLAP_CELLS
+        usable_cpus(monkeypatch, 2)
+        seen = af_thread(monkeypatch)
+        columns = []
+        for cells in (scenario._OVERLAP_CELLS, len(positions) + 1):  # overlapped, then inline
+            monkeypatch.setattr(scenario, "_OVERLAP_CELLS", cells)
+            columns.append([np.asarray(c).tobytes() for c in scenario._block_columns(
+                config, positions, config.channel_batch(positions))])
+        assert seen[0] is not threading.main_thread() and seen[1] is threading.main_thread()
+        assert columns[0] == columns[1]
+
+    def test_small_blocks_run_inline(self, monkeypatch):
+        # A 9-cell optimal-policy block, as in map_optimal, and a single
+        # cell take the inline path.
+        usable_cpus(monkeypatch, 2)
+        seen = af_thread(monkeypatch)
+        dominance_map(replace(default_config(), x_min=-1, x_max=1, y_min=-1, y_max=1,
+                              resolution=1.0, pa_policy="optimal"))
+        evaluate_cell(default_config(), 0.5, 0.5)
+        assert seen == [threading.main_thread()] * 2
+
+    def test_one_usable_cpu_starts_no_thread(self, monkeypatch):
+        usable_cpus(monkeypatch, 1)
+        started, start = [], threading.Thread.start
+        monkeypatch.setattr(threading.Thread, "start",
+                            lambda self: started.append(self) or start(self))
+        seen = af_thread(monkeypatch)
+        config, positions = block("map")
+        scenario._block_columns(config, positions, config.channel_batch(positions))
+        assert started == [] and seen == [threading.main_thread()]
+
+    @pytest.mark.parametrize("raising", [("af", "df"), ("df",), ("af",), ("df", "ef_bl"),
+                                         ("ef_bl", "ef_sl")], ids="+".join)
+    def test_refusal_is_the_first_protocol_that_raises(self, monkeypatch, raising):
+        # DF's kernel raises before AF's does, and AF's still wins.  Each
+        # kernel that does not raise runs as it is; no thread outlives a call.
+        usable_cpus(monkeypatch, 2)
+        monkeypatch.setattr(scenario, "_OVERLAP_CELLS", 1)
+        df_done = threading.Event()
+        kernels = {"af": (af, "af_sum_rate_gain_batch"), "df": (df, "df_sum_rate_search_batch"),
+                   "ef_bl": (ef, "ef_bi_sum_rate_search_batch"), "ef_sl": (ef, "ef_sl_batch")}
+
+        def refuse(protocol):
+            def kernel(*args):
+                if protocol == "af":
+                    assert threading.current_thread() is not threading.main_thread()
+                    assert "df" not in raising or df_done.wait(timeout=10)
+                df_done.set()
+                raise ValueError(f"{protocol} refuses")
+            return kernel
+
+        for protocol in raising:
+            monkeypatch.setattr(*kernels[protocol], refuse(protocol))
+        threads = threading.active_count()
+        with pytest.raises(ValueError, match=f"^{raising[0]} refuses$"):
+            dominance_map(small_config())
+        assert threading.active_count() == threads
+
+    def test_swapped_in_kernel_takes_effect(self, monkeypatch):
+        usable_cpus(monkeypatch, 2)
+        monkeypatch.setattr(scenario, "_OVERLAP_CELLS", 1)
+        config = small_config()
+        cells = dominance_map(config)
+        seen = af_thread(monkeypatch)
+        threads = threading.active_count()
+        kernel = af.af_sum_rate_gain_batch
+        monkeypatch.setattr(af, "af_sum_rate_gain_batch", lambda batch: (
+            lambda gain, r1, r2: (gain + 1.0, r1, r2 + 1.0))(*kernel(batch)))
+        swapped = dominance_map(config)
+        assert threading.active_count() == threads
+        assert len(seen) == 1 and seen[0] is not threading.main_thread()
+        assert [(c.af_gain + 1.0, c.rates["af"] + 1.0) for c in cells] == [
+            (c.af_gain, c.rates["af"]) for c in swapped]
+
+    def test_concurrent_maps_under_fast_switching(self, monkeypatch):
+        # Four callers, each with its own AF thread, on 2 CPUs or fewer, with
+        # the interpreter switching threads every microsecond: every map is
+        # the one map computed alone, and no thread is left running.
+        usable_cpus(monkeypatch, 2)
+        monkeypatch.setattr(scenario, "_OVERLAP_CELLS", 1)
+        config = small_config(resolution=0.25)
+        expected, threads = map_to_csv(dominance_map(config)), threading.active_count()
+        got = []
+        callers = [threading.Thread(target=lambda: got.extend(
+            map_to_csv(dominance_map(config)) for _ in range(5))) for _ in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for caller in callers:
+                caller.start()
+            for caller in callers:
+                caller.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(caller.is_alive() for caller in callers)
+        assert got == [expected] * 20 and threading.active_count() == threads
+
+    def test_the_thread_runs_in_the_callers_context(self, monkeypatch):
+        # numpy's errstate is a context variable: AF's kernel sees the caller's.
+        usable_cpus(monkeypatch, 2)
+        monkeypatch.setattr(scenario, "_OVERLAP_CELLS", 1)
+        seen, kernel = [], af.af_sum_rate_gain_batch
+        monkeypatch.setattr(af, "af_sum_rate_gain_batch", lambda batch: (
+            seen.append((threading.current_thread(), np.geterr()["under"])) or kernel(batch)))
+        with np.errstate(under="warn"):
+            evaluate_cell(default_config(), 0.5, 0.5)
+        assert seen[0][0] is not threading.main_thread() and seen[0][1] == "warn"
 
 
 class TestSlMap:
