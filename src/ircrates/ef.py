@@ -20,11 +20,14 @@ admissible values are always optimal; callers who do not specify them get
 the lower bounds with equality.
 
 Every formula reads a few second-order terms, each formed once per call:
-V_i, the receive power at D_i without the relay; A, the relay's; |A_i|, the
-modulus of the circular complex covariance sum_k h_ki h_kr^* P_k of Y_r and
-D_i's direct signal; and q_dk = |h_rd|^2 nu_k P_r, the power at D_d of the
-relay codeword for D_k.  The compression constraints rest on the variance
-sigma_i^2 = A - |A_i|^2 / V_i of Y_r given D_i's direct signal.
+V_i, the receive power at D_i without the relay; A, the relay's; q_dk =
+|h_rd|^2 nu_k P_r, the power at D_d of the relay codeword for D_k; and
+sigma_i^2, the variance of Y_r given D_i's direct signal.  That is A -
+|A_i|^2 / V_i, with A_i = sum_k h_ki h_kr^* P_k, but the difference cancels
+where the relay hears nearly what D_i hears.  Lagrange's identity gives it
+as a sum of terms >= 0 instead (c_i, d_i the S1 -> D_i and S2 -> D_i gains):
+
+    sigma_i^2 = Nr + (A - Nr) N_i / V_i + |h1r d_i - h2r c_i|^2 P1 P2 / V_i
 """
 
 from __future__ import annotations
@@ -37,8 +40,8 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .channel import (
-    ChannelBatch, ChannelInstance, RatePair, _FEAS_RTOL, _conj_product, _relay_received,
-    _squares, capacity, check_nu_split, nu_simplex, other,
+    ChannelBatch, ChannelInstance, RatePair, _FEAS_RTOL, _conj_product, capacity,
+    check_nu_split, nu_simplex, other,
 )
 from .errors import ConstraintViolationError, InfeasibleError
 
@@ -96,27 +99,34 @@ class EfDerived:
 
 
 def _terms(channel):
-    """((V1, V2), A, (|A1|, |A2|), (|A1|^2, |A2|^2)), the channel terms of the
-    module docstring; both squares from one ``_squares`` call, as libm pow rounds them."""
-    v, cross = [], []
-    for i in (1, 2):
-        j = other(i)
-        Pi, Pj = channel.P(i), channel.P(j)
-        v.append(channel.g_direct(i) * Pi + channel.g_cross(i) * Pj + channel.N(i))
-        re_i, im_i = _conj_product(channel.h_direct(i), channel.h_to_relay(i))
-        re_j, im_j = _conj_product(channel.h_cross(i), channel.h_to_relay(j))
-        # |h_ii h_ir^* P_i + h_ji h_jr^* P_j|
-        cross.append(np.hypot(re_i * Pi + re_j * Pj, im_i * Pi + im_j * Pj))
-    if np.isinf(squares := _squares(np.stack(cross))).any():  # |A_i| rounded above sqrt(max)
-        raise OverflowError("|A_i|^2, the EF covariance sum_k h_ki h_kr^* P_k squared, overflows")
-    return v, _relay_received(channel), cross, list(squares)
+    """((V1, V2), A, (sigma_1^2, sigma_2^2)), the channel terms of the module
+    docstring.  The determinant's operands are scaled by sqrt(P_k) first, so
+    no product leaves the channel checks' range: it is at most sqrt(V_i A)."""
+    amp = [np.sqrt(channel.P(k)) for k in (1, 2)]
+    up = [channel.h_to_relay(k).conjugate() * amp[k - 1] for k in (1, 2)]  # h_kr^* sqrt(P_k)
+    rest = channel.g_to_relay(1) * channel.P1 + channel.g_to_relay(2) * channel.P2  # A - Nr
+    v = [channel.g_direct(i) * channel.P(i) + channel.g_cross(i) * channel.P(other(i))
+         + channel.N(i) for i in (1, 2)]
+    sigma_sq = []
+    for i, vi in zip((1, 2), v):  # sqrt(P1 P2) (h1r d_i - h2r c_i), c_i = h1i and d_i = h2i
+        re_1, im_1 = _conj_product(channel._h(f"h2{i}") * amp[1], up[0])
+        re_2, im_2 = _conj_product(channel._h(f"h1{i}") * amp[0], up[1])
+        re, im = re_1 - re_2, im_1 - im_2
+        sigma_sq.append(channel.Nr + rest * (channel.N(i) / vi) + (re * (re / vi) + im * (im / vi)))
+    return v, rest + channel.Nr, sigma_sq
 
 
 def ef_derived(channel: ChannelInstance) -> EfDerived:
-    """A, |A1|, |A2| and each sigma_i^2 = A - |A_i|^2 / V_i of ``channel``."""
-    (v1, v2), A, (A1, A2), (sq1, sq2) = _terms(channel)
-    return EfDerived(A=float(A), A1=float(A1), A2=float(A2),
-                     sigma1_sq=float(A - sq1 / v1), sigma2_sq=float(A - sq2 / v2))
+    """A, |A1|, |A2| and each sigma_i^2 of ``channel``."""
+    _, A, (s1, s2) = _terms(channel)
+    cross = []
+    for i in (1, 2):  # |h1i h1r^* P1 + h2i h2r^* P2|
+        (re_1, im_1), (re_2, im_2) = (_conj_product(channel._h(f"h{k}{i}"), channel.h_to_relay(k))
+                                      for k in (1, 2))
+        cross.append(np.hypot(re_1 * channel.P1 + re_2 * channel.P2,
+                              im_1 * channel.P1 + im_2 * channel.P2))
+    return EfDerived(A=float(A), A1=float(cross[0]), A2=float(cross[1]),
+                     sigma1_sq=float(s1), sigma2_sq=float(s2))
 
 
 @dataclass(frozen=True)
@@ -166,14 +176,14 @@ def _min_noise(terms, q, d1, d2):
     """([I_1, I_2], [b_1, b_2]) at the destinations D_i: I_i is the relay
     codeword power D_i does not cancel (q_12 at D1 and q_21 at D2, or 0
     where ``d_i`` holds: D_i decodes the other's codeword), and b_i the
-    compression-noise lower bound ((V_i + I_i) A - |A_i|^2) / q_ii, +inf for
-    a stream with no relay power (q_ii = 0)."""
-    v, A, _, cross_sq = terms
+    compression-noise lower bound ((V_i + I_i) A - |A_i|^2) / q_ii = (V_i
+    sigma_i^2 + I_i A) / q_ii, +inf for a stream with no relay power (q_ii = 0)."""
+    v, A, sigma_sq = terms
     interference = [np.where(d1, 0.0, q[0][1]), np.where(d2, 0.0, q[1][0])]
     bounds = []
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         for i in (0, 1):
-            num = (v[i] + interference[i]) * A - cross_sq[i]
+            num = v[i] * sigma_sq[i] + interference[i] * A
             bounds.append(np.where(q[i][i] > 0.0, num / q[i][i], math.inf))
     return interference, bounds
 
@@ -237,8 +247,8 @@ def ef_bi_rate(
 def _bi_eval(channel, nu1, nu2):
     """``ef_bi_eval`` elementwise, over the cells of a batch or over arrays
     of relay splits: (scenario index into ``BiScenario``, nwz1, nwz2, R1, R2).
-    EfBiParams refuses a non-positive noise before any rate is formed: the
-    first, in row-major (cell-then-split) order, raises, as in a loop."""
+    EfBiParams refuses a bound that underflows to 0 (powers and noises near
+    1e-300) before any rate is formed: the first, in row-major order, raises."""
     terms, q = _terms(channel), _codeword_powers(channel, nu1, nu2)
     d1, d2 = _scenario_flags(terms[0], q)
     interference, nwz = _min_noise(terms, q, d1, d2)
@@ -273,25 +283,17 @@ def _bi_found(columns) -> Tuple[EfBiParams, BiScenario, RatePair]:
 
 def _sl_min_noise(channel, r0_exponent: int):
     """(R_0, smallest admissible noise) of the single-level scheme,
-    elementwise: R_0 = min_i C(|h_ri|^2 P_r / V_i) and the noise
-    max_i sigma_i^2 / (2^(e R_0) - 1), with sigma_i^2 = A - |A_i|^2 / V_i;
-    the noise means nothing where R_0 <= 0.  Raises ValueError, naming the
-    fields of R_0, where 2^(e R_0) overflows a float."""
+    elementwise: R_0 = C(x), x = min_i |h_ri|^2 P_r / V_i, and the noise
+    max_i sigma_i^2 / (2^(e R_0) - 1), with 2^(e R_0) - 1 = x for e = 1 and
+    x (2 + x) for e = 2, divided out one factor at a time; nothing where R_0 = 0."""
     if r0_exponent not in R0_EXPONENTS:
         raise ValueError(f"r0_exponent must be {' or '.join(map(str, R0_EXPONENTS))}, got {r0_exponent}")
-    (v1, v2), A, _, (sq1, sq2) = _terms(channel)
-    r0 = np.minimum(capacity(channel.g_from_relay(1) * channel.Pr / v1),
-                    capacity(channel.g_from_relay(2) * channel.Pr / v2))
-    sigma_sq = np.maximum(A - sq1 / v1, A - sq2 / v2)
-    try:
-        growth = np.reshape([2.0 ** (r0_exponent * r) for r in r0.ravel().tolist()], r0.shape)
-    except OverflowError:
-        raise ValueError(
-            "the EF-SL noise bound's 2^(e R_0) overflows a float: R_0 = min_i C(|h_ri|^2 Pr"
-            " / V_i), with V_i = |h_ii|^2 P_i + |h_ji|^2 P_j + N_i; lower Pr, or raise P1,"
-            " P2, N1 or N2") from None
-    with np.errstate(divide="ignore", invalid="ignore"):  # R_0 = 0
-        return r0, sigma_sq / (growth - 1.0)
+    (v1, v2), _, (s1, s2) = _terms(channel)
+    x = np.minimum(channel.g_from_relay(1) * channel.Pr / v1,
+                   channel.g_from_relay(2) * channel.Pr / v2)
+    with np.errstate(divide="ignore", over="ignore"):  # x = 0, or too small for R_0 > 0
+        noise = np.maximum(s1, s2) / x
+        return capacity(x), noise if r0_exponent == 1 else noise / (2.0 + x)
 
 
 def ef_sl_bottleneck(channel: ChannelInstance) -> float:
@@ -326,13 +328,10 @@ def ef_sl_rate(
 
 def ef_sl_batch(batch: ChannelBatch, r0_exponent: int = 2) -> Tuple[np.ndarray, ...]:
     """The columns (minimal noise, R1, R2 at it) of the single-level scheme
-    over the cells of ``batch``, elementwise; squares as libm pow rounds
-    them, and 2 ** (e R_0) in Python floats, as for one channel (maps pass
+    over the cells of ``batch``, elementwise, as for one channel (maps pass
     blocks of ``scenario._block_size``).  Every column is NaN where the bottleneck rate is zero."""
     r0, nwz = _sl_min_noise(batch, r0_exponent)
     feasible = r0 > 0.0
-    for k in np.flatnonzero(feasible & (nwz < 0.0)):  # sigma_i^2 cancelled below zero in round-off
-        raise ValueError(f"the EF-SL compression-noise bound must be >= 0, got {nwz[k].item()!r}")
     nwz = np.where(feasible, nwz, math.inf)  # an infeasible cell's rates drop the relay branch
     return tuple(np.where(feasible, x, math.nan) for x in
                  (nwz, *(capacity(_two_branch_sinr(batch, i, 0.0, nwz)) for i in (1, 2))))
@@ -359,7 +358,7 @@ def ef_bi_sum_rate_search_batch(
     of ``ef_bi_sum_rate_search`` over the cells of ``batch``, from one (cells,
     splits) array over the splits ``nu_simplex`` gives (given ``nu``,
     ``ef_bi_eval`` at that one split), each cell keeping its first argmax.
-    A non-positive noise bound raises in ``_bi_eval``.  Squares are rounded
+    A noise bound that underflows to 0 raises in ``_bi_eval``.  Squares are rounded
     as libm pow rounds them and all else is elementwise, so each cell gets
     what a batch of one gives it.  Maps pass blocks of ``scenario._block_size`` cells."""
     grid, i1, i2 = nu_simplex(grid_points, nu)

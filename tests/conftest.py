@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -64,14 +66,27 @@ def anti_phase_channel(rng) -> ChannelInstance:
     return new
 
 
+def near_cancelling_channel(rng, noise=(8.0, 18.0), off=None) -> ChannelInstance:
+    """A random channel whose relay hears nearly what D_i hears, for a random
+    i: (h1r, h2r) = k (h1i, h2i), rounded, for a complex k, and N_i and Nr are
+    10^-u (u drawn from ``noise``) of the unit-scale powers, so A V_i -
+    |A_i|^2 is about that part of A V_i.  With ``off``, each relay gain is
+    then off its multiple by a relative 10^-u (u drawn from ``off``)."""
+    ch = random_channel(rng)
+    i = int(rng.integers(1, 3))
+    k = unit_disc(rng) + 0.5
+    wobble = np.zeros(2) if off is None else 10.0 ** -rng.uniform(*off) * unit_disc(rng, 2)
+    gains = {f"h{s}r": k * complex(getattr(ch, f"h{s}{i}")) * (1.0 + wobble[s - 1]) for s in (1, 2)}
+    n = 10.0 ** -rng.uniform(*noise, 2)
+    return replace(ch, **gains, **{f"N{i}": n[0].item(), "Nr": n[1].item()})
+
+
 def cancelling_config():
     """The default config with the sources (0, 0) and (4, 0) mirrored about
     the line x = 2, which holds both destinations and the relay (2, 1): the
-    relay's gains are proportional to each destination's, so sigma_i^2 =
-    A - |A_i|^2 / V_i cancels down to round-off (below zero here).  Unit
-    powers, noises 1e-20, no lift."""
-    from dataclasses import replace
-
+    relay's gains are proportional to each destination's, so A - |A_i|^2 /
+    V_i cancels down to round-off (below zero here), though sigma_1^2 is
+    3.6e-20 (mpmath).  Unit powers, noises 1e-20, no lift."""
     from ircrates.scenario import default_config
 
     config = default_config()
@@ -87,8 +102,6 @@ def refusal_order_config():
     ``channel_at`` refuses is (2.0, -0.5), near D1, where the power received
     at D1 overflows; the zero-length relay links, with the relay on S2 at
     (-0.5, 0.0) and then on S1, come after it."""
-    from dataclasses import replace
-
     from ircrates.scenario import default_config
 
     config = default_config()

@@ -18,15 +18,19 @@ with an argsort, for ``test_shared_kernels.py``.
 The maps evaluate blocks of relay positions at once; the one-channel AF, DF,
 EF-BL and EF-SL kernels they replaced, and the per-cell map evaluation, are
 kept below as they were (``*_scalar``), for ``test_batch.py`` and
-``test_ef_terms.py``.
+``test_ef_terms.py``; their EF noise terms take ``ef._terms``' cancellation-free
+form, in its operand order.  ``ef_exact`` gives those terms from their
+definitions in mpmath, the oracle both are held to.
 """
 
 import math
 from typing import Dict, List, Optional, Tuple
 
+import mpmath as mp
 import numpy as np
 from scipy.optimize import minimize_scalar
 
+from ircrates import ef
 from ircrates.af import (
     _COEFF_ZERO_RTOL,
     _solve_stationary,
@@ -453,15 +457,23 @@ def _receive_power(channel: ChannelInstance, i: int) -> float:
 
 
 def _ef_derived(channel: ChannelInstance):
-    """(A, {i: cross_i}, {i: sigma_i^2}) of ``ef.ef_derived``."""
-    A = abs(channel.h1r) ** 2 * channel.P1 + abs(channel.h2r) ** 2 * channel.P2 + channel.Nr
+    """(A, {i: cross_i}, {i: sigma_i^2}) of ``ef.ef_derived``, each sigma_i^2
+    from Lagrange's identity in ``ef._terms``' operand order."""
+    rest = abs(channel.h1r) ** 2 * channel.P1 + abs(channel.h2r) ** 2 * channel.P2
+    A = rest + channel.Nr
+    amp1, amp2 = math.sqrt(channel.P1), math.sqrt(channel.P2)
     cross, sigma = {}, {}
     for i in (1, 2):
         j = other(i)
         cov = (channel.h_direct(i) * channel.h_to_relay(i).conjugate() * channel.P(i)
                + channel.h_cross(i) * channel.h_to_relay(j).conjugate() * channel.P(j))
         cross[i] = abs(cov)
-        sigma[i] = A - cross[i] ** 2 / _receive_power(channel, i)
+        v = _receive_power(channel, i)
+        # sqrt(P1 P2) (h1r d_i - h2r c_i), with c_i = h1i and d_i = h2i
+        det = (complex(getattr(channel, f"h2{i}")) * amp2 * (channel.h_to_relay(1) * amp1)
+               - complex(getattr(channel, f"h1{i}")) * amp1 * (channel.h_to_relay(2) * amp2))
+        sigma[i] = (channel.Nr + rest * (channel.N(i) / v)
+                    + (det.real * (det.real / v) + det.imag * (det.imag / v)))
     return A, cross, sigma
 
 
@@ -484,16 +496,16 @@ def _relay_interference(channel, nu1, nu2, scenario, i):
 
 
 def _ef_bi_min_noise(channel, nu1, nu2, scenario):
-    A, cross, _ = _ef_derived(channel)
+    A, _, sigma = _ef_derived(channel)
     bounds = []
     for i, nu_i in ((1, nu1), (2, nu2)):
         denom = abs(channel.h_from_relay(i)) ** 2 * nu_i * channel.Pr
         if denom <= 0.0:
             bounds.append(math.inf)
             continue
-        side_power = _receive_power(channel, i) + _relay_interference(
-            channel, nu1, nu2, scenario, i)
-        bounds.append((side_power * A - cross[i] ** 2) / denom)
+        # ((V_i + I_i) A - |A_i|^2) / q_ii, as (V_i sigma_i^2 + I_i A) / q_ii
+        interference = _relay_interference(channel, nu1, nu2, scenario, i)
+        bounds.append((_receive_power(channel, i) * sigma[i] + interference * A) / denom)
     return bounds[0], bounds[1]
 
 
@@ -540,12 +552,15 @@ def ef_bi_eval_scalar(channel: ChannelInstance, nu1: float, nu2: float
 
 
 def ef_sl_min_noise_scalar(channel: ChannelInstance, r0_exponent: int = 2) -> float:
-    r0 = min(capacity(abs(channel.h_from_relay(i)) ** 2 * channel.Pr
-                      / _receive_power(channel, i)) for i in (1, 2))
-    if r0 <= 0.0:
+    """max_i sigma_i^2 / (2^(e R_0) - 1), with R_0 = C(x): 2^(e R_0) - 1 is
+    x for e = 1 and x (2 + x) for e = 2, divided out one factor at a time."""
+    x = min(abs(channel.h_from_relay(i)) ** 2 * channel.Pr / _receive_power(channel, i)
+            for i in (1, 2))
+    if capacity(x) <= 0.0:
         raise InfeasibleError("relay broadcast bottleneck rate is zero")
     _, _, sigma = _ef_derived(channel)
-    return max(sigma[1], sigma[2]) / (2.0 ** (r0_exponent * r0) - 1.0)
+    noise = max(sigma[1], sigma[2]) / x
+    return noise if r0_exponent == 1 else noise / (2.0 + x)
 
 
 def ef_sl_rate_scalar(channel: ChannelInstance, nwz: float, r0_exponent: int = 2) -> RatePair:
@@ -554,6 +569,51 @@ def ef_sl_rate_scalar(channel: ChannelInstance, nwz: float, r0_exponent: int = 2
         raise ConstraintViolationError("nwz lower bound", nwz, bound)
     return RatePair(capacity(_two_branch_sinr(channel, 1, 0.0, nwz)),
                     capacity(_two_branch_sinr(channel, 2, 0.0, nwz)))
+
+
+def ef_exact(channel: ChannelInstance, nu1: float, nu2: float, digits: int = 60) -> dict:
+    """EF's noise terms from their definitions, in mpmath at ``digits``
+    digits, as floats: "sigma", (sigma_1^2, sigma_2^2) with sigma_i^2 = A -
+    |A_i|^2 / V_i; "bl", the bounds ((V_i + I_i) A - |A_i|^2) / q_ii at
+    (nu1, nu2) under each ``BiScenario``; "sl", the single-level noise
+    max_i sigma_i^2 / ((1 + x)^e - 1) by e, x = min_i |h_ri|^2 Pr / V_i.  The
+    subtractions cancel at most the digits A V_i / (A V_i - |A_i|^2) takes."""
+    with mp.workdps(digits):
+        h = {n: mp.mpc(complex(getattr(channel, n))) for n in
+             ("h11", "h12", "h21", "h22", "h1r", "h2r", "hr1", "hr2")}
+        P1, P2, Pr, N1, N2, Nr = (mp.mpf(getattr(channel, n))
+                                  for n in ("P1", "P2", "Pr", "N1", "N2", "Nr"))
+        A = abs(h["h1r"]) ** 2 * P1 + abs(h["h2r"]) ** 2 * P2 + Nr
+        v, cov_sq, q = {}, {}, {}
+        for i, Ni in ((1, N1), (2, N2)):
+            c, d = h[f"h1{i}"], h[f"h2{i}"]
+            v[i] = abs(c) ** 2 * P1 + abs(d) ** 2 * P2 + Ni
+            cov_sq[i] = abs(c * mp.conj(h["h1r"]) * P1 + d * mp.conj(h["h2r"]) * P2) ** 2
+            q[i] = [abs(h[f"hr{i}"]) ** 2 * mp.mpf(nu) * Pr for nu in (nu1, nu2)]
+        sigma = {i: A - cov_sq[i] / v[i] for i in (1, 2)}
+        bl = {}
+        for scenario in BiScenario:
+            cancels = {1: scenario is BiScenario.D1_BETTER, 2: scenario is BiScenario.D2_BETTER}
+            interference = {i: 0 if cancels[i] else q[i][2 - i] for i in (1, 2)}
+            bl[scenario] = tuple(
+                float(((v[i] + interference[i]) * A - cov_sq[i]) / q[i][i - 1])
+                if q[i][i - 1] else math.inf
+                for i in (1, 2))
+        x = min(abs(h[f"hr{i}"]) ** 2 * Pr / v[i] for i in (1, 2))
+        sl = {e: float(max(sigma.values()) / ((1 + x) ** e - 1)) for e in (1, 2)}
+        return {"sigma": (float(sigma[1]), float(sigma[2])), "bl": bl, "sl": sl}
+
+
+def ef_noise_terms(channel: ChannelInstance, nu, digits: int = 60):
+    """sigma_1^2, sigma_2^2, the EF-BL bounds at ``nu`` under each scenario and
+    the EF-SL noise for e = 1 and 2, as a list from ``ef`` and as one from
+    ``ef_exact`` at ``digits`` digits."""
+    d, exact = ef.ef_derived(channel), ef_exact(channel, *nu, digits)
+    got = [d.sigma1_sq, d.sigma2_sq,
+           *(b for sc in BiScenario for b in ef.ef_bi_min_noise(channel, *nu, sc)),
+           *(ef.ef_sl_min_noise(channel, e) for e in (1, 2))]
+    return got, [*exact["sigma"], *(b for sc in BiScenario for b in exact["bl"][sc]),
+                 *(exact["sl"][e] for e in (1, 2))]
 
 
 def per_cell(protocol: str, columns) -> list:

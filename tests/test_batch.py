@@ -3,12 +3,15 @@ kernels gave it.
 
 ``reference_kernels`` keeps the AF, DF, EF-BL and EF-SL kernels of one
 channel, and the per-cell map evaluation, as they were before the maps
-evaluated blocks of relay positions.  Every comparison here is ``==``.
+evaluated blocks of relay positions.  Every comparison with them here is
+``==``; EF's noise terms are also held to their mpmath definitions
+(``reference_kernels.ef_exact``).
 """
 
 import math
 import platform
 import random
+import warnings
 from dataclasses import replace
 from fractions import Fraction
 
@@ -26,6 +29,8 @@ from reference_kernels import (
     af_sum_rate_polynomial_scalar,
     df_sum_rate_search_scalar,
     ef_bi_eval_scalar,
+    ef_exact,
+    ef_noise_terms,
     ef_sl_min_noise_scalar,
     ef_sl_rate_scalar,
     evaluate_cell_scalar,
@@ -170,14 +175,14 @@ def test_single_level_marks_zero_bottleneck_cells_nan():
 
 
 def test_single_level_refuses_a_bound_below_zero_beside_a_zero_bottleneck():
+    # The cancelling relay's bound, which the subtraction form took below
+    # zero and refused, is its mpmath value beside a zero-bottleneck cell.
     c = cancelling_config()
     below = layout_to_channel(c.layout, c.P1, c.P2, c.Pr, c.N1, c.N2, c.Nr)
-    bound = ef._sl_min_noise(below, 2)[1].item()
-    assert bound < 0.0
-    channels = [replace(DEFAULT.channel_at(0.0, 0.5), hr1=0.0), below]
-    with pytest.raises(ValueError) as exc:
-        ef.ef_sl_batch(ChannelBatch.of(channels))
-    assert str(exc.value) == f"the EF-SL compression-noise bound must be >= 0, got {bound!r}"
+    columns = ef.ef_sl_batch(ChannelBatch.of([replace(DEFAULT.channel_at(0.0, 0.5), hr1=0.0), below]))
+    assert np.isnan([col[0] for col in columns]).all()
+    assert [col[1] for col in columns] == [col[0] for col in ef.ef_sl_batch(ChannelBatch.of([below]))]
+    assert columns[0][1] == pytest.approx(ef_exact(below, 0.5, 0.5)["sl"][2], rel=1e-12, abs=0.0)
 
 
 def test_zero_length_relay_link_is_refused_as_for_its_cell():
@@ -452,30 +457,45 @@ def largest_passing(fields, name, below):
     return float(np.int64(lo).view(np.float64))
 
 
-def test_ef_cross_squares_at_the_channel_limits():
-    # |A_1| = |h11| |h1r| P1 is at most sqrt(V_1 A) <= sqrt(float max) in
-    # exact arithmetic, but at the largest P1 the checks pass it can round one
-    # float above, where its square overflows.  EF refuses exactly those
-    # channels with OverflowError, as Python's |A_1| ** 2 did.
+def limit_channels():
+    """Channels at the extremes the channel checks pass: the largest P1 for
+    each of 101 gains g = h11 = h1r; 50 with every gain's modulus within a
+    factor 2 of sqrt(float max), random phases and powers of 1e-300; and 50
+    with P1 = P2 = Pr = sqrt(float max)."""
     rng = np.random.default_rng(34)
-    finite = overflowing = 0
+    out = []
     for g in (1.0, *rng.uniform(0.25, 4.0, 100).tolist()):
-        fields = dict(h11=g, h12=0.0, h21=0.0, h22=1.0, h1r=g, h2r=0.0, hr1=0.0, hr2=0.0,
-                      P1=1.0, P2=1.0, Pr=1.0, N1=1.0, N2=1.0, Nr=1.0)
-        ch = ChannelInstance(**{**fields, "P1": largest_passing(fields, "P1", 1e160)})
-        cross = g * g * ch.P1  # |h11 h1r^* P1 + h21 h2r^* P2| with h21 = h2r = 0
-        try:
-            want = cross ** 2
-        except OverflowError:
-            overflowing += 1
-            for run in (ef.ef_derived, lambda c: ef.ef_sl_batch(ChannelBatch.of([c]))):
-                with pytest.raises(OverflowError, match=r"^\|A_i\|\^2, the EF covariance"):
-                    run(ch)
-            continue
-        finite += 1
-        for terms in (ef._terms(ch), ef._terms(ChannelBatch.of([ch]))):
-            assert terms[2][0] == cross and terms[3][0] == want
-    assert finite > 0 and overflowing > 0
+        fields = dict(h11=g, h12=0.0, h21=0.0, h22=1.0, h1r=g, h2r=0.0, hr1=0.5, hr2=0.5,
+                      P1=1.0, P2=1.0, Pr=1e150, N1=1.0, N2=1.0, Nr=1.0)
+        out.append(ChannelInstance(**{**fields, "P1": largest_passing(fields, "P1", 1e160)}))
+    names = ("h11", "h12", "h21", "h22", "h1r", "h2r", "hr1", "hr2")
+    for _ in range(50):
+        gains = _MAX_POWER * rng.uniform(0.5, 1.0, 8) * np.exp(2j * np.pi * rng.uniform(size=8))
+        out.append(ChannelInstance(**dict(zip(names, gains.tolist())), P1=1e-300, P2=1e-300,
+                                   Pr=1e-300, N1=1e-290, N2=1e-290, Nr=1e-290))
+    for _ in range(50):
+        gains = 0.2 * (rng.uniform(-1.0, 1.0, 8) + 1j * rng.uniform(-1.0, 1.0, 8))
+        out.append(ChannelInstance(**dict(zip(names, gains.tolist())), P1=_MAX_POWER,
+                                   P2=_MAX_POWER, Pr=_MAX_POWER, N1=1.0, N2=1.0, Nr=1.0))
+    return out
+
+
+def test_ef_at_the_channel_limits():
+    # Every EF column is finite and no numpy warning is raised, and each
+    # noise term is within 1e-12 of its definition (at 400 digits, which the
+    # subtraction there needs: sigma_1^2 is about 2 beside A near 1e154 in
+    # the first group).
+    channels = limit_channels()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        batch = ChannelBatch.of(channels)
+        columns = [*ef.ef_sl_batch(batch, 1), *ef.ef_sl_batch(batch, 2),
+                   *ef.ef_bi_sum_rate_search_batch(batch, nu=UNIFORM_NU)]
+        for ch in channels:
+            got, want = ef_noise_terms(ch, UNIFORM_NU, digits=400)
+            assert got == pytest.approx(want, rel=1e-12, abs=0.0), ch
+    assert [str(w.message) for w in caught] == []
+    assert all(np.isfinite(c).all() for c in columns)
 
 
 def test_af_block_overflow_in_one_cell_raises():

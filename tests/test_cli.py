@@ -1,4 +1,5 @@
 import argparse
+import ast
 import contextlib
 import io
 import itertools
@@ -19,9 +20,11 @@ from hypothesis import given, settings, strategies as st
 from ircrates.channel import _LAYOUT_FIELDS, check_nu_split, layout_to_channel
 from ircrates import cli
 from ircrates.cli import main
+from ircrates.ef import BiScenario
 from ircrates.scenario import _SECTIONS, OPTIMIZERS, default_config
 
 from conftest import cancelling_config
+from reference_kernels import ef_exact
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -278,8 +281,10 @@ class TestOptimize:
 
 
 class TestNoiseBoundsAndBottleneck:
-    """A noise bound that rounds below zero exits 2 for EF-BL and EF-SL
-    alike, and a zero relay broadcast rate exits 1 for EF-SL alone."""
+    """The cancelling config, whose noise bounds the subtraction A - |A_i|^2 /
+    V_i took below zero (exit 2), gives the bounds mpmath gives, in every
+    command; a bound that underflows to 0 exits 2 for EF-BL, and a zero relay
+    broadcast rate exits 1 for EF-SL alone."""
 
     @pytest.fixture
     def cancelling(self, tmp_path):
@@ -293,19 +298,52 @@ class TestNoiseBoundsAndBottleneck:
         path.write_text(json.dumps(replace(default_config(), **FAST_SWEEP, Pr=1e-15).to_dict()))
         return str(path)
 
+    @staticmethod
+    def printed(out: str) -> dict:
+        return dict(line.split(": ") for line in out.strip().split("\n"))
+
+    @staticmethod
+    def cancelling_channel():
+        c = cancelling_config()
+        return layout_to_channel(c.layout, c.P1, c.P2, c.Pr, c.N1, c.N2, c.Nr)
+
     @pytest.mark.parametrize("command", ["rate", "optimize"])
     def test_single_level_bound_below_zero_exits_2(self, capsys, cancelling, command):
+        # Named for the exit the subtraction gave: now 0, at mpmath's bound.
         code, out, err = run(capsys, command, "--config", cancelling, "--protocol", "ef_sl")
-        match = re.fullmatch(r"error: the EF-SL compression-noise bound must be >= 0, "
-                             r"got (-\S+)\n", err)
-        assert code == 2 and out == "" and match
-        assert err.count(match.group(1)) == 1
+        assert code == 0 and err == ""
+        exact = ef_exact(self.cancelling_channel(), 0.5, 0.5)["sl"][cancelling_config().r0_exponent]
+        assert float(self.printed(out)["nwz"]) == pytest.approx(exact, rel=1e-11)
 
     @pytest.mark.parametrize("argv", [["rate"], ["optimize"], ["optimize", "--pa", "optimal"]])
     def test_bi_level_bound_below_zero_exits_2(self, capsys, cancelling, argv):
+        # Named for the exit the subtraction gave: now 0, at mpmath's bounds.
         code, out, err = run(capsys, *argv, "--config", cancelling, "--protocol", "ef_bl")
-        assert code == 2 and out == ""
-        assert re.fullmatch(r"error: nwz[12] must be positive, got -\S+\n", err)
+        assert code == 0 and err == ""
+        fields = self.printed(out)
+        nu, nwz = (ast.literal_eval(fields[k]) for k in ("nu", "nwz"))
+        exact = ef_exact(self.cancelling_channel(), *nu)["bl"][BiScenario(fields["scenario"])]
+        assert nwz == pytest.approx(exact, rel=1e-11)
+
+    @pytest.mark.parametrize("argv", [["map"], ["map", "--pa", "optimal"], ["slmap"]])
+    def test_cancelling_sweep_gives_every_cell(self, capsys, tmp_path, argv):
+        # The sweep x 0.2 to 0.6, y 0.2 to 0.4 at 0.2 d0 holds the cancelling
+        # relay position (0.4, 0.2); every map refused all 6 cells.
+        path = tmp_path / "sweep.json"
+        path.write_text(json.dumps(replace(cancelling_config(), x_min=0.2, x_max=0.6, y_min=0.2,
+                                           y_max=0.4, resolution=0.2).to_dict()))
+        code, out, err = run(capsys, *argv, "--config", str(path))
+        assert code == 0 and err == "" and len(out.strip().split("\n")) == 1 + 6
+
+    @pytest.mark.parametrize("command", ["rate", "optimize"])
+    def test_bi_level_bound_underflowing_to_zero_exits_2(self, capsys, tmp_path, command):
+        # Every power and noise 1e-300: V_1 sigma_1^2 underflows, and so does
+        # nwz1's bound where D1 cancels.
+        path = tmp_path / "tiny.json"
+        path.write_text(json.dumps(replace(default_config(), P1=1e-300, P2=1e-300, Pr=1e-300,
+                                           N1=1e-300, N2=1e-300, Nr=1e-300).to_dict()))
+        code, out, err = run(capsys, command, "--config", str(path), "--protocol", "ef_bl")
+        assert (code, out, err) == (2, "", "error: nwz1 must be positive, got 0.0\n")
 
     @pytest.mark.parametrize("command", ["rate", "optimize"])
     def test_zero_bottleneck_exits_1(self, capsys, zero_bottleneck, command):
@@ -581,15 +619,6 @@ class TestErrors:
         pytest.param("optimize --protocol af", {("noises", "N1"): 1e-300,
                                                 ("noises", "N2"): 1e-300}, "P1/N1",
                      id="optimize-af-noises-N1-N2-1e-300"),
-        # DF and EF-BL run, but EF-SL's 2^(e R_0) overflows: R_0 is about 1000.
-        pytest.param("optimize --protocol ef_sl", {("powers", "P1"): 1e-290,
-                                                   ("powers", "P2"): 1e-290,
-                                                   ("noises", "N1"): 1e-300,
-                                                   ("noises", "N2"): 1e-300},
-                     "C(|h_ri|^2 Pr / V_i)", id="optimize-ef_sl-P-1e-290-N-1e-300"),
-        pytest.param("slmap", {("powers", "P1"): 1e-290, ("powers", "P2"): 1e-290,
-                               ("noises", "N1"): 1e-300, ("noises", "N2"): 1e-300},
-                     "C(|h_ri|^2 Pr / V_i)", id="slmap-P-1e-290-N-1e-300"),
         # Every power is in range, but a power-to-noise ratio is not: the
         # channel is refused before any protocol runs.
         *(pytest.param(command, {**{("powers", f): 1e-300 for f in ("P1", "P2")},
@@ -640,6 +669,27 @@ class TestErrors:
         assert "overflows a float" in err and named in err, err
         # The checks run before any kernel divides, so numpy warns of nothing.
         assert [str(w.message) for w in caught] == []
+
+    @pytest.mark.parametrize("command", ["optimize --protocol ef_sl", "slmap"],
+                             ids=["optimize-ef_sl-P-1e-290-N-1e-300", "slmap-P-1e-290-N-1e-300"])
+    def test_tiny_source_powers_give_finite_rates(self, capsys, fast_config, command):
+        # R_0 is about 1000 bits, so 2^(e R_0) overflows a float; the noise
+        # bound max_i sigma_i^2 / (x (2 + x)), x = min_i |h_ri|^2 Pr / V_i near
+        # 1e290, is about 1e-600 and rounds to 0, which is admissible.
+        data = json.loads(Path(fast_config).read_text())
+        data["powers"].update(P1=1e-290, P2=1e-290)
+        data["noises"].update(N1=1e-300, N2=1e-300)
+        Path(fast_config).write_text(json.dumps(data))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run(capsys, *command.split(), "--config", fast_config)
+        assert (code, err) == (0, "") and [str(w.message) for w in caught] == []
+        if command == "slmap":
+            rows = [row.split(",") for row in out.strip().split("\n")[1:]]
+            assert len(rows) == 6 and all(math.isfinite(float(r[k])) for r in rows for k in (2, 3))
+        else:
+            fields = dict(line.split(": ") for line in out.strip().split("\n"))
+            assert fields["nwz"] == "0" and math.isfinite(float(fields["sum"]))
 
     @pytest.mark.parametrize("field, value", [("relay", [0.0, 0.0, 10**400]), ("d0", "five")])
     def test_layout_field_error_keeps_its_message(self, capsys, fast_config, field, value):

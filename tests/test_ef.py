@@ -23,6 +23,7 @@ from ircrates.ef import (
 from ircrates.errors import ConstraintViolationError, InfeasibleError
 
 from conftest import cancelling_config, random_channel, symmetric_channel
+from reference_kernels import ef_exact
 
 
 def schur_sigma_sq(ch: ChannelInstance, i: int):
@@ -63,8 +64,8 @@ class TestDerived:
         for _ in range(200):
             ch = random_channel(rng)
             d = ef_derived(ch)
-            assert d.sigma1_sq >= -1e-12
-            assert d.sigma2_sq >= -1e-12
+            assert d.sigma1_sq >= ch.Nr
+            assert d.sigma2_sq >= ch.Nr
 
     def test_independent_observation_full_variance(self, rng):
         # If the relay hears nothing from the sources, Y_r is pure noise,
@@ -337,44 +338,49 @@ class TestAsymmetricLimit:
 
 
 class TestNoiseBoundBelowZero:
-    """Where sigma_i^2 cancels below zero in round-off, EF-BL and EF-SL both
-    refuse the bound with a plain ValueError before any rate is formed."""
+    """At ``cancelling_config``'s relay, where A - |A_i|^2 / V_i cancelled
+    below zero in round-off, sigma_1^2 is 3.6e-20 (mpmath): EF-BL and EF-SL
+    give the bounds their definitions give, and refuse a noise below them
+    with a ConstraintViolationError that states the bound."""
 
     @staticmethod
     def channel() -> ChannelInstance:
         c = cancelling_config()
         return layout_to_channel(c.layout, c.P1, c.P2, c.Pr, c.N1, c.N2, c.Nr)
 
-    @pytest.fixture
-    def no_rates(self, monkeypatch):
-        def refuse(*args):
-            raise AssertionError("a rate was formed")
-
-        monkeypatch.setattr(ef, "_two_branch_sinr", refuse)
-
-    def test_bi_level_refuses_the_bound(self, no_rates):
+    def test_bi_level_refuses_the_bound(self):
         ch = self.channel()
-        with pytest.raises(ValueError, match=r"^nwz1 must be positive, got -\d"):
-            ef_bi_eval(ch, 0.5, 0.5)
-        with pytest.raises(ValueError, match=r"^nwz[12] must be positive, got -\d"):
-            ef_bi_sum_rate_search(ch, 11)
+        exact = ef_exact(ch, 0.5, 0.5)
+        d = ef_derived(ch)
+        assert (d.sigma1_sq, d.sigma2_sq) == pytest.approx(exact["sigma"], rel=1e-12, abs=0.0)
+        assert exact["sigma"][0] == pytest.approx(3.6e-20, rel=1e-12)
+        params, scenario, pair = ef_bi_eval(ch, 0.5, 0.5)
+        assert (params.nwz1, params.nwz2) == pytest.approx(exact["bl"][scenario], rel=1e-12, abs=0.0)
+        assert 0.0 < pair.r1 < math.inf and 0.0 < pair.r2 < math.inf
+        with pytest.raises(ConstraintViolationError, match=r"^nwz1 lower bound: "):
+            ef_bi_rate(ch, EfBiParams(0.5, 0.5, params.nwz1 / 2, params.nwz2), scenario)
+        found, _, _ = ef_bi_sum_rate_search(ch, 11)
+        assert found.nwz1 > 0.0 and found.nwz2 > 0.0
 
-    def test_single_level_states_the_bound_once(self, no_rates):
+    def test_single_level_states_the_bound_once(self):
         ch = self.channel()
-        bound = float(ef._sl_min_noise(ch, 2)[1])
-        assert bound < 0.0
-        message = f"the EF-SL compression-noise bound must be >= 0, got {bound!r}"
-        for call in (lambda: ef_sl_min_noise(ch), lambda: ef_sl_rate(ch, 1.0),
-                     lambda: ef.ef_sl_batch(ChannelBatch.of([ch]))):
-            with pytest.raises(ValueError) as exc:
-                call()
-            assert type(exc.value) is ValueError and str(exc.value) == message
+        bound = ef_sl_min_noise(ch)
+        assert bound == pytest.approx(ef_exact(ch, 0.5, 0.5)["sl"][2], rel=1e-12, abs=0.0)
+        pair = ef_sl_rate(ch, bound)
+        assert [c.item() for c in ef.ef_sl_batch(ChannelBatch.of([ch]))] == [bound, pair.r1, pair.r2]
+        with pytest.raises(ConstraintViolationError) as exc:
+            ef_sl_rate(ch, bound / 2)
+        assert str(exc.value).count(repr(bound)) == 1
 
     def test_single_level_zero_bound_is_accepted(self):
-        # Each destination hears what the relay hears: sigma_i^2 is 0 exactly.
+        # Each destination hears what the relay hears, so h1r d_i - h2r c_i
+        # is 0 and sigma_i^2 = Nr + (A - Nr) N_i / V_i, about 2e-20: the
+        # bound the subtraction rounded to 0 is positive, and it is accepted.
         ch = ChannelInstance(h11=1.0, h12=1.0, h1r=1.0, h21=0.5, h22=0.5, h2r=0.5,
                              hr1=0.7, hr2=0.6, P1=1.0, P2=1.0, Pr=1.0,
                              N1=1e-20, N2=1e-20, Nr=1e-20)
-        assert ef_sl_min_noise(ch) == 0.0
-        pair = ef_sl_rate(ch, 0.0)
+        exact = ef_exact(ch, 0.5, 0.5)
+        assert min(exact["sigma"]) > ch.Nr
+        assert ef_sl_min_noise(ch) == pytest.approx(exact["sl"][2], rel=1e-12, abs=0.0)
+        pair = ef_sl_rate(ch, ef_sl_min_noise(ch))
         assert 0.0 < pair.r1 < math.inf and 0.0 < pair.r2 < math.inf

@@ -13,9 +13,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from ircrates import df, ef, scenario
+from ircrates import af, df, ef, scenario
 from ircrates.df import _sum_rate_grid
 from ircrates.channel import ChannelBatch, ChannelInstance, capacity, nu_simplex
+from ircrates.ef import EfBiParams
 from ircrates.scenario import default_config
 
 from conftest import anti_phase_channel, random_channel, symmetric_channel
@@ -24,7 +25,9 @@ from reference_kernels import (
     df_rect_bound_reference,
     df_sum_rate_search_reference,
     df_user_bound_reference,
+    ef_bi_eval_scalar,
     ef_bi_sum_rate_search_loop,
+    ef_exact,
     per_cell,
 )
 
@@ -79,37 +82,75 @@ def test_silent_relay_keeps_first_split(rng):
 
 
 def zero_noise_bound_channel() -> ChannelInstance:
-    """The relay hears what D1 hears (h1r = h11, h2r = h21, Nr = N1), and the
-    noise is lost in round-off: nwz1's bound is 0 wherever D1 sees no relay
-    interference, which EfBiParams refuses at the first such split."""
+    """The relay hears what D1 hears (h1r = h11, h2r = h21, Nr = N1), so
+    h1r h21 - h2r h11 = 0 and sigma_1^2 = Nr + (A - Nr) N1 / V1 = 2e-20: the
+    subtraction A - |A_1|^2 / V_1 rounded it, and with it nwz1's bound
+    wherever D1 sees no relay interference, to 0."""
     return ChannelInstance(h11=1.0, h21=0.5, h1r=1.0, h2r=0.5, h12=0.3, h22=0.8,
                            hr1=0.7, hr2=0.6, P1=1.0, P2=1.0, Pr=1.0,
                            N1=1e-20, N2=1.0, Nr=1e-20)
 
 
 def test_zero_noise_bound_raises_like_the_loop():
+    # The search and the loop both stopped at the first zero bound; now they
+    # return the same point, at mpmath's bounds, alone and after a good cell.
     ch = zero_noise_bound_channel()
-    errors = []
-    for search in (ef_bi_sum_rate_search_loop, ef.ef_bi_sum_rate_search):
-        with pytest.raises(ValueError, match="nwz1 must be positive") as exc:
-            search(ch, 11)
-        errors.append(str(exc.value))
-    assert errors[0] == errors[1]
-    # In a block, the good cell before it does not hide the error.
+    found = ef.ef_bi_sum_rate_search(ch, 11)
+    assert found == ef_bi_sum_rate_search_loop(ch, 11)
+    params, scenario_tag, _ = found
+    exact = ef_exact(ch, params.nu1, params.nu2)
+    assert ef.ef_derived(ch).sigma1_sq == pytest.approx(2e-20, rel=1e-15)
+    assert (params.nwz1, params.nwz2) == pytest.approx(exact["bl"][scenario_tag], rel=1e-12, abs=0.0)
     good = default_config().channel_at(0.5, 0.5)
-    with pytest.raises(ValueError, match="nwz1 must be positive") as exc:
-        ef.ef_bi_sum_rate_search_batch(ChannelBatch.of([good, ch]), 11)
-    assert str(exc.value) == errors[0]
+    columns = ef.ef_bi_sum_rate_search_batch(ChannelBatch.of([good, ch]), 11)
+    assert per_cell("ef_bl", columns)[1] == found
 
 
 @pytest.mark.parametrize("policy", ["uniform", "optimal"])
 def test_zero_noise_bound_raises_on_the_map_path(policy):
     # After a good cell in the same block, under either policy, the map
-    # refuses the cell as the one-channel search does.
+    # scores the cell as the one-channel search does, which the map refused
+    # when its bound rounded to 0.  Its rate is the rate at mpmath's bounds.
     config = replace(default_config(), pa_policy=policy, ef_grid=11)
-    batch = ChannelBatch.of([config.channel_at(0.5, 0.5), zero_noise_bound_channel()])
-    with pytest.raises(ValueError, match=r"^nwz1 must be positive, got 0\.0$"):
-        scenario._block_cells(config, [(0.5, 0.5), (0.0, 0.0)], batch)
+    ch = zero_noise_bound_channel()
+    batch = ChannelBatch.of([config.channel_at(0.5, 0.5), ch])
+    cell = scenario._block_cells(config, [(0.5, 0.5), (0.0, 0.0)], batch)[1]
+    params, tag, pair = (ef.ef_bi_eval(ch, *scenario.UNIFORM_NU) if policy == "uniform"
+                         else ef.ef_bi_sum_rate_search(ch, 11))
+    assert (cell.rates["ef_bl"], cell.bl_scenario) == (pair.sum, tag.value)
+    exact = ef_exact(ch, params.nu1, params.nu2)["bl"][tag]
+    at_exact = ef.ef_bi_rate(ch, EfBiParams(params.nu1, params.nu2, *exact), tag)
+    assert pair.sum == pytest.approx(at_exact.sum, rel=1e-12)
+
+
+def test_block_refuses_its_first_bad_cell():
+    # zero_noise_bound_channel() beside the default channel at noises of
+    # 1e-300, whose AF sum-rate polynomial overflows.  The first cell's EF-BL
+    # bound no longer rounds to 0, so the block raises the second cell's AF
+    # refusal, that of the first refusing cell in map order.
+    config = default_config()
+    bad = replace(config.channel_at(0.5, 0.5), N1=1e-300, N2=1e-300, Nr=1e-300)
+    with pytest.raises(ValueError) as alone:
+        af.af_sum_rate_gain(bad)
+    with pytest.raises(ValueError) as block:
+        scenario._block_columns(config, [(0.0, 0.0), (0.5, 0.5)],
+                                ChannelBatch.of([zero_noise_bound_channel(), bad]))
+    assert str(block.value) == str(alone.value) == af._OVERFLOW
+
+
+def test_bound_that_underflows_is_refused():
+    # _bi_eval's refusal of a bound that is not > 0 is reached.  With every
+    # power and noise 1e-300, V_1 sigma_1^2, about 4.5e-600, underflows to 0,
+    # so nwz1's bound, 9e-300 exactly, rounds to 0 where D1 cancels, as at
+    # the uniform split; the loop refuses the same bound.
+    ch = ChannelInstance(h11=1.0, h12=0.5, h21=0.5, h22=1.0, h1r=1.0, h2r=1.0, hr1=1.0,
+                         hr2=1.0, P1=1e-300, P2=1e-300, Pr=1e-300, N1=1e-300, N2=1e-300,
+                         Nr=1e-300)
+    assert ef.ef_bi_scenario(ch, 0.5, 0.5) is ef.BiScenario.D1_BETTER
+    assert ef_exact(ch, 0.5, 0.5)["bl"][ef.BiScenario.D1_BETTER][0] == pytest.approx(9e-300)
+    for run in (ef.ef_bi_eval, ef_bi_eval_scalar):
+        with pytest.raises(ValueError, match=r"^nwz1 must be positive, got 0\.0$"):
+            run(ch, 0.5, 0.5)
 
 
 def test_eval_equals_broadcast_at_every_split(rng):
