@@ -255,10 +255,12 @@ def af_sum_rate_gain(
     ``af_sum_rate_gain_batch`` on a batch of one; ``grid_points`` is ignored.
     """
     gain, r1, r2 = (c.item() for c in af_sum_rate_gain_batch(ChannelBatch.of([channel])))
+    if math.isnan(gain):
+        raise ValueError(_OVERFLOW)
     return gain, RatePair(r1, r2)
 
 
-# Raised when a cell's sum-rate polynomial leaves the floats.
+# Why a cell's columns are NaN: its sum-rate polynomial leaves the floats.
 _OVERFLOW = ("the AF sum-rate polynomial overflows a float: its coefficients multiply "
              "the ratios P1/N1, P2/N1, Nr/N1 and P2/N2, P1/N2, Nr/N2; lower P1, P2 "
              "or Nr, or raise N1 or N2")
@@ -314,23 +316,21 @@ def af_sum_rate_gain_batch(batch: ChannelBatch) -> Tuple[np.ndarray, ...]:
     ``np.linalg.eigvals`` call on the stacked companion matrices then roots
     them all, as ``np.roots`` roots one (Edelman & Murakami, Math. Comp.
     1995).  A polynomial with a zero leading or trailing coefficient has a
-    lower degree and goes through ``np.roots``.  A coefficient that overflows
-    raises ValueError naming the fields.  The maps pass blocks of at most
-    ``scenario._block_size`` cells.
+    lower degree and goes through ``np.roots``.  A cell whose polynomial or
+    companion row overflows (``_OVERFLOW``) is rooted by neither and has NaN
+    columns.  The maps pass blocks of at most ``scenario._block_size`` cells.
     """
     with np.errstate(all="ignore"):
         polys = _sum_rate_polynomials(batch)
-        full = (polys[:, 0] != 0.0) & (polys[:, -1] != 0.0)
-        top = -polys[full, 1:] / polys[full, :1]  # np.roots' companion row
-    if not (np.isfinite(polys).all() and np.isfinite(top).all()):
-        raise ValueError(_OVERFLOW)
-    roots = np.full((len(batch), 6), np.nan)
-    if len(top):
-        companion = np.zeros((len(top), 6, 6))
-        companion[:, np.arange(1, 6), np.arange(5)] = 1.0
-        companion[:, 0, :] = top
-        roots[full] = np.linalg.eigvals(companion).real
-    for k in np.flatnonzero(~full):
+        top = -polys[:, 1:] / polys[:, :1]  # np.roots' companion row
+    full = (polys[:, 0] != 0.0) & (polys[:, -1] != 0.0)
+    fits = np.isfinite(polys).all(axis=1) & (~full | np.isfinite(top).all(axis=1))
+    roots, full = np.full((len(batch), 6), np.nan), full & fits
+    companion = np.zeros((np.count_nonzero(full), 6, 6))
+    companion[:, np.arange(1, 6), np.arange(5)] = 1.0
+    companion[:, 0, :] = top[full]
+    roots[full] = np.linalg.eigvals(companion).real
+    for k in np.flatnonzero(fits & ~full):
         r = np.roots(polys[k]).real
         roots[k, :len(r)] = r
-    return _best_gain(batch, roots, (1, 2))
+    return tuple(np.where(fits, x, math.nan) for x in _best_gain(batch, roots, (1, 2)))

@@ -22,7 +22,7 @@ import os
 import sys
 from dataclasses import replace
 
-from . import af, df, ef
+from . import af, df, ef, scenario
 from .channel import ChannelBatch, ChannelInstance, RatePair, _FEAS_RTOL, layout_to_channel
 from .discrete import (
     BiLevelFactorization,
@@ -176,8 +176,8 @@ def _cmd_rate(args) -> str:
 def _cmd_optimize(args) -> str:
     config = _get_config(args)
     r1, r2, point = OPTIMIZERS[args.protocol](ChannelBatch.of([_channel_from(config)]), config)
-    if math.isnan(r1.item()):  # only EF-SL has infeasible cells
-        raise InfeasibleError(ef.ZERO_BOTTLENECK)
+    if math.isnan(r1.item() + r2.item()):
+        raise scenario._refusal(args.protocol, point, 0)
     point = {k: tuple(c.item() for c in v) if isinstance(v, tuple) else v.item()
              for k, v in point.items()}  # the block's one cell
     return _report(args.protocol, RatePair(r1.item(), r2.item()), point, with_sum=True)

@@ -247,18 +247,17 @@ def ef_bi_rate(
 def _bi_eval(channel, nu1, nu2):
     """``ef_bi_eval`` elementwise, over the cells of a batch or over arrays
     of relay splits: (scenario index into ``BiScenario``, nwz1, nwz2, R1, R2).
-    EfBiParams refuses a bound that underflows to 0 (powers and noises near
-    1e-300) before any rate is formed: the first, in row-major order, raises."""
+    Where a bound is not > 0 (it underflows to 0 at powers and noises near
+    1e-300), both rates are NaN and the bounds stay for ``EfBiParams`` to refuse."""
     terms, q = _terms(channel), _codeword_powers(channel, nu1, nu2)
     d1, d2 = _scenario_flags(terms[0], q)
     interference, nwz = _min_noise(terms, q, d1, d2)
-    bad = ~((nwz[0] > 0) & (nwz[1] > 0))
-    if bad.any():
-        first = tuple(np.argwhere(bad)[0])
-        EfBiParams(*(np.broadcast_to(x, bad.shape)[first].item() for x in (nu1, nu2, *nwz)))
-    r1, r2 = (capacity(_two_branch_sinr(channel, i, interference[i - 1], nwz[i - 1]))
-              for i in (1, 2))
-    return np.where(d1, 0, np.where(d2, 1, 2)), nwz[0], nwz[1], r1, r2
+    refused = ~((nwz[0] > 0) & (nwz[1] > 0))  # their rates are formed with no relay branch
+    noises = [np.where(refused, math.inf, w) for w in nwz] if refused.any() else nwz
+    rates = [capacity(_two_branch_sinr(channel, i, interference[i - 1], noises[i - 1]))
+             for i in (1, 2)]
+    rates = [np.where(refused, math.nan, r) for r in rates] if refused.any() else rates
+    return np.where(d1, 0, np.where(d2, 1, 2)), nwz[0], nwz[1], *rates
 
 
 def ef_bi_eval(
@@ -358,7 +357,7 @@ def ef_bi_sum_rate_search_batch(
     of ``ef_bi_sum_rate_search`` over the cells of ``batch``, from one (cells,
     splits) array over the splits ``nu_simplex`` gives (given ``nu``,
     ``ef_bi_eval`` at that one split), each cell keeping its first argmax.
-    A noise bound that underflows to 0 raises in ``_bi_eval``.  Squares are rounded
+    A refused bound's NaN rates (``_bi_eval``) are the argmax.  Squares are rounded
     as libm pow rounds them and all else is elementwise, so each cell gets
     what a batch of one gives it.  Maps pass blocks of ``scenario._block_size`` cells."""
     grid, i1, i2 = nu_simplex(grid_points, nu)

@@ -2,8 +2,8 @@
 
 Infeasibility (a parameter choice no code can satisfy, e.g. a zero relay
 broadcast rate for single-level compression) is distinct from invalid input,
-a caller bug that raises ValueError.  A one-channel call raises InfeasibleError;
-a block kernel marks an infeasible cell with NaN rates, which a sweep scores 0.
+a caller bug that raises ValueError.  A one-channel call raises either; a block
+kernel marks the cell with NaN rates instead, and ``scenario._refusal`` says why.
 """
 
 

@@ -25,7 +25,7 @@ import numpy as np
 from . import af, df, ef
 from .channel import (_LAYOUT_FIELDS, _POSITIVE, _REAL, ChannelBatch, ChannelInstance, NodeLayout,
                       _check_fields, layout_to_batch, layout_to_channel, nu_simplex)
-from .errors import ConfigError
+from .errors import ConfigError, InfeasibleError
 
 __all__ = [
     "ScenarioConfig",
@@ -238,8 +238,8 @@ class SlCell(NamedTuple):
 # tables once per block, elementwise by the float operations of one channel
 # (squares as libm pow rounds them: ``channel._squares``), so a cell's result
 # does not depend on its block.  Kernels are looked up on their modules at
-# call time, so a swapped-in kernel takes effect.  A cell where EF-SL is
-# infeasible has NaN rates; the map refuses a NaN rate of any other protocol.
+# call time, so a swapped-in kernel takes effect.  A kernel marks a cell it refuses
+# with NaN rates (``_refusal`` says why); a map scores EF-SL's 0, refuses others.
 
 
 def _optimize_af(batch: ChannelBatch, config: ScenarioConfig):
@@ -304,9 +304,7 @@ def _entry_runs(config: ScenarioConfig, protocols, batch: ChannelBatch) -> dict:
     """``OPTIMIZERS[p](batch, config)`` of each of ``protocols``, by protocol.  AF runs
     on a second thread when the block is large enough (``_OVERLAP_CELLS``) and more
     than one CPU is usable, inside a copy of the caller's context (numpy's ``errstate``
-    is a context variable).  Either way a refusal is that of the first protocol in
-    ``protocols`` that raises: AF's, else the first of the others, which run in order
-    and stop at the first raise."""
+    is a context variable); an exception AF's entry raises there is raised again here."""
     runs, raised = {}, []
 
     def run_af():
@@ -331,12 +329,24 @@ def _entry_runs(config: ScenarioConfig, protocols, batch: ChannelBatch) -> dict:
     return runs
 
 
+def _refusal(protocol: str, point: dict, k: int) -> Exception:
+    """Why cell ``k`` of ``protocol``'s columns (``point``) has a NaN rate, as one channel's
+    call says: EF-SL's zero bottleneck, EF-BL's refused bound, AF's overflow, or the NaN."""
+    if protocol == "ef_bl":
+        try:
+            ef.EfBiParams(*(c[k].item() for c in (*point["nu"], *point["nwz"])))
+        except ValueError as exc:
+            return exc
+    return {"ef_sl": InfeasibleError(ef.ZERO_BOTTLENECK), "af": ValueError(af._OVERFLOW)}.get(
+        protocol, ValueError(f"{protocol} rate is NaN"))
+
+
 def _block_columns(config: ScenarioConfig, positions, batch: ChannelBatch):
     """Each enabled protocol's entry run once on ``batch``, the channels of ``positions``
     (``_entry_runs``): the protocols in order, their sum rates (protocols by cells, EF-SL's
     NaN scored 0.0), where EF-SL is infeasible, and each cell's AF gain and EF-BL scenario
-    tag (0.0 and "" when not run).  Another protocol's NaN rate raises, at the first such
-    cell."""
+    tag (0.0 and "" when not run).  Another protocol's NaN rate is refused at the first
+    such cell in map order, naming the relay position and the ``_refusal``."""
     protocols, n = [p for p in PROTOCOL_ORDER if p in config.protocols], len(positions)
     runs = _entry_runs(config, protocols, batch)  # (R1, R2, point) each
     sums = np.array([runs[p][0] + runs[p][1] for p in protocols])
@@ -344,8 +354,9 @@ def _block_columns(config: ScenarioConfig, positions, batch: ChannelBatch):
     fault = nan & (np.array(protocols) != "ef_sl")[:, None]  # EF-SL's zero bottleneck aside
     if fault.any():
         k = fault.any(axis=0).argmax()
-        raise ValueError(f"{protocols[fault[:, k].argmax()]} rate is NaN "
-                         f"with the relay at {positions[k]} d0")
+        p = protocols[fault[:, k].argmax()]
+        raise ValueError(f"{p} rate is NaN with the relay at {positions[k]} d0: "
+                         f"{_refusal(p, runs[p][2], k)}")
     sums[nan] = 0.0
     gains = runs["af"][2]["gain"] if "af" in runs else np.zeros(n)
     tags = runs["ef_bl"][2]["scenario"] if "ef_bl" in runs else np.full(n, "")
@@ -391,10 +402,10 @@ def dominance_map(config: ScenarioConfig) -> List[MapCell]:
     block's cells are read from its columns.  A block of at least
     ``_OVERLAP_CELLS`` cells runs AF on a second thread beside the other
     protocols when more than one CPU is usable (``_entry_runs``); its
-    columns, and a refusal, are those of running them in turn.  Squares are
-    rounded as libm pow rounds them (``channel._squares``), as for one
-    channel, and all else is elementwise, so the map has the same bytes as
-    cell by cell.
+    columns are those of running them in turn, and a refusal names the
+    first refused cell in map order.  Squares are rounded as libm pow
+    rounds them (``channel._squares``), as for one channel, and all else
+    is elementwise, so the map has the same bytes as cell by cell.
     """
     return _cells(config, [(float(x), float(y))
                            for y in config.grid_y() for x in config.grid_x()])

@@ -499,12 +499,20 @@ def test_ef_at_the_channel_limits():
 
 
 def test_af_block_overflow_in_one_cell_raises():
+    # Cell 1's sum-rate polynomial overflows: alone it raises, and in the
+    # block its three columns are NaN, while cells 0 and 2 are their
+    # batches of one, bit for bit.
     rng = np.random.default_rng(15)
     channels = [random_channel(rng) for _ in range(3)]
     channels[1] = replace(channels[1], N1=1e-300, N2=1e-300)
     with pytest.raises(ValueError) as raised:
-        af.af_sum_rate_gain_batch(ChannelBatch.of(channels))
+        af.af_sum_rate_gain(channels[1])
     assert str(raised.value) == af._OVERFLOW
+    columns = af.af_sum_rate_gain_batch(ChannelBatch.of(channels))
+    assert np.isnan([c[1] for c in columns]).all()
+    for k in (0, 2):
+        alone = af.af_sum_rate_gain_batch(ChannelBatch.of([channels[k]]))
+        assert [c[k].tobytes() for c in columns] == [c[0].tobytes() for c in alone]
 
 
 @pytest.mark.parametrize("grid_points, nu", [

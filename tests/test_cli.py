@@ -283,8 +283,8 @@ class TestOptimize:
 class TestNoiseBoundsAndBottleneck:
     """The cancelling config, whose noise bounds the subtraction A - |A_i|^2 /
     V_i took below zero (exit 2), gives the bounds mpmath gives, in every
-    command; a bound that underflows to 0 exits 2 for EF-BL, and a zero relay
-    broadcast rate exits 1 for EF-SL alone."""
+    command; a bound that underflows to 0 exits 2 for EF-BL (a map names its
+    first such cell), and a zero relay broadcast rate exits 1 for EF-SL alone."""
 
     @pytest.fixture
     def cancelling(self, tmp_path):
@@ -335,15 +335,27 @@ class TestNoiseBoundsAndBottleneck:
         code, out, err = run(capsys, *argv, "--config", str(path))
         assert code == 0 and err == "" and len(out.strip().split("\n")) == 1 + 6
 
-    @pytest.mark.parametrize("command", ["rate", "optimize"])
-    def test_bi_level_bound_underflowing_to_zero_exits_2(self, capsys, tmp_path, command):
+    @pytest.fixture
+    def tiny(self, tmp_path):
         # Every power and noise 1e-300: V_1 sigma_1^2 underflows, and so does
         # nwz1's bound where D1 cancels.
         path = tmp_path / "tiny.json"
         path.write_text(json.dumps(replace(default_config(), P1=1e-300, P2=1e-300, Pr=1e-300,
                                            N1=1e-300, N2=1e-300, Nr=1e-300).to_dict()))
-        code, out, err = run(capsys, command, "--config", str(path), "--protocol", "ef_bl")
+        return str(path)
+
+    @pytest.mark.parametrize("command", ["rate", "optimize"])
+    def test_bi_level_bound_underflowing_to_zero_exits_2(self, capsys, tiny, command):
+        code, out, err = run(capsys, command, "--config", tiny, "--protocol", "ef_bl")
         assert (code, out, err) == (2, "", "error: nwz1 must be positive, got 0.0\n")
+
+    @pytest.mark.parametrize("argv, bound", [(["map"], "nwz1"), (["slmap"], "nwz1"),
+                                             (["map", "--pa", "optimal"], "nwz2")])
+    def test_map_names_the_cell_of_a_bound_underflowing_to_zero(self, capsys, tiny, argv, bound):
+        # The first cell in map order is refused, at its first refused split.
+        code, out, err = run(capsys, *argv, "--config", tiny)
+        assert (code, out, err) == (2, "", "error: ef_bl rate is NaN with the relay at "
+                                           f"(-4.0, -3.0) d0: {bound} must be positive, got 0.0\n")
 
     @pytest.mark.parametrize("command", ["rate", "optimize"])
     def test_zero_bottleneck_exits_1(self, capsys, zero_bottleneck, command):

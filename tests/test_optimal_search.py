@@ -126,31 +126,85 @@ def test_zero_noise_bound_raises_on_the_map_path(policy):
 def test_block_refuses_its_first_bad_cell():
     # zero_noise_bound_channel() beside the default channel at noises of
     # 1e-300, whose AF sum-rate polynomial overflows.  The first cell's EF-BL
-    # bound no longer rounds to 0, so the block raises the second cell's AF
-    # refusal, that of the first refusing cell in map order.
-    config = default_config()
-    bad = replace(config.channel_at(0.5, 0.5), N1=1e-300, N2=1e-300, Nr=1e-300)
+    # bound no longer rounds to 0, so the block refuses the second cell, with
+    # the error AF gives it alone, after the protocol and relay position.
+    bad = overflowing_af_channel()
     with pytest.raises(ValueError) as alone:
         af.af_sum_rate_gain(bad)
     with pytest.raises(ValueError) as block:
-        scenario._block_columns(config, [(0.0, 0.0), (0.5, 0.5)],
+        scenario._block_columns(default_config(), [(0.0, 0.0), (0.5, 0.5)],
                                 ChannelBatch.of([zero_noise_bound_channel(), bad]))
-    assert str(block.value) == str(alone.value) == af._OVERFLOW
+    assert str(alone.value) == af._OVERFLOW
+    assert str(block.value) == f"af rate is NaN with the relay at (0.5, 0.5) d0: {af._OVERFLOW}"
+
+
+def overflowing_af_channel() -> ChannelInstance:
+    """The default channel at (0.5, 0.5) d0 with every noise 1e-300: its AF
+    sum-rate polynomial overflows, and every other protocol gives rates."""
+    return replace(default_config().channel_at(0.5, 0.5), N1=1e-300, N2=1e-300, Nr=1e-300)
+
+
+def underflowing_bound_channel() -> ChannelInstance:
+    """Every power and noise 1e-300: V_1 sigma_1^2, about 4.5e-600, underflows
+    to 0, so nwz1's bound, 9e-300 exactly, rounds to 0 where D1 cancels, as at
+    the uniform split."""
+    return ChannelInstance(h11=1.0, h12=0.5, h21=0.5, h22=1.0, h1r=1.0, h2r=1.0, hr1=1.0,
+                           hr2=1.0, P1=1e-300, P2=1e-300, Pr=1e-300, N1=1e-300, N2=1e-300,
+                           Nr=1e-300)
 
 
 def test_bound_that_underflows_is_refused():
-    # _bi_eval's refusal of a bound that is not > 0 is reached.  With every
-    # power and noise 1e-300, V_1 sigma_1^2, about 4.5e-600, underflows to 0,
-    # so nwz1's bound, 9e-300 exactly, rounds to 0 where D1 cancels, as at
-    # the uniform split; the loop refuses the same bound.
-    ch = ChannelInstance(h11=1.0, h12=0.5, h21=0.5, h22=1.0, h1r=1.0, h2r=1.0, hr1=1.0,
-                         hr2=1.0, P1=1e-300, P2=1e-300, Pr=1e-300, N1=1e-300, N2=1e-300,
-                         Nr=1e-300)
+    # EfBiParams refuses a bound that is not > 0, as the loop does.
+    ch = underflowing_bound_channel()
     assert ef.ef_bi_scenario(ch, 0.5, 0.5) is ef.BiScenario.D1_BETTER
     assert ef_exact(ch, 0.5, 0.5)["bl"][ef.BiScenario.D1_BETTER][0] == pytest.approx(9e-300)
     for run in (ef.ef_bi_eval, ef_bi_eval_scalar):
         with pytest.raises(ValueError, match=r"^nwz1 must be positive, got 0\.0$"):
             run(ch, 0.5, 0.5)
+
+
+def test_refused_bound_marks_only_its_cell():
+    # The search marks the refused cell with NaN rates and keeps the bounds
+    # of its first refused split in simplex order, the split the loop
+    # refuses; the cells around it are their batches of one.
+    ch, good = underflowing_bound_channel(), default_config().channel_at(0.5, 0.5)
+    with pytest.raises(ValueError, match=r"^nwz2 must be positive, got 0\.0$"):
+        ef_bi_sum_rate_search_loop(ch, 11)
+    columns = ef.ef_bi_sum_rate_search_batch(ChannelBatch.of([good, ch, good]), 11)
+    n1, n2, _, w1, w2, r1, r2 = (c[1].item() for c in columns)
+    assert np.isnan(r1) and np.isnan(r2) and w1 > 0.0 and w2 == 0.0
+    with pytest.raises(ValueError, match=r"^nwz2 must be positive, got 0\.0$"):
+        EfBiParams(n1, n2, w1, w2)
+    grid, i1, i2 = nu_simplex(11)
+    nwz = ef._bi_eval(ch, grid[i1], grid[i2])[1:3]
+    first = np.flatnonzero(~((nwz[0] > 0) & (nwz[1] > 0)))[0]
+    assert (n1, n2, w1, w2) == (grid[i1[first]], grid[i2[first]], nwz[0][first], nwz[1][first])
+    alone = ef.ef_bi_sum_rate_search_batch(ChannelBatch.of([good]), 11)
+    for k in (0, 2):
+        assert [c[k].tobytes() for c in columns] == [c[0].tobytes() for c in alone]
+
+
+@pytest.mark.parametrize("worker", [False, True], ids=["inline", "af-thread"])
+@pytest.mark.parametrize("policy", ["uniform", "optimal"])
+def test_block_refuses_in_map_order(monkeypatch, policy, worker):
+    # An EF-BL bound refused in one cell and an AF overflow in the other: the
+    # block raises the error of the first cell in map order, either way round,
+    # whether AF runs inline or on its own thread, and after 300 good cells.
+    if worker:
+        monkeypatch.setattr(scenario, "_OVERLAP_CELLS", 1)
+        monkeypatch.setattr(scenario, "_usable_cpus", lambda: 2)
+    config = replace(default_config(), pa_policy=policy)
+    tiny, bad, good = underflowing_bound_channel(), overflowing_af_channel(), config.channel_at(0, 0)
+    ef_bl = f"ef_bl: nwz{1 if policy == 'uniform' else 2} must be positive, got 0.0"
+    for channels, (cell, error) in (([tiny, bad], (0, ef_bl)),
+                                    ([bad, tiny], (0, f"af: {af._OVERFLOW}")),
+                                    ([good] * 300 + [tiny, bad], (300, ef_bl))):
+        protocol, reason = error.split(": ", 1)
+        positions = [(0, k) for k in range(len(channels))]
+        with pytest.raises(ValueError) as raised:
+            scenario._block_columns(config, positions, ChannelBatch.of(channels))
+        assert str(raised.value) == (f"{protocol} rate is NaN with the relay at (0, {cell}) d0: "
+                                     f"{reason}")
 
 
 def test_eval_equals_broadcast_at_every_split(rng):

@@ -384,7 +384,9 @@ class TestOptimizerTable:
     def test_nan_rate_of_another_protocol_raises(self, monkeypatch, protocol):
         # A kernel (here a patched one) that returns NaN rates in cells 1 and
         # 4 of the map's one block stops the map at cell 1, the first in map
-        # order, named with its protocol.  EF-SL's NaN in cells 0 and 1 is
+        # order, named with its protocol and then the reason: AF's is its
+        # overflowing polynomial, and EF-BL's noise bounds here are > 0, so
+        # EF-BL, like DF, gives the bare NaN.  EF-SL's NaN in cells 0 and 1 is
         # the infeasibility a map scores 0, and raises nothing.  The slmap
         # reads the same EF-BL column and refuses its NaN alike.
         def with_nan(name, cells):
@@ -403,9 +405,11 @@ class TestOptimizerTable:
         assert [c.infeasible for c in dominance_map(cfg)] == [("ef_sl",)] * 2 + [()] * 4
         with_nan(protocol, [4, 1])
         for run in [dominance_map] + [sl_vs_bl_map] * (protocol == "ef_bl"):
-            with pytest.raises(ValueError, match=rf"^{protocol} rate is NaN with the relay at "
-                                                 r"\(0\.0, 0\.25\) d0$"):
+            with pytest.raises(ValueError) as raised:
                 run(cfg)
+            reason = af._OVERFLOW if protocol == "af" else f"{protocol} rate is NaN"
+            assert str(raised.value) == (f"{protocol} rate is NaN with the relay at "
+                                         f"(0.0, 0.25) d0: {reason}")
 
     def test_infeasible_entry_runs_once_per_block(self, monkeypatch):
         # At Pr = 1e-15 EF-SL is infeasible in every cell of the default map.
