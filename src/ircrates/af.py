@@ -30,8 +30,8 @@ from typing import List, Tuple
 
 import numpy as np
 
-from .channel import (ChannelBatch, ChannelInstance, RatePair, _conj_product, _relay_received,
-                      _split, _square, _squares, _two_sum, capacity, other)
+from .channel import (ChannelBatch, ChannelInstance, RatePair, _conj_product, _product,
+                      _relay_received, _square, _squares, _two_sum, capacity, other)
 
 __all__ = [
     "AfAuxiliaries",
@@ -299,9 +299,9 @@ def _fma(x, y, z):
     """x y + z rounded once, elementwise, for x, y and z of magnitude 0 or in
     [2^-480, 2^480]: Dekker's exact product, TwoSum, and one addition rounded
     to odd (Boldo & Melquiond, IEEE Trans. Computers 57(4), 2008)."""
-    (xh, xl), (yh, yl), p = _split(x), _split(y), x * y
+    p, e = _product(x, y)
     s, t = _two_sum(z, p)
-    u, r = _two_sum(t, ((xh * yh - p) + xh * yl + xl * yh) + xl * yl)
+    u, r = _two_sum(t, e)
     return s + np.where((r == 0.0) | (u.view(np.int64) & 1 == 1), u,
                         np.nextafter(u, np.copysign(np.inf, r)))
 

@@ -285,18 +285,12 @@ class ChannelBatch(_Links):
 
 
 def _squares(x) -> np.ndarray:
-    """``abs(v) ** 2`` of each element v of ``x``, bit for bit: m * m (m = |v| by ``_abs``) where
-    m = 0 or Dekker's exact m^2 - m * m is under 0.46 ulp, as glibc's pow (2.28 on) errs by at
-    most 0.54 ulp (``test_libm_pow_squares_within_certificate``); else ``_square``: m * m a power
-    of two (half an ulp below), or m outside [2^-480, 2^480] (split overflow, error underflow)."""
+    """``abs(v) ** 2`` of each element v of ``x``, bit for bit: m * m (m = |v| by ``_abs``)
+    where ``_certified`` keeps it, by Dekker's exact m^2 - m * m, else ``_square(m)``."""
     m = _abs(x) if np.iscomplexobj(x) else np.abs(x)
     with np.errstate(all="ignore"):
-        p, (hi, lo) = m * m, _split(m)
-        e = ((hi * hi - p) + 2.0 * hi * lo) + lo * lo
-        kept = (m == 0.0) | ((m >= 2.0 ** -480) & (m <= 2.0 ** 480) & (
-            np.abs(e) < 0.46 * np.spacing(p)) & (p.view(np.int64) & (2 ** 52 - 1) != 0))
-    p[~kept] = [_square(v) for v in m[~kept].tolist()]
-    return p
+        p, e = _product(m, m)
+        return _certified(m, p, e, np.spacing(p), _square)
 
 
 def _square(x) -> float:
@@ -308,11 +302,34 @@ def _square(x) -> float:
         return math.inf
 
 
-def _split(x):
-    """Veltkamp's split: x = hi + lo, each with at most 26 significant bits."""
-    c = 134217729.0 * x  # 2^27 + 1
-    hi = c - (c - x)
-    return hi, x - hi
+def _certified(x, y, err, ulp, fallback) -> np.ndarray:
+    """f(v) of each v in ``x`` as libm pow rounds it: numpy's ``y`` where v is in [2^-480, 2^480]
+    (no split overflows, no error underflows), y is no power of two and its exact error f(v) - y,
+    ``err`` in units where y's ulp is ``ulp``, is under 0.46 ulp, else ``fallback(v)``: glibc's
+    pow (2.28 on) errs by at most 0.54 ulp (``test_libm_pow_squares_within_certificate``)."""
+    kept = ((x >= 2.0 ** -480) & (x <= 2.0 ** 480) & (np.abs(err) < 0.46 * ulp)
+            & (y.view(np.int64) & (2 ** 52 - 1) != 0))
+    y[~kept] = [fallback(v) for v in x[~kept].tolist()]
+    return y
+
+
+def _path_losses(v, gamma: float) -> np.ndarray:
+    """``pow(v, -gamma / 2)`` of each element of ``v``: at gamma = 2, q = 1 / v where
+    ``_certified`` keeps it, as v q = p + e exactly (Dekker) and 1 - p is exact (Sterbenz), so
+    (1 - p) - e is v (1/v - q), in units where q's ulp is v ulp(q).  Other gammas keep none."""
+    with np.errstate(all="ignore"):
+        q = 1.0 / v
+        p, e = _product(v, q)
+        return _certified(v, q, (1.0 - p) - e, np.spacing(q) * v if gamma == 2.0 else 0.0,
+                          lambda x, exponent=-gamma / 2.0: pow(x, exponent))
+
+
+def _product(x, y):
+    """(p, e): p = x y rounded, p + e = x y exactly (Dekker), for |x|, |y| 0 or in 2^±480."""
+    cx, cy = 134217729.0 * x, 134217729.0 * y  # 2^27 + 1: Veltkamp's split into 26-bit halves
+    xh, yh, p = cx - (cx - x), cy - (cy - y), x * y
+    xl, yl = x - xh, y - yh
+    return p, ((xh * yh - p) + xh * yl + xl * yh) + xl * yl
 
 
 def _two_sum(a, b):
@@ -487,21 +504,21 @@ def layout_to_channel(
 
 
 def layout_to_batch(layout: NodeLayout, relays, P1, P2, Pr, N1, N2, Nr) -> ChannelBatch:
-    """``layout_to_channel`` for each relay position (x, y) of ``relays``
-    (lifted to z = epsilon), as one ``ChannelBatch``: relay links elementwise,
-    by the float operations of ``NodeLayout.distances``.  A bad batch raises
-    what ``layout_to_channel`` raises at its first bad position, found by
-    building each in turn where a relay length is zero or overflows or its
-    path-loss power overflows, else by ``ChannelBatch.validate``."""
+    """``layout_to_channel`` for each relay position (x, y), a row of the (n, 2) array ``relays``
+    (lifted to z = epsilon), as one ``ChannelBatch``: relay links elementwise, by the float
+    operations of ``NodeLayout.distances``, their gains as pow rounds them (``_path_losses``).
+    A bad batch raises what ``layout_to_channel`` raises at its first bad position, found by
+    building each in turn where a relay length is zero or overflows or its path-loss power
+    overflows, else by ``ChannelBatch.validate``."""
     planar = {key: _link_gain(layout, key, d) for key, d in layout._planar_distances().items()}
-    x, y = np.array(relays, dtype=float).reshape(-1, 2).T
+    x, y = np.asarray(relays, dtype=float).reshape(-1, 2).T
     with np.errstate(all="ignore"):
         lengths = layout._relay_distances(x, y, layout.epsilon)
         try:
             if not all(((d > 0) & (d < math.inf)).all() for d in lengths.values()):
                 raise OverflowError  # a zero or overflowing length: refused below
-            cols = {key: [v ** (-layout.gamma / 2.0) for v in (d / layout.d0).tolist()]
-                    for key, d in lengths.items()}
+            cols = dict(zip(lengths, _path_losses(np.array([*lengths.values()]) / layout.d0,
+                                                  layout.gamma)))
         except (OverflowError, ZeroDivisionError):  # the latter where d / d0 underflows
             for xk, yk in zip(x.tolist(), y.tolist()):
                 layout_to_channel(layout.with_relay_at(xk, yk), P1, P2, Pr, N1, N2, Nr)

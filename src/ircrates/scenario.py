@@ -148,9 +148,8 @@ class ScenarioConfig:
         )
 
     def channel_batch(self, positions) -> ChannelBatch:
-        """``channel_at`` of every (xr, yr) of ``positions``, as one batch."""
-        d0 = self.layout.d0
-        return layout_to_batch(self.layout, [(x * d0, y * d0) for x, y in positions],
+        """``channel_at`` of every (xr, yr) row of the (n, 2) array ``positions``, as one batch."""
+        return layout_to_batch(self.layout, np.asarray(positions, dtype=float) * self.layout.d0,
                                self.P1, self.P2, self.Pr, self.N1, self.N2, self.Nr)
 
     # -- (de)serialization -----------------------------------------------------
@@ -355,7 +354,7 @@ def _block_columns(config: ScenarioConfig, positions, batch: ChannelBatch):
     if fault.any():
         k = fault.any(axis=0).argmax()
         p = protocols[fault[:, k].argmax()]
-        raise ValueError(f"{p} rate is NaN with the relay at {positions[k]} d0: "
+        raise ValueError(f"{p} rate is NaN with the relay at {tuple(positions[k].tolist())} d0: "
                          f"{_refusal(p, runs[p][2], k)}")
     sums[nan] = 0.0
     gains = runs["af"][2]["gain"] if "af" in runs else np.zeros(n)
@@ -364,17 +363,17 @@ def _block_columns(config: ScenarioConfig, positions, batch: ChannelBatch):
 
 
 def _block_cells(config: ScenarioConfig, positions, batch: ChannelBatch) -> List[MapCell]:
-    """The ``MapCell`` of each (xr, yr) of ``positions``, made from the block's columns."""
+    """The ``MapCell`` of each (xr, yr) row of ``positions``, made from the block's columns."""
     protocols, sums, infeasible, gains, tags = _block_columns(config, positions, batch)
     rates = map(dict, map(zip, repeat(protocols), sums.T.tolist()))
     winners = map(protocols.__getitem__, sums.argmax(axis=0).tolist())  # first of equal maxima
     marks = map(((), ("ef_sl",)).__getitem__, infeasible.tolist())
-    return list(map(MapCell._make, zip(*zip(*positions), rates, winners, tags.tolist(),
+    return list(map(MapCell._make, zip(*positions.T.tolist(), rates, winners, tags.tolist(),
                                        gains.tolist(), marks)))
 
 
 def _blocks(config: ScenarioConfig, positions, run) -> list:
-    """``run(config, block, batch)`` of each ``_block_size`` block of positions."""
+    """``run(config, block, batch)`` of each ``_block_size`` slice of ``positions``' rows."""
     size = _block_size(config)
     return [run(config, positions[s:s + size], config.channel_batch(positions[s:s + size]))
             for s in range(0, len(positions), size)]
@@ -390,7 +389,12 @@ def evaluate_cell(config: ScenarioConfig, xr: float, yr: float) -> MapCell:
 
     An infeasible protocol scores 0.0 and is listed in ``infeasible``.
     """
-    return _cells(config, [(xr, yr)])[0]
+    return _cells(config, np.array([(xr, yr)], dtype=float))[0]
+
+
+def _grid(config: ScenarioConfig) -> np.ndarray:
+    """The map's relay positions (xr, yr) as rows, row-major: x varies fastest."""
+    return np.stack(np.meshgrid(config.grid_x(), config.grid_y()), axis=-1).reshape(-1, 2)
 
 
 def dominance_map(config: ScenarioConfig) -> List[MapCell]:
@@ -403,17 +407,16 @@ def dominance_map(config: ScenarioConfig) -> List[MapCell]:
     ``_OVERLAP_CELLS`` cells runs AF on a second thread beside the other
     protocols when more than one CPU is usable (``_entry_runs``); its
     columns are those of running them in turn, and a refusal names the
-    first refused cell in map order.  Squares are rounded as libm pow
-    rounds them (``channel._squares``), as for one channel, and all else
-    is elementwise, so the map has the same bytes as cell by cell.
+    first refused cell in map order.  Squares and path-loss gains round as
+    libm pow (``channel._squares``, ``_path_losses``), as for one channel;
+    all else is elementwise, so the map has the same bytes as cell by cell.
     """
-    return _cells(config, [(float(x), float(y))
-                           for y in config.grid_y() for x in config.grid_x()])
+    return _cells(config, _grid(config))
 
 
 def sum_rate_slice(config: ScenarioConfig, y_fixed: float) -> List[MapCell]:
     """One-dimensional sweep along x_r at fixed y_r (both in units of d0)."""
-    return _cells(config, [(float(x), y_fixed) for x in config.grid_x()])
+    return _cells(config, np.column_stack(np.broadcast_arrays(config.grid_x(), y_fixed)))
 
 
 def sl_vs_bl_map(config: ScenarioConfig) -> List[SlCell]:
@@ -424,14 +427,14 @@ def sl_vs_bl_map(config: ScenarioConfig) -> List[SlCell]:
     differs from the cell to its left or the cell below.
     """
     config = replace(config, protocols=("ef_bl", "ef_sl"))
-    xs, ys = config.grid_x().tolist(), config.grid_y().tolist()
-    _, sums, _, _, tags = zip(*_blocks(config, [(x, y) for y in ys for x in xs], _block_columns))
+    positions = _grid(config)
+    _, sums, _, _, tags = zip(*_blocks(config, positions, _block_columns))
     (bl, sl), tags = np.concatenate(sums, axis=1), np.concatenate(tags)
-    grid = tags.reshape(len(ys), len(xs))
+    grid = tags.reshape(len(config.grid_y()), -1)
     frontier = np.zeros(grid.shape, dtype=bool)
     frontier[:, 1:] = grid[:, 1:] != grid[:, :-1]
     frontier[1:] |= grid[1:] != grid[:-1]
-    return list(map(SlCell, xs * len(ys), [y for y in ys for _ in xs], sl.tolist(), bl.tolist(),
+    return list(map(SlCell, *positions.T.tolist(), sl.tolist(), bl.tolist(),
                     tags.tolist(), np.where(bl >= sl, "bl", "sl").tolist(),
                     frontier.ravel().tolist()))
 

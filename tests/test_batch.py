@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 
 from ircrates import af, channel, df, ef, scenario
-from ircrates.channel import (_MAX_POWER, ChannelBatch, ChannelInstance, _squares,
+from ircrates.channel import (_MAX_POWER, ChannelBatch, ChannelInstance, _path_losses, _squares,
                               layout_to_channel, nu_simplex)
 from ircrates.scenario import UNIFORM_NU, default_config, dominance_map, sl_vs_bl_map
 
@@ -133,6 +133,10 @@ def test_batch_gains_are_channel_at_gains(gamma):
     config = replace(DEFAULT, layout=replace(DEFAULT.layout, gamma=gamma))
     cells = positions(config)
     batch = config.channel_batch(cells)
+    # The map's (n, 2) array of positions gives the same bytes as the pairs.
+    from_array = config.channel_batch(scenario._grid(config))
+    assert batch.__dict__.keys() == from_array.__dict__.keys()
+    assert all(v.tobytes() == from_array.__dict__[k].tobytes() for k, v in batch.__dict__.items())
     pow_not_square = 0
     for k, (x, y) in enumerate(cells):
         ch = config.channel_at(x, y)
@@ -152,7 +156,7 @@ def test_infeasible_cell_scores_zero_alone():
     cells = [(-1.0, 0.5), (0.0, 0.5), (1.0, 0.5)]
     channels = [DEFAULT.channel_at(x, y) for x, y in cells]
     channels[1] = replace(channels[1], hr1=0.0)  # no relay broadcast to D1
-    got = scenario._block_cells(DEFAULT, cells, ChannelBatch.of(channels))
+    got = scenario._block_cells(DEFAULT, np.array(cells), ChannelBatch.of(channels))
     assert [c.infeasible for c in got] == [(), ("ef_sl",), ()]
     assert got[1].rates["ef_sl"] == 0.0 and got[0].rates["ef_sl"] > 0.0
     assert got == [evaluate_cell_scalar(DEFAULT, x, y, ch) for (x, y), ch in zip(cells, channels)]
@@ -367,6 +371,14 @@ def residuals(m) -> np.ndarray:
     return np.minimum(r, 1.0 - r)
 
 
+def reciprocal_residuals(v) -> np.ndarray:
+    """|1/v - fl(1/v)| in ulps of fl(1/v), rounded once, for normal v and 1/v: with v = a 2^i
+    and fl(1/v) = b 2^j, a and b integers in [2^52, 2^53), that is |2^-(i+j) - a b| / a, and
+    2^-(i+j) - a b, under a in magnitude, is minus the low 64 bits of a b as a signed integer."""
+    a, b = ((np.frexp(z)[0] * 2.0 ** 53).astype(np.int64).view(np.uint64) for z in (v, 1.0 / v))
+    return np.abs((a * b).view(np.int64)) / a.astype(float)
+
+
 def test_residuals_are_exact():
     rng = np.random.default_rng(30)
     m = rng.uniform(1.0, 2.0, 2_000) * 2.0 ** rng.integers(-500, 501, 2_000)
@@ -376,6 +388,9 @@ def test_residuals_are_exact():
         if exact >= 2 * ulp * 2 ** 52:  # m^2 lies one binade up
             ulp *= 2
         assert r == abs(exact - rounded) / ulp
+    for v, r in zip(m.tolist(), reciprocal_residuals(m).tolist()):
+        ulp = Fraction(2) ** (math.frexp(1.0 / v)[1] - 53)
+        assert r == float(abs(1 / Fraction(v) - Fraction(1.0 / v)) / ulp)
 
 
 def assert_squares_are_pow(x, monkeypatch):
@@ -440,6 +455,69 @@ def test_libm_pow_squares_within_certificate():
         f"this libm's pow ({platform.libc_ver()}) squares {differ[r.argmin()]!r} to a float "
         f"other than x * x, which lies {r.min():.4f} ulp from x^2: pow errs by more than the "
         f"0.54 ulp that channel._squares assumes")
+    # The same for the reciprocal 1 / x that channel._path_losses keeps at gamma = 2.
+    differ = m[1.0 / m != np.array([x ** -1.0 for x in m.tolist()])]
+    r = reciprocal_residuals(differ)
+    assert (r >= 0.46).all(), (
+        f"this libm's pow ({platform.libc_ver()}) takes {differ[r.argmin()]!r} to the power -1 "
+        f"as a float other than 1 / x, which lies {r.min():.4f} ulp from 1/x: pow errs by more "
+        f"than the 0.54 ulp that channel._path_losses assumes")
+
+
+def count_pow(monkeypatch) -> list:
+    """The list of every base that channel's code then raises with the builtin ``pow``."""
+    calls = []
+    monkeypatch.setattr(channel, "pow", lambda x, exp: calls.append(x) or pow(x, exp),
+                        raising=False)
+    return calls
+
+
+def assert_reciprocals_are_pow(v, monkeypatch):
+    """_path_losses(v, 2.0) has the bytes of x ** -1.0 per element x of ``v``; returns how
+    many elements went through Python's pow."""
+    calls = count_pow(monkeypatch)
+    want = np.array([x ** -1.0 for x in v.tolist()])
+    assert _path_losses(v, 2.0).tobytes() == want.tobytes()
+    return len(calls)
+
+
+def test_reciprocals_are_pow_on_random_reals(monkeypatch):
+    # As for the squares: q = 1 / v is kept exactly where v lies in [2^-480, 2^480] and
+    # q lies under 0.46 ulp from 1/v (no power of two is drawn here).
+    rng = np.random.default_rng(35)
+    v = rng.uniform(1.0, 2.0, 2_000_000) * 2.0 ** rng.integers(-520, 521, 2_000_000)
+    inside = (v >= 2.0 ** -480) & (v <= 2.0 ** 480)
+    r = reciprocal_residuals(v[inside])
+    slow = assert_reciprocals_are_pow(v, monkeypatch)
+    assert slow == (~inside).sum() + (r >= 0.46).sum()
+    assert ((r >= 0.40) & (r < 0.46)).sum() >= 100_000 and (r >= 0.46).sum() >= 100_000
+
+
+def test_reciprocals_are_pow_on_special_values(monkeypatch):
+    powers = [2.0 ** k for k in (*range(-60, 61), -1022, -600, -481, -480, 480, 481, 600, 1023)]
+    near = [np.nextafter(v, d).item() for v in powers for d in (0.0, math.inf)]
+    subnormal = [5.6e-309, 1.5e-308, np.nextafter(2.0 ** -1022, 0.0).item()]  # 1/v is finite
+    wide = [_MAX_POWER, 1e300, np.finfo(float).max.item()]
+    v = np.array(powers + near + subnormal + wide)
+    # Every power of two goes to pow, as 1/v is one too.
+    assert assert_reciprocals_are_pow(v, monkeypatch) >= len(powers)
+    # pow refuses a reciprocal that overflows, or of 0 (where d / d0 underflows).
+    for bad, error in ((5e-324, OverflowError), (2.5e-310, OverflowError),
+                       (0.0, ZeroDivisionError)):
+        with pytest.raises(error):
+            _path_losses(np.array([1.5, bad]), 2.0)
+
+
+def test_path_loss_fallbacks_on_the_default_map(monkeypatch):
+    # At gamma = 2 the certified reciprocal keeps most of the 3,828 relay gains out of
+    # Python's pow; any other gamma sends every one of them there.
+    calls = count_pow(monkeypatch)
+    cells = np.array(positions(DEFAULT))
+    DEFAULT.channel_batch(cells)
+    assert 0 < len(calls) <= 0.1 * 4 * len(cells)
+    calls.clear()
+    replace(DEFAULT, layout=replace(DEFAULT.layout, gamma=3.0)).channel_batch(cells)
+    assert len(calls) == 4 * len(cells) == 3828
 
 
 def largest_passing(fields, name, below):

@@ -114,7 +114,7 @@ def test_zero_noise_bound_raises_on_the_map_path(policy):
     config = replace(default_config(), pa_policy=policy, ef_grid=11)
     ch = zero_noise_bound_channel()
     batch = ChannelBatch.of([config.channel_at(0.5, 0.5), ch])
-    cell = scenario._block_cells(config, [(0.5, 0.5), (0.0, 0.0)], batch)[1]
+    cell = scenario._block_cells(config, np.array([(0.5, 0.5), (0.0, 0.0)]), batch)[1]
     params, tag, pair = (ef.ef_bi_eval(ch, *scenario.UNIFORM_NU) if policy == "uniform"
                          else ef.ef_bi_sum_rate_search(ch, 11))
     assert (cell.rates["ef_bl"], cell.bl_scenario) == (pair.sum, tag.value)
@@ -132,7 +132,7 @@ def test_block_refuses_its_first_bad_cell():
     with pytest.raises(ValueError) as alone:
         af.af_sum_rate_gain(bad)
     with pytest.raises(ValueError) as block:
-        scenario._block_columns(default_config(), [(0.0, 0.0), (0.5, 0.5)],
+        scenario._block_columns(default_config(), np.array([(0.0, 0.0), (0.5, 0.5)]),
                                 ChannelBatch.of([zero_noise_bound_channel(), bad]))
     assert str(alone.value) == af._OVERFLOW
     assert str(block.value) == f"af rate is NaN with the relay at (0.5, 0.5) d0: {af._OVERFLOW}"
@@ -200,7 +200,7 @@ def test_block_refuses_in_map_order(monkeypatch, policy, worker):
                                     ([bad, tiny], (0, f"af: {af._OVERFLOW}")),
                                     ([good] * 300 + [tiny, bad], (300, ef_bl))):
         protocol, reason = error.split(": ", 1)
-        positions = [(0, k) for k in range(len(channels))]
+        positions = np.array([(0, k) for k in range(len(channels))])
         with pytest.raises(ValueError) as raised:
             scenario._block_columns(config, positions, ChannelBatch.of(channels))
         assert str(raised.value) == (f"{protocol} rate is NaN with the relay at (0, {cell}) d0: "

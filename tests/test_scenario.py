@@ -215,9 +215,10 @@ class TestConfig:
         cfg = replace(default_config(), layout=layout)
         with pytest.raises(ValueError, match="overflows a float") as one:
             cfg.channel_at(0.0, 0.0)
-        with pytest.raises(ValueError) as block:
-            cfg.channel_batch([(0.0, 0.0)])
-        assert str(block.value) == str(one.value)
+        for positions in ([(0.0, 0.0)], np.zeros((1, 2))):
+            with pytest.raises(ValueError) as block:
+                cfg.channel_batch(positions)
+            assert str(block.value) == str(one.value)
 
     @pytest.mark.parametrize("x, y", [(math.nan, 0.0), (math.inf, 0.0), (0.0, -math.inf)])
     def test_non_finite_relay_refused_alike(self, x, y):
@@ -225,6 +226,7 @@ class TestConfig:
         with pytest.raises(ConfigError, match="layout.relay must be a finite number") as one:
             cfg.channel_at(x, y)
         for call in (lambda: cfg.channel_batch([(0.5, 0.5), (x, y)]),
+                     lambda: cfg.channel_batch(np.array([(0.5, 0.5), (x, y)])),
                      lambda: evaluate_cell(cfg, x, y)):
             with pytest.raises(ConfigError) as block:
                 call()
@@ -240,9 +242,10 @@ class TestConfig:
         cfg = default_config()  # 3e307 * d0 is finite; its squared length is not
         with pytest.raises(ValueError, match="the length of link h1r overflows a float") as one:
             cfg.channel_at(3e307, 0.0)
-        with pytest.raises(ValueError) as block:
-            cfg.channel_batch([(3e307, 0.0)])
-        assert str(block.value) == str(one.value)
+        for positions in ([(3e307, 0.0)], np.array([(3e307, 0.0)])):
+            with pytest.raises(ValueError) as block:
+                cfg.channel_batch(positions)
+            assert str(block.value) == str(one.value)
 
     def test_channel_at_gain_oracle(self):
         cfg = default_config()
@@ -588,9 +591,9 @@ def block(name):
     criterion 8's slice (y = 0.5 d0 at 0.005 d0, blocks of 1344 and 257)."""
     config = default_config()
     if name == "map":
-        return config, [(float(x), float(y)) for y in config.grid_y() for x in config.grid_x()]
+        return config, np.array([(x, y) for y in config.grid_y() for x in config.grid_x()])
     config = replace(config, resolution=0.005)
-    return config, [(float(x), 0.5) for x in config.grid_x()][scenario._block_size(config):]
+    return config, np.array([(x, 0.5) for x in config.grid_x()][scenario._block_size(config):])
 
 
 class TestAfOnASecondThread:
