@@ -30,8 +30,8 @@ from typing import List, Tuple
 
 import numpy as np
 
-from .channel import (ChannelBatch, ChannelInstance, RatePair, _conj_product, _product,
-                      _relay_received, _square, _squares, _two_sum, capacity, other)
+from .channel import (ChannelBatch, ChannelInstance, RatePair, _conj_product, _relay_received,
+                      _square, capacity, other)
 
 __all__ = [
     "AfAuxiliaries",
@@ -271,7 +271,7 @@ def _sum_rate_polynomials(batch: ChannelBatch) -> np.ndarray:
     takes it: Q_i, T_i and D_i for the whole block, then T_i D_i of both users
     in one ``_products`` call and Q_i times the other user's T D in another."""
     aux = [np.concatenate(z) for z in zip(_aux_values(batch, 1), _aux_values(batch, 2))]
-    squares = _squares(np.array(aux[:4]))  # |m|^2, |n|^2, |p|^2, |q|^2 as libm pow rounds them
+    squares = _square(np.array(aux[:4]))  # |m|^2, |n|^2, |p|^2, |q|^2
     q, t, d = (np.array(r) for r in _coefficients(*aux, *squares))  # cells of user 1, then 2
     n, td = len(batch), _products(t, d)
     products = _products(np.concatenate((td[:, n:], td[:, :n]), axis=1), q)
@@ -279,31 +279,12 @@ def _sum_rate_polynomials(batch: ChannelBatch) -> np.ndarray:
 
 
 def _products(a: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """``np.convolve(a[:, k], v[:, k])`` of each column k (a of w >= 3 rows, v of 3), as
-    numpy 2.4's OpenBLAS rounds it: a coefficient sums its terms a[i] v[j] from 0.0 in
-    increasing i, but a sum of two terms is 0.0 + fma(a[i + 1], v[j - 1], a[i] v[j])."""
-    w = len(a)
-    out = np.empty((w + 2, a.shape[1]))
-    # Strided views: out rows 0 and w + 1 are one term, rows 1 and w two terms.
-    out[::w + 1] = 0.0 + a[::w - 1] * v[::2]
-    out[1::w - 1] = 0.0 + _fma(a[1::w - 2], v[:2], a[:-1:w - 2] * v[1:])
-    out[2:-2] = 0.0 + a[:-2] * v[2] + a[1:-1] * v[1] + a[2:] * v[0]
-    # Beyond 2^480 the split can overflow; below 2^-480 an error term can underflow.
-    m = np.abs(np.concatenate((a, v)))
-    for k in np.flatnonzero(~((m == 0.0) | (m >= 2.0 ** -480) & (m <= 2.0 ** 480)).all(axis=0)):
-        out[:, k] = np.convolve(a[:, k], v[:, k])
+    """The polynomial product of columns a[:, k] and v[:, k] (a of w >= 3 rows, v of 3), each
+    coefficient summing its terms a[i] v[j] from 0.0 in increasing i, left to right."""
+    out = np.zeros((len(a) + 2, a.shape[1]))
+    for j in (2, 1, 0):
+        out[j:j + len(a)] += a * v[j]
     return out
-
-
-def _fma(x, y, z):
-    """x y + z rounded once, elementwise, for x, y and z of magnitude 0 or in
-    [2^-480, 2^480]: Dekker's exact product, TwoSum, and one addition rounded
-    to odd (Boldo & Melquiond, IEEE Trans. Computers 57(4), 2008)."""
-    p, e = _product(x, y)
-    s, t = _two_sum(z, p)
-    u, r = _two_sum(t, e)
-    return s + np.where((r == 0.0) | (u.view(np.int64) & 1 == 1), u,
-                        np.nextafter(u, np.copysign(np.inf, r)))
 
 
 def af_sum_rate_gain_batch(batch: ChannelBatch) -> Tuple[np.ndarray, ...]:
@@ -311,8 +292,8 @@ def af_sum_rate_gain_batch(batch: ChannelBatch) -> Tuple[np.ndarray, ...]:
 
     The polynomials are formed for the whole block at once, by the float
     operations of one channel's Python arithmetic (unfused complex products,
-    |z| as hypot, squares as libm pow rounds them: ``channel._squares``) and
-    products rounded as ``np.convolve`` rounds them (``_products``).  One
+    |z| as hypot, |z|^2 as ``channel._square``) and plain left-to-right
+    polynomial products (``_products``).  One
     ``np.linalg.eigvals`` call on the stacked companion matrices then roots
     them all, as ``np.roots`` roots one (Edelman & Murakami, Math. Comp.
     1995).  A polynomial with a zero leading or trailing coefficient has a

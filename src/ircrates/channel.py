@@ -61,18 +61,26 @@ def capacity(x, out=None):
 
 
 def path_loss_gain(distance: float, d0: float, gamma: float) -> float:
-    """Gain magnitude |h| = (d / d0)^(-gamma/2) of a link of length ``distance``."""
+    """Gain magnitude |h| = (d / d0)^(-gamma/2) of a link of length ``distance``,
+    as ``_path_losses`` forms a block's (on a one-element array, not a numpy scalar)."""
     if d0 <= 0:
         raise ValueError(f"reference distance must be positive, got {d0}")
     if distance <= 0:
         raise ValueError(f"link distance must be positive, got {distance}")
-    try:
-        return (distance / d0) ** (-gamma / 2.0)
-    except (OverflowError, ZeroDivisionError):  # the latter where d / d0 underflows to 0
+    gain = _path_losses(np.array([distance / d0]), gamma)[0].item()
+    if not math.isfinite(gain):  # inf where d / d0 underflows to 0, say
         raise ValueError(
             f"path-loss gain (d / d0)^(-gamma/2) overflows a float at d = {distance:g}, "
             f"d0 = {d0:g}, gamma = {gamma:g}"
-        ) from None
+        )
+    return gain
+
+
+def _path_losses(v: np.ndarray, gamma: float) -> np.ndarray:
+    """v^(-gamma/2) of each element of the array ``v`` by numpy's power (at gamma = 2, the
+    correctly rounded 1 / v); inf or nan where that overflows, unwarned."""
+    with np.errstate(all="ignore"):
+        return v ** (-gamma / 2.0)
 
 
 _GAINS = ("h11", "h12", "h21", "h22", "h1r", "h2r", "hr1", "hr2")
@@ -129,6 +137,13 @@ _OVERFLOWS = f"overflows a float in the rate formulas; the limit is {_MAX_POWER:
 def _abs(h):
     """|h| as Python's abs gives it, also elementwise (unlike ``np.abs``)."""
     return np.hypot(h.real, h.imag) if isinstance(h, np.ndarray) else abs(h)
+
+
+def _square(h):
+    """|h|^2 as m * m, m = ``_abs(h)``, elementwise on an array: the one rounding of
+    every squared modulus, one channel's or a block's; inf where it overflows."""
+    m = _abs(h)
+    return m * m
 
 
 # Each receiver's name, noise field and incoming (gain, power) links.
@@ -221,7 +236,7 @@ class ChannelInstance(_Links):
         return complex(getattr(self, name))
 
     def _g(self, name: str) -> float:
-        return abs(self._h(name)) ** 2
+        return _square(self._h(name))
 
     def scaled(self, factor: float) -> "ChannelInstance":
         """All powers and noise variances multiplied by ``factor``."""
@@ -237,18 +252,16 @@ class ChannelBatch(_Links):
     accessors of ``ChannelInstance``, so the elementwise kernels take either.
 
     A field is a sequence over the cells or one value they all share, whose
-    |h|^2 is formed once, with the bits of one channel's ``abs(h) ** 2`` (libm
-    pow), by one ``_squares`` call.  All else is elementwise, so a cell's
-    results do not depend on its batch.  The maps build one per block of
-    relay positions (at most ``scenario._block_size``).
+    |h|^2 is formed once, by ``_square`` as for one channel.  All else is
+    elementwise, so a cell's results do not depend on its batch.  The maps
+    build one per block of relay positions (at most ``scenario._block_size``).
     """
 
     def __init__(self, **fields):
         given = {n: np.asarray(fields[n], complex if n in _GAINS else float).reshape(-1)
                  for n in _GAINS + _POWERS}
-        gains = [given[n] for n in _GAINS]  # each |h|^2, as _g reads it, from one _squares call
-        squares, ends = _squares(np.concatenate(gains)), np.cumsum([len(g) for g in gains]).tolist()
-        given.update(("_g" + n, squares[e - len(g):e]) for n, g, e in zip(_GAINS, gains, ends))
+        with np.errstate(over="ignore"):  # an inf square is refused by ``validate``
+            given.update(("_g" + n, _square(given[n])) for n in _GAINS)
         (cells,) = np.broadcast_shapes(*(v.shape for v in given.values()))
         self.__dict__ = {k: v if len(v) == cells else v.repeat(cells) for k, v in given.items()}
 
@@ -282,61 +295,6 @@ class ChannelBatch(_Links):
             ok = np.array([test(self, np) for test, _ in _CHECKS]).all(axis=0)
         if not ok.all():
             self.cell(np.argmin(ok))
-
-
-def _squares(x) -> np.ndarray:
-    """``abs(v) ** 2`` of each element v of ``x``, bit for bit: m * m (m = |v| by ``_abs``)
-    where ``_certified`` keeps it, by Dekker's exact m^2 - m * m, else ``_square(m)``."""
-    m = _abs(x) if np.iscomplexobj(x) else np.abs(x)
-    with np.errstate(all="ignore"):
-        p, e = _product(m, m)
-        return _certified(m, p, e, np.spacing(p), _square)
-
-
-def _square(x) -> float:
-    """abs(x) ** 2 in Python floats, as one channel forms |h|^2; inf where that
-    overflows (a gain that ``validate`` then refuses, or an AF modulus)."""
-    try:
-        return abs(x) ** 2
-    except OverflowError:
-        return math.inf
-
-
-def _certified(x, y, err, ulp, fallback) -> np.ndarray:
-    """f(v) of each v in ``x`` as libm pow rounds it: numpy's ``y`` where v is in [2^-480, 2^480]
-    (no split overflows, no error underflows), y is no power of two and its exact error f(v) - y,
-    ``err`` in units where y's ulp is ``ulp``, is under 0.46 ulp, else ``fallback(v)``: glibc's
-    pow (2.28 on) errs by at most 0.54 ulp (``test_libm_pow_squares_within_certificate``)."""
-    kept = ((x >= 2.0 ** -480) & (x <= 2.0 ** 480) & (np.abs(err) < 0.46 * ulp)
-            & (y.view(np.int64) & (2 ** 52 - 1) != 0))
-    y[~kept] = [fallback(v) for v in x[~kept].tolist()]
-    return y
-
-
-def _path_losses(v, gamma: float) -> np.ndarray:
-    """``pow(v, -gamma / 2)`` of each element of ``v``: at gamma = 2, q = 1 / v where
-    ``_certified`` keeps it, as v q = p + e exactly (Dekker) and 1 - p is exact (Sterbenz), so
-    (1 - p) - e is v (1/v - q), in units where q's ulp is v ulp(q).  Other gammas keep none."""
-    with np.errstate(all="ignore"):
-        q = 1.0 / v
-        p, e = _product(v, q)
-        return _certified(v, q, (1.0 - p) - e, np.spacing(q) * v if gamma == 2.0 else 0.0,
-                          lambda x, exponent=-gamma / 2.0: pow(x, exponent))
-
-
-def _product(x, y):
-    """(p, e): p = x y rounded, p + e = x y exactly (Dekker), for |x|, |y| 0 or in 2^±480."""
-    cx, cy = 134217729.0 * x, 134217729.0 * y  # 2^27 + 1: Veltkamp's split into 26-bit halves
-    xh, yh, p = cx - (cx - x), cy - (cy - y), x * y
-    xl, yl = x - xh, y - yh
-    return p, ((xh * yh - p) + xh * yl + xl * yh) + xl * yl
-
-
-def _two_sum(a, b):
-    """(s, e) with s = a + b rounded and s + e = a + b exactly (Knuth)."""
-    s = a + b
-    b_part = s - a
-    return s, (a - (s - b_part)) + (b - b_part)
 
 
 def _conj_product(a, b):
@@ -506,24 +464,21 @@ def layout_to_channel(
 def layout_to_batch(layout: NodeLayout, relays, P1, P2, Pr, N1, N2, Nr) -> ChannelBatch:
     """``layout_to_channel`` for each relay position (x, y), a row of the (n, 2) array ``relays``
     (lifted to z = epsilon), as one ``ChannelBatch``: relay links elementwise, by the float
-    operations of ``NodeLayout.distances``, their gains as pow rounds them (``_path_losses``).
-    A bad batch raises what ``layout_to_channel`` raises at its first bad position, found by
-    building each in turn where a relay length is zero or overflows or its path-loss power
-    overflows, else by ``ChannelBatch.validate``."""
+    operations of ``NodeLayout.distances``, their gains by one ``_path_losses`` call on the
+    (4, n) ratios d / d0, as ``path_loss_gain`` forms one.  A bad batch raises what
+    ``layout_to_channel`` raises at its first bad position, found by building each in turn
+    where a relay length or gain is not finite, else by ``ChannelBatch.validate``."""
     planar = {key: _link_gain(layout, key, d) for key, d in layout._planar_distances().items()}
     x, y = np.asarray(relays, dtype=float).reshape(-1, 2).T
     with np.errstate(all="ignore"):
         lengths = layout._relay_distances(x, y, layout.epsilon)
-        try:
-            if not all(((d > 0) & (d < math.inf)).all() for d in lengths.values()):
-                raise OverflowError  # a zero or overflowing length: refused below
-            cols = dict(zip(lengths, _path_losses(np.array([*lengths.values()]) / layout.d0,
-                                                  layout.gamma)))
-        except (OverflowError, ZeroDivisionError):  # the latter where d / d0 underflows
-            for xk, yk in zip(x.tolist(), y.tolist()):
-                layout_to_channel(layout.with_relay_at(xk, yk), P1, P2, Pr, N1, N2, Nr)
-            raise
-    batch = ChannelBatch(P1=P1, P2=P2, Pr=Pr, N1=N1, N2=N2, Nr=Nr, **planar, **cols)
+        d = np.array([*lengths.values()])
+        gains = _path_losses(d / layout.d0, layout.gamma)
+    if not (np.isfinite(d).all() and np.isfinite(gains).all()):
+        for xk, yk in zip(x.tolist(), y.tolist()):
+            layout_to_channel(layout.with_relay_at(xk, yk), P1, P2, Pr, N1, N2, Nr)
+    batch = ChannelBatch(P1=P1, P2=P2, Pr=Pr, N1=N1, N2=N2, Nr=Nr, **planar,
+                         **dict(zip(lengths, gains)))
     batch.validate()
     return batch
 

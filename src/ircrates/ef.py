@@ -357,8 +357,8 @@ def ef_bi_sum_rate_search_batch(
     of ``ef_bi_sum_rate_search`` over the cells of ``batch``, from one (cells,
     splits) array over the splits ``nu_simplex`` gives (given ``nu``,
     ``ef_bi_eval`` at that one split), each cell keeping its first argmax.
-    A refused bound's NaN rates (``_bi_eval``) are the argmax.  Squares are rounded
-    as libm pow rounds them and all else is elementwise, so each cell gets
+    A refused bound's NaN rates (``_bi_eval``) are the argmax.  Squares are
+    ``channel._square``'s and all else is elementwise, so each cell gets
     what a batch of one gives it.  Maps pass blocks of ``scenario._block_size`` cells."""
     grid, i1, i2 = nu_simplex(grid_points, nu)
     found = _bi_eval(batch.column(), grid[i1], grid[i2])

@@ -149,8 +149,10 @@ class ScenarioConfig:
 
     def channel_batch(self, positions) -> ChannelBatch:
         """``channel_at`` of every (xr, yr) row of the (n, 2) array ``positions``, as one batch."""
-        return layout_to_batch(self.layout, np.asarray(positions, dtype=float) * self.layout.d0,
-                               self.P1, self.P2, self.Pr, self.N1, self.N2, self.Nr)
+        with np.errstate(over="ignore"):  # an inf coordinate is refused as by ``channel_at``
+            relays = np.asarray(positions, dtype=float) * self.layout.d0
+        return layout_to_batch(self.layout, relays, self.P1, self.P2, self.Pr, self.N1, self.N2,
+                               self.Nr)
 
     # -- (de)serialization -----------------------------------------------------
 
@@ -235,10 +237,10 @@ class SlCell(NamedTuple):
 # the point giving each field of the chosen operating point, in display order,
 # a column (a pair, a tuple of two).  The kernels build their coefficients and
 # tables once per block, elementwise by the float operations of one channel
-# (squares as libm pow rounds them: ``channel._squares``), so a cell's result
-# does not depend on its block.  Kernels are looked up on their modules at
-# call time, so a swapped-in kernel takes effect.  A kernel marks a cell it refuses
-# with NaN rates (``_refusal`` says why); a map scores EF-SL's 0, refuses others.
+# (|h|^2 as ``channel._square``), so a cell's result does not depend on its
+# block.  Kernels are looked up on their modules at call time, so a swapped-in
+# kernel takes effect.  A kernel marks a cell it refuses with NaN rates
+# (``_refusal`` says why); a map scores EF-SL's 0, refuses others.
 
 
 def _optimize_af(batch: ChannelBatch, config: ScenarioConfig):
@@ -407,9 +409,9 @@ def dominance_map(config: ScenarioConfig) -> List[MapCell]:
     ``_OVERLAP_CELLS`` cells runs AF on a second thread beside the other
     protocols when more than one CPU is usable (``_entry_runs``); its
     columns are those of running them in turn, and a refusal names the
-    first refused cell in map order.  Squares and path-loss gains round as
-    libm pow (``channel._squares``, ``_path_losses``), as for one channel;
-    all else is elementwise, so the map has the same bytes as cell by cell.
+    first refused cell in map order.  Squares and path-loss gains are formed
+    as for one channel (``channel._square``, ``_path_losses``), and all else
+    is elementwise, so the map has the same bytes as cell by cell.
     """
     return _cells(config, _grid(config))
 

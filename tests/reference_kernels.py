@@ -302,7 +302,27 @@ def ef_bi_sum_rate_search_loop(
 # -- the one-channel kernels the batched maps replaced --------------------------
 #
 # Copied from the package as they were, operand order included: the batched
-# kernels are held to these with ``==``.
+# kernels are held to these with ``==``.  Every |z|^2 is ``_square``'s m * m
+# and every polynomial product ``poly_product``'s left-to-right sums, the one
+# rounding rule of the package.
+
+
+def _square(z) -> float:
+    """|z|^2 as m * m, m = abs(z) (hypot for a complex z)."""
+    m = abs(z)
+    return m * m
+
+
+def poly_product(a, v) -> np.ndarray:
+    """The coefficients of the product of the polynomials ``a`` and ``v`` (highest power
+    first, or lowest: the order is kept), in Python floats: each sums its terms a[i] v[j]
+    from 0.0 in increasing i of the longer operand, taken as ``a``."""
+    a, v = (a, v) if len(a) >= len(v) else (v, a)
+    out = [0.0] * (len(a) + len(v) - 1)
+    for i, x in enumerate(map(float, a)):
+        for j, y in enumerate(map(float, v)):
+            out[i + j] += x * y
+    return np.array(out)
 
 
 def _af_rate_scalar(channel: ChannelInstance, gain, user: int):
@@ -316,7 +336,7 @@ def _af_rate_scalar(channel: ChannelInstance, gain, user: int):
     den = (
         np.abs(a * channel.h_to_relay(j) * h_ri + channel.h_cross(user)) ** 2
         * channel.P(j)
-        + a**2 * abs(h_ri) ** 2 * channel.Nr
+        + a**2 * _square(h_ri) * channel.Nr
         + channel.N(user)
     )
     return capacity(num / den)
@@ -324,8 +344,8 @@ def _af_rate_scalar(channel: ChannelInstance, gain, user: int):
 
 def _saturation_gain_scalar(channel: ChannelInstance) -> float:
     received = (
-        abs(channel.h1r) ** 2 * channel.P1
-        + abs(channel.h2r) ** 2 * channel.P2
+        _square(channel.h1r) * channel.P1
+        + _square(channel.h2r) * channel.P2
         + channel.Nr
     )
     return math.sqrt(channel.Pr / received)
@@ -341,15 +361,15 @@ def _auxiliaries_scalar(channel: ChannelInstance, user: int):
             channel.h_direct(user) * sqrt_rho_i,
             channel.h_to_relay(j) * h_ri * sqrt_pj_ni,
             channel.h_cross(user) * sqrt_pj_ni,
-            abs(h_ri) ** 2 * channel.Nr / channel.N(user))
+            _square(h_ri) * channel.Nr / channel.N(user))
 
 
 def _quadratic_scalar(m, n, p, q, s):
     re_pq = (p * q.conjugate()).real
     re_mn = (m * n.conjugate()).real
-    c2 = abs(m) ** 2 * re_pq - (abs(p) ** 2 + s) * re_mn
-    c1 = abs(m) ** 2 * (abs(q) ** 2 + 1.0) - abs(n) ** 2 * (abs(p) ** 2 + s)
-    c0 = (abs(q) ** 2 + 1.0) * re_mn - abs(n) ** 2 * re_pq
+    c2 = _square(m) * re_pq - (_square(p) + s) * re_mn
+    c1 = _square(m) * (_square(q) + 1.0) - _square(n) * (_square(p) + s)
+    c0 = (_square(q) + 1.0) * re_mn - _square(n) * re_pq
     return c2, c1, c0
 
 
@@ -359,11 +379,11 @@ def af_sum_rate_polynomial_scalar(channel: ChannelInstance) -> np.ndarray:
     q, td = [], []
     for user in (1, 2):
         m, n, p, qq, s = _auxiliaries_scalar(channel, user)
-        d = np.array([abs(p) ** 2 + s, 2.0 * (p * qq.conjugate()).real, abs(qq) ** 2 + 1.0])
-        t = d + np.array([abs(m) ** 2, 2.0 * (m * n.conjugate()).real, abs(n) ** 2])
+        d = np.array([_square(p) + s, 2.0 * (p * qq.conjugate()).real, _square(qq) + 1.0])
+        t = d + np.array([_square(m), 2.0 * (m * n.conjugate()).real, _square(n)])
         q.append(_quadratic_scalar(m, n, p, qq, s))
-        td.append(np.convolve(t, d))
-    return np.convolve(q[0], td[1]) + np.convolve(q[1], td[0])
+        td.append(poly_product(t, d))
+    return poly_product(q[0], td[1]) + poly_product(q[1], td[0])
 
 
 def af_best_gain_reference(batch, roots: np.ndarray, users):
@@ -398,14 +418,14 @@ def _df_sinr_terms(channel: ChannelInstance, t1, t2, n1, n2, user: int):
     Pi, Pj, Pr = channel.P(user), channel.P(other(user)), channel.Pr
     h_ii, h_ri = channel.h_direct(user), channel.h_from_relay(user)
     h_ji = channel.h_cross(user)
-    relay = abs(channel.h_to_relay(user)) ** 2 * (1.0 - ti) * Pi / channel.Nr
+    relay = _square(channel.h_to_relay(user)) * (1.0 - ti) * Pi / channel.Nr
     num = np.maximum(
-        abs(h_ii) ** 2 * Pi
-        + abs(h_ri) ** 2 * ni_ * Pr
+        _square(h_ii) * Pi
+        + _square(h_ri) * ni_ * Pr
         + 2.0 * (h_ii * h_ri.conjugate()).real * np.sqrt(ti * Pi * ni_ * Pr), 0.0)
     den = (
-        abs(h_ji) ** 2 * Pj
-        + abs(h_ri) ** 2 * nj_ * Pr
+        _square(h_ji) * Pj
+        + _square(h_ri) * nj_ * Pr
         + 2.0 * (h_ji * h_ri.conjugate()).real * np.sqrt(tj * Pj * nj_ * Pr)
         + channel.N(user)
     )
@@ -452,14 +472,14 @@ def df_sum_rate_search_scalar(channel: ChannelInstance, grid_points: int,
 
 def _receive_power(channel: ChannelInstance, i: int) -> float:
     j = other(i)
-    return (abs(channel.h_direct(i)) ** 2 * channel.P(i)
-            + abs(channel.h_cross(i)) ** 2 * channel.P(j) + channel.N(i))
+    return (_square(channel.h_direct(i)) * channel.P(i)
+            + _square(channel.h_cross(i)) * channel.P(j) + channel.N(i))
 
 
 def _ef_derived(channel: ChannelInstance):
     """(A, {i: cross_i}, {i: sigma_i^2}) of ``ef.ef_derived``, each sigma_i^2
     from Lagrange's identity in ``ef._terms``' operand order."""
-    rest = abs(channel.h1r) ** 2 * channel.P1 + abs(channel.h2r) ** 2 * channel.P2
+    rest = _square(channel.h1r) * channel.P1 + _square(channel.h2r) * channel.P2
     A = rest + channel.Nr
     amp1, amp2 = math.sqrt(channel.P1), math.sqrt(channel.P2)
     cross, sigma = {}, {}
@@ -478,7 +498,7 @@ def _ef_derived(channel: ChannelInstance):
 
 
 def _ef_bi_scenario(channel: ChannelInstance, nu1: float, nu2: float) -> BiScenario:
-    g1, g2, Pr = abs(channel.hr1) ** 2, abs(channel.hr2) ** 2, channel.Pr
+    g1, g2, Pr = _square(channel.hr1), _square(channel.hr2), channel.Pr
     v1, v2 = _receive_power(channel, 1), _receive_power(channel, 2)
     if capacity(g1 * nu2 * Pr / (v1 + g1 * nu1 * Pr)) >= capacity(
             g2 * nu2 * Pr / (v2 + g2 * nu1 * Pr)):
@@ -491,15 +511,15 @@ def _ef_bi_scenario(channel: ChannelInstance, nu1: float, nu2: float) -> BiScena
 
 def _relay_interference(channel, nu1, nu2, scenario, i):
     if i == 1:
-        return 0.0 if scenario is BiScenario.D1_BETTER else abs(channel.hr1) ** 2 * nu2 * channel.Pr
-    return 0.0 if scenario is BiScenario.D2_BETTER else abs(channel.hr2) ** 2 * nu1 * channel.Pr
+        return 0.0 if scenario is BiScenario.D1_BETTER else _square(channel.hr1) * nu2 * channel.Pr
+    return 0.0 if scenario is BiScenario.D2_BETTER else _square(channel.hr2) * nu1 * channel.Pr
 
 
 def _ef_bi_min_noise(channel, nu1, nu2, scenario):
     A, _, sigma = _ef_derived(channel)
     bounds = []
     for i, nu_i in ((1, nu1), (2, nu2)):
-        denom = abs(channel.h_from_relay(i)) ** 2 * nu_i * channel.Pr
+        denom = _square(channel.h_from_relay(i)) * nu_i * channel.Pr
         if denom <= 0.0:
             bounds.append(math.inf)
             continue
@@ -512,10 +532,10 @@ def _ef_bi_min_noise(channel, nu1, nu2, scenario):
 def _two_branch_sinr(channel, i, relay_interf, nwz):
     j = other(i)
     Pi, Pj = channel.P(i), channel.P(j)
-    gd = abs(channel.h_direct(i)) ** 2
-    gc = abs(channel.h_cross(i)) ** 2
-    gu = abs(channel.h_to_relay(i)) ** 2
-    gw = abs(channel.h_to_relay(j)) ** 2
+    gd = _square(channel.h_direct(i))
+    gc = _square(channel.h_cross(i))
+    gu = _square(channel.h_to_relay(i))
+    gw = _square(channel.h_to_relay(j))
     Ni, Nr = channel.N(i), channel.Nr
     if math.isinf(nwz):
         return gd * Pi / (Ni + relay_interf + gc * Pj)
@@ -554,7 +574,7 @@ def ef_bi_eval_scalar(channel: ChannelInstance, nu1: float, nu2: float
 def ef_sl_min_noise_scalar(channel: ChannelInstance, r0_exponent: int = 2) -> float:
     """max_i sigma_i^2 / (2^(e R_0) - 1), with R_0 = C(x): 2^(e R_0) - 1 is
     x for e = 1 and x (2 + x) for e = 2, divided out one factor at a time."""
-    x = min(abs(channel.h_from_relay(i)) ** 2 * channel.Pr / _receive_power(channel, i)
+    x = min(_square(channel.h_from_relay(i)) * channel.Pr / _receive_power(channel, i)
             for i in (1, 2))
     if capacity(x) <= 0.0:
         raise InfeasibleError("relay broadcast bottleneck rate is zero")

@@ -9,18 +9,16 @@ evaluated blocks of relay positions.  Every comparison with them here is
 """
 
 import math
-import platform
 import random
 import warnings
 from dataclasses import replace
-from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from ircrates import af, channel, df, ef, scenario
-from ircrates.channel import (_MAX_POWER, ChannelBatch, ChannelInstance, _path_losses, _squares,
-                              layout_to_channel, nu_simplex)
+from ircrates import af, df, ef, scenario
+from ircrates.channel import (_GAINS, _MAX_POWER, _POWERS, ChannelBatch, ChannelInstance,
+                              _path_losses, _square, layout_to_channel, nu_simplex, path_loss_gain)
 from ircrates.scenario import UNIFORM_NU, default_config, dominance_map, sl_vs_bl_map
 
 from conftest import anti_phase_channel, cancelling_config, random_channel, refusal_order_config
@@ -35,6 +33,7 @@ from reference_kernels import (
     ef_sl_rate_scalar,
     evaluate_cell_scalar,
     per_cell,
+    poly_product,
 )
 
 DEFAULT = default_config()
@@ -128,8 +127,10 @@ def test_df_block_tables_are_the_cell_tables():
             assert all((x[k] == y).all() for x, y in zip(block, cell))
 
 
-@pytest.mark.parametrize("gamma", [2.0, 3.0, 3.7])
+@pytest.mark.parametrize("gamma", [2.0, 2.5, 3.0, 3.7, 4.0])
 def test_batch_gains_are_channel_at_gains(gamma):
+    # numpy's power gives a relay gain the same bits on the block's (4, n)
+    # array as on path_loss_gain's one-element array.
     config = replace(DEFAULT, layout=replace(DEFAULT.layout, gamma=gamma))
     cells = positions(config)
     batch = config.channel_batch(cells)
@@ -137,7 +138,6 @@ def test_batch_gains_are_channel_at_gains(gamma):
     from_array = config.channel_batch(scenario._grid(config))
     assert batch.__dict__.keys() == from_array.__dict__.keys()
     assert all(v.tobytes() == from_array.__dict__[k].tobytes() for k, v in batch.__dict__.items())
-    pow_not_square = 0
     for k, (x, y) in enumerate(cells):
         ch = config.channel_at(x, y)
         for name in ("P1", "P2", "Pr", "N1", "N2", "Nr"):
@@ -145,11 +145,7 @@ def test_batch_gains_are_channel_at_gains(gamma):
         for name in ("h11", "h12", "h21", "h22", "h1r", "h2r", "hr1", "hr2"):
             h = complex(getattr(ch, name))
             assert getattr(batch, name)[k] == h
-            # |h|^2 is Python's abs(h) ** 2 (libm pow), not |h| * |h|.
-            assert batch._g(name)[k] == abs(h) ** 2
-            pow_not_square += abs(h) ** 2 != abs(h) * abs(h)
-    if gamma in (2.0, 3.0):
-        assert pow_not_square > 0  # these maps have such a gain
+            assert batch._g(name)[k] == ch._g(name) == abs(h) * abs(h)
 
 
 def test_infeasible_cell_scores_zero_alone():
@@ -251,187 +247,86 @@ def test_af_block_coefficients_are_the_per_cell_polynomials():
         assert_block_polynomials_are_per_cell(DEFAULT.channel_batch(block))
 
 
-def test_af_block_with_a_cell_outside_the_products_range(monkeypatch):
-    # A relay gain of 1e-80 puts that cell's D_1 near 1e-160, below 2^-480:
-    # its products go through np.convolve, and keep every bit.
+def test_af_block_with_a_cell_outside_the_products_range():
+    # A relay gain of 1e-80 puts that cell's D_1 near 1e-160, so its products
+    # multiply terms some 2^500 apart; they keep every bit.
     channels = mixed_af_channels(np.random.default_rng(19))
     channels[7] = replace(channels[7], hr1=1e-80)
-    batch, convolve, calls = ChannelBatch.of(channels), np.convolve, []
-    with monkeypatch.context() as patch:
-        patch.setattr(np, "convolve", lambda a, v: calls.append(1) or convolve(a, v))
-        af._sum_rate_polynomials(batch)
-    assert calls
+    batch = ChannelBatch.of(channels)
     assert_block_polynomials_are_per_cell(batch)
+    assert per_cell("af", af.af_sum_rate_gain_batch(batch)) == [
+        af_sum_rate_gain_scalar(ch) for ch in channels]
 
 
-def assert_products_are_np_convolve(a, v):
-    """af._products on the rows of ``a`` and ``v`` has the bytes of np.convolve per row."""
+def assert_products_are_poly_product(a, v):
+    """af._products on the rows of ``a`` and ``v`` has the bytes of poly_product per row."""
     with np.errstate(all="ignore"):
         got = af._products(a.T, v.T).T
-        want = np.array([np.convolve(x, y) for x, y in zip(a, v)])
+    want = np.array([poly_product(x, y) for x, y in zip(a.tolist(), v.tolist())])
     assert got.tobytes() == want.tobytes()
 
 
 def spread_rows(rng, rows, width):
     """Normal draws times 2^e, e a row exponent in [-400, 400] plus up to
-    +-100 per entry: most rows lie inside [2^-480, 2^480], some on either side."""
+    +-100 per entry, so the terms of one coefficient lie up to 2^400 apart."""
     scale = rng.integers(-400, 401, (rows, 1)) + rng.integers(-100, 101, (rows, width))
     return rng.standard_normal((rows, width)) * 2.0 ** scale
 
 
 @pytest.mark.parametrize("width", [3, 5])
-def test_products_are_np_convolve_on_random_rows(width):
+def test_products_are_poly_product_on_random_rows(width):
     rng = np.random.default_rng(20 + width)
     a, v = spread_rows(rng, 100_000, width), spread_rows(rng, 100_000, 3)
-    m = np.abs(np.concatenate((a, v), axis=1))
-    assert (m.max(axis=1) > 2.0 ** 480).sum() > 500 and (m.min(axis=1) < 2.0 ** -480).sum() > 500
-    assert_products_are_np_convolve(a, v)
+    assert_products_are_poly_product(a, v)
 
 
 @pytest.mark.parametrize("width", [3, 5])
-def test_products_are_np_convolve_on_extreme_rows(width):
+def test_products_are_poly_product_on_extreme_rows(width):
     rng = np.random.default_rng(22 + width)
     special = np.array([0.0, -0.0, 5e-324, -2.5e-310, np.inf, -np.inf, np.nan])
     a, v = rng.standard_normal((20_000, width)), rng.standard_normal((20_000, 3))
     for x in (a, v):
         hit = rng.random(x.shape) < 0.3
         x[hit] = rng.choice(special, hit.sum())
-    # Entries near 2^1000 times entries near 2^-1000: the products are near 1,
-    # but Dekker's split of the large entries overflows.
+    # Entries near 2^1000 times entries near 2^-1000: the products are near 1.
     scale = 2.0 ** rng.choice([-1000, 1000], (2_000, 1))
     a = np.concatenate((a, rng.standard_normal((2_000, width)) * scale))
     v = np.concatenate((v, rng.standard_normal((2_000, 3)) / scale))
-    assert_products_are_np_convolve(a, v)
+    assert_products_are_poly_product(a, v)
 
 
-def fma_deciding_rows(count):
-    """(x, y) with x = 1 + k 2^-52 and y the first float with x y > 2^-53, for
-    k = 1..count: fl(x y) is 2^-53, so 1 + fl(x y) is a tie that rounds to 1.0,
-    while fma(x, y, 1.0) is 1 + 2^-52."""
-    rows = []
-    for k in range(1, count + 1):
-        x = 1.0 + k * 2.0 ** -52
-        y = float(Fraction(2) ** -53 / Fraction(x))
-        while Fraction(x) * Fraction(y) > Fraction(2) ** -53:
-            y = np.nextafter(y, 0.0)
-        while Fraction(x) * Fraction(y) <= Fraction(2) ** -53:
-            y = np.nextafter(y, 1.0)
-        rows.append((x, float(y)))
-    return np.array(rows)
+def block_squares(x) -> np.ndarray:
+    """|h|^2 of each element of ``x`` as a ``ChannelBatch`` forms it, ``x`` as its h11;
+    ``_square`` on ``x`` in any shape gives the same."""
+    fields = {n: 1.0 for n in _GAINS + _POWERS}
+    squares = ChannelBatch(**{**fields, "h11": x})._g("h11")
+    with np.errstate(over="ignore"):
+        assert _square(x).tobytes() == squares.tobytes()
+    return squares
 
 
-def blas():
-    info = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
-    return f"{info.get('name')} {info.get('version')}"
+def one_channel_squares(values) -> np.ndarray:
+    """abs(v) * abs(v) of each value, as one channel forms |h|^2."""
+    return np.array([abs(v) * abs(v) for v in values])
 
 
-def test_np_convolve_fuses_its_two_term_sums():
-    # The rounding that af._products copies: np.convolve([1, x, r], [y, 1, r])[1]
-    # is the one rounding of x y + 1.
-    for x, y in fma_deciding_rows(200):
-        got = np.convolve([1.0, x, 0.75], [y, 1.0, 0.75])[1]
-        fma = float(Fraction(x) * Fraction(y) + 1)
-        assert got == fma == 1.0 + 2.0 ** -52 != 1.0 + x * y, (
-            f"this numpy/BLAS ({np.__version__}, {blas()}) does not fuse np.convolve's 2-term "
-            f"sums: {got!r} where fma(x, y, 1.0) is {fma!r}")
-
-
-@pytest.mark.parametrize("width", [3, 5])
-def test_products_are_np_convolve_where_round_to_odd_decides(width):
-    # Each built row's first or last two-term sum is fma(x, y, 1.0): rounding
-    # x y + 1 in two steps, or fusing the other product, gives 1.0 there.
-    rng = np.random.default_rng(24 + width)
-    x, y = fma_deciding_rows(1_000).T
-    r, one = rng.standard_normal((len(x), width)), np.ones_like(x)
-    first = np.column_stack((one, x, r[:, 2:])), np.column_stack((y, one, r[:, 0]))
-    last = np.column_stack((r[:, 2:], one, x)), np.column_stack((r[:, 0], y, one))
-    for a, v in (first, last):
-        assert_products_are_np_convolve(a, v)
-
-
-def pow_squares(values) -> np.ndarray:
-    """abs(v) ** 2 of each value by Python's float power (libm pow), inf where it overflows."""
-    out = []
-    for v in values:
-        try:
-            out.append(abs(v) ** 2)
-        except OverflowError:
-            out.append(math.inf)
-    return np.array(out)
-
-
-def residuals(m) -> np.ndarray:
-    """|m^2 - fl(m^2)| in ulps of m^2, exactly, for normal m > 0: with m = k 2^e,
-    k an integer in [2^52, 2^53), the low 52 or 53 bits of k^2, from 26-bit limbs."""
-    k = (np.frexp(m)[0] * 2.0 ** 53).astype(np.int64)
-    hi, lo = k >> 26, k & (2 ** 26 - 1)
-    low = ((hi * hi & 1) << 52) + ((2 * hi * lo & (2 ** 27 - 1)) << 26) + lo * lo
-    bits = np.where(k > math.isqrt(2 ** 105), 53, 52)  # k^2 has 106 bits, or 105
-    r = (low & ((1 << bits) - 1)) / 2.0 ** bits
-    return np.minimum(r, 1.0 - r)
-
-
-def reciprocal_residuals(v) -> np.ndarray:
-    """|1/v - fl(1/v)| in ulps of fl(1/v), rounded once, for normal v and 1/v: with v = a 2^i
-    and fl(1/v) = b 2^j, a and b integers in [2^52, 2^53), that is |2^-(i+j) - a b| / a, and
-    2^-(i+j) - a b, under a in magnitude, is minus the low 64 bits of a b as a signed integer."""
-    a, b = ((np.frexp(z)[0] * 2.0 ** 53).astype(np.int64).view(np.uint64) for z in (v, 1.0 / v))
-    return np.abs((a * b).view(np.int64)) / a.astype(float)
-
-
-def test_residuals_are_exact():
-    rng = np.random.default_rng(30)
-    m = rng.uniform(1.0, 2.0, 2_000) * 2.0 ** rng.integers(-500, 501, 2_000)
-    for v, r in zip(m.tolist(), residuals(m).tolist()):
-        exact, rounded = Fraction(v) ** 2, Fraction(v * v)
-        ulp = Fraction(2) ** (exact.numerator.bit_length() - exact.denominator.bit_length() - 53)
-        if exact >= 2 * ulp * 2 ** 52:  # m^2 lies one binade up
-            ulp *= 2
-        assert r == abs(exact - rounded) / ulp
-    for v, r in zip(m.tolist(), reciprocal_residuals(m).tolist()):
-        ulp = Fraction(2) ** (math.frexp(1.0 / v)[1] - 53)
-        assert r == float(abs(1 / Fraction(v) - Fraction(1.0 / v)) / ulp)
-
-
-def assert_squares_are_pow(x, monkeypatch):
-    """_squares(x) has the bytes of abs(v) ** 2 per element; returns how many
-    elements went through channel._square."""
-    calls, square = [], channel._square
-    monkeypatch.setattr(channel, "_square", lambda v: calls.append(v) or square(v))
-    assert _squares(x).tobytes() == pow_squares(x.ravel().tolist()).tobytes()
-    return len(calls)
-
-
-def test_squares_are_pow_on_random_reals(monkeypatch):
-    # Exponents over +-520 put some magnitudes outside [2^-480, 2^480].
-    rng = np.random.default_rng(31)
-    x = rng.standard_normal(2_000_000) * 2.0 ** rng.integers(-520, 521, 2_000_000)
-    m = np.abs(x)
-    inside = (m >= 2.0 ** -480) & (m <= 2.0 ** 480)
-    r = residuals(m[inside])
-    slow = assert_squares_are_pow(x, monkeypatch)
-    # The certificate decides: an element in range is kept exactly where its
-    # residual is under 0.46 ulp (no power of two is drawn here).
-    assert slow == (~inside).sum() + (r >= 0.46).sum()
-    assert ((r >= 0.40) & (r < 0.46)).sum() >= 100_000 and (r >= 0.46).sum() >= 100_000
-
-
-def test_squares_are_pow_on_random_complex(monkeypatch):
+def test_squares_are_abs_squared_on_random_complex():
     rng = np.random.default_rng(32)
     scale = 2.0 ** (rng.integers(-520, 521, 200_000) + rng.integers(-30, 31, (2, 200_000)))
     re, im = rng.standard_normal((2, 200_000)) * scale
-    assert assert_squares_are_pow(re + 1j * im, monkeypatch) > 0
+    z = re + 1j * im
+    assert block_squares(z).tobytes() == one_channel_squares(z.tolist()).tobytes()
 
 
-def test_squares_are_pow_on_special_values(monkeypatch):
+def test_squares_are_abs_squared_on_special_values():
     powers = [2.0 ** k for k in (*range(-60, 61), -1022, -600, -481, -480, 480, 481, 511, 600)]
     near = [np.nextafter(v, d).item() for v in powers for d in (0.0, math.inf)]
     tiny = [0.0, 5e-324, 2.5e-310, 2.2250738585072014e-308, 1.4916681462400413e-154]
     wide = [_MAX_POWER, np.nextafter(_MAX_POWER, math.inf).item(), 1e300, math.inf, math.nan]
     reals = [s * v for v in powers + near + tiny + wide for s in (1.0, -1.0)]
     x = np.array(reals)
-    assert assert_squares_are_pow(x, monkeypatch) > 0
-    assert assert_squares_are_pow(x.reshape(2, -1), monkeypatch) > 0  # any shape
+    assert block_squares(x).tobytes() == one_channel_squares(reals).tobytes()
+    assert block_squares(x.reshape(2, -1)).tobytes() == one_channel_squares(reals).tobytes()
     # Python's abs of a complex NaN with no infinite part leaves errno as it
     # was, and raises OverflowError after an overflow: no such value here.
     finite_or_inf = [v for v in reals if not math.isnan(v)]
@@ -440,84 +335,32 @@ def test_squares_are_pow_on_special_values(monkeypatch):
     parts = [complex(a, b) for a in (0.0, -0.0, 3.0, 2.0 ** 600, math.inf, -math.inf)
              for b in (0.0, -0.0, 4.0, math.inf, -math.inf)]
     parts += [complex(math.inf, math.nan), complex(math.nan, -math.inf)]
-    assert assert_squares_are_pow(np.concatenate((z, parts)), monkeypatch) > 0
+    z = np.concatenate((z, parts))
+    assert block_squares(z).tobytes() == one_channel_squares(z.tolist()).tobytes()
 
 
-def test_libm_pow_squares_within_certificate():
-    # _squares keeps m * m where it is within 0.46 ulp of m^2, trusting
-    # glibc's pow (2.28 and later) to err by at most 0.54 ulp.  Wherever pow
-    # returns another float, m^2 must then lie at least 0.46 ulp from m * m.
-    rng = np.random.default_rng(33)
-    m = rng.uniform(1.0, 2.0, 2_000_000) * 2.0 ** rng.integers(-480, 480, 2_000_000)
-    differ = m[m * m != pow_squares(m.tolist())]
-    r = residuals(differ)
-    assert (r >= 0.46).all(), (
-        f"this libm's pow ({platform.libc_ver()}) squares {differ[r.argmin()]!r} to a float "
-        f"other than x * x, which lies {r.min():.4f} ulp from x^2: pow errs by more than the "
-        f"0.54 ulp that channel._squares assumes")
-    # The same for the reciprocal 1 / x that channel._path_losses keeps at gamma = 2.
-    differ = m[1.0 / m != np.array([x ** -1.0 for x in m.tolist()])]
-    r = reciprocal_residuals(differ)
-    assert (r >= 0.46).all(), (
-        f"this libm's pow ({platform.libc_ver()}) takes {differ[r.argmin()]!r} to the power -1 "
-        f"as a float other than 1 / x, which lies {r.min():.4f} ulp from 1/x: pow errs by more "
-        f"than the 0.54 ulp that channel._path_losses assumes")
-
-
-def count_pow(monkeypatch) -> list:
-    """The list of every base that channel's code then raises with the builtin ``pow``."""
-    calls = []
-    monkeypatch.setattr(channel, "pow", lambda x, exp: calls.append(x) or pow(x, exp),
-                        raising=False)
-    return calls
-
-
-def assert_reciprocals_are_pow(v, monkeypatch):
-    """_path_losses(v, 2.0) has the bytes of x ** -1.0 per element x of ``v``; returns how
-    many elements went through Python's pow."""
-    calls = count_pow(monkeypatch)
-    want = np.array([x ** -1.0 for x in v.tolist()])
-    assert _path_losses(v, 2.0).tobytes() == want.tobytes()
-    return len(calls)
-
-
-def test_reciprocals_are_pow_on_random_reals(monkeypatch):
-    # As for the squares: q = 1 / v is kept exactly where v lies in [2^-480, 2^480] and
-    # q lies under 0.46 ulp from 1/v (no power of two is drawn here).
-    rng = np.random.default_rng(35)
-    v = rng.uniform(1.0, 2.0, 2_000_000) * 2.0 ** rng.integers(-520, 521, 2_000_000)
-    inside = (v >= 2.0 ** -480) & (v <= 2.0 ** 480)
-    r = reciprocal_residuals(v[inside])
-    slow = assert_reciprocals_are_pow(v, monkeypatch)
-    assert slow == (~inside).sum() + (r >= 0.46).sum()
-    assert ((r >= 0.40) & (r < 0.46)).sum() >= 100_000 and (r >= 0.46).sum() >= 100_000
-
-
-def test_reciprocals_are_pow_on_special_values(monkeypatch):
+def test_path_losses_are_path_loss_gains_on_special_values():
     powers = [2.0 ** k for k in (*range(-60, 61), -1022, -600, -481, -480, 480, 481, 600, 1023)]
     near = [np.nextafter(v, d).item() for v in powers for d in (0.0, math.inf)]
     subnormal = [5.6e-309, 1.5e-308, np.nextafter(2.0 ** -1022, 0.0).item()]  # 1/v is finite
     wide = [_MAX_POWER, 1e300, np.finfo(float).max.item()]
-    v = np.array(powers + near + subnormal + wide)
-    # Every power of two goes to pow, as 1/v is one too.
-    assert assert_reciprocals_are_pow(v, monkeypatch) >= len(powers)
-    # pow refuses a reciprocal that overflows, or of 0 (where d / d0 underflows).
-    for bad, error in ((5e-324, OverflowError), (2.5e-310, OverflowError),
-                       (0.0, ZeroDivisionError)):
-        with pytest.raises(error):
-            _path_losses(np.array([1.5, bad]), 2.0)
-
-
-def test_path_loss_fallbacks_on_the_default_map(monkeypatch):
-    # At gamma = 2 the certified reciprocal keeps most of the 3,828 relay gains out of
-    # Python's pow; any other gamma sends every one of them there.
-    calls = count_pow(monkeypatch)
-    cells = np.array(positions(DEFAULT))
-    DEFAULT.channel_batch(cells)
-    assert 0 < len(calls) <= 0.1 * 4 * len(cells)
-    calls.clear()
-    replace(DEFAULT, layout=replace(DEFAULT.layout, gamma=3.0)).channel_batch(cells)
-    assert len(calls) == 4 * len(cells) == 3828
+    v = powers + near + subnormal + wide
+    for gamma in (2.0, 3.0, 3.7):
+        refused = 0
+        for x, got in zip(v, _path_losses(np.array(v), gamma).tolist()):
+            try:
+                assert got == path_loss_gain(x, 1.0, gamma)
+            except ValueError:  # the gain overflows
+                assert not math.isfinite(got)
+                refused += 1
+        assert (refused == 0) == (gamma == 2.0)
+    # A gain that overflows, also where d / d0 underflows to 0, is refused.
+    for d, d0 in ((5e-324, 1.0), (2.5e-310, 1.0), (5e-324, 2.0)):
+        assert not np.isfinite(_path_losses(np.array([1.5, d / d0]), 2.0)[1])
+        with pytest.raises(ValueError) as one:
+            path_loss_gain(d, d0, 2.0)
+        assert str(one.value) == ("path-loss gain (d / d0)^(-gamma/2) overflows a float at "
+                                  f"d = {d:g}, d0 = {d0:g}, gamma = 2")
 
 
 def largest_passing(fields, name, below):

@@ -758,6 +758,15 @@ class TestErrors:
         assert code == 2 and out == "" and "Traceback" not in err
         assert "overflows a float" in err, err
 
+    def test_slice_at_an_overflowing_y_exits_2_unwarned(self, capsys, fast_config):
+        # y = 1e308 times d0 overflows; the relay is refused as channel_at refuses it.
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run(capsys, "slice", "--y", "1e308", "--config", fast_config)
+        assert code == 2 and out == "" and "RuntimeWarning" not in err
+        assert err == "error: layout.relay must be a finite number, got (-2.5, inf, 0.1)\n", err
+        assert [str(w.message) for w in caught] == []
+
     def test_non_numeric_config_field_exits_2(self, capsys, fast_config):
         data = json.loads(Path(fast_config).read_text())
         data["powers"]["P1"] = "ten"

@@ -209,18 +209,27 @@ class TestConfig:
         assert np.allclose(np.diff(gx), 0.25)
 
     def test_path_loss_underflow_refused_alike(self):
-        # d / d0 = 1e-20 / 1e305 underflows to 0, so the gain overflows.
-        layout = replace(default_config().layout, d0=1e305, epsilon=1e-20,
-                         relay=(0.0, 0.0, 1e-20))
-        cfg = replace(default_config(), layout=layout)
-        with pytest.raises(ValueError, match="overflows a float") as one:
-            cfg.channel_at(0.0, 0.0)
-        for positions in ([(0.0, 0.0)], np.zeros((1, 2))):
-            with pytest.raises(ValueError) as block:
-                cfg.channel_batch(positions)
-            assert str(block.value) == str(one.value)
+        # d / d0 = 1e-20 / 1e305 underflows to 0, so the gain overflows; at
+        # gamma = 3 and d0 = 1e305 a planar d / d0 underflows; at gamma = 400,
+        # the relay 0.1 above s1 has (0.1 / 5)^-200, beyond the floats.
+        base = default_config().layout
+        for layout, named in (
+                (replace(base, d0=1e305, epsilon=1e-20, relay=(0.0, 0.0, 1e-20)), "d0 = 1e+305"),
+                (replace(base, d0=1e305, gamma=3.0), "d0 = 1e+305, gamma = 3"),
+                (replace(base, gamma=400.0), "at d = 0.1, d0 = 5, gamma = 400")):
+            cfg = replace(default_config(), layout=layout)
+            with pytest.raises(ValueError, match="overflows a float") as one:
+                cfg.channel_at(0.0, 0.0)
+            assert named in str(one.value)
+            for call in (lambda: cfg.channel_batch([(0.0, 0.0)]),
+                         lambda: cfg.channel_batch(np.zeros((1, 2))),
+                         lambda: evaluate_cell(cfg, 0.0, 0.0)):
+                with pytest.raises(ValueError) as block:
+                    call()
+                assert str(block.value) == str(one.value)
 
-    @pytest.mark.parametrize("x, y", [(math.nan, 0.0), (math.inf, 0.0), (0.0, -math.inf)])
+    @pytest.mark.parametrize("x, y", [(math.nan, 0.0), (math.inf, 0.0), (0.0, -math.inf),
+                                      (0.0, 1e308)])  # 1e308 d0 overflows
     def test_non_finite_relay_refused_alike(self, x, y):
         cfg = default_config()
         with pytest.raises(ConfigError, match="layout.relay must be a finite number") as one:
