@@ -71,14 +71,15 @@ def auxiliaries(channel: ChannelInstance, user: int) -> AfAuxiliaries:
 
 
 def _aux_values(batch: ChannelBatch, user: int) -> tuple:
-    """m, n, p, q and s of user ``user`` over the cells of ``batch``; the cross
-    and relay-noise terms are normalized by the receiver noise N_i."""
+    """m, n, p, q and s of user ``user``, each over the cells of ``batch`` (n and q, of shared
+    fields alone in a map, broadcast); cross and relay-noise terms are normalized by N_i."""
     j, h_ri, N_i = other(user), batch.h_from_relay(user), batch.N(user)
     sqrt_rho_i, sqrt_pj_ni = np.sqrt(batch.P(user) / N_i), np.sqrt(batch.P(j) / N_i)
-    return (_times(_times(batch.h_to_relay(user), h_ri), sqrt_rho_i),
-            _times(batch.h_direct(user), sqrt_rho_i),
-            _times(_times(batch.h_to_relay(j), h_ri), sqrt_pj_ni),
-            _times(batch.h_cross(user), sqrt_pj_ni), batch.g_from_relay(user) * batch.Nr / N_i)
+    values = (_times(_times(batch.h_to_relay(user), h_ri), sqrt_rho_i),
+              _times(batch.h_direct(user), sqrt_rho_i),
+              _times(_times(batch.h_to_relay(j), h_ri), sqrt_pj_ni),
+              _times(batch.h_cross(user), sqrt_pj_ni), batch.g_from_relay(user) * batch.Nr / N_i)
+    return tuple(np.broadcast_to(v, len(batch)) for v in values)
 
 
 def _times(a, b) -> np.ndarray:
@@ -199,7 +200,7 @@ def _best_gain(batch: ChannelBatch, roots: np.ndarray, users):
     scored as one (cells, 2 + roots) array, each root outside the box (or
     padding) set to 0, where it ties with the first column and never wins.
     """
-    a_bar = saturation_gain(batch)
+    a_bar = np.broadcast_to(saturation_gain(batch), len(roots))  # one element if shared
     inside = np.where((roots > 0.0) & (roots < a_bar[:, None]), roots, 0.0)
     cands = np.concatenate((np.zeros_like(a_bar)[:, None], a_bar[:, None], inside), axis=1)
     rates = [af_rate(batch.column(), cands, user) for user in users]

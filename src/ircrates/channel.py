@@ -251,10 +251,10 @@ class ChannelBatch(_Links):
     """The channels of a block of cells as one array per field, with the
     accessors of ``ChannelInstance``, so the elementwise kernels take either.
 
-    A field is a sequence over the cells or one value they all share, whose
-    |h|^2 is formed once, by ``_square`` as for one channel.  All else is
-    elementwise, so a cell's results do not depend on its batch.  The maps
-    build one per block of relay positions (at most ``scenario._block_size``).
+    A field is a sequence over the cells or one value they all share, kept as one element
+    that broadcasts (in a map: the powers, noises and planar gains), with |h|^2 by ``_square``
+    as for one channel.  All else is elementwise, so a cell's results do not depend on its
+    batch.  The maps build one per block of relay positions (``scenario._block_size``).
     """
 
     def __init__(self, **fields):
@@ -262,16 +262,16 @@ class ChannelBatch(_Links):
                  for n in _GAINS + _POWERS}
         with np.errstate(over="ignore"):  # an inf square is refused by ``validate``
             given.update(("_g" + n, _square(given[n])) for n in _GAINS)
-        (cells,) = np.broadcast_shapes(*(v.shape for v in given.values()))
-        self.__dict__ = {k: v if len(v) == cells else v.repeat(cells) for k, v in given.items()}
+        np.broadcast_shapes(*(v.shape for v in given.values()))  # refuses unequal lengths
+        self.__dict__ = given
 
     @classmethod
     def of(cls, channels) -> "ChannelBatch":
         """The batch of a sequence of ``ChannelInstance``."""
         return cls(**{name: [getattr(c, name) for c in channels] for name in _GAINS + _POWERS})
 
-    def __len__(self) -> int:
-        return len(self.P1)
+    def __len__(self) -> int:  # the longest field's, or 0 where one is empty (they broadcast)
+        return min(lengths := [len(v) for v in self.__dict__.values()]) and max(lengths)
 
     def _h(self, name: str):
         return getattr(self, name)
@@ -285,14 +285,15 @@ class ChannelBatch(_Links):
         out.__dict__ = {k: v.reshape((-1,) + (1,) * axes) for k, v in self.__dict__.items()}
         return out
 
-    def cell(self, k: int) -> ChannelInstance:
-        return ChannelInstance(**{n: getattr(self, n)[k].item() for n in _GAINS + _POWERS})
+    def cell(self, k: int) -> ChannelInstance:  # a shared field is read at its one element
+        return ChannelInstance(**{n: np.broadcast_to(getattr(self, n), len(self))[k].item()
+                                  for n in _GAINS + _POWERS})
 
     def validate(self) -> None:
-        """Refuse the batch by building its first bad cell, which
-        ``ChannelInstance`` refuses; one elementwise pass finds that cell."""
+        """Refuse the batch by building its first bad cell, which ``ChannelInstance``
+        refuses.  A row of shared fields alone runs once; the rows then broadcast."""
         with np.errstate(all="ignore"):
-            ok = np.array([test(self, np) for test, _ in _CHECKS]).all(axis=0)
+            ok = np.logical_and.reduce(np.broadcast_arrays(*[t(self, np) for t, _ in _CHECKS]))
         if not ok.all():
             self.cell(np.argmin(ok))
 
@@ -453,22 +454,26 @@ def layout_to_channel(
 ) -> ChannelInstance:
     """Map geometry to a channel instance through the path-loss model.
 
-    Every gain magnitude is (d / d0)^(-gamma/2) for the Euclidean distance of
-    its link; relay links pick up the epsilon lift automatically because the
-    relay lives off the terminal plane.  Phases are zero under this model.
+    Every gain magnitude is (d / d0)^(-gamma/2) for the Euclidean length of its link (a relay
+    link's with the epsilon lift), all eight by one ``_path_losses`` call, as a block's; the
+    first bad link in key order is refused.  Phases are zero under this model.
     """
-    gains = {key: _link_gain(layout, key, d) for key, d in layout.distances().items()}
-    return ChannelInstance(P1=P1, P2=P2, Pr=Pr, N1=N1, N2=N2, Nr=Nr, **gains)
+    d = layout.distances()
+    gains = _path_losses(np.array([v / layout.d0 for v in d.values()]), layout.gamma)
+    if not np.isfinite([*d.values(), *gains]).all():
+        for key, length in d.items():
+            _link_gain(layout, key, length)
+    return ChannelInstance(P1=P1, P2=P2, Pr=Pr, N1=N1, N2=N2, Nr=Nr,
+                           **dict(zip(d, gains.astype(complex).tolist())))
 
 
 def layout_to_batch(layout: NodeLayout, relays, P1, P2, Pr, N1, N2, Nr) -> ChannelBatch:
     """``layout_to_channel`` for each relay position (x, y), a row of the (n, 2) array ``relays``
     (lifted to z = epsilon), as one ``ChannelBatch``: relay links elementwise, by the float
     operations of ``NodeLayout.distances``, their gains by one ``_path_losses`` call on the
-    (4, n) ratios d / d0, as ``path_loss_gain`` forms one.  A bad batch raises what
-    ``layout_to_channel`` raises at its first bad position, found by building each in turn
-    where a relay length or gain is not finite, else by ``ChannelBatch.validate``."""
-    planar = {key: _link_gain(layout, key, d) for key, d in layout._planar_distances().items()}
+    (4, n) ratios d / d0.  A bad batch raises what ``layout_to_channel`` raises at its first bad
+    position: where a relay length or gain is not finite, by building each in turn, and only
+    then at a bad planar link or by ``ChannelBatch.validate``."""
     x, y = np.asarray(relays, dtype=float).reshape(-1, 2).T
     with np.errstate(all="ignore"):
         lengths = layout._relay_distances(x, y, layout.epsilon)
@@ -477,6 +482,7 @@ def layout_to_batch(layout: NodeLayout, relays, P1, P2, Pr, N1, N2, Nr) -> Chann
     if not (np.isfinite(d).all() and np.isfinite(gains).all()):
         for xk, yk in zip(x.tolist(), y.tolist()):
             layout_to_channel(layout.with_relay_at(xk, yk), P1, P2, Pr, N1, N2, Nr)
+    planar = {key: _link_gain(layout, key, d) for key, d in layout._planar_distances().items()}
     batch = ChannelBatch(P1=P1, P2=P2, Pr=Pr, N1=N1, N2=N2, Nr=Nr, **planar,
                          **dict(zip(lengths, gains)))
     batch.validate()

@@ -210,7 +210,8 @@ def _best_grid_point(batch, taus, nus, k1, k2):
     it could, then ``_pruned_scan`` of the others.  A fixed split is a table
     of one pair, each cell's top unbounded, so it leaves no such cell."""
     g, pairs, every = len(taus), np.arange(len(k1)), np.arange(len(taus))[None]
-    tables = [_user_tables(batch.column(2), user, taus, nus) for user in (1, 2)]
+    tables = [[np.broadcast_to(x, (len(batch), *x.shape[1:]))  # one row for a user of shared fields
+               for x in _user_tables(batch.column(2), user, taus, nus)] for user in (1, 2)]
     bound = np.zeros((len(batch), 1)) if len(k1) == 1 else (
         _rect_bound(tables[0], [0], k1, k2, [0], [0]) + _rect_bound(tables[1], [0], k2, k1, [0], [0]))
     top = bound.argmax(axis=1)  # the first of the largest

@@ -361,6 +361,7 @@ def ef_bi_sum_rate_search_batch(
     ``channel._square``'s and all else is elementwise, so each cell gets
     what a batch of one gives it.  Maps pass blocks of ``scenario._block_size`` cells."""
     grid, i1, i2 = nu_simplex(grid_points, nu)
-    found = _bi_eval(batch.column(), grid[i1], grid[i2])
+    found = [np.broadcast_to(v, (len(batch), len(i1)))  # a column of shared fields has one row
+             for v in _bi_eval(batch.column(), grid[i1], grid[i2])]
     k, cells = (found[3] + found[4]).argmax(axis=1), np.arange(len(batch))  # R1 + R2
     return (grid[i1[k]], grid[i2[k]], *(v[cells, k] for v in found))

@@ -130,7 +130,7 @@ def test_df_block_tables_are_the_cell_tables():
 @pytest.mark.parametrize("gamma", [2.0, 2.5, 3.0, 3.7, 4.0])
 def test_batch_gains_are_channel_at_gains(gamma):
     # numpy's power gives a relay gain the same bits on the block's (4, n)
-    # array as on path_loss_gain's one-element array.
+    # array as on layout_to_channel's array of eight.
     config = replace(DEFAULT, layout=replace(DEFAULT.layout, gamma=gamma))
     cells = positions(config)
     batch = config.channel_batch(cells)
@@ -138,14 +138,60 @@ def test_batch_gains_are_channel_at_gains(gamma):
     from_array = config.channel_batch(scenario._grid(config))
     assert batch.__dict__.keys() == from_array.__dict__.keys()
     assert all(v.tobytes() == from_array.__dict__[k].tobytes() for k, v in batch.__dict__.items())
+    # The block keeps each shared field once: the powers, noises and planar
+    # gains with their squares; the relay gains and squares are per cell.
+    relay = ("h1r", "h2r", "hr1", "hr2")
+    sizes = {k: v.size for k, v in batch.__dict__.items()}
+    assert len(sizes) == 22 and len(batch) == len(cells)
+    assert sizes == {k: len(cells) if k.removeprefix("_g") in relay else 1 for k in sizes}
+    fields = {k: np.broadcast_to(v, len(batch)) for k, v in batch.__dict__.items()}
     for k, (x, y) in enumerate(cells):
         ch = config.channel_at(x, y)
-        for name in ("P1", "P2", "Pr", "N1", "N2", "Nr"):
-            assert getattr(batch, name)[k] == getattr(ch, name)
-        for name in ("h11", "h12", "h21", "h22", "h1r", "h2r", "hr1", "hr2"):
+        assert batch.cell(k) == ch
+        for name in _POWERS:
+            assert fields[name][k] == getattr(ch, name)
+        for name in _GAINS:
             h = complex(getattr(ch, name))
-            assert getattr(batch, name)[k] == h
-            assert batch._g(name)[k] == ch._g(name) == abs(h) * abs(h)
+            assert fields[name][k] == h
+            assert fields["_g" + name][k] == ch._g(name) == abs(h) * abs(h)
+
+
+def block_columns(batch: ChannelBatch) -> list:
+    """The bytes of every column of each kernel over ``batch``: AF, DF and EF-BL
+    at the uniform and the optimal split, and EF-SL."""
+    runs = (af.af_sum_rate_gain_batch(batch), ef.ef_sl_batch(batch),
+            df.df_sum_rate_search_batch(batch, 41, UNIFORM_NU),
+            df.df_sum_rate_search_batch(batch, 11),
+            ef.ef_bi_sum_rate_search_batch(batch, nu=UNIFORM_NU),
+            ef.ef_bi_sum_rate_search_batch(batch, 11))
+    return [[c.tobytes() for c in columns] for columns in runs]
+
+
+@pytest.mark.parametrize("name", _GAINS + _POWERS)
+def test_one_field_per_cell(name):
+    # A block whose one field varies over its cells, every other field shared
+    # as one element, gives the bytes of the same channels given per cell, and
+    # refuses the same first bad cell.
+    base = DEFAULT.channel_at(0.5, 0.5)
+    shared = {n: getattr(base, n) for n in _GAINS + _POWERS}
+    factors = [0.5, 1.0, 2.0, 1j, -0.75 + 0.25j] if name in _GAINS else [0.5, 1.0, 2.0, 4.0, 0.25]
+    values = [shared[name] * f for f in factors]
+    batch = ChannelBatch(**{**shared, name: values})
+    assert len(batch) == 5 and batch.P1.size == (5 if name == "P1" else 1)
+    assert block_columns(batch) == block_columns(
+        ChannelBatch.of([replace(base, **{name: v}) for v in values]))
+    bad = values[:2] + [math.inf, values[3], math.nan]  # cells 2 and 4 are bad
+    other = "Nr" if name == "Pr" else "Pr"
+    for cells in ({**shared, name: bad}, {**shared, other: math.inf, name: values}):
+        with pytest.raises(ValueError) as one_each:
+            ChannelBatch(**{n: np.broadcast_to(v, 5) for n, v in cells.items()}).validate()
+        with pytest.raises(ValueError) as got:
+            ChannelBatch(**cells).validate()
+        assert str(got.value) == str(one_each.value)
+    # A bad shared value refuses cell 0.
+    with pytest.raises(ValueError) as first:
+        replace(base, **{name: values[0], other: math.inf})
+    assert str(got.value) == str(first.value)
 
 
 def test_infeasible_cell_scores_zero_alone():

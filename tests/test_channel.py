@@ -12,6 +12,7 @@ from ircrates.channel import (
     RatePair,
     capacity,
     check_nu_split,
+    layout_to_batch,
     layout_to_channel,
     nu_simplex,
     path_loss_gain,
@@ -211,6 +212,15 @@ class TestLayout:
         )
         with pytest.raises(ValueError):
             layout_to_channel(layout, 1, 1, 1, 1, 1, 1)
+
+    def test_length_over_d0_overflowing_gives_a_zero_gain(self):
+        # d / d0 = 1e150 / 1e-160 overflows to inf, unwarned (pytest makes a
+        # RuntimeWarning an error), so every link of S2 has gain 0, as in a block.
+        layout = replace(DEFAULT_LAYOUT, s2=(-1e150, 0.0), d0=1e-160)
+        ch = layout_to_channel(layout, 1, 1, 1, 1, 1, 1)
+        assert (ch.h21, ch.h22, ch.h2r) == (0, 0, 0) and abs(ch.h11) > 0
+        block = layout_to_batch(layout, np.array([layout.relay[:2]]), 1, 1, 1, 1, 1, 1)
+        assert block.cell(0) == ch
 
     def test_default_layout_distances(self):
         d = DEFAULT_LAYOUT.distances()

@@ -231,21 +231,27 @@ class TestConfig:
     @pytest.mark.parametrize("x, y", [(math.nan, 0.0), (math.inf, 0.0), (0.0, -math.inf),
                                       (0.0, 1e308)])  # 1e308 d0 overflows
     def test_non_finite_relay_refused_alike(self, x, y):
-        cfg = default_config()
-        with pytest.raises(ConfigError, match="layout.relay must be a finite number") as one:
-            cfg.channel_at(x, y)
-        for call in (lambda: cfg.channel_batch([(0.5, 0.5), (x, y)]),
-                     lambda: cfg.channel_batch(np.array([(0.5, 0.5), (x, y)])),
-                     lambda: evaluate_cell(cfg, x, y)):
-            with pytest.raises(ConfigError) as block:
-                call()
-            assert str(block.value) == str(one.value)
-        if math.isfinite(x):  # the slice's first cell is at x_min
-            with pytest.raises(ConfigError) as first:
-                cfg.channel_at(cfg.x_min, y)
-            with pytest.raises(ConfigError) as block:
-                sum_rate_slice(cfg, y)
-            assert str(block.value) == str(first.value)
+        # Also where a planar link is bad as well (d1 on s1, so h11 has zero
+        # length, and every cell is bad): the relay is refused first, as for
+        # one channel.
+        base = default_config()
+        for cfg, cells in ((base, [(0.5, 0.5), (x, y)]),
+                           (replace(base, layout=replace(base.layout, d1=base.layout.s1)),
+                            [(x, y)])):
+            with pytest.raises(ConfigError, match="layout.relay must be a finite number") as one:
+                cfg.channel_at(x, y)
+            for call in (lambda: cfg.channel_batch(cells),
+                         lambda: cfg.channel_batch(np.array(cells)),
+                         lambda: evaluate_cell(cfg, x, y)):
+                with pytest.raises(ConfigError) as block:
+                    call()
+                assert str(block.value) == str(one.value)
+            if math.isfinite(x):  # the slice's first cell is at x_min
+                with pytest.raises(ConfigError) as first:
+                    cfg.channel_at(cfg.x_min, y)
+                with pytest.raises(ConfigError) as block:
+                    sum_rate_slice(cfg, y)
+                assert str(block.value) == str(first.value)
 
     def test_finite_relay_whose_length_overflows_keeps_the_overflow_message(self):
         cfg = default_config()  # 3e307 * d0 is finite; its squared length is not
