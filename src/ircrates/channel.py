@@ -135,8 +135,14 @@ _OVERFLOWS = f"overflows a float in the rate formulas; the limit is {_MAX_POWER:
 
 
 def _abs(h):
-    """|h| as Python's abs gives it, also elementwise (unlike ``np.abs``)."""
-    return np.hypot(h.real, h.imag) if isinstance(h, np.ndarray) else abs(h)
+    """|h| as Python's abs gives it, also elementwise (unlike ``np.abs``); inf where
+    it overflows, as ``np.hypot`` gives it, so the channel checks can refuse it."""
+    if isinstance(h, np.ndarray):
+        return np.hypot(h.real, h.imag)
+    try:
+        return abs(h)
+    except OverflowError:  # abs of a complex past the float range raises
+        return math.inf
 
 
 def _square(h):

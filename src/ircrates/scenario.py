@@ -15,7 +15,6 @@ import json
 import math
 import numbers
 import os
-import threading
 from dataclasses import dataclass, replace
 from itertools import repeat
 from typing import Dict, List, NamedTuple, Sequence, Tuple
@@ -285,8 +284,8 @@ def _block_size(config: ScenarioConfig) -> int:
 
 
 # A block of at least this many cells, with AF enabled, runs AF's entry on a
-# second thread, beside DF and EF in the calling thread, when the process may
-# use more than one CPU.  AF's time is mostly ``np.linalg.eigvals``, LAPACK work
+# one-worker executor, beside DF and EF in the calling thread, when the process
+# may use more than one CPU.  AF's time is mostly ``np.linalg.eigvals``, LAPACK work
 # that releases the GIL.  Measured on 2 vCPUs, uniform blocks of the default
 # map: the thread paid in 21 of 120 runs at 128 cells, 83 of 120 at 256 (2-6 %
 # faster) and 119 of 120 at 384; a 9-cell optimal block ran 1.4 ms slower with
@@ -303,31 +302,20 @@ def _usable_cpus() -> int:
 
 def _entry_runs(config: ScenarioConfig, protocols, batch: ChannelBatch) -> dict:
     """``OPTIMIZERS[p](batch, config)`` of each of ``protocols``, by protocol.  AF runs
-    on a second thread when the block is large enough (``_OVERLAP_CELLS``) and more
+    on a one-worker executor when the block is large enough (``_OVERLAP_CELLS``) and more
     than one CPU is usable, inside a copy of the caller's context (numpy's ``errstate``
-    is a context variable); an exception AF's entry raises there is raised again here."""
-    runs, raised = {}, []
+    is a context variable); an exception AF's entry raises there is raised here."""
+    if not ("af" in protocols and len(batch) >= _OVERLAP_CELLS and _usable_cpus() > 1):
+        return {p: OPTIMIZERS[p](batch, config) for p in protocols}
+    from concurrent.futures import ThreadPoolExecutor  # lazily: it imports logging, ~5 ms
 
-    def run_af():
+    with ThreadPoolExecutor(1) as pool:
+        af_run = pool.submit(contextvars.copy_context().run, OPTIMIZERS["af"], batch, config)
         try:
-            runs["af"] = OPTIMIZERS["af"](batch, config)
-        except BaseException as exc:  # raised again in the calling thread
-            raised.append(exc)
-
-    worker = None
-    if "af" in protocols and len(batch) >= _OVERLAP_CELLS and _usable_cpus() > 1:
-        worker = threading.Thread(target=contextvars.copy_context().run, args=(run_af,))
-        worker.start()
-    try:
-        for p in protocols:
-            if p != "af" or worker is None:
-                runs[p] = OPTIMIZERS[p](batch, config)
-    finally:
-        if worker is not None:
-            worker.join()
-            if raised:
-                raise raised[0] from None
-    return runs
+            runs = {p: OPTIMIZERS[p](batch, config) for p in protocols if p != "af"}
+        finally:
+            af_result = af_run.result()
+    return {**runs, "af": af_result}
 
 
 def _refusal(protocol: str, point: dict, k: int) -> Exception:
@@ -406,8 +394,8 @@ def dominance_map(config: ScenarioConfig) -> List[MapCell]:
     default grids 1,344, or 1,530 for EF alone; 32 and 64 under the optimal
     policy), each protocol once per block on a ``ChannelBatch``, and each
     block's cells are read from its columns.  A block of at least
-    ``_OVERLAP_CELLS`` cells runs AF on a second thread beside the other
-    protocols when more than one CPU is usable (``_entry_runs``); its
+    ``_OVERLAP_CELLS`` cells runs AF on a one-worker executor beside the
+    other protocols when more than one CPU is usable (``_entry_runs``); its
     columns are those of running them in turn, and a refusal names the
     first refused cell in map order.  Squares and path-loss gains are formed
     as for one channel (``channel._square``, ``_path_losses``), and all else

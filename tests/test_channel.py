@@ -137,6 +137,7 @@ class TestChannelInstance:
         ({"hr1": 2e77}, "received at D1"),
         ({"h12": 2e77}, "received at D2"),
         ({"h2r": 2e77}, "received at the relay"),
+        ({"h11": complex(1.7e308, 1.7e308)}, "received at D1"),
         ({"Nr": 1e300}, "received at the relay"),
         # |h1r|^2 P1 = 4e8 is in range, but |h1r|^2 is not.
         ({"h1r": 2e154, "P1": 1e-300}, "h1r = 2e+154+0j"),

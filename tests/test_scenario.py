@@ -640,15 +640,19 @@ class TestAfOnASecondThread:
         evaluate_cell(default_config(), 0.5, 0.5)
         assert seen == [threading.main_thread()] * 2
 
-    def test_one_usable_cpu_starts_no_thread(self, monkeypatch):
-        usable_cpus(monkeypatch, 1)
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_usable_cpus_start_at_most_one_thread(self, monkeypatch, cpus):
+        # One CPU starts no thread; two start one, for AF's entry alone (DF
+        # and EF stay in the calling thread).
+        usable_cpus(monkeypatch, cpus)
         started, start = [], threading.Thread.start
         monkeypatch.setattr(threading.Thread, "start",
                             lambda self: started.append(self) or start(self))
         seen = af_thread(monkeypatch)
         config, positions = block("map")
         scenario._block_columns(config, positions, config.channel_batch(positions))
-        assert started == [] and seen == [threading.main_thread()]
+        assert seen == (started if cpus > 1 else [threading.main_thread()])
+        assert len(started) == cpus - 1
 
     @pytest.mark.parametrize("raising", [("af", "df"), ("df",), ("af",), ("df", "ef_bl"),
                                          ("ef_bl", "ef_sl")], ids="+".join)
