@@ -15,9 +15,9 @@ import json
 import math
 import numbers
 import os
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
-from itertools import repeat
-from typing import Dict, List, NamedTuple, Sequence, Tuple
+from typing import Dict, NamedTuple, Tuple
 
 import numpy as np
 
@@ -30,6 +30,7 @@ __all__ = [
     "ScenarioConfig",
     "MapCell",
     "SlCell",
+    "CellTable",
     "default_config",
     "load_config",
     "dominance_map",
@@ -210,7 +211,7 @@ def load_config(path) -> ScenarioConfig:
 
 
 class MapCell(NamedTuple):
-    """One ``dominance_map`` or ``sum_rate_slice`` cell; ``map_to_csv`` writes one row of each."""
+    """One ``dominance_map`` or ``sum_rate_slice`` cell, as its ``CellTable`` builds it."""
     xr: float  # units of d0
     yr: float
     rates: Dict[str, float]  # sum rate per protocol (0.0 when infeasible)
@@ -221,7 +222,7 @@ class MapCell(NamedTuple):
 
 
 class SlCell(NamedTuple):
-    """One ``sl_vs_bl_map`` cell: its fields are the columns of SLMAP_HEADER, in order."""
+    """One ``sl_vs_bl_map`` cell, built by its ``CellTable``: SLMAP_HEADER's columns, in order."""
     xr: float
     yr: float
     sl_sum: float
@@ -229,6 +230,29 @@ class SlCell(NamedTuple):
     bl_scenario: str
     winner: str
     frontier: bool = False
+
+
+class CellTable(Sequence):
+    """A map's cells as a read-only sequence of rows, kept as ``columns``: by field name (a
+    CSV column's as in its header), a list of one entry per cell.  ``t[k]`` builds cell k,
+    ``row(*entries)``; ``t[i:j]`` is a table, and ``t == s`` compares rows with any sequence."""
+
+    def __init__(self, row, columns: dict):
+        self.row, self.columns = row, columns
+
+    def __len__(self) -> int:
+        return len(self.columns["xr"])
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return CellTable(self.row, {name: c[k] for name, c in self.columns.items()})
+        return self.row(*(c[k] for c in self.columns.values()))
+
+    def __iter__(self):
+        return map(self.row, *self.columns.values())
+
+    def __eq__(self, other):
+        return isinstance(other, Sequence) and list(self) == list(other)
 
 
 # Per-protocol optimisers.  An entry takes a ChannelBatch (a block of at most
@@ -352,34 +376,32 @@ def _block_columns(config: ScenarioConfig, positions, batch: ChannelBatch):
     return protocols, sums, nan.any(axis=0), gains, tags
 
 
-def _block_cells(config: ScenarioConfig, positions, batch: ChannelBatch) -> List[MapCell]:
-    """The ``MapCell`` of each (xr, yr) row of ``positions``, made from the block's columns."""
-    protocols, sums, infeasible, gains, tags = _block_columns(config, positions, batch)
-    rates = map(dict, map(zip, repeat(protocols), sums.T.tolist()))
-    winners = map(protocols.__getitem__, sums.argmax(axis=0).tolist())  # first of equal maxima
-    marks = map(((), ("ef_sl",)).__getitem__, infeasible.tolist())
-    return list(map(MapCell._make, zip(*positions.T.tolist(), rates, winners, tags.tolist(),
-                                       gains.tolist(), marks)))
-
-
-def _blocks(config: ScenarioConfig, positions, run) -> list:
-    """``run(config, block, batch)`` of each ``_block_size`` slice of ``positions``' rows."""
+def _columns(config: ScenarioConfig, positions):
+    """``positions``, then the ``_block_columns`` of its ``_block_size`` slices, joined."""
     size = _block_size(config)
-    return [run(config, positions[s:s + size], config.channel_batch(positions[s:s + size]))
-            for s in range(0, len(positions), size)]
+    parts = (positions[s:s + size] for s in range(0, len(positions), size))
+    protocols, *blocks = zip(*(_block_columns(config, p, config.channel_batch(p)) for p in parts))
+    return (positions, protocols[0], *(np.concatenate(c, axis=-1) for c in blocks))
 
 
-def _cells(config: ScenarioConfig, positions) -> List[MapCell]:
-    return [cell for block in _blocks(config, positions, _block_cells) for cell in block]
+def _map_table(positions, protocols, sums, infeasible, gains, tags) -> CellTable:
+    """The table of ``_columns``: a protocol not run sums to 0.0, the first largest sum wins."""
+    def row(xr, yr, af_sum, df_sum, bl_sum, sl_sum, winner, tag, gain, infeasible):
+        rates = dict(zip(PROTOCOL_ORDER, (af_sum, df_sum, bl_sum, sl_sum)))
+        return MapCell(xr, yr, {p: rates[p] for p in protocols}, winner, tag, gain,
+                       ("ef_sl",) if infeasible else ())
+
+    run, zeros = dict(zip(protocols, sums.tolist())), [0.0] * len(positions)
+    winners = list(map(protocols.__getitem__, sums.argmax(axis=0).tolist()))
+    return CellTable(row, dict(zip((*MAP_HEADER.split(","), "af_gain", "infeasible"), (
+        *positions.T.tolist(), *(run.get(p, zeros) for p in PROTOCOL_ORDER), winners,
+        tags.tolist(), gains.tolist(), infeasible.tolist()))))
 
 
 def evaluate_cell(config: ScenarioConfig, xr: float, yr: float) -> MapCell:
-    """Sum rate of every enabled protocol with the relay at (xr, yr)*d0: a
-    block of one.
-
-    An infeasible protocol scores 0.0 and is listed in ``infeasible``.
-    """
-    return _cells(config, np.array([(xr, yr)], dtype=float))[0]
+    """Sum rate of every enabled protocol with the relay at (xr, yr)*d0: a block of
+    one.  An infeasible protocol scores 0.0 and is listed in ``infeasible``."""
+    return _map_table(*_columns(config, np.array([(xr, yr)], dtype=float)))[0]
 
 
 def _grid(config: ScenarioConfig) -> np.ndarray:
@@ -387,46 +409,44 @@ def _grid(config: ScenarioConfig) -> np.ndarray:
     return np.stack(np.meshgrid(config.grid_x(), config.grid_y()), axis=-1).reshape(-1, 2)
 
 
-def dominance_map(config: ScenarioConfig) -> List[MapCell]:
-    """Protocol comparison over the whole relay-position grid, row-major.
+def dominance_map(config: ScenarioConfig) -> CellTable:
+    """Protocol comparison over the whole relay-position grid, row-major: a
+    ``CellTable`` of ``MapCell`` rows backed by the blocks' joined columns.
 
-    Positions are evaluated in blocks of ``_block_size`` cells (at the
-    default grids 1,344, or 1,530 for EF alone; 32 and 64 under the optimal
-    policy), each protocol once per block on a ``ChannelBatch``, and each
-    block's cells are read from its columns.  A block of at least
-    ``_OVERLAP_CELLS`` cells runs AF on a one-worker executor beside the
-    other protocols when more than one CPU is usable (``_entry_runs``); its
-    columns are those of running them in turn, and a refusal names the
-    first refused cell in map order.  Squares and path-loss gains are formed
-    as for one channel (``channel._square``, ``_path_losses``), and all else
-    is elementwise, so the map has the same bytes as cell by cell.
+    Positions are evaluated in blocks of ``_block_size`` cells (at the default
+    grids 1,344, or 1,530 for EF alone; 32 and 64 under the optimal policy),
+    each protocol once per block on a ``ChannelBatch``.  A block of at least
+    ``_OVERLAP_CELLS`` cells runs AF on a one-worker executor beside the other
+    protocols when more than one CPU is usable (``_entry_runs``), with the
+    columns of running them in turn; a refusal names the first refused cell in
+    map order.  Squares and path-loss gains are formed as for one channel
+    (``channel._square``, ``_path_losses``), and all else is elementwise, so
+    the map has the same bytes as cell by cell.
     """
-    return _cells(config, _grid(config))
+    return _map_table(*_columns(config, _grid(config)))
 
 
-def sum_rate_slice(config: ScenarioConfig, y_fixed: float) -> List[MapCell]:
-    """One-dimensional sweep along x_r at fixed y_r (both in units of d0)."""
-    return _cells(config, np.column_stack(np.broadcast_arrays(config.grid_x(), y_fixed)))
+def sum_rate_slice(config: ScenarioConfig, y_fixed: float) -> CellTable:
+    """``dominance_map``'s table along x_r at fixed y_r (both in units of d0)."""
+    positions = np.column_stack(np.broadcast_arrays(config.grid_x(), y_fixed))
+    return _map_table(*_columns(config, positions))
 
 
-def sl_vs_bl_map(config: ScenarioConfig) -> List[SlCell]:
-    """Single- vs bi-level EF comparison per cell, with scenario frontier flags.
-
-    Read from the EF-BL and EF-SL block columns, as in the EF-only dominance
-    map: ties go to bi-level.  A cell is on the frontier when its scenario tag
-    differs from the cell to its left or the cell below.
+def sl_vs_bl_map(config: ScenarioConfig) -> CellTable:
+    """Single- vs bi-level EF comparison per cell, with scenario frontier flags:
+    a ``CellTable`` of ``SlCell`` rows, read from the EF-BL and EF-SL block
+    columns as in the EF-only dominance map.  Ties go to bi-level.  A cell is on
+    the frontier when its scenario tag differs from the cell to its left or below.
     """
     config = replace(config, protocols=("ef_bl", "ef_sl"))
-    positions = _grid(config)
-    _, sums, _, _, tags = zip(*_blocks(config, positions, _block_columns))
-    (bl, sl), tags = np.concatenate(sums, axis=1), np.concatenate(tags)
+    positions, _, (bl, sl), _, _, tags = _columns(config, _grid(config))
     grid = tags.reshape(len(config.grid_y()), -1)
     frontier = np.zeros(grid.shape, dtype=bool)
     frontier[:, 1:] = grid[:, 1:] != grid[:, :-1]
     frontier[1:] |= grid[1:] != grid[:-1]
-    return list(map(SlCell, *positions.T.tolist(), sl.tolist(), bl.tolist(),
-                    tags.tolist(), np.where(bl >= sl, "bl", "sl").tolist(),
-                    frontier.ravel().tolist()))
+    return CellTable(SlCell, dict(zip(SLMAP_HEADER.split(","), (
+        *positions.T.tolist(), sl.tolist(), bl.tolist(), tags.tolist(),
+        np.where(bl >= sl, "bl", "sl").tolist(), frontier.ravel().tolist()))))
 
 
 # -- CSV emission -------------------------------------------------------------
@@ -436,18 +456,17 @@ MAP_HEADER = "xr,yr,af,df,ef_bl,ef_sl,winner,bl_scenario"
 SLMAP_HEADER = "xr,yr,ef_sl,ef_bl,bl_scenario,winner,frontier"
 
 
-def _to_csv(header: str, row: str, values) -> str:
-    """``header``, then the line ``row % v`` for each tuple ``v`` of
-    ``values``.  A ``%.12g`` field writes a float as ``format(x, ".12g")``
-    does, byte for byte, -0.0, subnormals, inf and nan included."""
-    return header + "\n" + "".join([row % v for v in values])
+def _to_csv(header: str, row: str, cells: CellTable) -> str:
+    """``header``, then the line ``row % v`` for each cell's values ``v`` in the columns of
+    ``cells`` that ``header`` names, in one pass.  A ``%.12g`` field writes a float as
+    ``format(x, ".12g")`` does, byte for byte, -0.0, subnormals, inf and nan included."""
+    columns = map(cells.columns.__getitem__, header.split(","))
+    return header + "\n" + "".join(map(row.__mod__, zip(*columns)))
 
 
-def map_to_csv(cells: Sequence[MapCell]) -> str:
-    return _to_csv(MAP_HEADER, "%.12g," * 6 + "%s,%s\n",
-                   ((c.xr, c.yr, *map(c.rates.get, PROTOCOL_ORDER, (0.0,) * 4), c.winner,
-                     c.bl_scenario) for c in cells))
+def map_to_csv(cells: CellTable) -> str:
+    return _to_csv(MAP_HEADER, "%.12g," * 6 + "%s,%s\n", cells)
 
 
-def slmap_to_csv(cells: Sequence[SlCell]) -> str:
+def slmap_to_csv(cells: CellTable) -> str:
     return _to_csv(SLMAP_HEADER, "%.12g,%.12g,%.12g,%.12g,%s,%s,%d\n", cells)

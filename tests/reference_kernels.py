@@ -21,6 +21,10 @@ kept below as they were (``*_scalar``), for ``test_batch.py`` and
 ``test_ef_terms.py``; their EF noise terms take ``ef._terms``' cancellation-free
 form, in its operand order.  ``ef_exact`` gives those terms from their
 definitions in mpmath, the oracle both are held to.
+
+The maps hand back their cells as column tables, and the CSV writers format
+the columns; ``map_to_csv_rows`` and ``slmap_to_csv_rows`` are the writers
+they replaced, which formatted each cell's row from its fields.
 """
 
 import math
@@ -50,7 +54,7 @@ from ircrates.discrete import (
     _check_table_size,
     conditional_mutual_information,
 )
-from ircrates.scenario import MapCell, PROTOCOL_ORDER, UNIFORM_NU
+from ircrates.scenario import MAP_HEADER, PROTOCOL_ORDER, SLMAP_HEADER, UNIFORM_NU, MapCell
 
 
 def optimal_gain_cases(channel: ChannelInstance, user: int) -> Tuple[float, float]:
@@ -688,6 +692,23 @@ def evaluate_cell_scalar(config, xr: float, yr: float, channel=None) -> MapCell:
         bl_scenario=points.get("ef_bl", {}).get("scenario", ""),
         af_gain=points.get("af", {}).get("gain", 0.0), infeasible=tuple(infeasible),
     )
+
+
+def _csv_rows(header: str, row: str, values) -> str:
+    return header + "\n" + "".join([row % v for v in values])
+
+
+def map_to_csv_rows(cells) -> str:
+    """``scenario.map_to_csv`` row by row, from each ``MapCell``'s fields: a
+    protocol the cell lacks writes 0."""
+    return _csv_rows(MAP_HEADER, "%.12g," * 6 + "%s,%s\n",
+                     ((c.xr, c.yr, *map(c.rates.get, PROTOCOL_ORDER, (0.0,) * 4), c.winner,
+                       c.bl_scenario) for c in cells))
+
+
+def slmap_to_csv_rows(cells) -> str:
+    """``scenario.slmap_to_csv`` row by row, each ``SlCell`` in its field order."""
+    return _csv_rows(SLMAP_HEADER, "%.12g,%.12g,%.12g,%.12g,%s,%s,%d\n", cells)
 
 
 def bi_level_joint(fact) -> JointPmf:

@@ -198,7 +198,9 @@ def test_infeasible_cell_scores_zero_alone():
     cells = [(-1.0, 0.5), (0.0, 0.5), (1.0, 0.5)]
     channels = [DEFAULT.channel_at(x, y) for x, y in cells]
     channels[1] = replace(channels[1], hr1=0.0)  # no relay broadcast to D1
-    got = scenario._block_cells(DEFAULT, np.array(cells), ChannelBatch.of(channels))
+    positions = np.array(cells)
+    got = scenario._map_table(positions, *scenario._block_columns(
+        DEFAULT, positions, ChannelBatch.of(channels)))
     assert [c.infeasible for c in got] == [(), ("ef_sl",), ()]
     assert got[1].rates["ef_sl"] == 0.0 and got[0].rates["ef_sl"] > 0.0
     assert got == [evaluate_cell_scalar(DEFAULT, x, y, ch) for (x, y), ch in zip(cells, channels)]

@@ -114,7 +114,8 @@ def test_zero_noise_bound_raises_on_the_map_path(policy):
     config = replace(default_config(), pa_policy=policy, ef_grid=11)
     ch = zero_noise_bound_channel()
     batch = ChannelBatch.of([config.channel_at(0.5, 0.5), ch])
-    cell = scenario._block_cells(config, np.array([(0.5, 0.5), (0.0, 0.0)]), batch)[1]
+    positions = np.array([(0.5, 0.5), (0.0, 0.0)])
+    cell = scenario._map_table(positions, *scenario._block_columns(config, positions, batch))[1]
     params, tag, pair = (ef.ef_bi_eval(ch, *scenario.UNIFORM_NU) if policy == "uniform"
                          else ef.ef_bi_sum_rate_search(ch, 11))
     assert (cell.rates["ef_bl"], cell.bl_scenario) == (pair.sum, tag.value)

@@ -13,12 +13,15 @@ from hypothesis import assume, given, settings, strategies as st
 
 from ircrates import df, ef
 from ircrates.channel import NodeLayout
-from ircrates.scenario import PROTOCOL_ORDER, ScenarioConfig, dominance_map, sl_vs_bl_map
+from ircrates.scenario import (PROTOCOL_ORDER, ScenarioConfig, dominance_map, map_to_csv,
+                               sl_vs_bl_map, slmap_to_csv)
 
 from reference_kernels import (
     df_sum_rate_search_reference,
     ef_bi_sum_rate_search_loop,
     evaluate_cell_scalar,
+    map_to_csv_rows,
+    slmap_to_csv_rows,
 )
 
 _POINT = st.tuples(*[st.floats(-15.0, 15.0)] * 2)
@@ -64,10 +67,14 @@ def positions(config):
 def test_maps_equal_their_cell_references(config):
     cells = positions(config)
     uniform = replace(config, pa_policy="uniform")
-    assert dominance_map(uniform) == [evaluate_cell_scalar(uniform, x, y) for x, y in cells]
+    table = dominance_map(uniform)
+    assert table == [evaluate_cell_scalar(uniform, x, y) for x, y in cells]
+    assert map_to_csv(table) == map_to_csv_rows(list(table))
 
     optimal = replace(config, pa_policy="optimal", protocols=("df", "ef_bl"))
-    for cell, (x, y) in zip(dominance_map(optimal), cells):
+    table = dominance_map(optimal)
+    assert map_to_csv(table) == map_to_csv_rows(list(table))
+    for cell, (x, y) in zip(table, cells):
         ch = config.channel_at(x, y)
         params, pair = df_sum_rate_search_reference(ch, config.df_grid)
         assert df.df_sum_rate_search(ch, config.df_grid) == (params, pair)
@@ -78,6 +85,7 @@ def test_maps_equal_their_cell_references(config):
 
     nx = len(config.grid_x())
     sl = sl_vs_bl_map(config)
+    assert slmap_to_csv(sl) == slmap_to_csv_rows(list(sl))
     tags = [c.bl_scenario for c in sl]
     assert [c.frontier for c in sl] == [
         (k % nx > 0 and tags[k - 1] != tags[k]) or (k >= nx and tags[k - nx] != tags[k])

@@ -20,8 +20,8 @@ from ircrates.scenario import (
     OPTIMIZERS,
     PROTOCOL_ORDER,
     SLMAP_HEADER,
+    CellTable,
     ConfigError,
-    MapCell,
     ScenarioConfig,
     SlCell,
     default_config,
@@ -33,6 +33,8 @@ from ircrates.scenario import (
     slmap_to_csv,
     sum_rate_slice,
 )
+
+from reference_kernels import map_to_csv_rows, slmap_to_csv_rows
 
 
 def small_config(**overrides):
@@ -486,8 +488,10 @@ class TestMaps:
 
     def test_slice_matches_map_row(self):
         cfg = small_config()
-        cells = dominance_map(cfg)
-        row = [c for c in cells if c.yr == 0.75]
+        cells, nx = dominance_map(cfg), len(cfg.grid_x())
+        start = [c.yr for c in cells].index(0.75)
+        row = cells[start:start + nx]  # the map's row at y = 0.75, as a table
+        assert list(row) == [c for c in cells if c.yr == 0.75]
         sl = sum_rate_slice(cfg, 0.75)
         assert map_to_csv(row) == map_to_csv(sl)
 
@@ -509,26 +513,64 @@ class TestMaps:
         # Each float field is format(x, ".12g"), fields joined by commas, on
         # edge values: signed zero, the least subnormal, a float past 2**53,
         # repeating decimals, values that round at the 12th digit, inf and nan.
-        # Each map cell lacks one protocol, which writes 0.
+        # Each map table lacks one protocol, which writes 0; the tables are
+        # built from block-like columns, as the maps build theirs.
         edge = [-0.0, 5e-324, 1e16, 0.1, 1 / 3, 1.23456789012549, 9.99999999999951,
                 math.inf, math.nan]
         n = len(edge)
-        maps = [MapCell(edge[k], edge[k - 1], {p: edge[(k + j) % n] for j, p in
-                                               enumerate(PROTOCOL_ORDER) if j != k % 4},
-                        "af", "d1_better", 0.0) for k in range(n)]
-        sls = [SlCell(edge[k], edge[k - 1], edge[k - 2], edge[k - 3], "neither",
-                      "bl", k % 2 == 1) for k in range(n)]
+        columns = np.array([[edge[(k - j) % n] for k in range(n)] for j in range(n)])
+        tags = np.array(["d1_better", "d2_better", "neither", ""] * 3)[:n]
 
         def csv(header, rows):
             return "".join(",".join(format(f, ".12g") if isinstance(f, float) else f
                                     for f in row) + "\n" for row in [[header], *rows])
 
-        assert map_to_csv(maps) == csv(MAP_HEADER, (
-            [c.xr, c.yr, *(c.rates.get(p, 0.0) for p in PROTOCOL_ORDER), c.winner,
-             c.bl_scenario] for c in maps))
+        for lacking in PROTOCOL_ORDER:
+            protocols = [p for p in PROTOCOL_ORDER if p != lacking]
+            maps = scenario._map_table(columns[:2].T, protocols, columns[2:5], columns[5] > 1,
+                                       columns[6], tags)
+            assert all(lacking not in c.rates for c in maps)
+            assert all({repr(c.rates[p]) for c in maps} == set(map(repr, edge)) for p in protocols)
+            text = map_to_csv(maps)
+            assert text == csv(MAP_HEADER, (
+                [c.xr, c.yr, *(c.rates.get(p, 0.0) for p in PROTOCOL_ORDER), c.winner,
+                 c.bl_scenario] for c in maps))
+            column = 2 + PROTOCOL_ORDER.index(lacking)
+            assert {line.split(",")[column] for line in text.split("\n")[1:-1]} == {"0"}
+        sls = CellTable(SlCell, dict(zip(SLMAP_HEADER.split(","), (
+            *columns[:4].tolist(), ["neither"] * n, ["bl"] * n, [k % 2 == 1 for k in range(n)]))))
         assert slmap_to_csv(sls) == csv(SLMAP_HEADER, (
             [c.xr, c.yr, c.sl_sum, c.bl_sum, c.bl_scenario, c.winner, "01"[c.frontier]]
             for c in sls))
+
+    @pytest.mark.parametrize("case", ["map", "slice", "slmap", "df_ef_sl_map"])
+    def test_tables_read_as_their_list_of_rows(self, case):
+        # A map's table reads as the list of its rows: by index from either
+        # end, by slice (a table whose CSV is that of the sliced rows), and by
+        # equality with any sequence; the writers format the same bytes as the
+        # row-by-row reference.
+        cfg = small_config(x_max=1.0, resolution=0.25)
+        table, writer, reference = {
+            "map": (dominance_map(cfg), map_to_csv, map_to_csv_rows),
+            "slice": (sum_rate_slice(cfg, 0.5), map_to_csv, map_to_csv_rows),
+            "slmap": (sl_vs_bl_map(cfg), slmap_to_csv, slmap_to_csv_rows),
+            "df_ef_sl_map": (dominance_map(replace(cfg, protocols=("df", "ef_sl"))), map_to_csv,
+                             map_to_csv_rows)}[case]
+        rows = list(table)
+        assert isinstance(table, CellTable) and len(table) == len(rows) > 6
+        assert [table[k] for k in range(len(rows))] == rows
+        assert [table[-k] for k in range(1, len(rows) + 1)] == [rows[-k] for k in
+                                                                range(1, len(rows) + 1)]
+        for part in (slice(None), slice(1, 4), slice(2, -1), slice(-3, None), slice(4, 2),
+                     slice(None, None, 2), slice(None, None, -3)):
+            assert isinstance(table[part], CellTable) and list(table[part]) == rows[part]
+            assert writer(table[part]) == reference(rows[part])
+        assert writer(table) == reference(rows)
+        assert table == rows and rows == table and table == tuple(rows)
+        assert table != rows[:-1] and table[1:] != rows[:-1] and table != "not a table"
+        for k in (len(rows), -len(rows) - 1):
+            with pytest.raises(IndexError):
+                table[k]
 
     def test_mirrored_layout_symmetry(self):
         # Reflect the whole node set across the x-axis: rates at (x, y) in
